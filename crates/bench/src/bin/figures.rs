@@ -18,42 +18,95 @@
 //! (`FOLDED_*.txt`, feed to flamegraph.pl / speedscope) and — for the
 //! `hostperf` sweep — *wall-clock* folded stacks of the simulator itself
 //! (`HOST_*.txt`).
+//!
+//! An unknown figure id, an unknown flag, or `--json`/`--trace` without a
+//! value exits with status 2 and a usage line naming every valid id.
 
 use hyperloop_bench::figures;
 use hyperloop_bench::report::Report;
 use std::path::PathBuf;
 
+/// Every figure id, in run order.
+const IDS: [&str; 14] = [
+    "fig2a",
+    "fig2b",
+    "fig8a",
+    "fig8b",
+    "table2",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "shardscale",
+    "migrate",
+    "hostperf",
+    "txnmix",
+    "ablations",
+];
+
+fn usage() -> String {
+    format!(
+        "usage: figures [all | <id>...] [--quick] [--json <path>] [--trace <dir>]\nids: {}",
+        IDS.join(" ")
+    )
+}
+
+/// The parsed command line.
+struct Args {
+    quick: bool,
+    json_path: Option<PathBuf>,
+    trace_dir: Option<PathBuf>,
+    wanted: Vec<String>,
+}
+
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        quick: false,
+        json_path: None,
+        trace_dir: None,
+        wanted: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--json" | "--trace" => {
+                let value = it
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{arg} needs a value"))?;
+                let slot = if arg == "--json" {
+                    &mut parsed.json_path
+                } else {
+                    &mut parsed.trace_dir
+                };
+                *slot = Some(PathBuf::from(value));
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            id if id == "all" || IDS.contains(&id) => parsed.wanted.push(id.to_string()),
+            id => return Err(format!("unknown figure id {id:?}")),
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let trace_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let mut skip_next = false;
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--json" || *a == "--trace" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(|s| s.as_str())
-        .collect();
-    let all = wanted.is_empty() || wanted.contains(&"all");
-    let has = |name: &str| all || wanted.contains(&name);
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage());
+        return;
+    }
+    let Args {
+        quick,
+        json_path,
+        trace_dir,
+        wanted,
+    } = parse(&args).unwrap_or_else(|msg| {
+        eprintln!("figures: {msg}\n{}", usage());
+        std::process::exit(2);
+    });
+    let all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
+    let has = |name: &str| all || wanted.iter().any(|w| w == name);
 
     let mut rep = Report::new("figures");
     rep.set_quick(quick);
@@ -106,7 +159,7 @@ fn main() {
     if has("txnmix") {
         hyperloop_bench::txnmix::txnmix(&mut rep, quick);
     }
-    if has("ablations") || wanted.contains(&"ablations") {
+    if has("ablations") {
         hyperloop_bench::appbench::ablations(&mut rep, quick);
     }
     rep.finish().expect("write JSON report");

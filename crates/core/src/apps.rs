@@ -9,12 +9,16 @@
 
 use crate::group::ReplicaHandle;
 use cpusched::ProcKind;
+use rnicsim::Cqe;
 use simcore::SimDuration;
 use testbed::{Cluster, Env, HostApp, HostEvent, ProcRef};
 
 /// The replica maintenance process: replaces consumed descriptor chains.
 pub struct Maintainer {
     handle: ReplicaHandle,
+    /// Reused completion buffer, so a wake-up allocates nothing once it
+    /// has reached its high-water capacity.
+    cqes: Vec<Cqe>,
     /// Generations replenished so far (diagnostics).
     pub replenished: u64,
 }
@@ -24,6 +28,7 @@ impl Maintainer {
     pub fn new(handle: ReplicaHandle) -> Self {
         Maintainer {
             handle,
+            cqes: Vec::new(),
             replenished: 0,
         }
     }
@@ -34,7 +39,8 @@ impl HostApp for Maintainer {
         if let HostEvent::CqReady(cq) = event {
             debug_assert_eq!(cq, self.handle.recv_cq());
             let node = self.handle.node();
-            let consumed = env.poll_cq(node, cq, 4096).len() as u32;
+            self.cqes.clear();
+            let consumed = env.poll_cq_into(node, cq, 4096, &mut self.cqes) as u32;
             if consumed > 0 {
                 self.replenished += consumed as u64;
                 env.with_fabric(|ctx| {

@@ -28,7 +28,12 @@
 //! assert_eq!(w.finish(), r#"{"name":"smoke","values":[1,2]}"#);
 //! ```
 
-/// Streaming JSON writer with caller-driven structure.
+use std::fmt::Write as _;
+
+/// Streaming JSON writer with caller-driven structure. Numbers are
+/// formatted straight into the output buffer, and strings that need no
+/// escaping are copied in one `push_str`, so writing allocates only when
+/// the buffer grows.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
     out: String,
@@ -36,22 +41,112 @@ pub struct JsonWriter {
     first: Vec<bool>,
 }
 
+/// Bytes JSON strings must escape. Every byte below 0x20 is an ASCII
+/// control char: UTF-8 continuation bytes are all ≥ 0x80.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
 fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    if !s.bytes().any(needs_escape) {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// `"00"`, `"01"`, …, `"99"`: two digits per table step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Appends an unsigned integer in decimal, two digits per step. Trace
+/// exports write millions of integers, and this skips the `fmt` machinery.
+fn u64_into(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+}
+
+fn i64_into(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    u64_into(out, v.unsigned_abs());
+}
+
+/// Appends a float in Rust's shortest round-trip form (`null` when
+/// non-finite). `{}` prints integral floats without a dot; that is still
+/// valid JSON.
+fn f64_into(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends `ns as f64 / 1e3` (microseconds from integer nanoseconds) in
+/// the same shortest round-trip form as [`f64_into`], straight from the
+/// integer. Below 2^52 ns that form is exactly `ns / 1000` with the
+/// fraction's trailing zeros trimmed: `ns` is exact as an `f64`, the
+/// division rounds once to within half an ulp (at most 2^-11 there), so
+/// every other decimal that rounds to the same `f64` lies within 2^-10 <
+/// 0.001 of `ns / 1000`, needs at least four fraction digits, and is never
+/// the shorter one. Larger values take the float path.
+fn micros_into(out: &mut String, ns: u64) {
+    if ns >= 1 << 52 {
+        return f64_into(out, ns as f64 / 1e3);
+    }
+    u64_into(out, ns / 1000);
+    let frac = (ns % 1000) as usize;
+    if frac != 0 {
+        let pair = (frac % 100) * 2;
+        let digits = [
+            b'.',
+            b'0' + (frac / 100) as u8,
+            DIGIT_PAIRS[pair],
+            DIGIT_PAIRS[pair + 1],
+        ];
+        let zeros = digits.iter().rev().take_while(|&&d| d == b'0').count();
+        let digits = &digits[..digits.len() - zeros];
+        out.push_str(std::str::from_utf8(digits).expect("ASCII digits"));
+    }
 }
 
 impl JsonWriter {
@@ -77,15 +172,6 @@ impl JsonWriter {
         self.comma();
         escape_into(&mut self.out, k);
         self.out.push(':');
-    }
-
-    fn f64_repr(v: f64) -> String {
-        if !v.is_finite() {
-            return "null".into();
-        }
-        let s = format!("{v}");
-        // `{}` prints integral floats without a dot; that is still valid JSON.
-        s
     }
 
     /// Opens an object as an array element (or as the document root).
@@ -137,20 +223,27 @@ impl JsonWriter {
     /// Writes an unsigned integer field.
     pub fn field_u64(&mut self, k: &str, v: u64) {
         self.key(k);
-        self.out.push_str(&v.to_string());
+        u64_into(&mut self.out, v);
     }
 
     /// Writes a signed integer field (negative values carry the sign).
     pub fn field_i64(&mut self, k: &str, v: i64) {
         self.key(k);
-        self.out.push_str(&v.to_string());
+        i64_into(&mut self.out, v);
     }
 
     /// Writes a float field (`null` for non-finite values).
     pub fn field_f64(&mut self, k: &str, v: f64) {
         self.key(k);
-        let r = Self::f64_repr(v);
-        self.out.push_str(&r);
+        f64_into(&mut self.out, v);
+    }
+
+    /// Writes integer nanoseconds as a float field in microseconds (the
+    /// Chrome trace `ts` unit): byte-identical to
+    /// `field_f64(k, ns as f64 / 1e3)`, without float formatting.
+    pub fn field_micros(&mut self, k: &str, ns: u64) {
+        self.key(k);
+        micros_into(&mut self.out, ns);
     }
 
     /// Writes a boolean field.
@@ -168,20 +261,19 @@ impl JsonWriter {
     /// Writes an unsigned integer array element.
     pub fn u64_elem(&mut self, v: u64) {
         self.comma();
-        self.out.push_str(&v.to_string());
+        u64_into(&mut self.out, v);
     }
 
     /// Writes a signed integer array element.
     pub fn i64_elem(&mut self, v: i64) {
         self.comma();
-        self.out.push_str(&v.to_string());
+        i64_into(&mut self.out, v);
     }
 
     /// Writes a float array element (`null` for non-finite values).
     pub fn f64_elem(&mut self, v: f64) {
         self.comma();
-        let r = Self::f64_repr(v);
-        self.out.push_str(&r);
+        f64_into(&mut self.out, v);
     }
 
     /// Finishes and returns the accumulated JSON text.
@@ -528,14 +620,8 @@ fn value_into(out: &mut String, v: &JsonValue) {
     match v {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::U64(n) => out.push_str(&n.to_string()),
-        JsonValue::F64(f) => {
-            if f.is_finite() {
-                out.push_str(&format!("{f}"));
-            } else {
-                out.push_str("null");
-            }
-        }
+        JsonValue::U64(n) => u64_into(out, *n),
+        JsonValue::F64(f) => f64_into(out, *f),
         JsonValue::Str(s) => escape_into(out, s),
         JsonValue::Arr(elems) => {
             out.push('[');
@@ -741,6 +827,46 @@ mod tests {
         // Non-host content still distinguishes reports.
         let c = canonicalize_report(r#"{"x":2,"host":{"wall_ms":1.5}}"#).unwrap();
         assert_ne!(canonicalize_report(r#"{"x":1}"#).unwrap(), c);
+    }
+
+    #[test]
+    fn integer_and_micros_fields_match_fmt_output() {
+        let micros = |ns: u64| {
+            let mut a = String::new();
+            micros_into(&mut a, ns);
+            let mut b = String::new();
+            let _ = write!(b, "{}", ns as f64 / 1e3);
+            assert_eq!(a, b, "ns = {ns}");
+        };
+        let int = |v: u64| {
+            let mut a = String::new();
+            u64_into(&mut a, v);
+            assert_eq!(a, v.to_string());
+        };
+        for ns in 0..200_000 {
+            micros(ns);
+            int(ns);
+        }
+        let mut rng = crate::rng::SimRng::new(7);
+        for _ in 0..200_000 {
+            let bits = rng.gen_range(1..65);
+            let v = rng.next_u64() >> (64 - bits);
+            int(v);
+            micros(v);
+        }
+        for p in 0..64 {
+            for v in [(1u64 << p) - 1, 1 << p, (1 << p) + 1] {
+                int(v);
+                micros(v);
+            }
+        }
+        for v in [u64::MAX, u64::MAX - 1, 10u64.pow(19), 10u64.pow(19) - 1] {
+            int(v);
+            micros(v);
+        }
+        let mut neg = String::new();
+        i64_into(&mut neg, i64::MIN);
+        assert_eq!(neg, i64::MIN.to_string());
     }
 
     #[test]

@@ -68,6 +68,9 @@ pub mod dist;
 pub mod hostprof;
 pub mod jsonw;
 pub mod model;
+#[cfg(any(test, feature = "obs-reference"))]
+#[doc(hidden)]
+pub mod obsref;
 pub mod queue;
 pub mod rng;
 pub mod simaudit;

@@ -21,12 +21,13 @@
 
 use crate::jsonw::JsonWriter;
 use crate::simtrace::{
-    breakdown_from_sorted, ts_us, txn_mode_label, txn_phase_label, write_chrome_events,
-    MetricsRegistry, TraceEvent, TraceKind, NO_OP,
+    kind_label, ts_us, txn_mode_label, txn_phase_label, write_chrome_events, MetricsRegistry,
+    OpEvents, OpIndex, TraceEvent, TraceKind, KIND_COUNT, TXN_PHASE_BACKOFF,
 };
 use crate::stats::Histogram;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Synthetic Perfetto process id hosting all counter tracks (far above any
 /// real node id, so it sorts to its own process group in the UI).
@@ -87,33 +88,33 @@ impl StageAttribution {
     /// holds over host-observed latency.
     pub fn from_events(events: &[TraceEvent]) -> Self {
         let mut att = StageAttribution::default();
-        for (op, evs) in events_by_op(events) {
-            let Some(win) = issue_ack_window(&evs) else {
-                att.truncated += 1;
-                continue;
-            };
-            let Some(bd) = breakdown_from_sorted(op, win, 0) else {
+        let mut stages: [Option<StageAgg>; KIND_COUNT] = std::array::from_fn(|_| None);
+        // Signatures as kind-ordinal sequences; spelled out once at the end.
+        let mut paths = Paths::default();
+        let mut sig: Vec<u8> = Vec::new();
+        for (_op, evs) in OpIndex::by_op(events).iter() {
+            let Some(win) = issue_ack_window(evs) else {
                 att.truncated += 1;
                 continue;
             };
             att.ops += 1;
-            let e2e = bd.total();
+            let e2e = win.last().at.since(win.first().at);
             att.e2e.record(e2e);
             att.e2e_total_ns += e2e.as_nanos();
-            let mut sig = String::new();
-            for s in &bd.stages {
-                let label = stage_kind(&s.label);
-                if !sig.is_empty() {
-                    sig.push(';');
-                }
-                sig.push_str(label);
-                let agg = att.stages.entry(label.to_string()).or_default();
+            sig.clear();
+            for (prev, ev) in win.pairs() {
+                let kind = ev.kind.ordinal();
+                let d = ev.at.since(prev.at);
+                let agg = stages[kind].get_or_insert_with(StageAgg::default);
                 agg.count += 1;
-                agg.total_ns += s.duration().as_nanos();
-                agg.hist.record(s.duration());
+                agg.total_ns += d.as_nanos();
+                agg.hist.record(d);
+                sig.push(kind as u8);
             }
-            *att.paths.entry(sig).or_insert(0) += 1;
+            paths.record(&sig);
         }
+        att.stages = labelled(stages, kind_label);
+        att.paths = paths.spell(kind_label);
         att
     }
 
@@ -199,36 +200,66 @@ impl StageAttribution {
     }
 }
 
-/// Strips the `@nNODE` suffix off a stage label (`"wait_release@n2"` →
-/// `"wait_release"`).
-pub(crate) fn stage_kind(label: &str) -> &str {
-    label.rsplit_once("@n").map_or(label, |(k, _)| k)
+/// Path signatures (one code sequence per folded op or txn), counted
+/// without an allocation per op: every signature is appended to one arena,
+/// and equal signatures merge when the counts are spelled out.
+#[derive(Default)]
+struct Paths {
+    arena: Vec<u8>,
+    /// `arena[start..end]` of each recorded signature.
+    spans: Vec<(u32, u32)>,
 }
 
-/// Groups a stream by op in one pass, each op's events time-sorted
-/// (stable, so ties keep emission order — same contract as
-/// `simtrace::events_for`). Bulk folds over every op are O(n log n) this
-/// way instead of O(ops × n) re-filtering.
-pub(crate) fn events_by_op(events: &[TraceEvent]) -> BTreeMap<u64, Vec<TraceEvent>> {
-    let mut map: BTreeMap<u64, Vec<TraceEvent>> = BTreeMap::new();
-    for e in events {
-        if e.op != NO_OP {
-            map.entry(e.op).or_default().push(*e);
+impl Paths {
+    fn record(&mut self, sig: &[u8]) {
+        let start = self.arena.len() as u32;
+        self.arena.extend_from_slice(sig);
+        self.spans.push((start, self.arena.len() as u32));
+    }
+
+    /// Signature → count, each signature spelled as its codes' labels
+    /// joined by `;`. Labels hold no `;` and are distinct per code, so
+    /// distinct sequences stay distinct strings.
+    fn spell(self, label: impl Fn(usize) -> &'static str) -> BTreeMap<String, u64> {
+        let Paths { arena, mut spans } = self;
+        let sig = |&(start, end): &(u32, u32)| &arena[start as usize..end as usize];
+        spans.sort_unstable_by(|a, b| sig(a).cmp(sig(b)));
+        let mut out = BTreeMap::new();
+        for run in spans.chunk_by(|a, b| sig(a) == sig(b)) {
+            let codes = sig(&run[0]);
+            let len: usize = codes.iter().map(|&c| label(c as usize).len() + 1).sum();
+            let mut s = String::with_capacity(len);
+            for (i, &code) in codes.iter().enumerate() {
+                if i > 0 {
+                    s.push(';');
+                }
+                s.push_str(label(code as usize));
+            }
+            out.insert(s, run.len() as u64);
         }
+        out
     }
-    for evs in map.values_mut() {
-        evs.sort_by_key(|e| e.at);
-    }
-    map
 }
 
-/// Trims a time-sorted per-op event slice to the host-observed window:
-/// first `OpIssue` through last `OpAck`. HyperLoop preposts RECV WQEs
-/// whose `wr_id` names a *future* generation, so an op's stream can open
-/// with descriptor-fetch events emitted long before the client issues the
-/// op; those are setup cost, not op latency, and are cut here. Returns
-/// `None` when the stream never captured the op's issue or its ack.
-pub(crate) fn issue_ack_window(evs: &[TraceEvent]) -> Option<&[TraceEvent]> {
+/// The report rows of a code-indexed fold: one `(label, agg)` per code
+/// that was touched. Labels are distinct per code, so no two rows merge.
+fn labelled<const N: usize>(
+    aggs: [Option<StageAgg>; N],
+    label: impl Fn(usize) -> &'static str,
+) -> BTreeMap<String, StageAgg> {
+    aggs.into_iter()
+        .enumerate()
+        .filter_map(|(code, agg)| Some((label(code).to_string(), agg?)))
+        .collect()
+}
+
+/// Trims one op's time-ordered events to the host-observed window: first
+/// `OpIssue` through last `OpAck`. HyperLoop preposts RECV WQEs whose
+/// `wr_id` names a *future* generation, so an op's stream can open with
+/// descriptor-fetch events emitted long before the client issues the op;
+/// those are setup cost, not op latency, and are cut here. Returns `None`
+/// when the stream never captured the op's issue or its ack.
+pub(crate) fn issue_ack_window(evs: OpEvents<'_>) -> Option<OpEvents<'_>> {
     let first = evs
         .iter()
         .position(|e| matches!(e.kind, TraceKind::OpIssue))?;
@@ -238,7 +269,7 @@ pub(crate) fn issue_ack_window(evs: &[TraceEvent]) -> Option<&[TraceEvent]> {
     if last <= first {
         return None;
     }
-    Some(&evs[first..=last])
+    Some(evs.slice(first, last))
 }
 
 /// Renders a trace stream in the flamegraph collapsed-stack text format:
@@ -246,25 +277,27 @@ pub(crate) fn issue_ack_window(evs: &[TraceEvent]) -> Option<&[TraceEvent]> {
 /// over all complete ops and sorted lexicographically. Feed straight into
 /// `flamegraph.pl` / speedscope; byte-identical for same-seed runs.
 pub fn folded_stacks(events: &[TraceEvent], root: &str) -> String {
-    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-    for (op, evs) in events_by_op(events) {
-        let Some(win) = issue_ack_window(&evs) else {
+    let mut folded: BTreeMap<(u32, usize), u64> = BTreeMap::new();
+    for (_op, evs) in OpIndex::by_op(events).iter() {
+        let Some(win) = issue_ack_window(evs) else {
             continue;
         };
-        let Some(bd) = breakdown_from_sorted(op, win, 0) else {
-            continue;
-        };
-        for (stage, ev) in bd.stages.iter().zip(win.iter().skip(1)) {
-            let key = format!("{root};node{};{}", ev.node, stage_kind(&stage.label));
-            *folded.entry(key).or_insert(0) += stage.duration().as_nanos();
+        for (prev, ev) in win.pairs() {
+            *folded.entry((ev.node, ev.kind.ordinal())).or_insert(0) +=
+                ev.at.since(prev.at).as_nanos();
         }
     }
+    let lines = folded
+        .into_iter()
+        .map(|((node, kind), ns)| (format!("{root};node{node};{}", kind_label(kind)), ns));
+    collapsed(lines.collect())
+}
+
+/// Writes `line total\n` rows in line order.
+fn collapsed(lines: BTreeMap<String, u64>) -> String {
     let mut out = String::new();
-    for (k, v) in &folded {
-        out.push_str(k);
-        out.push(' ');
-        out.push_str(&v.to_string());
-        out.push('\n');
+    for (k, v) in &lines {
+        let _ = writeln!(out, "{k} {v}");
     }
     out
 }
@@ -364,7 +397,17 @@ pub fn chrome_trace_with_counters(events: &[TraceEvent], samples: &[CounterSampl
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.begin_arr_field("traceEvents");
-    write_chrome_events(&mut w, events);
+    write_chrome_events(&mut w, events, |_| true);
+    write_counter_tracks(&mut w, samples);
+    w.end_arr();
+    w.field_str("displayTimeUnit", "ns");
+    w.end_obj();
+    w.finish()
+}
+
+/// Writes the `"ph":"C"` counter events (and, when there are any, their
+/// process metadata) into an open `traceEvents` array.
+fn write_counter_tracks(w: &mut JsonWriter, samples: &[CounterSample]) {
     if !samples.is_empty() {
         w.begin_obj();
         w.field_str("ph", "M");
@@ -380,16 +423,12 @@ pub fn chrome_trace_with_counters(events: &[TraceEvent], samples: &[CounterSampl
         w.field_str("ph", "C");
         w.field_str("name", &s.track);
         w.field_u64("pid", COUNTER_PID);
-        w.field_f64("ts", ts_us(s.at));
+        w.field_micros("ts", s.at.as_nanos());
         w.begin_obj_field("args");
         w.field_f64("value", s.value);
         w.end_obj();
         w.end_obj();
     }
-    w.end_arr();
-    w.field_str("displayTimeUnit", "ns");
-    w.end_obj();
-    w.finish()
 }
 
 /// Convenience: samples a registry-exporting closure once and returns the
@@ -405,72 +444,45 @@ pub fn sample_once(
     sampler.sample(at, &reg);
 }
 
-/// Aggregates one histogram per op over an arbitrary projection of the
-/// breakdown — the building block behind scenario-level summaries that
-/// need a distribution of a *derived* per-op quantity (e.g. "time before
-/// the first WAIT release").
-pub fn per_op_histogram(
-    events: &[TraceEvent],
-    mut f: impl FnMut(&crate::simtrace::OpBreakdown) -> Option<SimDuration>,
-) -> Histogram {
-    let mut h = Histogram::new();
-    for (op, evs) in events_by_op(events) {
-        if let Some(win) = issue_ack_window(&evs) {
-            if let Some(bd) = breakdown_from_sorted(op, win, 0) {
-                if let Some(d) = f(&bd) {
-                    h.record(d);
-                }
-            }
-        }
-    }
-    h
+/// Phase-code slots of the txn folds: one per known phase, the last one
+/// shared by every unknown code (they all read `"unknown"`).
+const PHASE_SLOTS: usize = TXN_PHASE_BACKOFF as usize + 2;
+
+fn phase_slot(code: u8) -> usize {
+    (code as usize).min(PHASE_SLOTS - 1)
 }
 
-/// One transaction's phase windows, gathered from its
-/// [`TraceKind::TxnPhaseBegin`]/[`TraceKind::TxnPhaseEnd`] events.
-#[derive(Debug, Clone)]
-pub(crate) struct TxnPhaseStream {
-    pub(crate) mode: u8,
-    /// `(at, is_begin, phase)` in time order (stable, emission-tie order).
-    pub(crate) evs: Vec<(SimTime, bool, u8)>,
+/// Mode-code slots: locking, optimistic, and one for every unknown code.
+const MODE_SLOTS: usize = 3;
+
+/// The `(is_begin, mode, phase)` codes of a txn phase event.
+pub(crate) fn phase_parts(e: &TraceEvent) -> (bool, u8, u8) {
+    match e.kind {
+        TraceKind::TxnPhaseBegin { mode, phase, .. } => (true, mode, phase),
+        TraceKind::TxnPhaseEnd { mode, phase, .. } => (false, mode, phase),
+        _ => unreachable!("the txn index holds txn phase events only"),
+    }
 }
 
-/// Groups a stream's txn phase events by txn id, each txn's events
-/// time-sorted (stable). The txn id comes from the event payload, never
-/// from [`TraceEvent::op`], so op-id reuse can't fold foreign events in.
-pub(crate) fn txn_phase_streams(events: &[TraceEvent]) -> BTreeMap<u64, TxnPhaseStream> {
-    let mut map: BTreeMap<u64, TxnPhaseStream> = BTreeMap::new();
-    for e in events {
-        let (txn, is_begin, mode, phase) = match e.kind {
-            TraceKind::TxnPhaseBegin { txn, mode, phase } => (txn, true, mode, phase),
-            TraceKind::TxnPhaseEnd { txn, mode, phase } => (txn, false, mode, phase),
-            _ => continue,
-        };
-        map.entry(txn)
-            .or_insert_with(|| TxnPhaseStream {
-                mode,
-                evs: Vec::new(),
-            })
-            .evs
-            .push((e.at, is_begin, phase));
-    }
-    for s in map.values_mut() {
-        s.evs.sort_by_key(|&(at, _, _)| at);
-    }
-    map
+/// Groups a stream's txn phase events by txn id: the op index keyed by the
+/// txn id in the event payload, never by [`TraceEvent::op`], so op-id reuse
+/// can't fold foreign events in.
+pub(crate) fn txn_index(events: &[TraceEvent]) -> OpIndex<'_> {
+    OpIndex::build(events, |e| match e.kind {
+        TraceKind::TxnPhaseBegin { txn, .. } | TraceKind::TxnPhaseEnd { txn, .. } => Some(txn),
+        _ => None,
+    })
 }
 
-/// Parent-txn links for txn-issued ops: op id → txn id, gathered from
-/// [`TraceKind::TxnOp`] tag events. Lets attribution split a stream into
-/// txn-issued ops (lock/validate gCAS, apply gWRITE) and bare ops.
-pub fn txn_op_links(events: &[TraceEvent]) -> BTreeMap<u64, u64> {
-    let mut map = BTreeMap::new();
-    for e in events {
-        if let TraceKind::TxnOp { txn } = e.kind {
-            map.insert(e.op, txn);
-        }
-    }
-    map
+/// A txn's commit-mode code: that of its first-emitted phase event.
+pub(crate) fn txn_mode(evs: OpEvents<'_>) -> u8 {
+    phase_parts(evs.first_emitted()).1
+}
+
+/// A txn phase stream is well-formed when it has at least one window,
+/// opens on a Begin and closes on an End.
+fn well_formed(evs: OpEvents<'_>) -> bool {
+    evs.len() >= 2 && phase_parts(evs.first()).0 && !phase_parts(evs.last()).0
 }
 
 /// Per-phase latency attribution aggregated over every complete
@@ -514,44 +526,52 @@ impl TxnAttribution {
     /// closing on an End. Malformed streams count as `truncated` and are
     /// excluded.
     pub fn from_events(events: &[TraceEvent]) -> Self {
+        let mut linked: Vec<u64> = events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::TxnOp { .. }))
+            .map(|e| e.op)
+            .collect();
+        linked.sort_unstable();
+        linked.dedup();
         let mut att = TxnAttribution {
-            linked_ops: txn_op_links(events).len() as u64,
+            linked_ops: linked.len() as u64,
             ..TxnAttribution::default()
         };
-        for (_txn, stream) in txn_phase_streams(events) {
-            let evs = &stream.evs;
-            let well_formed = evs.len() >= 2 && evs.first().unwrap().1 && !evs.last().unwrap().1;
-            if !well_formed {
+        let mut phases: [Option<StageAgg>; PHASE_SLOTS] = std::array::from_fn(|_| None);
+        let mut paths = Paths::default();
+        let mut sig: Vec<u8> = Vec::new();
+        for (_txn, evs) in txn_index(events).iter() {
+            if !well_formed(evs) {
                 att.truncated += 1;
                 continue;
             }
             att.txns += 1;
-            let e2e = evs.last().unwrap().0.since(evs.first().unwrap().0);
+            let e2e = evs.last().at.since(evs.first().at);
             att.e2e.record(e2e);
             att.e2e_total_ns += e2e.as_nanos();
-            let mut sig = String::new();
+            sig.clear();
             // Every adjacent event pair is one window; windows tile the
             // txn lifetime by construction. A Begin-opened window is time
             // spent *in* that phase; an End-opened window is the gap to
             // the next phase, zero-length under the emission contract and
             // attributed to the phase just ended if it ever isn't.
-            for w in evs.windows(2) {
-                let (at0, is_begin, phase) = w[0];
-                let dur = w[1].0.since(at0);
-                let label = txn_phase_label(phase);
-                let agg = att.phases.entry(label.to_string()).or_default();
+            for (prev, next) in evs.pairs() {
+                let (is_begin, _, phase) = phase_parts(prev);
+                let dur = next.at.since(prev.at);
+                let slot = phase_slot(phase);
+                let agg = phases[slot].get_or_insert_with(StageAgg::default);
                 agg.total_ns += dur.as_nanos();
                 if is_begin {
                     agg.count += 1;
                     agg.hist.record(dur);
-                    if !sig.is_empty() {
-                        sig.push(';');
-                    }
-                    sig.push_str(label);
+                    sig.push(slot as u8);
                 }
             }
-            *att.paths.entry(sig).or_insert(0) += 1;
+            paths.record(&sig);
         }
+        let label = |slot: usize| txn_phase_label(slot as u8);
+        att.phases = labelled(phases, label);
+        att.paths = paths.spell(label);
         att
     }
 
@@ -640,31 +660,31 @@ impl TxnAttribution {
 /// summed over all well-formed txns and sorted. Byte-identical for
 /// same-seed runs.
 pub fn txn_folded_stacks(events: &[TraceEvent]) -> String {
-    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-    for (_txn, stream) in txn_phase_streams(events) {
-        let evs = &stream.evs;
-        if evs.len() < 2 || !evs.first().unwrap().1 || evs.last().unwrap().1 {
+    let mut folded = [[None::<u64>; PHASE_SLOTS]; MODE_SLOTS];
+    for (_txn, evs) in txn_index(events).iter() {
+        if !well_formed(evs) {
             continue;
         }
-        for w in evs.windows(2) {
-            let (at0, _, phase) = w[0];
-            let dur = w[1].0.since(at0).as_nanos();
-            let key = format!(
-                "txn;{};{}",
-                txn_mode_label(stream.mode),
-                txn_phase_label(phase)
-            );
-            *folded.entry(key).or_insert(0) += dur;
+        let mode = (txn_mode(evs) as usize).min(MODE_SLOTS - 1);
+        for (prev, next) in evs.pairs() {
+            let (_, _, phase) = phase_parts(prev);
+            *folded[mode][phase_slot(phase)].get_or_insert(0) += next.at.since(prev.at).as_nanos();
         }
     }
-    let mut out = String::new();
-    for (k, v) in &folded {
-        out.push_str(k);
-        out.push(' ');
-        out.push_str(&v.to_string());
-        out.push('\n');
+    let mut lines = BTreeMap::new();
+    for (mode, row) in folded.iter().enumerate() {
+        for (phase, ns) in row.iter().enumerate() {
+            if let Some(ns) = ns {
+                let line = format!(
+                    "txn;{};{}",
+                    txn_mode_label(mode as u8),
+                    txn_phase_label(phase as u8)
+                );
+                lines.insert(line, *ns);
+            }
+        }
     }
-    out
+    collapsed(lines)
 }
 
 /// Exports a trace stream as Chrome trace-event JSON with first-class
@@ -681,18 +701,13 @@ pub fn txn_chrome_trace_with_counters(events: &[TraceEvent], samples: &[CounterS
             TraceKind::TxnPhaseBegin { .. } | TraceKind::TxnPhaseEnd { .. }
         )
     };
-    let ops: Vec<TraceEvent> = events
-        .iter()
-        .filter(|e| !is_txn_phase(e))
-        .copied()
-        .collect();
-    let streams = txn_phase_streams(events);
+    let txns = txn_index(events);
 
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.begin_arr_field("traceEvents");
-    write_chrome_events(&mut w, &ops);
-    if !streams.is_empty() {
+    write_chrome_events(&mut w, events, |e| !is_txn_phase(e));
+    if !txns.is_empty() {
         w.begin_obj();
         w.field_str("ph", "M");
         w.field_u64("pid", TXN_PID);
@@ -702,9 +717,10 @@ pub fn txn_chrome_trace_with_counters(events: &[TraceEvent], samples: &[CounterS
         w.end_obj();
         w.end_obj();
     }
-    for (txn, stream) in &streams {
-        for win in stream.evs.windows(2) {
-            let (at0, is_begin, phase) = win[0];
+    for (txn, evs) in txns.iter() {
+        let mode = txn_mode_label(txn_mode(evs));
+        for (prev, next) in evs.pairs() {
+            let (is_begin, _, phase) = phase_parts(prev);
             if !is_begin {
                 continue; // End→Begin gaps are zero-length; skip.
             }
@@ -712,37 +728,17 @@ pub fn txn_chrome_trace_with_counters(events: &[TraceEvent], samples: &[CounterS
             w.field_str("ph", "X");
             w.field_str("name", txn_phase_label(phase));
             w.field_u64("pid", TXN_PID);
-            w.field_u64("tid", *txn);
-            w.field_f64("ts", ts_us(at0));
-            w.field_f64("dur", ts_us(win[1].0) - ts_us(at0));
+            w.field_u64("tid", txn);
+            w.field_micros("ts", prev.at.as_nanos());
+            w.field_f64("dur", ts_us(next.at) - ts_us(prev.at));
             w.begin_obj_field("args");
-            w.field_u64("txn", *txn);
-            w.field_str("mode", txn_mode_label(stream.mode));
+            w.field_u64("txn", txn);
+            w.field_str("mode", mode);
             w.end_obj();
             w.end_obj();
         }
     }
-    if !samples.is_empty() {
-        w.begin_obj();
-        w.field_str("ph", "M");
-        w.field_u64("pid", COUNTER_PID);
-        w.field_str("name", "process_name");
-        w.begin_obj_field("args");
-        w.field_str("name", "metrics");
-        w.end_obj();
-        w.end_obj();
-    }
-    for s in samples {
-        w.begin_obj();
-        w.field_str("ph", "C");
-        w.field_str("name", &s.track);
-        w.field_u64("pid", COUNTER_PID);
-        w.field_f64("ts", ts_us(s.at));
-        w.begin_obj_field("args");
-        w.field_f64("value", s.value);
-        w.end_obj();
-        w.end_obj();
-    }
+    write_counter_tracks(&mut w, samples);
     w.end_arr();
     w.field_str("displayTimeUnit", "ns");
     w.end_obj();
@@ -920,13 +916,6 @@ mod tests {
         // Without samples the output degrades to the plain span stream.
         let plain = chrome_trace_with_counters(&evs, &[]);
         assert_eq!(plain, crate::simtrace::chrome_trace_json(&evs));
-    }
-
-    #[test]
-    fn per_op_histogram_projects_breakdowns() {
-        let h = per_op_histogram(&stream(), |bd| Some(bd.total()));
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.max(), SimDuration::from_nanos(800));
     }
 
     fn txn_ev(ns: u64, txn: u64, begin: bool, phase: u8) -> TraceEvent {

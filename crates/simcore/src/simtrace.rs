@@ -41,8 +41,9 @@ use crate::jsonw::JsonWriter;
 use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::fmt::{self, Write as _};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// Sentinel op id for events that cannot be attributed to one operation
@@ -269,37 +270,79 @@ pub enum TraceKind {
     },
 }
 
+/// Number of [`TraceKind`] variants: the length of [`TraceKind::ordinal`]'s
+/// range, so folds can keep one slot per kind in a flat array.
+pub(crate) const KIND_COUNT: usize = 23;
+
+/// [`TraceKind::label`] by [`TraceKind::ordinal`].
+const KIND_LABELS: [&str; KIND_COUNT] = [
+    "wqe_fetch",
+    "wqe_exec",
+    "wait_release",
+    "dma",
+    "gflush",
+    "cache_fill",
+    "cache_evict",
+    "cqe",
+    "link_enqueue",
+    "link_deliver",
+    "dispatch",
+    "preempt",
+    "op_issue",
+    "meta_send",
+    "replica_progress",
+    "op_ack",
+    "migrate_begin",
+    "migrate_cutover",
+    "migrate_end",
+    "health_breach",
+    "txn_phase_begin",
+    "txn_phase_end",
+    "txn_op",
+];
+
+/// The stable label of the kind with ordinal `ordinal`.
+pub(crate) fn kind_label(ordinal: usize) -> &'static str {
+    KIND_LABELS[ordinal]
+}
+
 impl TraceKind {
     /// Stable snake_case name used in exports and span labels.
     pub fn label(&self) -> &'static str {
+        KIND_LABELS[self.ordinal()]
+    }
+
+    /// Dense index of the variant, `0..KIND_COUNT`: lets bulk folds key
+    /// their per-kind aggregates by an array slot instead of a string.
+    pub(crate) fn ordinal(&self) -> usize {
         match self {
-            TraceKind::WqeFetch { .. } => "wqe_fetch",
-            TraceKind::WqeExec { .. } => "wqe_exec",
-            TraceKind::WaitRelease { .. } => "wait_release",
-            TraceKind::Dma { .. } => "dma",
-            TraceKind::GFlush { .. } => "gflush",
-            TraceKind::CacheFill { .. } => "cache_fill",
-            TraceKind::CacheEvict { .. } => "cache_evict",
-            TraceKind::Cqe { .. } => "cqe",
-            TraceKind::LinkEnqueue { .. } => "link_enqueue",
-            TraceKind::LinkDeliver { .. } => "link_deliver",
-            TraceKind::Dispatch { .. } => "dispatch",
-            TraceKind::Preempt { .. } => "preempt",
-            TraceKind::OpIssue => "op_issue",
-            TraceKind::MetaSend { .. } => "meta_send",
-            TraceKind::ReplicaProgress { .. } => "replica_progress",
-            TraceKind::OpAck => "op_ack",
-            TraceKind::MigrateBegin { .. } => "migrate_begin",
-            TraceKind::MigrateCutover { .. } => "migrate_cutover",
-            TraceKind::MigrateEnd { .. } => "migrate_end",
-            TraceKind::HealthBreach { .. } => "health_breach",
-            TraceKind::TxnPhaseBegin { .. } => "txn_phase_begin",
-            TraceKind::TxnPhaseEnd { .. } => "txn_phase_end",
-            TraceKind::TxnOp { .. } => "txn_op",
+            TraceKind::WqeFetch { .. } => 0,
+            TraceKind::WqeExec { .. } => 1,
+            TraceKind::WaitRelease { .. } => 2,
+            TraceKind::Dma { .. } => 3,
+            TraceKind::GFlush { .. } => 4,
+            TraceKind::CacheFill { .. } => 5,
+            TraceKind::CacheEvict { .. } => 6,
+            TraceKind::Cqe { .. } => 7,
+            TraceKind::LinkEnqueue { .. } => 8,
+            TraceKind::LinkDeliver { .. } => 9,
+            TraceKind::Dispatch { .. } => 10,
+            TraceKind::Preempt { .. } => 11,
+            TraceKind::OpIssue => 12,
+            TraceKind::MetaSend { .. } => 13,
+            TraceKind::ReplicaProgress { .. } => 14,
+            TraceKind::OpAck => 15,
+            TraceKind::MigrateBegin { .. } => 16,
+            TraceKind::MigrateCutover { .. } => 17,
+            TraceKind::MigrateEnd { .. } => 18,
+            TraceKind::HealthBreach { .. } => 19,
+            TraceKind::TxnPhaseBegin { .. } => 20,
+            TraceKind::TxnPhaseEnd { .. } => 21,
+            TraceKind::TxnOp { .. } => 22,
         }
     }
 
-    fn write_args(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_args(&self, w: &mut JsonWriter) {
         match *self {
             TraceKind::WqeFetch { qp, opcode } => {
                 w.field_u64("qp", qp as u64);
@@ -679,6 +722,253 @@ pub(crate) fn events_for(events: &[TraceEvent], op: u64) -> Vec<TraceEvent> {
     evs
 }
 
+/// Multiply-rotate hasher for the op index's key → slot map. Keys are op
+/// or txn ids; no output ever depends on the map's iteration order.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A trace stream grouped by a `u64` key without copying it: the *op
+/// index* behind every bulk fold and export.
+///
+/// Built in one pass: each distinct key gets a dense slot, a counting sort
+/// scatters `u32` event indices into one flat array, and each key's run is
+/// then sorted by `at`. The order contract is the one per-op
+/// reconstruction has always used:
+///
+/// * keys ascending (slots are renumbered in key order, so the hash map
+///   that assigns them never reaches an output);
+/// * each key's events by time, ties in emission order;
+/// * events without a key (for the op index: [`NO_OP`]) left out.
+///
+/// The index keeps 4 bytes per grouped event (building it takes another
+/// transient 4 bytes per event) and allocates nothing per key.
+pub(crate) struct OpIndex<'a> {
+    events: &'a [TraceEvent],
+    keys: Vec<u64>,
+    /// `order[starts[i]..starts[i + 1]]` are the events of `keys[i]`.
+    starts: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl<'a> OpIndex<'a> {
+    /// Groups `events` by op id ([`NO_OP`] events left out).
+    pub(crate) fn by_op(events: &'a [TraceEvent]) -> Self {
+        Self::build(events, |e| (e.op != NO_OP).then_some(e.op))
+    }
+
+    /// Groups `events` by `key`; events it maps to `None` are left out.
+    pub(crate) fn build(
+        events: &'a [TraceEvent],
+        key: impl Fn(&TraceEvent) -> Option<u64>,
+    ) -> Self {
+        assert!(
+            events.len() < u32::MAX as usize,
+            "op index holds at most u32::MAX - 1 events"
+        );
+        const NONE: u32 = u32::MAX;
+        let mut slot_of: HashMap<u64, u32, BuildHasherDefault<IdHasher>> = HashMap::default();
+        let mut keys: Vec<u64> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut slots: Vec<u32> = Vec::with_capacity(events.len());
+        let mut last: Option<(u64, u32)> = None;
+        for e in events {
+            let slot = match key(e) {
+                None => NONE,
+                Some(k) => {
+                    let slot = match last {
+                        Some((lk, ls)) if lk == k => ls,
+                        _ => {
+                            let s = *slot_of.entry(k).or_insert_with(|| {
+                                keys.push(k);
+                                counts.push(0);
+                                (keys.len() - 1) as u32
+                            });
+                            last = Some((k, s));
+                            s
+                        }
+                    };
+                    counts[slot as usize] += 1;
+                    slot
+                }
+            };
+            slots.push(slot);
+        }
+        // Scratch is freed as soon as it is spent, ahead of the next
+        // event-sized allocation.
+        drop(slot_of);
+
+        // Renumber slots in key order, then lay the groups out back to back.
+        let mut by_key: Vec<u32> = (0..keys.len() as u32).collect();
+        by_key.sort_unstable_by_key(|&s| keys[s as usize]);
+        let mut rank = vec![0u32; keys.len()];
+        let mut starts = Vec::with_capacity(keys.len() + 1);
+        let mut total = 0u32;
+        for (r, &s) in by_key.iter().enumerate() {
+            rank[s as usize] = r as u32;
+            starts.push(total);
+            total += counts[s as usize];
+        }
+        starts.push(total);
+        let sorted_keys: Vec<u64> = by_key.iter().map(|&s| keys[s as usize]).collect();
+        drop((keys, counts, by_key));
+
+        // Counting-sort scatter: each group receives its events in emission
+        // order, so the unstable sort below on (time, index) is the stable
+        // time sort.
+        let mut cursor: Vec<u32> = starts[..starts.len() - 1].to_vec();
+        let mut order = vec![0u32; total as usize];
+        for (i, &slot) in slots.iter().enumerate() {
+            if slot != NONE {
+                let c = &mut cursor[rank[slot as usize] as usize];
+                order[*c as usize] = i as u32;
+                *c += 1;
+            }
+        }
+        drop((slots, cursor, rank));
+        // Sort keys are gathered once per event into a reused buffer, so
+        // the sort itself never reaches back into the (large) stream.
+        let mut keyed: Vec<(SimTime, u32)> = Vec::new();
+        for w in starts.windows(2) {
+            let run = &mut order[w[0] as usize..w[1] as usize];
+            keyed.clear();
+            keyed.extend(run.iter().map(|&i| (events[i as usize].at, i)));
+            if keyed.windows(2).all(|p| p[0].0 <= p[1].0) {
+                continue;
+            }
+            keyed.sort_unstable();
+            for (slot, &(_, i)) in run.iter_mut().zip(&keyed) {
+                *slot = i;
+            }
+        }
+        OpIndex {
+            events,
+            keys: sorted_keys,
+            starts,
+            order,
+        }
+    }
+
+    /// True when no event had a key.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    fn group(&self, i: usize) -> OpEvents<'_> {
+        OpEvents {
+            events: self.events,
+            idx: &self.order[self.starts[i] as usize..self.starts[i + 1] as usize],
+        }
+    }
+
+    /// Every key with its events, keys ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, OpEvents<'_>)> {
+        self.keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, self.group(i)))
+    }
+
+    /// The events of `key`, if it occurs in the stream.
+    pub(crate) fn get(&self, key: u64) -> Option<OpEvents<'_>> {
+        self.keys.binary_search(&key).ok().map(|i| self.group(i))
+    }
+}
+
+/// One key's events in an [`OpIndex`]: time-ordered, ties in emission
+/// order.
+#[derive(Clone, Copy)]
+pub(crate) struct OpEvents<'a> {
+    events: &'a [TraceEvent],
+    idx: &'a [u32],
+}
+
+impl<'a> OpEvents<'a> {
+    /// Number of events.
+    pub(crate) fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// The `i`-th event in time order.
+    pub(crate) fn get(&self, i: usize) -> &'a TraceEvent {
+        &self.events[self.idx[i] as usize]
+    }
+
+    /// The earliest event (index groups and windows are never empty).
+    pub(crate) fn first(&self) -> &'a TraceEvent {
+        self.get(0)
+    }
+
+    /// The latest event.
+    pub(crate) fn last(&self) -> &'a TraceEvent {
+        self.get(self.len() - 1)
+    }
+
+    /// The events in time order.
+    pub(crate) fn iter(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = &'a TraceEvent> + ExactSizeIterator + 'a {
+        let events = self.events;
+        self.idx.iter().map(move |&i| &events[i as usize])
+    }
+
+    /// Adjacent `(previous, current)` pairs: one per stage, each stage
+    /// labelled by the event ending it.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (&'a TraceEvent, &'a TraceEvent)> + 'a {
+        let events = self.events;
+        self.idx
+            .windows(2)
+            .map(move |w| (&events[w[0] as usize], &events[w[1] as usize]))
+    }
+
+    /// The events at positions `first..=last`.
+    pub(crate) fn slice(&self, first: usize, last: usize) -> OpEvents<'a> {
+        OpEvents {
+            events: self.events,
+            idx: &self.idx[first..=last],
+        }
+    }
+
+    /// The event emitted earliest (lowest stream position), whatever its
+    /// timestamp.
+    pub(crate) fn first_emitted(&self) -> &'a TraceEvent {
+        let first = self.idx.iter().min().expect("index groups are never empty");
+        &self.events[*first as usize]
+    }
+
+    /// The latest-emitted event matching `pred`.
+    pub(crate) fn last_emitted(
+        &self,
+        pred: impl Fn(&TraceEvent) -> bool,
+    ) -> Option<&'a TraceEvent> {
+        self.idx
+            .iter()
+            .filter(|&&i| pred(&self.events[i as usize]))
+            .max()
+            .map(|&i| &self.events[i as usize])
+    }
+
+    /// The events, copied out in time order.
+    pub(crate) fn to_vec(self) -> Vec<TraceEvent> {
+        self.iter().copied().collect()
+    }
+}
+
 /// All distinct operation ids present in the stream, ascending, excluding
 /// [`NO_OP`].
 pub fn ops(events: &[TraceEvent]) -> Vec<u64> {
@@ -722,8 +1012,7 @@ pub fn op_breakdown_with_drops(
 }
 
 /// [`op_breakdown_with_drops`] over one op's already-gathered, time-sorted
-/// events — the shared core, so bulk folds (simprof) can group a stream
-/// once instead of re-scanning it per op.
+/// events.
 pub(crate) fn breakdown_from_sorted(
     op: u64,
     evs: &[TraceEvent],
@@ -738,7 +1027,7 @@ pub(crate) fn breakdown_from_sorted(
     let stages = evs
         .windows(2)
         .map(|w| Stage {
-            label: format!("{}@n{}", w[1].kind.label(), w[1].node),
+            label: stage_label(&w[1]),
             start: w[0].at,
             end: w[1].at,
         })
@@ -752,31 +1041,47 @@ pub(crate) fn breakdown_from_sorted(
     })
 }
 
+/// `label@nNODE` of the event ending a stage, in one right-sized
+/// allocation.
+fn stage_label(ev: &TraceEvent) -> String {
+    let kind = ev.kind.label();
+    let mut label = String::with_capacity(kind.len() + 12);
+    let _ = write!(label, "{kind}@n{}", ev.node);
+    label
+}
+
 /// Rebuilds one operation's span tree: the op root, one child per
 /// contiguous run of stages on the same node, and the stages as leaves.
 pub fn span_tree(events: &[TraceEvent], op: u64) -> Option<SpanNode> {
-    let evs = events_for(events, op);
-    let bd = op_breakdown(events, op)?;
+    span_tree_from_sorted(op, &events_for(events, op))
+}
+
+/// [`span_tree`] over one op's already-gathered, time-sorted events.
+pub(crate) fn span_tree_from_sorted(op: u64, evs: &[TraceEvent]) -> Option<SpanNode> {
+    let bd = breakdown_from_sorted(op, evs, 0)?;
     let mut children: Vec<SpanNode> = Vec::new();
-    for (stage, ev) in bd.stages.iter().zip(evs.iter().skip(1)) {
+    let mut group_node = None;
+    for (stage, ev) in bd.stages.into_iter().zip(evs.iter().skip(1)) {
         let leaf = SpanNode {
-            label: stage.label.clone(),
+            label: stage.label,
             start: stage.start,
             end: stage.end,
             children: Vec::new(),
         };
-        let node_label = format!("node{}", ev.node);
         match children.last_mut() {
-            Some(group) if group.label == node_label => {
+            Some(group) if group_node == Some(ev.node) => {
                 group.end = leaf.end;
                 group.children.push(leaf);
             }
-            _ => children.push(SpanNode {
-                label: node_label,
-                start: leaf.start,
-                end: leaf.end,
-                children: vec![leaf],
-            }),
+            _ => {
+                group_node = Some(ev.node);
+                children.push(SpanNode {
+                    label: format!("node{}", ev.node),
+                    start: leaf.start,
+                    end: leaf.end,
+                    children: vec![leaf],
+                });
+            }
         }
     }
     Some(SpanNode {
@@ -804,22 +1109,31 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.begin_arr_field("traceEvents");
-    write_chrome_events(&mut w, events);
+    write_chrome_events(&mut w, events, |_| true);
     w.end_arr();
     w.field_str("displayTimeUnit", "ns");
     w.end_obj();
     w.finish()
 }
 
-/// Writes the span/instant event stream into an already-open
-/// `traceEvents` array (shared by [`chrome_trace_json`] and the
-/// counter-track export in [`crate::simprof`]).
-pub(crate) fn write_chrome_events(w: &mut JsonWriter, events: &[TraceEvent]) {
-    let nodes: BTreeSet<u32> = events
-        .iter()
-        .map(|e| e.node)
-        .filter(|&n| n != NO_NODE)
-        .collect();
+/// Writes the span/instant event stream of the events `keep` selects into
+/// an already-open `traceEvents` array (shared by [`chrome_trace_json`]
+/// and the counter-track exports in [`crate::simprof`]). One grouped pass:
+/// node metadata, then every op's stage spans (ops ascending, from the op
+/// index), then one instant per event in emission order.
+pub(crate) fn write_chrome_events(
+    w: &mut JsonWriter,
+    events: &[TraceEvent],
+    keep: impl Fn(&TraceEvent) -> bool,
+) {
+    let mut nodes: Vec<u32> = Vec::new();
+    for e in events.iter().filter(|e| keep(e)) {
+        if e.node != NO_NODE {
+            if let Err(i) = nodes.binary_search(&e.node) {
+                nodes.insert(i, e.node);
+            }
+        }
+    }
     for n in &nodes {
         w.begin_obj();
         w.field_str("ph", "M");
@@ -831,34 +1145,32 @@ pub(crate) fn write_chrome_events(w: &mut JsonWriter, events: &[TraceEvent]) {
         w.end_obj();
     }
 
-    for op in ops(events) {
-        let evs = events_for(events, op);
-        if let Some(bd) = op_breakdown(events, op) {
-            for (stage, ev) in bd.stages.iter().zip(evs.iter().skip(1)) {
-                w.begin_obj();
-                w.field_str("ph", "X");
-                w.field_str("name", ev.kind.label());
-                w.field_u64("pid", ev.node as u64);
-                w.field_u64("tid", op);
-                w.field_f64("ts", ts_us(stage.start));
-                w.field_f64("dur", ts_us(stage.end) - ts_us(stage.start));
-                w.begin_obj_field("args");
-                w.field_u64("op", op);
-                ev.kind.write_args(w);
-                w.end_obj();
-                w.end_obj();
-            }
+    let index = OpIndex::build(events, |e| (e.op != NO_OP && keep(e)).then_some(e.op));
+    for (op, evs) in index.iter() {
+        for (prev, ev) in evs.pairs() {
+            w.begin_obj();
+            w.field_str("ph", "X");
+            w.field_str("name", ev.kind.label());
+            w.field_u64("pid", ev.node as u64);
+            w.field_u64("tid", op);
+            w.field_micros("ts", prev.at.as_nanos());
+            w.field_f64("dur", ts_us(ev.at) - ts_us(prev.at));
+            w.begin_obj_field("args");
+            w.field_u64("op", op);
+            ev.kind.write_args(w);
+            w.end_obj();
+            w.end_obj();
         }
     }
 
-    for ev in events {
+    for ev in events.iter().filter(|e| keep(e)) {
         w.begin_obj();
         w.field_str("ph", "i");
         w.field_str("s", "t");
         w.field_str("name", ev.kind.label());
         w.field_u64("pid", ev.node as u64);
         w.field_u64("tid", if ev.op == NO_OP { 0 } else { ev.op });
-        w.field_f64("ts", ts_us(ev.at));
+        w.field_micros("ts", ev.at.as_nanos());
         w.begin_obj_field("args");
         if ev.op != NO_OP {
             w.field_u64("op", ev.op);

@@ -49,10 +49,10 @@ use std::collections::BTreeMap;
 
 use crate::jsonw::JsonWriter;
 use crate::simaudit::op_id_parts;
-use crate::simprof::{events_by_op, issue_ack_window, stage_kind, txn_op_links, txn_phase_streams};
+use crate::simprof::{issue_ack_window, phase_parts, txn_index};
 use crate::simtrace::{
-    breakdown_from_sorted, span_tree, SpanNode, TraceEvent, TraceKind, TXN_PHASE_ACQUIRE,
-    TXN_PHASE_BACKOFF, TXN_PHASE_ROLLBACK, TXN_PHASE_UNDO,
+    kind_label, span_tree_from_sorted, OpEvents, OpIndex, SpanNode, TraceEvent, TraceKind,
+    KIND_COUNT, TXN_PHASE_ACQUIRE, TXN_PHASE_BACKOFF, TXN_PHASE_ROLLBACK, TXN_PHASE_UNDO,
 };
 use crate::time::{SimDuration, SimTime};
 
@@ -62,12 +62,12 @@ pub const MAX_EXEMPLARS: usize = 16;
 
 /// Straggler test: the dominant replica's in-op stage total must be at
 /// least this multiple of the runner-up's.
-const STRAGGLER_RATIO: u64 = 2;
+pub(crate) const STRAGGLER_RATIO: u64 = 2;
 
 /// Stage kinds whose dominance of the excess profile reads as queueing
 /// delay (scheduler dispatch, WQE pickup, chain-release waits, link
 /// serialisation).
-const QUEUE_KINDS: [&str; 4] = ["wait_release", "wqe_fetch", "link_enqueue", "dispatch"];
+pub(crate) const QUEUE_KINDS: [&str; 4] = ["wait_release", "wqe_fetch", "link_enqueue", "dispatch"];
 
 /// Why one tail op was slow — the single normative taxonomy.
 ///
@@ -225,7 +225,7 @@ pub struct TailProfile {
 
 /// Exact quantile over a sorted latency vector: index `ceil(q·n) − 1`
 /// with `q` given as `num/den`.
-fn exact_quantile(sorted: &[u64], num: u64, den: u64) -> u64 {
+pub(crate) fn exact_quantile(sorted: &[u64], num: u64, den: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -241,117 +241,75 @@ struct PhaseWindow {
     phase: u8,
 }
 
-/// Adjacent-event pairing of a txn phase stream into windows: a
+/// Adjacent-event pairing of one txn's phase events into windows: a
 /// Begin-opened window is time in that phase (same folding rule as
 /// `TxnAttribution`).
-fn phase_windows(evs: &[(SimTime, bool, u8)]) -> Vec<PhaseWindow> {
-    let mut out = Vec::new();
-    for pair in evs.windows(2) {
-        let (at, is_begin, phase) = pair[0];
-        if is_begin {
-            out.push(PhaseWindow {
-                start: at,
-                end: pair[1].0,
+fn phase_windows(evs: OpEvents<'_>) -> Vec<PhaseWindow> {
+    evs.pairs()
+        .filter_map(|(prev, next)| {
+            let (is_begin, _, phase) = phase_parts(prev);
+            is_begin.then_some(PhaseWindow {
+                start: prev.at,
+                end: next.at,
                 phase,
-            });
-        }
-    }
-    out
+            })
+        })
+        .collect()
 }
 
-impl TailProfile {
-    /// Folds a trace stream into a tail profile.
-    ///
-    /// The population is every op with a complete issue→ack window
-    /// (txn pseudo-ops have neither and drop out naturally). Quantiles
-    /// are exact; every tail op is classified; only the slowest
-    /// [`MAX_EXEMPLARS`] are materialised as [`TailExemplar`]s.
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        let by_op = events_by_op(events);
-
-        // Per-op breakdowns over the issue→ack window, plus per-node
-        // stage totals (node of the event *ending* each stage).
-        struct OpFold {
-            start: SimTime,
-            end: SimTime,
-            e2e_ns: u64,
-            kind_totals: Vec<(String, u64)>, // first-touch order
-            node_totals: BTreeMap<u32, u64>,
+/// One op's per-stage-kind totals over its window, in first-touch order
+/// (kinds by ordinal; a stage belongs to the kind of the event ending it).
+fn kind_totals(win: OpEvents<'_>, out: &mut Vec<(usize, u64)>) {
+    out.clear();
+    for (prev, ev) in win.pairs() {
+        let kind = ev.kind.ordinal();
+        let ns = ev.at.since(prev.at).as_nanos();
+        match out.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, total)) => *total += ns,
+            None => out.push((kind, ns)),
         }
-        let mut folds: BTreeMap<u64, OpFold> = BTreeMap::new();
-        for (&op, evs) in &by_op {
-            let Some(win) = issue_ack_window(evs) else {
-                continue;
-            };
-            let Some(bd) = breakdown_from_sorted(op, win, 0) else {
-                continue;
-            };
-            let mut kind_totals: Vec<(String, u64)> = Vec::new();
-            let mut node_totals: BTreeMap<u32, u64> = BTreeMap::new();
-            for (stage, ev) in bd.stages.iter().zip(win.iter().skip(1)) {
-                let kind = stage_kind(&stage.label);
-                let ns = stage.duration().as_nanos();
-                match kind_totals.iter_mut().find(|(k, _)| k == kind) {
-                    Some((_, total)) => *total += ns,
-                    None => kind_totals.push((kind.to_string(), ns)),
-                }
-                // Queue-stage time is not replica service time: keeping
-                // it out of the per-node totals stops a long dispatch
-                // wait from masquerading as a straggling replica.
-                if ev.node != crate::simtrace::NO_NODE && !QUEUE_KINDS.contains(&kind) {
-                    *node_totals.entry(ev.node).or_insert(0) += ns;
-                }
-            }
-            folds.insert(
-                op,
-                OpFold {
-                    start: bd.start,
-                    end: bd.end,
-                    e2e_ns: bd.total().as_nanos(),
-                    kind_totals,
-                    node_totals,
-                },
-            );
-        }
+    }
+}
 
-        let mut profile = TailProfile {
-            ops: folds.len() as u64,
-            causes: CAUSE_LABELS.iter().map(|&l| (l, 0)).collect(),
-            ..TailProfile::default()
-        };
-        if folds.is_empty() {
-            return profile;
+/// One op's in-window stage totals per node (the node of the event ending
+/// each stage). Queue-stage time is not replica service time: keeping it
+/// out stops a long dispatch wait from masquerading as a straggling
+/// replica.
+fn node_totals(win: OpEvents<'_>) -> BTreeMap<u32, u64> {
+    let mut totals = BTreeMap::new();
+    for (prev, ev) in win.pairs() {
+        if ev.node != crate::simtrace::NO_NODE && !QUEUE_KINDS.contains(&ev.kind.label()) {
+            *totals.entry(ev.node).or_insert(0) += ev.at.since(prev.at).as_nanos();
         }
+    }
+    totals
+}
 
-        // Exact population quantiles over e2e and per-stage-kind totals.
-        let mut e2e_sorted: Vec<u64> = folds.values().map(|f| f.e2e_ns).collect();
-        e2e_sorted.sort_unstable();
-        profile.p99_ns = exact_quantile(&e2e_sorted, 99, 100);
-        profile.median_e2e_ns = exact_quantile(&e2e_sorted, 1, 2);
-        let mut kind_pop: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-        for f in folds.values() {
-            for (kind, ns) in &f.kind_totals {
-                kind_pop.entry(kind.as_str()).or_default().push(*ns);
-            }
-        }
-        let kind_median: BTreeMap<&str, u64> = kind_pop
-            .into_iter()
-            .map(|(k, mut v)| {
-                v.sort_unstable();
-                (k, exact_quantile(&v, 1, 2))
-            })
-            .collect();
+/// A [`StageExcess`] row before it reaches a report: the label is the
+/// kind's static name.
+struct Excess {
+    label: &'static str,
+    actual_ns: u64,
+    median_ns: u64,
+    excess_ns: i64,
+}
 
-        // Cause signals shared across tail ops.
-        let links = txn_op_links(events);
-        let txn_windows: BTreeMap<u64, Vec<PhaseWindow>> = txn_phase_streams(events)
-            .iter()
-            .map(|(&txn, stream)| (txn, phase_windows(&stream.evs)))
-            .collect();
-        // Migration signals: (at, shard, cutover epoch if any).
-        let mut migrations: Vec<(SimTime, u32, Option<u64>)> = Vec::new();
-        // Flow-control occupancy: per-shard inflight at each op's issue
-        // plus the per-shard maximum ever observed.
+/// Cause signals read off the whole stream once.
+struct Signals {
+    /// Migration signals: (at, shard, cutover epoch if any).
+    migrations: Vec<(SimTime, u32, Option<u64>)>,
+    /// Per-shard in-flight occupancy at each tail op's issue.
+    issue_occupancy: BTreeMap<u64, u64>,
+    /// Per-shard maximum in-flight occupancy ever observed.
+    shard_max: BTreeMap<u32, u64>,
+}
+
+impl Signals {
+    /// Scans `events` for migration signals and replays every issue/ack
+    /// for flow-control occupancy, recording it for the ops in `tail`
+    /// (sorted).
+    fn gather(events: &[TraceEvent], tail: &[u64]) -> Self {
+        let mut migrations = Vec::new();
         let mut flow_evs: Vec<(SimTime, bool, u32, u64)> = Vec::new();
         for e in events {
             match e.kind {
@@ -373,54 +331,127 @@ impl TailProfile {
             let cur = inflight.entry(shard).or_insert(0);
             if is_issue {
                 *cur += 1;
-                issue_occupancy.insert(op, *cur);
+                if tail.binary_search(&op).is_ok() {
+                    issue_occupancy.insert(op, *cur);
+                }
                 let max = shard_max.entry(shard).or_insert(0);
                 *max = (*max).max(*cur);
             } else {
                 *cur = cur.saturating_sub(1);
             }
         }
+        Signals {
+            migrations,
+            issue_occupancy,
+            shard_max,
+        }
+    }
+}
+
+impl TailProfile {
+    /// Folds a trace stream into a tail profile.
+    ///
+    /// The population is every op with a complete issue→ack window
+    /// (txn pseudo-ops have neither and drop out naturally). Quantiles
+    /// are exact; every tail op is classified; only the slowest
+    /// [`MAX_EXEMPLARS`] are materialised as [`TailExemplar`]s.
+    pub fn from_events(events: &[TraceEvent]) -> Self {
+        let index = OpIndex::by_op(events);
+
+        // The population: every op with a complete issue→ack window, and
+        // per stage kind the per-op totals of the ops that have it.
+        struct OpFold<'a> {
+            op: u64,
+            evs: OpEvents<'a>,
+            win: OpEvents<'a>,
+            e2e_ns: u64,
+        }
+        let mut folds: Vec<OpFold<'_>> = Vec::new();
+        let mut kind_pop: [Vec<u64>; KIND_COUNT] = std::array::from_fn(|_| Vec::new());
+        let mut kinds: Vec<(usize, u64)> = Vec::new();
+        for (op, evs) in index.iter() {
+            let Some(win) = issue_ack_window(evs) else {
+                continue;
+            };
+            kind_totals(win, &mut kinds);
+            for &(kind, ns) in &kinds {
+                kind_pop[kind].push(ns);
+            }
+            folds.push(OpFold {
+                op,
+                evs,
+                win,
+                e2e_ns: win.last().at.since(win.first().at).as_nanos(),
+            });
+        }
+
+        let mut profile = TailProfile {
+            ops: folds.len() as u64,
+            causes: CAUSE_LABELS.iter().map(|&l| (l, 0)).collect(),
+            ..TailProfile::default()
+        };
+        if folds.is_empty() {
+            return profile;
+        }
+
+        // Exact population quantiles over e2e and per-stage-kind totals.
+        let mut e2e_sorted: Vec<u64> = folds.iter().map(|f| f.e2e_ns).collect();
+        e2e_sorted.sort_unstable();
+        profile.p99_ns = exact_quantile(&e2e_sorted, 99, 100);
+        profile.median_e2e_ns = exact_quantile(&e2e_sorted, 1, 2);
+        let kind_median: [u64; KIND_COUNT] = std::array::from_fn(|kind| {
+            let pop = &mut kind_pop[kind];
+            pop.sort_unstable();
+            exact_quantile(pop, 1, 2)
+        });
+
+        // The tail: slowest first, ties by ascending op id (deterministic).
+        let mut tail: Vec<&OpFold<'_>> = folds
+            .iter()
+            .filter(|f| f.e2e_ns >= profile.p99_ns && f.e2e_ns > profile.median_e2e_ns)
+            .collect();
+        tail.sort_by_key(|f| (std::cmp::Reverse(f.e2e_ns), f.op));
+        profile.tail_ops = tail.len() as u64;
+        let mut tail_ids: Vec<u64> = tail.iter().map(|f| f.op).collect();
+        tail_ids.sort_unstable();
+        let signals = Signals::gather(events, &tail_ids);
 
         // Classify every tail op; materialise the slowest as exemplars.
-        let mut tail: Vec<(u64, &OpFold)> = folds
-            .iter()
-            .filter(|(_, f)| f.e2e_ns >= profile.p99_ns && f.e2e_ns > profile.median_e2e_ns)
-            .map(|(&op, f)| (op, f))
-            .collect();
-        // Slowest first, ties by ascending op id (deterministic).
-        tail.sort_by_key(|&(op, f)| (std::cmp::Reverse(f.e2e_ns), op));
-        profile.tail_ops = tail.len() as u64;
-
-        for (rank, (op, f)) in tail.iter().enumerate() {
-            let (shard, op_epoch, _) = op_id_parts(*op);
-
-            let stages: Vec<StageExcess> = f
-                .kind_totals
-                .iter()
-                .map(|(kind, ns)| {
-                    let median = kind_median.get(kind.as_str()).copied().unwrap_or(0);
-                    StageExcess {
-                        label: kind.clone(),
-                        actual_ns: *ns,
-                        median_ns: median,
-                        excess_ns: *ns as i64 - median as i64,
-                    }
-                })
-                .collect();
-
+        let mut txns: Option<OpIndex<'_>> = None;
+        let mut rows: Vec<Excess> = Vec::new();
+        for (rank, f) in tail.iter().enumerate() {
+            let (shard, op_epoch, _) = op_id_parts(f.op);
+            kind_totals(f.win, &mut kinds);
+            rows.clear();
+            rows.extend(kinds.iter().map(|&(kind, ns)| Excess {
+                label: kind_label(kind),
+                actual_ns: ns,
+                median_ns: kind_median[kind],
+                excess_ns: ns as i64 - kind_median[kind] as i64,
+            }));
+            // The parent txn is named by the op's latest-emitted tag.
+            let parent = f
+                .evs
+                .last_emitted(|e| matches!(e.kind, TraceKind::TxnOp { .. }))
+                .map(|e| match e.kind {
+                    TraceKind::TxnOp { txn } => txn,
+                    _ => unreachable!("filtered to txn_op tags"),
+                });
+            let windows = parent.and_then(|txn| {
+                let txns = txns.get_or_insert_with(|| txn_index(events));
+                txns.get(txn).map(phase_windows)
+            });
+            let (start, end) = (f.win.first().at, f.win.last().at);
             let cause = classify(
-                *op,
                 shard,
                 op_epoch,
-                f.start,
-                f.end,
-                &f.node_totals,
-                &stages,
-                &migrations,
-                &links,
-                &txn_windows,
-                &issue_occupancy,
-                &shard_max,
+                start,
+                end,
+                &node_totals(f.win),
+                &rows,
+                windows.as_deref(),
+                signals.issue_occupancy.get(&f.op).copied(),
+                &signals,
             );
             if let Some(slot) = profile.causes.iter_mut().find(|(l, _)| *l == cause.label()) {
                 slot.1 += 1;
@@ -428,17 +459,25 @@ impl TailProfile {
 
             if rank < MAX_EXEMPLARS {
                 let excess_ns = f.e2e_ns as i64 - profile.median_e2e_ns as i64;
-                let explained: i64 = stages.iter().map(|s| s.excess_ns).sum();
+                let explained: i64 = rows.iter().map(|r| r.excess_ns).sum();
                 profile.exemplars.push(TailExemplar {
-                    op: *op,
+                    op: f.op,
                     shard,
-                    start: f.start,
+                    start,
                     e2e: SimDuration::from_nanos(f.e2e_ns),
                     excess_ns,
                     cause,
-                    stages,
+                    stages: rows
+                        .iter()
+                        .map(|r| StageExcess {
+                            label: r.label.to_string(),
+                            actual_ns: r.actual_ns,
+                            median_ns: r.median_ns,
+                            excess_ns: r.excess_ns,
+                        })
+                        .collect(),
                     residual_ns: excess_ns - explained,
-                    span: span_tree(events, *op),
+                    span: span_tree_from_sorted(f.op, &f.evs.to_vec()),
                 });
             }
         }
@@ -551,21 +590,19 @@ fn write_span(w: &mut JsonWriter, node: &SpanNode) {
 }
 
 /// Applies the normative precedence chain to one tail op (see
-/// [`TailCause`]).
+/// [`TailCause`]). `windows` are the parent txn's phase windows, if the op
+/// has one; `occupancy` is the shard's in-flight count at its issue.
 #[allow(clippy::too_many_arguments)]
 fn classify(
-    op: u64,
     shard: u32,
     op_epoch: u64,
     start: SimTime,
     end: SimTime,
     node_totals: &BTreeMap<u32, u64>,
-    stages: &[StageExcess],
-    migrations: &[(SimTime, u32, Option<u64>)],
-    links: &BTreeMap<u64, u64>,
-    txn_windows: &BTreeMap<u64, Vec<PhaseWindow>>,
-    issue_occupancy: &BTreeMap<u64, u64>,
-    shard_max: &BTreeMap<u32, u64>,
+    stages: &[Excess],
+    windows: Option<&[PhaseWindow]>,
+    occupancy: Option<u64>,
+    signals: &Signals,
 ) -> TailCause {
     // 1. Migration signal inside the op's window — on any shard, since a
     //    pause stalls the issuing client's completion loop and delays
@@ -573,7 +610,7 @@ fn classify(
     //    shard-matched signal, then a signal carrying an epoch (the
     //    cutover), when picking the cause argument.
     let mut pause: Option<(bool, Option<u64>)> = None;
-    for &(at, mshard, epoch) in migrations {
+    for &(at, mshard, epoch) in &signals.migrations {
         if at < start || at > end {
             continue;
         }
@@ -592,7 +629,6 @@ fn classify(
         };
     }
 
-    let windows = links.get(&op).and_then(|txn| txn_windows.get(txn));
     if let Some(windows) = windows {
         // 2. Parent txn backed off while the op was in flight.
         if windows
@@ -628,16 +664,16 @@ fn classify(
     if let Some(worst) = stages
         .iter()
         .filter(|s| s.excess_ns > 0)
-        .max_by_key(|s| (s.excess_ns, std::cmp::Reverse(s.label.clone())))
+        .max_by_key(|s| (s.excess_ns, std::cmp::Reverse(s.label)))
     {
-        if QUEUE_KINDS.contains(&worst.label.as_str()) {
+        if QUEUE_KINDS.contains(&worst.label) {
             return TailCause::QueueWait;
         }
     }
 
     // 6. Issued into a full flow-control window.
-    let max = shard_max.get(&shard).copied().unwrap_or(0);
-    if max > 1 && issue_occupancy.get(&op).copied() == Some(max) {
+    let max = signals.shard_max.get(&shard).copied().unwrap_or(0);
+    if max > 1 && occupancy == Some(max) {
         return TailCause::FlowControlStall;
     }
 

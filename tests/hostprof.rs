@@ -3,16 +3,31 @@
 //! per-thread deltas, scope timers nest and fold, and — the determinism
 //! contract — a same-seed benchmark run serializes byte-identically with
 //! host profiling enabled vs disabled once the shared canonicalizer strips
-//! the volatile `host.*` fields.
+//! the volatile `host.*` fields. Allocation counts are deterministic, so
+//! the allocation bounds of the trace folds, the JSON writer and the
+//! replica maintenance process are pinned here too.
 
-use hyperloop_bench::micro::{gwrite_plan, run_primitive, MicroOpts, SystemKind};
+use hyperloop_bench::driver::PrimitiveDriver;
+use hyperloop_bench::micro::{
+    bench_group_config, gwrite_plan, run_primitive, MicroOpts, SystemKind,
+};
 use hyperloop_bench::report::{Report, Scenario};
+use hyperloop_bench::txnmix::{run_txnmix, TxnMixOpts};
+use hyperloop_repro::cpusched::ProcKind;
+use hyperloop_repro::hyperloop::apps::Maintainer;
 use hyperloop_repro::hyperloop::harness::{drive, fabric_sim};
-use hyperloop_repro::hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
+use hyperloop_repro::hyperloop::txn::CommitMode;
+use hyperloop_repro::hyperloop::{GroupClient, GroupConfig, GroupOp, HyperLoopGroup};
 use hyperloop_repro::netsim::{FabricConfig, NodeId};
 use hyperloop_repro::rnicsim::{NicConfig, Payload};
 use hyperloop_repro::simcore::hostprof::{self, HostProf};
-use hyperloop_repro::simcore::jsonw::canonicalize_report;
+use hyperloop_repro::simcore::jsonw::{canonicalize_report, JsonWriter};
+use hyperloop_repro::simcore::{
+    SimDuration, SimTime, StageAttribution, TailProfile, TxnAttribution,
+};
+use hyperloop_repro::testbed::{Cluster, ClusterConfig, Env, HostApp, HostEvent};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Mutex;
 
 /// The enable/disable flag is process-wide (the tables are per-thread), so
@@ -224,5 +239,154 @@ fn same_seed_reports_are_byte_identical_with_profiling_on_or_off() {
         canonicalize_report(&off).expect("canonicalize unprofiled"),
         canonicalize_report(&on).expect("canonicalize profiled"),
         "host profiling perturbed the simulation output"
+    );
+}
+
+/// Heap calls (allocations plus in-place growths) made while `f` runs.
+fn heap_calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = hostprof::alloc_snapshot();
+    let out = f();
+    let delta = hostprof::alloc_snapshot().since(&before);
+    (out, delta.allocs + delta.reallocs)
+}
+
+#[test]
+fn trace_folds_allocate_a_bounded_amount_per_folded_op() {
+    let _flag = PROF_FLAG.lock().unwrap_or_else(|e| e.into_inner());
+    hostprof::disable();
+    // Large enough that the ≤ 16 exemplar span trees (report output, one
+    // string per stage) amortize over the population.
+    let res = run_txnmix(
+        CommitMode::Locking,
+        TxnMixOpts {
+            txns: 256,
+            theta: 0.99,
+            trace: true,
+            ..TxnMixOpts::default()
+        },
+    );
+    let events = &res.events;
+    // The folds group the stream through one op index instead of copying
+    // it into a Vec per op, fold stage kinds and txn phases by code, and
+    // build strings only for report rows: a handful of heap calls per
+    // folded op at most, whatever the stream's length.
+    const PER_OP: u64 = 4;
+    let (stages, calls) = heap_calls(|| StageAttribution::from_events(events));
+    assert!(stages.ops > 100, "too few ops folded: {}", stages.ops);
+    assert!(
+        calls <= PER_OP * stages.ops,
+        "StageAttribution: {calls} heap calls for {} ops",
+        stages.ops
+    );
+    let (txns, calls) = heap_calls(|| TxnAttribution::from_events(events));
+    assert!(txns.txns > 0);
+    assert!(
+        calls <= PER_OP * txns.txns,
+        "TxnAttribution: {calls} heap calls for {} txns",
+        txns.txns
+    );
+    let (tail, calls) = heap_calls(|| TailProfile::from_events(events));
+    assert!(tail.tail_ops > 0);
+    assert!(
+        calls <= PER_OP * tail.ops,
+        "TailProfile: {calls} heap calls for {} ops",
+        tail.ops
+    );
+}
+
+#[test]
+fn json_writer_allocates_only_when_its_buffer_grows() {
+    let (text, calls) = heap_calls(|| {
+        let mut w = JsonWriter::new();
+        w.begin_obj();
+        for i in 0..10_000u64 {
+            match i % 3 {
+                0 => w.field_u64("n", i * 7_919),
+                1 => w.field_i64("d", -(i as i64)),
+                _ => w.field_f64("f", i as f64 / 3.0),
+            }
+        }
+        w.end_obj();
+        w.finish()
+    });
+    // The output string doubles as it grows, so it makes at most one heap
+    // call per bit of its final length; the writer's nesting stack makes
+    // two more (its first slot and one growth).
+    let growths = (usize::BITS - text.len().leading_zeros()) as u64;
+    assert!(
+        calls <= growths + 2,
+        "{calls} heap calls for {} bytes of numeric fields",
+        text.len()
+    );
+}
+
+/// Runs the repository's [`Maintainer`] and counts the heap calls its
+/// wake-ups make once the first `warmup` wake-ups are behind it.
+struct MeteredMaintainer {
+    inner: Maintainer,
+    warmup: u64,
+    wakes: Rc<Cell<u64>>,
+    steady_calls: Rc<Cell<u64>>,
+}
+
+impl HostApp for MeteredMaintainer {
+    fn on_event(&mut self, env: &mut Env<'_>, event: HostEvent) {
+        let ((), calls) = heap_calls(|| self.inner.on_event(env, event));
+        self.wakes.set(self.wakes.get() + 1);
+        if self.wakes.get() > self.warmup {
+            self.steady_calls.set(self.steady_calls.get() + calls);
+        }
+    }
+}
+
+#[test]
+fn maintainer_wakes_allocate_nothing_in_steady_state() {
+    let _flag = PROF_FLAG.lock().unwrap_or_else(|e| e.into_inner());
+    hostprof::disable();
+    let client = NodeId(0);
+    let replicas = [NodeId(1), NodeId(2), NodeId(3)];
+    let mut cluster = Cluster::new(4, 16, 64 << 20, ClusterConfig::default());
+    let group = cluster
+        .setup_fabric(|ctx| HyperLoopGroup::setup(ctx, client, &replicas, bench_group_config(16)));
+    let wakes = Rc::new(Cell::new(0));
+    let steady_calls = Rc::new(Cell::new(0));
+    for handle in group.replicas {
+        let (node, cq) = (handle.node(), handle.recv_cq());
+        let app = MeteredMaintainer {
+            inner: Maintainer::new(handle),
+            warmup: 300,
+            wakes: Rc::clone(&wakes),
+            steady_calls: Rc::clone(&steady_calls),
+        };
+        let proc = cluster.add_app(node, ProcKind::EventDriven, Box::new(app));
+        cluster.bind_cq(proc, node, cq, SimDuration::from_nanos(400));
+    }
+    let ops = 2_000;
+    let ack_cq = group.client.ack_cq();
+    let driver = PrimitiveDriver::new(group.client, gwrite_plan(1024), ops, 16, 0);
+    let p = cluster.add_app(client, ProcKind::Polling, Box::new(driver));
+    cluster.bind_cq(p, client, ack_cq, SimDuration::from_nanos(300));
+    let mut sim = cluster.into_sim();
+    // The client polls, so the queue never drains: run in slices until
+    // every op has completed.
+    while !sim
+        .model
+        .app_mut::<PrimitiveDriver<GroupClient>>(p)
+        .is_done()
+    {
+        assert!(sim.now() < SimTime::from_secs(10), "the run stalled");
+        let next = sim.now() + SimDuration::from_millis(1);
+        sim.run_until(next);
+    }
+    assert!(
+        wakes.get() > 600,
+        "too few maintenance wakes: {}",
+        wakes.get()
+    );
+    assert_eq!(
+        steady_calls.get(),
+        0,
+        "Maintainer::on_event allocated in steady state ({} wakes)",
+        wakes.get()
     );
 }
