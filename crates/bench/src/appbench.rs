@@ -3,109 +3,95 @@
 
 use crate::driver::{DocDriver, KvDriver};
 use crate::micro::{
-    bench_group_config, gwrite_plan, gwrite_plan_flush, run_primitive, MicroOpts, SystemKind,
+    bench_group_config, gwrite_plan, gwrite_plan_flush, run_primitive, sched_config, MicroOpts,
+    SystemKind, CORES, HOG_PROFILE,
 };
 use crate::report::{latency_header, latency_row, ratio, us, Report, Scenario};
+use crate::run::{self, Arm, Installed, Outcome};
 use baseline::{NaiveChain, NaiveClient, NaiveConfig};
-use cpusched::{HogProfile, ProcKind, SchedConfig};
+use cpusched::ProcKind;
 use docstore::{DocConfig, ReplicatedDocStore};
 use hyperloop::apps::install_group_maintenance;
 use hyperloop::{GroupClient, HyperLoopGroup};
 use kvstore::{KvConfig, ReplicatedKv};
 use netsim::NodeId;
-use simcore::simaudit::{HealthSummary, SeriesSummary};
-use simcore::{
-    HealthMonitor, Histogram, HostMeter, HostStats, LatencySummary, MetricsRegistry, SimDuration,
-    SimTime, SloConfig,
-};
-use testbed::{Cluster, ClusterConfig, ProcRef};
+use simcore::{MetricsRegistry, SimDuration, SimTime};
+use testbed::{Cluster, ClusterConfig};
 use ycsb::{Generator, Workload};
 
-/// The multi-tenant application environment: client node 0, replicas 1..=3,
-/// background tenants and a 6 ms effective slice (see `MicroOpts`).
-fn app_cluster(seed: u64, hogs: u32) -> Cluster {
+/// The app chains' replica nodes; the client is node 0.
+const REPLICAS: [NodeId; 3] = [NodeId(1), NodeId(2), NodeId(3)];
+
+/// The multi-tenant application environment: client node 0, replicas 1..=3
+/// hosting 96 background tenants each, on the microbenchmarks' machines.
+fn app_cluster(seed: u64) -> Cluster {
     let mut cluster = Cluster::new(
         4,
-        16,
+        CORES,
         256 << 20,
         ClusterConfig {
             seed,
-            sched: SchedConfig {
-                time_slice: SimDuration::from_millis(6),
-                ..SchedConfig::default()
-            },
+            sched: sched_config(),
             ..ClusterConfig::default()
         },
     );
-    for n in 1..=3u32 {
-        cluster.add_background_load(
-            NodeId(n),
-            hogs,
-            HogProfile {
-                busy_mean: SimDuration::from_millis(25),
-                idle_mean: SimDuration::from_millis(150),
-            },
-        );
+    for n in REPLICAS {
+        cluster.add_background_load(n, 96, HOG_PROFILE);
     }
     cluster
 }
 
-fn replica_nodes() -> Vec<NodeId> {
-    vec![NodeId(1), NodeId(2), NodeId(3)]
+/// The app's HyperLoop chain: a 16 MiB shared region behind a 16-op window,
+/// its replicas maintained off the critical path.
+fn hyperloop_chain(cluster: &mut Cluster) -> GroupClient {
+    let group = cluster.setup_fabric(|ctx| {
+        HyperLoopGroup::setup(
+            ctx,
+            NodeId(0),
+            &REPLICAS,
+            hyperloop::GroupConfig {
+                shared_size: 16 << 20,
+                ..bench_group_config(16)
+            },
+        )
+    });
+    install_group_maintenance(cluster, group.replicas, SimDuration::from_nanos(400));
+    group.client
 }
 
-fn run_cluster_until_done(
-    sim: &mut simcore::Simulation<Cluster>,
-    driver: ProcRef,
-    is_hl: bool,
-    kv: bool,
-    health: &HealthMonitor,
-) -> Histogram {
-    let cap = SimTime::from_secs(1200);
-    loop {
-        let next = sim.now() + SimDuration::from_millis(20);
-        sim.run_until(next);
-        health.tick(sim.now());
-        let done = match (kv, is_hl) {
-            (true, true) => sim.model.app_mut::<KvDriver<GroupClient>>(driver).is_done(),
-            (true, false) => sim.model.app_mut::<KvDriver<NaiveClient>>(driver).is_done(),
-            (false, true) => sim
-                .model
-                .app_mut::<DocDriver<GroupClient>>(driver)
-                .is_done(),
-            (false, false) => sim
-                .model
-                .app_mut::<DocDriver<NaiveClient>>(driver)
-                .is_done(),
-        };
-        if done {
-            break;
-        }
-        assert!(sim.now() < cap, "application run stalled");
-    }
-    assert_eq!(sim.model.fab.stats().errors, 0);
-    match (kv, is_hl) {
-        (true, true) => sim
-            .model
-            .app_mut::<KvDriver<GroupClient>>(driver)
-            .hist
-            .clone(),
-        (true, false) => sim
-            .model
-            .app_mut::<KvDriver<NaiveClient>>(driver)
-            .hist
-            .clone(),
-        (false, true) => sim
-            .model
-            .app_mut::<DocDriver<GroupClient>>(driver)
-            .hist
-            .clone(),
-        (false, false) => sim
-            .model
-            .app_mut::<DocDriver<NaiveClient>>(driver)
-            .hist
-            .clone(),
-    }
+/// The app's Naive chain, with the same region and window.
+fn naive_chain(cluster: &mut Cluster, replica_kind: ProcKind) -> NaiveClient {
+    NaiveChain::setup(
+        cluster,
+        NodeId(0),
+        &REPLICAS,
+        NaiveConfig {
+            shared_size: 16 << 20,
+            window: 16,
+            prepost_depth: 768,
+            replica_kind,
+            ..NaiveConfig::default()
+        },
+    )
+    .client
+}
+
+/// Polls one app arm to completion and closes it: the cluster's counters,
+/// the client's latency histogram under `bench.op_latency`, and health.
+fn finish_app(arm: Arm, cluster: Cluster, client: Installed, ops: u64) -> Outcome {
+    let mut sim = cluster.into_sim();
+    let hist = arm.poll(
+        &mut sim,
+        &[client],
+        SimDuration::from_millis(20),
+        SimTime::from_secs(1200),
+    );
+    let mut registry = MetricsRegistry::new();
+    sim.model.export_into(&mut registry, "cluster");
+    registry.merge_histogram("bench.op_latency", &hist);
+    arm.health.export_into(&mut registry, "health");
+    let elapsed = sim.now().since(SimTime::ZERO);
+    arm.finish(&sim, ops, elapsed, &hist, registry)
 }
 
 fn kv_config() -> KvConfig {
@@ -118,96 +104,28 @@ fn kv_config() -> KvConfig {
     }
 }
 
-/// Builds the cluster-wide metrics snapshot of a finished application run:
-/// every fabric/NVM/scheduler counter under `cluster.*` plus the op-latency
-/// histogram under `bench.op_latency`.
-fn cluster_snapshot(sim: &simcore::Simulation<Cluster>, hist: &Histogram) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    sim.model.export_into(&mut reg, "cluster");
-    reg.merge_histogram("bench.op_latency", hist);
-    reg
-}
-
 /// One Fig. 11 arm: replicated RocksDB (kvstore) update latency under
-/// YCSB-A with co-located tenants. Returns the latency summary, a full
-/// cluster metrics snapshot and the host-side statistics of the run.
-pub fn run_fig11_arm(
-    kind: SystemKind,
-    writes: u64,
-    seed: u64,
-) -> (
-    LatencySummary,
-    MetricsRegistry,
-    HostStats,
-    HealthSummary,
-    SeriesSummary,
-) {
-    let meter = HostMeter::start();
-    // Observer-only per-shard SLO health: the driver records issue/ack
-    // edges and the run loop ticks the monitor on its poll cadence.
-    let health = HealthMonitor::new(SloConfig::default());
-    let mut cluster = app_cluster(seed, 96);
-    let client_node = NodeId(0);
+/// YCSB-A with co-located tenants.
+pub fn run_fig11_arm(kind: SystemKind, writes: u64, seed: u64) -> Outcome {
+    let arm = Arm::untapped();
+    let mut cluster = app_cluster(seed);
     let pace = SimDuration::from_micros(300);
     let gen = Generator::with_value_len(Workload::A, 4096, seed ^ 0xA5, 1024);
-    let (driver, is_hl) = match kind {
+    let cost = SimDuration::from_nanos(300);
+    let client = match kind {
         SystemKind::HyperLoop => {
-            let group = cluster.setup_fabric(|ctx| {
-                HyperLoopGroup::setup(
-                    ctx,
-                    client_node,
-                    &replica_nodes(),
-                    hyperloop::GroupConfig {
-                        shared_size: 16 << 20,
-                        ..bench_group_config(16)
-                    },
-                )
-            });
-            install_group_maintenance(&mut cluster, group.replicas, SimDuration::from_nanos(400));
-            let ack_cq = group.client.ack_cq();
-            let store = ReplicatedKv::new(group.client, kv_config());
-            let d = KvDriver::new(store, gen, writes, 50, pace).with_health(health.clone(), 0);
-            let p = cluster.add_app(client_node, ProcKind::Polling, Box::new(d));
-            cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_nanos(300));
-            (p, true)
+            let store = ReplicatedKv::new(hyperloop_chain(&mut cluster), kv_config());
+            let d = KvDriver::new(store, gen, writes, 50, pace).with_health(arm.health.clone(), 0);
+            run::install(&mut cluster, ProcKind::Polling, d, cost)
         }
         SystemKind::NaiveEvent | SystemKind::NaivePolling => {
-            let chain = NaiveChain::setup(
-                &mut cluster,
-                client_node,
-                &replica_nodes(),
-                NaiveConfig {
-                    shared_size: 16 << 20,
-                    window: 16,
-                    prepost_depth: 768,
-                    replica_kind: if kind == SystemKind::NaivePolling {
-                        ProcKind::Polling
-                    } else {
-                        ProcKind::EventDriven
-                    },
-                    ..NaiveConfig::default()
-                },
-            );
-            let ack_cq = chain.client.ack_cq();
-            let store = ReplicatedKv::new(chain.client, kv_config());
-            let d = KvDriver::new(store, gen, writes, 50, pace).with_health(health.clone(), 0);
-            let p = cluster.add_app(client_node, ProcKind::Polling, Box::new(d));
-            cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_nanos(300));
-            (p, false)
+            let chain = naive_chain(&mut cluster, kind.replica_kind());
+            let store = ReplicatedKv::new(chain, kv_config());
+            let d = KvDriver::new(store, gen, writes, 50, pace).with_health(arm.health.clone(), 0);
+            run::install(&mut cluster, ProcKind::Polling, d, cost)
         }
     };
-    let mut sim = cluster.into_sim();
-    let hist = run_cluster_until_done(&mut sim, driver, is_hl, true, &health);
-    let mut registry = cluster_snapshot(&sim, &hist);
-    health.export_into(&mut registry, "health");
-    let host = meter.finish(writes, sim.now().since(SimTime::ZERO), sim.queue.stats());
-    (
-        hist.summary(),
-        registry,
-        host,
-        health.summary(),
-        health.series(),
-    )
+    finish_app(arm, cluster, client, writes)
 }
 
 /// Figure 11: replicated RocksDB update latency, three systems.
@@ -221,8 +139,8 @@ pub fn fig11(rep: &mut Report, quick: bool) {
         SystemKind::NaivePolling,
         SystemKind::HyperLoop,
     ] {
-        let (s, reg, host, health, series) = run_fig11_arm(kind, writes, 0xF11);
-        rep.line(latency_row(kind.label(), &s));
+        let r = run_fig11_arm(kind, writes, 0xF11);
+        rep.line(latency_row(kind.label(), &r.latency));
         rep.scenario(
             Scenario::new(format!("fig11/ycsb-a/{}", kind.label()))
                 .system(kind.label())
@@ -230,13 +148,10 @@ pub fn fig11(rep: &mut Report, quick: bool) {
                 .config("store", "kvstore")
                 .config("workload", "YCSB-A")
                 .config("writes", writes)
-                .latency(&s)
-                .health(health)
-                .series(series)
-                .host(host)
-                .metrics(reg),
+                .latency(&r.latency)
+                .outcome(&r),
         );
-        p99s.push((kind, s.p99));
+        p99s.push((kind, r.latency.p99));
     }
     let hl = p99s[2].1;
     rep.line(format!(
@@ -256,83 +171,29 @@ fn doc_config() -> DocConfig {
 }
 
 /// One Fig. 12 arm: replicated MongoDB (docstore) latency for a YCSB
-/// workload, native (polling CPU replication) vs HyperLoop. Returns the
-/// latency summary, a full cluster metrics snapshot and the host-side
-/// statistics of the run.
-pub fn run_fig12_arm(
-    hl: bool,
-    workload: Workload,
-    ops: u64,
-    seed: u64,
-) -> (
-    LatencySummary,
-    MetricsRegistry,
-    HostStats,
-    HealthSummary,
-    SeriesSummary,
-) {
-    let meter = HostMeter::start();
-    let health = HealthMonitor::new(SloConfig::default());
-    let mut cluster = app_cluster(seed, 96);
-    let client_node = NodeId(0);
+/// workload, native (event-driven CPU replication) vs HyperLoop.
+pub fn run_fig12_arm(hl: bool, workload: Workload, ops: u64, seed: u64) -> Outcome {
+    let arm = Arm::untapped();
+    let mut cluster = app_cluster(seed);
     let stack = SimDuration::from_micros(150);
     let pace = SimDuration::from_micros(200);
     let gen = Generator::with_value_len(workload, 4096, seed ^ 0x12, 1024);
-    let (driver, is_hl) = if hl {
-        let group = cluster.setup_fabric(|ctx| {
-            HyperLoopGroup::setup(
-                ctx,
-                client_node,
-                &replica_nodes(),
-                hyperloop::GroupConfig {
-                    shared_size: 16 << 20,
-                    ..bench_group_config(16)
-                },
-            )
-        });
-        install_group_maintenance(&mut cluster, group.replicas, SimDuration::from_nanos(400));
-        let ack_cq = group.client.ack_cq();
-        let store = ReplicatedDocStore::new(group.client, doc_config(), 1);
-        let d = DocDriver::new(store, gen, ops, 50, stack, pace).with_health(health.clone(), 0);
-        let p = cluster.add_app(client_node, ProcKind::Polling, Box::new(d));
-        cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_nanos(300));
-        (p, true)
+    let cost = SimDuration::from_nanos(300);
+    let client = if hl {
+        let store = ReplicatedDocStore::new(hyperloop_chain(&mut cluster), doc_config(), 1);
+        let d = DocDriver::new(store, gen, ops, 50, stack, pace).with_health(arm.health.clone(), 0);
+        run::install(&mut cluster, ProcKind::Polling, d, cost)
     } else {
-        let chain = NaiveChain::setup(
-            &mut cluster,
-            client_node,
-            &replica_nodes(),
-            NaiveConfig {
-                shared_size: 16 << 20,
-                window: 16,
-                prepost_depth: 768,
-                replica_kind: ProcKind::EventDriven,
-                ..NaiveConfig::default()
-            },
-        );
-        let ack_cq = chain.client.ack_cq();
-        let mut store = ReplicatedDocStore::new(chain.client, doc_config(), 1);
+        let chain = naive_chain(&mut cluster, ProcKind::EventDriven);
+        let mut store = ReplicatedDocStore::new(chain, doc_config(), 1);
         // Native MongoDB: journal replication is the critical path; log
         // application is asynchronous (paper §5.2 description of vanilla
         // replication).
         store.set_mode(docstore::WriteMode::AppendOnly);
-        let d = DocDriver::new(store, gen, ops, 50, stack, pace).with_health(health.clone(), 0);
-        let p = cluster.add_app(client_node, ProcKind::Polling, Box::new(d));
-        cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_nanos(300));
-        (p, false)
+        let d = DocDriver::new(store, gen, ops, 50, stack, pace).with_health(arm.health.clone(), 0);
+        run::install(&mut cluster, ProcKind::Polling, d, cost)
     };
-    let mut sim = cluster.into_sim();
-    let hist = run_cluster_until_done(&mut sim, driver, is_hl, false, &health);
-    let mut registry = cluster_snapshot(&sim, &hist);
-    health.export_into(&mut registry, "health");
-    let host = meter.finish(ops, sim.now().since(SimTime::ZERO), sim.queue.stats());
-    (
-        hist.summary(),
-        registry,
-        host,
-        health.summary(),
-        health.series(),
-    )
+    finish_app(arm, cluster, client, ops)
 }
 
 /// Figure 12: replicated MongoDB latency across YCSB workloads.
@@ -353,28 +214,26 @@ pub fn fig12(rep: &mut Report, quick: bool) {
     ));
     for (wi, w) in Workload::PAPER_SET.into_iter().enumerate() {
         let seed = 0xF12 + 101 * wi as u64;
-        let (nat, nat_reg, nat_host, nat_health, nat_series) = run_fig12_arm(false, w, ops, seed);
-        let (hl, hl_reg, hl_host, hl_health, hl_series) = run_fig12_arm(true, w, ops, seed);
-        let mean_cut = 100.0 * (1.0 - hl.mean.as_micros_f64() / nat.mean.as_micros_f64().max(1e-9));
-        let gap_nat = nat.p99.as_micros_f64() - nat.mean.as_micros_f64();
-        let gap_hl = hl.p99.as_micros_f64() - hl.mean.as_micros_f64();
+        let nat = run_fig12_arm(false, w, ops, seed);
+        let hl = run_fig12_arm(true, w, ops, seed);
+        let (n, h) = (&nat.latency, &hl.latency);
+        let mean_cut = 100.0 * (1.0 - h.mean.as_micros_f64() / n.mean.as_micros_f64().max(1e-9));
+        let gap_nat = n.p99.as_micros_f64() - n.mean.as_micros_f64();
+        let gap_hl = h.p99.as_micros_f64() - h.mean.as_micros_f64();
         let gap_cut = 100.0 * (1.0 - gap_hl / gap_nat.max(1e-9));
         rep.line(format!(
             "{:<10} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} | {:>8.0}% {:>8.0}%",
             w.to_string(),
-            us(nat.mean),
-            us(nat.p95),
-            us(nat.p99),
-            us(hl.mean),
-            us(hl.p95),
-            us(hl.p99),
+            us(n.mean),
+            us(n.p95),
+            us(n.p99),
+            us(h.mean),
+            us(h.p95),
+            us(h.p99),
             mean_cut,
             gap_cut,
         ));
-        for (label, s, reg, host, health, series) in [
-            ("native", &nat, nat_reg, nat_host, nat_health, nat_series),
-            ("HyperLoop", &hl, hl_reg, hl_host, hl_health, hl_series),
-        ] {
+        for (label, r) in [("native", &nat), ("HyperLoop", &hl)] {
             rep.scenario(
                 Scenario::new(format!("fig12/{w}/{label}"))
                     .system(label)
@@ -382,11 +241,8 @@ pub fn fig12(rep: &mut Report, quick: bool) {
                     .config("store", "docstore")
                     .config("workload", w.to_string())
                     .config("ops", ops)
-                    .latency(s)
-                    .health(health)
-                    .series(series)
-                    .host(host)
-                    .metrics(reg),
+                    .latency(&r.latency)
+                    .outcome(r),
             );
         }
     }
@@ -403,7 +259,7 @@ pub fn ablations(rep: &mut Report, quick: bool) {
         ..MicroOpts::default()
     };
     for (label, flush) in [("gWRITE only", false), ("gWRITE + gFLUSH", true)] {
-        let r = run_primitive(SystemKind::HyperLoop, gwrite_plan_flush(1024, flush), opts);
+        let r = run_primitive(SystemKind::HyperLoop, gwrite_plan_flush(1024, flush), opts).run;
         rep.line(format!(
             "{:<18} mean={} p99={}",
             label,
@@ -420,10 +276,7 @@ pub fn ablations(rep: &mut Report, quick: bool) {
             .config("payload_bytes", 1024u64)
             .config("flush", flush)
             .latency(&r.latency)
-            .health(r.health.clone())
-            .series(r.series.clone())
-            .host(r.host.clone())
-            .metrics(r.registry.clone()),
+            .outcome(&r),
         );
     }
 
@@ -433,22 +286,26 @@ pub fn ablations(rep: &mut Report, quick: bool) {
         "replicas", "chain p50", "fan-out p50"
     ));
     for gs in [3u32, 5, 7] {
-        let (chain, chain_host, chain_tel) =
-            crate::fanout_ablation::chain_write_latency(gs, if quick { 200 } else { 800 });
-        let (fan, fan_host, _fan_tel) =
-            crate::fanout_ablation::fanout_write_latency(gs, if quick { 200 } else { 800 });
-        rep.line(format!("{:<8} {:>14} {:>14}", gs, us(chain), us(fan)));
+        let chain = crate::fanout_ablation::chain_write_latency(gs, if quick { 200 } else { 800 });
+        let fan = crate::fanout_ablation::fanout_write_latency(gs, if quick { 200 } else { 800 });
+        let (chain_p50, fan_p50) = (chain.latency.p50, fan.latency.p50);
+        rep.line(format!(
+            "{:<8} {:>14} {:>14}",
+            gs,
+            us(chain_p50),
+            us(fan_p50)
+        ));
         // Two runs, one scenario: fold their host meters into one block.
         // The health/series blocks come from the chain arm (the paper's
         // default topology); the fan-out arm's telemetry is equivalent.
         rep.scenario(
             Scenario::new(format!("ablation/fanout/g{gs}"))
                 .config("group_size", gs)
-                .gauge("chain_p50_ns", chain.as_nanos() as f64)
-                .gauge("fanout_p50_ns", fan.as_nanos() as f64)
-                .health(chain_tel.health)
-                .series(chain_tel.series)
-                .host(chain_host.merged(&fan_host)),
+                .gauge("chain_p50_ns", chain_p50.as_nanos() as f64)
+                .gauge("fanout_p50_ns", fan_p50.as_nanos() as f64)
+                .health(chain.health)
+                .series(chain.series)
+                .host(chain.host.merged(&fan.host)),
         );
     }
 
@@ -458,8 +315,8 @@ pub fn ablations(rep: &mut Report, quick: bool) {
         "serving replicas", "8KB reads/s", "aggregate"
     ));
     for n in [1u32, 2, 3] {
-        let (rps, host, tel) =
-            crate::fanout_ablation::read_scaling(n, if quick { 1000 } else { 4000 });
+        let r = crate::fanout_ablation::read_scaling(n, if quick { 1000 } else { 4000 });
+        let rps = r.ops_per_sec();
         rep.line(format!(
             "{:<18} {:>12.0} {:>7.1} Gbps",
             n,
@@ -471,9 +328,7 @@ pub fn ablations(rep: &mut Report, quick: bool) {
                 .config("serving_replicas", n)
                 .config("read_bytes", 8192u64)
                 .gauge("reads_per_sec", rps)
-                .health(tel.health)
-                .series(tel.series)
-                .host(host),
+                .outcome(&r),
         );
     }
 
@@ -493,8 +348,8 @@ pub fn ablations(rep: &mut Report, quick: bool) {
         rep.line(format!(
             "{:<10} {:>16} {:>16}",
             hogs,
-            us(ev.latency.p99),
-            us(po.latency.p99)
+            us(ev.run.latency.p99),
+            us(po.run.latency.p99)
         ));
         for (kind, r) in [
             (SystemKind::NaiveEvent, &ev),
@@ -506,11 +361,8 @@ pub fn ablations(rep: &mut Report, quick: bool) {
                     .seed(opts.seed)
                     .config("hogs_per_node", hogs)
                     .config("payload_bytes", 1024u64)
-                    .latency(&r.latency)
-                    .health(r.health.clone())
-                    .series(r.series.clone())
-                    .host(r.host.clone())
-                    .metrics(r.registry.clone()),
+                    .latency(&r.run.latency)
+                    .outcome(&r.run),
             );
         }
     }

@@ -5,6 +5,10 @@
 //!     [--baseline BENCH_BASELINE.json] out/BENCH_figures.json ...
 //! ```
 //!
+//! An unknown flag, `--baseline`/`--host-baseline` without a value, or no
+//! report at all exits with status 2 and the usage line, so a mistyped
+//! gate can never pass silently.
+//!
 //! A report that parses but carries garbage is worse than no report: a
 //! `null` where a gauge should be means a NaN/Inf leaked out of a bench,
 //! a negative or fractional counter means the registry was corrupted, and
@@ -83,6 +87,7 @@
 //! This paragraph is the single normative statement of those thresholds;
 //! DESIGN.md and README.md defer to it.
 
+use hyperloop_bench::cli;
 use simcore::jsonw::{parse, JsonValue};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -1040,28 +1045,18 @@ fn check_file(
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path: Option<String> = None;
-    let mut host_baseline_path: Option<String> = None;
-    let mut paths: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--baseline" {
-            baseline_path = it.next();
-        } else if a == "--host-baseline" {
-            host_baseline_path = it.next();
-        } else {
-            paths.push(a);
-        }
-    }
-    if paths.is_empty() {
-        eprintln!(
-            "usage: benchcheck [--baseline BENCH_BASELINE.json] \
-             [--host-baseline BENCH_BASELINE.json] <BENCH_*.json> ..."
-        );
-        return ExitCode::FAILURE;
-    }
-    let baseline = match baseline_path.as_deref().map(|p| load_baseline(p, false)) {
+    let args = cli::parse_or_exit(
+        "benchcheck",
+        "usage: benchcheck [--baseline BENCH_BASELINE.json] \
+         [--host-baseline BENCH_BASELINE.json] <BENCH_*.json> ...",
+        &[],
+        &["--baseline", "--host-baseline"],
+        1..=usize::MAX,
+    );
+    let baseline_path = args.value("--baseline");
+    let host_baseline_path = args.value("--host-baseline");
+    let paths = &args.positional;
+    let baseline = match baseline_path.map(|p| load_baseline(p, false)) {
         None => None,
         Some(Ok(b)) => {
             println!("benchcheck: baseline covers {} scenarios", b.len());
@@ -1072,10 +1067,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let p99_baseline = match baseline_path
-        .as_deref()
-        .map(|p| load_metric(p, "latency", "p99_ns"))
-    {
+    let p99_baseline = match baseline_path.map(|p| load_metric(p, "latency", "p99_ns")) {
         None => None,
         Some(Ok(b)) => {
             println!("benchcheck: p99 baseline covers {} scenarios", b.len());
@@ -1086,10 +1078,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let host_baseline = match host_baseline_path
-        .as_deref()
-        .map(|p| load_baseline(p, true))
-    {
+    let host_baseline = match host_baseline_path.map(|p| load_baseline(p, true)) {
         None => None,
         Some(Ok(b)) => {
             println!("benchcheck: host baseline covers {} scenarios", b.len());
@@ -1100,7 +1089,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    for path in &paths {
+    for path in paths {
         match check_file(
             path,
             baseline.as_ref(),

@@ -8,19 +8,21 @@
 //! The canonical form is [`simcore::jsonw::canonicalize_report`] — the same
 //! transform the in-tree byte-identity tests use — so two same-seed runs
 //! must print identical bytes regardless of machine speed, profiling, or
-//! allocator behavior. CI diffs the output of a seed checkout against the
-//! PR checkout to prove a refactor left every simulated timeline intact.
+//! allocator behavior. CI compares the canonical form of its quick figure
+//! pass against that of the committed `BENCH_BASELINE.json` with `cmp`, so
+//! a change that moves any simulated number must re-ratchet the baseline
+//! in the same change.
+//!
+//! Any flag, or no report at all, exits with status 2 and the usage line.
 
+use hyperloop_bench::cli;
 use simcore::jsonw::canonicalize_report;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: canonize <BENCH_*.json> ...");
-        return ExitCode::FAILURE;
-    }
-    for path in &args {
+    let usage = "usage: canonize <BENCH_*.json> ...";
+    let args = cli::parse_or_exit("canonize", usage, &[], &[], 1..=usize::MAX);
+    for path in &args.positional {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {

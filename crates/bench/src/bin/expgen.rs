@@ -14,32 +14,25 @@
 //! Any `TRACE_<fig>_<arm>.json` Chrome traces in the same directory are
 //! folded in too: their counter tracks (pen depth, window occupancy)
 //! become sparkline rows in the matching `<fig>/<arm>` scenario's table.
+//!
+//! An unknown flag, `-o`/`--check` without a value, or anything but one
+//! reports directory exits with status 2 and the usage line.
 
-use hyperloop_bench::exp;
+use hyperloop_bench::{cli, exp};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut dir: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut check: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-o" | "--out" => out = it.next().map(PathBuf::from),
-            "--check" => check = it.next().map(PathBuf::from),
-            "-h" | "--help" => {
-                eprintln!("usage: expgen <reports-dir> [-o <file.md>] [--check <committed.md>]");
-                return ExitCode::SUCCESS;
-            }
-            other => dir = Some(PathBuf::from(other)),
-        }
-    }
-    let Some(dir) = dir else {
-        eprintln!("usage: expgen <reports-dir> [-o <file.md>] [--check <committed.md>]");
-        return ExitCode::FAILURE;
-    };
+    let args = cli::parse_or_exit(
+        "expgen",
+        "usage: expgen <reports-dir> [-o <file.md>] [--check <committed.md>]",
+        &[],
+        &["-o", "--out", "--check"],
+        1..=1,
+    );
+    let dir = PathBuf::from(&args.positional[0]);
+    let out = args.value("-o").or(args.value("--out")).map(PathBuf::from);
+    let check = args.value("--check").map(PathBuf::from);
 
     let mut files: Vec<PathBuf> = match std::fs::read_dir(&dir) {
         Ok(rd) => rd

@@ -22,9 +22,9 @@
 //! An unknown figure id, an unknown flag, or `--json`/`--trace` without a
 //! value exits with status 2 and a usage line naming every valid id.
 
-use hyperloop_bench::figures;
 use hyperloop_bench::report::Report;
-use std::path::PathBuf;
+use hyperloop_bench::{cli, figures};
+use std::path::Path;
 
 /// Every figure id, in run order.
 const IDS: [&str; 14] = [
@@ -44,77 +44,36 @@ const IDS: [&str; 14] = [
     "ablations",
 ];
 
-fn usage() -> String {
-    format!(
+fn main() {
+    let usage = format!(
         "usage: figures [all | <id>...] [--quick] [--json <path>] [--trace <dir>]\nids: {}",
         IDS.join(" ")
-    )
-}
-
-/// The parsed command line.
-struct Args {
-    quick: bool,
-    json_path: Option<PathBuf>,
-    trace_dir: Option<PathBuf>,
-    wanted: Vec<String>,
-}
-
-fn parse(args: &[String]) -> Result<Args, String> {
-    let mut parsed = Args {
-        quick: false,
-        json_path: None,
-        trace_dir: None,
-        wanted: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => parsed.quick = true,
-            "--json" | "--trace" => {
-                let value = it
-                    .next()
-                    .filter(|v| !v.starts_with("--"))
-                    .ok_or_else(|| format!("{arg} needs a value"))?;
-                let slot = if arg == "--json" {
-                    &mut parsed.json_path
-                } else {
-                    &mut parsed.trace_dir
-                };
-                *slot = Some(PathBuf::from(value));
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            id if id == "all" || IDS.contains(&id) => parsed.wanted.push(id.to_string()),
-            id => return Err(format!("unknown figure id {id:?}")),
-        }
+    );
+    let args = cli::parse_or_exit(
+        "figures",
+        &usage,
+        &["--quick"],
+        &["--json", "--trace"],
+        0..=usize::MAX,
+    );
+    let wanted = &args.positional;
+    if let Some(id) = wanted
+        .iter()
+        .find(|id| *id != "all" && !IDS.contains(&id.as_str()))
+    {
+        cli::reject("figures", &format!("unknown figure id {id:?}"), &usage);
     }
-    Ok(parsed)
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return;
-    }
-    let Args {
-        quick,
-        json_path,
-        trace_dir,
-        wanted,
-    } = parse(&args).unwrap_or_else(|msg| {
-        eprintln!("figures: {msg}\n{}", usage());
-        std::process::exit(2);
-    });
+    let quick = args.switch("--quick");
     let all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
     let has = |name: &str| all || wanted.iter().any(|w| w == name);
 
     let mut rep = Report::new("figures");
     rep.set_quick(quick);
-    if let Some(p) = &json_path {
-        rep.set_json_path(p);
+    if let Some(p) = args.value("--json") {
+        rep.set_json_path(Path::new(p));
     }
-    if let Some(d) = &trace_dir {
-        rep.set_trace_dir(d);
+    if let Some(d) = args.value("--trace") {
+        rep.set_trace_dir(Path::new(d));
     }
 
     if quick {

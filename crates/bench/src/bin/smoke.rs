@@ -3,23 +3,26 @@
 //! full evaluation.
 //!
 //! `--json <path>` writes the scenarios as machine-readable JSON (to
-//! `<path>/BENCH_smoke.json` when `<path>` is a directory).
+//! `<path>/BENCH_smoke.json` when `<path>` is a directory). Any other
+//! argument exits with status 2 and the usage line.
 
+use hyperloop_bench::cli;
 use hyperloop_bench::fanout_ablation::read_scaling;
 use hyperloop_bench::micro::{gwrite_plan, run_primitive, MicroOpts, SystemKind};
 use hyperloop_bench::report::{Report, Scenario};
-use std::path::PathBuf;
+use std::path::Path;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+    let args = cli::parse_or_exit(
+        "smoke",
+        "usage: smoke [--json <path>]",
+        &[],
+        &["--json"],
+        0..=0,
+    );
     let mut rep = Report::new("smoke");
-    if let Some(p) = &json_path {
-        rep.set_json_path(p);
+    if let Some(p) = args.value("--json") {
+        rep.set_json_path(Path::new(p));
     }
 
     let opts = MicroOpts {
@@ -33,8 +36,8 @@ fn main() {
         rep.line(format!(
             "  {:<13} mean={} p99={} replica-cpu={:.1}%",
             kind.label(),
-            r.latency.mean,
-            r.latency.p99,
+            r.run.latency.mean,
+            r.run.latency.p99,
             r.replica_cpu * 100.0
         ));
         rep.scenario(
@@ -43,18 +46,16 @@ fn main() {
                 .seed(opts.seed)
                 .config("payload_bytes", 1024u64)
                 .config("ops", opts.ops)
-                .latency(&r.latency)
-                .gauge("ops_per_sec", r.ops_per_sec())
+                .latency(&r.run.latency)
+                .gauge("ops_per_sec", r.run.ops_per_sec())
                 .gauge("replica_cpu", r.replica_cpu)
-                .health(r.health.clone())
-                .series(r.series.clone())
-                .host(r.host.clone())
-                .metrics(r.registry.clone()),
+                .outcome(&r.run),
         );
     }
     rep.line("8 KB read scaling:");
     for n in [1u32, 3] {
-        let (rps, host, tel) = read_scaling(n, 1500);
+        let r = read_scaling(n, 1500);
+        let rps = r.ops_per_sec();
         rep.line(format!(
             "  {} serving replica(s): {:.0} reads/s ({:.1} Gbps)",
             n,
@@ -66,9 +67,7 @@ fn main() {
                 .config("serving_replicas", n)
                 .config("read_bytes", 8192u64)
                 .gauge("reads_per_sec", rps)
-                .health(tel.health)
-                .series(tel.series)
-                .host(host),
+                .outcome(&r),
         );
     }
     rep.finish().expect("write JSON report");

@@ -11,6 +11,23 @@ use testbed::{Env, HostApp, HostEvent};
 /// Produces the `i`-th operation of a benchmark plan.
 pub type OpPlan = Box<dyn FnMut(u64) -> GroupOp>;
 
+/// A client process the run harness installs and watches
+/// (`run::install`, `run::Arm::poll`): every driver here.
+pub(crate) trait Client: HostApp {
+    /// The transport the client issues on; its node and ack CQ place and
+    /// wake the client's process.
+    fn transport(&self) -> &dyn GroupTransport;
+    /// True once the client's quota is met and its pipeline drained.
+    fn is_done(&self) -> bool;
+    /// The measured latency histogram (warm-up excluded).
+    fn hist(&self) -> &Histogram;
+    /// Simulated time from first issue to last completion, where the
+    /// client tracks it.
+    fn elapsed(&self) -> Option<SimDuration> {
+        None
+    }
+}
+
 /// A generic primitive-level benchmark client over any [`GroupTransport`].
 ///
 /// Keeps up to `window` operations in flight; records the latency of each
@@ -84,19 +101,9 @@ impl<T: GroupTransport + 'static> PrimitiveDriver<T> {
         self
     }
 
-    /// Completed operation count.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
     /// True once every op has completed.
     pub fn is_done(&self) -> bool {
         self.completed >= self.total
-    }
-
-    /// The wrapped transport (e.g. to inspect state post-run).
-    pub fn transport(&self) -> &T {
-        &self.transport
     }
 
     fn fill_window(&mut self, env: &mut Env<'_>) {
@@ -172,6 +179,21 @@ impl<T: GroupTransport + 'static> HostApp for PrimitiveDriver<T> {
     }
 }
 
+impl<T: GroupTransport + 'static> Client for PrimitiveDriver<T> {
+    fn transport(&self) -> &dyn GroupTransport {
+        &self.transport
+    }
+    fn is_done(&self) -> bool {
+        PrimitiveDriver::is_done(self)
+    }
+    fn hist(&self) -> &Histogram {
+        &self.hist
+    }
+    fn elapsed(&self) -> Option<SimDuration> {
+        Some(self.done_at?.since(self.started_at?))
+    }
+}
+
 /// YCSB driver over the replicated KV store (the Fig. 11 RocksDB client):
 /// reads hit the memtable; updates run the replicated `Append` path and are
 /// the measured operations, exactly as in the paper.
@@ -228,16 +250,6 @@ impl<T: GroupTransport + 'static> KvDriver<T> {
     pub fn with_health(mut self, health: HealthMonitor, shard: u32) -> Self {
         self.health = Some((health, shard));
         self
-    }
-
-    /// Completed update count.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// True once every update completed.
-    pub fn is_done(&self) -> bool {
-        self.completed >= self.total_writes + self.warmup
     }
 
     /// Attempts one put; on back-pressure, checkpoints and stashes for
@@ -340,6 +352,18 @@ impl<T: GroupTransport + 'static> HostApp for KvDriver<T> {
     }
 }
 
+impl<T: GroupTransport + 'static> Client for KvDriver<T> {
+    fn transport(&self) -> &dyn GroupTransport {
+        &self.store.transport
+    }
+    fn is_done(&self) -> bool {
+        self.completed >= self.total_writes + self.warmup
+    }
+    fn hist(&self) -> &Histogram {
+        &self.hist
+    }
+}
+
 /// YCSB driver over the replicated document store (Figs. 2 and 12): every
 /// operation pays the client software-stack cost; writes additionally run
 /// the lock + journal + execute pipeline and are measured end-to-end.
@@ -401,16 +425,6 @@ impl<T: GroupTransport + 'static> DocDriver<T> {
         }
     }
 
-    /// Operations completed so far.
-    pub fn ops_done(&self) -> u64 {
-        self.ops_done
-    }
-
-    /// The wrapped store (diagnostics).
-    pub fn store_ref(&self) -> &docstore::ReplicatedDocStore<T> {
-        &self.store
-    }
-
     /// Keeps up to `n` writes in flight (models `n` YCSB client threads
     /// sharing one front end).
     pub fn with_concurrency(mut self, n: u64) -> Self {
@@ -423,11 +437,6 @@ impl<T: GroupTransport + 'static> DocDriver<T> {
     pub fn with_health(mut self, health: HealthMonitor, shard: u32) -> Self {
         self.health = Some((health, shard));
         self
-    }
-
-    /// True once the quota is met and no writes are pending.
-    pub fn is_done(&self) -> bool {
-        self.ops_done >= self.total_ops && self.writes_in_flight == 0
     }
 
     fn record(&mut self, lat: SimDuration) {
@@ -548,5 +557,17 @@ impl<T: GroupTransport + 'static> HostApp for DocDriver<T> {
             }
             _ => {}
         }
+    }
+}
+
+impl<T: GroupTransport + 'static> Client for DocDriver<T> {
+    fn transport(&self) -> &dyn GroupTransport {
+        &self.store.transport
+    }
+    fn is_done(&self) -> bool {
+        self.ops_done >= self.total_ops && self.writes_in_flight == 0
+    }
+    fn hist(&self) -> &Histogram {
+        &self.hist
     }
 }

@@ -1,35 +1,18 @@
 //! Chain vs fan-out replication latency (paper §7: chain balances NIC load;
 //! fan-out trades per-hop pipelining for primary-side parallelism).
 
+use crate::run::{Arm, Outcome};
 use hyperloop::fanout::FanoutGroup;
 use hyperloop::harness::{drive, fabric_sim};
 use hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
 use netsim::{FabricConfig, NodeId};
 use rnicsim::{NicConfig, Payload};
-use simcore::simaudit::{HealthSummary, SeriesSummary};
-use simcore::{HealthMonitor, HostMeter, HostStats, SimDuration, SimTime, SloConfig};
+use simcore::{Histogram, MetricsRegistry, SimTime};
 
-/// Health/series telemetry of one ablation run, bundled so the raw loops
-/// can return it next to their headline numbers.
-#[derive(Debug, Clone)]
-pub struct AblationTelemetry {
-    /// Per-shard SLO health (single shard 0 for these single-chain runs).
-    pub health: HealthSummary,
-    /// Windowed telemetry series sampled once per bench-loop iteration.
-    pub series: SeriesSummary,
-}
-
-fn telemetry(health: &HealthMonitor) -> AblationTelemetry {
-    AblationTelemetry {
-        health: health.summary(),
-        series: health.series(),
-    }
-}
-
-/// Median latency of durable 1 KB chain writes over `gs` replicas, plus
-/// the host-side statistics and telemetry of the run.
-pub fn chain_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, AblationTelemetry) {
-    let meter = HostMeter::start();
+/// Latency of durable 1 KB chain writes over `gs` replicas, one at a time
+/// (health on shard 0).
+pub fn chain_write_latency(gs: u32, ops: u64) -> Outcome {
+    let arm = Arm::untapped();
     let mut sim = fabric_sim(
         gs + 1,
         64 << 20,
@@ -50,8 +33,9 @@ pub fn chain_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, Ablati
         )
     });
     sim.run();
-    let health = HealthMonitor::new(SloConfig::default());
-    let mut hist = simcore::Histogram::new();
+    let health = &arm.health;
+    let mut hist = Histogram::new();
+    let t_first = sim.now();
     for i in 0..ops {
         let t0 = sim.now();
         health.record_issue(t0, 0);
@@ -75,15 +59,14 @@ pub fn chain_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, Ablati
         health.record_ack(sim.now(), 0, lat);
         health.tick(sim.now());
     }
-    let host = meter.finish(ops, sim.now().since(SimTime::ZERO), sim.queue.stats());
-    (hist.p50(), host, telemetry(&health))
+    let elapsed = sim.now().since(t_first);
+    arm.finish(&sim, ops, elapsed, &hist, MetricsRegistry::new())
 }
 
-/// Median latency of durable 1 KB fan-out writes over a primary plus
-/// `gs - 1` backups (same total copy count as the chain), plus the
-/// host-side statistics and telemetry of the run.
-pub fn fanout_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, AblationTelemetry) {
-    let meter = HostMeter::start();
+/// Latency of durable 1 KB fan-out writes over a primary plus `gs - 1`
+/// backups (same total copy count as the chain), one at a time.
+pub fn fanout_write_latency(gs: u32, ops: u64) -> Outcome {
+    let arm = Arm::untapped();
     let backups: Vec<NodeId> = (2..=gs).map(NodeId).collect();
     let mut sim = fabric_sim(
         gs + 1,
@@ -105,8 +88,9 @@ pub fn fanout_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, Ablat
         )
     });
     sim.run();
-    let health = HealthMonitor::new(SloConfig::default());
-    let mut hist = simcore::Histogram::new();
+    let health = &arm.health;
+    let mut hist = Histogram::new();
+    let t_first = sim.now();
     for i in 0..ops {
         let t0 = sim.now();
         health.record_issue(t0, 0);
@@ -125,8 +109,8 @@ pub fn fanout_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, Ablat
             });
         }
     }
-    let host = meter.finish(ops, sim.now().since(SimTime::ZERO), sim.queue.stats());
-    (hist.p50(), host, telemetry(&health))
+    let elapsed = sim.now().since(t_first);
+    arm.finish(&sim, ops, elapsed, &hist, MetricsRegistry::new())
 }
 
 /// Beyond the paper's figures: aggregate read bandwidth when three reader
@@ -134,14 +118,11 @@ pub fn fanout_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, Ablat
 /// the §5 claim that keeping replicas strongly consistent lets *every*
 /// replica serve reads. Lock-free one-sided reads (the FaRM-style path the
 /// paper also supports); the locked path is exercised by
-/// `hyperloop::reads` tests. Returns reads/sec plus the host-side
-/// statistics and telemetry of the run.
-pub fn read_scaling(
-    serving_replicas: u32,
-    total_reads: u64,
-) -> (f64, HostStats, AblationTelemetry) {
-    let meter = HostMeter::start();
+/// `hyperloop::reads` tests. Health tracks each serving replica as a
+/// shard; [`Outcome::ops_per_sec`] is the aggregate read rate.
+pub fn read_scaling(serving_replicas: u32, total_reads: u64) -> Outcome {
     use rnicsim::{wqe_flags, Opcode, Wqe};
+    let arm = Arm::untapped();
 
     // Nodes: 3 replicas (1..=3) + 3 reader clients (4..=6).
     let mut sim = fabric_sim(
@@ -181,7 +162,8 @@ pub fn read_scaling(
         }
     }
 
-    let health = HealthMonitor::new(SloConfig::default());
+    let health = &arm.health;
+    let mut hist = Histogram::new();
     let mut sent_at: Vec<SimTime> = vec![SimTime::ZERO; total_reads as usize];
     let t0 = sim.now();
     let mut done = 0u64;
@@ -220,20 +202,14 @@ pub fn read_scaling(
             let now = sim.now();
             for cqe in cqes {
                 let shard = (cqe.wr_id % serving_replicas as u64) as u32;
-                health.record_ack(now, shard, now.since(sent_at[cqe.wr_id as usize]));
+                let lat = now.since(sent_at[cqe.wr_id as usize]);
+                hist.record(lat);
+                health.record_ack(now, shard, lat);
             }
         }
         health.tick(sim.now());
     }
     assert_eq!(sim.model.fab.stats().errors, 0);
-    let host = meter.finish(
-        total_reads,
-        sim.now().since(SimTime::ZERO),
-        sim.queue.stats(),
-    );
-    (
-        total_reads as f64 / sim.now().since(t0).as_secs_f64(),
-        host,
-        telemetry(&health),
-    )
+    let elapsed = sim.now().since(t0);
+    arm.finish(&sim, total_reads, elapsed, &hist, MetricsRegistry::new())
 }

@@ -22,7 +22,7 @@ fn scaled(ops: u64, quick: bool) -> u64 {
 
 /// Builds the machine-readable record of one microbenchmark run.
 fn micro_scenario(name: String, kind: SystemKind, opts: &MicroOpts, r: &MicroResult) -> Scenario {
-    let mut sc = Scenario::new(name)
+    Scenario::new(name)
         .system(kind.label())
         .seed(opts.seed)
         .config("group_size", opts.group_size)
@@ -30,19 +30,10 @@ fn micro_scenario(name: String, kind: SystemKind, opts: &MicroOpts, r: &MicroRes
         .config("ops", opts.ops)
         .config("hogs_per_node", opts.hogs_per_node)
         .config("pace_us", opts.pace.as_micros_f64())
-        .latency(&r.latency)
-        .gauge("ops_per_sec", r.ops_per_sec())
+        .latency(&r.run.latency)
+        .gauge("ops_per_sec", r.run.ops_per_sec())
         .gauge("replica_cpu", r.replica_cpu)
-        .health(r.health.clone())
-        .series(r.series.clone())
-        .host(r.host.clone())
-        .metrics(r.registry.clone());
-    if let Some(tr) = &r.trace {
-        sc = sc
-            .stage_attribution(tr.attribution.clone())
-            .tail(tr.tail.clone());
-    }
-    sc
+        .outcome(&r.run)
 }
 
 /// Figure 8(a): gWRITE latency vs message size, Naïve vs HyperLoop.
@@ -82,12 +73,12 @@ fn fig8_inner(
             "{:<8} {:<14} {:>10} {:>10} | {:<14} {:>10} {:>10} | {:>8}",
             format!("{size}B"),
             name,
-            us(naive.latency.mean),
-            us(naive.latency.p99),
+            us(naive.run.latency.mean),
+            us(naive.run.latency.p99),
             name,
-            us(hl.latency.mean),
-            us(hl.latency.p99),
-            ratio(naive.latency.p99, hl.latency.p99),
+            us(hl.run.latency.mean),
+            us(hl.run.latency.p99),
+            ratio(naive.run.latency.p99, hl.run.latency.p99),
         ));
         for (kind, r) in [
             (SystemKind::NaiveEvent, &naive),
@@ -112,14 +103,14 @@ pub fn table2(rep: &mut Report, quick: bool) {
     };
     rep.line(latency_header("system"));
     let naive = run_primitive(SystemKind::NaiveEvent, gcas_plan(3), opts);
-    rep.line(latency_row("Naive-RDMA gCAS", &naive.latency));
+    rep.line(latency_row("Naive-RDMA gCAS", &naive.run.latency));
     let hl = run_primitive(SystemKind::HyperLoop, gcas_plan(3), opts);
-    rep.line(latency_row("HyperLoop gCAS", &hl.latency));
+    rep.line(latency_row("HyperLoop gCAS", &hl.run.latency));
     rep.line(format!(
         "gains: mean {} p95 {} p99 {}",
-        ratio(naive.latency.mean, hl.latency.mean),
-        ratio(naive.latency.p95, hl.latency.p95),
-        ratio(naive.latency.p99, hl.latency.p99),
+        ratio(naive.run.latency.mean, hl.run.latency.mean),
+        ratio(naive.run.latency.p95, hl.run.latency.p95),
+        ratio(naive.run.latency.p99, hl.run.latency.p99),
     ));
     for (kind, r) in [
         (SystemKind::NaiveEvent, &naive),
@@ -161,9 +152,9 @@ pub fn fig9(rep: &mut Report, quick: bool) {
         rep.line(format!(
             "{:<8} {:>14.0} {:>9.0}% | {:>14.0} {:>9.1}%",
             format!("{size}B"),
-            naive.ops_per_sec() / 1e3,
+            naive.run.ops_per_sec() / 1e3,
             naive.replica_cpu * 100.0,
-            hl.ops_per_sec() / 1e3,
+            hl.run.ops_per_sec() / 1e3,
             hl.replica_cpu * 100.0,
         ));
         for (kind, r) in [
@@ -199,7 +190,7 @@ pub fn fig10(rep: &mut Report, quick: bool) {
                     ..MicroOpts::default()
                 };
                 let r = run_primitive(kind, gwrite_plan_flush(size, false), opts);
-                row.push(us(r.latency.p99));
+                row.push(us(r.run.latency.p99));
                 rep.scenario(
                     micro_scenario(
                         format!("fig10/{size}B/g{gs}/{}", kind.label()),

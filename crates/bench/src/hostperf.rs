@@ -66,7 +66,7 @@ pub fn hostperf(rep: &mut Report, quick: bool) {
         // scopes: the allocator hooks and queue stats are always-on.
         hostprof::reset();
         let r = run_primitive(SystemKind::HyperLoop, gwrite_plan_flush(1024, false), opts);
-        let h = &r.host;
+        let h = &r.run.host;
         rep.line(format!(
             "{:<8} {:>12.0} {:>14.0} {:>16.0} {:>12.2} {:>9.1}%",
             ops,
@@ -90,27 +90,24 @@ pub fn hostperf(rep: &mut Report, quick: bool) {
             rep.write_trace(&format!("HOST_hostperf_{ops}.txt"), &folded)
                 .expect("write folded stacks");
         }
-        let mut sc = Scenario::new(format!("hostperf/{ops}"))
+        let name = format!("hostperf/{ops}");
+        let mut sc = Scenario::new(&name)
             .system(SystemKind::HyperLoop.label())
             .seed(opts.seed)
             .config("primitive", "gWRITE")
             .config("payload_bytes", 1024u64)
             .config("ops", ops)
             .config("window", opts.window)
-            .latency(&r.latency)
-            .gauge("ops_per_sec", r.ops_per_sec())
+            .latency(&r.run.latency)
+            .gauge("ops_per_sec", r.run.ops_per_sec())
             .gauge("replica_cpu", r.replica_cpu)
-            .health(r.health.clone())
-            .series(r.series.clone())
-            .host(r.host.clone());
-        if let Some(tr) = &r.trace {
-            rep.write_trace(
-                &format!("TAIL_hostperf_{ops}.json"),
-                &tr.tail.to_artifact_json(&format!("hostperf/{ops}")),
-            )
-            .expect("trace sink writable");
-            sc = sc.tail(tr.tail.clone());
+            .health(r.run.health.clone())
+            .series(r.run.series.clone())
+            .host(r.run.host.clone());
+        if let Some(tail) = &r.run.tail {
+            sc = sc.tail(tail.clone());
         }
+        r.run.write_artifacts(rep, &name);
         rep.scenario(sc);
     }
 }

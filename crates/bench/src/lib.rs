@@ -17,15 +17,19 @@
 //! | fig11 | replicated RocksDB (kvstore) under YCSB-A | [`appbench`] |
 //! | fig12 | replicated MongoDB (docstore) under YCSB A/B/D/E/F | [`appbench`] |
 //!
-//! Plus ablations (`ablation_*`): polling crossover, flush cost, fan-out vs
-//! chain — and three beyond-the-paper sweeps: `shardscale` ([`shardscale`]),
-//! aggregate throughput vs shard count over the [`hyperloop::ShardSet`]
-//! layer, `migrate` ([`migrate`]), the pause window and throughput dip of a
+//! Plus `ablations` (`ablation/*` scenarios): flush cost, fan-out vs chain,
+//! read scaling, polling vs co-location — and four beyond-the-paper
+//! sweeps: `shardscale` ([`shardscale`]), aggregate throughput vs shard
+//! count over the [`hyperloop::ShardSet`] layer, `migrate` ([`migrate`]), the pause window and throughput dip of a
 //! live shard migration, `hostperf` ([`hostperf`]), the *host*
 //! throughput of the simulator itself (ops/sec of wall clock, allocation
 //! volume and the observability tax), and `txnmix` ([`txnmix`]), multi-key
 //! transaction commit/abort throughput vs contention over both commit
 //! paths of the `hyperloop::txn` layer.
+//!
+//! Every runner wires its arms through [`run`]: host meter, audit, tracer
+//! and health monitor, the observed/bare obs-tax pair, the event-driven
+//! poll loop, the post-run folds and the trace artifacts.
 //!
 //! The only unsafe code in the crate is the counting global allocator in
 //! [`hostalloc`]; everything else stays `deny(unsafe_code)`.
@@ -34,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod appbench;
+pub mod cli;
 pub mod driver;
 pub mod exp;
 pub mod fanout_ablation;
@@ -45,6 +50,7 @@ pub mod micro;
 pub mod migrate;
 pub mod mongo2;
 pub mod report;
+pub mod run;
 pub mod shardscale;
 pub mod txnmix;
 

@@ -9,21 +9,17 @@
 //! throughput while burning a core.
 
 use crate::driver::{OpPlan, PrimitiveDriver};
-use baseline::{NaiveChain, NaiveClient, NaiveConfig};
+use crate::run::{self, Arm, Installed, Outcome, Profile};
+use baseline::{NaiveChain, NaiveConfig};
 use cpusched::{HogProfile, ProcKind, SchedConfig};
 use hyperloop::apps::install_group_maintenance;
-use hyperloop::{GroupClient, GroupConfig, GroupOp, HyperLoopGroup};
+use hyperloop::{GroupConfig, GroupOp, GroupTransport, HyperLoopGroup};
 use netsim::NodeId;
 use rnicsim::Payload;
-use simcore::simaudit::{HealthSummary, SeriesSummary};
-use simcore::simprof::{CounterSample, CounterSampler, StageAttribution};
-use simcore::tailprof::TailProfile;
-use simcore::{
-    HealthMonitor, HostMeter, HostStats, LatencySummary, MetricsRegistry, SimDuration, SimTime,
-    SloConfig, TraceEvent, Tracer,
-};
+use simcore::{MetricsRegistry, SimDuration, SimTime};
+use std::cell::RefCell;
 use std::rc::Rc;
-use testbed::{Cluster, ClusterConfig, ProcRef};
+use testbed::{Cluster, ClusterConfig};
 
 /// Which system runs the chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +41,38 @@ impl SystemKind {
             SystemKind::NaivePolling => "Naive-Polling",
         }
     }
+
+    /// How a Naive chain's replica processes wait for work.
+    pub(crate) fn replica_kind(&self) -> ProcKind {
+        if *self == SystemKind::NaivePolling {
+            ProcKind::Polling
+        } else {
+            ProcKind::EventDriven
+        }
+    }
+}
+
+/// Cores per machine.
+pub const CORES: u32 = 16;
+
+/// The scheduler's effective time slice: what a CFS box running hundreds
+/// of processes converges to (sched_min_granularity dominates), which is
+/// what bounds a woken process's queueing delay on the paper's loaded
+/// servers. Every other scheduler parameter keeps its default.
+pub const TIME_SLICE: SimDuration = SimDuration::from_millis(6);
+
+/// Background tenant burst profile.
+pub const HOG_PROFILE: HogProfile = HogProfile {
+    busy_mean: SimDuration::from_millis(25),
+    idle_mean: SimDuration::from_millis(150),
+};
+
+/// The loaded servers' scheduler: defaults with a [`TIME_SLICE`] slice.
+pub(crate) fn sched_config() -> SchedConfig {
+    SchedConfig {
+        time_slice: TIME_SLICE,
+        ..SchedConfig::default()
+    }
 }
 
 /// Microbenchmark parameters.
@@ -52,8 +80,6 @@ impl SystemKind {
 pub struct MicroOpts {
     /// Replication group size.
     pub group_size: u32,
-    /// Cores per machine.
-    pub cores: u32,
     /// Background tenant processes per replica machine.
     pub hogs_per_node: u32,
     /// Operations measured (after warm-up).
@@ -64,17 +90,10 @@ pub struct MicroOpts {
     pub window: u32,
     /// Think time between completion and next issue (ZERO = closed loop).
     pub pace: SimDuration,
-    /// Scheduler parameters. The default uses a 3 ms effective time slice —
-    /// what a CFS box running hundreds of processes converges to
-    /// (sched_min_granularity dominates) — which is what bounds a woken
-    /// process's queueing delay on the paper's loaded servers.
-    pub sched: SchedConfig,
-    /// Background tenant burst profile.
-    pub hog_profile: HogProfile,
     /// Root seed.
     pub seed: u64,
-    /// Capture a causal trace of the run and fold it into a
-    /// [`StageAttribution`] (plus counter-track samples) on the result.
+    /// Capture a causal trace of the run and fold it into stage
+    /// attribution and a tail profile on the result.
     pub trace: bool,
 }
 
@@ -82,79 +101,27 @@ impl Default for MicroOpts {
     fn default() -> Self {
         MicroOpts {
             group_size: 3,
-            cores: 16,
             hogs_per_node: 96,
             ops: 10_000,
             warmup: 100,
             window: 1,
             pace: SimDuration::from_micros(300),
-            sched: SchedConfig {
-                time_slice: SimDuration::from_millis(6),
-                ..SchedConfig::default()
-            },
-            hog_profile: HogProfile {
-                busy_mean: SimDuration::from_millis(25),
-                idle_mean: SimDuration::from_millis(150),
-            },
             seed: 0xBEEF,
             trace: false,
         }
     }
 }
 
-/// Profiling artifacts of a traced run (present when
-/// [`MicroOpts::trace`] was set).
-#[derive(Debug, Clone)]
-pub struct MicroTrace {
-    /// The captured trace events (whole spans; overflow evicts whole ops).
-    pub events: Vec<TraceEvent>,
-    /// Events discarded by ring overflow.
-    pub dropped: u64,
-    /// Ops evicted whole by ring overflow.
-    pub dropped_ops: u64,
-    /// Counter-track samples taken on the watchdog cadence (cluster
-    /// counters plus the health monitor's `series.*` tracks).
-    pub samples: Vec<CounterSample>,
-    /// Per-stage latency attribution folded over every complete op.
-    pub attribution: StageAttribution,
-    /// Tail-latency profile folded over the same trace ring.
-    pub tail: TailProfile,
-}
-
 /// Result of one microbenchmark run.
 #[derive(Debug, Clone)]
 pub struct MicroResult {
-    /// Per-op latency distribution.
-    pub latency: LatencySummary,
-    /// Wall time from first issue to last completion.
-    pub elapsed: SimDuration,
-    /// Operations completed.
-    pub ops: u64,
     /// Peak replica data-path process CPU, as a fraction of the run (1.0 =
     /// one fully-burnt core).
     pub replica_cpu: f64,
-    /// Metrics snapshot of the whole cluster at the end of the run
-    /// (fabric/NVM/scheduler/link counters plus the op-latency histogram
-    /// under `bench.op_latency`).
-    pub registry: MetricsRegistry,
-    /// Health/SLO summary of the run (violations left at zero; micro runs
-    /// carry no audit handle).
-    pub health: HealthSummary,
-    /// Windowed telemetry series sampled on the watchdog cadence.
-    pub series: SeriesSummary,
-    /// Trace-derived profiling artifacts ([`MicroOpts::trace`] runs only).
-    pub trace: Option<MicroTrace>,
-    /// Host-side (wall-clock) statistics of the run: simulator ops/sec,
-    /// event throughput, allocation volume and — for traced runs — the
-    /// observability tax measured against a bare re-run.
-    pub host: HostStats,
-}
-
-impl MicroResult {
-    /// Throughput in operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.elapsed.as_secs_f64().max(1e-12)
-    }
+    /// The arm's outcome. Its registry holds the whole cluster's counters
+    /// plus the op-latency histogram under `bench.op_latency`; its health
+    /// carries zero violations (micro runs are not audited).
+    pub run: Outcome,
 }
 
 fn replica_nodes(gs: u32) -> Vec<NodeId> {
@@ -175,100 +142,86 @@ pub fn bench_group_config(window: u32) -> GroupConfig {
 
 /// Runs `ops` operations from `plan` through the chosen system and options.
 ///
-/// Every run is metered with a [`HostMeter`]; traced runs
-/// ([`MicroOpts::trace`]) additionally measure the *observability tax* by
-/// re-running the identical workload with tracing off and comparing wall
-/// clocks — the sim timeline of both runs is byte-identical by the
-/// [`simcore::hostprof`] determinism contract, only the wall clock moves.
+/// Traced runs ([`MicroOpts::trace`]) also measure the *observability
+/// tax* (`run::tax_pair`): the identical workload re-runs with tracing
+/// off, over the same simulated timeline.
 ///
 /// # Panics
 ///
 /// Panics if the run does not complete within the simulation watchdog.
 pub fn run_primitive(kind: SystemKind, plan: OpPlan, opts: MicroOpts) -> MicroResult {
-    let plan = Rc::new(std::cell::RefCell::new(plan));
-    let share = |p: &Rc<std::cell::RefCell<OpPlan>>| -> OpPlan {
-        let p = Rc::clone(p);
-        Box::new(move |i| (p.borrow_mut())(i))
-    };
-    let mut res = run_primitive_once(kind, share(&plan), opts);
-    if opts.trace {
-        let bare = run_primitive_once(
-            kind,
-            share(&plan),
-            MicroOpts {
-                trace: false,
-                ..opts
-            },
-        );
-        res.host = res.host.with_bare_wall_ns(bare.host.wall_ns);
-    }
-    res
+    let plan = Rc::new(RefCell::new(plan));
+    run::tax_pair(
+        |observed| {
+            let p = Rc::clone(&plan);
+            run_primitive_once(kind, Box::new(move |i| (p.borrow_mut())(i)), opts, observed)
+        },
+        |r| &mut r.run,
+    )
 }
 
-/// One metered run (no observability-tax re-run).
-fn run_primitive_once(kind: SystemKind, plan: OpPlan, opts: MicroOpts) -> MicroResult {
-    let meter = HostMeter::start();
-    let nodes = opts.group_size + 1;
+/// The client driver over `transport`, installed on the client node.
+fn install_driver<T: GroupTransport + 'static>(
+    cluster: &mut Cluster,
+    arm: &Arm,
+    transport: T,
+    plan: OpPlan,
+    opts: &MicroOpts,
+) -> Installed {
+    let driver = PrimitiveDriver::with_pace(
+        transport,
+        plan,
+        opts.ops + opts.warmup,
+        opts.window,
+        opts.warmup,
+        opts.pace,
+    )
+    .with_health(arm.health.clone(), 0);
+    run::install(
+        cluster,
+        ProcKind::Polling,
+        driver,
+        SimDuration::from_nanos(300),
+    )
+}
+
+/// One metered run; `observed` keeps the trace tap of a traced run.
+fn run_primitive_once(
+    kind: SystemKind,
+    plan: OpPlan,
+    opts: MicroOpts,
+    observed: bool,
+) -> MicroResult {
+    let arm = Arm::start(Profile::Micro, observed, opts.trace, opts.ops + opts.warmup);
     let mut cluster = Cluster::new(
-        nodes,
-        opts.cores,
+        opts.group_size + 1,
+        CORES,
         256 << 20,
         ClusterConfig {
             seed: opts.seed,
-            sched: opts.sched,
+            sched: sched_config(),
             ..ClusterConfig::default()
         },
     );
     let client_node = NodeId(0);
     let replicas = replica_nodes(opts.group_size);
     for &rn in &replicas {
-        cluster.add_background_load(rn, opts.hogs_per_node, opts.hog_profile);
+        cluster.add_background_load(rn, opts.hogs_per_node, HOG_PROFILE);
     }
-
-    let total = opts.ops + opts.warmup;
-    // Sized so whole-span eviction essentially never fires: ~96 events per
-    // op across the NIC/wire/sched layers, bounded to keep memory sane.
-    let tracer = if opts.trace {
-        let cap = (total.saturating_mul(96)).clamp(1 << 16, 1 << 21) as usize;
-        let t = Tracer::enabled(cap);
-        cluster.set_tracer(t.clone());
-        Some(t)
-    } else {
-        None
-    };
-    // Observer-only: recording/ticking never feeds the event queue or the
-    // RNG, and is on regardless of tracing, so traced and untraced runs
-    // carry identical health and series blocks.
-    let health = HealthMonitor::new(SloConfig::default());
-    if let Some(t) = &tracer {
-        health.set_tracer(t.clone());
-    }
-    let (driver_proc, data_procs, is_hl): (ProcRef, Vec<ProcRef>, bool) = match kind {
+    arm.wire(&mut cluster);
+    let (client, data_procs) = match kind {
         SystemKind::HyperLoop => {
             let mut group = cluster.setup_fabric(|ctx| {
                 HyperLoopGroup::setup(ctx, client_node, &replicas, bench_group_config(opts.window))
             });
-            if let Some(t) = &tracer {
-                group.client.set_tracer(t.clone());
-            }
+            group.client.set_tracer(arm.tracer.clone());
             let maint = install_group_maintenance(
                 &mut cluster,
                 group.replicas,
                 SimDuration::from_nanos(400),
             );
-            let ack_cq = group.client.ack_cq();
-            let driver = PrimitiveDriver::with_pace(
-                group.client,
-                plan,
-                total,
-                opts.window,
-                opts.warmup,
-                opts.pace,
-            )
-            .with_health(health.clone(), 0);
-            let p = cluster.add_app(client_node, ProcKind::Polling, Box::new(driver));
-            cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_nanos(300));
-            (p, maint, true)
+            let client = install_driver(&mut cluster, &arm, group.client, plan, &opts);
+            (client, maint)
         }
         SystemKind::NaiveEvent | SystemKind::NaivePolling => {
             let mut chain = NaiveChain::setup(
@@ -279,91 +232,27 @@ fn run_primitive_once(kind: SystemKind, plan: OpPlan, opts: MicroOpts) -> MicroR
                     window: opts.window,
                     prepost_depth: 768,
                     cmd_slots: 64,
-                    replica_kind: if kind == SystemKind::NaivePolling {
-                        ProcKind::Polling
-                    } else {
-                        ProcKind::EventDriven
-                    },
+                    replica_kind: kind.replica_kind(),
                     ..NaiveConfig::default()
                 },
             );
-            if let Some(t) = &tracer {
-                chain.client.set_tracer(t.clone());
-            }
-            let ack_cq = chain.client.ack_cq();
-            let driver = PrimitiveDriver::with_pace(
-                chain.client,
-                plan,
-                total,
-                opts.window,
-                opts.warmup,
-                opts.pace,
-            )
-            .with_health(health.clone(), 0);
-            let p = cluster.add_app(client_node, ProcKind::Polling, Box::new(driver));
-            cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_nanos(300));
-            (p, chain.replica_procs, false)
+            chain.client.set_tracer(arm.tracer.clone());
+            let client = install_driver(&mut cluster, &arm, chain.client, plan, &opts);
+            (client, chain.replica_procs)
         }
     };
 
     let mut sim = cluster.into_sim();
-    // Watchdog: generous cap so pathological stalls fail loudly.
-    let cap = SimTime::from_secs(600);
-    let mut sampler = opts.trace.then(|| {
-        CounterSampler::with_prefixes(&["cluster.fabric.", "cluster.sched.", "cluster.nvm."])
-    });
-    loop {
-        let next = sim.now() + SimDuration::from_millis(20);
-        sim.run_until(next);
-        health.tick(sim.now());
-        if let Some(s) = sampler.as_mut() {
-            let mut reg = MetricsRegistry::new();
-            sim.model.export_into(&mut reg, "cluster");
-            s.sample(sim.now(), &reg);
-        }
-        let done = if is_hl {
-            sim.model
-                .app_mut::<PrimitiveDriver<GroupClient>>(driver_proc)
-                .is_done()
-        } else {
-            sim.model
-                .app_mut::<PrimitiveDriver<NaiveClient>>(driver_proc)
-                .is_done()
-        };
-        if done {
-            break;
-        }
-        assert!(
-            sim.now() < cap,
-            "{} run stalled: completed {} of {total}",
-            kind.label(),
-            if is_hl {
-                sim.model
-                    .app_mut::<PrimitiveDriver<GroupClient>>(driver_proc)
-                    .completed()
-            } else {
-                sim.model
-                    .app_mut::<PrimitiveDriver<NaiveClient>>(driver_proc)
-                    .completed()
-            }
-        );
-    }
-
-    let (hist, started, done_at) = if is_hl {
-        let d = sim
-            .model
-            .app_mut::<PrimitiveDriver<GroupClient>>(driver_proc);
-        (d.hist.clone(), d.started_at, d.done_at)
-    } else {
-        let d = sim
-            .model
-            .app_mut::<PrimitiveDriver<NaiveClient>>(driver_proc);
-        (d.hist.clone(), d.started_at, d.done_at)
-    };
-    let elapsed = done_at.expect("done").since(started.expect("started"));
+    let hist = arm.poll(
+        &mut sim,
+        &[client],
+        SimDuration::from_millis(20),
+        SimTime::from_secs(600),
+    );
+    let elapsed = client.get(&mut sim.model).elapsed().expect("done");
     // Normalize CPU by the whole run (processes are busy from time zero,
     // including the warm-up ramp), capping at one core.
-    let sim_total = sim.now().since(simcore::SimTime::ZERO);
+    let sim_total = sim.now().since(SimTime::ZERO);
     let replica_cpu = data_procs
         .iter()
         .map(|&p| {
@@ -371,48 +260,15 @@ fn run_primitive_once(kind: SystemKind, plan: OpPlan, opts: MicroOpts) -> MicroR
             (busy.as_secs_f64() / sim_total.as_secs_f64().max(1e-12)).min(1.0)
         })
         .fold(0.0f64, f64::max);
-    assert_eq!(sim.model.fab.stats().errors, 0, "data-path errors");
 
     let mut registry = MetricsRegistry::new();
     sim.model.export_into(&mut registry, "cluster");
     registry.merge_histogram("bench.op_latency", &hist);
     registry.set_gauge("bench.replica_cpu", replica_cpu);
     registry.set_gauge("bench.elapsed_secs", elapsed.as_secs_f64());
-
-    // Stop the host meter before folding trace artifacts: the attribution
-    // and tail folds are post-run analysis, not simulation work, and must
-    // not be charged to the measured arm's wall clock (or the
-    // observability tax would bill fold time as tracing overhead).
-    let host = meter.finish(opts.ops, sim_total, sim.queue.stats());
-
-    let series = health.series();
-    let trace = tracer.map(|t| {
-        let events = t.events();
-        let dropped = t.dropped();
-        let attribution = StageAttribution::from_events(&events);
-        let tail = TailProfile::from_events(&events);
-        let mut samples = sampler.map(|s| s.samples().to_vec()).unwrap_or_default();
-        samples.extend(series.counter_samples());
-        MicroTrace {
-            events,
-            dropped,
-            dropped_ops: t.dropped_ops(),
-            samples,
-            attribution,
-            tail,
-        }
-    });
-
     MicroResult {
-        latency: hist.summary(),
-        elapsed,
-        ops: opts.ops,
         replica_cpu,
-        registry,
-        health: health.summary(),
-        series,
-        trace,
-        host,
+        run: arm.finish(&sim, opts.ops, elapsed, &hist, registry),
     }
 }
 

@@ -12,36 +12,23 @@
 //! static-placement sections never have to pay.
 
 use crate::report::{us, Report, Scenario};
-use crate::shardscale::SHARD_COUNTS;
-use hyperloop::{
-    plan_migration, GroupConfig, GroupOp, HyperLoopGroup, MigrationRun, ShardId, ShardSet,
+use crate::run::{self, Arm, Outcome, Profile};
+use crate::shardscale::{
+    op_for, ShardRig, PAYLOAD, REPLICAS_PER_SHARD, SHARD_COUNTS, SHARED_SIZE, WINDOW,
 };
-use netsim::NodeId;
-use rnicsim::Payload;
-use simcore::simaudit::{op_id_base, HealthSummary, Probe, SeriesSummary};
-use simcore::simprof::{chrome_trace_with_counters, CounterSampler};
-use simcore::tailprof::TailProfile;
-use simcore::{
-    Audit, HealthMonitor, Histogram, HostMeter, HostStats, LatencySummary, MetricsRegistry,
-    SimDuration, SimRng, SimTime, SloConfig, Tracer,
-};
-use std::collections::{HashMap, VecDeque};
-use testbed::cluster::drive;
-use testbed::{Cluster, ClusterConfig, ShardPlacement};
+use hyperloop::{plan_migration, MigrationRun, ShardId};
+use simcore::simaudit::Probe;
+use simcore::{SimDuration, SimTime};
 
-/// Live-migration benchmark parameters.
+/// Ops parked in the holding pen while the pause window is open.
+pub const DEFER: u64 = 16;
+
+/// Live-migration benchmark parameters (chains, window and payload as in
+/// [`crate::shardscale`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MigrateOpts {
-    /// Replicas per shard chain (and on the standby chain).
-    pub replicas_per_shard: u32,
     /// Total operations across all shards.
     pub ops: u64,
-    /// Per-shard in-flight window.
-    pub window: u32,
-    /// gWRITE payload bytes.
-    pub payload: u64,
-    /// Ops parked in the holding pen while the pause window is open.
-    pub defer: u64,
     /// Root seed.
     pub seed: u64,
     /// Sample counter tracks (per-shard acked, pen depth, migration copy
@@ -52,11 +39,7 @@ pub struct MigrateOpts {
 impl Default for MigrateOpts {
     fn default() -> Self {
         MigrateOpts {
-            replicas_per_shard: 3,
             ops: 4096,
-            window: 16,
-            payload: 1024,
-            defer: 16,
             seed: 0x3161_847E,
             trace: false,
         }
@@ -68,12 +51,6 @@ impl Default for MigrateOpts {
 pub struct MigrateResult {
     /// Shard count of this arm (shard 0 is the one that moves).
     pub shards: u32,
-    /// Per-op latency distribution, including ops caught by the pause.
-    pub latency: LatencySummary,
-    /// Wall time from first issue to last ack.
-    pub elapsed: SimDuration,
-    /// Operations completed (= the offered load).
-    pub ops: u64,
     /// Pause-window length (begin to cutover).
     pub pause: SimDuration,
     /// WAL-tail ranges replayed after the raced bulk copy.
@@ -87,264 +64,102 @@ pub struct MigrateResult {
     pub dip: f64,
     /// Shard epoch after the cutover.
     pub epoch: u64,
-    /// Cluster + shard-set metrics snapshot (post-migration chains).
-    pub registry: MetricsRegistry,
-    /// Audit/health summary: invariant violations (expected zero) plus
-    /// per-shard SLO states and breach counts.
-    pub health: HealthSummary,
-    /// Windowed telemetry series sampled at every health tick (always on,
-    /// so traced and untraced arms carry identical points).
-    pub series: SeriesSummary,
-    /// Tail-latency exemplars and root-cause attribution, folded from the
-    /// trace ring ([`MigrateOpts::trace`] arms only).
-    pub tail: Option<TailProfile>,
-    /// The audit's structured violation report (deterministic JSON).
-    pub audit_json: String,
-    /// Chrome trace JSON with op spans *and* the sampled counter tracks
-    /// ([`MigrateOpts::trace`] arms only). Op ids are epoch-qualified, so
-    /// spans survive the cutover instead of colliding with the retired
-    /// chain's generations.
-    pub chrome_trace: Option<String>,
-    /// Host-side (wall-clock) statistics, including the observability tax
-    /// of the always-on audit tap (measured against a bare re-run).
-    pub host: HostStats,
-}
-
-impl MigrateResult {
-    /// Aggregate throughput in operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.elapsed.as_secs_f64().max(1e-12)
-    }
+    /// The arm's outcome: latency including ops caught by the pause,
+    /// post-migration chain metrics, audit/health with zero expected
+    /// violations. Traced arms keep their stream for a Perfetto trace
+    /// whose op ids are epoch-qualified, so spans survive the cutover.
+    pub run: Outcome,
 }
 
 /// Runs the fixed offered load through `n_shards` chains, migrating shard 0
 /// to a standby chain at the halfway mark.
 ///
-/// Auditing is always on in this sweep, so the observability tax is
-/// measured by re-running the identical load with the audit and trace taps
-/// off (same deterministic timeline, less host work).
+/// Auditing is always on in this sweep, so `run::tax_pair` measures the
+/// observability tax against a re-run of the identical load with the
+/// audit and trace taps off.
 ///
 /// # Panics
 ///
 /// Panics on data-path errors, lost operations, or a stalled run.
 pub fn run_migrate(n_shards: u32, opts: MigrateOpts) -> MigrateResult {
-    let mut res = run_migrate_once(n_shards, opts, true);
-    let bare = run_migrate_once(
-        n_shards,
-        MigrateOpts {
-            trace: false,
-            ..opts
-        },
-        false,
-    );
-    res.host = res.host.with_bare_wall_ns(bare.host.wall_ns);
-    res
+    run::tax_pair(
+        |observed| run_migrate_once(n_shards, opts, observed),
+        |r| &mut r.run,
+    )
 }
 
-/// One metered arm. `observed` keeps the standard audit tap on; the bare
-/// (`observed = false`) run disables every tap but drives the exact same
-/// issue/migrate/poll/replenish loop.
 fn run_migrate_once(n_shards: u32, opts: MigrateOpts, observed: bool) -> MigrateResult {
-    let meter = HostMeter::start();
-    let client = NodeId(0);
-    let rps = opts.replicas_per_shard;
-    // One extra chain's worth of nodes sits idle as the migration target.
-    let nodes = 1 + (n_shards + 1) * rps;
-    let cluster = Cluster::new(
-        nodes,
-        4,
-        256 << 20,
-        ClusterConfig {
-            seed: opts.seed,
-            ..ClusterConfig::default()
-        },
-    );
-    let mut chains: Vec<Vec<NodeId>> = (0..n_shards)
-        .map(|s| (0..rps).map(|r| NodeId(1 + s * rps + r)).collect())
-        .collect();
-    let standby: Vec<NodeId> = (0..rps).map(|r| NodeId(1 + n_shards * rps + r)).collect();
-    let placement = ShardPlacement::Explicit(chains.clone());
-    assert_eq!(cluster.place_shards(&placement, n_shards, client), chains);
-
-    let cfg = GroupConfig {
-        shared_size: 4 << 20,
-        meta_slots: 64,
-        prepost_depth: 128,
-        window: opts.window,
-        first_gen: 0,
-    };
-    let mut cluster = cluster;
-    // Auditing is always on for measured arms: the invariant checkers
-    // (including migration safety across the cutover) tap the trace stream
-    // whether or not a trace buffer is kept. The bare arm of the
-    // observability-tax measurement drops the tap.
-    let audit = if observed {
-        Audit::standard()
-    } else {
-        Audit::disabled()
-    };
-    let tracer = if opts.trace {
-        let cap = (opts.ops.saturating_mul(96)).clamp(1 << 16, 1 << 21) as usize;
-        Tracer::enabled(cap).with_audit(audit.clone())
-    } else {
-        Tracer::disabled().with_audit(audit.clone())
-    };
-    cluster.set_tracer(tracer.clone());
-    let health = HealthMonitor::new(SloConfig::default());
-    health.set_tracer(tracer.clone());
-    let groups: Vec<HyperLoopGroup> = cluster.setup_fabric(|ctx| {
-        chains
-            .iter()
-            .enumerate()
-            .map(|(s, chain)| {
-                // Epoch-qualified, per-shard op-id bases: generations stay
-                // globally unique across shards and across the cutover.
-                let cfg = GroupConfig {
-                    first_gen: op_id_base(s as u32, 0),
-                    ..cfg
-                };
-                HyperLoopGroup::setup(ctx, client, chain, cfg)
-            })
-            .collect()
-    });
-    let (mut clients, mut replicas): (Vec<_>, Vec<_>) =
-        groups.into_iter().map(|g| (g.client, g.replicas)).unzip();
-    for c in clients.iter_mut() {
-        c.set_tracer(tracer.clone());
-    }
-    let mut set = ShardSet::with_hash_router(clients);
-
-    let mut sim = cluster.into_sim();
-    sim.run(); // drain group wiring
-
-    // Teach the flow-control auditor each shard's window before traffic.
-    for s in 0..n_shards {
-        audit.probe(
-            sim.now(),
-            Probe::Window {
-                shard: s,
-                window: opts.window as u64,
-            },
-        );
-    }
-
-    // Same offered load and routing discipline as the shard-scaling bench,
-    // so the two figures are directly comparable per arm.
-    let mut rng = SimRng::new(opts.seed ^ 0x51AB);
-    let mut queues: Vec<VecDeque<u64>> = vec![VecDeque::new(); n_shards as usize];
-    for _ in 0..opts.ops {
-        let key = rng.next_u64();
-        queues[set.route(key).0 as usize].push_back(key);
-    }
-    let op_for = |key: u64, payload: u64| GroupOp::Write {
-        offset: (key % 64) * 8192,
-        data: Payload::filled((key & 0xFF) as u8, payload as usize),
-        flush: true,
-    };
+    let mut arm = Arm::start(Profile::Migrate, observed, opts.trace, opts.ops);
+    // One extra chain sits idle as the migration target. Same offered load
+    // and routing as the shard-scaling bench, so the two figures are
+    // directly comparable per arm.
+    let mut rig = ShardRig::new(&arm, n_shards, 1, opts.ops, opts.seed);
+    let standby = rig.spare[0].clone();
 
     let mig_shard = ShardId(0);
     let migrate_at = opts.ops / 2;
     let mut migrated: Option<(SimDuration, u64, u64, u64, u64)> = None;
     let mut window_tput = 0.0f64;
-
-    let mut sent: HashMap<(u32, u64), SimTime> = HashMap::new();
-    let mut hist = Histogram::new();
-    let started = sim.now();
-    let mut done = 0u64;
-    let mut sampler = opts
-        .trace
-        .then(|| CounterSampler::with_prefixes(&["bench.shards.", "cluster.sched."]));
-    while done < opts.ops {
-        drive(&mut sim, |ctx| {
-            for s in 0..n_shards {
-                let sid = ShardId(s);
-                while set.can_issue_on(sid) {
-                    let Some(key) = queues[s as usize].pop_front() else {
-                        break;
-                    };
-                    let gen = set
-                        .issue_on(ctx, sid, op_for(key, opts.payload))
-                        .expect("window checked");
-                    sent.insert((s, gen), ctx.now);
-                    health.record_issue(ctx.now, s);
-                }
-            }
-        });
-
-        if migrated.is_none() && done >= migrate_at {
+    while rig.done < opts.ops {
+        rig.refill(&arm.health);
+        if migrated.is_none() && rig.done >= migrate_at {
             // -- The live migration, launched right after a refill so shard
             // 0's window is full and the bulk copy genuinely races an
             // in-flight tail. The other shards' windows are also full, so
             // they keep completing work throughout the pause. --
             let plan = plan_migration(
                 mig_shard,
-                set.epoch(mig_shard),
-                &chains[0],
+                rig.set.epoch(mig_shard),
+                &rig.chains[0],
                 &standby,
-                cfg.shared_size,
+                SHARED_SIZE,
             );
-            let run = MigrationRun::begin(&mut sim, &mut set, plan);
+            let run = MigrationRun::begin(&mut rig.sim, &mut rig.set, plan);
             let t_begin = run.paused_at();
-            let done_before = done;
+            let done_before = rig.done;
             // Fresh shard-0 keys park in the bounded holding pen while the
             // window is open.
-            let mut penned: Vec<(u64, SimTime)> = Vec::new();
-            while (penned.len() as u64) < opts.defer {
-                let Some(key) = queues[0].pop_front() else {
+            let mut penned: Vec<SimTime> = Vec::new();
+            while (penned.len() as u64) < DEFER {
+                let Some(key) = rig.queues[0].pop_front() else {
                     break;
                 };
-                match set.defer_on(mig_shard, op_for(key, opts.payload)) {
-                    Ok(()) => {
-                        penned.push((key, sim.now()));
-                        health.record_issue(sim.now(), mig_shard.0);
-                        health.record_pen_depth(
-                            sim.now(),
-                            mig_shard.0,
-                            set.pen_len(mig_shard) as u64,
-                        );
-                        audit.probe(
-                            sim.now(),
-                            Probe::PenDepth {
-                                shard: mig_shard.0,
-                                depth: set.pen_len(mig_shard) as u64,
-                                capacity: set.pen_capacity() as u64,
-                            },
-                        );
-                    }
-                    Err(_) => {
-                        queues[0].push_front(key); // pen full: back-pressure
-                        break;
-                    }
+                let now = rig.sim.now();
+                if rig.set.defer_on(mig_shard, op_for(key)).is_err() {
+                    rig.queues[0].push_front(key); // pen full: back-pressure
+                    break;
                 }
+                penned.push(now);
+                let depth = rig.set.pen_len(mig_shard) as u64;
+                arm.health.record_issue(now, mig_shard.0);
+                arm.health.record_pen_depth(now, mig_shard.0, depth);
+                arm.audit.probe(
+                    now,
+                    Probe::PenDepth {
+                        shard: mig_shard.0,
+                        depth,
+                        capacity: rig.set.pen_capacity() as u64,
+                    },
+                );
             }
             // Sample with the pen at its fullest, so the counter track
             // shows the holding-pen spike inside the pause window.
-            if let Some(s) = sampler.as_mut() {
-                let mut reg = MetricsRegistry::new();
-                set.export_into(&mut reg, "bench.shards");
-                s.sample(sim.now(), &reg);
-            }
-            let outcome = run.finish(&mut sim, &mut set);
-            replicas[0] = outcome.replicas; // old chain's handles are dead
-            chains[0] = standby.clone();
-            for a in outcome.drained {
-                let t0 = sent
-                    .remove(&(a.shard.0, a.ack.gen))
-                    .expect("drained ack for an op we issued");
-                let lat = sim.now().since(t0);
-                hist.record(lat);
-                health.record_ack(sim.now(), a.shard.0, lat);
-                done += 1;
-            }
+            arm.sample(rig.sim.now(), |reg| {
+                rig.set.export_into(reg, "bench.shards")
+            });
+            let outcome = run.finish(&mut rig.sim, &mut rig.set);
+            rig.replicas[0] = outcome.replicas; // old chain's handles are dead
+            rig.chains[0] = standby.clone();
+            rig.record(outcome.drained, &arm.health);
             // Penned ops re-issued on the new epoch, in pen order. The new
             // chain's generations are epoch-qualified, so they can never
-            // collide with old-epoch keys still outstanding in `sent`.
+            // collide with old-epoch keys still outstanding.
             assert_eq!(outcome.resumed.len(), penned.len(), "pen drain lost ops");
-            for (gen, (_key, t0)) in outcome.resumed.iter().zip(&penned) {
-                sent.insert((mig_shard.0, *gen), *t0);
+            for (&gen, &t0) in outcome.resumed.iter().zip(&penned) {
+                rig.resend(mig_shard.0, gen, t0);
             }
-            let span = sim.now().since(t_begin);
-            window_tput = (done - done_before) as f64 / span.as_secs_f64().max(1e-12);
+            let span = rig.sim.now().since(t_begin);
+            window_tput = (rig.done - done_before) as f64 / span.as_secs_f64().max(1e-12);
             migrated = Some((
                 outcome.stats.pause,
                 outcome.stats.replayed,
@@ -354,97 +169,20 @@ fn run_migrate_once(n_shards: u32, opts: MigrateOpts, observed: bool) -> Migrate
             ));
             continue;
         }
-
-        sim.run();
-        let acks = drive(&mut sim, |ctx| set.poll(ctx));
-        if let Some(s) = sampler.as_mut() {
-            let mut reg = MetricsRegistry::new();
-            sim.model.export_into(&mut reg, "cluster");
-            set.export_into(&mut reg, "bench.shards");
-            s.sample(sim.now(), &reg);
-        }
-        assert!(!acks.is_empty(), "run stalled at {done}/{} ops", opts.ops);
-        let mut drained = vec![0u32; n_shards as usize];
-        for a in acks {
-            let t0 = sent
-                .remove(&(a.shard.0, a.ack.gen))
-                .expect("ack for an op we issued");
-            let lat = sim.now().since(t0);
-            hist.record(lat);
-            health.record_ack(sim.now(), a.shard.0, lat);
-            drained[a.shard.0 as usize] += 1;
-            done += 1;
-        }
-        health.tick(sim.now());
-        drive(&mut sim, |ctx| {
-            for (shard, &n) in drained.iter().enumerate() {
-                if n > 0 {
-                    for r in replicas[shard].iter_mut() {
-                        r.replenish(ctx, n);
-                    }
-                }
-            }
-        });
+        rig.round(&mut arm, opts.ops);
     }
-    let elapsed = sim.now().since(started);
-    assert_eq!(sim.model.fab.stats().errors, 0, "data-path errors");
-    assert_eq!(set.completed(), opts.ops, "lost operations");
     let (pause, replayed, copy_bytes, penned, epoch) =
         migrated.expect("load too small to reach the migration point");
-
-    let steady_tput = opts.ops as f64 / elapsed.as_secs_f64().max(1e-12);
-    let mut registry = MetricsRegistry::new();
-    sim.model.export_into(&mut registry, "cluster");
-    sim.model
-        .export_shards_into(&mut registry, &chains, "bench");
-    set.export_into(&mut registry, "bench.shards");
-    registry.merge_histogram("bench.op_latency", &hist);
-    registry.set_gauge("bench.elapsed_secs", elapsed.as_secs_f64());
-    audit.export_into(&mut registry, "audit");
-    health.export_into(&mut registry, "health");
-    let mut health_summary = health.summary();
-    health_summary.violations = audit.violation_count();
-    let series = health.series();
-
-    // Stop the host meter before folding trace artifacts: attribution and
-    // tail folds are post-run analysis, not simulation work, and must not be
-    // charged to the measured arm's wall clock.
-    let host = meter.finish(opts.ops, sim.now().since(SimTime::ZERO), sim.queue.stats());
-
-    // Fold the tail profile and merge the series counter tracks into the
-    // chrome export on traced arms; the timeline itself never changes.
-    let (chrome_trace, tail) = match sampler {
-        Some(s) => {
-            let events = tracer.events();
-            let tail = TailProfile::from_events(&events);
-            let mut samples = s.samples().to_vec();
-            samples.extend(series.counter_samples());
-            (
-                Some(chrome_trace_with_counters(&events, &samples)),
-                Some(tail),
-            )
-        }
-        None => (None, None),
-    };
-
+    let (_, run) = rig.finish(arm, opts.ops);
     MigrateResult {
         shards: n_shards,
-        latency: hist.summary(),
-        elapsed,
-        ops: opts.ops,
         pause,
         replayed,
         copy_bytes,
         penned,
-        dip: window_tput / steady_tput.max(1e-12),
+        dip: window_tput / run.ops_per_sec().max(1e-12),
         epoch,
-        registry,
-        health: health_summary,
-        series,
-        tail,
-        audit_json: audit.to_json(),
-        chrome_trace,
-        host,
+        run,
     }
 }
 
@@ -465,54 +203,40 @@ pub fn migrate(rep: &mut Report, quick: bool) {
         rep.line(format!(
             "{:<8} {:>12.1} {:>10} {:>7.0}% {:>10.1} {:>8} {:>10}",
             n,
-            r.ops_per_sec() / 1e3,
+            r.run.ops_per_sec() / 1e3,
             us(r.pause),
             r.dip * 100.0,
             r.copy_bytes as f64 / (1 << 20) as f64,
             r.replayed,
-            us(r.latency.p99),
+            us(r.run.latency.p99),
         ));
-        if let Some(trace) = &r.chrome_trace {
-            rep.write_trace(&format!("TRACE_migrate_{n}.json"), trace)
-                .expect("trace sink writable");
-            rep.write_trace(&format!("AUDIT_migrate_{n}.json"), &r.audit_json)
-                .expect("trace sink writable");
-        }
-        let mut sc = Scenario::new(format!("migrate/{n}"))
-            .system("HyperLoop")
-            .seed(opts.seed)
-            .config("shards", n)
-            .config("replicas_per_shard", opts.replicas_per_shard)
-            .config("window", opts.window)
-            .config("ops", opts.ops)
-            .config("payload_bytes", opts.payload)
-            .config("penned", r.penned)
-            .config("epoch_after", r.epoch)
-            .latency(&r.latency)
-            .gauge("ops_per_sec", r.ops_per_sec())
-            .gauge("pause_us", r.pause.as_secs_f64() * 1e6)
-            .gauge("window_tput_ratio", r.dip)
-            .gauge("copy_bytes", r.copy_bytes as f64)
-            .gauge("replayed_ranges", r.replayed as f64)
-            // The exported migration.* counters, surfaced as
-            // first-class scenario measurements so downstream tooling
-            // does not have to dig through the registry snapshot.
-            .gauge("migration.pause_ns", r.pause.as_nanos() as f64)
-            .gauge("migration.copy_bytes", r.copy_bytes as f64)
-            .gauge("migration.replayed", r.replayed as f64)
-            .health(r.health.clone())
-            .series(r.series.clone())
-            .host(r.host.clone())
-            .metrics(r.registry.clone());
-        if let Some(tail) = &r.tail {
-            rep.write_trace(
-                &format!("TAIL_migrate_{n}.json"),
-                &tail.to_artifact_json(&format!("migrate/{n}")),
-            )
-            .expect("trace sink writable");
-            sc = sc.tail(tail.clone());
-        }
-        rep.scenario(sc);
+        let name = format!("migrate/{n}");
+        r.run.write_artifacts(rep, &name);
+        rep.scenario(
+            Scenario::new(&name)
+                .system("HyperLoop")
+                .seed(opts.seed)
+                .config("shards", n)
+                .config("replicas_per_shard", REPLICAS_PER_SHARD)
+                .config("window", WINDOW)
+                .config("ops", opts.ops)
+                .config("payload_bytes", PAYLOAD)
+                .config("penned", r.penned)
+                .config("epoch_after", r.epoch)
+                .latency(&r.run.latency)
+                .gauge("ops_per_sec", r.run.ops_per_sec())
+                .gauge("pause_us", r.pause.as_secs_f64() * 1e6)
+                .gauge("window_tput_ratio", r.dip)
+                .gauge("copy_bytes", r.copy_bytes as f64)
+                .gauge("replayed_ranges", r.replayed as f64)
+                // The exported migration.* counters, surfaced as
+                // first-class scenario measurements so downstream tooling
+                // does not have to dig through the registry snapshot.
+                .gauge("migration.pause_ns", r.pause.as_nanos() as f64)
+                .gauge("migration.copy_bytes", r.copy_bytes as f64)
+                .gauge("migration.replayed", r.replayed as f64)
+                .outcome(&r.run),
+        );
     }
 }
 
@@ -527,27 +251,32 @@ mod tests {
             ..MigrateOpts::default()
         };
         let r = run_migrate(4, opts);
-        assert_eq!(r.ops, 512);
+        assert_eq!(r.run.ops, 512);
         assert_eq!(r.epoch, 1, "one cutover, one epoch bump");
         assert_eq!(
-            r.health.violations, 0,
+            r.run.health.violations, 0,
             "auditors flagged a clean migration:\n{}",
-            r.audit_json
+            r.run.audit_json
         );
         assert!(r.pause > SimDuration::ZERO, "pause window has length");
         assert!(r.penned > 0, "some ops rode out the window in the pen");
         assert!(r.copy_bytes >= 4 << 20, "the shard image moved");
         // The migration counters survived into the snapshot.
         assert_eq!(
-            r.registry.counter("bench.shards.shard0.migration.epoch"),
+            r.run
+                .registry
+                .counter("bench.shards.shard0.migration.epoch"),
             Some(1)
         );
         assert_eq!(
-            r.registry.counter("bench.shards.shard0.migration.replayed"),
+            r.run
+                .registry
+                .counter("bench.shards.shard0.migration.replayed"),
             Some(r.replayed)
         );
         assert!(
-            r.registry
+            r.run
+                .registry
                 .counter("bench.shards.shard0.migration.copy_bytes")
                 .unwrap()
                 >= 4 << 20
@@ -563,16 +292,16 @@ mod tests {
         };
         let a = run_migrate(2, opts);
         let b = run_migrate(2, opts);
-        assert_eq!(a.elapsed, b.elapsed);
+        assert_eq!(a.run.elapsed, b.run.elapsed);
         assert_eq!(a.pause, b.pause);
         assert_eq!(a.replayed, b.replayed);
         assert_eq!(a.copy_bytes, b.copy_bytes);
-        assert_eq!(a.latency.p99, b.latency.p99);
+        assert_eq!(a.run.latency.p99, b.run.latency.p99);
         // Same seed → byte-identical audit, health, and series output.
-        assert_eq!(a.audit_json, b.audit_json);
-        assert_eq!(a.health, b.health);
-        assert_eq!(a.health.to_json(), b.health.to_json());
-        assert_eq!(a.series, b.series);
-        assert_eq!(a.series.to_json(), b.series.to_json());
+        assert_eq!(a.run.audit_json, b.run.audit_json);
+        assert_eq!(a.run.health, b.run.health);
+        assert_eq!(a.run.health.to_json(), b.run.health.to_json());
+        assert_eq!(a.run.series, b.run.series);
+        assert_eq!(a.run.series.to_json(), b.run.series.to_json());
     }
 }

@@ -9,13 +9,13 @@
 
 use crate::driver::DocDriver;
 use crate::report::{us, Report, Scenario};
-use baseline::{NaiveChain, NaiveClient, NaiveConfig, NaiveCosts};
+use crate::run::{self, Arm, Outcome};
+use baseline::{NaiveChain, NaiveConfig, NaiveCosts};
 use cpusched::{ProcKind, SchedConfig};
 use docstore::{DocConfig, ReplicatedDocStore, WriteMode};
 use netsim::NodeId;
-use simcore::simaudit::{HealthSummary, SeriesSummary};
-use simcore::{HealthMonitor, Histogram, HostMeter, HostStats, SimDuration, SimTime, SloConfig};
-use testbed::{Cluster, ClusterConfig, ProcRef};
+use simcore::{MetricsRegistry, SimDuration, SimTime};
+use testbed::{Cluster, ClusterConfig};
 use ycsb::{Generator, Workload};
 
 /// Result of one Figure 2 configuration.
@@ -25,16 +25,11 @@ pub struct Fig2Point {
     pub replica_sets: u32,
     /// Cores per server.
     pub cores: u32,
-    /// Pooled operation latency across all sets.
-    pub latency: simcore::LatencySummary,
     /// Server context switches per second of simulated time.
     pub ctx_per_sec: f64,
-    /// Host-side (wall-clock) statistics of the run.
-    pub host: HostStats,
-    /// Per-replica-set SLO health (each set tracked as its own shard).
-    pub health: HealthSummary,
-    /// Windowed telemetry series sampled on the run-loop cadence.
-    pub series: SeriesSummary,
+    /// The arm's outcome: operation latency pooled across all sets, and
+    /// per-replica-set SLO health (each set tracked as its own shard).
+    pub run: Outcome,
 }
 
 /// The per-op CPU profile of a MongoDB-like replica: command parsing, BSON
@@ -61,7 +56,7 @@ fn doc_config() -> DocConfig {
 /// document stores over three `cores`-core servers, each driven closed-loop
 /// with `ops_per_set` YCSB-A operations.
 pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64) -> Fig2Point {
-    let meter = HostMeter::start();
+    let arm = Arm::untapped();
     let servers = [NodeId(0), NodeId(1), NodeId(2)];
     let clients = [NodeId(3), NodeId(4), NodeId(5)];
     let mut cluster = Cluster::new(
@@ -78,10 +73,9 @@ pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64
         },
     );
 
-    // Observer-only SLO health: each replica set is tracked as its own
-    // shard, so the series block shows the per-set contention signature.
-    let health = HealthMonitor::new(SloConfig::default());
-    let mut drivers: Vec<ProcRef> = Vec::new();
+    // Each replica set is tracked as its own health shard, so the series
+    // block shows the per-set contention signature.
+    let mut drivers = Vec::new();
     for set in 0..replica_sets {
         // Rotate the chain across the servers (primary placement balance).
         let chain_nodes: Vec<NodeId> = (0..3).map(|k| servers[((set + k) % 3) as usize]).collect();
@@ -99,7 +93,6 @@ pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64
                 costs: mongo_costs(),
             },
         );
-        let ack_cq = chain.client.ack_cq();
         let mut store = ReplicatedDocStore::new(chain.client, doc_config(), set as u64 + 1);
         store.set_mode(WriteMode::AppendOnly);
         let gen = Generator::with_value_len(Workload::A, 512, seed ^ (set as u64 * 7919), 1024);
@@ -112,50 +105,33 @@ pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64
             SimDuration::ZERO, // closed loop: YCSB at full throttle
         )
         .with_concurrency(8) // YCSB client threads per set
-        .with_health(health.clone(), set);
-        let p = cluster.add_app(client_node, ProcKind::EventDriven, Box::new(d));
-        cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_micros(1));
-        drivers.push(p);
+        .with_health(arm.health.clone(), set);
+        drivers.push(run::install(
+            &mut cluster,
+            ProcKind::EventDriven,
+            d,
+            SimDuration::from_micros(1),
+        ));
     }
 
     let mut sim = cluster.into_sim();
-    let cap = SimTime::from_secs(3600);
-    loop {
-        let next = sim.now() + SimDuration::from_millis(50);
-        sim.run_until(next);
-        health.tick(sim.now());
-        let all_done = drivers
-            .iter()
-            .all(|&p| sim.model.app_mut::<DocDriver<NaiveClient>>(p).is_done());
-        if all_done {
-            break;
-        }
-        assert!(sim.now() < cap, "fig2 run stalled");
-    }
-    assert_eq!(sim.model.fab.stats().errors, 0);
-
-    let mut pooled = Histogram::new();
-    for &p in &drivers {
-        pooled.merge(&sim.model.app_mut::<DocDriver<NaiveClient>>(p).hist);
-    }
-    let elapsed = sim.now().as_secs_f64().max(1e-9);
+    let pooled = arm.poll(
+        &mut sim,
+        &drivers,
+        SimDuration::from_millis(50),
+        SimTime::from_secs(3600),
+    );
     let ctx: u64 = servers
         .iter()
         .map(|&s| sim.model.sched(s).stats().context_switches)
         .sum();
-    let host = meter.finish(
-        ops_per_set * replica_sets as u64,
-        sim.now().since(SimTime::ZERO),
-        sim.queue.stats(),
-    );
+    let elapsed = sim.now().since(SimTime::ZERO);
+    let ops = ops_per_set * replica_sets as u64;
     Fig2Point {
         replica_sets,
         cores,
-        latency: pooled.summary(),
-        ctx_per_sec: ctx as f64 / elapsed,
-        host,
-        health: health.summary(),
-        series: health.series(),
+        ctx_per_sec: ctx as f64 / elapsed.as_secs_f64().max(1e-9),
+        run: arm.finish(&sim, ops, elapsed, &pooled, MetricsRegistry::new()),
     }
 }
 
@@ -173,9 +149,9 @@ fn report_points(rep: &mut Report, fig: &str, seed: u64, points: &[Fig2Point], v
         rep.line(format!(
             "{:<10} {:>10} {:>10} {:>10} {:>14.2}",
             if vary_cores { p.cores } else { p.replica_sets },
-            us(p.latency.mean),
-            us(p.latency.p95),
-            us(p.latency.p99),
+            us(p.run.latency.mean),
+            us(p.run.latency.p95),
+            us(p.run.latency.p99),
             p.ctx_per_sec / max_ctx.max(1e-9),
         ));
         let point = if vary_cores { p.cores } else { p.replica_sets };
@@ -186,11 +162,9 @@ fn report_points(rep: &mut Report, fig: &str, seed: u64, points: &[Fig2Point], v
                 .seed(seed)
                 .config("replica_sets", p.replica_sets)
                 .config("cores", p.cores)
-                .latency(&p.latency)
+                .latency(&p.run.latency)
                 .gauge("ctx_per_sec", p.ctx_per_sec)
-                .health(p.health.clone())
-                .series(p.series.clone())
-                .host(p.host.clone()),
+                .outcome(&p.run),
         );
     }
 }

@@ -8,6 +8,7 @@
 //! snapshot). When the binary was given `--json <path>`, [`Report::finish`]
 //! serializes all scenarios with [`simcore::jsonw::JsonWriter`].
 
+use crate::run::Outcome;
 use simcore::jsonw::JsonWriter;
 use simcore::simaudit::{HealthSummary, SeriesSummary};
 use simcore::simprof::{StageAttribution, TxnAttribution};
@@ -62,8 +63,8 @@ pub fn ratio(a: SimDuration, b: SimDuration) -> String {
 ///         .system("HyperLoop")
 ///         .seed(0xBEEF)
 ///         .config("payload_bytes", 1024)
-///         .latency(&result.latency)
-///         .metrics(result.registry.clone()),
+///         .latency(&result.run.latency)
+///         .outcome(&result.run),
 /// );
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -152,25 +153,28 @@ impl Scenario {
         self
     }
 
+    /// Attaches an arm's [`Outcome`]: its health, series and host blocks,
+    /// its registry as `metrics` unless the registry is empty (the raw
+    /// fabric ablations and fig2 export none), and whichever of the
+    /// `stage_attribution`, `txn_breakdown` and `tail` blocks it folded.
+    pub fn outcome(mut self, o: &Outcome) -> Self {
+        self.health = Some(o.health.clone());
+        self.series = Some(o.series.clone());
+        self.host = Some(o.host.clone());
+        let reg = &o.registry;
+        let empty = reg.counters().next().is_none()
+            && reg.gauges().next().is_none()
+            && reg.histograms().next().is_none();
+        self.metrics = (!empty).then(|| reg.clone());
+        self.attribution = o.attribution.clone();
+        self.txn_breakdown = o.txn_breakdown.clone();
+        self.tail = o.tail.clone();
+        self
+    }
+
     /// Attaches a full metrics-registry snapshot of the simulated cluster.
     pub fn metrics(mut self, reg: MetricsRegistry) -> Self {
         self.metrics = Some(reg);
-        self
-    }
-
-    /// Attaches the run's critical-path stage attribution (per-stage
-    /// latency aggregates folded from the trace stream). Serialized as a
-    /// `stage_attribution` block in the scenario JSON.
-    pub fn stage_attribution(mut self, att: StageAttribution) -> Self {
-        self.attribution = Some(att);
-        self
-    }
-
-    /// Attaches the run's transaction-phase attribution (per-phase latency
-    /// aggregates folded from the txn trace spans; phase means tile the
-    /// mean commit latency). Serialized as a `txn_breakdown` block.
-    pub fn txn_breakdown(mut self, att: TxnAttribution) -> Self {
-        self.txn_breakdown = Some(att);
         self
     }
 

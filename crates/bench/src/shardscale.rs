@@ -15,16 +15,14 @@
 //! chain actually carried.
 
 use crate::report::{us, Report, Scenario};
-use hyperloop::{GroupConfig, GroupOp, HyperLoopGroup, ShardId, ShardSet};
+use crate::run::{self, Arm, Outcome, Profile};
+use hyperloop::{
+    GroupClient, GroupConfig, GroupOp, HyperLoopGroup, ReplicaHandle, ShardAck, ShardId, ShardSet,
+};
 use netsim::NodeId;
 use rnicsim::Payload;
-use simcore::simaudit::{op_id_base, HealthSummary, Probe, SeriesSummary};
-use simcore::simprof::{folded_stacks, CounterSampler, StageAttribution};
-use simcore::tailprof::TailProfile;
-use simcore::{
-    Audit, HealthMonitor, Histogram, HostMeter, HostStats, LatencySummary, MetricsRegistry,
-    SimDuration, SimRng, SimTime, SloConfig, Tracer,
-};
+use simcore::simaudit::{op_id_base, Probe};
+use simcore::{HealthMonitor, Histogram, MetricsRegistry, SimRng, SimTime, Simulation};
 use std::collections::{HashMap, VecDeque};
 use testbed::cluster::drive;
 use testbed::{Cluster, ClusterConfig, ShardPlacement};
@@ -36,17 +34,20 @@ use testbed::{Cluster, ClusterConfig, ShardPlacement};
 /// the modular slot arithmetic is untouched.
 pub use simcore::simaudit::SHARD_GEN_SHIFT;
 
+/// Replicas per shard chain.
+pub const REPLICAS_PER_SHARD: u32 = 3;
+/// Per-shard in-flight window.
+pub const WINDOW: u32 = 16;
+/// gWRITE payload bytes.
+pub const PAYLOAD: u64 = 1024;
+/// Bytes of each group's shared region (the image a migration moves).
+pub(crate) const SHARED_SIZE: u64 = 4 << 20;
+
 /// Shard-scaling benchmark parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardScaleOpts {
-    /// Replicas per shard chain.
-    pub replicas_per_shard: u32,
     /// Total operations across all shards (the fixed offered load).
     pub ops: u64,
-    /// Per-shard in-flight window.
-    pub window: u32,
-    /// gWRITE payload bytes.
-    pub payload: u64,
     /// Root seed.
     pub seed: u64,
     /// Capture a causal trace + counter-track samples for this arm.
@@ -56,27 +57,11 @@ pub struct ShardScaleOpts {
 impl Default for ShardScaleOpts {
     fn default() -> Self {
         ShardScaleOpts {
-            replicas_per_shard: 3,
             ops: 4096,
-            window: 16,
-            payload: 1024,
             seed: 0x5CA1E,
             trace: false,
         }
     }
-}
-
-/// Profiling artifacts of one traced shard-scaling arm.
-#[derive(Debug, Clone)]
-pub struct ShardScaleTrace {
-    /// Per-stage latency attribution over every completed op, all shards.
-    pub attribution: StageAttribution,
-    /// Tail-latency profile folded over the same trace ring.
-    pub tail: TailProfile,
-    /// Flamegraph collapsed-stack text (deterministic for a given seed).
-    pub folded: String,
-    /// Chrome trace JSON with interleaved counter tracks.
-    pub chrome: String,
 }
 
 /// Result of one shard-count arm.
@@ -84,289 +69,289 @@ pub struct ShardScaleTrace {
 pub struct ShardScaleResult {
     /// Shard count of this arm.
     pub shards: u32,
-    /// Per-op latency distribution (issue to chain ack).
-    pub latency: LatencySummary,
-    /// Wall time from first issue to last ack.
-    pub elapsed: SimDuration,
-    /// Operations completed (= the offered load).
-    pub ops: u64,
     /// Per-shard completion counts, shard order.
     pub per_shard_acked: Vec<u64>,
-    /// Cluster + shard-set metrics snapshot.
-    pub registry: MetricsRegistry,
-    /// Audit/health summary: invariant violations (expected zero) plus
-    /// per-shard SLO states and breach counts.
-    pub health: HealthSummary,
-    /// Windowed per-shard telemetry series sampled on the bench cadence.
-    pub series: SeriesSummary,
-    /// The audit's structured violation report (deterministic JSON).
-    pub audit_json: String,
-    /// Trace-derived artifacts ([`ShardScaleOpts::trace`] arms only).
-    pub trace: Option<ShardScaleTrace>,
-    /// Host-side (wall-clock) statistics, including the observability tax
-    /// of the always-on audit tap (measured against a bare re-run).
-    pub host: HostStats,
+    /// The arm's outcome: latency from issue to chain ack, cluster +
+    /// shard-set metrics, audit/health with zero expected violations.
+    pub run: Outcome,
 }
 
-impl ShardScaleResult {
-    /// Aggregate throughput in operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.elapsed.as_secs_f64().max(1e-12)
-    }
+/// A sharded cluster, ready for traffic ([`sharded_groups`]).
+pub(crate) struct Sharded {
+    /// The simulation, group wiring drained.
+    pub sim: Simulation<Cluster>,
+    /// Every chain, shard order, spares last.
+    pub chains: Vec<Vec<NodeId>>,
+    /// Each active shard's group client, tracer attached.
+    pub clients: Vec<GroupClient>,
+    /// Each active shard's replica handles.
+    pub replicas: Vec<Vec<ReplicaHandle>>,
 }
 
-/// Runs the fixed offered load through `n_shards` chains.
-///
-/// Auditing is always on in this sweep, so the observability tax is
-/// measured by re-running the identical load with the audit and trace taps
-/// off. Both runs execute the same deterministic timeline (the taps only
-/// read it), so the wall-clock delta is pure observability cost.
-///
-/// # Panics
-///
-/// Panics on data-path errors, lost operations, or a stalled run.
-pub fn run_shardscale(n_shards: u32, opts: ShardScaleOpts) -> ShardScaleResult {
-    let mut res = run_shardscale_once(n_shards, opts, true);
-    let bare = run_shardscale_once(
-        n_shards,
-        ShardScaleOpts {
-            trace: false,
-            ..opts
-        },
-        false,
-    );
-    res.host = res.host.with_bare_wall_ns(bare.host.wall_ns);
-    res
-}
-
-/// One metered arm. `observed` keeps the standard audit tap on; the bare
-/// (`observed = false`) run disables every tap but drives the exact same
-/// issue/poll/replenish loop.
-fn run_shardscale_once(n_shards: u32, opts: ShardScaleOpts, observed: bool) -> ShardScaleResult {
-    let meter = HostMeter::start();
+/// Builds the sharded cluster: a client on node 0 and `n_shards + spare`
+/// disjoint chains of [`REPLICAS_PER_SHARD`], with a HyperLoop group on
+/// each of the first `n_shards` chains, wired to `arm`, and the
+/// flow-control auditor taught each shard's [`WINDOW`].
+pub(crate) fn sharded_groups(arm: &Arm, n_shards: u32, spare: u32, seed: u64) -> Sharded {
     let client = NodeId(0);
-    let nodes = 1 + n_shards * opts.replicas_per_shard;
-    let cluster = Cluster::new(
-        nodes,
+    let mut cluster = Cluster::new(
+        1 + (n_shards + spare) * REPLICAS_PER_SHARD,
         4,
         256 << 20,
         ClusterConfig {
-            seed: opts.seed,
+            seed,
             ..ClusterConfig::default()
         },
     );
     let placement = ShardPlacement::RoundRobin {
-        replicas_per_shard: opts.replicas_per_shard,
+        replicas_per_shard: REPLICAS_PER_SHARD,
     };
-    let chains = cluster.place_shards(&placement, n_shards, client);
-
+    let chains = cluster.place_shards(&placement, n_shards + spare, client);
+    arm.wire(&mut cluster);
     // Descriptor chains cost ~7 send WQEs per generation on each replica
-    // NIC, so the pre-post depth is bounded by the NIC's send queue — keep
-    // the default depth (far deeper than the window) and top chains back up
-    // from the bench loop as acks drain them, one replenish per completed
-    // op. The data path never waits on a replenish: the window is 16 and
-    // the pre-posted runway is 128 generations.
-    let mut cluster = cluster;
-    // Auditing is always on for measured arms: the invariant checkers tap
-    // the trace stream even when no trace buffer is kept, so every arm of
-    // every sweep is a correctness experiment. The bare arm of the
-    // observability-tax measurement drops the tap (same timeline, less
-    // host work).
-    let audit = if observed {
-        Audit::standard()
-    } else {
-        Audit::disabled()
-    };
-    let tracer = if opts.trace {
-        let cap = (opts.ops.saturating_mul(96)).clamp(1 << 16, 1 << 21) as usize;
-        Tracer::enabled(cap).with_audit(audit.clone())
-    } else {
-        Tracer::disabled().with_audit(audit.clone())
-    };
-    cluster.set_tracer(tracer.clone());
-    let health = HealthMonitor::new(SloConfig::default());
-    health.set_tracer(tracer.clone());
+    // NIC, so the pre-post depth is bounded by the NIC's send queue: keep
+    // a runway far deeper than the window and top chains back up as acks
+    // drain them, one replenish per completed op.
     let groups: Vec<HyperLoopGroup> = cluster.setup_fabric(|ctx| {
-        chains
+        chains[..n_shards as usize]
             .iter()
             .enumerate()
             .map(|(i, chain)| {
                 // Disjoint generation bases keep op ids (= trace ids =
                 // WQE wr_ids) globally unique across shards.
                 let cfg = GroupConfig {
-                    shared_size: 4 << 20,
+                    shared_size: SHARED_SIZE,
                     meta_slots: 64,
                     prepost_depth: 128,
-                    window: opts.window,
+                    window: WINDOW,
                     first_gen: op_id_base(i as u32, 0),
                 };
                 HyperLoopGroup::setup(ctx, client, chain, cfg)
             })
             .collect()
     });
-    let (mut clients, mut replicas): (Vec<_>, Vec<_>) =
+    let (mut clients, replicas): (Vec<_>, Vec<_>) =
         groups.into_iter().map(|g| (g.client, g.replicas)).unzip();
     for c in clients.iter_mut() {
-        c.set_tracer(tracer.clone());
+        c.set_tracer(arm.tracer.clone());
     }
-    let mut set = ShardSet::with_hash_router(clients);
-
     let mut sim = cluster.into_sim();
     sim.run(); // drain group wiring
-
-    // Teach the flow-control auditor each shard's window before traffic.
-    for s in 0..n_shards {
-        audit.probe(
+    for shard in 0..n_shards {
+        arm.audit.probe(
             sim.now(),
             Probe::Window {
-                shard: s,
-                window: opts.window as u64,
+                shard,
+                window: WINDOW as u64,
             },
         );
     }
+    Sharded {
+        sim,
+        chains,
+        clients,
+        replicas,
+    }
+}
 
-    // The fixed offered load: `ops` uniform random keys, routed up front so
-    // every arm sees the identical per-key shard assignment the router
-    // would give it online.
-    let mut rng = SimRng::new(opts.seed ^ 0x51AB);
-    let mut queues: Vec<VecDeque<u64>> = vec![VecDeque::new(); n_shards as usize];
-    for _ in 0..opts.ops {
-        let key = rng.next_u64();
-        queues[set.route(key).0 as usize].push_back(key);
+/// The gWRITE a routed `key` issues.
+pub(crate) fn op_for(key: u64) -> GroupOp {
+    GroupOp::Write {
+        offset: (key % 64) * 8192,
+        data: Payload::filled((key & 0xFF) as u8, PAYLOAD as usize),
+        flush: true,
+    }
+}
+
+/// The lock-step rig shardscale and migrate drive: sharded chains behind a
+/// hash-routed [`ShardSet`] and a fixed offered load of uniform random
+/// keys, routed up front so every arm sees the identical per-key shard
+/// assignment the router would give it online.
+pub(crate) struct ShardRig {
+    pub sim: Simulation<Cluster>,
+    pub set: ShardSet<GroupClient>,
+    /// The active chains, shard order.
+    pub chains: Vec<Vec<NodeId>>,
+    /// Idle chains beyond the active ones (migration targets).
+    pub spare: Vec<Vec<NodeId>>,
+    pub replicas: Vec<Vec<ReplicaHandle>>,
+    /// Each shard's keys still to issue.
+    pub queues: Vec<VecDeque<u64>>,
+    /// Operations acked so far.
+    pub done: u64,
+    sent: HashMap<(u32, u64), SimTime>,
+    hist: Histogram,
+    started: SimTime,
+}
+
+impl ShardRig {
+    /// Builds the rig ([`sharded_groups`]) and routes `ops` keys.
+    pub fn new(arm: &Arm, n_shards: u32, spare: u32, ops: u64, seed: u64) -> ShardRig {
+        let Sharded {
+            sim,
+            mut chains,
+            clients,
+            replicas,
+        } = sharded_groups(arm, n_shards, spare, seed);
+        let spare = chains.split_off(n_shards as usize);
+        let set = ShardSet::with_hash_router(clients);
+        let mut rng = SimRng::new(seed ^ 0x51AB);
+        let mut queues = vec![VecDeque::new(); n_shards as usize];
+        for _ in 0..ops {
+            let key = rng.next_u64();
+            queues[set.route(key).0 as usize].push_back(key);
+        }
+        let started = sim.now();
+        ShardRig {
+            sim,
+            set,
+            chains,
+            spare,
+            replicas,
+            queues,
+            done: 0,
+            sent: HashMap::new(),
+            hist: Histogram::new(),
+            started,
+        }
     }
 
-    let mut sent: HashMap<(u32, u64), SimTime> = HashMap::new();
-    let mut hist = Histogram::new();
-    let started = sim.now();
-    let mut done = 0u64;
-    let mut sampler = opts.trace.then(|| {
-        CounterSampler::with_prefixes(&["bench.shards.", "cluster.sched.", "cluster.fabric."])
-    });
-    while done < opts.ops {
-        // Closed loop: refill every shard's window from its queue...
-        drive(&mut sim, |ctx| {
-            for s in 0..n_shards {
-                let sid = ShardId(s);
-                while set.can_issue_on(sid) {
-                    let Some(key) = queues[s as usize].pop_front() else {
+    /// Closed loop: refills every shard's window from its queue.
+    pub fn refill(&mut self, health: &HealthMonitor) {
+        drive(&mut self.sim, |ctx| {
+            for (s, queue) in self.queues.iter_mut().enumerate() {
+                let sid = ShardId(s as u32);
+                while self.set.can_issue_on(sid) {
+                    let Some(key) = queue.pop_front() else {
                         break;
                     };
-                    let gen = set
-                        .issue_on(
-                            ctx,
-                            sid,
-                            GroupOp::Write {
-                                offset: (key % 64) * 8192,
-                                data: Payload::filled((key & 0xFF) as u8, opts.payload as usize),
-                                flush: true,
-                            },
-                        )
+                    let gen = self
+                        .set
+                        .issue_on(ctx, sid, op_for(key))
                         .expect("window checked");
-                    sent.insert((s, gen), ctx.now);
-                    health.record_issue(ctx.now, s);
+                    self.sent.insert((sid.0, gen), ctx.now);
+                    health.record_issue(ctx.now, sid.0);
                 }
             }
         });
-        // Sample with the windows full (the post-poll sample below sees
-        // them drained): the in-flight track renders the issue/drain
-        // sawtooth instead of a flat zero line.
-        if let Some(s) = sampler.as_mut() {
-            let mut reg = MetricsRegistry::new();
-            sim.model.export_into(&mut reg, "cluster");
-            set.export_into(&mut reg, "bench.shards");
-            s.sample(sim.now(), &reg);
-        }
-        // ...let the chains run dry, then collect.
-        sim.run();
-        let acks = drive(&mut sim, |ctx| set.poll(ctx));
-        if let Some(s) = sampler.as_mut() {
-            let mut reg = MetricsRegistry::new();
-            sim.model.export_into(&mut reg, "cluster");
-            set.export_into(&mut reg, "bench.shards");
-            s.sample(sim.now(), &reg);
-        }
-        assert!(!acks.is_empty(), "run stalled at {done}/{} ops", opts.ops);
-        let mut drained = vec![0u32; n_shards as usize];
+    }
+
+    /// Exports what the counter tracks sample: cluster and shard-set
+    /// counters.
+    pub fn export_tracks(&self, reg: &mut MetricsRegistry) {
+        self.sim.model.export_into(reg, "cluster");
+        self.set.export_into(reg, "bench.shards");
+    }
+
+    /// Records each ack's latency; returns the acks per shard.
+    pub fn record(&mut self, acks: Vec<ShardAck>, health: &HealthMonitor) -> Vec<u32> {
+        let now = self.sim.now();
+        let mut drained = vec![0u32; self.queues.len()];
         for a in acks {
-            let t0 = sent
+            let t0 = self
+                .sent
                 .remove(&(a.shard.0, a.ack.gen))
                 .expect("ack for an op we issued");
-            let lat = sim.now().since(t0);
-            hist.record(lat);
-            health.record_ack(sim.now(), a.shard.0, lat);
+            let lat = now.since(t0);
+            self.hist.record(lat);
+            health.record_ack(now, a.shard.0, lat);
             drained[a.shard.0 as usize] += 1;
-            done += 1;
+            self.done += 1;
         }
-        health.tick(sim.now());
-        // Re-post one descriptor chain per completed generation so the
-        // pre-posted runway never shrinks (the replica maintenance loop in
-        // miniature, driven deterministically from the bench loop).
-        drive(&mut sim, |ctx| {
+        drained
+    }
+
+    /// Tracks a re-issued op: generation `gen` on `shard`, issued at `t0`.
+    pub fn resend(&mut self, shard: u32, gen: u64, t0: SimTime) {
+        self.sent.insert((shard, gen), t0);
+    }
+
+    /// One lock-step round: lets the chains run dry, collects and records
+    /// the acks, ticks health, then re-posts one descriptor chain per
+    /// completed generation so the pre-posted runway never shrinks (the
+    /// replica maintenance loop in miniature).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the round completed nothing.
+    pub fn round(&mut self, arm: &mut Arm, ops: u64) {
+        self.sim.run();
+        let acks = drive(&mut self.sim, |ctx| self.set.poll(ctx));
+        arm.sample(self.sim.now(), |reg| self.export_tracks(reg));
+        assert!(!acks.is_empty(), "run stalled at {}/{ops} ops", self.done);
+        let drained = self.record(acks, &arm.health);
+        arm.health.tick(self.sim.now());
+        drive(&mut self.sim, |ctx| {
             for (shard, &n) in drained.iter().enumerate() {
                 if n > 0 {
-                    for r in replicas[shard].iter_mut() {
+                    for r in self.replicas[shard].iter_mut() {
                         r.replenish(ctx, n);
                     }
                 }
             }
         });
     }
-    let elapsed = sim.now().since(started);
-    assert_eq!(sim.model.fab.stats().errors, 0, "data-path errors");
-    assert_eq!(set.completed(), opts.ops, "lost operations");
 
-    let per_shard_acked: Vec<u64> = (0..n_shards)
-        .map(|s| set.completed_on(ShardId(s)))
-        .collect();
-    let mut registry = MetricsRegistry::new();
-    sim.model.export_into(&mut registry, "cluster");
-    sim.model
-        .export_shards_into(&mut registry, &chains, "bench");
-    set.export_into(&mut registry, "bench.shards");
-    registry.merge_histogram("bench.op_latency", &hist);
-    registry.set_gauge("bench.elapsed_secs", elapsed.as_secs_f64());
-    audit.export_into(&mut registry, "audit");
-    health.export_into(&mut registry, "health");
-    let mut health_summary = health.summary();
-    health_summary.violations = audit.violation_count();
+    /// Closes the run: checks nothing was lost, snapshots cluster, chain
+    /// and shard-set metrics, and finishes `arm`. Returns the per-shard
+    /// completion counts and the outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics on data-path errors or lost operations.
+    pub fn finish(self, arm: Arm, ops: u64) -> (Vec<u64>, Outcome) {
+        let elapsed = self.sim.now().since(self.started);
+        assert_eq!(self.sim.model.fab.stats().errors, 0, "data-path errors");
+        assert_eq!(self.set.completed(), ops, "lost operations");
+        let per_shard = (0..self.queues.len() as u32)
+            .map(|s| self.set.completed_on(ShardId(s)))
+            .collect();
+        let mut registry = MetricsRegistry::new();
+        self.sim.model.export_into(&mut registry, "cluster");
+        self.sim
+            .model
+            .export_shards_into(&mut registry, &self.chains, "bench");
+        self.set.export_into(&mut registry, "bench.shards");
+        registry.merge_histogram("bench.op_latency", &self.hist);
+        registry.set_gauge("bench.elapsed_secs", elapsed.as_secs_f64());
+        arm.health.export_into(&mut registry, "health");
+        let run = arm.finish(&self.sim, ops, elapsed, &self.hist, registry);
+        (per_shard, run)
+    }
+}
 
-    // Stop the host meter before folding trace artifacts: attribution,
-    // tail and flamegraph folds are post-run analysis, not simulation
-    // work, and must not be charged to the measured arm's wall clock.
-    let host = meter.finish(opts.ops, sim.now().since(SimTime::ZERO), sim.queue.stats());
+/// Runs the fixed offered load through `n_shards` chains.
+///
+/// Auditing is always on in this sweep, so `run::tax_pair` measures the
+/// observability tax against a re-run of the identical load with the
+/// audit and trace taps off.
+///
+/// # Panics
+///
+/// Panics on data-path errors, lost operations, or a stalled run.
+pub fn run_shardscale(n_shards: u32, opts: ShardScaleOpts) -> ShardScaleResult {
+    run::tax_pair(
+        |observed| run_shardscale_once(n_shards, opts, observed),
+        |r| &mut r.run,
+    )
+}
 
-    let series = health.series();
-    let trace = opts.trace.then(|| {
-        let t = &tracer;
-        let events = t.events();
-        let attribution = StageAttribution::from_events(&events);
-        let tail = TailProfile::from_events(&events);
-        let folded = folded_stacks(&events, &format!("shardscale/{n_shards}"));
-        let mut samples = sampler
-            .as_ref()
-            .map_or(Vec::new(), |s| s.samples().to_vec());
-        samples.extend(series.counter_samples());
-        let chrome = simcore::simprof::chrome_trace_with_counters(&events, &samples);
-        ShardScaleTrace {
-            attribution,
-            tail,
-            folded,
-            chrome,
-        }
-    });
-
+fn run_shardscale_once(n_shards: u32, opts: ShardScaleOpts, observed: bool) -> ShardScaleResult {
+    let mut arm = Arm::start(Profile::Shards, observed, opts.trace, opts.ops);
+    let mut rig = ShardRig::new(&arm, n_shards, 0, opts.ops, opts.seed);
+    while rig.done < opts.ops {
+        rig.refill(&arm.health);
+        // Sample with the windows full (the post-poll sample sees them
+        // drained): the in-flight track renders the issue/drain sawtooth
+        // instead of a flat zero line.
+        arm.sample(rig.sim.now(), |reg| rig.export_tracks(reg));
+        rig.round(&mut arm, opts.ops);
+    }
+    let (per_shard_acked, run) = rig.finish(arm, opts.ops);
     ShardScaleResult {
         shards: n_shards,
-        latency: hist.summary(),
-        elapsed,
-        ops: opts.ops,
         per_shard_acked,
-        registry,
-        health: health_summary,
-        series,
-        audit_json: audit.to_json(),
-        trace,
-        host,
+        run,
     }
 }
 
@@ -388,51 +373,34 @@ pub fn shardscale(rep: &mut Report, quick: bool) {
     let mut base = None;
     for n in SHARD_COUNTS {
         let r = run_shardscale(n, opts);
-        let tput = r.ops_per_sec();
+        let tput = r.run.ops_per_sec();
         let base_tput = *base.get_or_insert(tput);
         rep.line(format!(
             "{:<8} {:>12.1} {:>9.2}x {:>10} {:>10}  {:?}",
             n,
             tput / 1e3,
             tput / base_tput,
-            us(r.latency.mean),
-            us(r.latency.p99),
+            us(r.run.latency.mean),
+            us(r.run.latency.p99),
             r.per_shard_acked,
         ));
-        let mut sc = Scenario::new(format!("shardscale/{n}"))
+        let name = format!("shardscale/{n}");
+        let mut sc = Scenario::new(&name)
             .system("HyperLoop")
             .seed(opts.seed)
             .config("shards", n)
-            .config("replicas_per_shard", opts.replicas_per_shard)
-            .config("window", opts.window)
+            .config("replicas_per_shard", REPLICAS_PER_SHARD)
+            .config("window", WINDOW)
             .config("ops", opts.ops)
-            .config("payload_bytes", opts.payload)
-            .latency(&r.latency)
+            .config("payload_bytes", PAYLOAD)
+            .latency(&r.run.latency)
             .gauge("ops_per_sec", tput)
             .gauge("speedup", tput / base_tput)
-            .health(r.health.clone())
-            .series(r.series.clone())
-            .host(r.host.clone())
-            .metrics(r.registry.clone());
+            .outcome(&r.run);
         for (s, &acked) in r.per_shard_acked.iter().enumerate() {
             sc = sc.config(&format!("shard{s}_ops"), acked);
         }
-        if let Some(tr) = &r.trace {
-            sc = sc
-                .stage_attribution(tr.attribution.clone())
-                .tail(tr.tail.clone());
-            rep.write_trace(&format!("TRACE_shardscale_{n}.json"), &tr.chrome)
-                .expect("trace sink writable");
-            rep.write_trace(&format!("FOLDED_shardscale_{n}.txt"), &tr.folded)
-                .expect("trace sink writable");
-            rep.write_trace(&format!("AUDIT_shardscale_{n}.json"), &r.audit_json)
-                .expect("trace sink writable");
-            rep.write_trace(
-                &format!("TAIL_shardscale_{n}.json"),
-                &tr.tail.to_artifact_json(&format!("shardscale/{n}")),
-            )
-            .expect("trace sink writable");
-        }
+        r.run.write_artifacts(rep, &name);
         rep.scenario(sc);
     }
 }
@@ -450,24 +418,26 @@ mod tests {
         let mut last = 0.0f64;
         for n in SHARD_COUNTS {
             let r = run_shardscale(n, opts);
-            assert_eq!(r.ops, 512);
+            assert_eq!(r.run.ops, 512);
             assert_eq!(r.per_shard_acked.iter().sum::<u64>(), 512);
-            let tput = r.ops_per_sec();
+            let tput = r.run.ops_per_sec();
             assert!(
                 tput > last,
                 "{n} shards did not beat the previous arm: {tput:.0} <= {last:.0} ops/s"
             );
             last = tput;
             assert_eq!(
-                r.health.violations, 0,
+                r.run.health.violations, 0,
                 "auditors flagged a clean run:\n{}",
-                r.audit_json
+                r.run.audit_json
             );
-            assert_eq!(r.health.shards.len(), n as usize);
+            assert_eq!(r.run.health.shards.len(), n as usize);
             // The registry carries per-shard counters for every shard.
             for s in 0..n {
                 assert_eq!(
-                    r.registry.counter(&format!("bench.shards.shard{s}.acked")),
+                    r.run
+                        .registry
+                        .counter(&format!("bench.shards.shard{s}.acked")),
                     Some(r.per_shard_acked[s as usize]),
                     "shard {s} counter missing from the snapshot"
                 );

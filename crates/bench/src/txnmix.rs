@@ -20,38 +20,32 @@
 //! [`Transfer`]: ycsb::Operation::Transfer
 
 use crate::report::{us, Report, Scenario};
+use crate::run::{self, Arm, Outcome, Profile};
+use crate::shardscale::{sharded_groups, Sharded, REPLICAS_PER_SHARD};
 use hyperloop::txn::{CommitMode, TxnOutcome};
-use hyperloop::{GroupConfig, HyperLoopGroup, ReplicaHandle, ShardId};
+use hyperloop::ShardId;
 use kvstore::{KvConfig, KvTxn, ReplicatedKv, ShardedKv};
-use netsim::NodeId;
-use simcore::simaudit::{op_id_base, HealthSummary, SeriesSummary};
-use simcore::simprof::{txn_chrome_trace_with_counters, txn_folded_stacks, CounterSample};
-use simcore::tailprof::TailProfile;
-use simcore::{
-    Audit, CounterSampler, HealthMonitor, Histogram, HostMeter, HostStats, LatencySummary,
-    MetricsRegistry, SimTime, SloConfig, TraceEvent, Tracer, TxnAttribution,
-};
+use simcore::{Histogram, MetricsRegistry, SimTime};
 use std::collections::HashMap;
 use testbed::cluster::drive;
-use testbed::{Cluster, ClusterConfig, ShardPlacement};
 use ycsb::{Generator, Operation, Workload};
 
-/// Transaction-mix benchmark parameters.
+/// Number of shards (each a full replication chain).
+pub const SHARDS: u32 = 4;
+/// Logical transactions kept in flight concurrently.
+pub const CONCURRENCY: usize = 8;
+/// Accounts in the transfer keyspace (workload F uses a disjoint keyspace
+/// of the same size, offset above it).
+pub const RECORDS: u64 = 256;
+
+/// Transaction-mix benchmark parameters ([`SHARDS`] chains of
+/// [`REPLICAS_PER_SHARD`]).
 #[derive(Debug, Clone, Copy)]
 pub struct TxnMixOpts {
-    /// Number of shards (each a full replication chain).
-    pub shards: u32,
-    /// Replicas per shard chain.
-    pub replicas_per_shard: u32,
     /// Logical transactions to complete (each retried until it commits).
     pub txns: u64,
-    /// Transactions kept in flight concurrently.
-    pub concurrency: usize,
     /// Zipfian skew `theta ∈ (0, 1)` — the contention knob.
     pub theta: f64,
-    /// Accounts in the transfer keyspace (workload F uses a disjoint
-    /// keyspace of the same size, offset above it).
-    pub records: u64,
     /// Root seed.
     pub seed: u64,
     /// Capture causal traces on the observed arm: txn phase spans, op
@@ -63,12 +57,8 @@ pub struct TxnMixOpts {
 impl Default for TxnMixOpts {
     fn default() -> Self {
         TxnMixOpts {
-            shards: 4,
-            replicas_per_shard: 3,
             txns: 512,
-            concurrency: 8,
             theta: 0.9,
-            records: 256,
             seed: 0x7A317,
             trace: false,
         }
@@ -80,54 +70,27 @@ impl Default for TxnMixOpts {
 pub struct TxnMixResult {
     /// The commit path measured.
     pub mode: CommitMode,
-    /// Commit latency distribution (submission to committed outcome).
-    pub latency: LatencySummary,
-    /// Wall time from first submission to last commit.
-    pub elapsed: simcore::SimDuration,
-    /// Logical transactions committed (= the offered load).
-    pub committed: u64,
     /// Commit attempts that aborted and were retried.
     pub aborted: u64,
     /// Lock acquisitions that backed off and retried (locking path).
     pub lock_retries: u64,
     /// Mean number of distinct shards per committed transaction.
     pub mean_span: f64,
-    /// Cluster + transaction metrics snapshot.
-    pub registry: MetricsRegistry,
-    /// The audit's structured violation report (deterministic JSON).
-    pub audit_json: String,
-    /// Audit violations observed (expected zero).
-    pub violations: u64,
-    /// Host-side (wall-clock) statistics with the observability tax.
-    pub host: HostStats,
-    /// Captured trace events (txn phase spans, op tags, transport events);
-    /// empty unless [`TxnMixOpts::trace`] was set.
-    pub events: Vec<TraceEvent>,
-    /// Sampled `txn.*` counter-track points; empty unless traced.
-    pub samples: Vec<CounterSample>,
     /// Abort root-cause tally, `(label, count)` in the normative cause
     /// order; counts sum to `aborted`.
     pub abort_causes: Vec<(String, u64)>,
-    /// Per-shard SLO health over logical-transaction latency, each txn
-    /// tracked against its primary key's shard.
-    pub health: HealthSummary,
-    /// Windowed telemetry series sampled at every health tick (always on,
-    /// so traced and untraced arms carry identical points).
-    pub series: SeriesSummary,
-    /// Tail-latency exemplars and root-cause attribution, folded from the
-    /// trace ring (traced arms only).
-    pub tail: Option<TailProfile>,
+    /// The arm's outcome: `ops` counts committed logical transactions and
+    /// `latency` their commit latency (submission to committed outcome);
+    /// health tracks each txn against its primary key's shard. Traced arms
+    /// keep their stream (txn phase spans, op tags, transport events) and
+    /// the sampled `txn.*` counter tracks.
+    pub run: Outcome,
 }
 
 impl TxnMixResult {
-    /// Committed transactions per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.committed as f64 / self.elapsed.as_secs_f64().max(1e-12)
-    }
-
     /// Aborts per commit (the contention signature).
     pub fn abort_ratio(&self) -> f64 {
-        self.aborted as f64 / self.committed.max(1) as f64
+        self.aborted as f64 / self.run.ops.max(1) as f64
     }
 }
 
@@ -198,114 +161,46 @@ fn span_of(kv: &ShardedKv<hyperloop::GroupClient>, op: &MixOp, f_base: u64) -> u
     }
 }
 
-/// Runs one arm with audit + trace taps on, then re-runs the identical
-/// timeline bare to measure the observability tax.
+/// Runs one arm with audit + trace taps on, then `run::tax_pair`
+/// re-runs the identical timeline bare to measure the observability tax.
 ///
 /// # Panics
 ///
 /// Panics on data-path errors, a stalled run, a livelocked transaction, or
 /// a conservation failure.
 pub fn run_txnmix(mode: CommitMode, opts: TxnMixOpts) -> TxnMixResult {
-    let mut res = run_txnmix_once(mode, opts, true);
-    let bare = run_txnmix_once(mode, opts, false);
-    res.host = res.host.with_bare_wall_ns(bare.host.wall_ns);
-    res
+    run::tax_pair(
+        |observed| run_txnmix_once(mode, opts, observed),
+        |r| &mut r.run,
+    )
 }
 
 fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMixResult {
-    let meter = HostMeter::start();
-    let client = NodeId(0);
-    let nodes = 1 + opts.shards * opts.replicas_per_shard;
-    let mut cluster = Cluster::new(
-        nodes,
-        4,
-        256 << 20,
-        ClusterConfig {
-            seed: opts.seed,
-            ..ClusterConfig::default()
-        },
-    );
-    let placement = ShardPlacement::RoundRobin {
-        replicas_per_shard: opts.replicas_per_shard,
-    };
-    let chains = cluster.place_shards(&placement, opts.shards, client);
-    let audit = if observed {
-        Audit::standard()
-    } else {
-        Audit::disabled()
-    };
-    let traced = opts.trace && observed;
-    let tracer = if traced {
-        Tracer::enabled(1 << 18)
-    } else {
-        Tracer::disabled()
-    }
-    .with_audit(audit.clone());
-    cluster.set_tracer(tracer.clone());
-    // Per-shard SLO health is always on (observer-only): logical
-    // transactions count against their primary key's shard, so the txnmix
-    // scenarios carry the same health + series blocks as the other figure
-    // runners, identical whether or not the trace buffer is kept.
-    let health = HealthMonitor::new(SloConfig::default());
-    health.set_tracer(tracer.clone());
-
-    let groups: Vec<HyperLoopGroup> = cluster.setup_fabric(|ctx| {
-        chains
-            .iter()
-            .enumerate()
-            .map(|(i, chain)| {
-                let cfg = GroupConfig {
-                    shared_size: 4 << 20,
-                    meta_slots: 64,
-                    prepost_depth: 128,
-                    window: 16,
-                    first_gen: op_id_base(i as u32, 0),
-                };
-                HyperLoopGroup::setup(ctx, client, chain, cfg)
-            })
-            .collect()
-    });
-    let (clients, mut replicas): (Vec<_>, Vec<Vec<ReplicaHandle>>) =
-        groups.into_iter().map(|g| (g.client, g.replicas)).unzip();
+    let mut arm = Arm::start(Profile::Txn, observed, opts.trace, opts.txns);
+    let Sharded {
+        mut sim,
+        clients,
+        mut replicas,
+        ..
+    } = sharded_groups(&arm, SHARDS, 0, opts.seed);
     let stores: Vec<ReplicatedKv<hyperloop::GroupClient>> = clients
         .into_iter()
-        .map(|mut c| {
-            c.set_tracer(tracer.clone());
-            ReplicatedKv::new(c, KvConfig::default())
-        })
+        .map(|c| ReplicatedKv::new(c, KvConfig::default()))
         .collect();
     let mut kv = ShardedKv::with_hash_router(stores);
     kv.enable_txns(mode, opts.seed ^ 0x7);
-    kv.set_txn_audit(audit.clone());
+    kv.set_txn_audit(arm.audit.clone());
     // The txn manager shares the cluster tracer: phase spans and op tags
     // land in the same buffer as the transport events (and feed the
     // phase-pairing auditor even when the buffer itself is disabled).
-    kv.set_txn_tracer(tracer.clone());
-    let mut sampler = CounterSampler::with_prefixes(&["txn."]);
-
-    let mut sim = cluster.into_sim();
-    sim.run(); // drain group wiring
-    for s in 0..opts.shards {
-        audit.probe(
-            sim.now(),
-            simcore::simaudit::Probe::Window {
-                shard: s,
-                window: 16,
-            },
-        );
-    }
+    kv.set_txn_tracer(arm.tracer.clone());
 
     // The offered load: alternate workload-F ops (reads + RMWs on a
     // keyspace above the accounts) and two-key transfers (on the account
     // keyspace, where conservation is checked).
-    let f_base = opts.records;
-    let mut fgen = Generator::with_theta(Workload::F, opts.records, opts.seed ^ 0xF0, opts.theta);
-    let mut tgen = Generator::with_theta(
-        Workload::Transfer,
-        opts.records,
-        opts.seed ^ 0x71,
-        opts.theta,
-    );
+    let f_base = RECORDS;
+    let mut fgen = Generator::with_theta(Workload::F, RECORDS, opts.seed ^ 0xF0, opts.theta);
+    let mut tgen = Generator::with_theta(Workload::Transfer, RECORDS, opts.seed ^ 0x71, opts.theta);
     let mut drawn = 0u64;
     let mut next_op = |fgen: &mut Generator, tgen: &mut Generator| -> MixOp {
         drawn += 1;
@@ -329,17 +224,17 @@ fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMix
     let mut committed = 0u64;
     let mut span_sum = 0u64;
     let mut submitted = 0u64;
-    let mut last_completed = vec![0u64; opts.shards as usize];
+    let mut last_completed = vec![0u64; SHARDS as usize];
     let started = sim.now();
     let mut idle_ticks = 0u32;
     while committed < opts.txns {
         // Fill the concurrency window with fresh logical transactions.
-        while outstanding.len() < opts.concurrency && submitted < opts.txns {
+        while outstanding.len() < CONCURRENCY && submitted < opts.txns {
             let op = next_op(&mut fgen, &mut tgen);
             let shard = primary_shard(&kv, &op, f_base);
             let id = submit(&mut kv, &op, f_base);
             outstanding.insert(id, (op, sim.now(), 0));
-            health.record_issue(sim.now(), shard);
+            arm.health.record_issue(sim.now(), shard);
             submitted += 1;
         }
         sim.run();
@@ -347,13 +242,9 @@ fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMix
             kv.poll(ctx);
             kv.pump_txns(ctx)
         });
-        if traced {
-            // Host-side sampling of the txn counters into Perfetto
-            // counter tracks — never touches the simulated timeline.
-            let mut scratch = MetricsRegistry::new();
-            kv.txn_manager().export_into(&mut scratch, "txn");
-            sampler.sample(sim.now(), &scratch);
-        }
+        // Host-side sampling of the txn counters into Perfetto counter
+        // tracks — never touches the simulated timeline.
+        arm.sample(sim.now(), |reg| kv.txn_manager().export_into(reg, "txn"));
         if done.is_empty() {
             idle_ticks += 1;
             assert!(
@@ -371,7 +262,8 @@ fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMix
                 TxnOutcome::Committed => {
                     let lat = sim.now().since(t0);
                     hist.record(lat);
-                    health.record_ack(sim.now(), primary_shard(&kv, &op, f_base), lat);
+                    arm.health
+                        .record_ack(sim.now(), primary_shard(&kv, &op, f_base), lat);
                     span_sum += span_of(&kv, &op, f_base);
                     committed += 1;
                 }
@@ -386,14 +278,14 @@ fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMix
                 }
             }
         }
-        health.tick(sim.now());
+        arm.health.tick(sim.now());
         // Keep every chain's pre-posted descriptor runway topped up.
         drive(&mut sim, |ctx| {
-            for s in 0..opts.shards as usize {
+            for (s, last) in last_completed.iter_mut().enumerate() {
                 let now_done = kv.shard(ShardId(s as u32)).transport.completed();
-                let delta = now_done - last_completed[s];
+                let delta = now_done - *last;
                 if delta > 0 {
-                    last_completed[s] = now_done;
+                    *last = now_done;
                     for r in replicas[s].iter_mut() {
                         r.replenish(ctx, delta as u32);
                     }
@@ -406,7 +298,7 @@ fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMix
 
     // Conservation: transfers move value between accounts; the account
     // keyspace must sum to zero or a transaction lost (or forged) money.
-    let total: i64 = (0..opts.records)
+    let total: i64 = (0..RECORDS)
         .map(|k| balance(kv.get(k).map(|v| v.to_vec())))
         .sum();
     assert_eq!(total, 0, "transfers did not conserve value: sum {total}");
@@ -417,47 +309,18 @@ fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMix
     mgr.export_into(&mut registry, "txn");
     registry.merge_histogram("bench.txn_latency", &hist);
     registry.set_gauge("bench.elapsed_secs", elapsed.as_secs_f64());
-    audit.export_into(&mut registry, "audit");
-    health.export_into(&mut registry, "health");
-    let mut health_summary = health.summary();
-    health_summary.violations = audit.violation_count();
-    let series = health.series();
-
-    // Stop the host meter before folding trace artifacts: attribution and
-    // tail folds are post-run analysis, not simulation work, and must not be
-    // charged to the measured arm's wall clock.
-    let host = meter.finish(committed, sim.now().since(SimTime::ZERO), sim.queue.stats());
-
-    let events = tracer.events();
-    let tail = traced.then(|| TailProfile::from_events(&events));
-    let mut samples = sampler.samples().to_vec();
-    if traced {
-        // Series counter tracks ride along in the Perfetto export.
-        samples.extend(series.counter_samples());
-    }
-
+    arm.health.export_into(&mut registry, "health");
     TxnMixResult {
         mode,
-        latency: hist.summary(),
-        elapsed,
-        committed,
         aborted: mgr.aborted,
         lock_retries: mgr.lock_retries,
         mean_span: span_sum as f64 / committed.max(1) as f64,
-        registry,
-        audit_json: audit.to_json(),
-        violations: audit.violation_count(),
-        host,
-        events,
-        samples,
         abort_causes: mgr
             .abort_cause_counts()
             .iter()
             .map(|&(label, n)| (label.to_string(), n))
             .collect(),
-        health: health_summary,
-        series,
-        tail,
+        run: arm.finish(&sim, committed, elapsed, &hist, registry),
     }
 }
 
@@ -482,7 +345,11 @@ pub fn txnmix(rep: &mut Report, quick: bool) {
                 ..TxnMixOpts::default()
             };
             let r = run_txnmix(mode, opts);
-            assert_eq!(r.violations, 0, "txn audit violations:\n{}", r.audit_json);
+            assert_eq!(
+                r.run.health.violations, 0,
+                "txn audit violations:\n{}",
+                r.run.audit_json
+            );
             let label = match mode {
                 CommitMode::Locking => "locking",
                 CommitMode::Optimistic => "optimistic",
@@ -491,64 +358,35 @@ pub fn txnmix(rep: &mut Report, quick: bool) {
                 "{:<12} {:<7} {:>10.1} {:>9} {:>9} {:>12} {:>10} {:>10} {:>6.2}",
                 label,
                 theta,
-                r.ops_per_sec() / 1e3,
-                r.committed,
+                r.run.ops_per_sec() / 1e3,
+                r.run.ops,
                 r.aborted,
                 r.lock_retries,
-                us(r.latency.mean),
-                us(r.latency.p99),
+                us(r.run.latency.mean),
+                us(r.run.latency.p99),
                 r.mean_span,
             ));
             let name = format!("txnmix/{label}/theta{theta}");
-            let mut sc = Scenario::new(name.clone())
-                .system("HyperLoop")
-                .seed(opts.seed)
-                .config("mode", label)
-                .config("shards", opts.shards)
-                .config("replicas_per_shard", opts.replicas_per_shard)
-                .config("theta", theta)
-                .config("txns", opts.txns)
-                .config("concurrency", opts.concurrency)
-                .config("records", opts.records)
-                .latency(&r.latency)
-                .gauge("ops_per_sec", r.ops_per_sec())
-                .gauge("abort_ratio", r.abort_ratio())
-                .gauge("lock_retries", r.lock_retries as f64)
-                .gauge("mean_span", r.mean_span)
-                .health(r.health.clone())
-                .series(r.series.clone())
-                .host(r.host.clone())
-                .metrics(r.registry.clone())
-                .abort_causes(r.abort_causes.clone());
-            if opts.trace {
-                sc = sc.txn_breakdown(TxnAttribution::from_events(&r.events));
-            }
-            if let Some(tail) = &r.tail {
-                rep.write_trace(
-                    &format!("TAIL_txnmix_{label}_theta{theta}.json"),
-                    &tail.to_artifact_json(&name),
-                )
-                .expect("trace sink writable");
-                sc = sc.tail(tail.clone());
-            }
-            rep.scenario(sc);
-            rep.write_trace(
-                &format!("AUDIT_txnmix_{label}_theta{theta}.json"),
-                &r.audit_json,
-            )
-            .expect("trace sink writable");
-            if opts.trace {
-                rep.write_trace(
-                    &format!("TXNTRACE_txnmix_{label}_theta{theta}.json"),
-                    &txn_chrome_trace_with_counters(&r.events, &r.samples),
-                )
-                .expect("trace sink writable");
-                rep.write_trace(
-                    &format!("FOLDED_txn_txnmix_{label}_theta{theta}.txt"),
-                    &txn_folded_stacks(&r.events),
-                )
-                .expect("trace sink writable");
-            }
+            r.run.write_artifacts(rep, &name);
+            rep.scenario(
+                Scenario::new(&name)
+                    .system("HyperLoop")
+                    .seed(opts.seed)
+                    .config("mode", label)
+                    .config("shards", SHARDS)
+                    .config("replicas_per_shard", REPLICAS_PER_SHARD)
+                    .config("theta", theta)
+                    .config("txns", opts.txns)
+                    .config("concurrency", CONCURRENCY)
+                    .config("records", RECORDS)
+                    .latency(&r.run.latency)
+                    .gauge("ops_per_sec", r.run.ops_per_sec())
+                    .gauge("abort_ratio", r.abort_ratio())
+                    .gauge("lock_retries", r.lock_retries as f64)
+                    .gauge("mean_span", r.mean_span)
+                    .outcome(&r.run)
+                    .abort_causes(r.abort_causes.clone()),
+            );
         }
     }
 }
@@ -556,6 +394,8 @@ pub fn txnmix(rep: &mut Report, quick: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::simprof::{txn_chrome_trace_with_counters, txn_folded_stacks};
+    use simcore::TxnAttribution;
 
     fn quick_opts(theta: f64) -> TxnMixOpts {
         TxnMixOpts {
@@ -569,12 +409,16 @@ mod tests {
     fn both_commit_paths_run_clean_on_four_shards() {
         for mode in [CommitMode::Locking, CommitMode::Optimistic] {
             let r = run_txnmix(mode, quick_opts(0.9));
-            assert_eq!(r.committed, 96);
-            assert_eq!(r.violations, 0, "{mode:?} violations:\n{}", r.audit_json);
+            assert_eq!(r.run.ops, 96);
+            assert_eq!(
+                r.run.health.violations, 0,
+                "{mode:?} violations:\n{}",
+                r.run.audit_json
+            );
             // Counter sanity: aborts and commits are both bounded by
             // commit attempts.
-            let started = r.registry.counter("txn.started").unwrap();
-            assert!(r.committed <= started);
+            let started = r.run.registry.counter("txn.started").unwrap();
+            assert!(r.run.ops <= started);
             assert!(r.aborted <= started);
             assert!((1.0..=2.0).contains(&r.mean_span), "span {}", r.mean_span);
         }
@@ -611,8 +455,8 @@ mod tests {
             ..TxnMixOpts::default()
         };
         let r = run_txnmix_once(CommitMode::Optimistic, opts, true);
-        assert_eq!(r.committed, 512);
-        assert_eq!(r.violations, 0, "{}", r.audit_json);
+        assert_eq!(r.run.ops, 512);
+        assert_eq!(r.run.health.violations, 0, "{}", r.run.audit_json);
     }
 
     #[test]
@@ -623,7 +467,7 @@ mod tests {
                 ..quick_opts(0.9)
             };
             let r = run_txnmix_once(mode, opts, true);
-            let att = TxnAttribution::from_events(&r.events);
+            let att = TxnAttribution::from_events(&r.run.trace.events);
             assert!(att.txns > 0, "{mode:?}: no complete txns folded");
             assert_eq!(att.truncated, 0, "{mode:?}: unpaired phase spans");
             assert!(att.linked_ops > 0, "{mode:?}: no parent-tagged ops");
@@ -646,18 +490,18 @@ mod tests {
             },
             true,
         );
-        assert_eq!(base.latency.p99, traced.latency.p99);
-        assert_eq!(base.committed, traced.committed);
+        assert_eq!(base.run.latency.p99, traced.run.latency.p99);
+        assert_eq!(base.run.ops, traced.run.ops);
         assert_eq!(base.aborted, traced.aborted);
         assert_eq!(base.abort_causes, traced.abort_causes);
         assert_eq!(
-            base.audit_json, traced.audit_json,
+            base.run.audit_json, traced.run.audit_json,
             "tracing must not perturb the timeline"
         );
         // Health and the windowed series are trace-independent.
-        assert_eq!(base.health, traced.health);
-        assert_eq!(base.series, traced.series);
-        assert_eq!(base.series.to_json(), traced.series.to_json());
+        assert_eq!(base.run.health, traced.run.health);
+        assert_eq!(base.run.series, traced.run.series);
+        assert_eq!(base.run.series.to_json(), traced.run.series.to_json());
     }
 
     #[test]
@@ -666,8 +510,8 @@ mod tests {
             trace: true,
             ..quick_opts(0.9)
         };
-        let a = run_txnmix_once(CommitMode::Locking, opts, true);
-        let b = run_txnmix_once(CommitMode::Locking, opts, true);
+        let a = run_txnmix_once(CommitMode::Locking, opts, true).run.trace;
+        let b = run_txnmix_once(CommitMode::Locking, opts, true).run.trace;
         assert_eq!(
             txn_chrome_trace_with_counters(&a.events, &a.samples),
             txn_chrome_trace_with_counters(&b.events, &b.samples),
@@ -700,11 +544,11 @@ mod tests {
         let a = run_txnmix(CommitMode::Optimistic, quick_opts(0.9));
         let b = run_txnmix(CommitMode::Optimistic, quick_opts(0.9));
         assert_eq!(
-            a.audit_json, b.audit_json,
+            a.run.audit_json, b.run.audit_json,
             "audit JSON must be deterministic"
         );
-        assert_eq!(a.committed, b.committed);
+        assert_eq!(a.run.ops, b.run.ops);
         assert_eq!(a.aborted, b.aborted);
-        assert_eq!(a.latency.p99, b.latency.p99);
+        assert_eq!(a.run.latency.p99, b.run.latency.p99);
     }
 }

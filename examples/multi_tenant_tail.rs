@@ -25,12 +25,12 @@ fn main() {
         println!(
             "{:<14} {:>10} {:>10} {:>10} {:>10}",
             kind.label(),
-            r.latency.mean,
-            r.latency.p50,
-            r.latency.p95,
-            r.latency.p99
+            r.run.latency.mean,
+            r.run.latency.p50,
+            r.run.latency.p95,
+            r.run.latency.p99
         );
-        p99.push(r.latency.p99);
+        p99.push(r.run.latency.p99);
     }
     println!(
         "\nHyperLoop cuts the 99th percentile by {:.0}x — replica CPUs never ran.",

@@ -17,16 +17,16 @@ fn opts() -> MicroOpts {
 fn hyperloop_tail_is_flat_and_microsecond_scale() {
     let r = run_primitive(SystemKind::HyperLoop, gwrite_plan(1024), opts());
     assert!(
-        r.latency.p99 < SimDuration::from_micros(40),
+        r.run.latency.p99 < SimDuration::from_micros(40),
         "HyperLoop p99 blew up: {}",
-        r.latency.p99
+        r.run.latency.p99
     );
     // Predictability: p99 within 2x of the median.
     assert!(
-        r.latency.p99 < r.latency.p50 * 2,
+        r.run.latency.p99 < r.run.latency.p50 * 2,
         "HyperLoop latency not flat: p50={} p99={}",
-        r.latency.p50,
-        r.latency.p99
+        r.run.latency.p50,
+        r.run.latency.p99
     );
     // Replica data-path CPU is (close to) zero: only maintenance runs.
     assert!(
@@ -41,16 +41,16 @@ fn naive_tail_collapses_under_colocation() {
     let hl = run_primitive(SystemKind::HyperLoop, gwrite_plan(1024), opts());
     let naive = run_primitive(SystemKind::NaiveEvent, gwrite_plan(1024), opts());
     assert!(
-        naive.latency.p99 > hl.latency.p99 * 50,
+        naive.run.latency.p99 > hl.run.latency.p99 * 50,
         "expected >50x tail gap: naive={} hl={}",
-        naive.latency.p99,
-        hl.latency.p99
+        naive.run.latency.p99,
+        hl.run.latency.p99
     );
     assert!(
-        naive.latency.mean > hl.latency.mean * 5,
+        naive.run.latency.mean > hl.run.latency.mean * 5,
         "expected >5x mean gap: naive={} hl={}",
-        naive.latency.mean,
-        hl.latency.mean
+        naive.run.latency.mean,
+        hl.run.latency.mean
     );
 }
 
@@ -67,7 +67,7 @@ fn unloaded_throughput_is_comparable_but_cpu_is_not() {
     let hl = run_primitive(SystemKind::HyperLoop, gwrite_plan(1024), o);
     let naive = run_primitive(SystemKind::NaivePolling, gwrite_plan(1024), o);
     // Throughput within ~2x of each other (paper: "similar").
-    let ratio = naive.ops_per_sec() / hl.ops_per_sec();
+    let ratio = naive.run.ops_per_sec() / hl.run.ops_per_sec();
     assert!(
         (0.5..2.5).contains(&ratio),
         "throughput ratio out of band: {ratio:.2}"
@@ -88,7 +88,7 @@ fn group_size_scaling_stays_flat_for_hyperloop() {
             ..MicroOpts::default()
         };
         let r = run_primitive(SystemKind::HyperLoop, gwrite_plan(1024), o);
-        p99s.push(r.latency.p99);
+        p99s.push(r.run.latency.p99);
     }
     // Longer chains add single-digit microseconds per hop, not blowups.
     assert!(

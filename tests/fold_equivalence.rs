@@ -20,10 +20,10 @@ fn contended_locking_run_folds_identically_to_the_reference() {
         },
     );
     assert!(res.aborted > 0, "the run saw no contention");
-    let events = &res.events;
+    let events = &res.run.trace.events;
     // The comparison is only worth something if the stream has a tail and
     // folded transactions to disagree about.
     assert!(tail_profile(events).tail_ops > 0);
     assert!(txn_attribution(events).txns > 0);
-    assert_equivalent(events, &res.samples);
+    assert_equivalent(events, &res.run.trace.samples);
 }

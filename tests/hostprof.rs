@@ -218,11 +218,11 @@ fn report_json(profile: bool) -> String {
             .system("HyperLoop")
             .seed(opts.seed)
             .config("ops", opts.ops)
-            .latency(&r.latency)
-            .gauge("ops_per_sec", r.ops_per_sec())
+            .latency(&r.run.latency)
+            .gauge("ops_per_sec", r.run.ops_per_sec())
             .gauge("replica_cpu", r.replica_cpu)
-            .host(r.host.clone())
-            .metrics(r.registry.clone()),
+            .host(r.run.host.clone())
+            .metrics(r.run.registry.clone()),
     );
     rep.to_json()
 }
@@ -265,7 +265,7 @@ fn trace_folds_allocate_a_bounded_amount_per_folded_op() {
             ..TxnMixOpts::default()
         },
     );
-    let events = &res.events;
+    let events = &res.run.trace.events;
     // The folds group the stream through one op index instead of copying
     // it into a Vec per op, fold stage kinds and txn phases by code, and
     // build strings only for report rows: a handful of heap calls per

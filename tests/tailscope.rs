@@ -71,12 +71,12 @@ fn shardscale_tail_profile_holds_its_invariants() {
             ..ShardScaleOpts::default()
         },
     );
-    let trace = r.trace.as_ref().expect("traced arm carries artifacts");
-    assert_tail_invariants(&trace.tail);
-    assert!(trace.tail.tail_ops > 0, "a 1024-op run has a tail");
+    let tail = r.run.tail.as_ref().expect("traced arm carries artifacts");
+    assert_tail_invariants(tail);
+    assert!(tail.tail_ops > 0, "a 1024-op run has a tail");
 
     // The JSON block round-trips its headline counters.
-    let json = trace.tail.to_json();
+    let json = tail.to_json();
     assert!(json.starts_with('{'), "tail block must be an object");
     for key in ["\"ops\":", "\"tail_ops\":", "\"causes\":", "\"exemplars\":"] {
         assert!(json.contains(key), "tail JSON missing {key}");
@@ -93,7 +93,11 @@ fn migration_pause_dominates_the_migrate_tail() {
             ..MigrateOpts::default()
         },
     );
-    let tail = r.tail.as_ref().expect("traced arm carries a tail profile");
+    let tail = r
+        .run
+        .tail
+        .as_ref()
+        .expect("traced arm carries a tail profile");
     assert_tail_invariants(tail);
     // Ops parked in the holding pen across the cutover are the slowest in
     // the run; the attributor must blame the pause, not a queue stage.
@@ -114,8 +118,8 @@ fn migration_pause_dominates_the_migrate_tail() {
 #[test]
 fn series_is_bounded_and_strictly_monotonic() {
     let r = run_shardscale(3, ShardScaleOpts::default());
-    assert!(!r.series.shards.is_empty(), "series must carry shards");
-    for shard in &r.series.shards {
+    assert!(!r.run.series.shards.is_empty(), "series must carry shards");
+    for shard in &r.run.series.shards {
         assert!(shard.points.len() <= SERIES_CAP);
         assert!(!shard.points.is_empty(), "every shard gets sampled");
         let mut prev = None;
@@ -141,11 +145,11 @@ fn tracing_is_observer_only_for_shardscale() {
     );
     // Simulation-derived outputs are identical: the tracer, the tail fold
     // and the counter sampling never touch the event queue or the RNG.
-    assert_eq!(base.latency, traced.latency);
+    assert_eq!(base.run.latency, traced.run.latency);
     assert_eq!(base.per_shard_acked, traced.per_shard_acked);
-    assert_eq!(base.health, traced.health);
-    assert_eq!(base.series, traced.series);
-    assert_eq!(base.series.to_json(), traced.series.to_json());
+    assert_eq!(base.run.health, traced.run.health);
+    assert_eq!(base.run.series, traced.run.series);
+    assert_eq!(base.run.series.to_json(), traced.run.series.to_json());
 
     // Byte identity over the blocks both arms carry (tail itself is
     // trace-gated; host fields are volatile and canonicalized away).
@@ -154,12 +158,12 @@ fn tracing_is_observer_only_for_shardscale() {
         rep.scenario(
             Scenario::new("shardscale/2")
                 .system("HyperLoop")
-                .latency(&r.latency)
-                .gauge("ops_per_sec", r.ops_per_sec())
-                .health(r.health.clone())
-                .series(r.series.clone())
-                .host(r.host.clone())
-                .metrics(r.registry.clone()),
+                .latency(&r.run.latency)
+                .gauge("ops_per_sec", r.run.ops_per_sec())
+                .health(r.run.health.clone())
+                .series(r.run.series.clone())
+                .host(r.run.host.clone())
+                .metrics(r.run.registry.clone()),
         );
         canonicalize_report(&rep.to_json()).expect("canonicalize")
     };
