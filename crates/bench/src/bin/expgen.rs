@@ -11,6 +11,10 @@
 //!   committed doc, or a non-finite table cell on either side.
 //! * With neither, prints the document to stdout.
 //!
+//! Each report must pass the same check as `benchcheck`
+//! ([`hyperloop_bench::report::check_report`]); one that fails exits 1,
+//! naming the file, the scenario and the key, and renders nothing.
+//!
 //! Any `TRACE_<fig>_<arm>.json` Chrome traces in the same directory are
 //! folded in too: their counter tracks (pen depth, window occupancy)
 //! become sparkline rows in the matching `<fig>/<arm>` scenario's table.

@@ -7,9 +7,15 @@
 //! key/values, latency summary and an optional [`MetricsRegistry`]
 //! snapshot). When the binary was given `--json <path>`, [`Report::finish`]
 //! serializes all scenarios with [`simcore::jsonw::JsonWriter`].
+//!
+//! [`DOCUMENT`] declares what [`Report::to_json`] writes: each block's
+//! shape sits next to its writer ([`LATENCY`], [`METRICS`] and
+//! [`ABORT_CAUSES`] here, the rest on their types in `simcore`), and
+//! [`check_report`] is the one check `benchcheck` and `expgen` run.
 
 use crate::run::Outcome;
-use simcore::jsonw::JsonWriter;
+use hyperloop::txn;
+use simcore::jsonw::{join, opt, req, JsonValue, JsonWriter, Shape};
 use simcore::simaudit::{HealthSummary, SeriesSummary};
 use simcore::simprof::{StageAttribution, TxnAttribution};
 use simcore::tailprof::TailProfile;
@@ -198,6 +204,268 @@ impl Scenario {
     }
 }
 
+/// The report schema tag.
+pub const SCHEMA: &str = "hyperloop-bench/v1";
+
+/// A [`LatencySummary`] as the report writes it: the `latency` block and
+/// each `metrics.histograms` entry.
+pub const LATENCY: Shape = Shape::Obj(
+    &[
+        req("count", Shape::Count),
+        req("mean_ns", Shape::Count),
+        req("p50_ns", Shape::Count),
+        req("p95_ns", Shape::Count),
+        req("p99_ns", Shape::Count),
+        req("p999_ns", Shape::Count),
+        req("min_ns", Shape::Count),
+        req("max_ns", Shape::Count),
+    ],
+    None,
+);
+
+/// A [`MetricsRegistry`] snapshot. The registry rules that span keys sit
+/// with [`SCENARIO`].
+pub const METRICS: Shape = Shape::Obj(
+    &[
+        req("counters", Shape::Map(&Shape::Count)),
+        req("gauges", Shape::Map(&Shape::Number)),
+        req("histograms", Shape::Map(&LATENCY)),
+    ],
+    None,
+);
+
+/// The `abort_causes` block: one count per [`txn::ABORT_CAUSES`] label,
+/// summing to `total`.
+pub const ABORT_CAUSES: Shape = Shape::Obj(
+    &[
+        req(txn::ABORT_CAUSES[0], Shape::Count),
+        req(txn::ABORT_CAUSES[1], Shape::Count),
+        req(txn::ABORT_CAUSES[2], Shape::Count),
+        req("total", Shape::Count),
+    ],
+    Some(|ac, path| {
+        let count = |k| ac.get(k).and_then(JsonValue::as_u64).unwrap_or_default();
+        let sum: u64 = txn::ABORT_CAUSES.iter().map(|c| count(c)).sum();
+        if sum != count("total") {
+            return Err(format!(
+                "{path} sum to {sum} but {}={}",
+                join(path, "total"),
+                count("total")
+            ));
+        }
+        Ok(())
+    }),
+);
+
+/// One scenario record. Its rule holds what no single block can check.
+pub const SCENARIO: Shape = Shape::Obj(
+    &[
+        req("name", Shape::Str),
+        opt("system", Shape::Str),
+        opt("seed", Shape::Count),
+        req("config", Shape::Map(&Shape::Str)),
+        opt("latency", LATENCY),
+        req("gauges", Shape::Map(&Shape::Number)),
+        opt("health", HealthSummary::SHAPE),
+        opt("series", SeriesSummary::SHAPE),
+        req("host", HostStats::SHAPE),
+        opt("metrics", METRICS),
+        opt("stage_attribution", StageAttribution::SHAPE),
+        opt("txn_breakdown", TxnAttribution::SHAPE),
+        opt("abort_causes", ABORT_CAUSES),
+        opt("tail", TailProfile::SHAPE),
+    ],
+    Some(scenario_rule),
+);
+
+/// A whole `BENCH_*.json` document: at least one scenario.
+pub const DOCUMENT: Shape = Shape::Obj(
+    &[
+        req("schema", Shape::Label(&[SCHEMA])),
+        req("tool", Shape::Str),
+        req("quick", Shape::Bool),
+        req("scenarios", Shape::Arr(&SCENARIO)),
+    ],
+    Some(|doc, _| match doc.items("scenarios") {
+        [] => Err("report carries zero scenarios".into()),
+        _ => Ok(()),
+    }),
+);
+
+/// Checks a parsed report against [`DOCUMENT`]. A failure inside a
+/// scenario names it: `scenario "shardscale/1": tail.ops is not a
+/// non-negative integer`.
+///
+/// # Errors
+///
+/// Returns the first mismatch.
+pub fn check_report(doc: &JsonValue) -> Result<(), String> {
+    // Scenarios first, so that a failure names its scenario; the document
+    // walk then repeats their (passed) check on its way to the header.
+    for s in doc.items("scenarios") {
+        let name = s.get("name").and_then(JsonValue::as_str);
+        SCENARIO
+            .check(s, "")
+            .map_err(|e| format!("scenario {:?}: {e}", name.unwrap_or("<unnamed>")))?;
+    }
+    DOCUMENT.check(doc, "")
+}
+
+/// The scenario families whose runners always fold a `tail` profile and
+/// sample a `series`.
+const TAILSCOPE: [&str; 4] = ["shardscale/", "migrate/", "hostperf/", "txnmix/"];
+
+/// [`SCENARIO`]'s rule: `tail` and `series` are present on the
+/// [`TAILSCOPE`] families, the registry rules hold, and `abort_causes`
+/// agrees with the `txn.aborted` counter.
+fn scenario_rule(s: &JsonValue, _: &str) -> Result<(), String> {
+    let name = s
+        .get("name")
+        .and_then(JsonValue::as_str)
+        .unwrap_or_default();
+    if TAILSCOPE.iter().any(|p| name.starts_with(p)) {
+        if let Some(block) = ["tail", "series"].into_iter().find(|b| s.get(b).is_none()) {
+            return Err(format!("scenario has no {block} block"));
+        }
+    }
+    let Some(counters) = s.at(&["metrics", "counters"]) else {
+        return Ok(());
+    };
+    counter_rules(counters)?;
+    let total = s.at(&["abort_causes", "total"]).and_then(JsonValue::as_u64);
+    let aborted = counters.get("txn.aborted").and_then(JsonValue::as_u64);
+    match (total, aborted) {
+        (Some(total), Some(aborted)) if total != aborted => Err(format!(
+            "abort_causes.total={total} disagrees with txn.aborted={aborted}"
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// The registry rules: the audit total is zero (a report without a
+/// `health` block still cannot hide a violation), acks never lead their
+/// issues, and the `txn.*` counters are consistent.
+fn counter_rules(c: &JsonValue) -> Result<(), String> {
+    let get = |k: &str| c.get(k).and_then(JsonValue::as_u64);
+    if let Some(v) = get("audit.violations").filter(|&v| v > 0) {
+        return Err(format!("audit.violations counter is {v}, expected 0"));
+    }
+    for (k, v) in c.as_obj().unwrap_or_default() {
+        let (Some(base), Some(acked)) = (k.strip_suffix(".acked"), v.as_u64()) else {
+            continue;
+        };
+        let issued_key = format!("{base}.issued");
+        let issued = get(&issued_key).ok_or_else(|| format!("{k} has no sibling {issued_key}"))?;
+        if acked > issued {
+            return Err(format!("{k}={acked} exceeds {issued_key}={issued}"));
+        }
+    }
+    txn_counter_rules(c)
+}
+
+/// The `txn.backoff.*` counters.
+const BACKOFF_FIELDS: [&str; 2] = ["parks", "delay_ns"];
+
+/// The `txn.*` rules, for scenarios that started transactions: a commit
+/// attempt resolves once (`committed + aborted <= started`); the
+/// [`txn::ABORT_CAUSES`] counters sum to `txn.aborted`; the backoff and
+/// contention roll-ups are present and closed, with site detail keyed
+/// `txn.contention.site.s<shard>.l<lock>.<field>`; and false conflicts
+/// never exceed conflicts, globally or per site.
+fn txn_counter_rules(c: &JsonValue) -> Result<(), String> {
+    let get = |k: &str| c.get(k).and_then(JsonValue::as_u64);
+    let Some(started) = get("txn.started") else {
+        return Ok(());
+    };
+    let need = |k: &str| get(k).ok_or_else(|| format!("txn.started present but {k} missing"));
+    let committed = need("txn.committed")?;
+    let aborted = need("txn.aborted")?;
+    need("txn.lock_retries")?;
+    for (k, n) in [("txn.committed", committed), ("txn.aborted", aborted)] {
+        if n > started {
+            return Err(format!("{k}={n} exceeds txn.started={started}"));
+        }
+    }
+    if committed + aborted > started {
+        return Err(format!(
+            "txn.committed={committed} + txn.aborted={aborted} exceeds txn.started={started}"
+        ));
+    }
+    let mut cause_sum = 0;
+    for cause in txn::ABORT_CAUSES {
+        cause_sum += need(&format!("txn.abort_causes.{cause}"))?;
+    }
+    if cause_sum != aborted {
+        return Err(format!(
+            "txn.abort_causes.* sum to {cause_sum} but txn.aborted={aborted} — an abort \
+             escaped root-cause attribution"
+        ));
+    }
+    for k in BACKOFF_FIELDS {
+        need(&format!("txn.backoff.{k}"))?;
+    }
+    if started > 0 {
+        for f in txn::CONTENTION_FIELDS.iter().chain(&["contended_sites"]) {
+            get(&format!("txn.contention.{f}")).ok_or_else(|| {
+                format!("txn.started={started} > 0 but txn.contention.{f} is absent")
+            })?;
+        }
+    }
+    for (k, v) in c.as_obj().unwrap_or_default() {
+        if let Some(rest) = k.strip_prefix("txn.contention.site.") {
+            if !valid_site_key(rest) {
+                return Err(format!(
+                    "{k} does not match txn.contention.site.s<shard>.l<lock>.<field>"
+                ));
+            }
+        } else if let Some((set, rest)) = ["abort_causes", "backoff", "contention"]
+            .into_iter()
+            .find_map(|set| Some((set, k.strip_prefix(&format!("txn.{set}."))?)))
+        {
+            let closed = match set {
+                "abort_causes" => txn::ABORT_CAUSES.contains(&rest),
+                "backoff" => BACKOFF_FIELDS.contains(&rest),
+                _ => txn::CONTENTION_FIELDS.contains(&rest) || rest == "contended_sites",
+            };
+            if !closed {
+                return Err(format!("{k} is outside the closed txn.{set} key set"));
+            }
+        }
+        // False conflicts are a subset of conflicts by construction; a
+        // report claiming otherwise mislabeled a real collision.
+        let Some(base) = k
+            .strip_suffix(".false_conflicts")
+            .filter(|base| base.starts_with("txn.contention"))
+        else {
+            continue;
+        };
+        let fc = v.as_u64().unwrap_or_default();
+        let conflicts_key = format!("{base}.conflicts");
+        let conflicts =
+            get(&conflicts_key).ok_or_else(|| format!("{k} has no sibling {conflicts_key}"))?;
+        if fc > conflicts {
+            return Err(format!("{k}={fc} exceeds {conflicts_key}={conflicts}"));
+        }
+    }
+    Ok(())
+}
+
+/// `s<shard>.l<lock>.<field>`, the field one of [`txn::CONTENTION_FIELDS`].
+fn valid_site_key(rest: &str) -> bool {
+    let mut parts = rest.splitn(3, '.');
+    let mut id = |tag: char| {
+        parts
+            .next()
+            .and_then(|p| p.strip_prefix(tag))
+            .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
+    };
+    id('s')
+        && id('l')
+        && parts
+            .next()
+            .is_some_and(|f| txn::CONTENTION_FIELDS.contains(&f))
+}
+
 /// Writes a [`LatencySummary`] as a JSON object under `key`.
 fn write_latency(w: &mut JsonWriter, key: &str, s: &LatencySummary) {
     w.begin_obj_field(key);
@@ -317,7 +585,7 @@ impl Report {
         let _t = simcore::hostprof::scope("jsonw.export");
         let mut w = JsonWriter::new();
         w.begin_obj();
-        w.field_str("schema", "hyperloop-bench/v1");
+        w.field_str("schema", SCHEMA);
         w.field_str("tool", &self.tool);
         w.field_bool("quick", self.quick);
         w.begin_arr_field("scenarios");
@@ -509,5 +777,101 @@ mod tests {
         let body = std::fs::read_to_string(&written).expect("read back");
         assert!(body.contains("\"tool\":\"unitdir\""));
         std::fs::remove_file(written).ok();
+    }
+
+    /// A traced stream: 99 ops of 1 µs, one of 50 µs (the tail exemplar),
+    /// and two transactions of one acquire and one release phase each.
+    fn traced_stream() -> Vec<simcore::TraceEvent> {
+        use simcore::simtrace::{txn_op_id, NO_NODE, TXN_PHASE_ACQUIRE, TXN_PHASE_RELEASE};
+        use simcore::{SimTime, TraceEvent, TraceKind};
+        let ev = |ns, node, op, kind| TraceEvent {
+            at: SimTime::from_nanos(ns),
+            node,
+            op,
+            kind,
+        };
+        let mut evs = Vec::new();
+        for op in 0..100u64 {
+            let (start, e2e) = (10_000 * op, if op == 99 { 50_000 } else { 1_000 });
+            let exec = TraceKind::WqeExec {
+                qp: 0,
+                opcode: 0,
+                bytes: 64,
+            };
+            evs.push(ev(start, 0, op, TraceKind::OpIssue));
+            evs.push(ev(start + e2e / 2, 1, op, exec));
+            evs.push(ev(start + e2e, 0, op, TraceKind::OpAck));
+        }
+        for txn in 0..2u64 {
+            let t0 = 2_000_000 + 1_000 * txn;
+            for (from, to, phase) in [(0, 100, TXN_PHASE_ACQUIRE), (100, 150, TXN_PHASE_RELEASE)] {
+                for (at, begin) in [(t0 + from, true), (t0 + to, false)] {
+                    let kind = if begin {
+                        TraceKind::TxnPhaseBegin {
+                            txn,
+                            mode: 0,
+                            phase,
+                        }
+                    } else {
+                        TraceKind::TxnPhaseEnd {
+                            txn,
+                            mode: 0,
+                            phase,
+                        }
+                    };
+                    evs.push(ev(at, NO_NODE, txn_op_id(txn), kind));
+                }
+            }
+        }
+        evs
+    }
+
+    #[test]
+    fn written_document_matches_its_declaration() {
+        let events = traced_stream();
+        let mut reg = MetricsRegistry::new();
+        reg.counter_add("bench.shard0.acked", 3);
+        reg.counter_add("bench.shard0.issued", 3);
+        reg.set_gauge("bench.elapsed_secs", 0.5);
+        reg.merge_histogram("bench.op_latency", &{
+            let mut h = simcore::Histogram::new();
+            h.record(SimDuration::from_micros(5));
+            h
+        });
+        let queue = simcore::QueueStats {
+            pushed: 9,
+            popped: 9,
+            max_depth: 3,
+        };
+        let host = simcore::HostMeter::start().finish(100, SimDuration::from_micros(50), queue);
+        let mut scenario = Scenario::new("txnmix/unit")
+            .system("HyperLoop")
+            .seed(7)
+            .config("shards", 1)
+            .latency(&summary())
+            .gauge("ops_per_sec", 1000.0)
+            .health(HealthSummary::default())
+            .series(SeriesSummary::default())
+            .host(host)
+            .metrics(reg)
+            .abort_causes(
+                txn::ABORT_CAUSES
+                    .iter()
+                    .map(|c| (c.to_string(), 0))
+                    .collect(),
+            )
+            .tail(TailProfile::from_events(&events));
+        scenario.attribution = Some(StageAttribution::from_events(&events));
+        scenario.txn_breakdown = Some(TxnAttribution::from_events(&events));
+        let mut rep = Report::new("unit");
+        rep.scenario(scenario);
+        let doc = simcore::jsonw::parse(&rep.to_json()).expect("report parses");
+        let s = &doc.items("scenarios")[0];
+        // Every optional field is exercised.
+        for block in ["stage_attribution", "txn_breakdown"] {
+            assert!(s.at(&[block, "dominant_path"]).is_some(), "{block}");
+        }
+        assert!(!s.at(&["tail"]).unwrap().items("exemplars").is_empty());
+        check_report(&doc).expect("writer and declaration agree");
     }
 }

@@ -213,13 +213,32 @@ pub enum AbortCause {
     BackoffExhausted,
 }
 
+/// The abort root-cause labels in [`AbortCause`] order: the closed key
+/// set of a report's `abort_causes` block and of the
+/// `txn.abort_causes.*` counters.
+pub const ABORT_CAUSES: [&str; 3] = ["lock_conflict", "validation_failed", "backoff_exhausted"];
+
+/// The per-site contention fields, in [`SiteContention`] field order:
+/// the closed field set of the `txn.contention.*` roll-up (which adds
+/// `contended_sites`) and of the per-site
+/// `txn.contention.site.s<shard>.l<lock>.<field>` counters.
+pub const CONTENTION_FIELDS: [&str; 7] = [
+    "attempts",
+    "cas_failures",
+    "conflicts",
+    "false_conflicts",
+    "wait_ns",
+    "backoff_retries",
+    "queue_depth_hwm",
+];
+
 impl AbortCause {
     /// Stable snake_case label used in metric names and reports.
     pub fn label(&self) -> &'static str {
         match self {
-            AbortCause::LockConflict { .. } => "lock_conflict",
-            AbortCause::ValidationFailed { .. } => "validation_failed",
-            AbortCause::BackoffExhausted => "backoff_exhausted",
+            AbortCause::LockConflict { .. } => ABORT_CAUSES[0],
+            AbortCause::ValidationFailed { .. } => ABORT_CAUSES[1],
+            AbortCause::BackoffExhausted => ABORT_CAUSES[2],
         }
     }
 }
@@ -245,6 +264,21 @@ pub struct SiteContention {
     pub backoff_retries: u64,
     /// High-water mark of transactions simultaneously waiting on the site.
     pub queue_hwm: u64,
+}
+
+impl SiteContention {
+    /// The counters in [`CONTENTION_FIELDS`] order.
+    fn counts(&self) -> [u64; 7] {
+        [
+            self.attempts,
+            self.cas_failures,
+            self.conflicts,
+            self.false_conflicts,
+            self.wait_ns,
+            self.backoff_retries,
+            self.queue_hwm,
+        ]
+    }
 }
 
 /// The multi-shard issue surface the transaction layer runs on. Both
@@ -494,11 +528,12 @@ impl TxnManager {
     /// normative label order. The counts always sum to
     /// [`TxnManager::aborted`].
     pub fn abort_cause_counts(&self) -> [(&'static str, u64); 3] {
-        [
-            ("lock_conflict", self.abort_lock_conflict),
-            ("validation_failed", self.abort_validation_failed),
-            ("backoff_exhausted", self.abort_backoff_exhausted),
-        ]
+        let counts = [
+            self.abort_lock_conflict,
+            self.abort_validation_failed,
+            self.abort_backoff_exhausted,
+        ];
+        std::array::from_fn(|i| (ABORT_CAUSES[i], counts[i]))
     }
 
     /// Numeric commit-mode code carried in trace payloads (see
@@ -707,18 +742,9 @@ impl TxnManager {
         reg.counter_set(&format!("{prefix}.aborted"), self.aborted);
         reg.counter_set(&format!("{prefix}.lock_retries"), self.lock_retries);
         reg.set_gauge(&format!("{prefix}.in_flight"), self.active.len() as f64);
-        reg.counter_set(
-            &format!("{prefix}.abort_causes.lock_conflict"),
-            self.abort_lock_conflict,
-        );
-        reg.counter_set(
-            &format!("{prefix}.abort_causes.validation_failed"),
-            self.abort_validation_failed,
-        );
-        reg.counter_set(
-            &format!("{prefix}.abort_causes.backoff_exhausted"),
-            self.abort_backoff_exhausted,
-        );
+        for (label, n) in self.abort_cause_counts() {
+            reg.counter_set(&format!("{prefix}.abort_causes.{label}"), n);
+        }
         reg.counter_set(&format!("{prefix}.backoff.parks"), self.backoff_parks);
         reg.counter_set(&format!("{prefix}.backoff.delay_ns"), self.backoff_delay_ns);
         let mut total = SiteContention::default();
@@ -734,23 +760,15 @@ impl TxnManager {
             if c.cas_failures > 0 {
                 contended += 1;
                 let sp = format!("{prefix}.contention.site.s{}.l{}", site.shard.0, site.lock);
-                reg.counter_set(&format!("{sp}.attempts"), c.attempts);
-                reg.counter_set(&format!("{sp}.cas_failures"), c.cas_failures);
-                reg.counter_set(&format!("{sp}.conflicts"), c.conflicts);
-                reg.counter_set(&format!("{sp}.false_conflicts"), c.false_conflicts);
-                reg.counter_set(&format!("{sp}.wait_ns"), c.wait_ns);
-                reg.counter_set(&format!("{sp}.backoff_retries"), c.backoff_retries);
-                reg.counter_set(&format!("{sp}.queue_depth_hwm"), c.queue_hwm);
+                for (field, n) in CONTENTION_FIELDS.iter().zip(c.counts()) {
+                    reg.counter_set(&format!("{sp}.{field}"), n);
+                }
             }
         }
         let cp = format!("{prefix}.contention");
-        reg.counter_set(&format!("{cp}.attempts"), total.attempts);
-        reg.counter_set(&format!("{cp}.cas_failures"), total.cas_failures);
-        reg.counter_set(&format!("{cp}.conflicts"), total.conflicts);
-        reg.counter_set(&format!("{cp}.false_conflicts"), total.false_conflicts);
-        reg.counter_set(&format!("{cp}.wait_ns"), total.wait_ns);
-        reg.counter_set(&format!("{cp}.backoff_retries"), total.backoff_retries);
-        reg.counter_set(&format!("{cp}.queue_depth_hwm"), total.queue_hwm);
+        for (field, n) in CONTENTION_FIELDS.iter().zip(total.counts()) {
+            reg.counter_set(&format!("{cp}.{field}"), n);
+        }
         reg.counter_set(&format!("{cp}.contended_sites"), contended);
     }
 

@@ -44,7 +44,7 @@
 //! benchmarks are single-threaded, and per-thread tables mean concurrent
 //! tests cannot corrupt each other's profiles.
 
-use crate::jsonw::JsonWriter;
+use crate::jsonw::{join, req, JsonValue, JsonWriter, Shape};
 use crate::queue::QueueStats;
 use crate::time::SimDuration;
 use std::cell::{Cell, RefCell};
@@ -390,9 +390,70 @@ impl HostStats {
         }
     }
 
-    /// Writes the `host` block's fields (the caller brackets the object).
-    /// The key set here is closed: `benchcheck` rejects unknown keys, so
-    /// schema changes must update both sides.
+    /// The `host` block [`HostStats::write_fields`] writes: closed keys,
+    /// positive rates, and the rule that the queue never popped more
+    /// events than were pushed. The observability tax may be negative
+    /// (machine noise), never non-finite.
+    pub const SHAPE: Shape = Shape::Obj(
+        &[
+            req("wall_ms", Shape::Positive),
+            req("ops_per_sec", Shape::Positive),
+            req("events_per_sec", Shape::Positive),
+            req("sim_ns_per_wall_ms", Shape::Positive),
+            req("ops", Shape::Count),
+            req("sim_ns", Shape::Count),
+            req("alloc_bytes", Shape::Count),
+            req(
+                "queue",
+                Shape::Obj(
+                    &[
+                        req("pushed", Shape::Count),
+                        req("popped", Shape::Count),
+                        req("max_depth", Shape::Count),
+                    ],
+                    None,
+                ),
+            ),
+            req(
+                "alloc",
+                Shape::Obj(
+                    &[
+                        req("allocs", Shape::Count),
+                        req("frees", Shape::Count),
+                        req("reallocs", Shape::Count),
+                        req("alloc_bytes", Shape::Count),
+                        req("freed_bytes", Shape::Count),
+                    ],
+                    None,
+                ),
+            ),
+            req(
+                "obs_tax",
+                Shape::Obj(
+                    &[
+                        req("observed_wall_ms", Shape::Positive),
+                        req("bare_wall_ms", Shape::Positive),
+                        req("overhead_pct", Shape::Number),
+                    ],
+                    None,
+                ),
+            ),
+        ],
+        Some(|h, path| {
+            let queue = |k| h.at(&["queue", k]).and_then(JsonValue::as_u64);
+            match (queue("pushed"), queue("popped")) {
+                (Some(pushed), Some(popped)) if popped > pushed => Err(format!(
+                    "{}={popped} exceeds {}={pushed}",
+                    join(path, "queue.popped"),
+                    join(path, "queue.pushed")
+                )),
+                _ => Ok(()),
+            }
+        }),
+    );
+
+    /// Writes the `host` block's fields (the caller brackets the object);
+    /// [`HostStats::SHAPE`] declares them.
     pub fn write_fields(&self, w: &mut JsonWriter) {
         w.field_f64("wall_ms", self.wall_ns as f64 / 1e6);
         w.field_f64("ops_per_sec", self.ops_per_sec());
@@ -625,5 +686,25 @@ mod tests {
         assert_eq!(host.obs_tax.overhead_pct(), 0.0);
         let tuned = host.with_bare_wall_ns(0);
         assert_eq!(tuned.obs_tax.bare_wall_ns, 1, "bare wall clamps to 1ns");
+    }
+
+    #[test]
+    fn written_block_matches_its_declaration() {
+        let queue = QueueStats {
+            pushed: 5,
+            popped: 4,
+            max_depth: 2,
+        };
+        let host = HostMeter::start()
+            .finish(10, SimDuration::from_micros(50), queue)
+            .with_bare_wall_ns(7);
+        let mut w = JsonWriter::new();
+        w.begin_obj();
+        host.write_fields(&mut w);
+        w.end_obj();
+        let v = crate::jsonw::parse(&w.finish()).expect("host block parses");
+        HostStats::SHAPE
+            .check(&v, "host")
+            .expect("writer and declaration agree");
     }
 }

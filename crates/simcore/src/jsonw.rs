@@ -14,6 +14,10 @@
 //! float can only appear as the `null` the writer substitutes, which is
 //! exactly what validators look for.
 //!
+//! [`Shape`] declares what a report block looks like, once, beside the
+//! code that writes it; [`Shape::check`] walks a parsed value against the
+//! declaration, which is how `benchcheck` and `expgen` check reports.
+//!
 //! ```
 //! use simcore::jsonw::JsonWriter;
 //!
@@ -349,6 +353,181 @@ impl JsonValue {
             JsonValue::Obj(v) => Some(v),
             _ => None,
         }
+    }
+
+    /// The elements of the array field `key` (none when it is absent or
+    /// not an array).
+    pub fn items(&self, key: &str) -> &[JsonValue] {
+        self.get(key)
+            .and_then(JsonValue::as_arr)
+            .unwrap_or_default()
+    }
+
+    /// The value at a path of object keys (`["host", "queue", "pushed"]`).
+    pub fn at(&self, path: &[&str]) -> Option<&JsonValue> {
+        path.iter().try_fold(self, |v, k| v.get(k))
+    }
+}
+
+/// An invariant of a value whose [`Shape`] already passed. It gets the
+/// value and its dotted path and returns the offending message.
+pub type Rule = fn(&JsonValue, &str) -> Result<(), String>;
+
+/// The declared shape of one report value.
+///
+/// Each report block declares its shape once, next to the code that
+/// writes it; checkers and readers walk parsed reports through that
+/// declaration with [`Shape::check`], which names the dotted path of the
+/// first mismatch (`tail.exemplars[2].stages[0].excess_ns is not a finite
+/// number`).
+#[derive(Debug, Clone, Copy)]
+pub enum Shape {
+    /// A non-negative integer.
+    Count,
+    /// A finite number, integral or not.
+    Number,
+    /// A finite number above zero.
+    Positive,
+    /// Any string.
+    Str,
+    /// `true` or `false`.
+    Bool,
+    /// A string from a closed list.
+    Label(&'static [&'static str]),
+    /// A closed object: no undeclared key and every required field
+    /// present. Its rule, if any, runs once every field passed.
+    Obj(&'static [Field], Option<Rule>),
+    /// An object keyed by exactly the listed labels.
+    Keyed(&'static [&'static str], &'static Shape),
+    /// An object with any keys.
+    Map(&'static Shape),
+    /// An array.
+    Arr(&'static Shape),
+}
+
+/// One declared field of a [`Shape::Obj`].
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    /// The key.
+    pub key: &'static str,
+    /// The value's shape.
+    pub shape: Shape,
+    /// Whether every object carries the field.
+    pub required: bool,
+}
+
+/// A field every object carries.
+pub const fn req(key: &'static str, shape: Shape) -> Field {
+    Field {
+        key,
+        shape,
+        required: true,
+    }
+}
+
+/// A field the writer emits only sometimes.
+pub const fn opt(key: &'static str, shape: Shape) -> Field {
+    Field {
+        key,
+        shape,
+        required: false,
+    }
+}
+
+/// `path.key`, or `key` at the root.
+pub fn join(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+impl Shape {
+    /// Checks `v` against this shape; `path` names `v` in the message
+    /// (`""` at the root).
+    pub fn check(&self, v: &JsonValue, path: &str) -> Result<(), String> {
+        let is = |what: &str| Err(format!("{} is {what}", subject(path)));
+        let number = v.as_f64();
+        match *self {
+            // The writer emits null for NaN/Inf: a bench leaked a
+            // non-finite float.
+            Shape::Count | Shape::Number | Shape::Positive if *v == JsonValue::Null => {
+                is("null (non-finite value)")
+            }
+            Shape::Count if v.as_u64().is_none() => is("not a non-negative integer"),
+            Shape::Number if !number.is_some_and(f64::is_finite) => is("not a finite number"),
+            Shape::Positive => match number {
+                Some(n) if n.is_finite() && n > 0.0 => Ok(()),
+                Some(n) => Err(format!("{path} = {n} is not a positive finite number")),
+                None => is("not a positive finite number"),
+            },
+            Shape::Str if v.as_str().is_none() => is("not a string"),
+            Shape::Bool if !matches!(v, JsonValue::Bool(_)) => is("not a boolean"),
+            Shape::Count | Shape::Number | Shape::Str | Shape::Bool => Ok(()),
+            Shape::Label(labels) => match v.as_str() {
+                None => is("not a string"),
+                Some(s) if labels.contains(&s) => Ok(()),
+                Some(s) => Err(format!("{path} {s:?} is outside the closed label set")),
+            },
+            Shape::Arr(each) => match v.as_arr() {
+                None => is("not an array"),
+                Some(items) => items
+                    .iter()
+                    .enumerate()
+                    .try_for_each(|(i, x)| each.check(x, &format!("{path}[{i}]"))),
+            },
+            Shape::Obj(decl, rule) => {
+                closed(fields(v, path)?, path, |k| decl.iter().any(|f| f.key == k))?;
+                for f in decl {
+                    match v.get(f.key) {
+                        Some(x) => f.shape.check(x, &join(path, f.key))?,
+                        None if f.required => {
+                            return Err(format!("{} is missing", join(path, f.key)))
+                        }
+                        None => {}
+                    }
+                }
+                rule.map_or(Ok(()), |rule| rule(v, path))
+            }
+            Shape::Keyed(labels, each) => {
+                closed(fields(v, path)?, path, |k| labels.contains(&k))?;
+                labels.iter().try_for_each(|l| match v.get(l) {
+                    Some(x) => each.check(x, &join(path, l)),
+                    None => Err(format!("{} is missing", join(path, l))),
+                })
+            }
+            Shape::Map(each) => fields(v, path)?
+                .iter()
+                .try_for_each(|(k, x)| each.check(x, &join(path, k))),
+        }
+    }
+}
+
+/// `path` as the subject of a message.
+fn subject(path: &str) -> &str {
+    if path.is_empty() {
+        "the value"
+    } else {
+        path
+    }
+}
+
+/// The fields of an object-shaped value.
+fn fields<'a>(v: &'a JsonValue, path: &str) -> Result<&'a [(String, JsonValue)], String> {
+    v.as_obj()
+        .ok_or_else(|| format!("{} is not an object", subject(path)))
+}
+
+/// Rejects the first key `declared` does not accept.
+fn closed(
+    fields: &[(String, JsonValue)],
+    path: &str,
+    declared: impl Fn(&str) -> bool,
+) -> Result<(), String> {
+    match fields.iter().find(|(k, _)| !declared(k)) {
+        Some((k, _)) => Err(format!("{} is outside the closed key set", join(path, k))),
+        None => Ok(()),
     }
 }
 
@@ -872,5 +1051,90 @@ mod tests {
     #[test]
     fn canonicalize_rejects_malformed_reports() {
         assert!(canonicalize_report("{").is_err());
+    }
+
+    #[test]
+    fn shapes_name_the_dotted_path_of_the_first_mismatch() {
+        const ROW: Shape = Shape::Obj(
+            &[req("label", Shape::Str), req("excess_ns", Shape::Number)],
+            None,
+        );
+        const BLOCK: Shape = Shape::Obj(
+            &[
+                req("n", Shape::Count),
+                opt("rate", Shape::Positive),
+                req("kind", Shape::Label(&["a", "b"])),
+                req("by", Shape::Keyed(&["x", "y"], &Shape::Count)),
+                req("any", Shape::Map(&Shape::Bool)),
+                req("rows", Shape::Arr(&ROW)),
+            ],
+            Some(|v, path| match v.get("n").and_then(JsonValue::as_u64) {
+                Some(13) => Err(format!("{path}.n is unlucky")),
+                _ => Ok(()),
+            }),
+        );
+        let ok = r#"{"n":1,"kind":"a","by":{"x":1,"y":2},"any":{"q":true},"rows":[{"label":"s","excess_ns":-3}]}"#;
+        BLOCK.check(&parse(ok).unwrap(), "blk").expect("valid");
+        for (from, to, msg) in [
+            (
+                r#""n":1"#,
+                r#""n":-1"#,
+                "blk.n is not a non-negative integer",
+            ),
+            (
+                r#""n":1"#,
+                r#""n":null"#,
+                "blk.n is null (non-finite value)",
+            ),
+            (r#""n":1,"#, "", "blk.n is missing"),
+            (r#""n":1"#, r#""n":13"#, "blk.n is unlucky"),
+            (
+                r#""n":1"#,
+                r#""n":1,"rate":0"#,
+                "blk.rate = 0 is not a positive finite number",
+            ),
+            (
+                r#""a""#,
+                r#""c""#,
+                r#"blk.kind "c" is outside the closed label set"#,
+            ),
+            (r#","y":2"#, "", "blk.by.y is missing"),
+            (
+                r#""y":2"#,
+                r#""y":2,"z":3"#,
+                "blk.by.z is outside the closed key set",
+            ),
+            ("true", "1", "blk.any.q is not a boolean"),
+            (
+                "-3",
+                r#""x""#,
+                "blk.rows[0].excess_ns is not a finite number",
+            ),
+            (
+                "-3}",
+                r#"-3,"extra":1}"#,
+                "blk.rows[0].extra is outside the closed key set",
+            ),
+            (
+                r#"[{"label":"s","excess_ns":-3}]"#,
+                "{}",
+                "blk.rows is not an array",
+            ),
+        ] {
+            let bad = parse(&ok.replacen(from, to, 1)).unwrap();
+            assert_eq!(
+                BLOCK.check(&bad, "blk"),
+                Err(msg.to_string()),
+                "{from} -> {to}"
+            );
+        }
+        assert_eq!(
+            BLOCK.check(&JsonValue::U64(3), "blk"),
+            Err("blk is not an object".into())
+        );
+        assert_eq!(
+            ROW.check(&JsonValue::Null, ""),
+            Err("the value is not an object".into())
+        );
     }
 }

@@ -59,7 +59,7 @@
 //! assert_eq!(audit.violation_count(), 0);
 //! ```
 
-use crate::jsonw::JsonWriter;
+use crate::jsonw::{join, req, JsonValue, JsonWriter, Shape};
 use crate::simtrace::{
     txn_phase_label, MetricsRegistry, TraceEvent, TraceKind, Tracer, NO_NODE, NO_OP,
 };
@@ -1036,14 +1036,14 @@ pub enum HealthState {
     Stalled = 2,
 }
 
+/// The health state labels, indexed by [`HealthState::code`]: the closed
+/// set of `health.shards[].state` in reports.
+pub const STATE_LABELS: [&str; 3] = ["healthy", "degraded", "stalled"];
+
 impl HealthState {
     /// Stable lowercase name used in JSON exports.
     pub fn label(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Degraded => "degraded",
-            HealthState::Stalled => "stalled",
-        }
+        STATE_LABELS[self as usize]
     }
 
     /// Numeric code carried in [`TraceKind::HealthBreach`] and gauges.
@@ -1186,6 +1186,39 @@ pub struct HealthSummary {
 }
 
 impl HealthSummary {
+    /// The `health` block [`HealthSummary::write_fields`] writes. Its rule:
+    /// zero invariant violations, since a violation means an auditor
+    /// watched the run break one of the paper's guarantees.
+    pub const SHAPE: Shape = Shape::Obj(
+        &[
+            req("violations", Shape::Count),
+            req("breaches", Shape::Count),
+            req(
+                "shards",
+                Shape::Arr(&Shape::Obj(
+                    &[
+                        req("shard", Shape::Count),
+                        req("state", Shape::Label(&STATE_LABELS)),
+                        req("acks", Shape::Count),
+                        req("p50_ns", Shape::Count),
+                        req("p99_ns", Shape::Count),
+                        req("breaches", Shape::Count),
+                    ],
+                    None,
+                )),
+            ),
+        ],
+        Some(
+            |h, _| match h.get("violations").and_then(JsonValue::as_u64) {
+                Some(0) => Ok(()),
+                n => Err(format!(
+                    "{} invariant violation(s) — an auditor caught the run misbehaving",
+                    n.unwrap_or_default()
+                )),
+            },
+        ),
+    );
+
     /// Writes the block as fields of an already-open JSON object.
     pub fn write_fields(&self, w: &mut JsonWriter) {
         w.field_u64("violations", self.violations);
@@ -1212,6 +1245,32 @@ impl HealthSummary {
         w.end_obj();
         w.finish()
     }
+}
+
+/// [`SeriesSummary::SHAPE`]'s rule.
+fn series_rule(se: &JsonValue, path: &str) -> Result<(), String> {
+    for (i, shard) in se.items("shards").iter().enumerate() {
+        let mut prev: Option<u64> = None;
+        for (j, p) in shard.items("points").iter().enumerate() {
+            let at = || join(path, &format!("shards[{i}].points[{j}]"));
+            let t = p
+                .get("t_ns")
+                .and_then(JsonValue::as_u64)
+                .unwrap_or_default();
+            if let Some(prev) = prev.filter(|&prev| t <= prev) {
+                return Err(format!(
+                    "{}.t_ns={t} is not strictly after the previous sample at {prev}",
+                    at()
+                ));
+            }
+            prev = Some(t);
+            let ops = p.get("ops_per_sec").and_then(JsonValue::as_f64);
+            if let Some(ops) = ops.filter(|&ops| ops < 0.0) {
+                return Err(format!("{}.ops_per_sec = {ops} is negative", at()));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One sampled point of a shard's windowed telemetry series, taken at a
@@ -1255,6 +1314,39 @@ pub struct SeriesSummary {
 }
 
 impl SeriesSummary {
+    /// The `series` block [`SeriesSummary::write_fields`] writes. Its rule:
+    /// each shard's sample times strictly increase and its rates are not
+    /// negative.
+    pub const SHAPE: Shape = Shape::Obj(
+        &[
+            req("bucket_ns", Shape::Count),
+            req(
+                "shards",
+                Shape::Arr(&Shape::Obj(
+                    &[
+                        req("shard", Shape::Count),
+                        req(
+                            "points",
+                            Shape::Arr(&Shape::Obj(
+                                &[
+                                    req("t_ns", Shape::Count),
+                                    req("ops_per_sec", Shape::Number),
+                                    req("p50_ns", Shape::Count),
+                                    req("p99_ns", Shape::Count),
+                                    req("inflight", Shape::Count),
+                                    req("pen", Shape::Count),
+                                ],
+                                None,
+                            )),
+                        ),
+                    ],
+                    None,
+                )),
+            ),
+        ],
+        Some(series_rule),
+    );
+
     /// Writes the block as fields of an already-open JSON object.
     pub fn write_fields(&self, w: &mut JsonWriter) {
         w.field_u64("bucket_ns", self.bucket.as_nanos());
@@ -2360,5 +2452,44 @@ mod tests {
         assert_eq!(vs.len(), 2);
         assert!(vs[0].detail.contains("already held by txn 1"));
         assert!(vs[1].detail.contains("without"));
+    }
+
+    #[test]
+    fn written_blocks_match_their_declarations() {
+        let us = SimDuration::from_micros;
+        let health = HealthSummary {
+            violations: 0,
+            breaches: 1,
+            shards: vec![ShardHealth {
+                shard: 0,
+                state: HealthState::Degraded,
+                acks: 2,
+                p50: us(5),
+                p99: us(7),
+                breaches: 1,
+            }],
+        };
+        let point = |t: u64, inflight| SeriesPoint {
+            at: SimTime::from_nanos(t),
+            ops_per_sec: 1.5,
+            p50: us(5),
+            p99: us(7),
+            inflight,
+            pen: 0,
+        };
+        let series = SeriesSummary {
+            bucket: us(50),
+            shards: vec![MetricSeries {
+                shard: 0,
+                points: vec![point(1_000, 2), point(2_000, 0)],
+            }],
+        };
+        for (json, shape, path) in [
+            (health.to_json(), HealthSummary::SHAPE, "health"),
+            (series.to_json(), SeriesSummary::SHAPE, "series"),
+        ] {
+            let v = crate::jsonw::parse(&json).expect("block parses");
+            shape.check(&v, path).expect("writer and declaration agree");
+        }
     }
 }

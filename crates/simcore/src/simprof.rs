@@ -19,7 +19,7 @@
 //! Everything here is deterministic: same events in, byte-identical text
 //! out (BTreeMap iteration everywhere, integer nanosecond arithmetic).
 
-use crate::jsonw::JsonWriter;
+use crate::jsonw::{opt, req, JsonValue, JsonWriter, Shape};
 use crate::simtrace::{
     kind_label, ts_us, txn_mode_label, txn_phase_label, write_chrome_events, MetricsRegistry,
     OpEvents, OpIndex, TraceEvent, TraceKind, KIND_COUNT, TXN_PHASE_BACKOFF,
@@ -151,6 +151,22 @@ impl StageAttribution {
         Some((sig.as_str(), n as f64 / self.ops.max(1) as f64))
     }
 
+    /// The `stage_attribution` block [`StageAttribution::write_fields`]
+    /// writes; the stage means tile the mean end-to-end latency.
+    pub const SHAPE: Shape = Shape::Obj(
+        &[
+            req("ops", Shape::Count),
+            req("truncated", Shape::Count),
+            req("e2e_total_ns", Shape::Count),
+            req("mean_e2e_ns", Shape::Number),
+            req("stage_mean_sum_ns", Shape::Number),
+            req("e2e", E2E),
+            req("stages", ROWS),
+            opt("dominant_path", DOMINANT_PATH),
+        ],
+        Some(|att, path| tiles(att, path, "stage_mean_sum_ns")),
+    );
+
     /// Writes the attribution as fields of an already-open JSON object:
     /// op counts, the e2e summary, the per-stage table (count, total,
     /// mean, p99, share-of-e2e) and the dominant path.
@@ -160,34 +176,13 @@ impl StageAttribution {
         w.field_u64("e2e_total_ns", self.e2e_total_ns);
         w.field_f64("mean_e2e_ns", self.mean_e2e_ns());
         w.field_f64("stage_mean_sum_ns", self.stage_mean_sum_ns());
-        let s = self.e2e.summary();
-        w.begin_obj_field("e2e");
-        w.field_u64("count", s.count);
-        w.field_u64("mean_ns", s.mean.as_nanos());
-        w.field_u64("p50_ns", s.p50.as_nanos());
-        w.field_u64("p99_ns", s.p99.as_nanos());
-        w.field_u64("max_ns", s.max.as_nanos());
-        w.end_obj();
-        w.begin_obj_field("stages");
-        for (label, agg) in &self.stages {
-            w.begin_obj_field(label);
-            w.field_u64("count", agg.count);
-            w.field_u64("total_ns", agg.total_ns);
-            w.field_f64("mean_ns", agg.total_ns as f64 / agg.count.max(1) as f64);
-            w.field_u64("p99_ns", agg.hist.p99().as_nanos());
-            w.field_f64(
-                "share",
-                agg.total_ns as f64 / self.e2e_total_ns.max(1) as f64,
-            );
-            w.end_obj();
-        }
-        w.end_obj();
-        if let Some((sig, share)) = self.dominant_path() {
-            w.begin_obj_field("dominant_path");
-            w.field_str("signature", sig);
-            w.field_f64("share", share);
-            w.end_obj();
-        }
+        write_table(
+            w,
+            &self.e2e,
+            self.e2e_total_ns,
+            ("stages", &self.stages),
+            self.dominant_path(),
+        );
     }
 
     /// The attribution as a standalone JSON object string.
@@ -197,6 +192,85 @@ impl StageAttribution {
         self.write_fields(&mut w);
         w.end_obj();
         w.finish()
+    }
+}
+
+/// The `e2e` summary of both attribution blocks.
+const E2E: Shape = Shape::Obj(
+    &[
+        req("count", Shape::Count),
+        req("mean_ns", Shape::Count),
+        req("p50_ns", Shape::Count),
+        req("p99_ns", Shape::Count),
+        req("max_ns", Shape::Count),
+    ],
+    None,
+);
+
+/// The per-stage (or per-phase) table of both attribution blocks.
+const ROWS: Shape = Shape::Map(&Shape::Obj(
+    &[
+        req("count", Shape::Count),
+        req("total_ns", Shape::Count),
+        req("mean_ns", Shape::Number),
+        req("p99_ns", Shape::Count),
+        req("share", Shape::Number),
+    ],
+    None,
+));
+
+/// The most common stage (or phase) signature and its share.
+const DOMINANT_PATH: Shape = Shape::Obj(
+    &[req("signature", Shape::Str), req("share", Shape::Number)],
+    None,
+);
+
+/// Both attribution blocks' rule: the per-row mean contributions, summed
+/// in `sum_key`, tile `mean_e2e_ns` within 1 ns.
+fn tiles(att: &JsonValue, path: &str, sum_key: &str) -> Result<(), String> {
+    let num = |k| att.get(k).and_then(JsonValue::as_f64).unwrap_or_default();
+    let (mean, sum) = (num("mean_e2e_ns"), num(sum_key));
+    if (mean - sum).abs() > 1.0 {
+        return Err(format!(
+            "{path} means do not tile e2e: mean_e2e_ns={mean} vs {sum_key}={sum}"
+        ));
+    }
+    Ok(())
+}
+
+/// Writes the part both attribution blocks share: the `e2e` summary, the
+/// per-row table under `rows.0` and the dominant path.
+fn write_table(
+    w: &mut JsonWriter,
+    e2e: &Histogram,
+    e2e_total_ns: u64,
+    rows: (&str, &BTreeMap<String, StageAgg>),
+    dominant: Option<(&str, f64)>,
+) {
+    let s = e2e.summary();
+    w.begin_obj_field("e2e");
+    w.field_u64("count", s.count);
+    w.field_u64("mean_ns", s.mean.as_nanos());
+    w.field_u64("p50_ns", s.p50.as_nanos());
+    w.field_u64("p99_ns", s.p99.as_nanos());
+    w.field_u64("max_ns", s.max.as_nanos());
+    w.end_obj();
+    w.begin_obj_field(rows.0);
+    for (label, agg) in rows.1 {
+        w.begin_obj_field(label);
+        w.field_u64("count", agg.count);
+        w.field_u64("total_ns", agg.total_ns);
+        w.field_f64("mean_ns", agg.total_ns as f64 / agg.count.max(1) as f64);
+        w.field_u64("p99_ns", agg.hist.p99().as_nanos());
+        w.field_f64("share", agg.total_ns as f64 / e2e_total_ns.max(1) as f64);
+        w.end_obj();
+    }
+    w.end_obj();
+    if let Some((sig, share)) = dominant {
+        w.begin_obj_field("dominant_path");
+        w.field_str("signature", sig);
+        w.field_f64("share", share);
+        w.end_obj();
     }
 }
 
@@ -606,6 +680,24 @@ impl TxnAttribution {
         Some((sig.as_str(), n as f64 / self.txns.max(1) as f64))
     }
 
+    /// The `txn_breakdown` block [`TxnAttribution::write_fields`] writes:
+    /// [`StageAttribution::SHAPE`]'s layout over phases, whose means tile
+    /// the mean commit latency.
+    pub const SHAPE: Shape = Shape::Obj(
+        &[
+            req("txns", Shape::Count),
+            req("truncated", Shape::Count),
+            req("linked_ops", Shape::Count),
+            req("e2e_total_ns", Shape::Count),
+            req("mean_e2e_ns", Shape::Number),
+            req("phase_mean_sum_ns", Shape::Number),
+            req("e2e", E2E),
+            req("phases", ROWS),
+            opt("dominant_path", DOMINANT_PATH),
+        ],
+        Some(|att, path| tiles(att, path, "phase_mean_sum_ns")),
+    );
+
     /// Writes the breakdown as fields of an already-open JSON object,
     /// mirroring [`StageAttribution::write_fields`].
     pub fn write_fields(&self, w: &mut JsonWriter) {
@@ -615,34 +707,13 @@ impl TxnAttribution {
         w.field_u64("e2e_total_ns", self.e2e_total_ns);
         w.field_f64("mean_e2e_ns", self.mean_e2e_ns());
         w.field_f64("phase_mean_sum_ns", self.phase_mean_sum_ns());
-        let s = self.e2e.summary();
-        w.begin_obj_field("e2e");
-        w.field_u64("count", s.count);
-        w.field_u64("mean_ns", s.mean.as_nanos());
-        w.field_u64("p50_ns", s.p50.as_nanos());
-        w.field_u64("p99_ns", s.p99.as_nanos());
-        w.field_u64("max_ns", s.max.as_nanos());
-        w.end_obj();
-        w.begin_obj_field("phases");
-        for (label, agg) in &self.phases {
-            w.begin_obj_field(label);
-            w.field_u64("count", agg.count);
-            w.field_u64("total_ns", agg.total_ns);
-            w.field_f64("mean_ns", agg.total_ns as f64 / agg.count.max(1) as f64);
-            w.field_u64("p99_ns", agg.hist.p99().as_nanos());
-            w.field_f64(
-                "share",
-                agg.total_ns as f64 / self.e2e_total_ns.max(1) as f64,
-            );
-            w.end_obj();
-        }
-        w.end_obj();
-        if let Some((sig, share)) = self.dominant_path() {
-            w.begin_obj_field("dominant_path");
-            w.field_str("signature", sig);
-            w.field_f64("share", share);
-            w.end_obj();
-        }
+        write_table(
+            w,
+            &self.e2e,
+            self.e2e_total_ns,
+            ("phases", &self.phases),
+            self.dominant_path(),
+        );
     }
 
     /// The breakdown as a standalone JSON object string.
@@ -1041,5 +1112,26 @@ mod tests {
         assert!(!a.contains("\"name\":\"txn_phase_begin\""));
         // The tagged op's instant stream survives untouched.
         assert!(a.contains("\"name\":\"txn_op\""));
+    }
+
+    #[test]
+    fn written_blocks_match_their_declarations() {
+        let stage = StageAttribution::from_events(&stream());
+        let txn = TxnAttribution::from_events(&txn_stream());
+        for (json, shape, path) in [
+            (
+                stage.to_json(),
+                StageAttribution::SHAPE,
+                "stage_attribution",
+            ),
+            (txn.to_json(), TxnAttribution::SHAPE, "txn_breakdown"),
+        ] {
+            let v = crate::jsonw::parse(&json).expect("block parses");
+            assert!(
+                v.get("dominant_path").is_some(),
+                "{path} lacks the optional field"
+            );
+            shape.check(&v, path).expect("writer and declaration agree");
+        }
     }
 }

@@ -47,7 +47,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::jsonw::JsonWriter;
+use crate::jsonw::{join, req, JsonValue, JsonWriter, Shape};
 use crate::simaudit::op_id_parts;
 use crate::simprof::{issue_ack_window, phase_parts, txn_index};
 use crate::simtrace::{
@@ -221,6 +221,78 @@ pub struct TailProfile {
     /// The ≤ [`MAX_EXEMPLARS`] slowest tail ops, slowest first (ties
     /// broken by ascending op id).
     pub exemplars: Vec<TailExemplar>,
+}
+
+/// [`TailProfile::SHAPE`]'s rule.
+fn tail_rule(t: &JsonValue, path: &str) -> Result<(), String> {
+    let count = |v: &JsonValue, k| v.get(k).and_then(JsonValue::as_u64).unwrap_or_default();
+    let num = |v: &JsonValue, k| v.get(k).and_then(JsonValue::as_f64).unwrap_or_default();
+    let at = |k: &str| join(path, k);
+    let (ops, tail_ops) = (count(t, "ops"), count(t, "tail_ops"));
+    let (p99, median) = (count(t, "p99_ns"), count(t, "median_e2e_ns"));
+    if tail_ops > ops {
+        return Err(format!(
+            "{}={tail_ops} exceeds {}={ops}",
+            at("tail_ops"),
+            at("ops")
+        ));
+    }
+    let causes = t
+        .get("causes")
+        .and_then(JsonValue::as_obj)
+        .unwrap_or_default();
+    let cause_sum: u64 = causes.iter().filter_map(|(_, n)| n.as_u64()).sum();
+    if cause_sum != tail_ops {
+        return Err(format!(
+            "{}.* sum to {cause_sum} but {}={tail_ops} — a tail op escaped root-cause \
+             attribution",
+            at("causes"),
+            at("tail_ops")
+        ));
+    }
+    let exemplars = t.items("exemplars");
+    if exemplars.len() as u64 > tail_ops {
+        return Err(format!(
+            "{path} carries {} exemplars for {tail_ops} tail ops",
+            exemplars.len()
+        ));
+    }
+    let mut prev = u64::MAX;
+    for (i, ex) in exemplars.iter().enumerate() {
+        let what = at(&format!("exemplars[{i}]"));
+        let e2e = count(ex, "e2e_ns");
+        if e2e < p99 {
+            return Err(format!(
+                "{what}.e2e_ns={e2e} is below {}={p99}",
+                at("p99_ns")
+            ));
+        }
+        if e2e <= median {
+            return Err(format!(
+                "{what}.e2e_ns={e2e} does not exceed {}={median}",
+                at("median_e2e_ns")
+            ));
+        }
+        if e2e > prev {
+            return Err(format!("{what} is out of slowest-first order"));
+        }
+        prev = e2e;
+        let (excess, residual) = (num(ex, "excess_ns"), num(ex, "residual_ns"));
+        let expect = e2e as f64 - median as f64;
+        if (excess - expect).abs() > 1.0 {
+            return Err(format!(
+                "{what}.excess_ns={excess} but e2e_ns − median_e2e_ns = {expect}"
+            ));
+        }
+        let explained: f64 = ex.items("stages").iter().map(|s| num(s, "excess_ns")).sum();
+        if (explained + residual - excess).abs() > 1.0 {
+            return Err(format!(
+                "{what} stage excesses ({explained}) + residual ({residual}) do not tile \
+                 excess_ns ({excess})"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Exact quantile over a sorted latency vector: index `ceil(q·n) − 1`
@@ -492,10 +564,59 @@ impl TailProfile {
             .map_or(0, |(_, n)| *n)
     }
 
+    /// The scenario-report `tail` block [`TailProfile::write_fields`]
+    /// writes. Its rule: the causes sum to `tail_ops`, and every exemplar
+    /// is a tail op (at or beyond `p99_ns`, above the median), slowest
+    /// first, whose stage excesses plus residual tile its excess within
+    /// 1 ns.
+    pub const SHAPE: Shape = Shape::Obj(
+        &[
+            req("ops", Shape::Count),
+            req("tail_ops", Shape::Count),
+            req("p99_ns", Shape::Count),
+            req("median_e2e_ns", Shape::Count),
+            req("causes", Shape::Keyed(&CAUSE_LABELS, &Shape::Count)),
+            req(
+                "exemplars",
+                Shape::Arr(&Shape::Obj(
+                    &[
+                        req("op", Shape::Count),
+                        req("shard", Shape::Count),
+                        req("start_ns", Shape::Count),
+                        req("e2e_ns", Shape::Count),
+                        req("excess_ns", Shape::Number),
+                        req("cause", Shape::Label(&CAUSE_LABELS)),
+                        req("cause_arg", Shape::Count),
+                        req(
+                            "stages",
+                            Shape::Arr(&Shape::Obj(
+                                &[
+                                    req("label", Shape::Str),
+                                    req("actual_ns", Shape::Count),
+                                    req("median_ns", Shape::Count),
+                                    req("excess_ns", Shape::Number),
+                                ],
+                                None,
+                            )),
+                        ),
+                        req("residual_ns", Shape::Number),
+                    ],
+                    None,
+                )),
+            ),
+        ],
+        Some(tail_rule),
+    );
+
     /// Writes the scenario-report `tail` block as fields of an
-    /// already-open JSON object (closed key set; span trees are left to
-    /// [`TailProfile::to_artifact_json`]).
+    /// already-open JSON object ([`TailProfile::SHAPE`]; span trees are
+    /// left to [`TailProfile::to_artifact_json`]).
     pub fn write_fields(&self, w: &mut JsonWriter) {
+        self.write_block(w, false);
+    }
+
+    /// The block's fields, with each exemplar's span tree when `spans`.
+    fn write_block(&self, w: &mut JsonWriter, spans: bool) {
         w.field_u64("ops", self.ops);
         w.field_u64("tail_ops", self.tail_ops);
         w.field_u64("p99_ns", self.p99_ns);
@@ -508,31 +629,32 @@ impl TailProfile {
         w.begin_arr_field("exemplars");
         for ex in &self.exemplars {
             w.begin_obj();
-            self.write_exemplar_fields(w, ex);
+            w.field_u64("op", ex.op);
+            w.field_u64("shard", ex.shard as u64);
+            w.field_u64("start_ns", ex.start.as_nanos());
+            w.field_u64("e2e_ns", ex.e2e.as_nanos());
+            w.field_i64("excess_ns", ex.excess_ns);
+            w.field_str("cause", ex.cause.label());
+            w.field_u64("cause_arg", ex.cause.arg());
+            w.begin_arr_field("stages");
+            for s in &ex.stages {
+                w.begin_obj();
+                w.field_str("label", &s.label);
+                w.field_u64("actual_ns", s.actual_ns);
+                w.field_u64("median_ns", s.median_ns);
+                w.field_i64("excess_ns", s.excess_ns);
+                w.end_obj();
+            }
+            w.end_arr();
+            w.field_i64("residual_ns", ex.residual_ns);
+            if let Some(span) = ex.span.as_ref().filter(|_| spans) {
+                w.begin_obj_field("span");
+                write_span(w, span);
+                w.end_obj();
+            }
             w.end_obj();
         }
         w.end_arr();
-    }
-
-    fn write_exemplar_fields(&self, w: &mut JsonWriter, ex: &TailExemplar) {
-        w.field_u64("op", ex.op);
-        w.field_u64("shard", ex.shard as u64);
-        w.field_u64("start_ns", ex.start.as_nanos());
-        w.field_u64("e2e_ns", ex.e2e.as_nanos());
-        w.field_i64("excess_ns", ex.excess_ns);
-        w.field_str("cause", ex.cause.label());
-        w.field_u64("cause_arg", ex.cause.arg());
-        w.begin_arr_field("stages");
-        for s in &ex.stages {
-            w.begin_obj();
-            w.field_str("label", &s.label);
-            w.field_u64("actual_ns", s.actual_ns);
-            w.field_u64("median_ns", s.median_ns);
-            w.field_i64("excess_ns", s.excess_ns);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.field_i64("residual_ns", ex.residual_ns);
     }
 
     /// The block as a standalone JSON object string.
@@ -550,27 +672,7 @@ impl TailProfile {
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.field_str("scenario", scenario);
-        w.field_u64("ops", self.ops);
-        w.field_u64("tail_ops", self.tail_ops);
-        w.field_u64("p99_ns", self.p99_ns);
-        w.field_u64("median_e2e_ns", self.median_e2e_ns);
-        w.begin_obj_field("causes");
-        for (label, n) in &self.causes {
-            w.field_u64(label, *n);
-        }
-        w.end_obj();
-        w.begin_arr_field("exemplars");
-        for ex in &self.exemplars {
-            w.begin_obj();
-            self.write_exemplar_fields(&mut w, ex);
-            if let Some(span) = &ex.span {
-                w.begin_obj_field("span");
-                write_span(&mut w, span);
-                w.end_obj();
-            }
-            w.end_obj();
-        }
-        w.end_arr();
+        self.write_block(&mut w, true);
         w.end_obj();
         w.finish()
     }
@@ -908,5 +1010,25 @@ mod tests {
         let artifact = p.to_artifact_json("test");
         assert!(crate::jsonw::parse(&artifact).is_ok());
         assert!(artifact.contains("\"span\""));
+    }
+
+    #[test]
+    fn written_block_matches_its_declaration() {
+        let tr = Tracer::enabled(1 << 14);
+        base_population(&tr, 0, 99);
+        let slow = crate::simaudit::op_id_base(0, 0) | 990;
+        emit_op(
+            &tr,
+            slow,
+            2_000_000,
+            &[(1, 2_000_400), (2, 2_050_000)],
+            2_050_200,
+        );
+        let p = TailProfile::from_events(&tr.events());
+        assert!(!p.exemplars.is_empty() && !p.exemplars[0].stages.is_empty());
+        let v = crate::jsonw::parse(&p.to_json()).expect("tail block parses");
+        TailProfile::SHAPE
+            .check(&v, "tail")
+            .expect("writer and declaration agree");
     }
 }
