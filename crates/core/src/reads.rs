@@ -114,12 +114,6 @@ impl ReplicaReader {
         }
     }
 
-    /// Replaces the retry backoff (e.g. to desynchronize several readers
-    /// sharing one client node with distinct seeds).
-    pub fn set_backoff(&mut self, backoff: LockBackoff) {
-        self.backoff = backoff;
-    }
-
     /// Reads currently in flight.
     pub fn in_flight(&self) -> usize {
         self.pending.len()

@@ -186,7 +186,6 @@ pub struct ShardSet<T: GroupTransport> {
     epochs: Vec<u64>,
     paused: Vec<bool>,
     pens: Vec<VecDeque<GroupOp>>,
-    pen_capacity: usize,
     migrations: Vec<Option<MigrationStats>>,
     /// Reusable fan-in buffer for [`ShardSet::poll_shard_into`].
     ack_scratch: Vec<GroupAck>,
@@ -210,7 +209,6 @@ impl<T: GroupTransport> ShardSet<T> {
             epochs: vec![0; n],
             paused: vec![false; n],
             pens: (0..n).map(|_| VecDeque::new()).collect(),
-            pen_capacity: DEFAULT_PEN_CAPACITY,
             migrations: vec![None; n],
             ack_scratch: Vec::new(),
         }
@@ -424,30 +422,15 @@ impl<T: GroupTransport> ShardSet<T> {
         self.epochs[id.0 as usize]
     }
 
-    /// True while shard `id` is paused for migration.
-    pub fn is_paused(&self, id: ShardId) -> bool {
-        self.paused[id.0 as usize]
-    }
-
     /// Ops parked in shard `id`'s holding pen.
     pub fn pen_len(&self, id: ShardId) -> usize {
         self.pens[id.0 as usize].len()
     }
 
     /// The bound every shard's holding pen enforces
-    /// ([`DEFAULT_PEN_CAPACITY`] unless re-bounded).
+    /// ([`DEFAULT_PEN_CAPACITY`]).
     pub fn pen_capacity(&self) -> usize {
-        self.pen_capacity
-    }
-
-    /// Re-bounds every shard's holding pen.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn set_pen_capacity(&mut self, capacity: usize) {
-        assert!(capacity > 0, "holding pen needs room for at least one op");
-        self.pen_capacity = capacity;
+        DEFAULT_PEN_CAPACITY
     }
 
     /// Opens the migration pause window on shard `id`: the shard stops
@@ -479,7 +462,7 @@ impl<T: GroupTransport> ShardSet<T> {
     pub fn defer_on(&mut self, id: ShardId, op: GroupOp) -> Result<(), GroupError> {
         let i = id.0 as usize;
         assert!(self.paused[i], "deferring onto unpaused {id}");
-        if self.pens[i].len() >= self.pen_capacity {
+        if self.pens[i].len() >= DEFAULT_PEN_CAPACITY {
             return Err(GroupError::WindowFull);
         }
         self.pens[i].push_back(op);

@@ -146,11 +146,6 @@ impl Txn {
         self.writes.push((site, offset, data));
     }
 
-    /// Number of distinct read sites recorded.
-    pub fn read_count(&self) -> usize {
-        self.reads.len()
-    }
-
     /// Number of buffered writes.
     pub fn write_count(&self) -> usize {
         self.writes.len()

@@ -158,17 +158,6 @@ impl ReplicatedWal {
         self.layout.db_offset + self.layout.db_size
     }
 
-    /// Live (appended, not yet truncated) bytes in the log ring — the
-    /// head..tail span a migration's tail replay is bounded by.
-    pub fn live_log_bytes(&self) -> u64 {
-        self.ring.used()
-    }
-
-    /// Next transaction id to be assigned.
-    pub fn next_tx_id(&self) -> u64 {
-        self.next_tx
-    }
-
     /// Appends a transaction: encodes the redo record and replicates it
     /// durably into every replica's log with one gWRITE+gFLUSH.
     ///

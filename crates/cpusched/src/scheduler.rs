@@ -111,16 +111,6 @@ impl CpuScheduler {
         self.trace_node = node;
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> u32 {
-        self.cores.len() as u32
-    }
-
-    /// Number of processes.
-    pub fn proc_count(&self) -> u32 {
-        self.procs.len() as u32
-    }
-
     /// Tasks waiting on run queues right now, summed across all cores
     /// (excludes the tasks currently running). A point-in-time depth for
     /// counter-track sampling.

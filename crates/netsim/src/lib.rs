@@ -28,7 +28,6 @@
 
 use simcore::simtrace::{TraceKind, NO_OP};
 use simcore::{MetricsRegistry, SimDuration, SimRng, SimTime, Tracer};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies a machine on the fabric.
@@ -95,9 +94,11 @@ pub struct Network {
     egress_free: Vec<SimTime>,
     /// When each node's ingress port finishes its current reception.
     ingress_free: Vec<SimTime>,
-    /// Latest delivery time so far on each directed pair (FIFO clamp).
-    channel_clock: HashMap<(NodeId, NodeId), SimTime>,
-    stats: HashMap<(NodeId, NodeId), LinkStats>,
+    /// Latest delivery time so far on each directed pair (FIFO clamp),
+    /// indexed by [`Network::pair`].
+    channel_clock: Vec<SimTime>,
+    /// Traffic per directed pair, indexed by [`Network::pair`].
+    stats: Vec<LinkStats>,
     tracer: Tracer,
 }
 
@@ -109,15 +110,21 @@ impl Network {
     /// Panics if `nodes == 0`.
     pub fn new(nodes: u32, config: FabricConfig) -> Self {
         assert!(nodes > 0, "network must have at least one node");
+        let pairs = nodes as usize * nodes as usize;
         Network {
             nodes,
             config,
             egress_free: vec![SimTime::ZERO; nodes as usize],
             ingress_free: vec![SimTime::ZERO; nodes as usize],
-            channel_clock: HashMap::new(),
-            stats: HashMap::new(),
+            channel_clock: vec![SimTime::ZERO; pairs],
+            stats: vec![LinkStats::default(); pairs],
             tracer: Tracer::disabled(),
         }
+    }
+
+    /// Index of the directed pair `src -> dst` in the per-pair tables.
+    fn pair(&self, src: NodeId, dst: NodeId) -> usize {
+        src.0 as usize * self.nodes as usize + dst.0 as usize
     }
 
     /// Installs a trace sink; link enqueue/deliver events will be emitted.
@@ -175,7 +182,8 @@ impl Network {
             src.0 < self.nodes && dst.0 < self.nodes,
             "node out of range"
         );
-        let st = self.stats.entry((src, dst)).or_default();
+        let pair = self.pair(src, dst);
+        let st = &mut self.stats[pair];
         st.messages += 1;
         st.bytes += bytes;
         self.tracer.emit(
@@ -217,10 +225,7 @@ impl Network {
         let arrival = finish_tx + tail.mul_f64(jitter);
 
         // FIFO per directed pair: never deliver before an earlier message.
-        let clock = self
-            .channel_clock
-            .entry((src, dst))
-            .or_insert(SimTime::ZERO);
+        let clock = &mut self.channel_clock[pair];
         let ordered = arrival.max(*clock + SimDuration::from_nanos(1));
         *clock = ordered;
         self.tracer.emit(
@@ -235,24 +240,33 @@ impl Network {
         ordered
     }
 
-    /// Traffic carried on a directed pair so far.
+    /// Traffic carried on a directed pair so far (none for a node id out
+    /// of range).
     pub fn link_stats(&self, src: NodeId, dst: NodeId) -> LinkStats {
-        self.stats.get(&(src, dst)).copied().unwrap_or_default()
+        if src.0 < self.nodes && dst.0 < self.nodes {
+            self.stats[self.pair(src, dst)]
+        } else {
+            LinkStats::default()
+        }
     }
 
     /// Total bytes carried across the whole fabric.
     pub fn total_bytes(&self) -> u64 {
-        self.stats.values().map(|s| s.bytes).sum()
+        self.stats.iter().map(|s| s.bytes).sum()
     }
 
     /// Snapshots link statistics into a [`MetricsRegistry`] under `prefix`:
-    /// fabric-wide totals plus per-directed-pair message/byte counters.
+    /// fabric-wide totals plus message/byte counters for every directed
+    /// pair that has carried a message, in `(src, dst)` order.
     pub fn export_into(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let mut pairs: Vec<_> = self.stats.iter().collect();
-        pairs.sort_by_key(|(k, _)| **k);
         let mut messages = 0;
         let mut bytes = 0;
-        for ((src, dst), st) in pairs {
+        for (i, st) in self.stats.iter().enumerate() {
+            if st.messages == 0 {
+                continue;
+            }
+            let n = self.nodes as usize;
+            let (src, dst) = (NodeId((i / n) as u32), NodeId((i % n) as u32));
             messages += st.messages;
             bytes += st.bytes;
             reg.counter_set(&format!("{prefix}.link.{src}_{dst}.messages"), st.messages);
@@ -404,6 +418,36 @@ mod tests {
             back.since(SimTime::ZERO) < SimDuration::from_micros(5),
             "full duplex violated"
         );
+    }
+
+    #[test]
+    fn export_lists_exactly_the_pairs_that_carried_messages() {
+        let mut net = Network::new(12, FabricConfig::default());
+        let mut rng = SimRng::new(5);
+        for (src, dst, bytes) in [(11, 2, 40), (0, 1, 100), (11, 2, 60), (3, 3, 8), (2, 11, 0)] {
+            net.deliver_at(NodeId(src), NodeId(dst), bytes, SimTime::ZERO, &mut rng);
+        }
+        let mut reg = MetricsRegistry::new();
+        net.export_into(&mut reg, "net");
+        let counters: Vec<(&str, u64)> = reg.counters().collect();
+        assert_eq!(
+            counters,
+            [
+                ("net.bytes", 208),
+                ("net.link.node0_node1.bytes", 100),
+                ("net.link.node0_node1.messages", 1),
+                ("net.link.node11_node2.bytes", 100),
+                ("net.link.node11_node2.messages", 2),
+                ("net.link.node2_node11.bytes", 0),
+                ("net.link.node2_node11.messages", 1),
+                ("net.link.node3_node3.bytes", 8),
+                ("net.link.node3_node3.messages", 1),
+                ("net.messages", 5),
+            ]
+        );
+        assert_eq!(net.link_stats(NodeId(11), NodeId(2)).messages, 2);
+        assert_eq!(net.link_stats(NodeId(1), NodeId(0)), LinkStats::default());
+        assert_eq!(net.link_stats(NodeId(12), NodeId(0)), LinkStats::default());
     }
 
     #[test]

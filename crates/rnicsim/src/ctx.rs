@@ -33,16 +33,6 @@ impl<'a> NicCtx<'a> {
         NicCtx { fab, now, out }
     }
 
-    /// Reborrows the context for a nested call that needs ownership of a
-    /// `NicCtx` value rather than a `&mut` to this one.
-    pub fn reborrow(&mut self) -> NicCtx<'_> {
-        NicCtx {
-            fab: self.fab,
-            now: self.now,
-            out: self.out,
-        }
-    }
-
     /// Posts a send-side WQE at the context instant
     /// (see [`RdmaFabric::post_send`]).
     pub fn post_send(&mut self, node: NodeId, qp: QpId, wqe: Wqe) -> u64 {

@@ -16,13 +16,13 @@
 use crate::payload::{self, Payload};
 use crate::types::{
     wqe_flags, CqId, Cqe, CqeStatus, FabricStats, Message, MrId, NicConfig, NicEffect, NicEvent,
-    Opcode, QpId, RecvWqe, SrqId, Wqe, WQE_SIZE,
+    Opcode, QpId, RecvWqe, SrqId, Wqe, SQ_SLOTS, WQE_SIZE,
 };
 use netsim::{FabricConfig, Network, NodeId};
 use nvmsim::NvmDevice;
 use simcore::simtrace::{TraceKind, NO_OP};
 use simcore::{MetricsRegistry, Outbox, SimDuration, SimRng, SimTime, Tracer};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 #[derive(Debug)]
 struct PendingCompletion {
@@ -34,13 +34,52 @@ struct PendingCompletion {
     resp_dst: u64,
 }
 
+/// A QP's requests awaiting their ack or response, by sequence number.
+///
+/// Sequence numbers are issued in order, so slot `seq - base` holds
+/// request `seq` until it completes. Completions may arrive in any order;
+/// settled slots are dropped from the front, so a request that waits long
+/// (a SEND stashed for want of a RECV) keeps one slot per later request
+/// until it completes. A stale or duplicate sequence number finds no
+/// slot.
+#[derive(Debug, Default)]
+struct PendingAcks {
+    base: u64,
+    slots: VecDeque<Option<PendingCompletion>>,
+}
+
+impl PendingAcks {
+    /// Records a new request and returns its sequence number.
+    fn push(&mut self, p: PendingCompletion) -> u64 {
+        self.slots.push_back(Some(p));
+        self.base + self.slots.len() as u64 - 1
+    }
+
+    fn slot(&self, seq: u64) -> Option<usize> {
+        usize::try_from(seq.checked_sub(self.base)?).ok()
+    }
+
+    fn get(&self, seq: u64) -> Option<&PendingCompletion> {
+        self.slots.get(self.slot(seq)?)?.as_ref()
+    }
+
+    fn remove(&mut self, seq: u64) -> Option<PendingCompletion> {
+        let i = self.slot(seq)?;
+        let p = self.slots.get_mut(i)?.take()?;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(p)
+    }
+}
+
 #[derive(Debug)]
 struct QueuePair {
     peer: Option<(NodeId, QpId)>,
     /// When set, receives come from this shared pool instead of `recvs`.
     srq: Option<SrqId>,
     sq_base: u64,
-    sq_slots: u32,
     /// Monotone counter of the next slot to execute.
     sq_head: u64,
     /// Monotone counter of the next slot to post into.
@@ -52,8 +91,7 @@ struct QueuePair {
     pending_rx: VecDeque<Message>,
     inflight: u32,
     outstanding_reads: u32,
-    next_seq: u64,
-    pending_acks: HashMap<u64, PendingCompletion>,
+    pending_acks: PendingAcks,
     engine_scheduled: bool,
     parked_on_cq: Option<CqId>,
 }
@@ -170,11 +208,6 @@ impl RdmaFabric {
         self.stats
     }
 
-    /// Total bytes carried by the network so far.
-    pub fn network_bytes(&self) -> u64 {
-        self.net.total_bytes()
-    }
-
     /// Direct access to a node's memory device (host/CPU view).
     ///
     /// # Panics
@@ -287,15 +320,13 @@ impl RdmaFabric {
 
     /// Creates a queue pair whose send ring lives in the node's memory.
     pub fn create_qp(&mut self, node: NodeId, send_cq: CqId, recv_cq: CqId) -> QpId {
-        let slots = self.config.sq_slots;
-        let sq_base = self.alloc(node, slots as u64 * WQE_SIZE);
+        let sq_base = self.alloc(node, SQ_SLOTS * WQE_SIZE);
         let n = &mut self.nodes[node.0 as usize];
         assert!(send_cq.0 < n.cqs.len() as u32 && recv_cq.0 < n.cqs.len() as u32);
         n.qps.push(QueuePair {
             peer: None,
             srq: None,
             sq_base,
-            sq_slots: slots,
             sq_head: 0,
             sq_tail: 0,
             send_cq,
@@ -304,8 +335,7 @@ impl RdmaFabric {
             pending_rx: VecDeque::new(),
             inflight: 0,
             outstanding_reads: 0,
-            next_seq: 0,
-            pending_acks: HashMap::new(),
+            pending_acks: PendingAcks::default(),
             engine_scheduled: false,
             parked_on_cq: None,
         });
@@ -336,7 +366,7 @@ impl RdmaFabric {
     /// Address of a send-queue slot (by monotone slot counter).
     pub fn sq_slot_addr(&self, node: NodeId, qp: QpId, slot: u64) -> u64 {
         let q = &self.nodes[node.0 as usize].qps[qp.0 as usize];
-        q.sq_base + (slot % q.sq_slots as u64) * WQE_SIZE
+        q.sq_base + (slot & (SQ_SLOTS - 1)) * WQE_SIZE
     }
 
     /// `(head, tail)` slot counters of a send queue.
@@ -380,7 +410,7 @@ impl RdmaFabric {
         let q = &mut self.nodes[node.0 as usize].qps[qp.0 as usize];
         assert!(q.peer.is_some(), "posting on unconnected {node}/{qp}");
         assert!(
-            q.sq_tail - q.sq_head < q.sq_slots as u64,
+            q.sq_tail - q.sq_head < SQ_SLOTS,
             "send queue overflow on {node}/{qp}"
         );
         let slot = q.sq_tail;
@@ -744,18 +774,13 @@ impl RdmaFabric {
             .expect("connected");
 
         let q = &mut self.nodes[node.0 as usize].qps[qp.0 as usize];
-        let seq = q.next_seq;
-        q.next_seq += 1;
-        q.pending_acks.insert(
-            seq,
-            PendingCompletion {
-                wr_id: eff.wr_id,
-                opcode: eff.opcode,
-                signaled: eff.is_signaled(),
-                is_read_or_atomic: false,
-                resp_dst: 0,
-            },
-        );
+        let seq = q.pending_acks.push(PendingCompletion {
+            wr_id: eff.wr_id,
+            opcode: eff.opcode,
+            signaled: eff.is_signaled(),
+            is_read_or_atomic: false,
+            resp_dst: 0,
+        });
         q.inflight += 1;
         q.sq_head += 1;
         self.stats.wqes_executed += 1;
@@ -826,18 +851,13 @@ impl RdmaFabric {
             .peer
             .expect("connected");
         let q = &mut self.nodes[node.0 as usize].qps[qp.0 as usize];
-        let seq = q.next_seq;
-        q.next_seq += 1;
-        q.pending_acks.insert(
-            seq,
-            PendingCompletion {
-                wr_id: eff.wr_id,
-                opcode: eff.opcode,
-                signaled: eff.is_signaled(),
-                is_read_or_atomic: true,
-                resp_dst: eff.local_addr,
-            },
-        );
+        let seq = q.pending_acks.push(PendingCompletion {
+            wr_id: eff.wr_id,
+            opcode: eff.opcode,
+            signaled: eff.is_signaled(),
+            is_read_or_atomic: true,
+            resp_dst: eff.local_addr,
+        });
         q.inflight += 1;
         q.outstanding_reads += 1;
         q.sq_head += 1;
@@ -974,7 +994,7 @@ impl RdmaFabric {
     fn requester_op(&self, requester: NodeId, qp: QpId, seq: u64) -> u64 {
         self.nodes[requester.0 as usize].qps[qp.0 as usize]
             .pending_acks
-            .get(&seq)
+            .get(seq)
             .map_or(NO_OP, |p| p.wr_id)
     }
 
@@ -1314,7 +1334,7 @@ impl RdmaFabric {
     ) {
         let pending = {
             let q = &mut self.nodes[node.0 as usize].qps[qp.0 as usize];
-            let Some(p) = q.pending_acks.remove(&seq) else {
+            let Some(p) = q.pending_acks.remove(seq) else {
                 return; // duplicate/stale
             };
             q.inflight -= 1;

@@ -38,7 +38,7 @@ pub use netsim::NodeId;
 pub use payload::Payload;
 pub use types::{
     wqe_flags, CqId, Cqe, CqeStatus, FabricStats, Message, MrId, NicConfig, NicEffect, NicEvent,
-    Opcode, QpId, RecvWqe, SrqId, Wqe, WQE_SIZE,
+    Opcode, QpId, RecvWqe, SrqId, Wqe, SQ_SLOTS, WQE_SIZE,
 };
 
 #[cfg(test)]
@@ -337,6 +337,65 @@ mod tests {
             1,
             "stashed send delivered"
         );
+    }
+
+    #[test]
+    fn later_write_completes_before_stashed_send_and_stray_acks_are_ignored() {
+        let mut sim = Harness::new(2);
+        let (qa, qb, cq_a, _) = pair(&mut sim, N0, N1);
+        let dst = sim.model.fab.alloc(N1, 64);
+        sim.model.fab.reg_mr(N1, dst, 64);
+        let src = sim.model.fab.alloc(N0, 64);
+        for (opcode, wr_id) in [(Opcode::Send, 1), (Opcode::Write, 2)] {
+            let wqe = Wqe {
+                opcode,
+                flags: wqe_flags::HW_OWNED | wqe_flags::SIGNALED,
+                local_addr: src,
+                len: 8,
+                remote_addr: dst,
+                wr_id,
+                ..Wqe::default()
+            };
+            post_send(&mut sim, N0, qa, wqe);
+        }
+        sim.run();
+        // The SEND (seq 0) waits for a RECV; the WRITE (seq 1) overtakes it.
+        let wr_ids = |cqes: Vec<Cqe>| cqes.iter().map(|c| c.wr_id).collect::<Vec<_>>();
+        assert_eq!(wr_ids(sim.model.fab.poll_cq(N0, cq_a, 16)), [2]);
+
+        // Acks for a completed or never-issued request find nothing.
+        let stray_acks = |sim: &mut Simulation<Harness>, seqs: &[u64]| {
+            let mut out = Outbox::new();
+            for &seq in seqs {
+                let msg = Message::Ack {
+                    seq,
+                    status: CqeStatus::Success,
+                };
+                let ev = NicEvent::Deliver {
+                    node: N0,
+                    qp: qa,
+                    msg,
+                };
+                let now = sim.queue.now();
+                sim.model.fab.handle(now, ev, &mut out);
+            }
+            Harness::route(&mut out, &mut sim.queue);
+            sim.run();
+        };
+        stray_acks(&mut sim, &[1, 2, 9]);
+        assert_eq!(sim.model.fab.cq_depth(N0, cq_a), 0);
+
+        let buf = sim.model.fab.alloc(N1, 64);
+        let recv = RecvWqe {
+            wr_id: 7,
+            sges: vec![(buf, 64)],
+        };
+        post_recv(&mut sim, N1, qb, recv);
+        sim.run();
+        assert_eq!(wr_ids(sim.model.fab.poll_cq(N0, cq_a, 16)), [1]);
+
+        stray_acks(&mut sim, &[0, 1, 2]);
+        assert_eq!(sim.model.fab.cq_depth(N0, cq_a), 0);
     }
 
     #[test]

@@ -50,8 +50,6 @@ pub struct NicConfig {
     pub wait_process: SimDuration,
     /// Maximum requests a QP keeps in flight before stalling its engine.
     pub max_inflight: u32,
-    /// Send-queue ring capacity (WQE slots).
-    pub sq_slots: u32,
 }
 
 impl Default for NicConfig {
@@ -64,7 +62,6 @@ impl Default for NicConfig {
             flush_base: SimDuration::from_nanos(400),
             wait_process: SimDuration::from_nanos(100),
             max_inflight: 32,
-            sq_slots: 4096,
         }
     }
 }
@@ -134,6 +131,11 @@ pub mod wqe_flags {
 
 /// Size of a serialized WQE in the send-queue ring.
 pub const WQE_SIZE: u64 = 64;
+
+/// Send-queue ring capacity of every QP, in WQE slots. A power of two, so
+/// a monotone slot counter finds its ring slot with a mask.
+pub const SQ_SLOTS: u64 = 4096;
+const _: () = assert!(SQ_SLOTS.is_power_of_two());
 
 /// A send-side work queue element.
 ///

@@ -39,7 +39,9 @@
 //! ```
 //!
 //! When disabled (the default), entering a scope costs one relaxed atomic
-//! load — cheap enough to leave in the hot paths of the event queue, the
+//! load and leaving it one branch: [`is_enabled`], [`HostProf::scope`] and
+//! the guard's drop are `#[inline]`, with the recording halves out of line.
+//! That is cheap enough to leave in the hot paths of the event queue, the
 //! NIC engine, and the tracer tap. The scope tables are thread-local:
 //! benchmarks are single-threaded, and per-thread tables mean concurrent
 //! tests cannot corrupt each other's profiles.
@@ -65,6 +67,7 @@ pub fn disable() {
 }
 
 /// True when scope timers are collecting.
+#[inline]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
@@ -108,20 +111,27 @@ impl HostProf {
         if !is_enabled() {
             return ScopeGuard { active: false };
         }
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let path = match s.last() {
-                Some(parent) => format!("{};{}", parent.path, name),
-                None => name.to_string(),
-            };
-            s.push(Frame {
-                path,
-                start: Instant::now(),
-                child_ns: 0,
-            });
-        });
+        open_scope(name);
         ScopeGuard { active: true }
     }
+}
+
+/// Pushes an open scope for `name`; the out-of-line half of
+/// [`HostProf::scope`].
+#[inline(never)]
+fn open_scope(name: &'static str) {
+    STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        let path = match s.last() {
+            Some(parent) => format!("{};{}", parent.path, name),
+            None => name.to_string(),
+        };
+        s.push(Frame {
+            path,
+            start: Instant::now(),
+            child_ns: 0,
+        });
+    });
 }
 
 /// Convenience free-function alias of [`HostProf::scope`].
@@ -137,27 +147,34 @@ pub struct ScopeGuard {
 }
 
 impl Drop for ScopeGuard {
+    #[inline]
     fn drop(&mut self) {
-        if !self.active {
-            return;
+        if self.active {
+            close_scope();
         }
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let Some(frame) = s.pop() else { return };
-            let elapsed = frame.start.elapsed().as_nanos() as u64;
-            let self_ns = elapsed.saturating_sub(frame.child_ns);
-            if let Some(parent) = s.last_mut() {
-                parent.child_ns += elapsed;
-            }
-            TABLE.with(|t| {
-                let mut t = t.borrow_mut();
-                let e = t.entry(frame.path).or_insert((0, 0, 0));
-                e.0 += 1;
-                e.1 += elapsed;
-                e.2 += self_ns;
-            });
-        });
     }
+}
+
+/// Pops the innermost open scope and charges its elapsed wall time; the
+/// out-of-line half of [`ScopeGuard`]'s drop.
+#[inline(never)]
+fn close_scope() {
+    STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        let Some(frame) = s.pop() else { return };
+        let elapsed = frame.start.elapsed().as_nanos() as u64;
+        let self_ns = elapsed.saturating_sub(frame.child_ns);
+        if let Some(parent) = s.last_mut() {
+            parent.child_ns += elapsed;
+        }
+        TABLE.with(|t| {
+            let mut t = t.borrow_mut();
+            let e = t.entry(frame.path).or_insert((0, 0, 0));
+            e.0 += 1;
+            e.1 += elapsed;
+            e.2 += self_ns;
+        });
+    });
 }
 
 /// Clears this thread's scope table and open-scope stack.

@@ -268,12 +268,6 @@ impl JsonWriter {
         u64_into(&mut self.out, v);
     }
 
-    /// Writes a signed integer array element.
-    pub fn i64_elem(&mut self, v: i64) {
-        self.comma();
-        i64_into(&mut self.out, v);
-    }
-
     /// Writes a float array element (`null` for non-finite values).
     pub fn f64_elem(&mut self, v: f64) {
         self.comma();

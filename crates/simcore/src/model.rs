@@ -142,8 +142,8 @@ impl<T> Outbox<T> {
         self.items.len()
     }
 
-    /// Drains all effects in emission order.
-    pub fn drain(&mut self) -> impl Iterator<Item = (SimDuration, T)> + '_ {
+    /// Drains all effects in emission order (`.rev()` for the reverse).
+    pub fn drain(&mut self) -> impl DoubleEndedIterator<Item = (SimDuration, T)> + '_ {
         self.items.drain(..)
     }
 

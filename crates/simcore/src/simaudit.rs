@@ -386,6 +386,7 @@ impl Audit {
     }
 
     /// True if this handle runs auditors.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }

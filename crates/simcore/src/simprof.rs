@@ -505,19 +505,6 @@ fn write_counter_tracks(w: &mut JsonWriter, samples: &[CounterSample]) {
     }
 }
 
-/// Convenience: samples a registry-exporting closure once and returns the
-/// delta-only samples against `sampler`'s state. (Most callers use
-/// [`CounterSampler::sample`] directly; this exists for one-shot exports.)
-pub fn sample_once(
-    sampler: &mut CounterSampler,
-    at: SimTime,
-    export: impl FnOnce(&mut MetricsRegistry),
-) {
-    let mut reg = MetricsRegistry::new();
-    export(&mut reg);
-    sampler.sample(at, &reg);
-}
-
 /// Phase-code slots of the txn folds: one per known phase, the last one
 /// shared by every unknown code (they all read `"unknown"`).
 const PHASE_SLOTS: usize = TXN_PHASE_BACKOFF as usize + 2;

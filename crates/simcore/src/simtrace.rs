@@ -9,9 +9,10 @@
 //! [`chrome_trace_json`] exports the whole run as Chrome trace-event JSON
 //! that opens directly in Perfetto or `chrome://tracing`.
 //!
-//! Tracing is **disabled by default**: a disabled [`Tracer`] is a `None`
-//! handle and [`Tracer::emit`] is a single branch, so the instrumented hot
-//! paths cost nothing measurable when tracing is off.
+//! Tracing is **disabled by default**: a disabled [`Tracer`] holds no
+//! buffer and no audit, and [`Tracer::emit`] inlines to two `is_some`
+//! checks, so the instrumented hot paths cost nothing measurable when
+//! tracing is off.
 //!
 //! The second half of the module is [`MetricsRegistry`]: a named
 //! counter/gauge/histogram store that the per-crate stats structs
@@ -490,9 +491,9 @@ impl TraceBuffer {
 
 /// Cheap, cloneable handle to a shared trace buffer.
 ///
-/// A default-constructed (or [`Tracer::disabled`]) handle carries no buffer:
-/// [`Tracer::emit`] is then a single `is_some` branch, which is the
-/// always-compiled-in fast path. Clones of an enabled handle share one
+/// A default-constructed (or [`Tracer::disabled`]) handle carries no buffer
+/// and no audit: [`Tracer::emit`] is then two `is_some` checks, which is
+/// the always-compiled-in fast path. Clones of an enabled handle share one
 /// buffer, so a tracer can be handed to the NIC model, the network, the
 /// schedulers and the client while the test harness keeps a reading clone.
 ///
@@ -556,15 +557,24 @@ impl Tracer {
     }
 
     /// True if this handle records events or feeds an audit tap.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some() || self.audit.is_enabled()
     }
 
-    /// Records one event. No-op (one branch) when disabled.
+    /// Records one event. No-op (two `is_some` checks) when disabled.
     #[inline]
     pub fn emit(&self, at: SimTime, node: u32, op: u64, kind: TraceKind) {
+        if self.is_enabled() {
+            self.record(TraceEvent { at, node, op, kind });
+        }
+    }
+
+    /// The enabled half of [`Tracer::emit`], kept out of line so the
+    /// disabled tap inlines to its checks.
+    #[inline(never)]
+    fn record(&self, ev: TraceEvent) {
         let _t = crate::hostprof::scope("simtrace.tap");
-        let ev = TraceEvent { at, node, op, kind };
         if let Some(inner) = &self.inner {
             inner.borrow_mut().push(ev);
         }

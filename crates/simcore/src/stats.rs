@@ -152,19 +152,6 @@ impl Histogram {
             .map(|(i, &c)| (SimDuration::from_nanos(bucket_value(i)), c))
     }
 
-    /// Cumulative distribution: `(upper_edge, fraction ≤ edge)` for every
-    /// occupied bucket. The final fraction is exactly 1.0. Empty histogram
-    /// yields an empty vector.
-    pub fn cdf(&self) -> Vec<(SimDuration, f64)> {
-        let mut out = Vec::new();
-        let mut seen = 0u64;
-        for (edge, c) in self.buckets() {
-            seen += c;
-            out.push((edge, seen as f64 / self.total as f64));
-        }
-        out
-    }
-
     /// Convenience accessor for the median.
     pub fn p50(&self) -> SimDuration {
         self.quantile(0.50)

@@ -54,7 +54,6 @@ pub struct Cluster {
     /// a fresh allocation instead of corruption.
     nic_scratch: Outbox<NicEffect>,
     cpu_scratch: Outbox<CpuEffect>,
-    route_scratch: Vec<(SimDuration, NicEffect)>,
     staged_scratch: Vec<StagedAction>,
 }
 
@@ -93,7 +92,6 @@ impl Cluster {
             pending_nic_boot: Vec::new(),
             nic_scratch: Outbox::new(),
             cpu_scratch: Outbox::new(),
-            route_scratch: Vec::new(),
             staged_scratch: Vec::new(),
         }
     }
@@ -143,16 +141,6 @@ impl Cluster {
         &self.scheds[node.0 as usize]
     }
 
-    /// Mutable scheduler access (e.g. to reset counters after warm-up).
-    pub fn sched_mut(&mut self, node: NodeId) -> &mut CpuScheduler {
-        &mut self.scheds[node.0 as usize]
-    }
-
-    /// Total context switches across all nodes.
-    pub fn total_context_switches(&self) -> u64 {
-        self.scheds.iter().map(|s| s.stats().context_switches).sum()
-    }
-
     /// Runs fabric setup code (e.g. `HyperLoopGroup::setup`) before the
     /// simulation starts, handing it a time-zero [`NicCtx`]; any effects it
     /// posts are delivered at time zero.
@@ -199,11 +187,6 @@ impl Cluster {
         self.fab.arm_cq(node, cq);
     }
 
-    /// Node a registered process lives on.
-    pub fn proc_node(&self, proc: ProcRef) -> NodeId {
-        self.procs[proc.0 as usize].node
-    }
-
     /// CPU accounting of a registered process: `(occupancy, useful)` time.
     /// Occupancy is what `top` would show (context switches and poll-spin
     /// included); useful is time executing submitted work.
@@ -237,10 +220,9 @@ impl Cluster {
         out: &mut Outbox<NicEffect>,
         q: &mut EventQueue<ClusterEvent>,
     ) {
-        // Draining may enqueue CPU tasks which emit further effects; loop.
-        let mut nic_effects = std::mem::take(&mut self.route_scratch);
-        nic_effects.extend(out.drain());
-        while let Some((delay, eff)) = nic_effects.pop() {
+        // Newest effect first. The queue orders same-instant events by push
+        // order, so the simulated timeline depends on this direction.
+        for (delay, eff) in out.drain().rev() {
             match eff {
                 NicEffect::Internal(ev) => q.push_after(delay, ClusterEvent::Nic(ev)),
                 NicEffect::HostNotify { node, cq } => {
@@ -251,7 +233,6 @@ impl Cluster {
                 }
             }
         }
-        self.route_scratch = nic_effects;
     }
 
     fn route_cpu(

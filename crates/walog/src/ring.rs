@@ -66,11 +66,6 @@ impl WalRing {
         self.capacity - self.used()
     }
 
-    /// Physical offset of the head.
-    pub fn head_offset(&self) -> u64 {
-        self.head % self.capacity
-    }
-
     /// Reserves space for a record of `len` bytes, keeping it contiguous.
     /// Returns `None` if the ring is too full (caller must truncate first).
     ///
