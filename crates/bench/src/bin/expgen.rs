@@ -11,6 +11,10 @@
 //!   committed doc, or a non-finite table cell on either side.
 //! * With neither, prints the document to stdout.
 //!
+//! In every mode, a claim whose verdict computed from the reports differs
+//! from its declared one ([`hyperloop_bench::exp::mismatches`]) exits 1,
+//! naming the figure and the claim, and writes nothing.
+//!
 //! Each report must pass the same check as `benchcheck`
 //! ([`hyperloop_bench::report::check_report`]); one that fails exits 1,
 //! naming the file, the scenario and the key, and renders nothing.
@@ -23,7 +27,7 @@
 //! reports directory exits with status 2 and the usage line.
 
 use hyperloop_bench::{cli, exp};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -34,142 +38,76 @@ fn main() -> ExitCode {
         &["-o", "--out", "--check"],
         1..=1,
     );
-    let dir = PathBuf::from(&args.positional[0]);
-    let out = args.value("-o").or(args.value("--out")).map(PathBuf::from);
-    let check = args.value("--check").map(PathBuf::from);
-
-    let mut files: Vec<PathBuf> = match std::fs::read_dir(&dir) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            })
-            .collect(),
+    let out = args.value("-o").or(args.value("--out")).map(Path::new);
+    let check = args.value("--check").map(Path::new);
+    match run(Path::new(&args.positional[0]), out, check) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("expgen: cannot read {}: {e}", dir.display());
-            return ExitCode::FAILURE;
+            eprintln!("expgen: {e}");
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+fn run(dir: &Path, out: Option<&Path>, check: Option<&Path>) -> Result<(), String> {
+    let cannot =
+        |what: &str, p: &Path, e: std::io::Error| format!("cannot {what} {}: {e}", p.display());
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| cannot("read", dir, e))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        })
+        .collect();
     files.sort();
     if files.is_empty() {
-        eprintln!("expgen: no BENCH_*.json in {}", dir.display());
-        return ExitCode::FAILURE;
+        return Err(format!("no BENCH_*.json in {}", dir.display()));
     }
-
+    let read = |p: &Path| std::fs::read_to_string(p).map_err(|e| cannot("read", p, e));
     let mut scns = Vec::new();
     for f in &files {
-        let text = match std::fs::read_to_string(f) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("expgen: cannot read {}: {e}", f.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match exp::parse_report(&text) {
-            Ok(mut s) => {
-                eprintln!("expgen: {} -> {} scenarios", f.display(), s.len());
-                scns.append(&mut s);
-            }
-            Err(e) => {
-                eprintln!("expgen: {}: {e}", f.display());
-                return ExitCode::FAILURE;
-            }
-        }
+        let mut s = exp::parse_report(&read(f)?).map_err(|e| format!("{}: {e}", f.display()))?;
+        eprintln!("expgen: {} -> {} scenarios", f.display(), s.len());
+        scns.append(&mut s);
     }
+    let traces = exp::attach_tracks(dir, &mut scns)?;
+    eprintln!("expgen: folded counter tracks from {traces} trace file(s)");
 
-    // Fold counter tracks out of any TRACE_*.json sitting next to the
-    // reports: `TRACE_<fig>_<arm>.json` attaches to scenario `<fig>/<arm>`
-    // (the inverse of the `/` → `_` flattening the trace sink applies).
-    let mut traces: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .map(|rd| {
-            rd.filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("TRACE_") && n.ends_with(".json"))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    traces.sort();
-    for t in &traces {
-        let stem = t.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let Some(name) = stem
-            .strip_prefix("TRACE_")
-            .and_then(|s| s.strip_suffix(".json"))
-        else {
-            continue;
-        };
-        let Some((fig, arm)) = name.rsplit_once('_') else {
-            continue;
-        };
-        let scn_name = format!("{fig}/{arm}");
-        let Some(scn) = scns.iter_mut().find(|s| s.name == scn_name) else {
-            continue;
-        };
-        let tracks = std::fs::read_to_string(t)
-            .map_err(|e| e.to_string())
-            .and_then(|text| exp::parse_counter_tracks(&text));
-        match tracks {
-            Ok(tracks) => {
-                eprintln!(
-                    "expgen: {} -> {} counter tracks for {scn_name}",
-                    t.display(),
-                    tracks.len()
-                );
-                scn.tracks = tracks;
-            }
-            Err(e) => {
-                eprintln!("expgen: {}: {e}", t.display());
-                return ExitCode::FAILURE;
-            }
-        }
+    let wrong = exp::mismatches(&scns);
+    for w in &wrong {
+        eprintln!("expgen: CLAIM {w}");
+    }
+    if !wrong.is_empty() {
+        return Err(format!(
+            "{} claim verdict(s) moved — fix the cause, or update the declaration beside the figure's runner",
+            wrong.len()
+        ));
     }
 
     let doc = exp::generate(&scns);
-
-    if let Some(committed_path) = check {
-        let committed = match std::fs::read_to_string(&committed_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("expgen: cannot read {}: {e}", committed_path.display());
-                return ExitCode::FAILURE;
+    if let Some(committed) = check {
+        if let Err(errs) = exp::check(&read(committed)?, &doc) {
+            for e in errs {
+                eprintln!("expgen: DRIFT: {e}");
             }
-        };
-        return match exp::check(&committed, &doc) {
-            Ok(()) => {
-                eprintln!(
-                    "expgen: {} is structurally consistent with {} report file(s)",
-                    committed_path.display(),
-                    files.len()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(errs) => {
-                for e in errs {
-                    eprintln!("expgen: DRIFT: {e}");
-                }
-                eprintln!(
-                    "expgen: {} drifted from the reports — regenerate with `expgen {} -o {}`",
-                    committed_path.display(),
-                    dir.display(),
-                    committed_path.display()
-                );
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if let Some(out) = out {
-        if let Err(e) = std::fs::write(&out, &doc) {
-            eprintln!("expgen: cannot write {}: {e}", out.display());
-            return ExitCode::FAILURE;
+            let c = committed.display();
+            return Err(format!(
+                "{c} drifted from the reports — regenerate with `expgen {} -o {c}`",
+                dir.display()
+            ));
         }
+        eprintln!(
+            "expgen: {} is structurally consistent with {} report file(s)",
+            committed.display(),
+            files.len()
+        );
+    } else if let Some(out) = out {
+        std::fs::write(out, &doc).map_err(|e| cannot("write", out, e))?;
         eprintln!("expgen: wrote {}", out.display());
     } else {
         print!("{doc}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

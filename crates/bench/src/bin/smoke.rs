@@ -30,16 +30,16 @@ fn main() {
         warmup: 50,
         ..MicroOpts::default()
     };
-    rep.line("1 KB durable gWRITE, 3 replicas, 96 tenants/node:");
+    println!("1 KB durable gWRITE, 3 replicas, 96 tenants/node:");
     for kind in [SystemKind::NaiveEvent, SystemKind::HyperLoop] {
         let r = run_primitive(kind, gwrite_plan(1024), opts);
-        rep.line(format!(
+        println!(
             "  {:<13} mean={} p99={} replica-cpu={:.1}%",
             kind.label(),
             r.run.latency.mean,
             r.run.latency.p99,
             r.replica_cpu * 100.0
-        ));
+        );
         rep.scenario(
             Scenario::new(format!("smoke/gwrite-1KB/{}", kind.label()))
                 .system(kind.label())
@@ -52,16 +52,16 @@ fn main() {
                 .outcome(&r.run),
         );
     }
-    rep.line("8 KB read scaling:");
+    println!("8 KB read scaling:");
     for n in [1u32, 3] {
         let r = read_scaling(n, 1500);
         let rps = r.ops_per_sec();
-        rep.line(format!(
+        println!(
             "  {} serving replica(s): {:.0} reads/s ({:.1} Gbps)",
             n,
             rps,
             rps * 8192.0 * 8.0 / 1e9
-        ));
+        );
         rep.scenario(
             Scenario::new(format!("smoke/read-scaling/{n}"))
                 .config("serving_replicas", n)

@@ -1,30 +1,39 @@
-//! expgen: regenerate `EXPERIMENTS.md` from `BENCH_*.json` reports.
+//! The evaluation's sections, declared once and rendered by one function.
 //!
-//! The evaluation doc is machine-produced: every numeric cell in every
-//! table comes out of a benchmark report (written by `figures --json`),
-//! and every "shape check" ratio is computed here, not hand-typed. The
-//! paper's claims appear as static prose; the measured side regenerates
-//! with one command:
+//! Every figure id has one entry in [`FIGURES`]: its runner and its
+//! [`Section`] — a title, a lead line (the paper's sentence or a
+//! description), the tables (rows drawn from scenario names, columns as
+//! cell functions over key paths) and the paper's [`Claim`]s. [`render`]
+//! turns a section and the scenarios of a report into markdown. `figures`
+//! prints it for each id it runs; `expgen` writes every section, the
+//! cross-run ones after the figures, into `EXPERIMENTS.md`:
 //!
 //! ```text
 //! cargo run --release -p hyperloop-bench --bin figures -- all --json out/
 //! cargo run --release -p hyperloop-bench --bin expgen -- out -o EXPERIMENTS.md
 //! ```
 //!
-//! `expgen --check EXPERIMENTS.md` regenerates from the available reports
-//! and fails on structural drift: a generated section heading missing from
-//! the committed doc, a missing generation marker, or a non-finite cell.
-//! CI runs it against the quick `shardscale migrate hostperf txnmix`
-//! report, so the committed doc can never silently lose a
-//! machine-produced table.
+//! A claim computes its verdict from the report: a measure over the
+//! section's scenarios, checked against a [`Band`] read from the paper's
+//! wording. [`mismatches`] lists every claim whose computed verdict
+//! differs from its declared one; `expgen` exits 1 on any, so a re-ratchet
+//! of the simulated numbers cannot flip a claim unnoticed.
+//!
+//! `expgen --check EXPERIMENTS.md` also fails on structural drift: a
+//! generated section heading missing from the committed doc, a missing
+//! generation marker, or a non-finite cell. CI runs it against the quick
+//! reports of all fourteen ids.
 //!
 //! Every report is checked against [`crate::report::DOCUMENT`] before a
 //! cell is read, and cells are read by key path from the checked tree, so
 //! expgen renders exactly what benchcheck accepts.
 
-use crate::report::check_report;
+use crate::report::{check_report, Report, TAILSCOPE};
+use crate::{appbench, figures, hostperf, migrate, mongo2, shardscale, txnmix};
 use simcore::jsonw::{parse, JsonValue};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::path::Path;
 
 /// Marker proving the committed doc was machine-produced.
 pub const MARKER: &str =
@@ -38,7 +47,7 @@ pub struct Scn {
     /// The scenario object, checked against [`crate::report::SCENARIO`].
     pub tree: JsonValue,
     /// Counter-track samples (time-ordered values per track name), folded
-    /// out of the scenario's `TRACE_*.json` by [`parse_counter_tracks`].
+    /// out of the scenario's `TRACE_*.json` by [`attach_tracks`].
     pub tracks: BTreeMap<String, Vec<f64>>,
 }
 
@@ -104,8 +113,22 @@ impl Scn {
 pub fn parse_report(text: &str) -> Result<Vec<Scn>, String> {
     let root = parse(text).map_err(|e| e.to_string())?;
     check_report(&root)?;
-    Ok(root
-        .items("scenarios")
+    Ok(scenarios(&root))
+}
+
+/// The scenarios `rep` recorded from index `from` on, read back through
+/// the same tree a written report parses into.
+///
+/// # Panics
+///
+/// Panics if the report's own JSON does not parse.
+pub fn recorded(rep: &Report, from: usize) -> Vec<Scn> {
+    let root = parse(&rep.to_json()).expect("a report's own JSON parses");
+    scenarios(&root).split_off(from)
+}
+
+fn scenarios(root: &JsonValue) -> Vec<Scn> {
+    root.items("scenarios")
         .iter()
         .map(|s| Scn {
             name: s
@@ -116,7 +139,7 @@ pub fn parse_report(text: &str) -> Result<Vec<Scn>, String> {
             tree: s.clone(),
             tracks: BTreeMap::new(),
         })
-        .collect())
+        .collect()
 }
 
 /// Parses the `"ph":"C"` counter events out of one Chrome-trace JSON
@@ -148,6 +171,27 @@ pub fn parse_counter_tracks(text: &str) -> Result<BTreeMap<String, Vec<f64>>, St
         out.entry(name.to_string()).or_default().push(value);
     }
     Ok(out)
+}
+
+/// Folds the counter tracks of each scenario's Chrome trace in `dir`,
+/// `TRACE_<name>.json` with the name's `/` flattened to `_` (as the trace
+/// sink writes it), into the scenario. Scenarios without a trace keep no
+/// tracks. Returns how many traces were folded.
+///
+/// # Errors
+///
+/// Returns the file and the reason for a malformed trace.
+pub fn attach_tracks(dir: &Path, scns: &mut [Scn]) -> Result<usize, String> {
+    let mut folded = 0;
+    for scn in scns.iter_mut() {
+        let path = dir.join(format!("TRACE_{}.json", scn.name.replace('/', "_")));
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        scn.tracks = parse_counter_tracks(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        folded += 1;
+    }
+    Ok(folded)
 }
 
 /// Renders a value series as a fixed-height unicode sparkline (at most 24
@@ -190,752 +234,850 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-fn fmt_kops(v: f64) -> String {
+/// Formats a per-second rate in thousands, one decimal.
+pub fn fmt_kops(v: f64) -> String {
     format!("{:.1}", v / 1e3)
 }
 
-fn fmt_ratio(v: f64) -> String {
+/// Formats a ratio as `845.9x`.
+pub fn fmt_ratio(v: f64) -> String {
     if !v.is_finite() {
         return "n/a".into();
     }
     format!("{v:.1}x")
 }
 
-struct Doc<'a> {
-    out: String,
-    scns: &'a [Scn],
+/// Formats a fraction as a whole percentage.
+pub fn fmt_pct(v: f64) -> String {
+    format!("{:.0}%", v * 100.0)
 }
 
-impl<'a> Doc<'a> {
-    fn find(&self, name: &str) -> Option<&'a Scn> {
-        self.scns.iter().find(|s| s.name == name)
+/// One figure id: the runner that records its scenarios and the section
+/// that renders them.
+#[derive(Debug)]
+pub struct Figure {
+    /// The id `figures` takes on its command line.
+    pub id: &'static str,
+    /// Runs the figure's arms into the report (`quick` cuts op counts).
+    pub run: fn(&mut Report, bool),
+    /// What the doc and `figures` print for it.
+    pub section: &'static Section,
+}
+
+/// Every figure id, in run order, which is also the doc's section order.
+pub const FIGURES: &[Figure] = &[
+    fig("fig2a", mongo2::fig2a, &mongo2::FIG2A),
+    fig("fig2b", mongo2::fig2b, &mongo2::FIG2B),
+    fig("fig8a", figures::fig8a, &figures::FIG8A),
+    fig("fig8b", figures::fig8b, &figures::FIG8B),
+    fig("table2", figures::table2, &figures::TABLE2),
+    fig("fig9", figures::fig9, &figures::FIG9),
+    fig("fig10", figures::fig10, &figures::FIG10),
+    fig("fig11", appbench::fig11, &appbench::FIG11),
+    fig("fig12", appbench::fig12, &appbench::FIG12),
+    fig("shardscale", shardscale::shardscale, &shardscale::SECTION),
+    fig("migrate", migrate::migrate, &migrate::SECTION),
+    fig("hostperf", hostperf::hostperf, &hostperf::SECTION),
+    fig("txnmix", txnmix::txnmix, &txnmix::SECTION),
+    fig("ablations", appbench::ablations, &appbench::ABLATIONS),
+];
+
+const fn fig(id: &'static str, run: fn(&mut Report, bool), section: &'static Section) -> Figure {
+    Figure { id, run, section }
+}
+
+/// One `##` section of the doc.
+#[derive(Debug)]
+pub struct Section {
+    /// The heading.
+    pub title: &'static str,
+    /// The paragraph under the heading: `Paper: ...` quoting the paper, or
+    /// a description. Empty for none.
+    pub lead: &'static str,
+    /// The tables, in order; a table without rows is left out.
+    pub tables: &'static [Table],
+    /// The paper's (or the design's) claims, each rendered as a verdict
+    /// line after the tables.
+    pub claims: &'static [Claim],
+    /// A closing description after the verdict lines. Empty for none.
+    pub note: &'static str,
+}
+
+/// One table of a section.
+#[derive(Debug)]
+pub struct Table {
+    /// A paragraph before the table. Empty for none.
+    pub intro: &'static str,
+    /// Which scenarios make the rows.
+    pub rows: Rows,
+    /// Sparkline tracks: when set, each row becomes one row per track
+    /// that has values.
+    pub tracks: &'static [Track],
+    /// A markdown grid, or one sentence per row.
+    pub layout: Layout,
+    /// Prefix of every grid line (a table nested in a bullet).
+    pub indent: &'static str,
+}
+
+impl Table {
+    /// A plain grid of `cols` over `rows`.
+    pub const fn grid(rows: Rows, cols: &'static [Col]) -> Table {
+        Table {
+            intro: "",
+            rows,
+            tracks: &[],
+            layout: Layout::Grid(cols),
+            indent: "",
+        }
     }
 
-    fn have_prefix(&self, prefix: &str) -> bool {
-        self.scns.iter().any(|s| s.name.starts_with(prefix))
-    }
-
-    /// Unique middle path segments (`fig8a/<seg>/...`), order of appearance.
-    fn segments(&self, prefix: &str) -> Vec<String> {
-        let mut segs: Vec<String> = Vec::new();
-        for s in self.scns {
-            if let Some(rest) = s.name.strip_prefix(prefix) {
-                let seg = rest.split('/').next().unwrap_or_default().to_string();
-                if !seg.is_empty() && !segs.contains(&seg) {
-                    segs.push(seg);
+    fn rows<'a>(&self, all: &'a [Scn]) -> Vec<Row<'a>> {
+        let rows = self.rows.of(all);
+        if self.tracks.is_empty() {
+            return rows;
+        }
+        let mut out = Vec::new();
+        for row in rows {
+            for t in self.tracks {
+                let values = (t.values)(row.scns[0], t.key);
+                let peak = values.iter().copied().fold(0.0f64, f64::max);
+                if !values.is_empty() && peak.is_finite() {
+                    out.push(Row {
+                        track: Some((t, values)),
+                        ..row.clone()
+                    });
                 }
             }
         }
-        segs
+        out
     }
+}
 
-    fn line(&mut self, s: impl AsRef<str>) {
-        self.out.push_str(s.as_ref());
-        self.out.push('\n');
+/// How a table lays out its rows.
+#[derive(Debug, Clone, Copy)]
+pub enum Layout {
+    /// A markdown grid with these columns.
+    Grid(&'static [Col]),
+    /// One bullet sentence per row.
+    Sentence(fn(&Row<'_>) -> String),
+}
+
+/// One grid column: its header and its cell.
+#[derive(Debug, Clone, Copy)]
+pub struct Col {
+    /// The header cell.
+    pub head: &'static str,
+    /// The cell of one row.
+    pub cell: fn(&Row<'_>) -> String,
+}
+
+/// A column (for terse declarations).
+pub const fn col(head: &'static str, cell: fn(&Row<'_>) -> String) -> Col {
+    Col { head, cell }
+}
+
+/// A sparkline track: a labelled value series read from each row's
+/// scenario.
+#[derive(Debug)]
+pub struct Track {
+    /// The track column's text.
+    pub label: &'static str,
+    /// The series key handed to `values`.
+    pub key: &'static str,
+    /// Reads the series.
+    pub values: fn(&Scn, &str) -> Vec<f64>,
+    /// Formats the series peak.
+    pub peak: fn(f64) -> String,
+}
+
+/// A counter track folded from the scenario's `TRACE_*.json`.
+pub const fn counter_track(label: &'static str, key: &'static str) -> Track {
+    Track {
+        label,
+        key,
+        values: |s, k| s.tracks.get(k).cloned().unwrap_or_default(),
+        peak: |p| format!("{p:.0}"),
     }
+}
 
-    /// Sparkline rows `| <seg> | <label> | <peak> | <sparkline> |` for the
-    /// named counter tracks of every `<prefix><seg>` scenario that carries
-    /// them (traced arms only).
-    fn track_rows(&self, prefix: &str, tracks: &[(&str, &str)]) -> Vec<String> {
-        let mut rows = Vec::new();
-        for seg in self.segments(prefix) {
-            let Some(s) = self.find(&format!("{prefix}{seg}")) else {
-                continue;
-            };
-            for (label, key) in tracks {
-                let Some(vals) = s.tracks.get(*key) else {
-                    continue;
-                };
-                if vals.is_empty() {
-                    continue;
+/// The scenarios a table's rows read.
+#[derive(Debug, Clone, Copy)]
+pub enum Rows {
+    /// One row per scenario under `prefix` whose value at key path
+    /// `carrying` is present (and non-zero, for a number); the row's key
+    /// is the rest of the scenario name.
+    Each {
+        /// Scenario-name prefix.
+        prefix: &'static str,
+        /// Key path that must be present; empty for every scenario.
+        carrying: &'static [&'static str],
+    },
+    /// One row per name segment after `prefix`, in order of appearance,
+    /// reading the scenario `<prefix><segment>/<arm>` of every arm; a
+    /// segment missing an arm has no row.
+    Sweep {
+        /// Scenario-name prefix.
+        prefix: &'static str,
+        /// The arm suffixes, in column order.
+        arms: &'static [&'static str],
+    },
+    /// Rows a function picks (a table whose rows are not one scenario
+    /// family).
+    Listed(fn(&[Scn]) -> Vec<Row<'_>>),
+}
+
+/// Every scenario under `prefix`.
+pub const fn each(prefix: &'static str) -> Rows {
+    carrying(prefix, &[])
+}
+
+/// Every scenario under `prefix` carrying key path `path`.
+pub const fn carrying(prefix: &'static str, path: &'static [&'static str]) -> Rows {
+    Rows::Each {
+        prefix,
+        carrying: path,
+    }
+}
+
+/// A sweep over the segment after `prefix`, one scenario per arm.
+pub const fn sweep(prefix: &'static str, arms: &'static [&'static str]) -> Rows {
+    Rows::Sweep { prefix, arms }
+}
+
+impl Rows {
+    /// The rows over `all`.
+    pub fn of<'a>(&self, all: &'a [Scn]) -> Vec<Row<'a>> {
+        // A number must be non-zero to count as carried.
+        let carried = |v: &JsonValue| v.as_f64().is_none_or(|n| n != 0.0);
+        match *self {
+            Rows::Each { prefix, carrying } => all
+                .iter()
+                .filter(|s| carrying.is_empty() || s.tree.at(carrying).is_some_and(carried))
+                .filter_map(|s| Some(Row::new(s.name.strip_prefix(prefix)?, vec![s], all)))
+                .collect(),
+            Rows::Sweep { prefix, arms } => {
+                let mut segs: Vec<&str> = Vec::new();
+                for s in all {
+                    let seg = s
+                        .name
+                        .strip_prefix(prefix)
+                        .and_then(|r| r.split('/').next());
+                    if let Some(seg) = seg.filter(|g| !g.is_empty() && !segs.contains(g)) {
+                        segs.push(seg);
+                    }
                 }
-                let peak = vals.iter().copied().fold(0.0f64, f64::max);
-                rows.push(format!(
-                    "| {seg} | {label} | {peak:.0} | {} |",
-                    sparkline(vals)
-                ));
+                segs.into_iter()
+                    .filter_map(|seg| {
+                        let scns = arms
+                            .iter()
+                            .map(|arm| find(all, &format!("{prefix}{seg}/{arm}")))
+                            .collect::<Option<Vec<_>>>()?;
+                        Some(Row::new(seg, scns, all))
+                    })
+                    .collect()
             }
-        }
-        rows
-    }
-}
-
-fn sec_fig2(d: &mut Doc<'_>, fig: &str, axis: &str, title: &str, claim: &str) {
-    if !d.have_prefix(&format!("{fig}/")) {
-        return;
-    }
-    d.line(format!("\n## {title}"));
-    d.line(format!("\nPaper: {claim}\n"));
-    let points = d.segments(&format!("{fig}/"));
-    let max_ctx = points
-        .iter()
-        .filter_map(|p| d.find(&format!("{fig}/{p}"))?.gauge("ctx_per_sec"))
-        .fold(0.0f64, f64::max);
-    if axis == "sets" {
-        d.line(format!(
-            "| {axis} | mean | p95 | p99 | normalized ctx-switches |"
-        ));
-        d.line("|---|---|---|---|---|");
-    } else {
-        d.line(format!("| {axis} | mean | p99 |"));
-        d.line("|---|---|---|");
-    }
-    let mut first: Option<(f64, f64)> = None;
-    let mut last: Option<(f64, f64)> = None;
-    for p in &points {
-        let Some(s) = d.find(&format!("{fig}/{p}")) else {
-            continue;
-        };
-        let (mean, p99) = (
-            s.lat("mean").unwrap_or(f64::NAN),
-            s.lat("p99").unwrap_or(f64::NAN),
-        );
-        first.get_or_insert((mean, p99));
-        last = Some((mean, p99));
-        let point = p.trim_start_matches(axis);
-        if axis == "sets" {
-            let ctx = s.gauge("ctx_per_sec").unwrap_or(0.0) / max_ctx.max(1e-9);
-            d.line(format!(
-                "| {point} | {} | {} | {} | {ctx:.2} |",
-                fmt_ns(mean),
-                fmt_ns(s.lat("p95").unwrap_or(f64::NAN)),
-                fmt_ns(p99),
-            ));
-        } else {
-            d.line(format!("| {point} | {} | {} |", fmt_ns(mean), fmt_ns(p99)));
+            Rows::Listed(pick) => pick(all),
         }
     }
-    if let (Some((m0, t0)), Some((m1, t1))) = (first, last) {
-        if axis == "sets" {
-            d.line(format!(
-                "\nShape check (computed): mean grows {} and p99 grows {} across the sweep; context switches grow monotonically with tenancy.",
-                fmt_ratio(m1 / m0),
-                fmt_ratio(t1 / t0)
-            ));
-        } else {
-            d.line(format!(
-                "\nShape check (computed): mean improves {} and p99 improves {} from the fewest to the most cores — scheduling, not the network, is the bottleneck.",
-                fmt_ratio(m0 / m1),
-                fmt_ratio(t0 / t1)
-            ));
+
+    /// `value` of every row over `all`.
+    pub fn values(&self, all: &[Scn], value: fn(&Row<'_>) -> f64) -> Vec<f64> {
+        self.of(all).iter().map(value).collect()
+    }
+
+    /// The largest `value` over the rows; empty when there are none.
+    pub fn max(&self, all: &[Scn], value: fn(&Row<'_>) -> f64) -> Vec<f64> {
+        let rows = self.of(all);
+        rows.iter()
+            .map(value)
+            .reduce(f64::max)
+            .into_iter()
+            .collect()
+    }
+}
+
+/// The scenario named `name`.
+pub fn find<'a>(all: &'a [Scn], name: &str) -> Option<&'a Scn> {
+    all.iter().find(|s| s.name == name)
+}
+
+/// One table row.
+#[derive(Debug, Clone)]
+pub struct Row<'a> {
+    /// The row's key: the sweep segment, or the scenario name past the
+    /// prefix.
+    pub key: String,
+    /// The row's scenarios, one per arm.
+    pub scns: Vec<&'a Scn>,
+    /// Every scenario of the report, for cells normalized over a sweep.
+    pub all: &'a [Scn],
+    /// On a track row: the track and its series.
+    pub track: Option<(&'static Track, Vec<f64>)>,
+}
+
+impl<'a> Row<'a> {
+    /// A row of `scns` keyed `key`.
+    pub fn new(key: &str, scns: Vec<&'a Scn>, all: &'a [Scn]) -> Row<'a> {
+        Row {
+            key: key.to_string(),
+            scns,
+            all,
+            track: None,
+        }
+    }
+
+    /// Latency `field` of arm `arm`, NaN when absent.
+    pub fn lat(&self, arm: usize, field: &str) -> f64 {
+        self.scns[arm].lat(field).unwrap_or(f64::NAN)
+    }
+
+    /// Gauge `key` of arm `arm`, NaN when absent.
+    pub fn gauge(&self, arm: usize, key: &str) -> f64 {
+        self.scns[arm].gauge(key).unwrap_or(f64::NAN)
+    }
+
+    fn track(&self) -> (&'static Track, &[f64]) {
+        let (t, values) = self.track.as_ref().expect("a track row");
+        (t, values)
+    }
+}
+
+/// The track label of a track row.
+pub fn track_label(r: &Row<'_>) -> String {
+    r.track().0.label.to_string()
+}
+
+/// The peak of a track row's series.
+pub fn track_peak(r: &Row<'_>) -> String {
+    let (t, values) = r.track();
+    (t.peak)(values.iter().copied().fold(0.0f64, f64::max))
+}
+
+/// The sparkline of a track row's series.
+pub fn track_line(r: &Row<'_>) -> String {
+    sparkline(r.track().1)
+}
+
+/// A claim: a sentence, checked against the report.
+#[derive(Debug)]
+pub struct Claim {
+    /// The paper's sentence (or the design's, in a section that does not
+    /// quote the paper).
+    pub says: &'static str,
+    /// The measured values, from the section's scenarios; empty when the
+    /// report does not carry them.
+    pub measure: fn(&[Scn]) -> Vec<f64>,
+    /// Where the values must lie, read from the sentence's wording.
+    pub band: Band,
+    /// Formats one value (and the band's bounds).
+    pub unit: fn(f64) -> String,
+    /// The verdict the claim is declared to have.
+    pub verdict: Verdict,
+}
+
+/// Where a claim's values must lie.
+#[derive(Debug, Clone, Copy)]
+pub enum Band {
+    /// Within a factor of ten of the paper's value ("order of magnitude").
+    Order(f64),
+    /// Within 10% of the paper's value ("similar").
+    Similar(f64),
+    /// The largest value at most this fraction above the smallest
+    /// ("flat").
+    Flat(f64),
+    /// Every value at least this.
+    AtLeast(f64),
+    /// Every value below this.
+    Under(f64),
+    /// Each value at least the one before it.
+    Rising,
+    /// Each value at most the one before it.
+    Falling,
+}
+
+impl Band {
+    fn holds(self, v: &[f64]) -> bool {
+        let all = |f: &dyn Fn(f64) -> bool| v.iter().all(|&x| f(x));
+        let (lo, hi) = min_max(v);
+        match self {
+            Band::Order(p) => all(&|x| x >= p / 10.0 && x <= p * 10.0),
+            Band::Similar(p) => all(&|x| x >= p * 0.9 && x <= p * 1.1),
+            Band::Flat(f) => hi <= lo * (1.0 + f),
+            Band::AtLeast(b) => all(&|x| x >= b),
+            Band::Under(b) => all(&|x| x < b),
+            Band::Rising => v.windows(2).all(|w| w[1] >= w[0]),
+            Band::Falling => v.windows(2).all(|w| w[1] <= w[0]),
+        }
+    }
+
+    fn text(self, unit: fn(f64) -> String) -> String {
+        match self {
+            Band::Order(p) => format!("{}–{}", unit(p / 10.0), unit(p * 10.0)),
+            Band::Similar(p) => format!("{}–{}", unit(p * 0.9), unit(p * 1.1)),
+            Band::Flat(f) => format!("within {:.0}%", f * 100.0),
+            Band::AtLeast(b) => format!("at least {}", unit(b)),
+            Band::Under(b) => format!("under {}", unit(b)),
+            Band::Rising => "rising at every step".into(),
+            Band::Falling => "falling at every step".into(),
         }
     }
 }
 
-fn sec_fig8(d: &mut Doc<'_>, fig: &str, naive: &str, title: &str, claim: &str) {
-    if !d.have_prefix(&format!("{fig}/")) {
-        return;
-    }
-    d.line(format!("\n## {title}"));
-    d.line(format!("\nPaper: {claim}\n"));
-    d.line("| size | Naive mean | Naive p99 | HL mean | HL p99 | p99 gain |");
-    d.line("|---|---|---|---|---|---|");
-    let mut gains: Vec<f64> = Vec::new();
-    for size in d.segments(&format!("{fig}/")) {
-        let (Some(n), Some(h)) = (
-            d.find(&format!("{fig}/{size}/{naive}")),
-            d.find(&format!("{fig}/{size}/HyperLoop")),
-        ) else {
-            continue;
-        };
-        let gain = n.lat("p99").unwrap_or(f64::NAN) / h.lat("p99").unwrap_or(f64::NAN);
-        gains.push(gain);
-        d.line(format!(
-            "| {size} | {} | {} | {} | {} | {} |",
-            fmt_ns(n.lat("mean").unwrap_or(f64::NAN)),
-            fmt_ns(n.lat("p99").unwrap_or(f64::NAN)),
-            fmt_ns(h.lat("mean").unwrap_or(f64::NAN)),
-            fmt_ns(h.lat("p99").unwrap_or(f64::NAN)),
-            fmt_ratio(gain),
-        ));
-    }
-    let (lo, hi) = (
-        gains.iter().copied().fold(f64::INFINITY, f64::min),
-        gains.iter().copied().fold(0.0f64, f64::max),
-    );
-    d.line(format!(
-        "\nShape check (computed): p99 gains span {}–{} across sizes; HyperLoop's p99 stays flat, growing only with wire time.",
-        fmt_ratio(lo),
-        fmt_ratio(hi)
-    ));
-}
-
-fn sec_table2(d: &mut Doc<'_>) {
-    let (Some(n), Some(h)) = (
-        d.find("table2/gCAS/Naive-Event"),
-        d.find("table2/gCAS/HyperLoop"),
-    ) else {
-        return;
-    };
-    d.line("\n## Table 2 — gCAS latency");
-    d.line("\nPaper: Naive 539 us mean / 11 886 us p99 vs HyperLoop 10 us mean / 14 us p99 — gains of 53.9x (mean) to 849x (p99).\n");
-    d.line("| | mean | p95 | p99 |");
-    d.line("|---|---|---|---|");
-    for (label, s) in [("measured Naive", n), ("measured HyperLoop", h)] {
-        d.line(format!(
-            "| {label} | {} | {} | {} |",
-            fmt_ns(s.lat("mean").unwrap_or(f64::NAN)),
-            fmt_ns(s.lat("p95").unwrap_or(f64::NAN)),
-            fmt_ns(s.lat("p99").unwrap_or(f64::NAN)),
-        ));
-    }
-    d.line(format!(
-        "| measured gains | {} | {} | {} |",
-        fmt_ratio(n.lat("mean").unwrap_or(f64::NAN) / h.lat("mean").unwrap_or(f64::NAN)),
-        fmt_ratio(n.lat("p95").unwrap_or(f64::NAN) / h.lat("p95").unwrap_or(f64::NAN)),
-        fmt_ratio(n.lat("p99").unwrap_or(f64::NAN) / h.lat("p99").unwrap_or(f64::NAN)),
-    ));
-    d.line("\nShape check (computed above): the gain ratios land in the paper's order of magnitude at every percentile.");
-}
-
-fn sec_fig9(d: &mut Doc<'_>) {
-    if !d.have_prefix("fig9/") {
-        return;
-    }
-    d.line("\n## Figure 9 — gWRITE throughput + replica CPU (unloaded, pinned baseline)");
-    d.line("\nPaper: similar throughput for both systems; Naive burns a full core per replica, HyperLoop ~0%.\n");
-    d.line("| size | Naive Kops/s | Naive CPU | HL Kops/s | HL CPU |");
-    d.line("|---|---|---|---|---|");
-    for size in d.segments("fig9/") {
-        let (Some(n), Some(h)) = (
-            d.find(&format!("fig9/{size}/Naive-Polling")),
-            d.find(&format!("fig9/{size}/HyperLoop")),
-        ) else {
-            continue;
-        };
-        d.line(format!(
-            "| {size} | {} | {:.0}% | {} | {:.1}% |",
-            fmt_kops(n.gauge("ops_per_sec").unwrap_or(f64::NAN)),
-            n.gauge("replica_cpu").unwrap_or(f64::NAN) * 100.0,
-            fmt_kops(h.gauge("ops_per_sec").unwrap_or(f64::NAN)),
-            h.gauge("replica_cpu").unwrap_or(f64::NAN) * 100.0,
-        ));
-    }
-    d.line("\nShape check: throughput parity with the CPU split the paper reports (HyperLoop's residual is the off-critical-path descriptor replenishment).");
-}
-
-fn sec_fig10(d: &mut Doc<'_>) {
-    if !d.have_prefix("fig10/") {
-        return;
-    }
-    d.line("\n## Figure 10 — p99 latency vs group size (3/5/7)");
-    d.line("\nPaper: Naive p99 grows up to 2.97x with group size; HyperLoop shows no significant degradation.\n");
-    d.line("| size | Naive g=3 | g=5 | g=7 | HL g=3 | g=5 | g=7 |");
-    d.line("|---|---|---|---|---|---|---|");
-    for size in d.segments("fig10/") {
-        let mut row = format!("| {size} |");
-        for sys in ["Naive-Event", "HyperLoop"] {
-            for gs in [3, 5, 7] {
-                let cell = d
-                    .find(&format!("fig10/{size}/g{gs}/{sys}"))
-                    .and_then(|s| s.lat("p99"))
-                    .map_or("n/a".into(), fmt_ns);
-                row.push_str(&format!(" {cell} |"));
-            }
-        }
-        d.line(row);
-    }
-    d.line("\nShape check: Naive grows with every extra hop (more CPUs woken per op); HyperLoop adds only deterministic NIC time per hop and stays orders of magnitude below.");
-}
-
-fn sec_fig11(d: &mut Doc<'_>) {
-    if !d.have_prefix("fig11/") {
-        return;
-    }
-    d.line("\n## Figure 11 — replicated RocksDB (kvstore), YCSB-A updates");
-    d.line("\nPaper: HyperLoop's tail is 5.7x lower than Naive-Event and 24.2x lower than Naive-Polling.\n");
-    d.line("| system | mean | p95 | p99 |");
-    d.line("|---|---|---|---|");
-    for sys in ["Naive-Event", "Naive-Polling", "HyperLoop"] {
-        if let Some(s) = d.find(&format!("fig11/ycsb-a/{sys}")) {
-            d.line(format!(
-                "| {sys} | {} | {} | {} |",
-                fmt_ns(s.lat("mean").unwrap_or(f64::NAN)),
-                fmt_ns(s.lat("p95").unwrap_or(f64::NAN)),
-                fmt_ns(s.lat("p99").unwrap_or(f64::NAN)),
-            ));
-        }
-    }
-    d.line("\nShape check: HyperLoop is flat and far below both baselines; the event-vs-polling inversion shows in the co-location ablation.");
-}
-
-fn sec_fig12(d: &mut Doc<'_>) {
-    if !d.have_prefix("fig12/") {
-        return;
-    }
-    d.line("\n## Figure 12 — replicated MongoDB (docstore), YCSB A/B/D/E/F");
-    d.line("\nPaper: HyperLoop cuts average insert/update latency by up to 79% and the average-to-p99 gap by up to 81%.\n");
-    d.line("| workload | native mean | native p99 | HL mean | HL p99 | mean cut | gap cut |");
-    d.line("|---|---|---|---|---|---|---|");
-    for w in d.segments("fig12/") {
-        let (Some(nat), Some(hl)) = (
-            d.find(&format!("fig12/{w}/native")),
-            d.find(&format!("fig12/{w}/HyperLoop")),
-        ) else {
-            continue;
-        };
-        let (nm, np) = (
-            nat.lat("mean").unwrap_or(f64::NAN),
-            nat.lat("p99").unwrap_or(f64::NAN),
-        );
-        let (hm, hp) = (
-            hl.lat("mean").unwrap_or(f64::NAN),
-            hl.lat("p99").unwrap_or(f64::NAN),
-        );
-        let mean_cut = (1.0 - hm / nm) * 100.0;
-        let gap_cut = (1.0 - (hp - hm) / (np - nm).max(1.0)) * 100.0;
-        d.line(format!(
-            "| {w} | {} | {} | {} | {} | {mean_cut:.0}% | {gap_cut:.0}% |",
-            fmt_ns(nm),
-            fmt_ns(np),
-            fmt_ns(hm),
-            fmt_ns(hp),
-        ));
-    }
-    d.line("\nShape check: write-heavy workloads show the largest mean cut, read-heavy ones smaller cuts — the paper's pattern — and tails collapse to a flat band.");
-}
-
-fn sec_shardscale(d: &mut Doc<'_>) {
-    if !d.have_prefix("shardscale/") {
-        return;
-    }
-    d.line("\n## Shard scaling — aggregate gWRITE throughput vs shard count");
-    d.line("\nOne client NIC drives 1-8 disjoint chains under a fixed offered load; aggregate throughput should rise monotonically with shard count.\n");
-    d.line("| shards | Kops/s | speedup | mean | p99 |");
-    d.line("|---|---|---|---|---|");
-    for n in d.segments("shardscale/") {
-        let Some(s) = d.find(&format!("shardscale/{n}")) else {
-            continue;
-        };
-        d.line(format!(
-            "| {n} | {} | {} | {} | {} |",
-            fmt_kops(s.gauge("ops_per_sec").unwrap_or(f64::NAN)),
-            fmt_ratio(s.gauge("speedup").unwrap_or(f64::NAN)),
-            fmt_ns(s.lat("mean").unwrap_or(f64::NAN)),
-            fmt_ns(s.lat("p99").unwrap_or(f64::NAN)),
-        ));
-    }
-    let rows = d.track_rows(
-        "shardscale/",
-        &[(
-            "window occupancy (shard 0)",
-            "bench.shards.shard0.in_flight",
-        )],
-    );
-    if !rows.is_empty() {
-        d.line("\nCounter tracks (folded from `TRACE_shardscale_*.json`): shard 0's in-flight window across the run — a full window means the arm is issue-bound, not completion-bound.\n");
-        d.line("| shards | track | peak | occupancy over time |");
-        d.line("|---|---|---|---|");
-        for r in rows {
-            d.line(r);
-        }
-    }
-    d.line("\nShape check (computed): the speedup column is the monotonicity witness — every arm must beat the previous one (asserted by the bench's own test as well).");
-}
-
-fn sec_migrate(d: &mut Doc<'_>) {
-    if !d.have_prefix("migrate/") {
-        return;
-    }
-    d.line("\n## Live migration — pause window and throughput dip vs shard count");
-    d.line("\nShard 0 moves to a standby chain at the halfway mark while every other shard keeps serving; the figures of merit are the pause length, the dip, and the replayed WAL tail.\n");
-    d.line("| shards | Kops/s | pause | window tput | moved MB | replayed |");
-    d.line("|---|---|---|---|---|---|");
-    for n in d.segments("migrate/") {
-        let Some(s) = d.find(&format!("migrate/{n}")) else {
-            continue;
-        };
-        d.line(format!(
-            "| {n} | {} | {} | {:.0}% | {:.1} | {:.0} |",
-            fmt_kops(s.gauge("ops_per_sec").unwrap_or(f64::NAN)),
-            fmt_ns(s.gauge("migration.pause_ns").unwrap_or(f64::NAN)),
-            s.gauge("window_tput_ratio").unwrap_or(f64::NAN) * 100.0,
-            s.gauge("migration.copy_bytes").unwrap_or(f64::NAN) / (1u64 << 20) as f64,
-            s.gauge("migration.replayed").unwrap_or(f64::NAN),
-        ));
-    }
-    let rows = d.track_rows(
-        "migrate/",
-        &[
-            ("pen depth (shard 0)", "bench.shards.shard0.pen"),
-            (
-                "window occupancy (shard 0)",
-                "bench.shards.shard0.in_flight",
-            ),
-        ],
-    );
-    if !rows.is_empty() {
-        d.line("\nCounter tracks (folded from `TRACE_migrate_*.json`): the holding pen fills only inside the pause window and drains at resume; the in-flight window empties across the cutover and refills on the new chain.\n");
-        d.line("| shards | track | peak | occupancy over time |");
-        d.line("|---|---|---|---|");
-        for r in rows {
-            d.line(r);
-        }
-    }
-    d.line("\nShape check: the pause is shard-local (other shards keep completing inside the window) and the replay column is the WAL tail that raced the bulk copy.");
-}
-
-fn sec_hostperf(d: &mut Doc<'_>) {
-    if !d.have_prefix("hostperf/") {
-        return;
-    }
-    d.line("\n## Host throughput (hostperf) — simulator wall-clock self-profile");
-    d.line("\nHow fast the *host* turns the crank: simulated gWRITE ops per wall-clock second, event-queue events per wall second, simulated nanoseconds advanced per wall millisecond, bytes allocated, and the observability tax (extra wall time when tracing/audit taps are live vs the identical run with them off). These numbers describe the simulator itself, not the modeled system, and vary run to run — the canonicalizer strips them before byte-identity checks.\n");
-    d.line("| ops | host Kops/s | Kevents/s | sim us / wall ms | alloc MiB | obs tax |");
-    d.line("|---|---|---|---|---|---|");
-    for seg in d.segments("hostperf/") {
-        let Some(s) = d.find(&format!("hostperf/{seg}")) else {
-            continue;
-        };
-        d.line(format!(
-            "| {seg} | {} | {} | {:.1} | {:.1} | {:.1}% |",
-            fmt_kops(s.host("ops_per_sec").unwrap_or(0.0)),
-            fmt_kops(s.host("events_per_sec").unwrap_or(0.0)),
-            s.host("sim_ns_per_wall_ms").unwrap_or(0.0) / 1e3,
-            s.host("alloc_bytes").unwrap_or(0.0) / (1u64 << 20) as f64,
-            s.host("obs_tax.overhead_pct").unwrap_or(0.0),
-        ));
-    }
-    d.line("\nShape check: host ops/s should be roughly flat across the sweep (per-op host cost is size-independent here); a collapse is a host-side regression, which `benchcheck --host-baseline` gates against the recorded baseline (thresholds documented normatively in benchcheck's doc comment).");
-}
-
-fn sec_txnmix(d: &mut Doc<'_>) {
-    if !d.have_prefix("txnmix/") {
-        return;
-    }
-    d.line("\n## Transaction mix (txnmix) — multi-key commit throughput vs contention");
-    d.line("\nMulti-key transactions (YCSB-F read-modify-writes plus two-account transfers that often span shards) on a 4-shard cluster through both commit paths of the transaction layer: locking (gCAS write locks in global key order) and optimistic (validate-then-commit over version words). The zipfian skew theta is the contention knob; every arm runs with the full auditor set live and must finish with zero violations and a conserved transfer-balance sum.\n");
-    d.line("| mode | theta | Ktxn/s | aborts/commit | lock retries | mean span | mean | p99 |");
-    d.line("|---|---|---|---|---|---|---|---|");
-    for mode in d.segments("txnmix/") {
-        for seg in d.segments(&format!("txnmix/{mode}/")) {
-            let Some(s) = d.find(&format!("txnmix/{mode}/{seg}")) else {
-                continue;
-            };
-            d.line(format!(
-                "| {mode} | {} | {} | {:.2} | {:.0} | {:.2} | {} | {} |",
-                seg.trim_start_matches("theta"),
-                fmt_kops(s.gauge("ops_per_sec").unwrap_or(f64::NAN)),
-                s.gauge("abort_ratio").unwrap_or(f64::NAN),
-                s.gauge("lock_retries").unwrap_or(f64::NAN),
-                s.gauge("mean_span").unwrap_or(f64::NAN),
-                fmt_ns(s.lat("mean").unwrap_or(f64::NAN)),
-                fmt_ns(s.lat("p99").unwrap_or(f64::NAN)),
-            ));
-        }
-    }
-    d.line("\nShape check: throughput falls and the aborts/commit column rises as theta climbs on both paths — contention, not the commit protocol, is the limiter; the audit gate (zero violations) is asserted inside the bench and re-checked by benchcheck on the `audit.violations` counter.");
-}
-
-fn sec_txn_aborts(d: &mut Doc<'_>) {
-    let any = d
-        .scns
-        .iter()
-        .any(|s| s.name.starts_with("txnmix/") && s.tree.get("abort_causes").is_some());
-    if !any {
-        return;
-    }
-    d.line("\n## Abort causes (txnmix)");
-    d.line("\nEvery aborted transaction carries exactly one root cause: `lock_conflict` (a gCAS lock round lost to a live holder), `validation_failed` (a version word moved between a buffered read and its validation — both commit paths validate reads, the locking path under its locks), or `backoff_exhausted` (the retry budget ran out without a live holder to blame). Counts are lifted verbatim from each scenario's `abort_causes` block; the three causes sum to the aborts column, which benchcheck pins to the `txn.aborted` counter.\n");
-    d.line("| mode | theta | aborts | lock_conflict | validation_failed | backoff_exhausted |");
-    d.line("|---|---|---|---|---|---|");
-    for mode in d.segments("txnmix/") {
-        for seg in d.segments(&format!("txnmix/{mode}/")) {
-            let Some(s) = d.find(&format!("txnmix/{mode}/{seg}")) else {
-                continue;
-            };
-            if s.tree.get("abort_causes").is_none() {
-                continue;
-            }
-            let g = |k| s.count(&["abort_causes", k]).unwrap_or(0);
-            d.line(format!(
-                "| {mode} | {} | {} | {} | {} | {} |",
-                seg.trim_start_matches("theta"),
-                g("total"),
-                g("lock_conflict"),
-                g("validation_failed"),
-                g("backoff_exhausted"),
-            ));
-        }
-    }
-    d.line("\nShape check: validation failures dominate on both paths — under skew a buffered read goes stale before commit even when every lock is won — while `lock_conflict` climbs with theta as transactions start losing rounds to live holders; `backoff_exhausted` stays rare because the retry budget outlives most lock fights.");
-}
-
-fn sec_tail(d: &mut Doc<'_>) {
-    let rows: Vec<String> = d
-        .scns
-        .iter()
-        .filter_map(|s| {
-            let ops = s.count(&["tail", "ops"]).filter(|&ops| ops > 0)?;
-            let dom = s
-                .dominant_cause()
-                .map_or("none".into(), |(label, n)| format!("{label} ({n})"));
-            Some(format!(
-                "| {} | {ops} | {} | {} | {} | {dom} |",
-                s.name,
-                s.count(&["tail", "tail_ops"])?,
-                fmt_ns(s.num(&["tail", "median_e2e_ns"])?),
-                fmt_ns(s.num(&["tail", "p99_ns"])?),
-            ))
+fn min_max(v: &[f64]) -> (f64, f64) {
+    v.iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+            (lo.min(x), hi.max(x))
         })
-        .collect();
-    if rows.is_empty() {
-        return;
-    }
-    d.line("\n## Tail root causes (tailscope)");
-    d.line("\nEvery traced scenario folds its span trees into tail exemplars: ops at or beyond the *exact* population p99 (and above the median — ties at the quantile count, since deterministic latencies quantise), each attributed to exactly one normative cause (`migration_pause` > `txn_backoff` > `lock_wait` > `replica_straggler` > `queue_wait` > `flow_control_stall` > `residual`, in precedence order). Counts sum to the tail-op column by construction — benchcheck re-checks the sum and the per-exemplar excess tiling. The per-exemplar detail (stage-by-stage excess vs the population medians) lands in `TAIL_*.json` next to the traces.\n");
-    d.line("| scenario | ops | tail ops | median | p99 | dominant cause |");
-    d.line("|---|---|---|---|---|---|");
-    for r in rows {
-        d.line(r);
-    }
-    d.line("\nShape check: the dominant cause should match the scenario's design — `migration_pause` under a live migration, `lock_wait`/`txn_backoff` under contended transactions, `queue_wait` on loaded chains — and `residual` should stay rare; a residual-dominated profile means the trace is missing a stage.");
 }
 
-fn sec_series(d: &mut Doc<'_>) {
-    let mut rows = Vec::new();
-    for s in d.scns {
-        for (label, key) in [
-            ("throughput (shard 0)", "ops_per_sec"),
-            ("p99 (shard 0)", "p99_ns"),
-        ] {
-            let vals = s.series(0, key);
-            if vals.is_empty() {
-                continue;
-            }
-            let peak = vals.iter().copied().fold(0.0f64, f64::max);
-            if !peak.is_finite() {
-                continue;
-            }
-            let peak_cell = if key.ends_with("_ns") {
-                fmt_ns(peak)
-            } else {
-                format!("{:.0}/s", peak)
-            };
-            rows.push(format!(
-                "| {} | {label} | {peak_cell} | {} |",
-                s.name,
-                sparkline(&vals)
-            ));
-        }
-    }
-    if rows.is_empty() {
-        return;
-    }
-    d.line("\n## Windowed telemetry (tailscope series)");
-    d.line("\nEach scenario samples per-shard throughput, latency quantiles, window occupancy and pen depth at every `HealthMonitor` tick into a bounded ring; the full series is exported in the `series` block, as Perfetto counter tracks in traced runs, and sketched here for shard 0 (the migrating shard in `migrate/*`, an arbitrary-but-fixed shard elsewhere). Timestamps are strictly monotonic per shard — benchcheck gates on it.\n");
-    d.line("| scenario | track | peak | over time |");
-    d.line("|---|---|---|---|");
-    for r in rows {
-        d.line(r);
-    }
-    d.line("\nShape check: `migrate/*` throughput must dip and recover around the pause window while `shardscale/*` stays flat; a sawtooth in the p99 track is the background-tenant burst cycle showing through.");
+/// A claim's declared verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The report bears the claim out.
+    Holds,
+    /// The report contradicts the claim; the one-line cause.
+    Diverges(&'static str),
+    /// Quick and full-size runs read differently; the cause names both
+    /// readings. Either computed verdict passes.
+    Unsettled(&'static str),
 }
 
-fn sec_ablations(d: &mut Doc<'_>) {
-    let any = d.have_prefix("ablation/");
-    if !any {
-        return;
-    }
-    d.line("\n## Ablations (design choices from DESIGN.md)");
-    if let (Some(nf), Some(f)) = (
-        d.find("ablation/flush-cost/no-flush"),
-        d.find("ablation/flush-cost/flush"),
-    ) {
-        let (a, b) = (
-            nf.lat("mean").unwrap_or(f64::NAN),
-            f.lat("mean").unwrap_or(f64::NAN),
-        );
-        d.line(format!(
-            "\n* **Interleaved gFLUSH cost**: gWRITE {} -> gWRITE+gFLUSH {} (computed delta {} per op). The durability interleave costs one 0-byte READ round-trip per hop.",
-            fmt_ns(a),
-            fmt_ns(b),
-            fmt_ns(b - a)
-        ));
-    }
-    if d.have_prefix("ablation/colocation/") {
-        d.line("\n* **Polling vs event-driven under co-location**:\n");
-        d.line("  | tenants/node | Naive-Event p99 | Naive-Polling p99 |");
-        d.line("  |---|---|---|");
-        for seg in d.segments("ablation/colocation/") {
-            let hogs = seg.trim_start_matches("hogs");
-            let ev = d
-                .find(&format!("ablation/colocation/{seg}/Naive-Event"))
-                .and_then(|s| s.lat("p99"))
-                .map_or("n/a".into(), fmt_ns);
-            let po = d
-                .find(&format!("ablation/colocation/{seg}/Naive-Polling"))
-                .and_then(|s| s.lat("p99"))
-                .map_or("n/a".into(), fmt_ns);
-            d.line(format!("  | {hogs} | {ev} | {po} |"));
+/// A claim evaluated on a report.
+#[derive(Debug)]
+pub struct Reading {
+    /// The figure (or cross-run section) the claim belongs to.
+    pub id: &'static str,
+    /// The claim.
+    pub claim: &'static Claim,
+    /// The measured values, formatted.
+    pub measured: String,
+    /// The band, formatted.
+    pub band: String,
+    /// The computed verdict: true when the values lie in the band.
+    pub holds: bool,
+}
+
+impl Reading {
+    /// Evaluates `claim` of section `id` on `all`; `None` when the report
+    /// does not carry what it measures.
+    pub fn of(id: &'static str, claim: &'static Claim, all: &[Scn]) -> Option<Reading> {
+        let values = (claim.measure)(all);
+        if values.is_empty() {
+            return None;
         }
-        d.line("\n  Polling wins while it owns a core and loses once tenants contend — the paper's core motivation for not burning cores.");
-    }
-    if d.have_prefix("ablation/fanout/") {
-        d.line("\n* **Fan-out vs chain** (median 1 KB durable-write latency):\n");
-        d.line("  | replicas | chain | fan-out |");
-        d.line("  |---|---|---|");
-        for seg in d.segments("ablation/fanout/") {
-            let gs = seg.trim_start_matches('g');
-            if let Some(s) = d.find(&format!("ablation/fanout/{seg}")) {
-                d.line(format!(
-                    "  | {gs} | {} | {} |",
-                    fmt_ns(s.gauge("chain_p50_ns").unwrap_or(f64::NAN)),
-                    fmt_ns(s.gauge("fanout_p50_ns").unwrap_or(f64::NAN)),
-                ));
+        let unit = claim.unit;
+        let measured = match claim.band {
+            Band::Rising | Band::Falling => values
+                .iter()
+                .map(|&v| unit(v))
+                .collect::<Vec<_>>()
+                .join(" → "),
+            _ => {
+                let (lo, hi) = min_max(&values);
+                let (lo, hi) = (unit(lo), unit(hi));
+                if lo == hi {
+                    lo
+                } else {
+                    format!("{lo}–{hi}")
+                }
             }
-        }
-        d.line("\n  Fan-out is flat (backups written in parallel) while the chain pays per-hop latency — but keeps one active write QP per partition.");
+        };
+        Some(Reading {
+            id,
+            claim,
+            measured,
+            band: claim.band.text(unit),
+            holds: claim.band.holds(&values),
+        })
     }
-    if d.have_prefix("ablation/read-scaling/") {
-        d.line("\n* **Consistent-read scaling** (8 KB objects, three reader clients):\n");
-        d.line("  | serving replicas | reads/s | aggregate Gbps |");
-        d.line("  |---|---|---|");
-        for seg in d.segments("ablation/read-scaling/") {
-            if let Some(s) = d.find(&format!("ablation/read-scaling/{seg}")) {
-                let rps = s.gauge("reads_per_sec").unwrap_or(f64::NAN);
-                d.line(format!(
-                    "  | {seg} | {:.0} k | {:.1} |",
-                    rps / 1e3,
-                    rps * 8192.0 * 8.0 / 1e9
-                ));
-            }
+
+    /// The computed verdict's word.
+    pub fn computed(&self) -> &'static str {
+        if self.holds {
+            "holds"
+        } else {
+            "diverges"
         }
-        d.line("\n  One replica saturates its port; spreading reads unlocks the others'.");
+    }
+
+    /// True when the computed verdict is the declared one.
+    pub fn agrees(&self) -> bool {
+        match self.claim.verdict {
+            Verdict::Holds => self.holds,
+            Verdict::Diverges(_) => !self.holds,
+            Verdict::Unsettled(_) => true,
+        }
+    }
+
+    fn line(&self) -> String {
+        let c = self.claim;
+        let verdict = match c.verdict {
+            Verdict::Holds => format!("**{}**.", self.computed()),
+            Verdict::Diverges(cause) => format!("**{}** — {cause}.", self.computed()),
+            Verdict::Unsettled(cause) => format!("**{}** (unsettled: {cause}).", self.computed()),
+        };
+        format!(
+            "Claim: {} Measured {}; band {}: {verdict}",
+            c.says, self.measured, self.band
+        )
     }
 }
 
-fn sec_attribution(d: &mut Doc<'_>) {
-    let traced: Vec<(&Scn, u64)> = d
-        .scns
+/// Renders `section` over the scenarios `all`: heading, lead, every table
+/// with rows, one verdict line per evaluable claim, and the note. A
+/// section with no rows at all renders as nothing.
+pub fn render(id: &'static str, section: &'static Section, all: &[Scn]) -> String {
+    let tables: Vec<(&Table, Vec<Row<'_>>)> =
+        section.tables.iter().map(|t| (t, t.rows(all))).collect();
+    if tables.iter().all(|(_, rows)| rows.is_empty()) {
+        return String::new();
+    }
+    let mut out = format!("\n## {}\n", section.title);
+    if !section.lead.is_empty() {
+        let _ = writeln!(out, "\n{}\n", section.lead);
+    }
+    for (t, rows) in tables.iter().filter(|(_, rows)| !rows.is_empty()) {
+        if !t.intro.is_empty() {
+            let _ = writeln!(out, "\n{}\n", t.intro);
+        }
+        match t.layout {
+            Layout::Grid(cols) => {
+                let line = |cells: Vec<String>| {
+                    let mut l = format!("{}|", t.indent);
+                    for c in cells {
+                        // An empty header cell renders `| |`.
+                        let _ = write!(l, "{}{c} |", if c.is_empty() { "" } else { " " });
+                    }
+                    l
+                };
+                let _ = writeln!(
+                    out,
+                    "{}",
+                    line(cols.iter().map(|c| c.head.into()).collect())
+                );
+                let _ = writeln!(out, "{}|{}", t.indent, "---|".repeat(cols.len()));
+                for r in rows {
+                    let _ = writeln!(out, "{}", line(cols.iter().map(|c| (c.cell)(r)).collect()));
+                }
+            }
+            Layout::Sentence(say) => {
+                for r in rows {
+                    let _ = writeln!(out, "\n{}", say(r));
+                }
+            }
+        }
+    }
+    for c in section.claims {
+        if let Some(reading) = Reading::of(id, c, all) {
+            let _ = writeln!(out, "\n{}", reading.line());
+        }
+    }
+    if !section.note.is_empty() {
+        let _ = writeln!(out, "\n{}", section.note);
+    }
+    out
+}
+
+/// The integer at `path` of the row's scenario.
+fn count(r: &Row<'_>, path: &[&str]) -> String {
+    r.scns[0]
+        .count(path)
+        .map_or("n/a".into(), |n| n.to_string())
+}
+
+/// The nanoseconds at `path` of the row's scenario.
+fn ns(r: &Row<'_>, path: &[&str]) -> String {
+    fmt_ns(r.scns[0].num(path).unwrap_or(f64::NAN))
+}
+
+/// The sections that read blocks every runner family writes, rendered
+/// after the figures.
+const CROSS_RUN: [(&str, &Section); 4] = [
+    ("aborts", &ABORTS),
+    ("tail", &TAIL),
+    ("series", &SERIES),
+    ("attribution", &ATTRIBUTION),
+];
+
+/// Every section, with its id, in doc order.
+pub fn sections() -> impl Iterator<Item = (&'static str, &'static Section)> {
+    FIGURES.iter().map(|f| (f.id, f.section)).chain(CROSS_RUN)
+}
+
+const ABORT_ROWS: Rows = carrying("txnmix/", &["abort_causes"]);
+
+const ABORTS: Section = Section {
+    title: "Abort causes (txnmix)",
+    lead: "Every aborted transaction carries exactly one root cause: `lock_conflict` (a gCAS lock round lost to a live holder), `validation_failed` (a version word moved between a buffered read and its validation — both commit paths validate reads, the locking path under its locks), or `backoff_exhausted` (the retry budget ran out without a live holder to blame). Counts are lifted verbatim from each scenario's `abort_causes` block; the three causes sum to the aborts column, which benchcheck pins to the `txn.aborted` counter.",
+    tables: &[Table::grid(
+        ABORT_ROWS,
+        &[
+            col("mode", txnmix::mode),
+            col("theta", txnmix::theta),
+            col("aborts", |r| count(r, &["abort_causes", "total"])),
+            col("lock_conflict", |r| count(r, &["abort_causes", "lock_conflict"])),
+            col("validation_failed", |r| count(r, &["abort_causes", "validation_failed"])),
+            col("backoff_exhausted", |r| count(r, &["abort_causes", "backoff_exhausted"])),
+        ],
+    )],
+    claims: &[
+        Claim {
+            says: "Validation failures dominate the aborts on both paths.",
+            measure: |all| {
+                let share = |s: &Scn| {
+                    let n = |k| s.count(&["abort_causes", k]).unwrap_or(0) as f64;
+                    (n("total") > 0.0).then(|| n("validation_failed") / n("total"))
+                };
+                ABORT_ROWS.of(all).iter().filter_map(|r| share(r.scns[0])).collect()
+            },
+            band: Band::AtLeast(0.5),
+            unit: fmt_pct,
+            verdict: Verdict::Holds,
+        },
+        Claim {
+            says: "There are more `lock_conflict` aborts at theta 0.99 than at 0.5 on both paths.",
+            measure: |all| {
+                txnmix::per_mode(all, |lo, hi| {
+                    let n = |s: &Scn| s.num(&["abort_causes", "lock_conflict"]).unwrap_or(0.0);
+                    n(hi) - n(lo)
+                })
+            },
+            band: Band::AtLeast(1.0),
+            unit: |v| format!("{v:+.0}"),
+            verdict: Verdict::Holds,
+        },
+    ],
+    note: "",
+};
+
+const TAIL_ROWS: Rows = carrying("", &["tail", "ops"]);
+
+/// Each scenario's share of tail ops attributed to `cause`, over the
+/// scenarios under `prefixes` that have tail ops.
+fn cause_shares(all: &[Scn], prefixes: &[&str], cause: &str) -> Vec<f64> {
+    let rows = TAIL_ROWS.of(all);
+    rows.iter()
+        .filter(|r| prefixes.iter().any(|p| r.key.starts_with(p)))
+        .filter_map(|r| {
+            let s = r.scns[0];
+            let tail_ops = s.num(&["tail", "tail_ops"]).filter(|&n| n > 0.0)?;
+            Some(s.num(&["tail", "causes", cause])? / tail_ops)
+        })
+        .collect()
+}
+
+const TAIL: Section = Section {
+    title: "Tail root causes (tailscope)",
+    lead: "Every traced scenario folds its span trees into tail exemplars: ops at or beyond the *exact* population p99 (and above the median — ties at the quantile count, since deterministic latencies quantise), each attributed to exactly one normative cause (`migration_pause` > `txn_backoff` > `lock_wait` > `replica_straggler` > `queue_wait` > `flow_control_stall` > `residual`, in precedence order). Counts sum to the tail-op column by construction — benchcheck re-checks the sum and the per-exemplar excess tiling. The per-exemplar detail (stage-by-stage excess vs the population medians) lands in `TAIL_*.json` next to the traces.",
+    tables: &[Table::grid(
+        TAIL_ROWS,
+        &[
+            col("scenario", |r| r.key.clone()),
+            col("ops", |r| count(r, &["tail", "ops"])),
+            col("tail ops", |r| count(r, &["tail", "tail_ops"])),
+            col("median", |r| ns(r, &["tail", "median_e2e_ns"])),
+            col("p99", |r| ns(r, &["tail", "p99_ns"])),
+            col("dominant cause", |r| {
+                r.scns[0]
+                    .dominant_cause()
+                    .map_or("none".into(), |(label, n)| format!("{label} ({n})"))
+            }),
+        ],
+    )],
+    claims: &[
+        Claim {
+            says: "`migration_pause` is the dominant tail cause of every live-migration arm.",
+            measure: |all| {
+                let rows = TAIL_ROWS.of(all);
+                let arms: Vec<_> = rows.iter().filter(|r| r.key.starts_with("migrate/")).collect();
+                let paused = arms.iter().filter(|r| {
+                    r.scns[0].dominant_cause().map(|(c, _)| c) == Some("migration_pause")
+                });
+                let share = paused.count() as f64 / arms.len() as f64;
+                (!arms.is_empty()).then_some(share).into_iter().collect()
+            },
+            band: Band::AtLeast(1.0),
+            unit: fmt_pct,
+            verdict: Verdict::Holds,
+        },
+        Claim {
+            says: "`residual` dominates no tail of the sweeps beyond the paper (shardscale, migrate, hostperf, txnmix).",
+            measure: |all| cause_shares(all, &TAILSCOPE, "residual"),
+            band: Band::Under(0.5),
+            unit: fmt_pct,
+            verdict: Verdict::Holds,
+        },
+        Claim {
+            says: "`residual` dominates no tail of the paper's microbenchmarks (Figs. 8-10, Table 2).",
+            measure: |all| {
+                cause_shares(all, &["fig8a/", "fig8b/", "table2/", "fig9/", "fig10/"], "residual")
+            },
+            band: Band::Under(0.5),
+            unit: fmt_pct,
+            verdict: Verdict::Diverges("open"),
+        },
+    ],
+    note: "A residual-dominated profile means the trace is missing a stage.",
+};
+
+const SERIES: Section = Section {
+    title: "Windowed telemetry (tailscope series)",
+    lead: "Each scenario samples per-shard throughput, latency quantiles, window occupancy and pen depth at every `HealthMonitor` tick into a bounded ring; the full series is exported in the `series` block, as Perfetto counter tracks in traced runs, and sketched here for shard 0 (the migrating shard in `migrate/*`, an arbitrary-but-fixed shard elsewhere). Timestamps are strictly monotonic per shard — benchcheck gates on it.",
+    tables: &[Table {
+        tracks: &[
+            Track {
+                label: "throughput (shard 0)",
+                key: "ops_per_sec",
+                values: |s, k| s.series(0, k),
+                peak: |p| format!("{p:.0}/s"),
+            },
+            Track {
+                label: "p99 (shard 0)",
+                key: "p99_ns",
+                values: |s, k| s.series(0, k),
+                peak: fmt_ns,
+            },
+        ],
+        ..Table::grid(
+            carrying("", &["series"]),
+            &[
+                col("scenario", |r| r.key.clone()),
+                col("track", track_label),
+                col("peak", track_peak),
+                col("over time", track_line),
+            ],
+        )
+    }],
+    claims: &[],
+    note: "A sawtooth in a p99 track is the background-tenant burst cycle showing through.",
+};
+
+const ATTRIBUTION: Section = Section {
+    title: "Critical-path attribution (simprof)",
+    lead: "Per-stage latency folded over every traced op: each row's stage means tile the mean end-to-end latency exactly (the `stage_mean_sum` column equals `mean e2e` by construction). The dominant path is the stage signature most ops take.",
+    tables: &[Table::grid(
+        carrying("", &["stage_attribution", "ops"]),
+        &[
+            col("scenario", |r| r.key.clone()),
+            col("ops", |r| count(r, &["stage_attribution", "ops"])),
+            col("mean e2e", |r| ns(r, &["stage_attribution", "mean_e2e_ns"])),
+            col("stage_mean_sum", |r| ns(r, &["stage_attribution", "stage_mean_sum_ns"])),
+            col("top stage (share)", |r| {
+                let stages = r.scns[0].tree.at(&["stage_attribution", "stages"]);
+                stages
+                    .and_then(JsonValue::as_obj)
+                    .unwrap_or_default()
+                    .iter()
+                    .filter_map(|(label, st)| Some((label, st.get("share")?.as_f64()?)))
+                    .max_by(|x, y| x.1.partial_cmp(&y.1).unwrap_or(std::cmp::Ordering::Equal))
+                    .map_or("n/a".into(), |(l, share)| format!("{l} ({})", fmt_pct(share)))
+            }),
+            col("dominant-path share", |r| {
+                let share = r.scns[0].num(&["stage_attribution", "dominant_path", "share"]);
+                share.map_or("n/a".into(), fmt_pct)
+            }),
+        ],
+    )],
+    claims: &[],
+    note: "",
+};
+
+const INTRO: &str = "
+Every table below is regenerated from `BENCH_*.json` benchmark reports:
+
+```text
+cargo run --release -p hyperloop-bench --bin figures -- all --json out/
+cargo run --release -p hyperloop-bench --bin expgen -- out -o EXPERIMENTS.md
+```
+
+Absolute numbers are not expected to match the paper — the substrate is
+a simulator, not the authors' ConnectX-3 testbed — but the *shape* (who
+wins, by what order of magnitude, and where trends bend) is the
+reproduction target. Simulation parameters are calibrated once, globally
+(NIC ~250 ns descriptor fetch, 56 Gbps wire, 5 us wake-up, 6 ms
+effective time slice under hundreds-of-processes load, 96 bursty tenants
+per replica machine), not per experiment. Each claim's verdict is
+computed from the report by `expgen`, which fails when it differs from
+the declared one; the table at the end lists every claim.
+";
+
+const METHODOLOGY: &str = "
+## Methodology notes
+
+* All runs are deterministic given the seed in each runner.
+* Latency experiments pace one op per ~300 us so the run samples many
+  background-tenant burst cycles.
+* Figure 9 uses the paper's best-case baseline: pinned polling replicas,
+  no co-located tenants, plain gWRITE (no interleaved flush).
+* The figure-2/11/12 baselines charge MongoDB/RocksDB-like per-op CPU
+  costs; see `baseline::NaiveCosts` and `mongo2::mongo_costs`.
+* YCSB workload mixes are implemented exactly as specified and asserted
+  by unit tests in the `ycsb` crate.
+";
+
+/// Every claim the scenarios let [`Reading::of`] evaluate, in doc order.
+pub fn readings(scns: &[Scn]) -> Vec<Reading> {
+    sections()
+        .flat_map(|(id, s)| s.claims.iter().map(move |c| (id, c)))
+        .filter_map(|(id, c)| Reading::of(id, c, scns))
+        .collect()
+}
+
+/// The claims whose computed verdict differs from the declared one, each
+/// naming its figure, its sentence, the measured value and the band.
+pub fn mismatches(scns: &[Scn]) -> Vec<String> {
+    readings(scns)
         .iter()
-        .filter_map(|s| Some((s, s.count(&["stage_attribution", "ops"])?)))
-        .filter(|&(_, ops)| ops > 0)
-        .collect();
-    if traced.is_empty() {
-        return;
-    }
-    d.line("\n## Critical-path attribution (simprof)");
-    d.line("\nPer-stage latency folded over every traced op: each row's stage means tile the mean end-to-end latency exactly (the `stage_mean_sum` column equals `mean e2e` by construction). The dominant path is the stage signature most ops take.\n");
-    d.line(
-        "| scenario | ops | mean e2e | stage_mean_sum | top stage (share) | dominant-path share |",
-    );
-    d.line("|---|---|---|---|---|---|");
-    for (s, ops) in traced {
-        let att = |k| s.num(&["stage_attribution", k]).unwrap_or(f64::NAN);
-        let stages = s.tree.at(&["stage_attribution", "stages"]);
-        let top = stages
-            .and_then(JsonValue::as_obj)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|(label, st)| Some((label, st.get("share")?.as_f64()?)))
-            .max_by(|x, y| x.1.partial_cmp(&y.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map_or("n/a".into(), |(l, share)| {
-                format!("{l} ({:.0}%)", share * 100.0)
-            });
-        let dom = s
-            .num(&["stage_attribution", "dominant_path", "share"])
-            .map_or("n/a".into(), |share| format!("{:.0}%", share * 100.0));
-        d.line(format!(
-            "| {} | {ops} | {} | {} | {top} | {dom} |",
-            s.name,
-            fmt_ns(att("mean_e2e_ns")),
-            fmt_ns(att("stage_mean_sum_ns")),
-        ));
-    }
+        .filter(|r| !r.agrees())
+        .map(|r| {
+            format!(
+                "{}: claim \"{}\" {} (measured {}, band {}) but is declared {}",
+                r.id,
+                r.claim.says,
+                r.computed(),
+                r.measured,
+                r.band,
+                if r.holds { "diverging" } else { "to hold" }
+            )
+        })
+        .collect()
 }
 
 /// Generates the full EXPERIMENTS.md text from the parsed scenarios.
 /// Sections appear iff their scenarios are present in the reports, so a
-/// quick CI report regenerates a strict subset of the full document.
+/// quick CI report regenerates a subset of the full document; the claims
+/// table lists every claim the reports let it evaluate.
 pub fn generate(scns: &[Scn]) -> String {
-    let mut d = Doc {
-        out: String::new(),
-        scns,
-    };
-    d.line("# EXPERIMENTS — paper vs. measured");
-    d.line("");
-    d.line(MARKER);
-    d.line("");
-    d.line("Every table below is regenerated from `BENCH_*.json` benchmark reports:");
-    d.line("");
-    d.line("```text");
-    d.line("cargo run --release -p hyperloop-bench --bin figures -- all --json out/");
-    d.line("cargo run --release -p hyperloop-bench --bin expgen -- out -o EXPERIMENTS.md");
-    d.line("```");
-    d.line("");
-    d.line("Absolute numbers are not expected to match the paper — the substrate is");
-    d.line("a simulator, not the authors' ConnectX-3 testbed — but the *shape* (who");
-    d.line("wins, by what order of magnitude, and where trends bend) is the");
-    d.line("reproduction target. Simulation parameters are calibrated once, globally");
-    d.line("(NIC ~250 ns descriptor fetch, 56 Gbps wire, 5 us wake-up, 6 ms");
-    d.line("effective time slice under hundreds-of-processes load, 96 bursty tenants");
-    d.line("per replica machine), not per experiment. Every \"Shape check\" ratio is");
-    d.line("computed from the report by `expgen`, not hand-typed.");
-
-    sec_fig2(
-        &mut d,
-        "fig2a",
-        "sets",
-        "Figure 2(a) — motivating experiment: latency vs co-located replica-sets",
-        "with 9-27 MongoDB replica-sets on 3 servers, average and tail latency grow substantially and context switches grow with tenancy.",
-    );
-    sec_fig2(
-        &mut d,
-        "fig2b",
-        "cores",
-        "Figure 2(b) — latency vs cores (18 replica-sets)",
-        "with more cores, latency and context-switch pressure drop although network throughput is unchanged.",
-    );
-    sec_fig8(
-        &mut d,
-        "fig8a",
-        "Naive-Event",
-        "Figure 8(a) — gWRITE latency vs message size (group = 3, loaded)",
-        "Naive-RDMA p99 is up to 801.8x higher than HyperLoop; HyperLoop is flat across sizes.",
-    );
-    sec_fig8(
-        &mut d,
-        "fig8b",
-        "Naive-Event",
-        "Figure 8(b) — gMEMCPY latency vs size",
-        "up to 848x p99 reduction.",
-    );
-    sec_table2(&mut d);
-    sec_fig9(&mut d);
-    sec_fig10(&mut d);
-    sec_fig11(&mut d);
-    sec_fig12(&mut d);
-    sec_shardscale(&mut d);
-    sec_migrate(&mut d);
-    sec_hostperf(&mut d);
-    sec_txnmix(&mut d);
-    sec_txn_aborts(&mut d);
-    sec_tail(&mut d);
-    sec_series(&mut d);
-    sec_ablations(&mut d);
-    sec_attribution(&mut d);
-
-    d.line("\n## Methodology notes");
-    d.line("");
-    d.line("* All runs are deterministic given the seed in each runner.");
-    d.line("* Latency experiments pace one op per ~300 us so the run samples many");
-    d.line("  background-tenant burst cycles.");
-    d.line("* Figure 9 uses the paper's best-case baseline: pinned polling replicas,");
-    d.line("  no co-located tenants, plain gWRITE (no interleaved flush).");
-    d.line("* The figure-2/11/12 baselines charge MongoDB/RocksDB-like per-op CPU");
-    d.line("  costs; see `baseline::NaiveCosts` and `mongo2::mongo_costs`.");
-    d.line("* YCSB workload mixes are implemented exactly as specified and asserted");
-    d.line("  by unit tests in the `ycsb` crate.");
-    d.out
+    let mut out = format!("# EXPERIMENTS — paper vs. measured\n\n{MARKER}\n{INTRO}");
+    for (id, section) in sections() {
+        out += &render(id, section, scns);
+    }
+    out += METHODOLOGY;
+    let readings = readings(scns);
+    if !readings.is_empty() {
+        out += "\n## Claims\n\nEach claim is declared once, beside its figure's runner: the sentence, a measure over the report, a band read from the sentence's wording, and a verdict. Its section's verdict line carries the cause of a divergence.\n\n| figure | claim | measured | band | verdict |\n|---|---|---|---|---|\n";
+        for r in &readings {
+            let unsettled = matches!(r.claim.verdict, Verdict::Unsettled(_));
+            let _ = writeln!(
+                out,
+                "| {} | {} | {} | {} | {}{} |",
+                r.id,
+                r.claim.says,
+                r.measured,
+                r.band,
+                r.computed(),
+                if unsettled { " (unsettled)" } else { "" }
+            );
+        }
+    }
+    out
 }
 
 /// Validates the committed doc against a regeneration from the available
 /// reports. The regenerated sections must be a subset of the committed
-/// ones (CI regenerates from a quick run covering only some figures), the
-/// committed doc must carry the generation marker, and neither side may
-/// contain a non-finite table cell.
+/// ones (CI regenerates from a quick run, whose doc can lack a
+/// traces-only table), the committed doc must carry the generation
+/// marker, and neither side may contain a non-finite table cell.
 ///
 /// # Errors
 ///
@@ -1194,6 +1336,88 @@ mod tests {
             .replace("HOST", &host_json());
         let doc = generate(&parse_report(&quiet).expect("parse"));
         assert!(doc.contains("| quiet/1 | 10 | 0 | 0.0 us | 0.1 us | none |"));
+    }
+
+    /// The committed quick baseline: shardscale, migrate, hostperf and
+    /// txnmix.
+    fn baseline() -> Vec<Scn> {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
+        parse_report(&std::fs::read_to_string(path).expect("read baseline")).expect("parse")
+    }
+
+    #[test]
+    fn baseline_claims_compute_their_declared_verdicts() {
+        let scns = baseline();
+        let readings = readings(&scns);
+        for id in ["shardscale", "migrate", "txnmix", "aborts", "tail"] {
+            assert!(readings.iter().any(|r| r.id == id), "{id} has no reading");
+        }
+        for r in &readings {
+            assert!(
+                r.agrees(),
+                "{}: {:?} computes {}",
+                r.id,
+                r.claim.says,
+                r.computed()
+            );
+        }
+        assert!(mismatches(&scns).is_empty());
+    }
+
+    #[test]
+    fn every_section_quoting_the_paper_carries_a_claim() {
+        let quoting: Vec<_> = sections()
+            .filter(|(_, s)| s.lead.starts_with("Paper:"))
+            .collect();
+        assert_eq!(
+            quoting.len(),
+            9,
+            "fig2a, fig2b, fig8a, fig8b, table2, fig9-12"
+        );
+        for (id, s) in quoting {
+            assert!(
+                !s.claims.is_empty(),
+                "{id} quotes the paper but claims nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn bands_read_the_wording() {
+        let holds = |b: Band, v: &[f64]| b.holds(v);
+        assert!(holds(Band::Order(801.8), &[80.2, 8000.0]));
+        assert!(!holds(Band::Order(801.8), &[0.9]));
+        assert!(holds(Band::Similar(1.0), &[0.9, 1.1]));
+        assert!(!holds(Band::Similar(1.0), &[0.84]));
+        assert!(holds(Band::Flat(0.1), &[10.0, 11.0]));
+        assert!(!holds(Band::Flat(0.1), &[10.0, 11.1]));
+        assert!(holds(Band::Under(1.2), &[1.19]) && !holds(Band::Under(1.2), &[1.2]));
+        assert!(holds(Band::Rising, &[1.0, 1.0, 2.0]) && !holds(Band::Rising, &[2.0, 1.0]));
+        assert!(holds(Band::Falling, &[2.0, 1.0]) && !holds(Band::Falling, &[1.0, 2.0]));
+        // A missing value never holds.
+        assert!(!holds(Band::AtLeast(0.0), &[f64::NAN]));
+        assert_eq!(Band::Order(801.8).text(fmt_ratio), "80.2x–8018.0x");
+        assert_eq!(Band::Under(0.1).text(fmt_pct), "under 10%");
+    }
+
+    #[test]
+    fn a_moved_claim_is_a_mismatch_naming_figure_and_claim() {
+        let mut scns = baseline();
+        // Make the 8-shard arm slower than the 4-shard one.
+        let arm = scns.iter_mut().find(|s| s.name == "shardscale/8").unwrap();
+        let JsonValue::Obj(fields) = &mut arm.tree else {
+            panic!("scenario is not an object")
+        };
+        let (_, JsonValue::Obj(gauges)) = fields.iter_mut().find(|(k, _)| k == "gauges").unwrap()
+        else {
+            panic!("gauges is not an object")
+        };
+        let (_, ops) = gauges.iter_mut().find(|(k, _)| k == "ops_per_sec").unwrap();
+        *ops = JsonValue::F64(1.0);
+        let wrong = mismatches(&scns);
+        assert_eq!(wrong.len(), 1, "{wrong:?}");
+        assert!(wrong[0].starts_with("shardscale: claim \"Aggregate throughput"));
+        assert!(wrong[0].contains("diverges") && wrong[0].contains("declared to hold"));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! fastpath's call density the timers' own clock reads would dominate
 //! the number they are trying to measure.
 
+use crate::exp::{col, each, fmt_kops, Row, Section, Table};
 use crate::micro::{gwrite_plan_flush, run_primitive, MicroOpts, SystemKind};
 use crate::report::{Report, Scenario};
 use simcore::{hostprof, SimDuration};
@@ -42,11 +43,6 @@ pub fn hostperf_ops(quick: bool) -> &'static [u64] {
 ///
 /// Panics if a run does not complete within the simulation watchdog.
 pub fn hostperf(rep: &mut Report, quick: bool) {
-    rep.banner("hostperf: simulator host throughput (HyperLoop gWRITE 1KB, unloaded)");
-    rep.line(format!(
-        "{:<8} {:>12} {:>14} {:>16} {:>12} {:>10}",
-        "ops", "host op/s", "host events/s", "sim_ns/wall_ms", "alloc MiB", "obs tax"
-    ));
     for &ops in hostperf_ops(quick) {
         let opts = MicroOpts {
             ops,
@@ -66,16 +62,6 @@ pub fn hostperf(rep: &mut Report, quick: bool) {
         // scopes: the allocator hooks and queue stats are always-on.
         hostprof::reset();
         let r = run_primitive(SystemKind::HyperLoop, gwrite_plan_flush(1024, false), opts);
-        let h = &r.run.host;
-        rep.line(format!(
-            "{:<8} {:>12.0} {:>14.0} {:>16.0} {:>12.2} {:>9.1}%",
-            ops,
-            h.ops_per_sec(),
-            h.events_per_sec(),
-            h.sim_ns_per_wall_ms(),
-            h.alloc.alloc_bytes as f64 / (1 << 20) as f64,
-            h.obs_tax.overhead_pct(),
-        ));
         if rep.trace_enabled() {
             // Folded stacks come from a dedicated same-seed re-run with the
             // scope timers on. hostprof is read-only with respect to the
@@ -111,3 +97,28 @@ pub fn hostperf(rep: &mut Report, quick: bool) {
         rep.scenario(sc);
     }
 }
+
+/// A host-profile value of the row's scenario, zero when absent.
+fn host(r: &Row<'_>, key: &str) -> f64 {
+    r.scns[0].host(key).unwrap_or(0.0)
+}
+
+/// The hostperf section. Its numbers are wall-clock, so it carries no
+/// claim.
+pub const SECTION: Section = Section {
+    title: "Host throughput (hostperf) — simulator wall-clock self-profile",
+    lead: "How fast the *host* turns the crank: simulated gWRITE ops per wall-clock second, event-queue events per wall second, simulated nanoseconds advanced per wall millisecond, bytes allocated, and the observability tax (extra wall time when tracing/audit taps are live vs the identical run with them off). These numbers describe the simulator itself, not the modeled system, and vary run to run — the canonicalizer strips them before byte-identity checks.",
+    tables: &[Table::grid(
+        each("hostperf/"),
+        &[
+            col("ops", |r| r.key.clone()),
+            col("host Kops/s", |r| fmt_kops(host(r, "ops_per_sec"))),
+            col("Kevents/s", |r| fmt_kops(host(r, "events_per_sec"))),
+            col("sim us / wall ms", |r| format!("{:.1}", host(r, "sim_ns_per_wall_ms") / 1e3)),
+            col("alloc MiB", |r| format!("{:.1}", host(r, "alloc_bytes") / (1u64 << 20) as f64)),
+            col("obs tax", |r| format!("{:.1}%", host(r, "obs_tax.overhead_pct"))),
+        ],
+    )],
+    claims: &[],
+    note: "These numbers read the host, not the modelled system, so no claim rests on them. Per-op host cost does not depend on the op count here, so a collapse across the sweep is a host-side regression, which `benchcheck --host-baseline` gates against the recorded baseline (thresholds documented normatively in benchcheck's doc comment).",
+};

@@ -1,7 +1,10 @@
 //! # hyperloop-bench — the paper's evaluation, regenerated
 //!
-//! Every table and figure of HyperLoop's §6 has a runner here; the
-//! `figures` binary prints them:
+//! Every table and figure of HyperLoop's §6 has a runner here, and one
+//! entry in [`exp::FIGURES`]: the id, the runner and its section (title,
+//! lead, table rows and columns, and the paper's claims), declared beside
+//! the runner. The `figures` binary runs the ids and prints each section;
+//! `expgen` renders the same sections into `EXPERIMENTS.md`:
 //!
 //! ```text
 //! cargo run --release -p hyperloop-bench --bin figures -- all [--quick]
@@ -10,10 +13,10 @@
 //! | id | paper content | module |
 //! |---|---|---|
 //! | fig2a / fig2b | MongoDB latency & context switches vs tenancy / cores | [`mongo2`] |
-//! | fig8a / fig8b | gWRITE / gMEMCPY latency vs message size | [`micro`] |
-//! | table2 | gCAS latency statistics | [`micro`] |
-//! | fig9 | gWRITE throughput + replica CPU | [`micro`] |
-//! | fig10 | tail latency vs group size | [`micro`] |
+//! | fig8a / fig8b | gWRITE / gMEMCPY latency vs message size | [`figures`] |
+//! | table2 | gCAS latency statistics | [`figures`] |
+//! | fig9 | gWRITE throughput + replica CPU | [`figures`] |
+//! | fig10 | tail latency vs group size | [`figures`] |
 //! | fig11 | replicated RocksDB (kvstore) under YCSB-A | [`appbench`] |
 //! | fig12 | replicated MongoDB (docstore) under YCSB A/B/D/E/F | [`appbench`] |
 //!

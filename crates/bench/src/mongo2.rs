@@ -8,7 +8,8 @@
 //! fight for the servers' cores — no synthetic background load.
 
 use crate::driver::DocDriver;
-use crate::report::{us, Report, Scenario};
+use crate::exp::{col, each, fmt_ns, fmt_ratio, Band, Claim, Rows, Scn, Section, Table, Verdict};
+use crate::report::{Report, Scenario};
 use crate::run::{self, Arm, Outcome};
 use baseline::{NaiveChain, NaiveConfig, NaiveCosts};
 use cpusched::{ProcKind, SchedConfig};
@@ -135,58 +136,123 @@ pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64
     }
 }
 
-fn report_points(rep: &mut Report, fig: &str, seed: u64, points: &[Fig2Point], vary_cores: bool) {
-    let max_ctx = points.iter().map(|p| p.ctx_per_sec).fold(0.0f64, f64::max);
-    rep.line(format!(
-        "{:<10} {:>10} {:>10} {:>10} {:>14}",
-        if vary_cores { "cores" } else { "sets" },
-        "mean",
-        "p95",
-        "p99",
-        "norm ctx-sw"
-    ));
-    for p in points {
-        rep.line(format!(
-            "{:<10} {:>10} {:>10} {:>10} {:>14.2}",
-            if vary_cores { p.cores } else { p.replica_sets },
-            us(p.run.latency.mean),
-            us(p.run.latency.p95),
-            us(p.run.latency.p99),
-            p.ctx_per_sec / max_ctx.max(1e-9),
-        ));
-        let point = if vary_cores { p.cores } else { p.replica_sets };
-        let axis = if vary_cores { "cores" } else { "sets" };
-        rep.scenario(
-            Scenario::new(format!("{fig}/{axis}{point}"))
-                .system("native")
-                .seed(seed)
-                .config("replica_sets", p.replica_sets)
-                .config("cores", p.cores)
-                .latency(&p.run.latency)
-                .gauge("ctx_per_sec", p.ctx_per_sec)
-                .outcome(&p.run),
-        );
-    }
+/// Records one Figure 2 point as scenario `name`.
+fn record(rep: &mut Report, name: String, seed: u64, p: &Fig2Point) {
+    rep.scenario(
+        Scenario::new(name)
+            .system("native")
+            .seed(seed)
+            .config("replica_sets", p.replica_sets)
+            .config("cores", p.cores)
+            .latency(&p.run.latency)
+            .gauge("ctx_per_sec", p.ctx_per_sec)
+            .outcome(&p.run),
+    );
 }
 
 /// Figure 2(a): latency and context switches vs number of replica-sets.
 pub fn fig2a(rep: &mut Report, quick: bool) {
-    rep.banner("Figure 2(a): native MongoDB latency vs co-located replica-sets (16 cores)");
     let ops = if quick { 200 } else { 600 };
-    let points: Vec<Fig2Point> = [9u32, 12, 15, 18, 21, 24, 27]
-        .into_iter()
-        .map(|sets| run_fig2_point(sets, 16, ops, 0x2A))
-        .collect();
-    report_points(rep, "fig2a", 0x2A, &points, false);
+    for sets in [9u32, 12, 15, 18, 21, 24, 27] {
+        let p = run_fig2_point(sets, 16, ops, 0x2A);
+        record(rep, format!("fig2a/sets{sets}"), 0x2A, &p);
+    }
 }
 
 /// Figure 2(b): latency and context switches vs cores (18 replica-sets).
 pub fn fig2b(rep: &mut Report, quick: bool) {
-    rep.banner("Figure 2(b): native MongoDB latency vs server cores (18 replica-sets)");
     let ops = if quick { 200 } else { 600 };
-    let points: Vec<Fig2Point> = [2u32, 4, 6, 8, 10, 12, 14, 16]
-        .into_iter()
-        .map(|cores| run_fig2_point(18, cores, ops, 0x2B))
-        .collect();
-    report_points(rep, "fig2b", 0x2B, &points, true);
+    for cores in [2u32, 4, 6, 8, 10, 12, 14, 16] {
+        let p = run_fig2_point(18, cores, ops, 0x2B);
+        record(rep, format!("fig2b/cores{cores}"), 0x2B, &p);
+    }
 }
+
+const FIG2A_ROWS: Rows = each("fig2a/");
+const FIG2B_ROWS: Rows = each("fig2b/");
+
+/// Mean and p99 at the last point of the sweep over the first, or the
+/// first over the last when `drop` is set.
+fn end_ratios(rows: Rows, all: &[Scn], drop: bool) -> Vec<f64> {
+    let rows = rows.of(all);
+    let (Some(first), Some(last)) = (rows.first(), rows.last()) else {
+        return Vec::new();
+    };
+    let (from, to) = if drop { (last, first) } else { (first, last) };
+    ["mean", "p99"]
+        .iter()
+        .map(|f| to.lat(0, f) / from.lat(0, f))
+        .collect()
+}
+
+fn per_sec(v: f64) -> String {
+    format!("{v:.0}/s")
+}
+
+/// Figure 2(a)'s section.
+pub const FIG2A: Section = Section {
+    title: "Figure 2(a) — motivating experiment: latency vs co-located replica-sets",
+    lead: "Paper: with 9-27 MongoDB replica-sets on 3 servers, average and tail latency grow substantially and context switches grow with tenancy.",
+    tables: &[Table::grid(
+        FIG2A_ROWS,
+        &[
+            col("sets", |r| r.key.trim_start_matches("sets").to_string()),
+            col("mean", |r| fmt_ns(r.lat(0, "mean"))),
+            col("p95", |r| fmt_ns(r.lat(0, "p95"))),
+            col("p99", |r| fmt_ns(r.lat(0, "p99"))),
+            col("normalized ctx-switches", |r| {
+                let ctx = FIG2A_ROWS.values(r.all, |x| x.gauge(0, "ctx_per_sec"));
+                let max = ctx.into_iter().fold(0.0f64, f64::max);
+                format!("{:.2}", r.gauge(0, "ctx_per_sec") / max.max(1e-9))
+            }),
+        ],
+    )],
+    claims: &[
+        Claim {
+            says: "Mean and p99 latency grow substantially from the fewest to the most replica-sets.",
+            measure: |all| end_ratios(FIG2A_ROWS, all, false),
+            band: Band::AtLeast(1.5),
+            unit: fmt_ratio,
+            verdict: Verdict::Holds,
+        },
+        Claim {
+            says: "Context switches grow with tenancy.",
+            measure: |all| FIG2A_ROWS.values(all, |r| r.gauge(0, "ctx_per_sec")),
+            band: Band::Rising,
+            unit: per_sec,
+            verdict: Verdict::Diverges("open"),
+        },
+    ],
+    note: "",
+};
+
+/// Figure 2(b)'s section.
+pub const FIG2B: Section = Section {
+    title: "Figure 2(b) — latency vs cores (18 replica-sets)",
+    lead: "Paper: with more cores, latency and context-switch pressure drop although network throughput is unchanged.",
+    tables: &[Table::grid(
+        FIG2B_ROWS,
+        &[
+            col("cores", |r| r.key.trim_start_matches("cores").to_string()),
+            col("mean", |r| fmt_ns(r.lat(0, "mean"))),
+            col("p99", |r| fmt_ns(r.lat(0, "p99"))),
+        ],
+    )],
+    claims: &[
+        Claim {
+            says: "Mean and p99 latency drop from the fewest to the most cores.",
+            measure: |all| end_ratios(FIG2B_ROWS, all, true),
+            band: Band::AtLeast(1.0),
+            unit: fmt_ratio,
+            verdict: Verdict::Holds,
+        },
+        Claim {
+            says: "Context-switch pressure drops with more cores.",
+            measure: |all| FIG2B_ROWS.values(all, |r| r.gauge(0, "ctx_per_sec")),
+            band: Band::Falling,
+            unit: per_sec,
+            verdict: Verdict::Diverges("open"),
+        },
+    ],
+    note: "",
+};

@@ -1,12 +1,12 @@
-//! Benchmark reporting: plain-text tables in the shape of the paper's
-//! figures, plus a machine-readable `BENCH_*.json` sink.
+//! Benchmark reporting: the machine-readable `BENCH_*.json` sink.
 //!
-//! Every benchmark entry point renders through a [`Report`]: human-readable
-//! lines go to stdout exactly as before, and each measured configuration is
-//! additionally recorded as a [`Scenario`] (name, system, seed, config
-//! key/values, latency summary and an optional [`MetricsRegistry`]
-//! snapshot). When the binary was given `--json <path>`, [`Report::finish`]
-//! serializes all scenarios with [`simcore::jsonw::JsonWriter`].
+//! Every benchmark entry point records through a [`Report`]: each measured
+//! configuration is a [`Scenario`] (name, system, seed, config key/values,
+//! latency summary and an optional [`MetricsRegistry`] snapshot). The
+//! tables a reader sees are rendered from these records by
+//! [`crate::exp::render`]. When the binary was given `--json <path>`,
+//! [`Report::finish`] serializes all scenarios with
+//! [`simcore::jsonw::JsonWriter`].
 //!
 //! [`DOCUMENT`] declares what [`Report::to_json`] writes: each block's
 //! shape sits next to its writer ([`LATENCY`], [`METRICS`] and
@@ -19,46 +19,8 @@ use simcore::jsonw::{join, opt, req, JsonValue, JsonWriter, Shape};
 use simcore::simaudit::{HealthSummary, SeriesSummary};
 use simcore::simprof::{StageAttribution, TxnAttribution};
 use simcore::tailprof::TailProfile;
-use simcore::{HostStats, LatencySummary, MetricsRegistry, SimDuration};
+use simcore::{HostStats, LatencySummary, MetricsRegistry};
 use std::path::{Path, PathBuf};
-
-/// Formats a duration in microseconds with sensible precision.
-pub fn us(d: SimDuration) -> String {
-    let v = d.as_micros_f64();
-    if v >= 100.0 {
-        format!("{v:.0}us")
-    } else {
-        format!("{v:.1}us")
-    }
-}
-
-/// One row of a latency table.
-pub fn latency_row(label: &str, s: &LatencySummary) -> String {
-    format!(
-        "{label:<28} {:>10} {:>10} {:>10} {:>10}  (n={})",
-        us(s.mean),
-        us(s.p50),
-        us(s.p95),
-        us(s.p99),
-        s.count
-    )
-}
-
-/// Header matching [`latency_row`].
-pub fn latency_header(first_col: &str) -> String {
-    format!(
-        "{first_col:<28} {:>10} {:>10} {:>10} {:>10}",
-        "mean", "p50", "p95", "p99"
-    )
-}
-
-/// A ratio annotation like "801.8x".
-pub fn ratio(a: SimDuration, b: SimDuration) -> String {
-    if b.is_zero() {
-        return "inf".into();
-    }
-    format!("{:.1}x", a.as_micros_f64() / b.as_micros_f64())
-}
 
 /// One machine-readable benchmark record: a single measured configuration
 /// (one table row, one figure point). Built with a fluent API:
@@ -313,7 +275,7 @@ pub fn check_report(doc: &JsonValue) -> Result<(), String> {
 
 /// The scenario families whose runners always fold a `tail` profile and
 /// sample a `series`.
-const TAILSCOPE: [&str; 4] = ["shardscale/", "migrate/", "hostperf/", "txnmix/"];
+pub const TAILSCOPE: [&str; 4] = ["shardscale/", "migrate/", "hostperf/", "txnmix/"];
 
 /// [`SCENARIO`]'s rule: `tail` and `series` are present on the
 /// [`TAILSCOPE`] families, the registry rules hold, and `abort_causes`
@@ -480,9 +442,9 @@ fn write_latency(w: &mut JsonWriter, key: &str, s: &LatencySummary) {
     w.end_obj();
 }
 
-/// Collects everything a benchmark binary reports: human-readable text
-/// (printed immediately) and machine-readable [`Scenario`] records
-/// (serialized by [`Report::finish`] when a JSON sink was requested).
+/// Collects the machine-readable [`Scenario`] records a benchmark binary
+/// reports (serialized by [`Report::finish`] when a JSON sink was
+/// requested).
 #[derive(Debug, Default)]
 pub struct Report {
     tool: String,
@@ -553,16 +515,6 @@ impl Report {
         std::fs::write(&path, contents)?;
         println!("wrote {}", path.display());
         Ok(Some(path))
-    }
-
-    /// Prints a section banner.
-    pub fn banner(&self, title: &str) {
-        println!("\n==== {title} ====");
-    }
-
-    /// Prints one line of human-readable output.
-    pub fn line(&self, text: impl AsRef<str>) {
-        println!("{}", text.as_ref());
     }
 
     /// Records one machine-readable scenario.

@@ -14,7 +14,11 @@
 //! (`bench.shard{i}.nvm.node{n}.*`), so the JSON shows the traffic each
 //! chain actually carried.
 
-use crate::report::{us, Report, Scenario};
+use crate::exp::{
+    col, counter_track, each, fmt_kops, fmt_ns, fmt_ratio, track_label, track_line, track_peak,
+    Band, Claim, Col, Rows, Section, Table, Verdict,
+};
+use crate::report::{Report, Scenario};
 use crate::run::{self, Arm, Outcome, Profile};
 use hyperloop::{
     GroupClient, GroupConfig, GroupOp, HyperLoopGroup, ReplicaHandle, ShardAck, ShardId, ShardSet,
@@ -360,30 +364,16 @@ pub const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
 /// Shard-scaling sweep: 1→8 chains under the same offered load.
 pub fn shardscale(rep: &mut Report, quick: bool) {
-    rep.banner("Shard scaling: aggregate gWRITE throughput vs shard count (fixed offered load)");
     let opts = ShardScaleOpts {
         ops: if quick { 1024 } else { 4096 },
         trace: rep.profile_enabled(),
         ..ShardScaleOpts::default()
     };
-    rep.line(format!(
-        "{:<8} {:>12} {:>10} {:>10} {:>10}  per-shard ops",
-        "shards", "Kops/s", "speedup", "mean", "p99"
-    ));
     let mut base = None;
     for n in SHARD_COUNTS {
         let r = run_shardscale(n, opts);
         let tput = r.run.ops_per_sec();
         let base_tput = *base.get_or_insert(tput);
-        rep.line(format!(
-            "{:<8} {:>12.1} {:>9.2}x {:>10} {:>10}  {:?}",
-            n,
-            tput / 1e3,
-            tput / base_tput,
-            us(r.run.latency.mean),
-            us(r.run.latency.p99),
-            r.per_shard_acked,
-        ));
         let name = format!("shardscale/{n}");
         let mut sc = Scenario::new(&name)
             .system("HyperLoop")
@@ -404,6 +394,50 @@ pub fn shardscale(rep: &mut Report, quick: bool) {
         rep.scenario(sc);
     }
 }
+
+const ROWS: Rows = each("shardscale/");
+
+/// The columns of a shard sweep's counter-track table.
+pub(crate) const TRACK_COLS: &[Col] = &[
+    col("shards", |r| r.key.clone()),
+    col("track", track_label),
+    col("peak", track_peak),
+    col("occupancy over time", track_line),
+];
+
+/// The shard-scaling section.
+pub const SECTION: Section = Section {
+    title: "Shard scaling — aggregate gWRITE throughput vs shard count",
+    lead: "One client NIC drives 1-8 disjoint chains under a fixed offered load; aggregate throughput should rise monotonically with shard count.",
+    tables: &[
+        Table::grid(
+            ROWS,
+            &[
+                col("shards", |r| r.key.clone()),
+                col("Kops/s", |r| fmt_kops(r.gauge(0, "ops_per_sec"))),
+                col("speedup", |r| fmt_ratio(r.gauge(0, "speedup"))),
+                col("mean", |r| fmt_ns(r.lat(0, "mean"))),
+                col("p99", |r| fmt_ns(r.lat(0, "p99"))),
+            ],
+        ),
+        Table {
+            intro: "Counter tracks (folded from `TRACE_shardscale_*.json`): shard 0's in-flight window across the run — a full window means the arm is issue-bound, not completion-bound.",
+            tracks: &[counter_track(
+                "window occupancy (shard 0)",
+                "bench.shards.shard0.in_flight",
+            )],
+            ..Table::grid(ROWS, TRACK_COLS)
+        },
+    ],
+    claims: &[Claim {
+        says: "Aggregate throughput rises with every step in shard count.",
+        measure: |all| ROWS.values(all, |r| r.gauge(0, "ops_per_sec")),
+        band: Band::Rising,
+        unit: |v| format!("{} Kops/s", fmt_kops(v)),
+        verdict: Verdict::Holds,
+    }],
+    note: "",
+};
 
 #[cfg(test)]
 mod tests {

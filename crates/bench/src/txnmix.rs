@@ -19,7 +19,10 @@
 //!
 //! [`Transfer`]: ycsb::Operation::Transfer
 
-use crate::report::{us, Report, Scenario};
+use crate::exp::{
+    col, each, find, fmt_kops, fmt_ns, Band, Claim, Row, Rows, Scn, Section, Table, Verdict,
+};
+use crate::report::{Report, Scenario};
 use crate::run::{self, Arm, Outcome, Profile};
 use crate::shardscale::{sharded_groups, Sharded, REPLICAS_PER_SHARD};
 use hyperloop::txn::{CommitMode, TxnOutcome};
@@ -327,16 +330,15 @@ fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMix
 /// The contention skews of the sweep.
 pub const THETAS: [f64; 3] = [0.5, 0.9, 0.99];
 
+/// The commit paths of the sweep and their scenario-name labels.
+pub const MODES: [(CommitMode, &str); 2] = [
+    (CommitMode::Locking, "locking"),
+    (CommitMode::Optimistic, "optimistic"),
+];
+
 /// Transaction-mix sweep: both commit paths across contention levels.
 pub fn txnmix(rep: &mut Report, quick: bool) {
-    rep.banner(
-        "Transaction mix: multi-key commit/abort throughput vs contention (4 shards, audit on)",
-    );
-    rep.line(format!(
-        "{:<12} {:<7} {:>10} {:>9} {:>9} {:>12} {:>10} {:>10} {:>6}",
-        "mode", "theta", "Ktxn/s", "commits", "aborts", "lock_retry", "mean", "p99", "span"
-    ));
-    for mode in [CommitMode::Locking, CommitMode::Optimistic] {
+    for (mode, label) in MODES {
         for theta in THETAS {
             let opts = TxnMixOpts {
                 txns: if quick { 192 } else { 512 },
@@ -350,22 +352,6 @@ pub fn txnmix(rep: &mut Report, quick: bool) {
                 "txn audit violations:\n{}",
                 r.run.audit_json
             );
-            let label = match mode {
-                CommitMode::Locking => "locking",
-                CommitMode::Optimistic => "optimistic",
-            };
-            rep.line(format!(
-                "{:<12} {:<7} {:>10.1} {:>9} {:>9} {:>12} {:>10} {:>10} {:>6.2}",
-                label,
-                theta,
-                r.run.ops_per_sec() / 1e3,
-                r.run.ops,
-                r.aborted,
-                r.lock_retries,
-                us(r.run.latency.mean),
-                us(r.run.latency.p99),
-                r.mean_span,
-            ));
             let name = format!("txnmix/{label}/theta{theta}");
             r.run.write_artifacts(rep, &name);
             rep.scenario(
@@ -390,6 +376,83 @@ pub fn txnmix(rep: &mut Report, quick: bool) {
         }
     }
 }
+
+/// The commit path of a `txnmix/<mode>/theta<theta>` row.
+pub fn mode(r: &Row<'_>) -> String {
+    r.key.split('/').next().unwrap_or_default().to_string()
+}
+
+/// The skew of a `txnmix/<mode>/theta<theta>` row.
+pub fn theta(r: &Row<'_>) -> String {
+    let seg = r.key.rsplit('/').next().unwrap_or_default();
+    seg.trim_start_matches("theta").to_string()
+}
+
+/// `f(lowest skew, highest skew)` on each commit path that ran both.
+pub fn per_mode(all: &[Scn], f: fn(&Scn, &Scn) -> f64) -> Vec<f64> {
+    let (lo, hi) = (THETAS[0], THETAS[THETAS.len() - 1]);
+    MODES
+        .iter()
+        .filter_map(|(_, m)| {
+            let at = |t: f64| find(all, &format!("txnmix/{m}/theta{t}"));
+            Some(f(at(lo)?, at(hi)?))
+        })
+        .collect()
+}
+
+fn gauge(s: &Scn, key: &str) -> f64 {
+    s.gauge(key).unwrap_or(f64::NAN)
+}
+
+const ROWS: Rows = each("txnmix/");
+
+fn ratio2(v: f64) -> String {
+    format!("{v:.2}x")
+}
+
+/// The transaction-mix section.
+pub const SECTION: Section = Section {
+    title: "Transaction mix (txnmix) — multi-key commit throughput vs contention",
+    lead: "Multi-key transactions (YCSB-F read-modify-writes plus two-account transfers that often span shards) on a 4-shard cluster through both commit paths of the transaction layer: locking (gCAS write locks in global key order) and optimistic (validate-then-commit over version words). The zipfian skew theta is the contention knob; every arm runs with the full auditor set live and must finish with zero violations and a conserved transfer-balance sum.",
+    tables: &[Table::grid(
+        ROWS,
+        &[
+            col("mode", mode),
+            col("theta", theta),
+            col("Ktxn/s", |r| fmt_kops(r.gauge(0, "ops_per_sec"))),
+            col("aborts/commit", |r| format!("{:.2}", r.gauge(0, "abort_ratio"))),
+            col("lock retries", |r| format!("{:.0}", r.gauge(0, "lock_retries"))),
+            col("mean span", |r| format!("{:.2}", r.gauge(0, "mean_span"))),
+            col("mean", |r| fmt_ns(r.lat(0, "mean"))),
+            col("p99", |r| fmt_ns(r.lat(0, "p99"))),
+        ],
+    )],
+    claims: &[
+        Claim {
+            says: "Throughput is lower at theta 0.99 than at 0.5 on both paths.",
+            measure: |all| {
+                per_mode(all, |lo, hi| {
+                    gauge(hi, "ops_per_sec") / gauge(lo, "ops_per_sec")
+                })
+            },
+            band: Band::Under(1.0),
+            unit: ratio2,
+            verdict: Verdict::Holds,
+        },
+        Claim {
+            says: "Aborts per commit are higher at theta 0.99 than at 0.5 on both paths.",
+            measure: |all| {
+                per_mode(all, |lo, hi| {
+                    gauge(hi, "abort_ratio") / gauge(lo, "abort_ratio")
+                })
+            },
+            band: Band::AtLeast(1.0),
+            unit: ratio2,
+            verdict: Verdict::Holds,
+        },
+    ],
+    note: "The audit gate (zero violations) is asserted inside the bench and re-checked by benchcheck on the `audit.violations` counter.",
+};
 
 #[cfg(test)]
 mod tests {

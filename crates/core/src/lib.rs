@@ -64,12 +64,11 @@ pub use config::{GroupConfig, SharedLayout};
 pub use group::{GroupClient, GroupError, HyperLoopGroup, ReplicaHandle};
 pub use lock::{LockBackoff, LockTable, WrUndo, WRITER_BIT};
 pub use migrate::{
-    migrate_shard, plan_migration, plan_placement_move, MigrationHost, MigrationOutcome,
-    MigrationPlan, MigrationRun,
+    migrate_shard, plan_migration, MigrationHost, MigrationOutcome, MigrationPlan, MigrationRun,
 };
 pub use ops::{ExecuteMap, GroupAck, GroupOp};
 pub use shard::{
-    AckJoin, HashRouter, MigrationStats, RangeRouter, ShardAck, ShardId, ShardRouter, ShardSet,
+    AckJoin, HashRouter, MigrationStats, ShardAck, ShardId, ShardRouter, ShardSet,
     DEFAULT_PEN_CAPACITY,
 };
 pub use transport::GroupTransport;

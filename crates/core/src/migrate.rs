@@ -7,7 +7,7 @@
 //! chain to another while the other shards keep serving. This module is
 //! that move, as a deterministic, epoch-numbered state machine:
 //!
-//! 1. **Plan** ([`plan_migration`] / [`plan_placement_move`]): the move is
+//! 1. **Plan** ([`plan_migration`]): the move is
 //!    expressed in the same [`RecoveryStep`] vocabulary chain repair uses —
 //!    `PauseWrites` (this shard only), one `CopyState` per member of the
 //!    new chain, `RebuildDataPath` at `epoch + 1`, `ResumeWrites`. A plan
@@ -81,11 +81,7 @@ impl MigrationHost for Cluster {
 
 /// An epoch-numbered plan for moving one shard to a new chain.
 ///
-/// Built by [`plan_migration`] (explicit chains) or
-/// [`plan_placement_move`] (from two [`ShardPlacement`]s); executed by
-/// [`migrate_shard`].
-///
-/// [`ShardPlacement`]: testbed::placement::ShardPlacement
+/// Built by [`plan_migration`]; executed by [`migrate_shard`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationPlan {
     /// The shard being moved.
@@ -171,32 +167,6 @@ pub fn plan_migration(
         copy_bytes,
         steps,
     }
-}
-
-/// Plans the move of `shard` between two placements: the chain it holds
-/// under `current` and the chain it holds under `target` (both resolved
-/// against the same rack geometry).
-///
-/// # Panics
-///
-/// As [`plan_migration`], plus whatever
-/// [`ShardPlacement::chains`](testbed::placement::ShardPlacement::chains)
-/// rejects, plus an out-of-range `shard`.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_placement_move(
-    current: &testbed::placement::ShardPlacement,
-    target: &testbed::placement::ShardPlacement,
-    shard: ShardId,
-    n_shards: u32,
-    client: NodeId,
-    node_count: u32,
-    current_epoch: u64,
-    copy_bytes: u64,
-) -> MigrationPlan {
-    assert!(shard.0 < n_shards, "{shard} out of range for {n_shards}");
-    let from = &current.chains(n_shards, client, node_count)[shard.0 as usize];
-    let to = &target.chains(n_shards, client, node_count)[shard.0 as usize];
-    plan_migration(shard, current_epoch, from, to, copy_bytes)
 }
 
 /// What [`migrate_shard`] hands back after cutover.
@@ -758,20 +728,6 @@ mod tests {
     #[should_panic(expected = "repeats node")]
     fn duplicate_target_nodes_are_rejected() {
         plan_migration(ShardId(0), 0, &[NodeId(1)], &[NodeId(2), NodeId(2)], 64);
-    }
-
-    #[test]
-    fn placement_move_resolves_both_layouts() {
-        use testbed::placement::ShardPlacement;
-        let cur = ShardPlacement::Explicit(vec![vec![NodeId(1), NodeId(2)], vec![NodeId(3)]]);
-        let tgt = ShardPlacement::Explicit(vec![vec![NodeId(1), NodeId(2)], vec![NodeId(4)]]);
-        let p = plan_placement_move(&cur, &tgt, ShardId(1), 2, NodeId(0), 6, 0, 256);
-        assert_eq!(p.from, vec![NodeId(3)]);
-        assert_eq!(p.to, vec![NodeId(4)]);
-        assert_eq!(p.epoch, 1);
-        // Shard 0's chain is unchanged under the new placement.
-        let p0 = plan_placement_move(&cur, &tgt, ShardId(0), 2, NodeId(0), 6, 0, 256);
-        assert!(p0.is_noop());
     }
 
     #[test]

@@ -57,36 +57,6 @@ impl ShardRouter for HashRouter {
     }
 }
 
-/// Contiguous range routing: key space `[0, capacity)` is split into
-/// `n_shards` equal spans, so adjacent keys land on the same shard (good
-/// for scans; vulnerable to skew). Keys at or beyond `capacity` clamp to
-/// the last shard.
-#[derive(Debug, Clone, Copy)]
-pub struct RangeRouter {
-    /// Exclusive upper bound of the expected key space.
-    pub capacity: u64,
-}
-
-impl RangeRouter {
-    /// A range router over keys `[0, capacity)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: u64) -> Self {
-        assert!(capacity > 0, "range router needs a non-empty key space");
-        RangeRouter { capacity }
-    }
-}
-
-impl ShardRouter for RangeRouter {
-    fn route(&self, key: u64, n_shards: u32) -> ShardId {
-        assert!(n_shards > 0, "no shards to route to");
-        let span = self.capacity.div_ceil(n_shards as u64).max(1);
-        ShardId(((key / span).min(n_shards as u64 - 1)) as u32)
-    }
-}
-
 /// An acknowledged operation, tagged with the shard it completed on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardAck {
@@ -608,36 +578,6 @@ mod tests {
                 h > expect / 2 && h < expect * 2,
                 "shard {i} badly skewed: {h} vs ~{expect}"
             );
-        }
-    }
-
-    #[test]
-    fn range_router_is_contiguous_and_covers_every_shard() {
-        let r = RangeRouter::new(1000);
-        for n in [1u32, 2, 4, 7] {
-            let hits = coverage(&r, n, 0..1000);
-            assert!(hits.iter().all(|&h| h > 0), "{n} shards: {hits:?}");
-            // Contiguity: shard ids are monotone in the key.
-            let mut last = 0;
-            for k in 0..1000u64 {
-                let s = r.route(k, n).0;
-                assert!(s >= last, "range router not monotone at key {k}");
-                last = s;
-            }
-        }
-    }
-
-    #[test]
-    fn range_router_clamps_out_of_range_keys() {
-        let r = RangeRouter::new(100);
-        assert_eq!(r.route(1_000_000, 4), ShardId(3));
-    }
-
-    #[test]
-    fn range_router_stable() {
-        let r = RangeRouter::new(4096);
-        for key in 0..4096u64 {
-            assert_eq!(r.route(key, 6), r.route(key, 6));
         }
     }
 }

@@ -13,11 +13,9 @@
 #![warn(missing_docs)]
 
 pub mod doc;
-pub mod sharded;
 pub mod store;
 
 pub use doc::Document;
-pub use sharded::ShardedDocStore;
 pub use store::{CompletedTx, DocConfig, DocError, ReplicatedDocStore, WriteMode};
 
 #[cfg(test)]

@@ -242,18 +242,6 @@ impl<T: GroupTransport> ReplicatedDocStore<T> {
         self.active.len()
     }
 
-    /// True if the pipeline has room for `n` more transactions (a
-    /// `write` of each would not return [`DocError::Busy`]).
-    pub fn can_accept(&self, n: usize) -> bool {
-        self.active.len() + n <= self.max_queued
-    }
-
-    /// The store's WAL driver (read-only: layout, ring cursors, copy
-    /// sizing for migration).
-    pub fn wal(&self) -> &ReplicatedWal {
-        &self.wal
-    }
-
     fn lock_of(&self, id: u64) -> u32 {
         (id % self.config.n_locks as u64) as u32
     }
@@ -414,15 +402,6 @@ impl<T: GroupTransport> ReplicatedDocStore<T> {
             };
             let tx = &mut self.active[pos];
             tx.waiting.retain(|&g| g != ack.gen);
-            #[cfg(feature = "phase-trace")]
-            eprintln!(
-                "t={:?} tx{} ack gen={} phase={:?} waiting={}",
-                now,
-                tx.tx_seq,
-                ack.gen,
-                tx.phase,
-                tx.waiting.len()
-            );
             if !tx.waiting.is_empty() {
                 continue;
             }
