@@ -35,6 +35,7 @@ use simcore::{
     MetricsRegistry, Model, SimDuration, SimTime, Simulation, SloConfig, StageAttribution,
     TailProfile, TraceEvent, Tracer, TxnAttribution,
 };
+use std::rc::Rc;
 use testbed::{Cluster, ProcRef};
 
 /// The trace choices of the tapped runners, one variant per runner.
@@ -272,8 +273,8 @@ pub struct Outcome {
 /// A traced arm's captured stream, kept for the files exported from it.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// The trace ring's events.
-    pub events: Vec<TraceEvent>,
+    /// The trace ring's events: the ring's own buffer, shared.
+    pub events: Rc<Vec<TraceEvent>>,
     /// Counter-track points: the runner's samples, then the health
     /// series' tracks.
     pub samples: Vec<CounterSample>,

@@ -812,13 +812,17 @@ mod tests {
     /// interleaved ops, ops missing their issue or ack, txn phase streams
     /// (well-formed and not, unknown phase and mode codes) linked to ops by
     /// `TxnOp` tags, and migration signals. Emission order is time order
-    /// with jitter, so a send's future delivery is often emitted first.
+    /// with jitter, so a send's future delivery is often emitted first. The
+    /// orderings a one-pass fold could get wrong are there too: stragglers
+    /// of an op emitted long after its ack, a second ack, a parent tag
+    /// emitted after the ack, and migration ends inside op windows.
     fn synthetic(seed: u64) -> Vec<TraceEvent> {
         let mut rng = SimRng::new(seed);
         // (at, emission jitter, event)
         let mut evs: Vec<(u64, u64, TraceEvent)> = Vec::new();
-        let mut push = |rng: &mut SimRng, at: u64, node: u32, op: u64, kind: TraceKind| {
-            let jitter = at + rng.gen_range(0..400);
+        // `late` delays the emission past the jitter.
+        let mut emit = |rng: &mut SimRng, at: u64, late: u64, node: u32, op: u64, kind| {
+            let jitter = at + late + rng.gen_range(0..400);
             evs.push((
                 at,
                 jitter,
@@ -865,9 +869,10 @@ mod tests {
                 // Prepost descriptor fetches long before the issue.
                 for _ in 0..rng.gen_range(1..3) {
                     let at = start.saturating_sub(rng.gen_range(1..40) * 50);
-                    push(
+                    emit(
                         &mut rng,
                         at,
+                        0,
                         1,
                         op,
                         TraceKind::WqeFetch { qp: 3, opcode: 0 },
@@ -876,13 +881,13 @@ mod tests {
             }
             if rng.gen_bool(0.05) {
                 // A single-event op.
-                push(&mut rng, start, 0, op, TraceKind::OpIssue);
+                emit(&mut rng, start, 0, 0, op, TraceKind::OpIssue);
                 continue;
             }
             let has_issue = !rng.gen_bool(0.05);
             let has_ack = !rng.gen_bool(0.05);
             if has_issue {
-                push(&mut rng, start, 0, op, TraceKind::OpIssue);
+                emit(&mut rng, start, 0, 0, op, TraceKind::OpIssue);
             }
             // One slow op in ~20: a long hop on one node.
             let slow = rng.gen_bool(0.05);
@@ -894,20 +899,37 @@ mod tests {
                 }
                 let kind = middle[rng.gen_index(middle.len())];
                 let node = nodes[rng.gen_index(nodes.len())];
-                push(&mut rng, at, node, op, kind);
+                emit(&mut rng, at, 0, node, op, kind);
             }
             if rng.gen_bool(0.4) {
                 let txn = rng.gen_range(0..n_txns);
-                push(&mut rng, start, 0, op, TraceKind::TxnOp { txn });
+                emit(&mut rng, start, 0, 0, op, TraceKind::TxnOp { txn });
                 if rng.gen_bool(0.1) {
                     // A second tag: the latest-emitted one names the parent.
                     let txn = rng.gen_range(0..n_txns);
-                    push(&mut rng, start, 0, op, TraceKind::TxnOp { txn });
+                    emit(&mut rng, start, 0, 0, op, TraceKind::TxnOp { txn });
                 }
             }
             if has_ack {
                 at += rng.gen_range(0..4) * 50;
-                push(&mut rng, at, 0, op, TraceKind::OpAck);
+                emit(&mut rng, at, 0, 0, op, TraceKind::OpAck);
+                if rng.gen_bool(0.05) {
+                    // A second ack: the window runs to the last one.
+                    let again = at + rng.gen_range(0..3) * 50;
+                    emit(&mut rng, again, 0, 0, op, TraceKind::OpAck);
+                }
+            }
+            if rng.gen_bool(0.1) {
+                // A straggler emitted long after the ack, stamped inside
+                // the op's span or past its end.
+                let at = start + rng.gen_range(0..8) * 50;
+                let kind = middle[rng.gen_index(middle.len())];
+                emit(&mut rng, at, 20_000, 1, op, kind);
+            }
+            if slow || rng.gen_bool(0.05) {
+                // A parent tag emitted after the ack, stamped at the issue.
+                let txn = rng.gen_range(0..n_txns);
+                emit(&mut rng, start, 20_000, 0, op, TraceKind::TxnOp { txn });
             }
         }
         // Transactions: phase streams with contiguous Begin/End pairs.
@@ -936,25 +958,32 @@ mod tests {
                 let begin = TraceKind::TxnPhaseBegin { txn, mode, phase };
                 let end = TraceKind::TxnPhaseEnd { txn, mode, phase };
                 if !(p == 0 && open_on_end) {
-                    push(&mut rng, at, NO_NODE, op, begin);
+                    emit(&mut rng, at, 0, NO_NODE, op, begin);
                 }
                 at += rng.gen_range(0..6) * 100;
                 if !(p + 1 == n_phases && rng.gen_bool(0.1)) {
-                    push(&mut rng, at, NO_NODE, op, end);
+                    emit(&mut rng, at, 0, NO_NODE, op, end);
                 }
             }
         }
-        // Unattributable traffic and migration signals.
+        // Unattributable traffic, and migration signals on odd seeds: they
+        // land in nearly every slow op's window and outrank the txn causes
+        // the even seeds reach.
         for _ in 0..rng.gen_range(10..40) {
             let at = rng.gen_range(0..220) * 50;
-            let kind = match rng.gen_range(0..4) {
+            let kind = match rng.gen_range(0..5) {
                 0 => TraceKind::CacheEvict { bytes: 64 },
+                _ if seed.is_multiple_of(2) => TraceKind::CacheEvict { bytes: 32 },
                 1 => TraceKind::MigrateBegin { shard: 1 },
                 2 => TraceKind::MigrateCutover { shard: 2, epoch: 3 },
+                3 => TraceKind::MigrateEnd {
+                    shard: 0,
+                    replayed: 2,
+                },
                 _ => TraceKind::HealthBreach { shard: 0, state: 1 },
             };
             let node = nodes[rng.gen_index(nodes.len())];
-            push(&mut rng, at, node, NO_OP, kind);
+            emit(&mut rng, at, 0, node, NO_OP, kind);
         }
         // Emission order: time order with jitter, ties by generation order.
         evs.sort_by_key(|&(_, jitter, _)| jitter);
@@ -995,6 +1024,61 @@ mod tests {
         assert!(ties && reordered);
         assert!(events.iter().any(|e| e.op == NO_OP));
         assert!(events.iter().any(|e| e.node == NO_NODE));
+
+        // The orderings a one-pass fold could get wrong.
+        let mut acks: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (pos, e) in events.iter().enumerate() {
+            if matches!(e.kind, TraceKind::OpAck) {
+                acks.entry(e.op).or_default().push(pos);
+            }
+        }
+        // Emitted more than `gap` events after its op's last ack.
+        let after_ack = |pos: usize, e: &TraceEvent, gap: usize| {
+            acks.get(&e.op).is_some_and(|a| pos > a[a.len() - 1] + gap)
+        };
+        let straggler = events.iter().enumerate().any(|(pos, e)| {
+            !matches!(e.kind, TraceKind::OpAck | TraceKind::TxnOp { .. }) && after_ack(pos, e, 50)
+        });
+        assert!(straggler, "no event emitted long after its op's ack");
+        assert!(acks.values().any(|a| a.len() > 1), "no op acked twice");
+        let late_tag = events
+            .iter()
+            .enumerate()
+            .any(|(pos, e)| matches!(e.kind, TraceKind::TxnOp { .. }) && after_ack(pos, e, 0));
+        assert!(late_tag, "no parent tag emitted after its op's ack");
+        let windows: Vec<(SimTime, SimTime)> = events_by_op(&events)
+            .values()
+            .filter_map(|evs| issue_ack_window(evs))
+            .map(|w| (w[0].at, w[w.len() - 1].at))
+            .collect();
+        let end_inside = events.iter().any(|e| {
+            matches!(e.kind, TraceKind::MigrateEnd { .. })
+                && windows.iter().any(|&(s, t)| s <= e.at && e.at <= t)
+        });
+        assert!(end_inside, "no migrate_end inside an op window");
+    }
+
+    #[test]
+    fn an_op_emitted_latest_first_folds_like_the_reference() {
+        // 300 events of one op in reverse time order: far past the
+        // insertion sort's move budget, so the op index's general sort
+        // orders the group.
+        let n = 300u64;
+        let events: Vec<TraceEvent> = (0..n)
+            .rev()
+            .map(|i| TraceEvent {
+                at: SimTime::from_nanos(10 * i),
+                node: (i % 3) as u32,
+                op: 1,
+                kind: match i {
+                    0 => TraceKind::OpIssue,
+                    i if i == n - 1 => TraceKind::OpAck,
+                    i => TraceKind::Dma { bytes: i },
+                },
+            })
+            .collect();
+        assert_equivalent(&events, &[]);
+        assert_eq!(stage_attribution(&events).ops, 1);
     }
 
     #[test]

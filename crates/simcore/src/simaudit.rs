@@ -9,7 +9,8 @@
 //! the paper's core invariants online and reports structured [`Violation`]
 //! records — offending op id, sim time, human-readable detail and a causal
 //! event excerpt — instead of letting a silent protocol bug masquerade as
-//! a performance artifact.
+//! a performance artifact. Each auditor receives only the trace kinds it
+//! declares ([`Auditor::kinds`]); the excerpt history keeps every event.
 //!
 //! The standard auditor set ([`Audit::standard`]):
 //!
@@ -61,7 +62,8 @@
 
 use crate::jsonw::{join, req, JsonValue, JsonWriter, Shape};
 use crate::simtrace::{
-    txn_phase_label, MetricsRegistry, TraceEvent, TraceKind, Tracer, NO_NODE, NO_OP,
+    txn_phase_label, KindSet, MetricsRegistry, TraceEvent, TraceKind, Tracer, KIND_COUNT, NO_NODE,
+    NO_OP,
 };
 use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
@@ -276,15 +278,23 @@ impl AuditCtx<'_> {
 
 /// An online invariant checker.
 ///
-/// Auditors are registered with an [`Audit`] handle and receive every
-/// trace event (via the tracer tap) and every [`Probe`] the instrumented
-/// code fires. They must not emit trace events themselves — the tap runs
-/// inside [`Tracer::emit`].
+/// Auditors are registered with an [`Audit`] handle and receive the trace
+/// events of the kinds they read (via the tracer tap) and every [`Probe`]
+/// the instrumented code fires. They must not emit trace events
+/// themselves — the tap runs inside [`Tracer::emit`].
 pub trait Auditor {
     /// Stable snake_case name used in reports and metric keys.
     fn name(&self) -> &'static str;
 
-    /// Observes one trace event, in emission order.
+    /// The trace kinds [`Auditor::on_event`] reads; the audit hands it
+    /// only events of these kinds. Asked once, when the [`Audit`] is
+    /// built. Every kind unless overridden.
+    fn kinds(&self) -> KindSet {
+        KindSet::ALL
+    }
+
+    /// Observes one trace event of a kind in [`Auditor::kinds`], in
+    /// emission order.
     fn on_event(&mut self, _ctx: &mut AuditCtx<'_>, _ev: &TraceEvent) {}
 
     /// Observes one out-of-band probe.
@@ -297,6 +307,9 @@ pub trait Auditor {
 
 struct AuditInner {
     auditors: Vec<Box<dyn Auditor>>,
+    /// Per kind ordinal, the auditors (indices in registration order)
+    /// whose [`Auditor::kinds`] hold that kind.
+    routes: [Vec<usize>; KIND_COUNT],
     history: VecDeque<TraceEvent>,
     violations: Vec<Violation>,
     by_auditor: BTreeMap<&'static str, u64>,
@@ -304,19 +317,25 @@ struct AuditInner {
 }
 
 impl AuditInner {
+    /// Records `ev` in the excerpt history, whatever its kind, then hands
+    /// it to the auditors that read its kind.
     fn on_event(&mut self, ev: &TraceEvent) {
         if self.history.len() >= HISTORY_CAP {
             self.history.pop_front();
         }
         self.history.push_back(*ev);
+        let route = &self.routes[ev.kind.ordinal()];
+        if route.is_empty() {
+            return;
+        }
         let mut ctx = AuditCtx {
             history: &self.history,
             violations: &mut self.violations,
             by_auditor: &mut self.by_auditor,
             total: &mut self.total,
         };
-        for a in &mut self.auditors {
-            a.on_event(&mut ctx, ev);
+        for &i in route {
+            self.auditors[i].on_event(&mut ctx, ev);
         }
     }
 
@@ -359,11 +378,19 @@ impl Audit {
         Audit { inner: None }
     }
 
-    /// An audit handle running the given auditors.
+    /// An audit handle running the given auditors, each fed the trace
+    /// kinds it declares.
     pub fn new(auditors: Vec<Box<dyn Auditor>>) -> Self {
+        let kinds: Vec<KindSet> = auditors.iter().map(|a| a.kinds()).collect();
+        let routes = std::array::from_fn(|kind| {
+            (0..auditors.len())
+                .filter(|&i| kinds[i].has(kind))
+                .collect()
+        });
         Audit {
             inner: Some(Rc::new(RefCell::new(AuditInner {
                 auditors,
+                routes,
                 history: VecDeque::with_capacity(HISTORY_CAP),
                 violations: Vec::new(),
                 by_auditor: BTreeMap::new(),
@@ -391,9 +418,9 @@ impl Audit {
         self.inner.is_some()
     }
 
-    /// Feeds one trace event to every auditor. No-op (one branch) when
-    /// disabled. Called by the [`Tracer`] tap; call directly only when
-    /// replaying a captured stream.
+    /// Feeds one trace event to the auditors that read its kind. No-op
+    /// (one branch) when disabled. Called by the [`Tracer`] tap; call
+    /// directly only when replaying a captured stream.
     #[inline]
     pub fn on_event(&self, ev: &TraceEvent) {
         if let Some(inner) = &self.inner {
@@ -530,6 +557,10 @@ impl Auditor for DurabilityAuditor {
         "durability"
     }
 
+    fn kinds(&self) -> KindSet {
+        KindSet::NONE
+    }
+
     fn on_probe(&mut self, ctx: &mut AuditCtx<'_>, at: SimTime, probe: &Probe) {
         if let Probe::AckDurability { op, node, durable } = *probe {
             if !durable {
@@ -562,6 +593,10 @@ pub struct ChainOrderAuditor {
 impl Auditor for ChainOrderAuditor {
     fn name(&self) -> &'static str {
         "chain_order"
+    }
+
+    fn kinds(&self) -> KindSet {
+        KindSet::of(&["op_issue", "op_ack", "cqe"])
     }
 
     fn on_event(&mut self, ctx: &mut AuditCtx<'_>, ev: &TraceEvent) {
@@ -646,6 +681,10 @@ pub struct FlowControlAuditor {
 impl Auditor for FlowControlAuditor {
     fn name(&self) -> &'static str {
         "flow_control"
+    }
+
+    fn kinds(&self) -> KindSet {
+        KindSet::of(&["op_issue", "op_ack"])
     }
 
     fn on_event(&mut self, ctx: &mut AuditCtx<'_>, ev: &TraceEvent) {
@@ -748,6 +787,16 @@ impl MigrationAuditor {
 impl Auditor for MigrationAuditor {
     fn name(&self) -> &'static str {
         "migration"
+    }
+
+    fn kinds(&self) -> KindSet {
+        KindSet::of(&[
+            "op_issue",
+            "op_ack",
+            "migrate_begin",
+            "migrate_cutover",
+            "migrate_end",
+        ])
     }
 
     fn on_event(&mut self, ctx: &mut AuditCtx<'_>, ev: &TraceEvent) {
@@ -888,6 +937,10 @@ impl TxnAuditor {
 impl Auditor for TxnAuditor {
     fn name(&self) -> &'static str {
         "txn"
+    }
+
+    fn kinds(&self) -> KindSet {
+        KindSet::of(&["txn_phase_begin", "txn_phase_end"])
     }
 
     fn on_event(&mut self, ctx: &mut AuditCtx<'_>, ev: &TraceEvent) {
@@ -2008,6 +2061,107 @@ mod tests {
         let rep = a.report();
         assert!(rep.contains("[durability]"));
         assert!(rep.contains("shard 0, epoch 0, seq 0"));
+    }
+
+    /// Labels of the events handed to one test auditor.
+    type Seen = Rc<RefCell<Vec<&'static str>>>;
+
+    /// A test auditor that keeps the default kinds: every kind.
+    struct Everything(Seen);
+
+    impl Auditor for Everything {
+        fn name(&self) -> &'static str {
+            "everything"
+        }
+
+        fn on_event(&mut self, _ctx: &mut AuditCtx<'_>, ev: &TraceEvent) {
+            self.0.borrow_mut().push(ev.kind.label());
+        }
+    }
+
+    /// A test auditor that declares two kinds.
+    struct AcksAndEnds(Seen);
+
+    impl Auditor for AcksAndEnds {
+        fn name(&self) -> &'static str {
+            "acks_and_ends"
+        }
+
+        fn kinds(&self) -> KindSet {
+            KindSet::of(&["op_ack", "migrate_end"])
+        }
+
+        fn on_event(&mut self, _ctx: &mut AuditCtx<'_>, ev: &TraceEvent) {
+            self.0.borrow_mut().push(ev.kind.label());
+        }
+    }
+
+    #[test]
+    fn events_reach_only_the_auditors_that_declare_their_kind() {
+        let (all, two): (Seen, Seen) = Default::default();
+        let a = Audit::new(vec![
+            Box::new(Everything(all.clone())),
+            Box::new(AcksAndEnds(two.clone())),
+        ]);
+        let op = op_id_base(0, 0);
+        let stream = [
+            ev(0, 0, op, TraceKind::OpIssue),
+            ev(5, 1, op, TraceKind::Cqe { cq: 0, ok: true }),
+            ev(9, 0, op, TraceKind::OpAck),
+            ev(12, 0, NO_OP, TraceKind::MigrateBegin { shard: 0 }),
+            ev(
+                20,
+                0,
+                NO_OP,
+                TraceKind::MigrateEnd {
+                    shard: 0,
+                    replayed: 0,
+                },
+            ),
+            ev(30, 0, op + 1, TraceKind::OpAck),
+        ];
+        for e in &stream {
+            a.on_event(e);
+        }
+        let labels: Vec<&str> = stream.iter().map(|e| e.kind.label()).collect();
+        assert_eq!(*all.borrow(), labels, "the default is every kind");
+        assert_eq!(*two.borrow(), ["op_ack", "migrate_end", "op_ack"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no trace kind is labelled \"op_nack\"")]
+    fn kind_sets_reject_unknown_labels() {
+        KindSet::of(&["op_ack", "op_nack"]);
+    }
+
+    /// No auditor reads `wqe_exec` or `link_deliver`, yet the excerpt
+    /// history records every event, so a violation still shows the op's
+    /// path through the NIC and the wire.
+    #[test]
+    fn violation_excerpt_keeps_the_events_no_auditor_reads() {
+        let a = Audit::standard();
+        let base = op_id_base(1, 0);
+        a.on_event(&ev(0, 0, base, TraceKind::OpIssue));
+        a.on_event(&ev(10, 0, base + 1, TraceKind::OpIssue));
+        let exec = TraceKind::WqeExec {
+            qp: 2,
+            opcode: 1,
+            bytes: 64,
+        };
+        a.on_event(&ev(20, 1, base + 1, exec));
+        a.on_event(&ev(
+            30,
+            2,
+            base + 1,
+            TraceKind::LinkDeliver { src: 1, dst: 2 },
+        ));
+        // Generation 1 acks before generation 0.
+        a.on_event(&ev(200, 0, base + 1, TraceKind::OpAck));
+        let vs = a.violations();
+        assert_eq!(vs.len(), 1);
+        assert!(vs[0].detail.contains("ack out of order"));
+        let excerpt: Vec<&str> = vs[0].excerpt.iter().map(|e| e.kind.label()).collect();
+        assert_eq!(excerpt, ["op_issue", "wqe_exec", "link_deliver", "op_ack"]);
     }
 
     #[test]

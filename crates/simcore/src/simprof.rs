@@ -22,7 +22,8 @@
 use crate::jsonw::{opt, req, JsonValue, JsonWriter, Shape};
 use crate::simtrace::{
     kind_label, ts_us, txn_mode_label, txn_phase_label, write_chrome_events, MetricsRegistry,
-    OpEvents, OpIndex, TraceEvent, TraceKind, KIND_COUNT, TXN_PHASE_BACKOFF,
+    OpEvents, OpIndex, TraceEvent, TraceKind, KIND_COUNT, OP_ACK, OP_ISSUE, TXN_PHASE_BACKOFF,
+    TXN_PHASE_BEGIN,
 };
 use crate::stats::Histogram;
 use crate::time::SimTime;
@@ -82,7 +83,7 @@ pub struct StageAttribution {
 impl StageAttribution {
     /// Folds every op with a complete `[OpIssue, OpAck]` window in
     /// `events`. Each op is trimmed to that window first (see
-    /// [`issue_ack_window`]); ops lacking one — never issued inside the
+    /// `issue_ack_window`); ops lacking one — never issued inside the
     /// captured stream, still in flight at capture end, or decapitated —
     /// are counted in `truncated` and excluded so the tiling invariant
     /// holds over host-observed latency.
@@ -98,13 +99,13 @@ impl StageAttribution {
                 continue;
             };
             att.ops += 1;
-            let e2e = win.last().at.since(win.first().at);
+            let e2e = win.last().at().since(win.first().at());
             att.e2e.record(e2e);
             att.e2e_total_ns += e2e.as_nanos();
             sig.clear();
-            for (prev, ev) in win.pairs() {
-                let kind = ev.kind.ordinal();
-                let d = ev.at.since(prev.at);
+            for (prev, cur) in win.pairs() {
+                let kind = cur.kind();
+                let d = cur.at().since(prev.at());
                 let agg = stages[kind].get_or_insert_with(StageAgg::default);
                 agg.count += 1;
                 agg.total_ns += d.as_nanos();
@@ -334,12 +335,8 @@ fn labelled<const N: usize>(
 /// those are setup cost, not op latency, and are cut here. Returns `None`
 /// when the stream never captured the op's issue or its ack.
 pub(crate) fn issue_ack_window(evs: OpEvents<'_>) -> Option<OpEvents<'_>> {
-    let first = evs
-        .iter()
-        .position(|e| matches!(e.kind, TraceKind::OpIssue))?;
-    let last = evs
-        .iter()
-        .rposition(|e| matches!(e.kind, TraceKind::OpAck))?;
+    let first = evs.iter().position(|e| e.kind() == OP_ISSUE)?;
+    let last = evs.iter().rposition(|e| e.kind() == OP_ACK)?;
     if last <= first {
         return None;
     }
@@ -356,9 +353,9 @@ pub fn folded_stacks(events: &[TraceEvent], root: &str) -> String {
         let Some(win) = issue_ack_window(evs) else {
             continue;
         };
-        for (prev, ev) in win.pairs() {
-            *folded.entry((ev.node, ev.kind.ordinal())).or_insert(0) +=
-                ev.at.since(prev.at).as_nanos();
+        for (prev, cur) in win.pairs() {
+            *folded.entry((cur.node(), cur.kind())).or_insert(0) +=
+                cur.at().since(prev.at()).as_nanos();
         }
     }
     let lines = folded
@@ -525,14 +522,20 @@ pub(crate) fn phase_parts(e: &TraceEvent) -> (bool, u8, u8) {
     }
 }
 
-/// Groups a stream's txn phase events by txn id: the op index keyed by the
-/// txn id in the event payload, never by [`TraceEvent::op`], so op-id reuse
-/// can't fold foreign events in.
-pub(crate) fn txn_index(events: &[TraceEvent]) -> OpIndex<'_> {
-    OpIndex::build(events, |e| match e.kind {
+/// The txn index's key: the txn id in a phase event's payload, never
+/// [`TraceEvent::op`], so op-id reuse can't fold foreign events in.
+pub(crate) fn txn_key(e: &TraceEvent) -> Option<u64> {
+    match e.kind {
         TraceKind::TxnPhaseBegin { txn, .. } | TraceKind::TxnPhaseEnd { txn, .. } => Some(txn),
         _ => None,
-    })
+    }
+}
+
+/// Groups a stream's txn phase events by txn id (see [`txn_key`]). Phase
+/// events are a small share of a stream, so the txn folds read each one's
+/// phase and mode codes through [`OpEvents::event`].
+pub(crate) fn txn_index(events: &[TraceEvent]) -> OpIndex<'_> {
+    OpIndex::build(events, txn_key)
 }
 
 /// A txn's commit-mode code: that of its first-emitted phase event.
@@ -543,7 +546,7 @@ pub(crate) fn txn_mode(evs: OpEvents<'_>) -> u8 {
 /// A txn phase stream is well-formed when it has at least one window,
 /// opens on a Begin and closes on an End.
 fn well_formed(evs: OpEvents<'_>) -> bool {
-    evs.len() >= 2 && phase_parts(evs.first()).0 && !phase_parts(evs.last()).0
+    evs.len() >= 2 && evs.first().kind() == TXN_PHASE_BEGIN && evs.last().kind() != TXN_PHASE_BEGIN
 }
 
 /// Per-phase latency attribution aggregated over every complete
@@ -585,29 +588,35 @@ impl TxnAttribution {
     /// Folds every transaction with a well-formed phase stream in
     /// `events`: at least one Begin/End pair, opening on a Begin and
     /// closing on an End. Malformed streams count as `truncated` and are
-    /// excluded.
+    /// excluded. One sweep of the stream gathers the phase events and the
+    /// linked ops' tags; the txn index then groups the phase events.
     pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut linked: Vec<u64> = events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::TxnOp { .. }))
-            .map(|e| e.op)
-            .collect();
+        let mut linked: Vec<u64> = Vec::new();
+        let mut phases: Vec<TraceEvent> = Vec::new();
+        for e in events {
+            match e.kind {
+                TraceKind::TxnOp { .. } => linked.push(e.op),
+                TraceKind::TxnPhaseBegin { .. } | TraceKind::TxnPhaseEnd { .. } => phases.push(*e),
+                _ => {}
+            }
+        }
+        let txns = txn_index(&phases);
         linked.sort_unstable();
         linked.dedup();
         let mut att = TxnAttribution {
             linked_ops: linked.len() as u64,
             ..TxnAttribution::default()
         };
-        let mut phases: [Option<StageAgg>; PHASE_SLOTS] = std::array::from_fn(|_| None);
+        let mut aggs: [Option<StageAgg>; PHASE_SLOTS] = std::array::from_fn(|_| None);
         let mut paths = Paths::default();
         let mut sig: Vec<u8> = Vec::new();
-        for (_txn, evs) in txn_index(events).iter() {
+        for (_txn, evs) in txns.iter() {
             if !well_formed(evs) {
                 att.truncated += 1;
                 continue;
             }
             att.txns += 1;
-            let e2e = evs.last().at.since(evs.first().at);
+            let e2e = evs.last().at().since(evs.first().at());
             att.e2e.record(e2e);
             att.e2e_total_ns += e2e.as_nanos();
             sig.clear();
@@ -617,10 +626,10 @@ impl TxnAttribution {
             // the next phase, zero-length under the emission contract and
             // attributed to the phase just ended if it ever isn't.
             for (prev, next) in evs.pairs() {
-                let (is_begin, _, phase) = phase_parts(prev);
-                let dur = next.at.since(prev.at);
+                let (is_begin, _, phase) = phase_parts(evs.event(prev));
+                let dur = next.at().since(prev.at());
                 let slot = phase_slot(phase);
-                let agg = phases[slot].get_or_insert_with(StageAgg::default);
+                let agg = aggs[slot].get_or_insert_with(StageAgg::default);
                 agg.total_ns += dur.as_nanos();
                 if is_begin {
                     agg.count += 1;
@@ -631,7 +640,7 @@ impl TxnAttribution {
             paths.record(&sig);
         }
         let label = |slot: usize| txn_phase_label(slot as u8);
-        att.phases = labelled(phases, label);
+        att.phases = labelled(aggs, label);
         att.paths = paths.spell(label);
         att
     }
@@ -725,8 +734,9 @@ pub fn txn_folded_stacks(events: &[TraceEvent]) -> String {
         }
         let mode = (txn_mode(evs) as usize).min(MODE_SLOTS - 1);
         for (prev, next) in evs.pairs() {
-            let (_, _, phase) = phase_parts(prev);
-            *folded[mode][phase_slot(phase)].get_or_insert(0) += next.at.since(prev.at).as_nanos();
+            let (_, _, phase) = phase_parts(evs.event(prev));
+            *folded[mode][phase_slot(phase)].get_or_insert(0) +=
+                next.at().since(prev.at()).as_nanos();
         }
     }
     let mut lines = BTreeMap::new();
@@ -778,7 +788,7 @@ pub fn txn_chrome_trace_with_counters(events: &[TraceEvent], samples: &[CounterS
     for (txn, evs) in txns.iter() {
         let mode = txn_mode_label(txn_mode(evs));
         for (prev, next) in evs.pairs() {
-            let (is_begin, _, phase) = phase_parts(prev);
+            let (is_begin, _, phase) = phase_parts(evs.event(prev));
             if !is_begin {
                 continue; // End→Begin gaps are zero-length; skip.
             }
@@ -787,8 +797,8 @@ pub fn txn_chrome_trace_with_counters(events: &[TraceEvent], samples: &[CounterS
             w.field_str("name", txn_phase_label(phase));
             w.field_u64("pid", TXN_PID);
             w.field_u64("tid", txn);
-            w.field_micros("ts", prev.at.as_nanos());
-            w.field_f64("dur", ts_us(next.at) - ts_us(prev.at));
+            w.field_micros("ts", prev.at().as_nanos());
+            w.field_f64("dur", ts_us(next.at()) - ts_us(prev.at()));
             w.begin_obj_field("args");
             w.field_u64("txn", txn);
             w.field_str("mode", mode);

@@ -42,7 +42,7 @@ use crate::jsonw::JsonWriter;
 use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Write as _};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
@@ -302,9 +302,56 @@ const KIND_LABELS: [&str; KIND_COUNT] = [
     "txn_op",
 ];
 
+/// [`TraceKind::OpIssue`]'s ordinal.
+pub(crate) const OP_ISSUE: usize = TraceKind::OpIssue.ordinal();
+/// [`TraceKind::OpAck`]'s ordinal.
+pub(crate) const OP_ACK: usize = TraceKind::OpAck.ordinal();
+/// [`TraceKind::TxnPhaseBegin`]'s ordinal.
+pub(crate) const TXN_PHASE_BEGIN: usize = TraceKind::TxnPhaseBegin {
+    txn: 0,
+    mode: 0,
+    phase: 0,
+}
+.ordinal();
+
 /// The stable label of the kind with ordinal `ordinal`.
 pub(crate) fn kind_label(ordinal: usize) -> &'static str {
     KIND_LABELS[ordinal]
+}
+
+/// A set of trace kinds, one bit per [`TraceKind`] variant. An
+/// [`Auditor`](crate::simaudit::Auditor) declares the kinds it reads with
+/// one, and the audit tap hands each event only to the auditors whose set
+/// holds its kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindSet(u32);
+
+impl KindSet {
+    /// Every kind.
+    pub const ALL: KindSet = KindSet((1 << KIND_COUNT) - 1);
+
+    /// No kind.
+    pub const NONE: KindSet = KindSet(0);
+
+    /// The kinds carrying the given [`TraceKind::label`]s.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a label that no kind carries.
+    pub fn of(labels: &[&str]) -> KindSet {
+        labels.iter().fold(KindSet::NONE, |set, label| {
+            let ordinal = KIND_LABELS
+                .iter()
+                .position(|l| l == label)
+                .unwrap_or_else(|| panic!("no trace kind is labelled {label:?}"));
+            KindSet(set.0 | 1 << ordinal)
+        })
+    }
+
+    /// True if the kind with ordinal `ordinal` belongs to the set.
+    pub(crate) fn has(self, ordinal: usize) -> bool {
+        self.0 >> ordinal & 1 == 1
+    }
 }
 
 impl TraceKind {
@@ -315,7 +362,7 @@ impl TraceKind {
 
     /// Dense index of the variant, `0..KIND_COUNT`: lets bulk folds key
     /// their per-kind aggregates by an array slot instead of a string.
-    pub(crate) fn ordinal(&self) -> usize {
+    pub(crate) const fn ordinal(&self) -> usize {
         match self {
             TraceKind::WqeFetch { .. } => 0,
             TraceKind::WqeExec { .. } => 1,
@@ -427,9 +474,15 @@ pub struct TraceEvent {
 /// their complete span — head included — so per-op breakdowns over an
 /// overflowed ring never mis-tile: an op is either whole or gone.
 /// Unattributable [`NO_OP`] events are evicted singly, oldest first.
+///
+/// The events sit in one append-only `Vec` behind an `Rc`, which
+/// [`Tracer::events`] hands out as the snapshot. Writing goes through
+/// `Rc::make_mut`: while no snapshot is held that is the `Vec` itself, and
+/// the first write after one was taken copies the ring once, leaving the
+/// snapshot as it was.
 #[derive(Debug)]
 struct TraceBuffer {
-    buf: VecDeque<TraceEvent>,
+    buf: Rc<Vec<TraceEvent>>,
     capacity: usize,
     dropped: u64,
     dropped_ops: u64,
@@ -453,10 +506,7 @@ impl TraceBuffer {
             let to_mark = self.capacity / 4 + 1;
             let mut victims: BTreeSet<u64> = BTreeSet::new();
             let mut noop_prefix = 0usize;
-            for (marked, e) in self.buf.iter().enumerate() {
-                if marked >= to_mark {
-                    break;
-                }
+            for e in self.buf.iter().take(to_mark) {
                 if e.op == NO_OP {
                     noop_prefix += 1;
                 } else {
@@ -465,7 +515,7 @@ impl TraceBuffer {
             }
             let before = self.buf.len();
             let mut noop_left = noop_prefix;
-            self.buf.retain(|e| {
+            Rc::make_mut(&mut self.buf).retain(|e| {
                 if e.op == NO_OP {
                     if noop_left > 0 {
                         noop_left -= 1;
@@ -485,7 +535,7 @@ impl TraceBuffer {
                 return;
             }
         }
-        self.buf.push_back(ev);
+        Rc::make_mut(&mut self.buf).push(ev);
     }
 }
 
@@ -532,7 +582,7 @@ impl Tracer {
         assert!(capacity > 0, "tracer capacity must be non-zero");
         Tracer {
             inner: Some(Rc::new(RefCell::new(TraceBuffer {
-                buf: VecDeque::with_capacity(capacity.min(4096)),
+                buf: Rc::new(Vec::with_capacity(capacity.min(4096))),
                 capacity,
                 dropped: 0,
                 dropped_ops: 0,
@@ -581,11 +631,14 @@ impl Tracer {
         self.audit.on_event(&ev);
     }
 
-    /// Snapshot of the buffered events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
+    /// Snapshot of the buffered events, oldest first. The snapshot shares
+    /// the ring's buffer, so taking one copies nothing; if recording
+    /// resumes while it is held, the ring copies itself once and the
+    /// snapshot keeps what it had.
+    pub fn events(&self) -> Rc<Vec<TraceEvent>> {
         match &self.inner {
-            Some(inner) => inner.borrow().buf.iter().copied().collect(),
-            None => Vec::new(),
+            Some(inner) => Rc::clone(&inner.borrow().buf),
+            None => Rc::default(),
         }
     }
 
@@ -612,11 +665,14 @@ impl Tracer {
     }
 
     /// Discards all buffered events and resets the drop counters and the
-    /// evicted-op suppression set.
+    /// evicted-op suppression set. Outstanding snapshots keep their events.
     pub fn clear(&self) {
         if let Some(inner) = &self.inner {
             let mut b = inner.borrow_mut();
-            b.buf.clear();
+            match Rc::get_mut(&mut b.buf) {
+                Some(buf) => buf.clear(),
+                None => b.buf = Rc::default(),
+            }
             b.dropped = 0;
             b.dropped_ops = 0;
             b.evicted.clear();
@@ -753,27 +809,101 @@ impl Hasher for IdHasher {
     }
 }
 
+/// Bits of an [`Entry`] holding the kind ordinal.
+const KIND_BITS: u32 = 5;
+const _: () = assert!(KIND_COUNT <= 1 << KIND_BITS);
+
+/// Longest stream an [`OpIndex`] groups: a position must fit the 32 bits
+/// of an [`Entry`] it shares with the kind.
+const MAX_INDEXED: usize = 1 << (u32::BITS - KIND_BITS);
+
+/// One grouped event of an [`OpIndex`]: the time, kind and node the folds
+/// read, and the stream position through which exports reach the full
+/// event. It packs into one `u128`, time in the top 64 bits, then the
+/// position above [`KIND_BITS`] bits of kind, then the node, so entries
+/// order as integers by `(at, position)`: time, ties in emission order. A
+/// group therefore sorts and folds without touching the stream.
+#[derive(Clone, Copy)]
+pub(crate) struct Entry(u128);
+
+impl Entry {
+    fn pack(pos: usize, e: &TraceEvent) -> u128 {
+        let pos_kind = (pos as u32) << KIND_BITS | e.kind.ordinal() as u32;
+        (e.at.as_nanos() as u128) << 64 | (pos_kind as u128) << 32 | e.node as u128
+    }
+
+    /// When the event happened.
+    pub(crate) fn at(self) -> SimTime {
+        SimTime::from_nanos((self.0 >> 64) as u64)
+    }
+
+    /// The event's [`TraceKind::ordinal`].
+    pub(crate) fn kind(self) -> usize {
+        (self.0 >> 32) as usize & ((1 << KIND_BITS) - 1)
+    }
+
+    /// The node the event is attributed to.
+    pub(crate) fn node(self) -> u32 {
+        self.0 as u32
+    }
+
+    /// The event's position in the stream.
+    fn pos(self) -> usize {
+        ((self.0 >> 32) as u32 >> KIND_BITS) as usize
+    }
+}
+
+/// Sorts one group of packed entries, which arrives in emission order and
+/// so nearly sorted: out of order are only the few events emitted before
+/// earlier-stamped ones (a send emits its future delivery at once).
+/// Insertion sort costs the group's length plus the distance those events
+/// move; past a budget of eight moves per entry it hands over to a
+/// general sort.
+fn sort_group(group: &mut [u128]) {
+    let budget = 8 * group.len();
+    let mut moved = 0;
+    for i in 1..group.len() {
+        let x = group[i];
+        let mut j = i;
+        while j > 0 && group[j - 1] > x {
+            group[j] = group[j - 1];
+            j -= 1;
+        }
+        group[j] = x;
+        moved += i - j;
+        if moved > budget {
+            group.sort_unstable();
+            return;
+        }
+    }
+}
+
 /// A trace stream grouped by a `u64` key without copying it: the *op
 /// index* behind every bulk fold and export.
 ///
-/// Built in one pass: each distinct key gets a dense slot, a counting sort
-/// scatters `u32` event indices into one flat array, and each key's run is
-/// then sorted by `at`. The order contract is the one per-op
-/// reconstruction has always used:
+/// Built as a counting sort. One sweep keys every event, giving each
+/// distinct key a dense slot and counting its events; a second places an
+/// [`Entry`] per keyed event into one flat array, group by group, and
+/// each group is then sorted in place. The order contract is the one
+/// per-op reconstruction has always used:
 ///
 /// * keys ascending (slots are renumbered in key order, so the hash map
 ///   that assigns them never reaches an output);
 /// * each key's events by time, ties in emission order;
 /// * events without a key (for the op index: [`NO_OP`]) left out.
 ///
-/// The index keeps 4 bytes per grouped event (building it takes another
-/// transient 4 bytes per event) and allocates nothing per key.
+/// The key function sees every event once, in emission order, so a fold
+/// gathers whatever else it needs from the stream (signals, tags, a
+/// sub-stream) in the same sweep. The index keeps 16 bytes per grouped
+/// event (building it takes another transient 4 bytes per event) and
+/// allocates nothing per key.
 pub(crate) struct OpIndex<'a> {
     events: &'a [TraceEvent],
     keys: Vec<u64>,
-    /// `order[starts[i]..starts[i + 1]]` are the events of `keys[i]`.
+    /// `order[starts[i]..starts[i + 1]]` are the packed [`Entry`]s of
+    /// `keys[i]`.
     starts: Vec<u32>,
-    order: Vec<u32>,
+    order: Vec<u128>,
 }
 
 impl<'a> OpIndex<'a> {
@@ -783,13 +913,15 @@ impl<'a> OpIndex<'a> {
     }
 
     /// Groups `events` by `key`; events it maps to `None` are left out.
+    /// `key` is called once per event, in stream order.
     pub(crate) fn build(
         events: &'a [TraceEvent],
-        key: impl Fn(&TraceEvent) -> Option<u64>,
+        mut key: impl FnMut(&TraceEvent) -> Option<u64>,
     ) -> Self {
         assert!(
-            events.len() < u32::MAX as usize,
-            "op index holds at most u32::MAX - 1 events"
+            events.len() < MAX_INDEXED,
+            "op index holds at most 2^{} - 1 events",
+            u32::BITS - KIND_BITS
         );
         const NONE: u32 = u32::MAX;
         let mut slot_of: HashMap<u64, u32, BuildHasherDefault<IdHasher>> = HashMap::default();
@@ -838,33 +970,22 @@ impl<'a> OpIndex<'a> {
         let sorted_keys: Vec<u64> = by_key.iter().map(|&s| keys[s as usize]).collect();
         drop((keys, counts, by_key));
 
-        // Counting-sort scatter: each group receives its events in emission
-        // order, so the unstable sort below on (time, index) is the stable
-        // time sort.
-        let mut cursor: Vec<u32> = starts[..starts.len() - 1].to_vec();
-        let mut order = vec![0u32; total as usize];
-        for (i, &slot) in slots.iter().enumerate() {
+        // Place each keyed event's entry; every group receives its entries
+        // in emission order, so sorting a group on `(at, position)` is the
+        // stable time sort.
+        let mut cursor: Vec<u32> = rank.iter().map(|&r| starts[r as usize]).collect();
+        drop(rank);
+        let mut order = vec![0u128; total as usize];
+        for (pos, (&slot, e)) in slots.iter().zip(events).enumerate() {
             if slot != NONE {
-                let c = &mut cursor[rank[slot as usize] as usize];
-                order[*c as usize] = i as u32;
+                let c = &mut cursor[slot as usize];
+                order[*c as usize] = Entry::pack(pos, e);
                 *c += 1;
             }
         }
-        drop((slots, cursor, rank));
-        // Sort keys are gathered once per event into a reused buffer, so
-        // the sort itself never reaches back into the (large) stream.
-        let mut keyed: Vec<(SimTime, u32)> = Vec::new();
+        drop((slots, cursor));
         for w in starts.windows(2) {
-            let run = &mut order[w[0] as usize..w[1] as usize];
-            keyed.clear();
-            keyed.extend(run.iter().map(|&i| (events[i as usize].at, i)));
-            if keyed.windows(2).all(|p| p[0].0 <= p[1].0) {
-                continue;
-            }
-            keyed.sort_unstable();
-            for (slot, &(_, i)) in run.iter_mut().zip(&keyed) {
-                *slot = i;
-            }
+            sort_group(&mut order[w[0] as usize..w[1] as usize]);
         }
         OpIndex {
             events,
@@ -882,7 +1003,7 @@ impl<'a> OpIndex<'a> {
     fn group(&self, i: usize) -> OpEvents<'_> {
         OpEvents {
             events: self.events,
-            idx: &self.order[self.starts[i] as usize..self.starts[i + 1] as usize],
+            run: &self.order[self.starts[i] as usize..self.starts[i + 1] as usize],
         }
     }
 
@@ -901,81 +1022,64 @@ impl<'a> OpIndex<'a> {
 }
 
 /// One key's events in an [`OpIndex`]: time-ordered, ties in emission
-/// order.
+/// order. Folds read their [`Entry`]s; [`OpEvents::event`] reaches the
+/// full event by its stream position.
 #[derive(Clone, Copy)]
 pub(crate) struct OpEvents<'a> {
     events: &'a [TraceEvent],
-    idx: &'a [u32],
+    run: &'a [u128],
 }
 
 impl<'a> OpEvents<'a> {
     /// Number of events.
     pub(crate) fn len(&self) -> usize {
-        self.idx.len()
+        self.run.len()
     }
 
-    /// The `i`-th event in time order.
-    pub(crate) fn get(&self, i: usize) -> &'a TraceEvent {
-        &self.events[self.idx[i] as usize]
+    /// The earliest entry (index groups and windows are never empty).
+    pub(crate) fn first(&self) -> Entry {
+        Entry(self.run[0])
     }
 
-    /// The earliest event (index groups and windows are never empty).
-    pub(crate) fn first(&self) -> &'a TraceEvent {
-        self.get(0)
+    /// The latest entry.
+    pub(crate) fn last(&self) -> Entry {
+        Entry(self.run[self.run.len() - 1])
     }
 
-    /// The latest event.
-    pub(crate) fn last(&self) -> &'a TraceEvent {
-        self.get(self.len() - 1)
-    }
-
-    /// The events in time order.
-    pub(crate) fn iter(
-        &self,
-    ) -> impl DoubleEndedIterator<Item = &'a TraceEvent> + ExactSizeIterator + 'a {
-        let events = self.events;
-        self.idx.iter().map(move |&i| &events[i as usize])
+    /// The entries in time order.
+    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = Entry> + ExactSizeIterator + 'a {
+        self.run.iter().map(|&e| Entry(e))
     }
 
     /// Adjacent `(previous, current)` pairs: one per stage, each stage
     /// labelled by the event ending it.
-    pub(crate) fn pairs(&self) -> impl Iterator<Item = (&'a TraceEvent, &'a TraceEvent)> + 'a {
-        let events = self.events;
-        self.idx
-            .windows(2)
-            .map(move |w| (&events[w[0] as usize], &events[w[1] as usize]))
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (Entry, Entry)> + 'a {
+        self.run.windows(2).map(|w| (Entry(w[0]), Entry(w[1])))
     }
 
     /// The events at positions `first..=last`.
     pub(crate) fn slice(&self, first: usize, last: usize) -> OpEvents<'a> {
         OpEvents {
             events: self.events,
-            idx: &self.idx[first..=last],
+            run: &self.run[first..=last],
         }
+    }
+
+    /// The full event behind `entry`.
+    pub(crate) fn event(&self, entry: Entry) -> &'a TraceEvent {
+        &self.events[entry.pos()]
     }
 
     /// The event emitted earliest (lowest stream position), whatever its
     /// timestamp.
     pub(crate) fn first_emitted(&self) -> &'a TraceEvent {
-        let first = self.idx.iter().min().expect("index groups are never empty");
-        &self.events[*first as usize]
-    }
-
-    /// The latest-emitted event matching `pred`.
-    pub(crate) fn last_emitted(
-        &self,
-        pred: impl Fn(&TraceEvent) -> bool,
-    ) -> Option<&'a TraceEvent> {
-        self.idx
-            .iter()
-            .filter(|&&i| pred(&self.events[i as usize]))
-            .max()
-            .map(|&i| &self.events[i as usize])
+        let first = self.iter().min_by_key(|e| e.pos());
+        self.event(first.expect("index groups are never empty"))
     }
 
     /// The events, copied out in time order.
     pub(crate) fn to_vec(self) -> Vec<TraceEvent> {
-        self.iter().copied().collect()
+        self.iter().map(|e| *self.event(e)).collect()
     }
 }
 
@@ -1128,22 +1232,27 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 
 /// Writes the span/instant event stream of the events `keep` selects into
 /// an already-open `traceEvents` array (shared by [`chrome_trace_json`]
-/// and the counter-track exports in [`crate::simprof`]). One grouped pass:
-/// node metadata, then every op's stage spans (ops ascending, from the op
-/// index), then one instant per event in emission order.
+/// and the counter-track exports in [`crate::simprof`]). One grouped pass,
+/// which also collects the nodes: node metadata, then every op's stage
+/// spans (ops ascending, from the op index), then one instant per event
+/// in emission order.
 pub(crate) fn write_chrome_events(
     w: &mut JsonWriter,
     events: &[TraceEvent],
     keep: impl Fn(&TraceEvent) -> bool,
 ) {
     let mut nodes: Vec<u32> = Vec::new();
-    for e in events.iter().filter(|e| keep(e)) {
+    let index = OpIndex::build(events, |e| {
+        if !keep(e) {
+            return None;
+        }
         if e.node != NO_NODE {
             if let Err(i) = nodes.binary_search(&e.node) {
                 nodes.insert(i, e.node);
             }
         }
-    }
+        (e.op != NO_OP).then_some(e.op)
+    });
     for n in &nodes {
         w.begin_obj();
         w.field_str("ph", "M");
@@ -1155,19 +1264,18 @@ pub(crate) fn write_chrome_events(
         w.end_obj();
     }
 
-    let index = OpIndex::build(events, |e| (e.op != NO_OP && keep(e)).then_some(e.op));
     for (op, evs) in index.iter() {
-        for (prev, ev) in evs.pairs() {
+        for (prev, cur) in evs.pairs() {
             w.begin_obj();
             w.field_str("ph", "X");
-            w.field_str("name", ev.kind.label());
-            w.field_u64("pid", ev.node as u64);
+            w.field_str("name", kind_label(cur.kind()));
+            w.field_u64("pid", cur.node() as u64);
             w.field_u64("tid", op);
-            w.field_micros("ts", prev.at.as_nanos());
-            w.field_f64("dur", ts_us(ev.at) - ts_us(prev.at));
+            w.field_micros("ts", prev.at().as_nanos());
+            w.field_f64("dur", ts_us(cur.at()) - ts_us(prev.at()));
             w.begin_obj_field("args");
             w.field_u64("op", op);
-            ev.kind.write_args(w);
+            evs.event(cur).kind.write_args(w);
             w.end_obj();
             w.end_obj();
         }
@@ -1354,6 +1462,67 @@ mod tests {
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.dropped(), 0);
+    }
+
+    #[test]
+    fn snapshot_keeps_its_events_while_recording_resumes() {
+        let t = Tracer::enabled(16);
+        t.emit(SimTime::from_nanos(0), 0, 1, TraceKind::OpIssue);
+        t.emit(SimTime::from_nanos(10), 0, 1, TraceKind::OpAck);
+        let snap = t.events();
+        // Taking a snapshot copies nothing: the next one is the same buffer.
+        assert!(Rc::ptr_eq(&snap, &t.events()));
+        t.emit(SimTime::from_nanos(20), 0, 2, TraceKind::OpIssue);
+        assert_eq!(snap.len(), 2, "the snapshot keeps what it had");
+        assert_eq!(t.len(), 3, "the ring still records");
+        let now = t.events();
+        assert_eq!(now[..2], snap[..]);
+        assert_eq!(now[2].op, 2);
+    }
+
+    #[test]
+    fn outstanding_snapshots_change_no_count_clear_or_eviction() {
+        // Two 4-slot rings see the same emissions; one has a snapshot taken
+        // after every step and held to the end. Op 2 overflows the ring
+        // and evicts op 1 whole, then an op-1 straggler is suppressed.
+        let emissions = [
+            (0, 1, TraceKind::OpIssue),
+            (10, 1, TraceKind::MetaSend { replica: 0 }),
+            (40, 1, TraceKind::Dma { bytes: 64 }),
+            (90, 1, TraceKind::OpAck),
+            (100, 2, TraceKind::OpIssue),
+            (190, 2, TraceKind::OpAck),
+            (200, 1, TraceKind::Dma { bytes: 8 }),
+        ];
+        let (plain, held) = (Tracer::enabled(4), Tracer::enabled(4));
+        let same = |plain: &Tracer, held: &Tracer| {
+            assert_eq!(plain.len(), held.len());
+            assert_eq!(plain.dropped(), held.dropped());
+            assert_eq!(plain.dropped_ops(), held.dropped_ops());
+            assert_eq!(plain.events(), held.events());
+        };
+        let mut snaps = Vec::new();
+        for (ns, op, kind) in emissions {
+            plain.emit(SimTime::from_nanos(ns), 0, op, kind);
+            held.emit(SimTime::from_nanos(ns), 0, op, kind);
+            same(&plain, &held);
+            let snap = held.events();
+            snaps.push((snap.to_vec(), snap));
+        }
+        assert_eq!((held.len(), held.dropped(), held.dropped_ops()), (2, 5, 1));
+        plain.clear();
+        held.clear();
+        same(&plain, &held);
+        assert!(held.is_empty() && held.dropped() == 0 && held.dropped_ops() == 0);
+        // Clearing forgot the evicted op in both.
+        plain.emit(SimTime::from_nanos(300), 0, 1, TraceKind::OpIssue);
+        held.emit(SimTime::from_nanos(300), 0, 1, TraceKind::OpIssue);
+        same(&plain, &held);
+        assert_eq!(held.len(), 1);
+        for (copy, snap) in &snaps {
+            assert_eq!(copy, snap.as_ref(), "a snapshot changed after it was taken");
+        }
+        assert_eq!(snaps[3].1.len(), 4, "the pre-eviction snapshot holds op 1");
     }
 
     #[test]

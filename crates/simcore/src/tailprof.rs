@@ -52,7 +52,8 @@ use crate::simaudit::op_id_parts;
 use crate::simprof::{issue_ack_window, phase_parts, txn_index};
 use crate::simtrace::{
     kind_label, span_tree_from_sorted, OpEvents, OpIndex, SpanNode, TraceEvent, TraceKind,
-    KIND_COUNT, TXN_PHASE_ACQUIRE, TXN_PHASE_BACKOFF, TXN_PHASE_ROLLBACK, TXN_PHASE_UNDO,
+    KIND_COUNT, NO_NODE, NO_OP, TXN_PHASE_ACQUIRE, TXN_PHASE_BACKOFF, TXN_PHASE_ROLLBACK,
+    TXN_PHASE_UNDO,
 };
 use crate::time::{SimDuration, SimTime};
 
@@ -298,12 +299,25 @@ fn tail_rule(t: &JsonValue, path: &str) -> Result<(), String> {
 /// Exact quantile over a sorted latency vector: index `ceil(q·n) − 1`
 /// with `q` given as `num/den`.
 pub(crate) fn exact_quantile(sorted: &[u64], num: u64, den: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+    match quantile_index(sorted.len(), num, den) {
+        Some(idx) => sorted[idx],
+        None => 0,
     }
-    let n = sorted.len() as u64;
-    let idx = (n * num).div_ceil(den).saturating_sub(1) as usize;
-    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// [`exact_quantile`] of an unsorted vector: the same order statistic,
+/// selected in linear time (reorders `values`).
+fn select_quantile(values: &mut [u64], num: u64, den: u64) -> u64 {
+    match quantile_index(values.len(), num, den) {
+        Some(idx) => *values.select_nth_unstable(idx).1,
+        None => 0,
+    }
+}
+
+/// The index of the `num/den` quantile among `len` sorted values.
+fn quantile_index(len: usize, num: u64, den: u64) -> Option<usize> {
+    let idx = (len as u64 * num).div_ceil(den).saturating_sub(1) as usize;
+    (len > 0).then(|| idx.min(len - 1))
 }
 
 /// A transaction phase window `[start, end]` in phase `phase`.
@@ -319,10 +333,10 @@ struct PhaseWindow {
 fn phase_windows(evs: OpEvents<'_>) -> Vec<PhaseWindow> {
     evs.pairs()
         .filter_map(|(prev, next)| {
-            let (is_begin, _, phase) = phase_parts(prev);
+            let (is_begin, _, phase) = phase_parts(evs.event(prev));
             is_begin.then_some(PhaseWindow {
-                start: prev.at,
-                end: next.at,
+                start: prev.at(),
+                end: next.at(),
                 phase,
             })
         })
@@ -333,12 +347,16 @@ fn phase_windows(evs: OpEvents<'_>) -> Vec<PhaseWindow> {
 /// (kinds by ordinal; a stage belongs to the kind of the event ending it).
 fn kind_totals(win: OpEvents<'_>, out: &mut Vec<(usize, u64)>) {
     out.clear();
-    for (prev, ev) in win.pairs() {
-        let kind = ev.kind.ordinal();
-        let ns = ev.at.since(prev.at).as_nanos();
-        match out.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, total)) => *total += ns,
-            None => out.push((kind, ns)),
+    let mut row = [u8::MAX; KIND_COUNT];
+    for (prev, cur) in win.pairs() {
+        let kind = cur.kind();
+        let ns = cur.at().since(prev.at()).as_nanos();
+        match row[kind] {
+            u8::MAX => {
+                row[kind] = out.len() as u8;
+                out.push((kind, ns));
+            }
+            i => out[i as usize].1 += ns,
         }
     }
 }
@@ -349,9 +367,9 @@ fn kind_totals(win: OpEvents<'_>, out: &mut Vec<(usize, u64)>) {
 /// replica.
 fn node_totals(win: OpEvents<'_>) -> BTreeMap<u32, u64> {
     let mut totals = BTreeMap::new();
-    for (prev, ev) in win.pairs() {
-        if ev.node != crate::simtrace::NO_NODE && !QUEUE_KINDS.contains(&ev.kind.label()) {
-            *totals.entry(ev.node).or_insert(0) += ev.at.since(prev.at).as_nanos();
+    for (prev, cur) in win.pairs() {
+        if cur.node() != NO_NODE && !QUEUE_KINDS.contains(&kind_label(cur.kind())) {
+            *totals.entry(cur.node()).or_insert(0) += cur.at().since(prev.at()).as_nanos();
         }
     }
     totals
@@ -366,57 +384,68 @@ struct Excess {
     excess_ns: i64,
 }
 
-/// Cause signals read off the whole stream once.
+/// Cause signals, gathered in the op index's grouping pass.
+#[derive(Default)]
 struct Signals {
     /// Migration signals: (at, shard, cutover epoch if any).
     migrations: Vec<(SimTime, u32, Option<u64>)>,
-    /// Per-shard in-flight occupancy at each tail op's issue.
-    issue_occupancy: BTreeMap<u64, u64>,
-    /// Per-shard maximum in-flight occupancy ever observed.
-    shard_max: BTreeMap<u32, u64>,
+    /// Every issue and ack: (at, is_issue, shard, op).
+    flow: Vec<(SimTime, bool, u32, u64)>,
+    /// `TxnOp` parent tags, in emission order: (op, txn).
+    parents: Vec<(u64, u64)>,
+    /// The txn phase events, in emission order.
+    phases: Vec<TraceEvent>,
 }
 
 impl Signals {
-    /// Scans `events` for migration signals and replays every issue/ack
-    /// for flow-control occupancy, recording it for the ops in `tail`
-    /// (sorted).
-    fn gather(events: &[TraceEvent], tail: &[u64]) -> Self {
-        let mut migrations = Vec::new();
-        let mut flow_evs: Vec<(SimTime, bool, u32, u64)> = Vec::new();
-        for e in events {
-            match e.kind {
-                TraceKind::MigrateBegin { shard } => migrations.push((e.at, shard, None)),
-                TraceKind::MigrateCutover { shard, epoch } => {
-                    migrations.push((e.at, shard, Some(epoch)))
-                }
-                TraceKind::MigrateEnd { shard, .. } => migrations.push((e.at, shard, None)),
-                TraceKind::OpIssue => flow_evs.push((e.at, true, op_id_parts(e.op).0, e.op)),
-                TraceKind::OpAck => flow_evs.push((e.at, false, op_id_parts(e.op).0, e.op)),
-                _ => {}
+    fn observe(&mut self, e: &TraceEvent) {
+        match e.kind {
+            TraceKind::MigrateBegin { shard } | TraceKind::MigrateEnd { shard, .. } => {
+                self.migrations.push((e.at, shard, None))
             }
+            TraceKind::MigrateCutover { shard, epoch } => {
+                self.migrations.push((e.at, shard, Some(epoch)))
+            }
+            TraceKind::OpIssue => self.flow.push((e.at, true, op_id_parts(e.op).0, e.op)),
+            TraceKind::OpAck => self.flow.push((e.at, false, op_id_parts(e.op).0, e.op)),
+            TraceKind::TxnOp { txn } => self.parents.push((e.op, txn)),
+            TraceKind::TxnPhaseBegin { .. } | TraceKind::TxnPhaseEnd { .. } => self.phases.push(*e),
+            _ => {}
         }
-        flow_evs.sort_by_key(|&(at, is_issue, _, op)| (at, !is_issue, op));
+    }
+}
+
+/// Flow-control occupancy: per shard, the in-flight count at each op's
+/// issue (kept for the ops in `tail`, sorted) and the maximum ever seen.
+struct Occupancy {
+    at_issue: BTreeMap<u64, u64>,
+    shard_max: BTreeMap<u32, u64>,
+}
+
+impl Occupancy {
+    /// Replays every issue and ack in time order, issues before acks at
+    /// one instant.
+    fn replay(mut flow: Vec<(SimTime, bool, u32, u64)>, tail: &[u64]) -> Self {
+        flow.sort_by_key(|&(at, is_issue, _, op)| (at, !is_issue, op));
         let mut inflight: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut shard_max: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut issue_occupancy: BTreeMap<u64, u64> = BTreeMap::new();
-        for (_, is_issue, shard, op) in flow_evs {
+        let mut occupancy = Occupancy {
+            at_issue: BTreeMap::new(),
+            shard_max: BTreeMap::new(),
+        };
+        for (_, is_issue, shard, op) in flow {
             let cur = inflight.entry(shard).or_insert(0);
             if is_issue {
                 *cur += 1;
                 if tail.binary_search(&op).is_ok() {
-                    issue_occupancy.insert(op, *cur);
+                    occupancy.at_issue.insert(op, *cur);
                 }
-                let max = shard_max.entry(shard).or_insert(0);
+                let max = occupancy.shard_max.entry(shard).or_insert(0);
                 *max = (*max).max(*cur);
             } else {
                 *cur = cur.saturating_sub(1);
             }
         }
-        Signals {
-            migrations,
-            issue_occupancy,
-            shard_max,
-        }
+        occupancy
     }
 }
 
@@ -426,9 +455,14 @@ impl TailProfile {
     /// The population is every op with a complete issue→ack window
     /// (txn pseudo-ops have neither and drop out naturally). Quantiles
     /// are exact; every tail op is classified; only the slowest
-    /// [`MAX_EXEMPLARS`] are materialised as [`TailExemplar`]s.
+    /// [`MAX_EXEMPLARS`] are materialised as [`TailExemplar`]s. One pass
+    /// over the stream groups it by op and gathers every cause signal.
     pub fn from_events(events: &[TraceEvent]) -> Self {
-        let index = OpIndex::by_op(events);
+        let mut signals = Signals::default();
+        let index = OpIndex::build(events, |e| {
+            signals.observe(e);
+            (e.op != NO_OP).then_some(e.op)
+        });
 
         // The population: every op with a complete issue→ack window, and
         // per stage kind the per-op totals of the ops that have it.
@@ -453,7 +487,7 @@ impl TailProfile {
                 op,
                 evs,
                 win,
-                e2e_ns: win.last().at.since(win.first().at).as_nanos(),
+                e2e_ns: win.last().at().since(win.first().at()).as_nanos(),
             });
         }
 
@@ -471,11 +505,8 @@ impl TailProfile {
         e2e_sorted.sort_unstable();
         profile.p99_ns = exact_quantile(&e2e_sorted, 99, 100);
         profile.median_e2e_ns = exact_quantile(&e2e_sorted, 1, 2);
-        let kind_median: [u64; KIND_COUNT] = std::array::from_fn(|kind| {
-            let pop = &mut kind_pop[kind];
-            pop.sort_unstable();
-            exact_quantile(pop, 1, 2)
-        });
+        let kind_median: [u64; KIND_COUNT] =
+            std::array::from_fn(|kind| select_quantile(&mut kind_pop[kind], 1, 2));
 
         // The tail: slowest first, ties by ascending op id (deterministic).
         let mut tail: Vec<&OpFold<'_>> = folds
@@ -486,7 +517,14 @@ impl TailProfile {
         profile.tail_ops = tail.len() as u64;
         let mut tail_ids: Vec<u64> = tail.iter().map(|f| f.op).collect();
         tail_ids.sort_unstable();
-        let signals = Signals::gather(events, &tail_ids);
+        let occupancy = Occupancy::replay(signals.flow, &tail_ids);
+        // A tail op's parent txn is named by its latest-emitted tag.
+        let mut parents: BTreeMap<u64, u64> = BTreeMap::new();
+        for &(op, txn) in &signals.parents {
+            if tail_ids.binary_search(&op).is_ok() {
+                parents.insert(op, txn);
+            }
+        }
 
         // Classify every tail op; materialise the slowest as exemplars.
         let mut txns: Option<OpIndex<'_>> = None;
@@ -501,19 +539,11 @@ impl TailProfile {
                 median_ns: kind_median[kind],
                 excess_ns: ns as i64 - kind_median[kind] as i64,
             }));
-            // The parent txn is named by the op's latest-emitted tag.
-            let parent = f
-                .evs
-                .last_emitted(|e| matches!(e.kind, TraceKind::TxnOp { .. }))
-                .map(|e| match e.kind {
-                    TraceKind::TxnOp { txn } => txn,
-                    _ => unreachable!("filtered to txn_op tags"),
-                });
-            let windows = parent.and_then(|txn| {
-                let txns = txns.get_or_insert_with(|| txn_index(events));
+            let windows = parents.get(&f.op).and_then(|&txn| {
+                let txns = txns.get_or_insert_with(|| txn_index(&signals.phases));
                 txns.get(txn).map(phase_windows)
             });
-            let (start, end) = (f.win.first().at, f.win.last().at);
+            let (start, end) = (f.win.first().at(), f.win.last().at());
             let cause = classify(
                 shard,
                 op_epoch,
@@ -522,8 +552,9 @@ impl TailProfile {
                 &node_totals(f.win),
                 &rows,
                 windows.as_deref(),
-                signals.issue_occupancy.get(&f.op).copied(),
-                &signals,
+                occupancy.at_issue.get(&f.op).copied(),
+                occupancy.shard_max.get(&shard).copied().unwrap_or(0),
+                &signals.migrations,
             );
             if let Some(slot) = profile.causes.iter_mut().find(|(l, _)| *l == cause.label()) {
                 slot.1 += 1;
@@ -693,7 +724,8 @@ fn write_span(w: &mut JsonWriter, node: &SpanNode) {
 
 /// Applies the normative precedence chain to one tail op (see
 /// [`TailCause`]). `windows` are the parent txn's phase windows, if the op
-/// has one; `occupancy` is the shard's in-flight count at its issue.
+/// has one; `occupancy` is the shard's in-flight count at its issue and
+/// `shard_max` the most it ever held.
 #[allow(clippy::too_many_arguments)]
 fn classify(
     shard: u32,
@@ -704,7 +736,8 @@ fn classify(
     stages: &[Excess],
     windows: Option<&[PhaseWindow]>,
     occupancy: Option<u64>,
-    signals: &Signals,
+    shard_max: u64,
+    migrations: &[(SimTime, u32, Option<u64>)],
 ) -> TailCause {
     // 1. Migration signal inside the op's window — on any shard, since a
     //    pause stalls the issuing client's completion loop and delays
@@ -712,7 +745,7 @@ fn classify(
     //    shard-matched signal, then a signal carrying an epoch (the
     //    cutover), when picking the cause argument.
     let mut pause: Option<(bool, Option<u64>)> = None;
-    for &(at, mshard, epoch) in &signals.migrations {
+    for &(at, mshard, epoch) in migrations {
         if at < start || at > end {
             continue;
         }
@@ -774,8 +807,7 @@ fn classify(
     }
 
     // 6. Issued into a full flow-control window.
-    let max = signals.shard_max.get(&shard).copied().unwrap_or(0);
-    if max > 1 && occupancy == Some(max) {
+    if shard_max > 1 && occupancy == Some(shard_max) {
         return TailCause::FlowControlStall;
     }
 

@@ -61,7 +61,7 @@ fn traced_run() -> (
         sim.model.fab.export_into(&mut reg, "fab");
         sampler.sample(sim.now(), &reg);
     }
-    (tracer.events(), sampler.samples().to_vec())
+    (tracer.events().to_vec(), sampler.samples().to_vec())
 }
 
 /// Walks the parsed envelope and returns the traceEvents array.

@@ -23,7 +23,8 @@ use hyperloop_repro::rnicsim::{NicConfig, Payload};
 use hyperloop_repro::simcore::hostprof::{self, HostProf};
 use hyperloop_repro::simcore::jsonw::{canonicalize_report, JsonWriter};
 use hyperloop_repro::simcore::{
-    SimDuration, SimTime, StageAttribution, TailProfile, TxnAttribution,
+    SimDuration, SimTime, StageAttribution, TailProfile, TraceEvent, TraceKind, Tracer,
+    TxnAttribution,
 };
 use hyperloop_repro::testbed::{Cluster, ClusterConfig, Env, HostApp, HostEvent};
 use std::cell::Cell;
@@ -248,6 +249,41 @@ fn heap_calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let out = f();
     let delta = hostprof::alloc_snapshot().since(&before);
     (out, delta.allocs + delta.reallocs)
+}
+
+#[test]
+fn op_breakdown_reads_the_trace_ring_in_place() {
+    // A 100K-event ring (about 4.8 MB) holding one 4-event op among
+    // traffic of other ops: the breakdown gathers that op's events and
+    // allocates its stages, never a copy of the ring.
+    let tracer = Tracer::enabled(1 << 20);
+    for i in 0..100_000u64 {
+        tracer.emit(
+            SimTime::from_nanos(i),
+            1,
+            100 + i % 64,
+            TraceKind::Dma { bytes: 8 },
+        );
+    }
+    tracer.emit(SimTime::from_nanos(10), 0, 7, TraceKind::OpIssue);
+    tracer.emit(
+        SimTime::from_nanos(20),
+        1,
+        7,
+        TraceKind::MetaSend { replica: 1 },
+    );
+    tracer.emit(SimTime::from_nanos(30), 2, 7, TraceKind::Dma { bytes: 64 });
+    tracer.emit(SimTime::from_nanos(40), 0, 7, TraceKind::OpAck);
+    let ring_bytes = (tracer.len() * std::mem::size_of::<TraceEvent>()) as u64;
+    let before = hostprof::alloc_snapshot();
+    let bd = tracer.op_breakdown(7).expect("op 7 was traced whole");
+    let delta = hostprof::alloc_snapshot().since(&before);
+    assert_eq!(bd.stages.len(), 3);
+    assert!(
+        delta.alloc_bytes < 4096,
+        "op_breakdown allocated {} bytes over a {ring_bytes}-byte ring",
+        delta.alloc_bytes
+    );
 }
 
 #[test]
