@@ -7,11 +7,11 @@
 //!
 //! The canonical form is [`simcore::jsonw::canonicalize_report`] — the same
 //! transform the in-tree byte-identity tests use — so two same-seed runs
-//! must print identical bytes regardless of machine speed, profiling, or
-//! allocator behavior. CI compares the canonical form of its quick figure
-//! pass against that of the committed `BENCH_BASELINE.json` with `cmp`, so
-//! a change that moves any simulated number must re-ratchet the baseline
-//! in the same change.
+//! must print identical bytes regardless of machine speed or allocator
+//! behavior. CI compares the canonical form of its quick figure pass
+//! against that of the committed `BENCH_BASELINE.json` with `cmp`, so a
+//! change that moves any simulated number must re-ratchet the baseline in
+//! the same change.
 //!
 //! Any flag, or no report at all, exits with status 2 and the usage line.
 

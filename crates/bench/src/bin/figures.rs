@@ -19,11 +19,12 @@
 //!
 //! `--trace <dir>` additionally writes per-scenario profiling artifacts
 //! into `<dir>`: Chrome traces with interleaved counter tracks
-//! (`TRACE_*.json`, open in Perfetto, and folded into the printed
-//! sections' sparkline tables), flamegraph collapsed stacks
-//! (`FOLDED_*.txt`, feed to flamegraph.pl / speedscope) and — for the
-//! `hostperf` sweep — *wall-clock* folded stacks of the simulator itself
-//! (`HOST_*.txt`).
+//! (`TRACE_*.json` and `TXNTRACE_*.json`, open in Perfetto; the printed
+//! sections' sparkline tables are folded from `TRACE_*.json`), flamegraph
+//! collapsed stacks of simulated time (`FOLDED_*.txt`, feed to
+//! flamegraph.pl / speedscope), audit reports (`AUDIT_*.json`) and tail
+//! exemplars (`TAIL_*.json`). All of them are deterministic: a same-seed
+//! run writes the same bytes.
 //!
 //! An unknown figure id, an unknown flag, or `--json`/`--trace` without a
 //! value exits with status 2 and a usage line naming every valid id.

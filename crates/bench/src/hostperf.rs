@@ -5,22 +5,14 @@
 //! throughput, allocation volume and the observability tax (wall-clock
 //! overhead of running with the tracer and audit taps on, versus the same
 //! seed with them off). The sweep raises the op count to show how host
-//! throughput amortizes fixed setup cost.
-//!
-//! Each arm also captures a wall-clock folded-stack profile
-//! (`HOST_hostperf_<ops>.txt` when `--trace` is given) attributing host
-//! time to the simulator's subsystems — event queue, rnicsim engine,
-//! netsim delivery, cpusched dispatch, nvmsim I/O, trace tap and JSON
-//! export — in a format `flamegraph.pl`/speedscope accept directly.
-//! The profile comes from a dedicated same-seed re-run with the scope
-//! timers enabled; the measured arm runs with them off, because at the
-//! fastpath's call density the timers' own clock reads would dominate
-//! the number they are trying to measure.
+//! throughput amortizes fixed setup cost. The split of host time across
+//! the simulator's layers is perfbench's traced run (`--trace 1`), which
+//! samples spans around its own event loop.
 
 use crate::exp::{col, each, fmt_kops, Row, Section, Table};
 use crate::micro::{gwrite_plan_flush, run_primitive, MicroOpts, SystemKind};
 use crate::report::{Report, Scenario};
-use simcore::{hostprof, SimDuration};
+use simcore::SimDuration;
 
 /// Op counts swept by [`hostperf`]. The full sweep ends on a 64K-op arm —
 /// long enough that setup cost and pool warm-up amortize to nothing and
@@ -54,28 +46,7 @@ pub fn hostperf(rep: &mut Report, quick: bool) {
             trace: rep.profile_enabled(),
             ..MicroOpts::default()
         };
-        // The measured arm runs with the scope timers OFF: at this
-        // call density (~800 scoped calls per simulated op) the two
-        // `Instant` reads per scope would be over half the measured wall
-        // time — the profiler observing itself, not the simulator. The
-        // host block (wall, alloc, queue counters) never needed the
-        // scopes: the allocator hooks and queue stats are always-on.
-        hostprof::reset();
         let r = run_primitive(SystemKind::HyperLoop, gwrite_plan_flush(1024, false), opts);
-        if rep.trace_enabled() {
-            // Folded stacks come from a dedicated same-seed re-run with the
-            // scope timers on. hostprof is read-only with respect to the
-            // simulation, so the re-run replays the identical timeline; its
-            // wall numbers are attribution shape, not the headline rate.
-            hostprof::reset();
-            hostprof::enable();
-            let _ = run_primitive(SystemKind::HyperLoop, gwrite_plan_flush(1024, false), opts);
-            hostprof::disable();
-            let folded = hostprof::folded_stacks();
-            hostprof::reset();
-            rep.write_trace(&format!("HOST_hostperf_{ops}.txt"), &folded)
-                .expect("write folded stacks");
-        }
         let name = format!("hostperf/{ops}");
         let mut sc = Scenario::new(&name)
             .system(SystemKind::HyperLoop.label())

@@ -534,7 +534,6 @@ impl Report {
 
     /// Serializes the report (header plus all scenarios) to a JSON string.
     pub fn to_json(&self) -> String {
-        let _t = simcore::hostprof::scope("jsonw.export");
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.field_str("schema", SCHEMA);

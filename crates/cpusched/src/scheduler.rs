@@ -262,7 +262,6 @@ impl CpuScheduler {
 
     /// Routes a previously emitted internal event back into the machine.
     pub fn handle(&mut self, now: SimTime, event: CpuEvent, out: &mut Outbox<CpuEffect>) {
-        let _t = simcore::hostprof::scope("cpusched.dispatch");
         match event {
             CpuEvent::Wake { proc } => {
                 if self.procs[proc.0 as usize].state == ProcState::Waking {

@@ -122,7 +122,6 @@ impl NvmDevice {
     ///
     /// Returns [`AccessOutOfBoundsError`] if the range exceeds capacity.
     pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<(), AccessOutOfBoundsError> {
-        let _t = simcore::hostprof::scope("nvmsim.write");
         self.check(offset, data.len() as u64)?;
         self.volatile.write(offset, data);
         self.stats.bytes_written += data.len() as u64;
@@ -142,7 +141,6 @@ impl NvmDevice {
         offset: u64,
         data: &[u8],
     ) -> Result<(), AccessOutOfBoundsError> {
-        let _t = simcore::hostprof::scope("nvmsim.flush");
         let len = data.len() as u64;
         self.check(offset, len)?;
         self.volatile.take_range_with(offset, len, |_, _| {});
@@ -159,7 +157,6 @@ impl NvmDevice {
     ///
     /// Returns [`AccessOutOfBoundsError`] if the range exceeds capacity.
     pub fn read(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), AccessOutOfBoundsError> {
-        let _t = simcore::hostprof::scope("nvmsim.read");
         self.check(offset, buf.len() as u64)?;
         buf.copy_from_slice(&self.durable[offset as usize..offset as usize + buf.len()]);
         self.volatile.apply_to(offset, buf);
@@ -200,7 +197,6 @@ impl NvmDevice {
     ///
     /// Returns [`AccessOutOfBoundsError`] if the range exceeds capacity.
     pub fn flush_range(&mut self, offset: u64, len: u64) -> Result<(), AccessOutOfBoundsError> {
-        let _t = simcore::hostprof::scope("nvmsim.flush");
         self.check(offset, len)?;
         self.stats.flushes += 1;
         let stats = &mut self.stats;

@@ -534,14 +534,8 @@ impl RdmaFabric {
     /// Routes a previously emitted internal event back into the fabric.
     pub fn handle(&mut self, now: SimTime, event: NicEvent, out: &mut Outbox<NicEffect>) {
         match event {
-            NicEvent::EngineRun { node, qp } => {
-                let _t = simcore::hostprof::scope("rnicsim.engine");
-                self.engine_run(now, node, qp, out)
-            }
-            NicEvent::Deliver { node, qp, msg } => {
-                let _t = simcore::hostprof::scope("netsim.deliver");
-                self.receive(now, node, qp, msg, out)
-            }
+            NicEvent::EngineRun { node, qp } => self.engine_run(now, node, qp, out),
+            NicEvent::Deliver { node, qp, msg } => self.receive(now, node, qp, msg, out),
         }
     }
 

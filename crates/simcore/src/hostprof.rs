@@ -1,220 +1,31 @@
-//! hostprof — wall-clock self-profiling of the simulator itself.
+//! hostprof — host-side measurements of the simulator itself.
 //!
 //! Every other observability layer in this repo (simtrace, simprof,
 //! simaudit) attributes *simulated* nanoseconds. This module measures what
-//! the simulator costs on the *host*: where wall-clock time goes
-//! (scoped timers folded into flamegraph stacks), what the allocator is
-//! doing (counting hooks driven by a `GlobalAlloc` wrapper in the bench
-//! crate), and how fast the simulator turns host seconds into simulated
-//! work ([`HostStats`], the `host` block of every `BENCH_*.json` scenario).
+//! the simulator costs on the *host*: what the allocator is doing
+//! (counting hooks driven by a `GlobalAlloc` wrapper in the bench crate),
+//! and how fast the simulator turns host seconds into simulated work
+//! ([`HostStats`], taken by a [`HostMeter`]: the `host` block of every
+//! `BENCH_*.json` scenario). It does not split host time by layer: the
+//! benchmark under `perfbench/` does that from outside the crates, with
+//! sampled spans around its own event loop (`--trace 1`).
 //!
 //! ## Determinism contract
 //!
 //! Host measurements are inherently nondeterministic, so hostprof is
-//! strictly read-only with respect to the simulation: scopes read
-//! [`Instant`] and write thread-local tables, the allocation counters are
-//! thread-local cells bumped by the allocator wrapper, and nothing here
-//! ever feeds back into the event queue, the RNG, or any model state.
-//! Same-seed runs produce byte-identical traces, audit reports and metric
-//! registries whether profiling is enabled or not (asserted by
-//! `tests/hostprof.rs`). Anything hostprof *does* export (wall times,
-//! allocation counts) is volatile by definition and lives under `host.*`
-//! keys, which [`crate::jsonw::canonicalize_report`] strips before
-//! byte-identity comparisons.
-//!
-//! ## Scopes
-//!
-//! ```
-//! use simcore::hostprof::{self, HostProf};
-//!
-//! hostprof::reset();
-//! hostprof::enable();
-//! {
-//!     let _outer = HostProf::scope("rnicsim.engine");
-//!     let _inner = HostProf::scope("simcore.queue.push");
-//! } // guards drop here, charging self-time to each folded path
-//! hostprof::disable();
-//! let folded = hostprof::folded_stacks();
-//! assert!(folded.contains("host;rnicsim.engine;simcore.queue.push"));
-//! ```
-//!
-//! When disabled (the default), entering a scope costs one relaxed atomic
-//! load and leaving it one branch: [`is_enabled`], [`HostProf::scope`] and
-//! the guard's drop are `#[inline]`, with the recording halves out of line.
-//! That is cheap enough to leave in the hot paths of the event queue, the
-//! NIC engine, and the tracer tap. The scope tables are thread-local:
-//! benchmarks are single-threaded, and per-thread tables mean concurrent
-//! tests cannot corrupt each other's profiles.
+//! strictly read-only with respect to the simulation: the meter reads
+//! [`Instant`], the allocation counters are thread-local cells bumped by
+//! the allocator wrapper, and nothing here ever feeds back into the event
+//! queue, the RNG, or any model state. Everything hostprof exports (wall
+//! times, allocation counts) is volatile by definition and lives under
+//! `host.*` keys, which [`crate::jsonw::canonicalize_report`] strips
+//! before byte-identity comparisons.
 
 use crate::jsonw::{join, req, JsonValue, JsonWriter, Shape};
 use crate::queue::QueueStats;
 use crate::time::SimDuration;
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns scope-timer collection on (process-wide flag, per-thread tables).
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turns scope-timer collection off. In-flight guards still pop cleanly.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// True when scope timers are collecting.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Aggregate of one folded scope path (`"a;b"` means `scope("b")` entered
-/// while `scope("a")` was open on this thread).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScopeStat {
-    /// `;`-joined path of scope names, root first.
-    pub path: String,
-    /// Times this exact path was entered.
-    pub calls: u64,
-    /// Wall nanoseconds between entry and exit, children included.
-    pub total_ns: u64,
-    /// Wall nanoseconds charged to this path alone (total minus children).
-    pub self_ns: u64,
-}
-
-struct Frame {
-    path: String,
-    start: Instant,
-    child_ns: u64,
-}
-
-thread_local! {
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-    static TABLE: RefCell<BTreeMap<String, (u64, u64, u64)>> =
-        const { RefCell::new(BTreeMap::new()) };
-}
-
-/// Namespace for the scoped-timer API (`HostProf::scope("rnicsim.engine")`).
-#[derive(Debug)]
-pub struct HostProf;
-
-impl HostProf {
-    /// Opens a scope charging wall time to `name`, folded under whatever
-    /// scopes are already open on this thread. No-op (one atomic load)
-    /// when profiling is disabled.
-    #[inline]
-    pub fn scope(name: &'static str) -> ScopeGuard {
-        if !is_enabled() {
-            return ScopeGuard { active: false };
-        }
-        open_scope(name);
-        ScopeGuard { active: true }
-    }
-}
-
-/// Pushes an open scope for `name`; the out-of-line half of
-/// [`HostProf::scope`].
-#[inline(never)]
-fn open_scope(name: &'static str) {
-    STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        let path = match s.last() {
-            Some(parent) => format!("{};{}", parent.path, name),
-            None => name.to_string(),
-        };
-        s.push(Frame {
-            path,
-            start: Instant::now(),
-            child_ns: 0,
-        });
-    });
-}
-
-/// Convenience free-function alias of [`HostProf::scope`].
-#[inline]
-pub fn scope(name: &'static str) -> ScopeGuard {
-    HostProf::scope(name)
-}
-
-/// RAII guard of one open scope; dropping it charges the elapsed wall time.
-#[derive(Debug)]
-pub struct ScopeGuard {
-    active: bool,
-}
-
-impl Drop for ScopeGuard {
-    #[inline]
-    fn drop(&mut self) {
-        if self.active {
-            close_scope();
-        }
-    }
-}
-
-/// Pops the innermost open scope and charges its elapsed wall time; the
-/// out-of-line half of [`ScopeGuard`]'s drop.
-#[inline(never)]
-fn close_scope() {
-    STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        let Some(frame) = s.pop() else { return };
-        let elapsed = frame.start.elapsed().as_nanos() as u64;
-        let self_ns = elapsed.saturating_sub(frame.child_ns);
-        if let Some(parent) = s.last_mut() {
-            parent.child_ns += elapsed;
-        }
-        TABLE.with(|t| {
-            let mut t = t.borrow_mut();
-            let e = t.entry(frame.path).or_insert((0, 0, 0));
-            e.0 += 1;
-            e.1 += elapsed;
-            e.2 += self_ns;
-        });
-    });
-}
-
-/// Clears this thread's scope table and open-scope stack.
-pub fn reset() {
-    STACK.with(|s| s.borrow_mut().clear());
-    TABLE.with(|t| t.borrow_mut().clear());
-}
-
-/// Snapshot of this thread's scope aggregates, sorted by folded path.
-pub fn scopes() -> Vec<ScopeStat> {
-    TABLE.with(|t| {
-        t.borrow()
-            .iter()
-            .map(|(path, &(calls, total_ns, self_ns))| ScopeStat {
-                path: path.clone(),
-                calls,
-                total_ns,
-                self_ns,
-            })
-            .collect()
-    })
-}
-
-/// Flamegraph collapsed stacks of this thread's scope table: one
-/// `host;{path} {self_ns}` line per folded path, sorted — the same format
-/// (and the same downstream tools) as `simprof::folded_stacks`, except the
-/// numbers are host nanoseconds instead of simulated ones.
-pub fn folded_stacks() -> String {
-    let mut out = String::new();
-    TABLE.with(|t| {
-        for (path, &(_, _, self_ns)) in t.borrow().iter() {
-            out.push_str("host;");
-            out.push_str(path);
-            out.push(' ');
-            out.push_str(&self_ns.to_string());
-            out.push('\n');
-        }
-    });
-    out
-}
 
 // ---------------------------------------------------------------------------
 // Allocation counters
@@ -557,65 +368,6 @@ mod tests {
     use crate::time::SimDuration;
 
     #[test]
-    fn disabled_scopes_record_nothing() {
-        reset();
-        disable();
-        {
-            let _a = HostProf::scope("a");
-            let _b = HostProf::scope("b");
-        }
-        assert!(scopes().is_empty());
-        assert_eq!(folded_stacks(), "");
-    }
-
-    #[test]
-    fn nested_scopes_fold_and_split_self_time() {
-        reset();
-        enable();
-        {
-            let _a = HostProf::scope("outer");
-            for _ in 0..3 {
-                let _b = HostProf::scope("inner");
-                std::hint::black_box(vec![0u8; 64]);
-            }
-        }
-        disable();
-        let stats = scopes();
-        reset();
-        let outer = stats.iter().find(|s| s.path == "outer").expect("outer");
-        let inner = stats
-            .iter()
-            .find(|s| s.path == "outer;inner")
-            .expect("inner folded under outer");
-        assert_eq!(outer.calls, 1);
-        assert_eq!(inner.calls, 3);
-        // The parent's total covers its children; its self time excludes
-        // them (within rounding; all values are saturating).
-        assert!(outer.total_ns >= inner.total_ns);
-        assert!(outer.self_ns <= outer.total_ns - inner.total_ns + 1);
-        assert!(inner.self_ns <= inner.total_ns);
-    }
-
-    #[test]
-    fn folded_stacks_have_host_root_and_sorted_paths() {
-        reset();
-        enable();
-        {
-            let _b = HostProf::scope("bbb");
-        }
-        {
-            let _a = HostProf::scope("aaa");
-        }
-        disable();
-        let folded = folded_stacks();
-        reset();
-        let lines: Vec<&str> = folded.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("host;aaa "));
-        assert!(lines[1].starts_with("host;bbb "));
-    }
-
-    #[test]
     fn alloc_deltas_balance_over_a_balanced_region() {
         let before = alloc_snapshot();
         {
@@ -703,6 +455,80 @@ mod tests {
         assert_eq!(host.obs_tax.overhead_pct(), 0.0);
         let tuned = host.with_bare_wall_ns(0);
         assert_eq!(tuned.obs_tax.bare_wall_ns, 1, "bare wall clamps to 1ns");
+    }
+
+    #[test]
+    fn merged_sums_counts_keeps_the_deeper_queue_and_weights_the_tax_by_wall() {
+        // A tax-free side merged with one whose observed run took twice
+        // its bare re-run.
+        let untaxed = HostStats {
+            wall_ns: 3_000_000,
+            ops: 100,
+            sim_ns: 4_000,
+            queue: QueueStats {
+                pushed: 50,
+                popped: 40,
+                max_depth: 9,
+            },
+            alloc: AllocStats {
+                allocs: 1,
+                frees: 2,
+                reallocs: 3,
+                alloc_bytes: 4,
+                freed_bytes: 5,
+            },
+            obs_tax: ObsTax {
+                observed_wall_ns: 3_000_000,
+                bare_wall_ns: 3_000_000,
+            },
+        };
+        let taxed = HostStats {
+            wall_ns: 2_000_000,
+            ops: 30,
+            sim_ns: 600,
+            queue: QueueStats {
+                pushed: 70,
+                popped: 60,
+                max_depth: 4,
+            },
+            alloc: AllocStats {
+                allocs: 10,
+                frees: 20,
+                reallocs: 30,
+                alloc_bytes: 40,
+                freed_bytes: 50,
+            },
+            obs_tax: ObsTax {
+                observed_wall_ns: 2_000_000,
+                bare_wall_ns: 1_000_000,
+            },
+        };
+        let m = untaxed.merged(&taxed);
+        assert_eq!((m.wall_ns, m.ops, m.sim_ns), (5_000_000, 130, 4_600));
+        assert_eq!((m.queue.pushed, m.queue.popped), (120, 100));
+        assert_eq!(
+            m.alloc,
+            AllocStats {
+                allocs: 11,
+                frees: 22,
+                reallocs: 33,
+                alloc_bytes: 44,
+                freed_bytes: 55,
+            }
+        );
+        // The depth is a high-water mark, whichever side holds it.
+        assert_eq!(m.queue.max_depth, 9);
+        assert_eq!(taxed.merged(&untaxed).queue.max_depth, 9);
+        // 5 ms observed against 4 ms bare is 25%: the wall-weighted
+        // aggregate, not the 50% mean of the sides' 0% and 100%.
+        assert_eq!(
+            m.obs_tax,
+            ObsTax {
+                observed_wall_ns: 5_000_000,
+                bare_wall_ns: 4_000_000,
+            }
+        );
+        assert_eq!(m.obs_tax.overhead_pct(), 25.0);
     }
 
     #[test]

@@ -868,7 +868,6 @@ fn strip_volatile(v: JsonValue) -> JsonValue {
 /// );
 /// ```
 pub fn canonicalize_report(text: &str) -> Result<String, JsonParseError> {
-    let _t = crate::hostprof::scope("jsonw.export");
     Ok(to_string(&strip_volatile(parse(text)?)))
 }
 

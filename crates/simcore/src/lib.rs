@@ -22,9 +22,9 @@
 //! * [`tailprof`] — tail-latency exemplars over the trace ring: ops past
 //!   the population p99 with per-stage excess breakdowns and a normative
 //!   single-cause root-cause classification.
-//! * [`hostprof`] — wall-clock self-profiling of the simulator itself:
-//!   scoped host timers with folded-stack export, allocation counters and
-//!   the per-run `host` statistics block (never perturbs the sim timeline).
+//! * [`hostprof`] — host-side measurements of the simulator itself:
+//!   allocation counters and the per-run `host` statistics block (never
+//!   perturbs the sim timeline).
 //! * [`jsonw`] — the dependency-free JSON writer behind the exporters, its
 //!   matching reader, and the `host.*`-stripping report canonicalizer.
 //!
@@ -80,7 +80,7 @@ pub mod stats;
 pub mod tailprof;
 pub mod time;
 
-pub use hostprof::{HostMeter, HostProf, HostStats};
+pub use hostprof::{HostMeter, HostStats};
 pub use model::{Model, Outbox, Simulation};
 pub use queue::{EventQueue, QueueStats};
 pub use rng::SimRng;
@@ -90,21 +90,21 @@ pub use simaudit::{
 };
 pub use simprof::{CounterSampler, StageAttribution, TxnAttribution};
 pub use simtrace::{MetricsRegistry, TraceEvent, TraceKind, Tracer};
-pub use stats::{Counter, Histogram, LatencySummary};
+pub use stats::{Histogram, LatencySummary};
 pub use tailprof::{TailCause, TailExemplar, TailProfile};
 pub use time::{SimDuration, SimTime};
 
 /// One-stop imports for simulation code.
 pub mod prelude {
     pub use crate::dist::{KeyChooser, Latest, ScrambledZipfian, UniformKeys, Zipfian};
-    pub use crate::hostprof::{HostMeter, HostProf, HostStats};
+    pub use crate::hostprof::{HostMeter, HostStats};
     pub use crate::model::{Model, Outbox, Simulation};
     pub use crate::queue::{EventQueue, QueueStats};
     pub use crate::rng::SimRng;
     pub use crate::simaudit::{Audit, HealthMonitor, HealthState, Probe, SeriesSummary, SloConfig};
     pub use crate::simprof::{CounterSampler, StageAttribution, TxnAttribution};
     pub use crate::simtrace::{MetricsRegistry, TraceEvent, TraceKind, Tracer};
-    pub use crate::stats::{Counter, Histogram, LatencySummary};
+    pub use crate::stats::{Histogram, LatencySummary};
     pub use crate::tailprof::{TailCause, TailProfile};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -83,22 +83,6 @@ impl<M: Model> Simulation<M> {
         }
         steps
     }
-
-    /// Runs at most `max_steps` events; returns how many actually ran.
-    /// Useful as a watchdog against livelock in tests.
-    pub fn run_steps(&mut self, max_steps: u64) -> u64 {
-        let mut steps = 0;
-        while steps < max_steps {
-            match self.queue.pop() {
-                Some((now, ev)) => {
-                    self.model.handle(now, ev, &mut self.queue);
-                    steps += 1;
-                }
-                None => break,
-            }
-        }
-        steps
-    }
 }
 
 /// Effects emitted by a sub-component during one `handle` call: each entry is
@@ -227,16 +211,6 @@ mod tests {
             !sim.queue.is_empty(),
             "deadline should leave events pending"
         );
-    }
-
-    #[test]
-    fn run_steps_bounds_work() {
-        let mut sim = Simulation::new(PingPong {
-            pings: 1000,
-            log: vec![],
-        });
-        sim.queue.push(SimTime::ZERO, Ev::Ping);
-        assert_eq!(sim.run_steps(5), 5);
     }
 
     #[test]

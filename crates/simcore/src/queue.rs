@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 /// measurements, so canonicalized byte-identity comparisons skip them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Events ever scheduled (push/push_after/push_now).
+    /// Events ever scheduled (push/push_after).
     pub pushed: u64,
     /// Events ever dispatched.
     pub popped: u64,
@@ -114,7 +114,7 @@ pub struct EventQueue<E> {
     /// back into the wheel when it drains.
     overflow: Vec<Entry<E>>,
     /// The drained current-instant batch, in final pop (seq) order. All
-    /// entries share one timestamp; same-instant `push_now` appends here.
+    /// entries share one timestamp; same-instant `push` appends here.
     ready: VecDeque<Entry<E>>,
     /// Reusable drain buffer so steady-state cascades allocate nothing.
     scratch: Vec<Entry<E>>,
@@ -218,7 +218,6 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let _t = crate::hostprof::scope("simcore.queue.push");
         let entry = Entry { at, seq, event };
         // Same-instant events behind an already-drained batch append to it
         // directly: `seq` is monotonic, so FIFO order is preserved.
@@ -241,12 +240,6 @@ impl<E> EventQueue<E> {
     /// Schedules `event` to fire `delay` after the current virtual time.
     pub fn push_after(&mut self, delay: SimDuration, event: E) {
         self.push(self.now + delay, event);
-    }
-
-    /// Schedules `event` to fire immediately (at the current virtual time,
-    /// after all already-queued events for this instant).
-    pub fn push_now(&mut self, event: E) {
-        self.push(self.now, event);
     }
 
     /// Drains the earliest pending instant into `ready`, cascading
@@ -324,7 +317,6 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let _t = crate::hostprof::scope("simcore.queue.pop");
         if self.ready.is_empty() {
             self.refill();
         }
@@ -492,7 +484,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_micros(10), "a");
         q.pop();
-        q.push_now("b");
+        q.push(q.now(), "b");
         let (t, e) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_micros(10));
         assert_eq!(e, "b");
@@ -500,14 +492,14 @@ mod tests {
 
     #[test]
     fn push_now_behind_drained_batch_stays_fifo() {
-        // Two events share an instant; after popping the first, a push_now
-        // lands at the same instant and must fire after the second.
+        // Two events share an instant; after popping the first, a push at
+        // the current instant must fire after the second.
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(3);
         q.push(t, "a");
         q.push(t, "b");
         assert_eq!(q.pop().unwrap().1, "a");
-        q.push_now("c");
+        q.push(q.now(), "c");
         assert_eq!(q.pop().unwrap(), (t, "b"));
         assert_eq!(q.pop().unwrap(), (t, "c"));
         assert!(q.pop().is_none());

@@ -124,46 +124,11 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// An approximately normal sample (Irwin–Hall sum of 12 uniforms),
-    /// adequate for latency jitter.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let sum: f64 = (0..12).map(|_| self.next_f64()).sum();
-        mean + (sum - 6.0) * std_dev
-    }
-
-    /// A sample from a bounded Pareto distribution (heavy tail for service
-    /// times). `alpha` is the shape, values fall in `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters do not satisfy `0 < min < max`, `alpha > 0`.
-    pub fn bounded_pareto(&mut self, alpha: f64, min: f64, max: f64) -> f64 {
-        assert!(
-            min > 0.0 && max > min && alpha > 0.0,
-            "invalid pareto params"
-        );
-        // Inverse CDF of the bounded Pareto:
-        //   F(x) = (1 - (L/x)^a) / (1 - (L/H)^a)
-        //   x    = L * (1 - u * (1 - (L/H)^a))^(-1/a)
-        let u = self.next_f64();
-        let ratio = (min / max).powf(alpha);
-        min * (1.0 - u * (1.0 - ratio)).powf(-1.0 / alpha)
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.gen_index(i + 1);
             items.swap(i, j);
-        }
-    }
-
-    /// A uniformly chosen element, or `None` for an empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.gen_index(items.len())])
         }
     }
 
@@ -247,26 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments_close() {
-        let mut rng = SimRng::new(17);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05);
-        assert!((var.sqrt() - 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_bounds() {
-        let mut rng = SimRng::new(19);
-        for _ in 0..10_000 {
-            let x = rng.bounded_pareto(1.5, 1.0, 100.0);
-            assert!((1.0..=100.0).contains(&x), "sample {x}");
-        }
-    }
-
-    #[test]
     fn shuffle_is_a_permutation() {
         let mut rng = SimRng::new(23);
         let mut v: Vec<u32> = (0..50).collect();
@@ -287,13 +232,5 @@ mod tests {
         let mut buf = [0u8; 37];
         rng.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut rng = SimRng::new(31);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        assert_eq!(rng.choose(&[42]), Some(&42));
     }
 }

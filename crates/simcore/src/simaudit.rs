@@ -1528,11 +1528,6 @@ impl HealthMonitor {
         self.inner.borrow_mut().tracer = tracer;
     }
 
-    /// The configured SLO thresholds.
-    pub fn slo(&self) -> SloConfig {
-        self.inner.borrow().slo
-    }
-
     /// Records one issued op on `shard` (for stall detection).
     pub fn record_issue(&self, at: SimTime, shard: u32) {
         self.inner.borrow_mut().track(shard, at).issued += 1;

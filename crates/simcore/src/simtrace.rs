@@ -624,7 +624,6 @@ impl Tracer {
     /// disabled tap inlines to its checks.
     #[inline(never)]
     fn record(&self, ev: TraceEvent) {
-        let _t = crate::hostprof::scope("simtrace.tap");
         if let Some(inner) = &self.inner {
             inner.borrow_mut().push(ev);
         }
@@ -1418,7 +1417,6 @@ impl MetricsRegistry {
 
     /// The registry as a standalone JSON string.
     pub fn to_json(&self) -> String {
-        let _t = crate::hostprof::scope("jsonw.export");
         let mut w = JsonWriter::new();
         self.write_json(&mut w);
         w.finish()

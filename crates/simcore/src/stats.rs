@@ -240,40 +240,6 @@ impl fmt::Display for LatencySummary {
     }
 }
 
-/// A plain monotonically increasing counter with a name, for bookkeeping like
-/// context switches or bytes moved.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Resets to zero and returns the old value.
-    pub fn take(&mut self) -> u64 {
-        std::mem::take(&mut self.value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,16 +330,6 @@ mod tests {
         assert_eq!(s.count, 100);
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
         assert!(s.min <= s.mean && s.mean <= s.max);
-    }
-
-    #[test]
-    fn counter_behaviour() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.take(), 10);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

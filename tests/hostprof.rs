@@ -1,17 +1,11 @@
 //! hostprof end-to-end: the counting global allocator (installed by the
 //! `hyperloop-bench` crate, which this binary links) feeds balanced
-//! per-thread deltas, scope timers nest and fold, and — the determinism
-//! contract — a same-seed benchmark run serializes byte-identically with
-//! host profiling enabled vs disabled once the shared canonicalizer strips
-//! the volatile `host.*` fields. Allocation counts are deterministic, so
-//! the allocation bounds of the trace folds, the JSON writer and the
-//! replica maintenance process are pinned here too.
+//! per-thread deltas. Allocation counts are deterministic, so the
+//! allocation bounds of the steady-state gWRITE path, the trace folds, the
+//! JSON writer and the replica maintenance process are pinned here too.
 
 use hyperloop_bench::driver::PrimitiveDriver;
-use hyperloop_bench::micro::{
-    bench_group_config, gwrite_plan, run_primitive, MicroOpts, SystemKind,
-};
-use hyperloop_bench::report::{Report, Scenario};
+use hyperloop_bench::micro::{bench_group_config, gwrite_plan};
 use hyperloop_bench::txnmix::{run_txnmix, TxnMixOpts};
 use hyperloop_repro::cpusched::ProcKind;
 use hyperloop_repro::hyperloop::apps::Maintainer;
@@ -20,8 +14,8 @@ use hyperloop_repro::hyperloop::txn::CommitMode;
 use hyperloop_repro::hyperloop::{GroupClient, GroupConfig, GroupOp, HyperLoopGroup};
 use hyperloop_repro::netsim::{FabricConfig, NodeId};
 use hyperloop_repro::rnicsim::{NicConfig, Payload};
-use hyperloop_repro::simcore::hostprof::{self, HostProf};
-use hyperloop_repro::simcore::jsonw::{canonicalize_report, JsonWriter};
+use hyperloop_repro::simcore::hostprof;
+use hyperloop_repro::simcore::jsonw::JsonWriter;
 use hyperloop_repro::simcore::{
     SimDuration, SimTime, StageAttribution, TailProfile, TraceEvent, TraceKind, Tracer,
     TxnAttribution,
@@ -29,16 +23,9 @@ use hyperloop_repro::simcore::{
 use hyperloop_repro::testbed::{Cluster, ClusterConfig, Env, HostApp, HostEvent};
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::Mutex;
-
-/// The enable/disable flag is process-wide (the tables are per-thread), so
-/// tests that toggle it must not overlap.
-static PROF_FLAG: Mutex<()> = Mutex::new(());
 
 #[test]
 fn counting_allocator_balances_and_counts_reallocs_once() {
-    let _flag = PROF_FLAG.lock().unwrap_or_else(|e| e.into_inner());
-    hostprof::disable();
     let before = hostprof::alloc_snapshot();
     {
         let mut v: Vec<u64> = Vec::new();
@@ -65,8 +52,6 @@ fn counting_allocator_balances_and_counts_reallocs_once() {
 
 #[test]
 fn steady_state_gwrite_performs_zero_net_allocations_per_op() {
-    let _flag = PROF_FLAG.lock().unwrap_or_else(|e| e.into_inner());
-    hostprof::disable();
     let mut sim = fabric_sim(
         4,
         64 << 20,
@@ -153,96 +138,6 @@ fn steady_state_gwrite_performs_zero_net_allocations_per_op() {
     );
 }
 
-#[test]
-fn scope_timers_nest_under_a_real_run() {
-    let _flag = PROF_FLAG.lock().unwrap_or_else(|e| e.into_inner());
-    hostprof::reset();
-    hostprof::enable();
-    {
-        let _outer = HostProf::scope("test.outer");
-        let opts = MicroOpts {
-            ops: 100,
-            warmup: 10,
-            ..MicroOpts::default()
-        };
-        let _ = run_primitive(SystemKind::HyperLoop, gwrite_plan(1024), opts);
-    }
-    hostprof::disable();
-    let folded = hostprof::folded_stacks();
-    let stats = hostprof::scopes();
-    hostprof::reset();
-    // The run's own instrumentation folded under our scope: the event queue
-    // and the NIC engine are on every op's host path.
-    assert!(
-        folded.contains("host;test.outer;simcore.queue.pop"),
-        "queue pops missing from folded stacks:\n{folded}"
-    );
-    assert!(
-        folded.contains("host;test.outer;rnicsim.engine"),
-        "NIC engine scope missing from folded stacks:\n{folded}"
-    );
-    let pops = stats
-        .iter()
-        .find(|s| s.path == "test.outer;simcore.queue.pop")
-        .expect("pop scope stat");
-    assert!(
-        pops.calls > 100,
-        "expected many queue pops, saw {}",
-        pops.calls
-    );
-    let outer = stats
-        .iter()
-        .find(|s| s.path == "test.outer")
-        .expect("outer scope stat");
-    assert!(outer.total_ns >= outer.self_ns);
-}
-
-/// One seeded micro run serialized as a full report.
-fn report_json(profile: bool) -> String {
-    hostprof::reset();
-    if profile {
-        hostprof::enable();
-    } else {
-        hostprof::disable();
-    }
-    let opts = MicroOpts {
-        ops: 300,
-        warmup: 20,
-        ..MicroOpts::default()
-    };
-    let r = run_primitive(SystemKind::HyperLoop, gwrite_plan(1024), opts);
-    hostprof::disable();
-    hostprof::reset();
-    let mut rep = Report::new("hostprof-identity");
-    rep.scenario(
-        Scenario::new("identity/gwrite-1KB")
-            .system("HyperLoop")
-            .seed(opts.seed)
-            .config("ops", opts.ops)
-            .latency(&r.run.latency)
-            .gauge("ops_per_sec", r.run.ops_per_sec())
-            .gauge("replica_cpu", r.replica_cpu)
-            .host(r.run.host.clone())
-            .metrics(r.run.registry.clone()),
-    );
-    rep.to_json()
-}
-
-#[test]
-fn same_seed_reports_are_byte_identical_with_profiling_on_or_off() {
-    let _flag = PROF_FLAG.lock().unwrap_or_else(|e| e.into_inner());
-    let off = report_json(false);
-    let on = report_json(true);
-    // Raw reports differ only in the volatile host-side numbers; after the
-    // shared canonicalizer strips `host.*`, the same seed must produce the
-    // same bytes whether the profiler observed the run or not.
-    assert_eq!(
-        canonicalize_report(&off).expect("canonicalize unprofiled"),
-        canonicalize_report(&on).expect("canonicalize profiled"),
-        "host profiling perturbed the simulation output"
-    );
-}
-
 /// Heap calls (allocations plus in-place growths) made while `f` runs.
 fn heap_calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = hostprof::alloc_snapshot();
@@ -288,8 +183,6 @@ fn op_breakdown_reads_the_trace_ring_in_place() {
 
 #[test]
 fn trace_folds_allocate_a_bounded_amount_per_folded_op() {
-    let _flag = PROF_FLAG.lock().unwrap_or_else(|e| e.into_inner());
-    hostprof::disable();
     // Large enough that the ≤ 16 exemplar span trees (report output, one
     // string per stage) amortize over the population.
     let res = run_txnmix(
@@ -377,8 +270,6 @@ impl HostApp for MeteredMaintainer {
 
 #[test]
 fn maintainer_wakes_allocate_nothing_in_steady_state() {
-    let _flag = PROF_FLAG.lock().unwrap_or_else(|e| e.into_inner());
-    hostprof::disable();
     let client = NodeId(0);
     let replicas = [NodeId(1), NodeId(2), NodeId(3)];
     let mut cluster = Cluster::new(4, 16, 64 << 20, ClusterConfig::default());
