@@ -16,9 +16,9 @@ use simcore::SimDuration;
 
 /// Op counts swept by [`hostperf`]. The full sweep ends on a 64K-op arm —
 /// long enough that setup cost and pool warm-up amortize to nothing and
-/// the steady-state fastpath (timer wheel + pooled payloads + batched
-/// completions) is what's measured. Quick stays short: it exists for CI
-/// byte-identity and gate checks, not for steady-state numbers.
+/// the steady-state fastpath (two-tier event queue + pooled payloads +
+/// batched completions) is what's measured. Quick stays short: it exists
+/// for CI byte-identity and gate checks, not for steady-state numbers.
 pub fn hostperf_ops(quick: bool) -> &'static [u64] {
     if quick {
         &[250, 500, 1000, 2000]

@@ -13,8 +13,8 @@
 //!   audit, health and series snapshot, and folds a traced arm's ring into
 //!   the report blocks its runner carries: the shared [`Outcome`].
 //! * `tax_pair` runs an arm observed and, if it attached any tap, again
-//!   bare; it checks that both simulated the same timeline and records the
-//!   observability tax.
+//!   bare; it checks that both simulated the same timeline, reports the
+//!   bare run's host cost and records the observability tax.
 //! * [`Outcome::write_artifacts`] writes a traced arm's `TRACE_`/`FOLDED_`/
 //!   `AUDIT_`/`TAIL_` files.
 //!
@@ -25,6 +25,7 @@
 use crate::driver::Client;
 use crate::report::Report;
 use cpusched::ProcKind;
+use simcore::hostprof::ObsTax;
 use simcore::simaudit::{HealthSummary, SeriesSummary};
 use simcore::simprof::{
     chrome_trace_with_counters, folded_stacks, txn_chrome_trace_with_counters, txn_folded_stacks,
@@ -329,8 +330,11 @@ impl Outcome {
 }
 
 /// Runs `arm` observed and, if it attached any tap, again bare (every tap
-/// off) to record the observability tax: the observed run's wall time
-/// over the bare run's. `outcome` picks the runner result's [`Outcome`].
+/// off). The result keeps the observed run's blocks but the bare run's
+/// host cost (wall, rates and allocator counters), so host throughput
+/// never includes the tracer and auditors; the observed run's wall stays
+/// in the observability tax. `outcome` picks the runner result's
+/// [`Outcome`].
 ///
 /// # Panics
 ///
@@ -363,7 +367,13 @@ pub(crate) fn tax_pair<R>(
                 "observed and bare arms simulated different timelines: {what} {o} observed, {b} bare"
             );
         }
-        observed.host = host.clone().with_bare_wall_ns(bare.wall_ns);
+        observed.host = HostStats {
+            obs_tax: ObsTax {
+                observed_wall_ns: host.wall_ns,
+                bare_wall_ns: bare.wall_ns,
+            },
+            ..bare.clone()
+        };
     }
     res
 }
@@ -462,6 +472,29 @@ mod tests {
             run.host.obs_tax.bare_wall_ns, run.host.obs_tax.observed_wall_ns,
             "no bare re-run, no tax"
         );
+    }
+
+    #[test]
+    fn a_tapped_arm_reports_the_bare_runs_host_cost() {
+        let run = tax_pair(
+            |observed| {
+                let mut run = outcome(observed, 100, 5);
+                (run.host.wall_ns, run.host.alloc.allocs) =
+                    if observed { (9_000, 70) } else { (4_000, 30) };
+                run
+            },
+            |o| o,
+        );
+        assert_eq!((run.host.wall_ns, run.host.alloc.allocs), (4_000, 30));
+        assert_eq!(run.host.ops_per_sec(), 250_000.0, "1 op in 4 µs");
+        assert_eq!(
+            (
+                run.host.obs_tax.observed_wall_ns,
+                run.host.obs_tax.bare_wall_ns
+            ),
+            (9_000, 4_000)
+        );
+        assert_eq!(run.host.obs_tax.overhead_pct(), 125.0);
     }
 
     #[test]

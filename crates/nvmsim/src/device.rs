@@ -141,10 +141,27 @@ impl NvmDevice {
         offset: u64,
         data: &[u8],
     ) -> Result<(), AccessOutOfBoundsError> {
-        let len = data.len() as u64;
+        self.write_durable_with(offset, data.len() as u64, |dst| dst.copy_from_slice(data))
+    }
+
+    /// [`NvmDevice::write_durable`] in place: `fill` writes the `len`
+    /// durable bytes at `offset` itself, so a caller that encodes a record
+    /// needs no buffer to copy from. `fill` must write every byte of the
+    /// range; it runs only if the range is in bounds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccessOutOfBoundsError`] if the range exceeds capacity.
+    #[inline]
+    pub fn write_durable_with(
+        &mut self,
+        offset: u64,
+        len: u64,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<(), AccessOutOfBoundsError> {
         self.check(offset, len)?;
         self.volatile.take_range_with(offset, len, |_, _| {});
-        self.durable[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+        fill(&mut self.durable[offset as usize..(offset + len) as usize]);
         self.stats.bytes_written += len;
         self.stats.flushes += 1;
         self.stats.bytes_flushed += len;
@@ -363,9 +380,10 @@ mod randomized {
         assert_eq!(a.stats(), b.stats());
     }
 
-    /// `write_durable` stores straight to the durable medium; it must be
-    /// indistinguishable from a volatile write of the same bytes followed
-    /// by a flush of their range, counters and errors included.
+    /// `write_durable` and its in-place form `write_durable_with` store
+    /// straight to the durable medium; each must be indistinguishable from
+    /// a volatile write of the same bytes followed by a flush of their
+    /// range, counters and errors included.
     #[test]
     fn durable_store_matches_write_then_flush() {
         for case in 0..64u64 {
@@ -376,13 +394,16 @@ mod randomized {
                 let (o, l) = range(&mut rng);
                 let mut data = vec![0; l as usize];
                 rng.fill_bytes(&mut data);
-                match rng.gen_index(10) {
-                    0..=3 => assert_eq!(
-                        a.write_durable(o, &data),
-                        b.write(o, &data).and_then(|()| b.flush_range(o, l))
+                let write_then_flush =
+                    |b: &mut NvmDevice| b.write(o, &data).and_then(|()| b.flush_range(o, l));
+                match rng.gen_index(12) {
+                    0..=2 => assert_eq!(a.write_durable(o, &data), write_then_flush(&mut b)),
+                    3..=5 => assert_eq!(
+                        a.write_durable_with(o, l, |dst| dst.copy_from_slice(&data)),
+                        write_then_flush(&mut b)
                     ),
-                    4..=6 => assert_eq!(a.write(o, &data), b.write(o, &data)),
-                    7 | 8 => assert_eq!(a.flush_range(o, l), b.flush_range(o, l)),
+                    6..=8 => assert_eq!(a.write(o, &data), b.write(o, &data)),
+                    9 | 10 => assert_eq!(a.flush_range(o, l), b.flush_range(o, l)),
                     _ => {
                         a.power_failure();
                         b.power_failure();

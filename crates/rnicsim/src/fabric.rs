@@ -416,9 +416,12 @@ impl RdmaFabric {
         let slot = q.sq_tail;
         q.sq_tail += 1;
         let addr = self.sq_slot_addr(node, qp, slot);
+        // Encoded straight into the ring slot: no stack image to copy.
         self.nodes[node.0 as usize]
             .mem
-            .write_durable(addr, &wqe.encode())
+            .write_durable_with(addr, WQE_SIZE, |dst| {
+                wqe.encode_into(dst.try_into().expect("a WQE-sized slot"))
+            })
             .expect("ring write in bounds");
         let _ = now;
         slot

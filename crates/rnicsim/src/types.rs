@@ -207,8 +207,18 @@ impl Wqe {
     /// Serializes into the 64-byte ring format.
     pub fn encode(&self) -> [u8; WQE_SIZE as usize] {
         let mut b = [0u8; WQE_SIZE as usize];
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Serializes into the 64-byte ring format in place, writing every
+    /// byte of `b` (the reserved ones as zero): the same bytes
+    /// [`Wqe::encode`] returns.
+    #[inline]
+    pub fn encode_into(&self, b: &mut [u8; WQE_SIZE as usize]) {
         b[0] = self.opcode as u8;
         b[1] = self.flags;
+        b[2..4].fill(0);
         b[4..8].copy_from_slice(&self.enable_count.to_le_bytes());
         b[8..16].copy_from_slice(&self.local_addr.to_le_bytes());
         b[16..24].copy_from_slice(&self.len.to_le_bytes());
@@ -218,7 +228,6 @@ impl Wqe {
         b[48..52].copy_from_slice(&self.wait_cq.to_le_bytes());
         b[52..56].copy_from_slice(&self.wait_count.to_le_bytes());
         b[56..64].copy_from_slice(&self.wr_id.to_le_bytes());
-        b
     }
 
     /// Parses the 64-byte ring format.
@@ -553,6 +562,12 @@ mod tests {
                     wr_id: rng.next_u64(),
                 };
                 assert_eq!(Wqe::decode(&w.encode()), Some(w));
+                // In place over a stale slot: every byte is rewritten,
+                // the reserved ones included.
+                let mut slot = [0u8; WQE_SIZE as usize];
+                rng.fill_bytes(&mut slot);
+                w.encode_into(&mut slot);
+                assert_eq!(slot, w.encode());
             }
         }
     }

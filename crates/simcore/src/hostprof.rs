@@ -126,15 +126,15 @@ pub fn alloc_snapshot() -> AllocStats {
 // Per-run host statistics: the `host` block of BENCH_*.json scenarios
 // ---------------------------------------------------------------------------
 
-/// The observability-tax measurement: wall time of the measured (observed)
-/// run against a same-seed re-run with tracing/audit off. When the
-/// measured run itself had no observability attached, the two are equal
-/// and the tax is zero by construction.
+/// The observability-tax measurement: wall time of a run with its taps on
+/// (tracer, auditors, samplers) against a same-seed bare run with them
+/// off. When the run had no tap attached, the two are equal and the tax
+/// is zero by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsTax {
-    /// Wall nanoseconds of the measured run (observability as configured).
+    /// Wall nanoseconds of the observed run (observability as configured).
     pub observed_wall_ns: u64,
-    /// Wall nanoseconds of the bare re-run (tracing/audit/samplers off).
+    /// Wall nanoseconds of the bare run (tracing/audit/samplers off).
     pub bare_wall_ns: u64,
 }
 
@@ -153,7 +153,8 @@ impl ObsTax {
 /// through [`crate::jsonw::canonicalize_report`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostStats {
-    /// Wall nanoseconds the measured run took (never zero).
+    /// Wall nanoseconds the measured run took (never zero): the bare run's
+    /// when the arm was also run observed.
     pub wall_ns: u64,
     /// Operations the run completed (the sim-side op count).
     pub ops: u64,
@@ -181,13 +182,6 @@ impl HostStats {
     /// Time-dilation factor: simulated nanoseconds per wall millisecond.
     pub fn sim_ns_per_wall_ms(&self) -> f64 {
         self.sim_ns as f64 / (self.wall_ns as f64 / 1e6)
-    }
-
-    /// Replaces the observability-tax denominator with a measured bare
-    /// re-run's wall time.
-    pub fn with_bare_wall_ns(mut self, bare_wall_ns: u64) -> Self {
-        self.obs_tax.bare_wall_ns = bare_wall_ns.max(1);
-        self
     }
 
     /// Folds two runs reported as one scenario into one block: wall time,
@@ -453,8 +447,6 @@ mod tests {
         assert_eq!(host.sim_ns, 3_000);
         assert_eq!(host.obs_tax.observed_wall_ns, host.wall_ns);
         assert_eq!(host.obs_tax.overhead_pct(), 0.0);
-        let tuned = host.with_bare_wall_ns(0);
-        assert_eq!(tuned.obs_tax.bare_wall_ns, 1, "bare wall clamps to 1ns");
     }
 
     #[test]
@@ -538,9 +530,8 @@ mod tests {
             popped: 4,
             max_depth: 2,
         };
-        let host = HostMeter::start()
-            .finish(10, SimDuration::from_micros(50), queue)
-            .with_bare_wall_ns(7);
+        let mut host = HostMeter::start().finish(10, SimDuration::from_micros(50), queue);
+        host.obs_tax.observed_wall_ns += 7;
         let mut w = JsonWriter::new();
         w.begin_obj();
         host.write_fields(&mut w);

@@ -1,19 +1,20 @@
-//! The future event list: a hierarchical timer wheel ordered by virtual time.
+//! The future event list: a two-tier queue ordered by virtual time.
 //!
 //! Ties are broken by insertion order so that runs are fully deterministic:
 //! two events scheduled for the same instant fire in the order they were
 //! pushed.
 //!
-//! The implementation is the classic discrete-event-simulation fastpath: a
-//! hierarchical timer wheel ([`WHEEL_LEVELS`] levels of [`WHEEL_SLOTS`]
-//! slots, [`WHEEL_BITS`] bits per level) with a calendar-queue overflow
-//! list for events beyond the wheel horizon. Near-future events — the
-//! overwhelming majority in a NIC/network simulation, where hops are
-//! nanoseconds to microseconds ahead — insert and pop in O(1) instead of
-//! the `BinaryHeap`'s O(log n). The pop order is *exactly* the `(time,
-//! seq)` total order the original heap produced (pinned by the property
-//! tests below against a retained heap reference implementation), so every
-//! same-seed timeline stays byte-identical across the swap.
+//! A NIC/network simulation keeps few events pending, and most of them
+//! near: a hop is scheduled nanoseconds to microseconds ahead. So the
+//! queue has two tiers. An event due less than a fixed horizon after the
+//! clock joins the *near run*, a `Vec` kept in descending `(time, seq)`
+//! order: the next event is its last element, and a push lands a few
+//! slots from the end. Later events wait in a `BinaryHeap`. A pop takes
+//! the smaller of the two heads by `(time, seq)`, so the tier an event
+//! waits in is never observable: the pop order is *exactly* the `(time,
+//! seq)` total order of the seed-era heap (pinned by the property tests
+//! below against a retained heap reference implementation), and every
+//! same-seed timeline stays byte-identical.
 //!
 //! ```
 //! use simcore::queue::EventQueue;
@@ -31,14 +32,15 @@
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::VecDeque;
+use std::collections::BinaryHeap;
 
 /// Cumulative event-flow counters of an [`EventQueue`]: the denominator of
-/// `host.events_per_sec` and direct sizing evidence for the calendar-queue
-/// layout (see ROADMAP "raw speed"). The counters are plain deterministic
-/// integers — same-seed runs produce identical values — but they are
-/// exported under `host.queue.*` alongside the volatile wall-clock
-/// measurements, so canonicalized byte-identity comparisons skip them.
+/// `host.events_per_sec`, and the depth evidence behind the queue's
+/// two-tier layout (a shallow queue is what makes a sorted near run
+/// cheap). The counters are plain deterministic integers — same-seed runs
+/// produce identical values — but they are exported under `host.queue.*`
+/// alongside the volatile wall-clock measurements, so canonicalized
+/// byte-identity comparisons skip them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events ever scheduled (push/push_after).
@@ -49,15 +51,14 @@ pub struct QueueStats {
     pub max_depth: usize,
 }
 
-/// Bits of virtual time consumed per wheel level (64 slots each).
-pub const WHEEL_BITS: u32 = 6;
-/// Slots per wheel level.
-pub const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
-/// Number of wheel levels; events further than `2^(BITS*LEVELS)` ns ahead
-/// of the wheel clock (~73 simulated minutes) go to the overflow list.
-pub const WHEEL_LEVELS: usize = 7;
-
-const SLOT_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
+/// Events due less than this many nanoseconds after the clock join the near
+/// run; later ones go to the heap. It sits above the NIC, wire and handler
+/// delays that make up most pushes (3.5 µs and below in recorded runs) and
+/// below the CPU scheduler's 5 µs wake-up latency, its millisecond slices
+/// and the apps' timers. Where the line sits changes only cost, never
+/// order: an insert into the near run shifts every entry due before it, so
+/// a long-delayed event is cheaper in the heap.
+const HORIZON_NS: u64 = 4_000;
 
 struct Entry<E> {
     at: SimTime,
@@ -65,9 +66,15 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -78,13 +85,9 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     // Reversed: BinaryHeap is a max-heap, we want the earliest (time, seq) out
-    // first. Retained for the heap reference implementation the property
-    // tests compare the wheel against.
+    // first.
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -98,32 +101,17 @@ impl<E> Ord for Entry<E> {
 ///
 /// Pops come out in ascending `(time, seq)` order where `seq` is the
 /// per-queue insertion counter — the exact order the seed-era `BinaryHeap`
-/// produced. Internally the wheel may visit events out of seq order while
-/// cascading a higher-level slot down, so the level-0 drain sorts each
-/// same-instant batch by `seq` before it becomes poppable; nothing about
-/// wheel geometry is observable from the outside.
+/// produced. Two same-instant events may wait in different tiers (one
+/// pushed while the instant was beyond the horizon, one after the clock
+/// came within it), so a pop compares `seq` too, never the time alone.
 pub struct EventQueue<E> {
-    /// `WHEEL_LEVELS * WHEEL_SLOTS` buckets, flattened level-major. Level
-    /// `l` buckets events whose time differs from the wheel clock first in
-    /// bits `[l*BITS, (l+1)*BITS)`.
-    levels: Box<[Vec<Entry<E>>]>,
-    /// Per-level occupancy bitmap: bit `s` set iff `levels[l*SLOTS + s]`
-    /// is non-empty.
-    occ: [u64; WHEEL_LEVELS],
-    /// Events beyond the wheel horizon (calendar-queue overflow). Promoted
-    /// back into the wheel when it drains.
-    overflow: Vec<Entry<E>>,
-    /// The drained current-instant batch, in final pop (seq) order. All
-    /// entries share one timestamp; same-instant `push` appends here.
-    ready: VecDeque<Entry<E>>,
-    /// Reusable drain buffer so steady-state cascades allocate nothing.
-    scratch: Vec<Entry<E>>,
-    /// Wheel placement clock in ns. Invariant: `cur <= now <=` every
-    /// pending timestamp; all bucketed events are placed relative to it.
-    cur: u64,
+    /// Events pushed less than `HORIZON_NS` before they fall due, in
+    /// descending `(time, seq)` order: the earliest is last.
+    near: Vec<Entry<E>>,
+    /// Every other pending event.
+    far: BinaryHeap<Entry<E>>,
     seq: u64,
     now: SimTime,
-    len: usize,
     stats: QueueStats,
 }
 
@@ -136,23 +124,11 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        // Slot buffers are conserved (drains swap them with `scratch`, never
-        // drop them), so seeding each with a little capacity means a
-        // steady-state run performs no fresh slot allocations at all —
-        // first-push allocs would otherwise trickle in for as long as cold
-        // slots keep being hit.
-        let mut levels = Vec::with_capacity(WHEEL_LEVELS * WHEEL_SLOTS);
-        levels.resize_with(WHEEL_LEVELS * WHEEL_SLOTS, || Vec::with_capacity(4));
         EventQueue {
-            levels: levels.into_boxed_slice(),
-            occ: [0; WHEEL_LEVELS],
-            overflow: Vec::new(),
-            ready: VecDeque::new(),
-            scratch: Vec::new(),
-            cur: 0,
+            near: Vec::new(),
+            far: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            len: 0,
             stats: QueueStats::default(),
         }
     }
@@ -169,40 +145,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.near.len() + self.far.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The wheel level an event at `t` ns belongs to, given the placement
-    /// clock: the level covering the highest bit in which `t` differs.
-    #[inline]
-    fn level_of(&self, t: u64) -> usize {
-        let diff = t ^ self.cur;
-        if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / WHEEL_BITS) as usize
-        }
-    }
-
-    /// Buckets an entry (already counted in `len`/`stats`) into the wheel
-    /// or the overflow list. Requires `entry.at >= cur`.
-    #[inline]
-    fn bucket(&mut self, entry: Entry<E>) {
-        let t = entry.at.as_nanos();
-        debug_assert!(t >= self.cur);
-        let level = self.level_of(t);
-        if level >= WHEEL_LEVELS {
-            self.overflow.push(entry);
-            return;
-        }
-        let slot = ((t >> (WHEEL_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.levels[level * WHEEL_SLOTS + slot].push(entry);
-        self.occ[level] |= 1 << slot;
+        self.near.is_empty() && self.far.is_empty()
     }
 
     /// Schedules `event` to fire at absolute time `at`.
@@ -216,25 +164,23 @@ impl<E> EventQueue<E> {
             "scheduling into the past: at={at}, now={}",
             self.now
         );
-        let seq = self.seq;
+        let entry = Entry {
+            at,
+            seq: self.seq,
+            event,
+        };
         self.seq += 1;
-        let entry = Entry { at, seq, event };
-        // Same-instant events behind an already-drained batch append to it
-        // directly: `seq` is monotonic, so FIFO order is preserved.
-        if let Some(front) = self.ready.front() {
-            if front.at == at {
-                self.ready.push_back(entry);
-            } else {
-                self.bucket(entry);
-            }
+        if at.as_nanos() - self.now.as_nanos() < HORIZON_NS {
+            // The newest `seq` sorts after every pending event of its
+            // instant, so the entry goes just above the earlier-or-equal
+            // ones at the back.
+            let below = self.near.iter().rev().take_while(|e| e.at <= at).count();
+            self.near.insert(self.near.len() - below, entry);
         } else {
-            self.bucket(entry);
+            self.far.push(entry);
         }
         self.stats.pushed += 1;
-        self.len += 1;
-        if self.len > self.stats.max_depth {
-            self.stats.max_depth = self.len;
-        }
+        self.stats.max_depth = self.stats.max_depth.max(self.len());
     }
 
     /// Schedules `event` to fire `delay` after the current virtual time.
@@ -242,122 +188,36 @@ impl<E> EventQueue<E> {
         self.push(self.now + delay, event);
     }
 
-    /// Drains the earliest pending instant into `ready`, cascading
-    /// higher-level slots down and promoting overflow as needed. Leaves
-    /// `ready` empty only if the queue is empty.
-    fn refill(&mut self) {
-        loop {
-            let Some(level) = self.occ.iter().position(|&b| b != 0) else {
-                if self.overflow.is_empty() {
-                    return;
-                }
-                self.promote_overflow();
-                continue;
-            };
-            // Within a level, slot index order is time order (all bucketed
-            // events share the bits above the level with `cur`), so the
-            // lowest occupied slot of the lowest occupied level holds the
-            // earliest pending instant(s).
-            let slot = self.occ[level].trailing_zeros() as usize;
-            self.occ[level] &= !(1 << slot);
-            debug_assert!(self.scratch.is_empty());
-            std::mem::swap(
-                &mut self.levels[level * WHEEL_SLOTS + slot],
-                &mut self.scratch,
-            );
-            if level == 0 {
-                // A level-0 slot holds exactly one timestamp. Events may
-                // have arrived via different cascade paths, so restore seq
-                // (push) order before exposing the batch.
-                let t = (self.cur >> WHEEL_BITS << WHEEL_BITS) | slot as u64;
-                debug_assert!(self.scratch.iter().all(|e| e.at.as_nanos() == t));
-                self.cur = t;
-                self.scratch.sort_unstable_by_key(|e| e.seq);
-                self.ready.extend(self.scratch.drain(..));
-                return;
-            }
-            // Cascade: advance the placement clock to the slot's base time
-            // and re-bucket its events into the levels below.
-            let width = WHEEL_BITS * level as u32;
-            let base =
-                (self.cur & !((1u64 << (width + WHEEL_BITS)) - 1)) | ((slot as u64) << width);
-            debug_assert!(base >= self.cur);
-            self.cur = base;
-            while let Some(e) = self.scratch.pop() {
-                self.bucket(e);
-            }
-        }
-    }
-
-    /// Re-anchors the wheel at the earliest overflow timestamp and pulls
-    /// every overflow event now within the horizon back into the wheel.
-    fn promote_overflow(&mut self) {
-        let min_t = self
-            .overflow
-            .iter()
-            .map(|e| e.at.as_nanos())
-            .min()
-            .expect("promote_overflow on empty overflow");
-        debug_assert!(min_t >= self.cur);
-        self.cur = min_t;
-        debug_assert!(self.scratch.is_empty());
-        std::mem::swap(&mut self.overflow, &mut self.scratch);
-        // Re-bucket order is free to differ from push order: the level-0
-        // drain sorts every same-instant batch by seq before it pops.
-        while let Some(e) = self.scratch.pop() {
-            let t = e.at.as_nanos();
-            if self.level_of(t) >= WHEEL_LEVELS {
-                self.overflow.push(e);
-            } else {
-                self.bucket(e);
-            }
-        }
-    }
-
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.ready.is_empty() {
-            self.refill();
-        }
-        let entry = self.ready.pop_front()?;
+        let from_far = match (self.near.last(), self.far.peek()) {
+            (Some(near), Some(far)) => far.key() < near.key(),
+            (near, _) => near.is_none(),
+        };
+        let entry = if from_far {
+            self.far.pop()
+        } else {
+            self.near.pop()
+        }?;
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
-        self.len -= 1;
         self.stats.popped += 1;
         Some((entry.at, entry.event))
     }
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(front) = self.ready.front() {
-            return Some(front.at);
+        match (self.near.last(), self.far.peek()) {
+            (Some(near), Some(far)) => Some(near.at.min(far.at)),
+            (near, far) => near.or(far).map(|e| e.at),
         }
-        if let Some(level) = self.occ.iter().position(|&b| b != 0) {
-            let slot = self.occ[level].trailing_zeros() as usize;
-            if level == 0 {
-                let t = (self.cur >> WHEEL_BITS << WHEEL_BITS) | slot as u64;
-                return Some(SimTime::from_nanos(t));
-            }
-            // Higher-level slots bucket a span of timestamps: the earliest
-            // pending instant is the slot's minimum.
-            return self.levels[level * WHEEL_SLOTS + slot]
-                .iter()
-                .map(|e| e.at)
-                .min();
-        }
-        self.overflow.iter().map(|e| e.at).min()
     }
 
     /// Discards all pending events without advancing the clock.
     pub fn clear(&mut self) {
-        for slot in self.levels.iter_mut() {
-            slot.clear();
-        }
-        self.occ = [0; WHEEL_LEVELS];
-        self.overflow.clear();
-        self.ready.clear();
-        self.len = 0;
+        self.near.clear();
+        self.far.clear();
     }
 }
 
@@ -365,19 +225,18 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.len)
+            .field("pending", &self.len())
             .finish()
     }
 }
 
 /// The seed-era `BinaryHeap` future event list, retained as the ordering
-/// oracle for the timer wheel's property tests: both structures must
+/// oracle for the two-tier queue's property tests: both structures must
 /// produce the identical `(time, seq)` pop order and [`QueueStats`] on any
 /// workload.
 #[cfg(test)]
 mod reference {
     use super::*;
-    use std::collections::BinaryHeap;
 
     pub struct HeapQueue<E> {
         heap: BinaryHeap<Entry<E>>,
@@ -531,7 +390,7 @@ mod tests {
     fn len_and_clear() {
         let mut q = EventQueue::new();
         q.push_after(SimDuration::from_nanos(1), ());
-        q.push_after(SimDuration::from_nanos(2), ());
+        q.push_after(SimDuration::from_micros(1_000), ());
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
         q.clear();
@@ -540,33 +399,62 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_survive_overflow() {
-        // Beyond the wheel horizon (2^42 ns ≈ 73 min): lands in the
-        // overflow list and must promote back in order.
+    fn far_events_interleave_with_near_ones_in_time_order() {
+        // Pushed from an idle clock, the seconds-away events wait in the
+        // heap and the nanosecond ones in the near run; pops and peeks
+        // alternate between the tiers in time order.
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(10_000), "far");
+        q.push(SimTime::from_nanos(HORIZON_NS), "just-far");
+        q.push(SimTime::from_nanos(HORIZON_NS - 1), "just-near");
         q.push(SimTime::from_secs(9_999), "near-far");
         q.push(SimTime::from_nanos(5), "soon");
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
-        assert_eq!(q.pop().unwrap().1, "soon");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(9_999)));
-        assert_eq!(q.pop().unwrap().1, "near-far");
-        assert_eq!(q.pop().unwrap(), (SimTime::from_secs(10_000), "far"));
-        assert!(q.pop().is_none());
+        assert_eq!((q.near.len(), q.far.len()), (2, 3));
+        let mut order = Vec::new();
+        while let Some(t) = q.peek_time() {
+            let (pt, e) = q.pop().unwrap();
+            assert_eq!(pt, t);
+            order.push(e);
+        }
+        assert_eq!(order, ["soon", "just-near", "just-far", "near-far", "far"]);
     }
 
     #[test]
-    fn peek_matches_next_pop_across_levels() {
+    fn peek_matches_next_pop_across_tiers() {
         let mut q = EventQueue::new();
-        // One event per level distance, plus overflow.
-        for shift in [0u64, 7, 13, 20, 27, 35, 41, 50] {
+        // Delays on both sides of the horizon, pushed far-first, plus a
+        // near push after every pop, so the earliest event keeps switching
+        // tier.
+        for shift in [50u64, 41, 35, 27, 20, 13, 11, 10, 7, 0] {
             q.push(SimTime::from_nanos(1 << shift), shift);
         }
+        let mut pops = 0;
         while let Some(t) = q.peek_time() {
             let (pt, _) = q.pop().unwrap();
             assert_eq!(pt, t);
+            pops += 1;
+            if pops < 10 {
+                q.push_after(SimDuration::from_nanos(HORIZON_NS / 2), 99);
+            }
         }
-        assert!(q.is_empty());
+        assert_eq!(q.stats().popped, 19);
+    }
+
+    #[test]
+    fn same_instant_pair_split_across_tiers_pops_in_seq_order() {
+        // "far" is pushed while its instant lies beyond the horizon; the
+        // clock then advances to within it, and "near" joins the near run
+        // at the same instant. Equal times: the older push must fire first.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(3 * HORIZON_NS);
+        q.push(t, "far");
+        q.push(SimTime::from_nanos(2 * HORIZON_NS + 1), "advance");
+        assert_eq!(q.pop().unwrap().1, "advance");
+        q.push(t, "near");
+        assert_eq!((q.near.len(), q.far.len()), (1, 1));
+        assert_eq!(q.pop().unwrap(), (t, "far"));
+        assert_eq!(q.pop().unwrap(), (t, "near"));
+        assert!(q.pop().is_none());
     }
 }
 
@@ -626,134 +514,123 @@ mod randomized {
     }
 }
 
-/// Property tests pinning the wheel to the retained heap oracle: identical
-/// pop order (including same-instant seq tie-breaks), identical clock
-/// advancement, identical `QueueStats`, across pure-pop, interleaved, and
-/// far-future overflow workloads.
+/// Property tests pinning the two-tier queue to the retained heap oracle:
+/// identical pop order (including same-instant seq tie-breaks), identical
+/// clock advancement, identical `QueueStats`, across near-only,
+/// horizon-straddling and far-future workloads.
 #[cfg(test)]
-mod wheel_vs_heap {
+mod tiers_vs_heap {
     use super::reference::HeapQueue;
     use super::*;
     use crate::rng::SimRng;
 
-    /// Drives the wheel and the heap through an identical randomized
-    /// push/pop schedule and asserts lock-step equivalence.
-    fn lockstep(seed: u64, steps: usize, max_delay_ns: u64, tie_bias: bool) {
+    /// Drives the queue and the heap through an identical randomized
+    /// push/pop schedule, drawing each push's delay in ns from `delay`, and
+    /// asserts lock-step equivalence.
+    fn lockstep(seed: u64, steps: usize, delay: impl Fn(&mut SimRng) -> u64) {
         let mut rng = SimRng::new(seed);
-        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut q: EventQueue<u64> = EventQueue::new();
         let mut heap: HeapQueue<u64> = HeapQueue::new();
         let mut id = 0u64;
         for _ in 0..steps {
             if rng.gen_bool(0.45) {
-                let w = wheel.pop();
-                let h = heap.pop();
-                assert_eq!(w, h, "pop divergence (seed {seed:#x})");
-                assert_eq!(wheel.now(), heap.now());
+                let got = q.pop();
+                assert_eq!(got, heap.pop(), "pop divergence (seed {seed:#x})");
+                assert_eq!(q.now(), heap.now());
             } else {
-                let delay = if tie_bias && rng.gen_bool(0.5) {
-                    // Heavy same-instant load: many events collide on the
-                    // few buckets, exercising the seq tie-break.
-                    SimDuration::from_nanos(rng.gen_range(0..4) * 100)
-                } else {
-                    SimDuration::from_nanos(rng.gen_range(0..max_delay_ns))
-                };
-                wheel.push_after(delay, id);
-                heap.push_after(delay, id);
+                let d = SimDuration::from_nanos(delay(&mut rng));
+                q.push_after(d, id);
+                heap.push_after(d, id);
                 id += 1;
             }
-            assert_eq!(wheel.len(), heap.len());
-            assert_eq!(wheel.peek_time(), heap.peek_time());
-            assert_eq!(wheel.stats(), heap.stats());
+            assert_eq!(q.len(), heap.len());
+            assert_eq!(q.peek_time(), heap.peek_time());
+            assert_eq!(q.stats(), heap.stats());
         }
         // Drain both to the end.
         loop {
-            let w = wheel.pop();
-            let h = heap.pop();
-            assert_eq!(w, h, "drain divergence (seed {seed:#x})");
-            assert_eq!(wheel.stats(), heap.stats());
-            if w.is_none() {
+            let got = q.pop();
+            assert_eq!(got, heap.pop(), "drain divergence (seed {seed:#x})");
+            assert_eq!(q.stats(), heap.stats());
+            if got.is_none() {
                 break;
             }
         }
     }
 
     #[test]
-    fn wheel_matches_heap_near_future() {
+    fn tiers_match_heap_near_future() {
         for case in 0..48u64 {
-            lockstep(0x77EE1 + case, 400, 2_000, false);
+            lockstep(0x77EE1 + case, 400, |rng| rng.gen_range(0..HORIZON_NS));
         }
     }
 
     #[test]
-    fn wheel_matches_heap_with_same_instant_storms() {
+    fn tiers_match_heap_with_same_instant_storms() {
+        // Half the pushes collide on four delays, two on each side of the
+        // horizon, exercising the seq tie-break within and across tiers.
         for case in 0..48u64 {
-            lockstep(0x7E1E5 + case, 400, 800, true);
-        }
-    }
-
-    #[test]
-    fn wheel_matches_heap_across_level_boundaries() {
-        // Delays spanning every wheel level (up to ~2^36 ns) so cascades
-        // from deep levels happen constantly.
-        for case in 0..24u64 {
-            lockstep(0xCA5CADE + case, 250, 1u64 << 36, false);
-        }
-    }
-
-    #[test]
-    fn wheel_matches_heap_through_overflow_promotion() {
-        // Delays beyond the 2^42 ns horizon force the calendar-queue
-        // overflow path and its promotion back into the wheel.
-        for case in 0..16u64 {
-            let seed = 0x0F10 + case;
-            let mut rng = SimRng::new(seed);
-            let mut wheel: EventQueue<u64> = EventQueue::new();
-            let mut heap: HeapQueue<u64> = HeapQueue::new();
-            for id in 0..120u64 {
-                let delay = if rng.gen_bool(0.3) {
-                    // Far side of the horizon (up to ~2^44 ns ≈ 4.9 h).
-                    SimDuration::from_nanos((1u64 << 42) + rng.gen_range(0..(1u64 << 44)))
+            lockstep(0x7E1E5 + case, 400, |rng| {
+                if rng.gen_bool(0.5) {
+                    [0, HORIZON_NS / 2, HORIZON_NS, 2 * HORIZON_NS][rng.gen_index(4)]
                 } else {
-                    SimDuration::from_nanos(rng.gen_range(0..1_000_000))
-                };
-                wheel.push_after(delay, id);
-                heap.push_after(delay, id);
-                if rng.gen_bool(0.4) {
-                    assert_eq!(wheel.pop(), heap.pop());
+                    rng.gen_range(0..4 * HORIZON_NS)
                 }
-            }
-            loop {
-                let w = wheel.pop();
-                let h = heap.pop();
-                assert_eq!(w, h, "overflow divergence (seed {seed:#x})");
-                assert_eq!(wheel.stats(), heap.stats());
-                if w.is_none() {
-                    break;
-                }
-            }
+            });
         }
     }
 
     #[test]
-    fn wheel_matches_heap_same_instant_pop_then_push() {
+    fn tiers_match_heap_across_the_horizon() {
+        // Delays within a few ns of the horizon, and uniform ones up to 8x
+        // past it, so the clock keeps bringing heap events level with
+        // near-run ones.
+        for case in 0..48u64 {
+            lockstep(0xB0DE5 + case, 400, |rng| {
+                if rng.gen_bool(0.5) {
+                    HORIZON_NS - 3 + rng.gen_range(0..6)
+                } else {
+                    rng.gen_range(0..8 * HORIZON_NS)
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn tiers_match_heap_far_future() {
+        // A third of the delays are up to ~2^44 ns (4.9 h) out, the rest
+        // within a millisecond: the heap stays deep under a busy near run.
+        for case in 0..24u64 {
+            lockstep(0x0F10 + case, 250, |rng| {
+                if rng.gen_bool(0.3) {
+                    rng.gen_range(0..(1u64 << 44))
+                } else {
+                    rng.gen_range(0..1_000_000)
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn tiers_match_heap_same_instant_pop_then_push() {
         // Pin the subtle case: pop one of several same-instant events,
         // push more at that exact instant, and require global FIFO.
-        let mut wheel: EventQueue<u32> = EventQueue::new();
+        let mut q: EventQueue<u32> = EventQueue::new();
         let mut heap: HeapQueue<u32> = HeapQueue::new();
         let t = SimTime::from_nanos(777);
         for i in 0..5 {
-            wheel.push(t, i);
+            q.push(t, i);
             heap.push(t, i);
         }
-        assert_eq!(wheel.pop(), heap.pop());
+        assert_eq!(q.pop(), heap.pop());
         for i in 5..8 {
-            wheel.push(t, i);
+            q.push(t, i);
             heap.push(t, i);
         }
         for _ in 0..7 {
-            assert_eq!(wheel.pop(), heap.pop());
+            assert_eq!(q.pop(), heap.pop());
         }
-        assert_eq!(wheel.pop(), None);
+        assert_eq!(q.pop(), None);
         assert_eq!(heap.pop(), None);
     }
 }

@@ -99,10 +99,8 @@ fn steady_state_gwrite_performs_zero_net_allocations_per_op() {
         sim.run();
     };
 
-    // Warm-up: payload/SGE slabs fill, timer-wheel slots and scratch
-    // vectors reach their high-water capacity. The wheel conserves slot
-    // buffers by swapping, so capacity keeps migrating between slots for a
-    // while — several hundred ops before the last cold slot has grown.
+    // Warm-up: payload/SGE slabs fill, and the event queue's two tiers
+    // and the scratch vectors reach their high-water capacity.
     for i in 0..512u64 {
         run_one(&mut sim, &mut group, i);
     }
