@@ -438,6 +438,9 @@ pub struct TxnManager {
     /// commits a lost update.
     versions: HashMap<TxnSite, u64>,
     active: BTreeMap<u64, TxnRun>,
+    /// [`TxnManager::pump`]'s snapshot of the active ids, kept to reuse
+    /// its buffer.
+    pump_ids: Vec<u64>,
     /// `(shard, gen)` → owning transaction.
     gen_map: HashMap<(u32, u64), u64>,
     /// Parked transactions and their wake deadlines.
@@ -483,6 +486,7 @@ impl TxnManager {
             next_id: 0,
             versions: HashMap::new(),
             active: BTreeMap::new(),
+            pump_ids: Vec::new(),
             gen_map: HashMap::new(),
             deferred: Vec::new(),
             audit: Audit::disabled(),
@@ -710,10 +714,13 @@ impl TxnManager {
                 i += 1;
             }
         }
-        let ids: Vec<u64> = self.active.keys().copied().collect();
-        for id in ids {
+        let mut ids = std::mem::take(&mut self.pump_ids);
+        ids.clear();
+        ids.extend(self.active.keys().copied());
+        for &id in &ids {
             self.step(ctx, shards, id, &mut finished);
         }
+        self.pump_ids = ids;
         finished
     }
 
@@ -1297,14 +1304,16 @@ impl TxnManager {
         id: u64,
         finished: &mut Vec<(u64, TxnOutcome)>,
     ) {
-        let Some(mut run) = self.active.remove(&id) else {
+        let Some(run) = self.active.get(&id) else {
             return;
         };
         if run.parked {
-            self.active.insert(id, run);
             return;
         }
         if !run.begun {
+            // `enter_validate` borrows the manager and the run together, so
+            // the first step takes the run out of the map.
+            let mut run = self.active.remove(&id).expect("the run is active");
             run.begun = true;
             self.audit.probe(ctx.now, Probe::TxnBegin { txn: id });
             self.tracer.emit(
@@ -1322,7 +1331,9 @@ impl TxnManager {
             {
                 return;
             }
+            self.active.insert(id, run);
         }
+        let run = &self.active[&id];
         let owner = Self::owner(id);
         // Collect what the phase is missing, then issue (two passes keep
         // the phase borrow and the issue borrow disjoint).
@@ -1371,6 +1382,11 @@ impl TxnManager {
                 }
             }
         }
+        // Most steps find the phase fully issued (waiting on acks): they
+        // leave the run as it is.
+        if wanted.is_empty() {
+            return;
+        }
         let mut issued: Vec<Option<u64>> = Vec::with_capacity(wanted.len());
         for (shard, op) in wanted {
             issued.push(self.issue_for(ctx, shards, id, shard, op));
@@ -1378,6 +1394,7 @@ impl TxnManager {
         // Write the generations back into the phase, in the same order the
         // first pass walked it.
         let mut it = issued.into_iter();
+        let run = self.active.get_mut(&id).expect("the run is active");
         match &mut run.phase {
             RunPhase::Acquire { gen, .. } | RunPhase::Undo { gen, .. } => {
                 if gen.is_none() {
@@ -1411,7 +1428,6 @@ impl TxnManager {
                 }
             }
         }
-        self.active.insert(id, run);
     }
 }
 

@@ -186,16 +186,8 @@ impl Network {
         let st = &mut self.stats[pair];
         st.messages += 1;
         st.bytes += bytes;
-        self.tracer.emit(
-            now,
-            src.0,
-            op,
-            TraceKind::LinkEnqueue {
-                src: src.0,
-                dst: dst.0,
-                bytes,
-            },
-        );
+        self.tracer
+            .emit(now, src.0, op, TraceKind::LinkEnqueue { dst: dst.0, bytes });
 
         if src == dst {
             let arrival = now + self.config.per_message_overhead;

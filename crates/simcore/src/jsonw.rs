@@ -47,11 +47,12 @@ pub struct JsonWriter {
 
 /// Bytes JSON strings must escape. Every byte below 0x20 is an ASCII
 /// control char: UTF-8 continuation bytes are all ≥ 0x80.
-fn needs_escape(b: u8) -> bool {
+pub(crate) fn needs_escape(b: u8) -> bool {
     b == b'"' || b == b'\\' || b < 0x20
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal, escaped where it must be.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     if !s.bytes().any(needs_escape) {
         out.push_str(s);
@@ -87,7 +88,7 @@ const DIGIT_PAIRS: [u8; 200] = {
 
 /// Appends an unsigned integer in decimal, two digits per step. Trace
 /// exports write millions of integers, and this skips the `fmt` machinery.
-fn u64_into(out: &mut String, mut v: u64) {
+pub(crate) fn u64_into(out: &mut String, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
     while v >= 100 {
@@ -117,7 +118,7 @@ fn i64_into(out: &mut String, v: i64) {
 /// Appends a float in Rust's shortest round-trip form (`null` when
 /// non-finite). `{}` prints integral floats without a dot; that is still
 /// valid JSON.
-fn f64_into(out: &mut String, v: f64) {
+pub(crate) fn f64_into(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
@@ -133,7 +134,7 @@ fn f64_into(out: &mut String, v: f64) {
 /// every other decimal that rounds to the same `f64` lies within 2^-10 <
 /// 0.001 of `ns / 1000`, needs at least four fraction digits, and is never
 /// the shorter one. Larger values take the float path.
-fn micros_into(out: &mut String, ns: u64) {
+pub(crate) fn micros_into(out: &mut String, ns: u64) {
     if ns >= 1 << 52 {
         return f64_into(out, ns as f64 / 1e3);
     }
@@ -150,6 +151,22 @@ fn micros_into(out: &mut String, ns: u64) {
         let zeros = digits.iter().rev().take_while(|&&d| d == b'0').count();
         let digits = &digits[..digits.len() - zeros];
         out.push_str(std::str::from_utf8(digits).expect("ASCII digits"));
+    }
+}
+
+/// Appends the Chrome trace `dur` of a span from `start_ns` to `end_ns`
+/// (`end_ns >= start_ns`): the float `end_ns / 1e3 - start_ns / 1e3` in
+/// [`f64_into`]'s form. When that difference is bit-equal to `(end_ns -
+/// start_ns) as f64 / 1e3`, the two print alike, so [`micros_into`] writes
+/// it from the integer; otherwise (the two roundings of the operands left
+/// a trace in the difference) it takes the float path.
+pub(crate) fn dur_micros_into(out: &mut String, start_ns: u64, end_ns: u64) {
+    let dur = end_ns as f64 / 1e3 - start_ns as f64 / 1e3;
+    let ns = end_ns - start_ns;
+    if ns < 1 << 52 && (ns as f64 / 1e3).to_bits() == dur.to_bits() {
+        micros_into(out, ns);
+    } else {
+        f64_into(out, dur);
     }
 }
 
@@ -240,14 +257,6 @@ impl JsonWriter {
     pub fn field_f64(&mut self, k: &str, v: f64) {
         self.key(k);
         f64_into(&mut self.out, v);
-    }
-
-    /// Writes integer nanoseconds as a float field in microseconds (the
-    /// Chrome trace `ts` unit): byte-identical to
-    /// `field_f64(k, ns as f64 / 1e3)`, without float formatting.
-    pub fn field_micros(&mut self, k: &str, ns: u64) {
-        self.key(k);
-        micros_into(&mut self.out, ns);
     }
 
     /// Writes a boolean field.
@@ -1039,6 +1048,38 @@ mod tests {
         let mut neg = String::new();
         i64_into(&mut neg, i64::MIN);
         assert_eq!(neg, i64::MIN.to_string());
+    }
+
+    #[test]
+    fn span_durations_match_the_float_difference() {
+        let dur = |a: u64, b: u64| {
+            let mut fast = String::new();
+            dur_micros_into(&mut fast, a, b);
+            let mut float = String::new();
+            f64_into(&mut float, b as f64 / 1e3 - a as f64 / 1e3);
+            assert_eq!(fast, float, "{a}..{b}");
+        };
+        let mut rng = crate::rng::SimRng::new(11);
+        for _ in 0..200_000 {
+            let bits = rng.gen_range(1..60);
+            let a = rng.next_u64() >> (64 - bits);
+            let gap = rng.next_u64() >> (64 - rng.gen_range(1..40));
+            dur(a, a.saturating_add(gap));
+        }
+        for a in [
+            0,
+            1,
+            999,
+            1000,
+            1 << 40,
+            (1 << 52) - 1,
+            1 << 52,
+            u64::MAX - 5,
+        ] {
+            for gap in [0, 1, 7, 1000, 123_456] {
+                dur(a, a.saturating_add(gap));
+            }
+        }
     }
 
     #[test]

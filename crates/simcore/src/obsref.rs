@@ -23,7 +23,7 @@ use crate::jsonw::JsonWriter;
 use crate::simaudit::op_id_parts;
 use crate::simprof::{CounterSample, StageAttribution, TxnAttribution, COUNTER_PID, TXN_PID};
 use crate::simtrace::{
-    breakdown_from_sorted, events_for, op_breakdown, ops, span_tree, ts_us, txn_mode_label,
+    breakdown_from_sorted, events_for, op_breakdown, ops, span_tree, txn_mode_label,
     txn_phase_label, TraceEvent, TraceKind, NO_NODE, NO_OP, TXN_PHASE_ACQUIRE, TXN_PHASE_BACKOFF,
     TXN_PHASE_ROLLBACK, TXN_PHASE_UNDO,
 };
@@ -189,7 +189,7 @@ pub(crate) fn write_chrome_events(w: &mut JsonWriter, events: &[TraceEvent]) {
                 w.field_f64("dur", ts_us(stage.end) - ts_us(stage.start));
                 w.begin_obj_field("args");
                 w.field_u64("op", op);
-                ev.kind.write_args(w);
+                write_args(w, ev);
                 w.end_obj();
                 w.end_obj();
             }
@@ -208,9 +208,75 @@ pub(crate) fn write_chrome_events(w: &mut JsonWriter, events: &[TraceEvent]) {
         if ev.op != NO_OP {
             w.field_u64("op", ev.op);
         }
-        ev.kind.write_args(w);
+        write_args(w, ev);
         w.end_obj();
         w.end_obj();
+    }
+}
+
+fn ts_us(t: SimTime) -> f64 {
+    t.as_nanos() as f64 / 1e3
+}
+
+/// Writes an event's payload as fields of its open `args` object.
+fn write_args(w: &mut JsonWriter, ev: &TraceEvent) {
+    match ev.kind {
+        TraceKind::WqeFetch { qp, opcode } => {
+            w.field_u64("qp", qp as u64);
+            w.field_u64("opcode", opcode as u64);
+        }
+        TraceKind::WqeExec { qp, opcode, bytes } => {
+            w.field_u64("qp", qp as u64);
+            w.field_u64("opcode", opcode as u64);
+            w.field_u64("bytes", bytes);
+        }
+        TraceKind::WaitRelease { qp } => w.field_u64("qp", qp as u64),
+        TraceKind::Dma { bytes } => w.field_u64("bytes", bytes),
+        TraceKind::GFlush { bytes, ranges } => {
+            w.field_u64("bytes", bytes);
+            w.field_u64("ranges", ranges as u64);
+        }
+        TraceKind::CacheFill { bytes } => w.field_u64("bytes", bytes),
+        TraceKind::CacheEvict { bytes } => w.field_u64("bytes", bytes),
+        TraceKind::Cqe { cq, ok } => {
+            w.field_u64("cq", cq as u64);
+            w.field_bool("ok", ok);
+        }
+        TraceKind::LinkEnqueue { dst, bytes } => {
+            // The sender is the node the event is attributed to.
+            w.field_u64("src", ev.node as u64);
+            w.field_u64("dst", dst as u64);
+            w.field_u64("bytes", bytes);
+        }
+        TraceKind::LinkDeliver { src, dst } => {
+            w.field_u64("src", src as u64);
+            w.field_u64("dst", dst as u64);
+        }
+        TraceKind::Dispatch { task } => w.field_u64("task", task),
+        TraceKind::Preempt { task } => w.field_u64("task", task),
+        TraceKind::OpIssue | TraceKind::OpAck => {}
+        TraceKind::MetaSend { replica } => w.field_u64("replica", replica as u64),
+        TraceKind::ReplicaProgress { replica } => w.field_u64("replica", replica as u64),
+        TraceKind::MigrateBegin { shard } => w.field_u64("shard", shard as u64),
+        TraceKind::MigrateCutover { shard, epoch } => {
+            w.field_u64("shard", shard as u64);
+            w.field_u64("epoch", epoch);
+        }
+        TraceKind::MigrateEnd { shard, replayed } => {
+            w.field_u64("shard", shard as u64);
+            w.field_u64("replayed", replayed);
+        }
+        TraceKind::HealthBreach { shard, state } => {
+            w.field_u64("shard", shard as u64);
+            w.field_u64("state", state as u64);
+        }
+        TraceKind::TxnPhaseBegin { txn, mode, phase }
+        | TraceKind::TxnPhaseEnd { txn, mode, phase } => {
+            w.field_u64("txn", txn);
+            w.field_str("mode", txn_mode_label(mode));
+            w.field_str("phase", txn_phase_label(phase));
+        }
+        TraceKind::TxnOp { txn } => w.field_u64("txn", txn),
     }
 }
 
@@ -804,7 +870,9 @@ mod tests {
     use crate::rng::SimRng;
     use crate::simaudit::op_id_base;
     use crate::simprof::CounterSampler;
-    use crate::simtrace::{txn_op_id, MetricsRegistry, TXN_PHASE_APPLY, TXN_PHASE_RELEASE};
+    use crate::simtrace::{
+        txn_op_id, MetricsRegistry, KIND_COUNT, TXN_PHASE_APPLY, TXN_PHASE_RELEASE,
+    };
 
     /// A seeded synthetic stream exercising every ordering rule the folds
     /// depend on: equal-timestamp ties decided by emission order, prepost
@@ -842,20 +910,19 @@ mod tests {
             },
             TraceKind::WaitRelease { qp: 3 },
             TraceKind::Dma { bytes: 128 },
-            TraceKind::LinkEnqueue {
-                src: 0,
-                dst: 1,
-                bytes: 64,
-            },
+            TraceKind::LinkEnqueue { dst: 1, bytes: 64 },
             TraceKind::LinkDeliver { src: 0, dst: 1 },
             TraceKind::Dispatch { task: 9 },
             TraceKind::MetaSend { replica: 1 },
             TraceKind::ReplicaProgress { replica: 2 },
             TraceKind::Cqe { cq: 4, ok: true },
+            TraceKind::Cqe { cq: 5, ok: false },
             TraceKind::GFlush {
                 bytes: 64,
                 ranges: 1,
             },
+            TraceKind::CacheFill { bytes: 4096 },
+            TraceKind::Preempt { task: 17 },
         ];
         let nodes = [0, 1, 2, 3, NO_NODE];
         let n_txns = 24u64;
@@ -1014,6 +1081,24 @@ mod tests {
         // The streams reach the paths worth comparing.
         assert!(tails > 0, "no synthetic stream had a tail");
         assert!(truncated_txns > 0, "no malformed txn stream");
+    }
+
+    #[test]
+    fn synthetic_streams_carry_every_trace_kind() {
+        // An odd seed also draws the migration and health signals, so the
+        // equivalence check sees every kind's `args` in both exports.
+        let mut seen = [false; KIND_COUNT];
+        for e in synthetic(7) {
+            seen[e.kind.ordinal()] = true;
+        }
+        let missing: Vec<&str> = (0..KIND_COUNT)
+            .filter(|&k| !seen[k])
+            .map(crate::simtrace::kind_label)
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "kinds missing from the stream: {missing:?}"
+        );
     }
 
     #[test]

@@ -579,7 +579,30 @@ impl Auditor for DurabilityAuditor {
 struct ChainState {
     issued: u64,
     acked: u64,
-    issue_at: BTreeMap<u64, SimTime>,
+    /// Issue time by sequence number; [`NOT_ISSUED`] marks a sequence an
+    /// out-of-order issue skipped. Sequences are dense from 0 and below
+    /// 2^20 ([`SEQ_GEN_MASK`]), so a vector indexed by them is both the
+    /// smallest map and one load per completion.
+    issue_at: Vec<SimTime>,
+}
+
+/// [`ChainState::issue_at`]'s mark for a sequence never issued.
+const NOT_ISSUED: SimTime = SimTime::from_nanos(u64::MAX);
+
+impl ChainState {
+    /// When sequence `seq` was issued, if it was.
+    fn issued_at(&self, seq: u64) -> Option<SimTime> {
+        let at = *self.issue_at.get(seq as usize)?;
+        (at != NOT_ISSUED).then_some(at)
+    }
+
+    fn record_issue(&mut self, seq: u64, at: SimTime) {
+        let i = seq as usize;
+        if i >= self.issue_at.len() {
+            self.issue_at.resize(i + 1, NOT_ISSUED);
+        }
+        self.issue_at[i] = at;
+    }
 }
 
 /// Checks per-(shard, epoch) ordering: generations are issued and acked
@@ -621,11 +644,11 @@ impl Auditor for ChainOrderAuditor {
                     );
                 }
                 st.issued = st.issued.max(seq + 1);
-                st.issue_at.insert(seq, ev.at);
+                st.record_issue(seq, ev.at);
             }
             TraceKind::OpAck => {
                 let st = self.chains.entry((shard, epoch)).or_default();
-                if !st.issue_at.contains_key(&seq) {
+                if st.issued_at(seq).is_none() {
                     ctx.report(
                         name,
                         ev.op,
@@ -652,7 +675,7 @@ impl Auditor for ChainOrderAuditor {
                 // and migration copy WQEs with NO_OP, neither of which maps
                 // to an issued generation.
                 if let Some(st) = self.chains.get(&(shard, epoch)) {
-                    if let Some(&t0) = st.issue_at.get(&seq) {
+                    if let Some(t0) = st.issued_at(seq) {
                         if ev.at < t0 {
                             ctx.report(
                                 name,
@@ -1834,6 +1857,42 @@ mod tests {
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].op, op);
         assert!(vs[0].detail.contains("precedes"));
+    }
+
+    /// Mutation: an ack for a sequence that was never issued (and lies
+    /// past every issued one). Exactly one violation, the missing issue:
+    /// the ack itself arrives in order.
+    #[test]
+    fn chain_order_auditor_detects_ack_of_never_issued_op() {
+        let a = Audit::standard();
+        let base = op_id_base(2, 1);
+        a.on_event(&ev(0, 0, base, TraceKind::OpIssue));
+        a.on_event(&ev(100, 0, base, TraceKind::OpAck));
+        a.on_event(&ev(200, 0, base + 1, TraceKind::OpAck));
+        let vs = a.violations();
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!((vs[0].auditor, vs[0].op), ("chain_order", base + 1));
+        assert_eq!(vs[0].detail, "acked op was never issued on shard 2 epoch 1");
+    }
+
+    /// Mutation: an issue that skips ahead of the next expected sequence.
+    /// Exactly one violation; the skipped sequence stays unissued, so a
+    /// completion for it is not checked against any issue time.
+    #[test]
+    fn chain_order_auditor_detects_issue_skipping_ahead() {
+        let a = Audit::standard();
+        let base = op_id_base(1, 0);
+        a.on_event(&ev(1000, 0, base, TraceKind::OpIssue));
+        a.on_event(&ev(1010, 0, base + 2, TraceKind::OpIssue));
+        a.on_event(&ev(5, 1, base + 1, TraceKind::Cqe { cq: 0, ok: true }));
+        a.on_event(&ev(1500, 1, base + 2, TraceKind::Cqe { cq: 0, ok: true }));
+        let vs = a.violations();
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!((vs[0].auditor, vs[0].op), ("chain_order", base + 2));
+        assert_eq!(
+            vs[0].detail,
+            "issue out of order on shard 1 epoch 0: expected seq 1, got 2"
+        );
     }
 
     /// Untracked CQEs (pre-posted RECVs completing with wr_id 0 before

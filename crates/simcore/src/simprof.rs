@@ -19,9 +19,11 @@
 //! Everything here is deterministic: same events in, byte-identical text
 //! out (BTreeMap iteration everywhere, integer nanosecond arithmetic).
 
-use crate::jsonw::{opt, req, JsonValue, JsonWriter, Shape};
+use crate::jsonw::{
+    escape_into, f64_into, micros_into, opt, req, u64_into, JsonValue, JsonWriter, Shape,
+};
 use crate::simtrace::{
-    kind_label, ts_us, txn_mode_label, txn_phase_label, write_chrome_events, MetricsRegistry,
+    kind_label, txn_mode_label, txn_phase_label, write_chrome_events, ChromeDoc, MetricsRegistry,
     OpEvents, OpIndex, TraceEvent, TraceKind, KIND_COUNT, OP_ACK, OP_ISSUE, TXN_PHASE_BACKOFF,
     TXN_PHASE_BEGIN,
 };
@@ -465,40 +467,28 @@ impl CounterSampler {
 /// `"ph":"C"` counter events under the dedicated [`COUNTER_PID`] process.
 /// Fully deterministic — byte-identical for identical inputs.
 pub fn chrome_trace_with_counters(events: &[TraceEvent], samples: &[CounterSample]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.begin_arr_field("traceEvents");
-    write_chrome_events(&mut w, events, |_| true);
-    write_counter_tracks(&mut w, samples);
-    w.end_arr();
-    w.field_str("displayTimeUnit", "ns");
-    w.end_obj();
-    w.finish()
+    let mut doc = ChromeDoc::new(events.len() + samples.len());
+    write_chrome_events(&mut doc, events, |_| true);
+    write_counter_tracks(&mut doc, samples);
+    doc.finish()
 }
 
 /// Writes the `"ph":"C"` counter events (and, when there are any, their
-/// process metadata) into an open `traceEvents` array.
-fn write_counter_tracks(w: &mut JsonWriter, samples: &[CounterSample]) {
+/// process metadata) into a Chrome document.
+fn write_counter_tracks(doc: &mut ChromeDoc, samples: &[CounterSample]) {
     if !samples.is_empty() {
-        w.begin_obj();
-        w.field_str("ph", "M");
-        w.field_u64("pid", COUNTER_PID);
-        w.field_str("name", "process_name");
-        w.begin_obj_field("args");
-        w.field_str("name", "metrics");
-        w.end_obj();
-        w.end_obj();
+        doc.process(COUNTER_PID, "metrics");
     }
     for s in samples {
-        w.begin_obj();
-        w.field_str("ph", "C");
-        w.field_str("name", &s.track);
-        w.field_u64("pid", COUNTER_PID);
-        w.field_micros("ts", s.at.as_nanos());
-        w.begin_obj_field("args");
-        w.field_f64("value", s.value);
-        w.end_obj();
-        w.end_obj();
+        let out = doc.event("{\"ph\":\"C\",\"name\":");
+        escape_into(out, &s.track);
+        out.push_str(",\"pid\":");
+        u64_into(out, COUNTER_PID);
+        out.push_str(",\"ts\":");
+        micros_into(out, s.at.as_nanos());
+        out.push_str(",\"args\":{\"value\":");
+        f64_into(out, s.value);
+        out.push_str("}}");
     }
 }
 
@@ -771,19 +761,10 @@ pub fn txn_chrome_trace_with_counters(events: &[TraceEvent], samples: &[CounterS
     };
     let txns = txn_index(events);
 
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.begin_arr_field("traceEvents");
-    write_chrome_events(&mut w, events, |e| !is_txn_phase(e));
+    let mut doc = ChromeDoc::new(events.len() + samples.len());
+    write_chrome_events(&mut doc, events, |e| !is_txn_phase(e));
     if !txns.is_empty() {
-        w.begin_obj();
-        w.field_str("ph", "M");
-        w.field_u64("pid", TXN_PID);
-        w.field_str("name", "process_name");
-        w.begin_obj_field("args");
-        w.field_str("name", "transactions");
-        w.end_obj();
-        w.end_obj();
+        doc.process(TXN_PID, "transactions");
     }
     for (txn, evs) in txns.iter() {
         let mode = txn_mode_label(txn_mode(evs));
@@ -792,25 +773,16 @@ pub fn txn_chrome_trace_with_counters(events: &[TraceEvent], samples: &[CounterS
             if !is_begin {
                 continue; // End→Begin gaps are zero-length; skip.
             }
-            w.begin_obj();
-            w.field_str("ph", "X");
-            w.field_str("name", txn_phase_label(phase));
-            w.field_u64("pid", TXN_PID);
-            w.field_u64("tid", txn);
-            w.field_micros("ts", prev.at().as_nanos());
-            w.field_f64("dur", ts_us(next.at()) - ts_us(prev.at()));
-            w.begin_obj_field("args");
-            w.field_u64("txn", txn);
-            w.field_str("mode", mode);
-            w.end_obj();
-            w.end_obj();
+            let out = doc.span(txn_phase_label(phase), TXN_PID, txn, prev.at(), next.at());
+            out.push_str("\"txn\":");
+            u64_into(out, txn);
+            out.push_str(",\"mode\":\"");
+            out.push_str(mode);
+            out.push_str("\"}}");
         }
     }
-    write_counter_tracks(&mut w, samples);
-    w.end_arr();
-    w.field_str("displayTimeUnit", "ns");
-    w.end_obj();
-    w.finish()
+    write_counter_tracks(&mut doc, samples);
+    doc.finish()
 }
 
 #[cfg(test)]

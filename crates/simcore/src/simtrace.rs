@@ -38,7 +38,7 @@
 //! assert_eq!(tracer.emit(t0, 0, NO_OP, TraceKind::OpAck), ());
 //! ```
 
-use crate::jsonw::JsonWriter;
+use crate::jsonw::{dur_micros_into, micros_into, needs_escape, u64_into, JsonWriter};
 use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -166,10 +166,9 @@ pub enum TraceKind {
         /// Whether the completion carried a success status.
         ok: bool,
     },
-    /// A message was accepted onto a link's egress port.
+    /// A message was accepted onto a link's egress port. The source node
+    /// is the event's [`TraceEvent::node`]; exports still name it `src`.
     LinkEnqueue {
-        /// Source node.
-        src: u32,
         /// Destination node.
         dst: u32,
         /// Message size in bytes.
@@ -389,64 +388,103 @@ impl TraceKind {
             TraceKind::TxnOp { .. } => 22,
         }
     }
+}
 
-    pub(crate) fn write_args(&self, w: &mut JsonWriter) {
-        match *self {
+/// Appends a trace event's `args` members to a Chrome export: each member
+/// is a pre-escaped `"key":` fragment and its value, separated by commas.
+struct Args<'a> {
+    out: &'a mut String,
+    comma: bool,
+}
+
+impl Args<'_> {
+    fn key(&mut self, key: &str) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+        self.out.push_str(key);
+    }
+
+    fn u64(&mut self, key: &str, v: u64) {
+        self.key(key);
+        u64_into(self.out, v);
+    }
+
+    fn bool(&mut self, key: &str, v: bool) {
+        self.key(key);
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    fn label(&mut self, key: &str, v: &str) {
+        self.key(key);
+        self.out.push('"');
+        self.out.push_str(v);
+        self.out.push('"');
+    }
+}
+
+impl TraceEvent {
+    /// Appends the kind's payload to an open `args` object; `comma` says
+    /// whether a member precedes it.
+    pub(crate) fn args_into(&self, out: &mut String, comma: bool) {
+        let mut a = Args { out, comma };
+        match self.kind {
             TraceKind::WqeFetch { qp, opcode } => {
-                w.field_u64("qp", qp as u64);
-                w.field_u64("opcode", opcode as u64);
+                a.u64("\"qp\":", qp as u64);
+                a.u64("\"opcode\":", opcode as u64);
             }
             TraceKind::WqeExec { qp, opcode, bytes } => {
-                w.field_u64("qp", qp as u64);
-                w.field_u64("opcode", opcode as u64);
-                w.field_u64("bytes", bytes);
+                a.u64("\"qp\":", qp as u64);
+                a.u64("\"opcode\":", opcode as u64);
+                a.u64("\"bytes\":", bytes);
             }
-            TraceKind::WaitRelease { qp } => w.field_u64("qp", qp as u64),
-            TraceKind::Dma { bytes } => w.field_u64("bytes", bytes),
+            TraceKind::WaitRelease { qp } => a.u64("\"qp\":", qp as u64),
+            TraceKind::Dma { bytes } => a.u64("\"bytes\":", bytes),
             TraceKind::GFlush { bytes, ranges } => {
-                w.field_u64("bytes", bytes);
-                w.field_u64("ranges", ranges as u64);
+                a.u64("\"bytes\":", bytes);
+                a.u64("\"ranges\":", ranges as u64);
             }
-            TraceKind::CacheFill { bytes } => w.field_u64("bytes", bytes),
-            TraceKind::CacheEvict { bytes } => w.field_u64("bytes", bytes),
+            TraceKind::CacheFill { bytes } => a.u64("\"bytes\":", bytes),
+            TraceKind::CacheEvict { bytes } => a.u64("\"bytes\":", bytes),
             TraceKind::Cqe { cq, ok } => {
-                w.field_u64("cq", cq as u64);
-                w.field_bool("ok", ok);
+                a.u64("\"cq\":", cq as u64);
+                a.bool("\"ok\":", ok);
             }
-            TraceKind::LinkEnqueue { src, dst, bytes } => {
-                w.field_u64("src", src as u64);
-                w.field_u64("dst", dst as u64);
-                w.field_u64("bytes", bytes);
+            TraceKind::LinkEnqueue { dst, bytes } => {
+                a.u64("\"src\":", self.node as u64);
+                a.u64("\"dst\":", dst as u64);
+                a.u64("\"bytes\":", bytes);
             }
             TraceKind::LinkDeliver { src, dst } => {
-                w.field_u64("src", src as u64);
-                w.field_u64("dst", dst as u64);
+                a.u64("\"src\":", src as u64);
+                a.u64("\"dst\":", dst as u64);
             }
-            TraceKind::Dispatch { task } => w.field_u64("task", task),
-            TraceKind::Preempt { task } => w.field_u64("task", task),
+            TraceKind::Dispatch { task } => a.u64("\"task\":", task),
+            TraceKind::Preempt { task } => a.u64("\"task\":", task),
             TraceKind::OpIssue | TraceKind::OpAck => {}
-            TraceKind::MetaSend { replica } => w.field_u64("replica", replica as u64),
-            TraceKind::ReplicaProgress { replica } => w.field_u64("replica", replica as u64),
-            TraceKind::MigrateBegin { shard } => w.field_u64("shard", shard as u64),
+            TraceKind::MetaSend { replica } => a.u64("\"replica\":", replica as u64),
+            TraceKind::ReplicaProgress { replica } => a.u64("\"replica\":", replica as u64),
+            TraceKind::MigrateBegin { shard } => a.u64("\"shard\":", shard as u64),
             TraceKind::MigrateCutover { shard, epoch } => {
-                w.field_u64("shard", shard as u64);
-                w.field_u64("epoch", epoch);
+                a.u64("\"shard\":", shard as u64);
+                a.u64("\"epoch\":", epoch);
             }
             TraceKind::MigrateEnd { shard, replayed } => {
-                w.field_u64("shard", shard as u64);
-                w.field_u64("replayed", replayed);
+                a.u64("\"shard\":", shard as u64);
+                a.u64("\"replayed\":", replayed);
             }
             TraceKind::HealthBreach { shard, state } => {
-                w.field_u64("shard", shard as u64);
-                w.field_u64("state", state as u64);
+                a.u64("\"shard\":", shard as u64);
+                a.u64("\"state\":", state as u64);
             }
             TraceKind::TxnPhaseBegin { txn, mode, phase }
             | TraceKind::TxnPhaseEnd { txn, mode, phase } => {
-                w.field_u64("txn", txn);
-                w.field_str("mode", txn_mode_label(mode));
-                w.field_str("phase", txn_phase_label(phase));
+                a.u64("\"txn\":", txn);
+                a.label("\"mode\":", txn_mode_label(mode));
+                a.label("\"phase\":", txn_phase_label(phase));
             }
-            TraceKind::TxnOp { txn } => w.field_u64("txn", txn),
+            TraceKind::TxnOp { txn } => a.u64("\"txn\":", txn),
         }
     }
 }
@@ -465,6 +503,10 @@ pub struct TraceEvent {
     /// What happened.
     pub kind: TraceKind,
 }
+
+// Every variant's payload fits 16 bytes beside its tag, so the ring, the
+// audit history and every copy move 40 bytes per event.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 40);
 
 /// Bounded ring of trace events with whole-span eviction.
 ///
@@ -812,6 +854,17 @@ impl Hasher for IdHasher {
 const KIND_BITS: u32 = 5;
 const _: () = assert!(KIND_COUNT <= 1 << KIND_BITS);
 
+/// Lines of [`OpIndex::build`]'s key cache, a power of two: about twice
+/// the ops a `txn_contended` stream has in flight at once (21 on average,
+/// at most 32).
+const RECENT_KEYS: usize = 64;
+const _: () = assert!(RECENT_KEYS.is_power_of_two() && RECENT_KEYS > 1);
+
+/// Picks a key's cache line from the top bits of a multiplicative hash.
+fn recent_line(k: u64) -> usize {
+    (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (u64::BITS - RECENT_KEYS.trailing_zeros())) as usize
+}
+
 /// Longest stream an [`OpIndex`] groups: a position must fit the 32 bits
 /// of an [`Entry`] it shares with the kind.
 const MAX_INDEXED: usize = 1 << (u32::BITS - KIND_BITS);
@@ -863,6 +916,9 @@ fn sort_group(group: &mut [u128]) {
     let mut moved = 0;
     for i in 1..group.len() {
         let x = group[i];
+        if group[i - 1] <= x {
+            continue;
+        }
         let mut j = i;
         while j > 0 && group[j - 1] > x {
             group[j] = group[j - 1];
@@ -927,22 +983,25 @@ impl<'a> OpIndex<'a> {
         let mut keys: Vec<u64> = Vec::new();
         let mut counts: Vec<u32> = Vec::new();
         let mut slots: Vec<u32> = Vec::with_capacity(events.len());
-        let mut last: Option<(u64, u32)> = None;
+        // The keys of the ops in flight interleave in the stream, so a
+        // small direct-mapped cache in front of the map answers most
+        // lookups without probing it.
+        let mut recent = [(0u64, NONE); RECENT_KEYS];
         for e in events {
             let slot = match key(e) {
                 None => NONE,
                 Some(k) => {
-                    let slot = match last {
-                        Some((lk, ls)) if lk == k => ls,
-                        _ => {
-                            let s = *slot_of.entry(k).or_insert_with(|| {
-                                keys.push(k);
-                                counts.push(0);
-                                (keys.len() - 1) as u32
-                            });
-                            last = Some((k, s));
-                            s
-                        }
+                    let line = &mut recent[recent_line(k)];
+                    let slot = if line.1 != NONE && line.0 == k {
+                        line.1
+                    } else {
+                        let s = *slot_of.entry(k).or_insert_with(|| {
+                            keys.push(k);
+                            counts.push(0);
+                            (keys.len() - 1) as u32
+                        });
+                        *line = (k, s);
+                        s
                     };
                     counts[slot as usize] += 1;
                     slot
@@ -1205,8 +1264,82 @@ pub(crate) fn span_tree_from_sorted(op: u64, evs: &[TraceEvent]) -> Option<SpanN
     })
 }
 
-pub(crate) fn ts_us(t: SimTime) -> f64 {
-    t.as_nanos() as f64 / 1e3
+/// A Chrome trace-event document (Perfetto-compatible), written as text.
+///
+/// Every event is appended to one presized buffer as pre-escaped fragments
+/// and numbers, with no container stack and no escape scan: the keys, the
+/// kind, phase and mode labels and the process names are ASCII constants
+/// (or `node` and digits) holding no quote, backslash or control byte, so
+/// none needs escaping. The one caller-supplied string, a counter track's
+/// name, goes through the JSON escaper.
+pub(crate) struct ChromeDoc {
+    out: String,
+    empty: bool,
+}
+
+/// Bytes reserved per exported trace event: about one instant plus one
+/// stage span.
+const CHROME_BYTES_PER_EVENT: usize = 256;
+
+impl ChromeDoc {
+    /// An open `traceEvents` array, presized for about `events` events.
+    pub(crate) fn new(events: usize) -> Self {
+        let mut out = String::with_capacity(64 + events.saturating_mul(CHROME_BYTES_PER_EVENT));
+        out.push_str("{\"traceEvents\":[");
+        ChromeDoc { out, empty: true }
+    }
+
+    /// Starts the next event with `head`, its opening fragment.
+    pub(crate) fn event(&mut self, head: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out.push_str(head);
+        &mut self.out
+    }
+
+    /// A process-name metadata event (`"ph":"M"`). `name` needs no
+    /// escaping.
+    pub(crate) fn process(&mut self, pid: u64, name: &str) {
+        debug_assert!(!name.bytes().any(needs_escape));
+        let out = self.event("{\"ph\":\"M\",\"pid\":");
+        u64_into(out, pid);
+        out.push_str(",\"name\":\"process_name\",\"args\":{\"name\":\"");
+        out.push_str(name);
+        out.push_str("\"}}");
+    }
+
+    /// Opens a complete span (`"ph":"X"`) from `start` to `end`, through
+    /// its `args` object's opening brace; the caller writes the members
+    /// and closes both objects.
+    pub(crate) fn span(
+        &mut self,
+        name: &str,
+        pid: u64,
+        tid: u64,
+        start: SimTime,
+        end: SimTime,
+    ) -> &mut String {
+        let out = self.event("{\"ph\":\"X\",\"name\":\"");
+        out.push_str(name);
+        out.push_str("\",\"pid\":");
+        u64_into(out, pid);
+        out.push_str(",\"tid\":");
+        u64_into(out, tid);
+        out.push_str(",\"ts\":");
+        micros_into(out, start.as_nanos());
+        out.push_str(",\"dur\":");
+        dur_micros_into(out, start.as_nanos(), end.as_nanos());
+        out.push_str(",\"args\":{");
+        out
+    }
+
+    /// Closes the array and the document.
+    pub(crate) fn finish(mut self) -> String {
+        self.out.push_str("],\"displayTimeUnit\":\"ns\"}");
+        self.out
+    }
 }
 
 /// Exports a trace stream as Chrome trace-event JSON (Perfetto-compatible).
@@ -1219,24 +1352,18 @@ pub(crate) fn ts_us(t: SimTime) -> f64 {
 /// To interleave registry-sampled counter tracks with the span stream, use
 /// [`crate::simprof::chrome_trace_with_counters`].
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.begin_arr_field("traceEvents");
-    write_chrome_events(&mut w, events, |_| true);
-    w.end_arr();
-    w.field_str("displayTimeUnit", "ns");
-    w.end_obj();
-    w.finish()
+    let mut doc = ChromeDoc::new(events.len());
+    write_chrome_events(&mut doc, events, |_| true);
+    doc.finish()
 }
 
 /// Writes the span/instant event stream of the events `keep` selects into
-/// an already-open `traceEvents` array (shared by [`chrome_trace_json`]
-/// and the counter-track exports in [`crate::simprof`]). One grouped pass,
-/// which also collects the nodes: node metadata, then every op's stage
-/// spans (ops ascending, from the op index), then one instant per event
-/// in emission order.
+/// a Chrome document (shared by [`chrome_trace_json`] and the counter-track
+/// exports in [`crate::simprof`]). One grouped pass, which also collects
+/// the nodes: node metadata, then every op's stage spans (ops ascending,
+/// from the op index), then one instant per event in emission order.
 pub(crate) fn write_chrome_events(
-    w: &mut JsonWriter,
+    doc: &mut ChromeDoc,
     events: &[TraceEvent],
     keep: impl Fn(&TraceEvent) -> bool,
 ) {
@@ -1253,48 +1380,41 @@ pub(crate) fn write_chrome_events(
         (e.op != NO_OP).then_some(e.op)
     });
     for n in &nodes {
-        w.begin_obj();
-        w.field_str("ph", "M");
-        w.field_u64("pid", *n as u64);
-        w.field_str("name", "process_name");
-        w.begin_obj_field("args");
-        w.field_str("name", &format!("node{n}"));
-        w.end_obj();
-        w.end_obj();
+        doc.process(*n as u64, &format!("node{n}"));
     }
 
     for (op, evs) in index.iter() {
         for (prev, cur) in evs.pairs() {
-            w.begin_obj();
-            w.field_str("ph", "X");
-            w.field_str("name", kind_label(cur.kind()));
-            w.field_u64("pid", cur.node() as u64);
-            w.field_u64("tid", op);
-            w.field_micros("ts", prev.at().as_nanos());
-            w.field_f64("dur", ts_us(cur.at()) - ts_us(prev.at()));
-            w.begin_obj_field("args");
-            w.field_u64("op", op);
-            evs.event(cur).kind.write_args(w);
-            w.end_obj();
-            w.end_obj();
+            let out = doc.span(
+                kind_label(cur.kind()),
+                cur.node() as u64,
+                op,
+                prev.at(),
+                cur.at(),
+            );
+            out.push_str("\"op\":");
+            u64_into(out, op);
+            evs.event(cur).args_into(out, true);
+            out.push_str("}}");
         }
     }
 
     for ev in events.iter().filter(|e| keep(e)) {
-        w.begin_obj();
-        w.field_str("ph", "i");
-        w.field_str("s", "t");
-        w.field_str("name", ev.kind.label());
-        w.field_u64("pid", ev.node as u64);
-        w.field_u64("tid", if ev.op == NO_OP { 0 } else { ev.op });
-        w.field_micros("ts", ev.at.as_nanos());
-        w.begin_obj_field("args");
+        let out = doc.event("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"");
+        out.push_str(ev.kind.label());
+        out.push_str("\",\"pid\":");
+        u64_into(out, ev.node as u64);
+        out.push_str(",\"tid\":");
+        u64_into(out, if ev.op == NO_OP { 0 } else { ev.op });
+        out.push_str(",\"ts\":");
+        micros_into(out, ev.at.as_nanos());
+        out.push_str(",\"args\":{");
         if ev.op != NO_OP {
-            w.field_u64("op", ev.op);
+            out.push_str("\"op\":");
+            u64_into(out, ev.op);
         }
-        ev.kind.write_args(w);
-        w.end_obj();
-        w.end_obj();
+        ev.args_into(out, ev.op != NO_OP);
+        out.push_str("}}");
     }
 }
 
@@ -1640,6 +1760,14 @@ mod tests {
         assert!(a.contains("\"name\":\"cqe\""));
         assert!(a.contains("\"ts\":1"));
         assert!(a.ends_with("\"displayTimeUnit\":\"ns\"}"));
+    }
+
+    #[test]
+    fn exported_labels_need_no_escaping() {
+        // The Chrome writer appends these unescaped.
+        let plain = |s: &str| !s.bytes().any(crate::jsonw::needs_escape);
+        assert!(KIND_LABELS.iter().all(|l| plain(l)));
+        assert!((0..=u8::MAX).all(|c| plain(txn_phase_label(c)) && plain(txn_mode_label(c))));
     }
 
     #[test]
