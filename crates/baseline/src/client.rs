@@ -1,6 +1,6 @@
 //! Client side of the Naïve-RDMA chain, plus the chain constructor.
 
-use crate::cmd::{self, CMD_SIZE};
+use crate::cmd::{self, CMD_SIZE, CMD_SLOTS};
 use crate::replica::{NaiveCosts, NaiveReplica};
 use cpusched::ProcKind;
 use hyperloop::{GroupAck, GroupError, GroupOp};
@@ -16,8 +16,6 @@ use testbed::{Cluster, ProcRef};
 pub struct NaiveConfig {
     /// Bytes of replicated shared state per replica.
     pub shared_size: u64,
-    /// Command ring slots (also the ack ring length).
-    pub cmd_slots: u32,
     /// Receives pre-posted per replica.
     pub prepost_depth: u32,
     /// Client in-flight window.
@@ -33,7 +31,6 @@ impl Default for NaiveConfig {
     fn default() -> Self {
         NaiveConfig {
             shared_size: 4 << 20,
-            cmd_slots: 64,
             prepost_depth: 128,
             window: 16,
             replica_kind: ProcKind::EventDriven,
@@ -64,7 +61,6 @@ pub struct NaiveClient {
     mirror_base: u64,
     staging_base: u64,
     cmd_slot_size: u64,
-    cmd_slots: u32,
     ack_base: u64,
     ack_slot_size: u64,
     window: u32,
@@ -101,7 +97,7 @@ impl NaiveChain {
         let mut cmd_base = None;
         for &rn in replica_nodes {
             let sb = cluster.fab.alloc(rn, cfg.shared_size);
-            let cb = cluster.fab.alloc(rn, cmd_slot_size * cfg.cmd_slots as u64);
+            let cb = cluster.fab.alloc(rn, cmd_slot_size * CMD_SLOTS as u64);
             match (shared_base, cmd_base) {
                 (None, None) => {
                     shared_base = Some(sb);
@@ -111,9 +107,7 @@ impl NaiveChain {
                 _ => unreachable!(),
             }
             cluster.fab.reg_mr(rn, sb, cfg.shared_size);
-            cluster
-                .fab
-                .reg_mr(rn, cb, cmd_slot_size * cfg.cmd_slots as u64);
+            cluster.fab.reg_mr(rn, cb, cmd_slot_size * CMD_SLOTS as u64);
         }
         let shared_base = shared_base.expect("non-empty chain");
         let cmd_base = cmd_base.expect("non-empty chain");
@@ -122,14 +116,14 @@ impl NaiveChain {
         let mirror_base = cluster.fab.alloc(client_node, cfg.shared_size);
         let staging_base = cluster
             .fab
-            .alloc(client_node, cmd_slot_size * cfg.cmd_slots as u64);
+            .alloc(client_node, cmd_slot_size * CMD_SLOTS as u64);
         let ack_slot_size = (gs as u64 * 8 + 63) & !63;
         let ack_base = cluster
             .fab
-            .alloc(client_node, ack_slot_size * cfg.cmd_slots as u64);
+            .alloc(client_node, ack_slot_size * CMD_SLOTS as u64);
         cluster
             .fab
-            .reg_mr(client_node, ack_base, ack_slot_size * cfg.cmd_slots as u64);
+            .reg_mr(client_node, ack_base, ack_slot_size * CMD_SLOTS as u64);
 
         // Queues.
         let cq_down = cluster.fab.create_cq(client_node);
@@ -166,7 +160,7 @@ impl NaiveChain {
         let mut scratch = Outbox::new();
         for (i, &rn) in replica_nodes.iter().enumerate() {
             for g in 0..cfg.prepost_depth as u64 {
-                let slot = cmd_base + (g % cfg.cmd_slots as u64) * cmd_slot_size;
+                let slot = cmd_base + (g % CMD_SLOTS as u64) * cmd_slot_size;
                 cluster.fab.post_recv(
                     SimTime::ZERO,
                     rn,
@@ -202,7 +196,6 @@ impl NaiveChain {
                 gs,
                 shared_base,
                 cmd_base,
-                cfg.cmd_slots,
                 cmd_slot_size,
                 ups[i],
                 recv_cqs[i],
@@ -231,7 +224,6 @@ impl NaiveChain {
                 mirror_base,
                 staging_base,
                 cmd_slot_size,
-                cmd_slots: cfg.cmd_slots,
                 ack_base,
                 ack_slot_size,
                 window: cfg.window,
@@ -310,7 +302,7 @@ impl NaiveClient {
         self.next_gen += 1;
         self.tracer
             .emit(ctx.now, self.node.0, gen, TraceKind::OpIssue);
-        let slot = gen % self.cmd_slots as u64;
+        let slot = gen % CMD_SLOTS as u64;
 
         // Stage command + zeroed result map.
         let mut buf = cmd::encode(gen, &op).to_vec();
@@ -388,7 +380,7 @@ impl NaiveClient {
             assert_eq!(cqe.status, rnicsim::CqeStatus::Success, "{cqe:?}");
             let gen = cqe.imm.expect("ack imm");
             debug_assert_eq!(self.pending.pop_front(), Some(gen));
-            let slot = self.ack_base + (gen % self.cmd_slots as u64) * self.ack_slot_size;
+            let slot = self.ack_base + (gen % CMD_SLOTS as u64) * self.ack_slot_size;
             self.ack_raw.clear();
             self.ack_raw.resize(self.group_size as usize * 8, 0);
             ctx.mem(self.node)

@@ -13,6 +13,9 @@ use rnicsim::Payload;
 /// Encoded size of the fixed command header.
 pub const CMD_SIZE: u64 = 64;
 
+/// Command ring slots per replica (also the client's ack ring length).
+pub const CMD_SLOTS: u32 = 64;
+
 /// Operation discriminants on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]

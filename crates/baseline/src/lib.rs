@@ -20,7 +20,7 @@ pub mod cmd;
 pub mod replica;
 
 pub use client::{NaiveChain, NaiveClient, NaiveConfig};
-pub use replica::{NaiveCosts, NaiveReplica};
+pub use replica::{NaiveCosts, NaiveReplica, CAS, FLUSH_BPS, FLUSH_FIXED};
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@
 //! Under multi-tenant load the wake-up and the run-queue wait dominate —
 //! this is precisely the latency the paper measures in Figures 8-12.
 
-use crate::cmd::{self, CMD_SIZE};
+use crate::cmd::{self, CMD_SIZE, CMD_SLOTS};
 use hyperloop::{ExecuteMap, GroupOp};
 use netsim::NodeId;
 use rnicsim::payload::take_sges;
@@ -15,7 +15,18 @@ use simcore::SimDuration;
 use std::collections::HashMap;
 use testbed::{Env, HostApp, HostEvent};
 
-/// CPU cost model of the replica software stack.
+/// Fixed CPU cost of a persistence flush (cache-line writeback + fence).
+pub const FLUSH_FIXED: SimDuration = SimDuration::from_nanos(200);
+
+/// Persistence flush throughput, bytes per second.
+pub const FLUSH_BPS: u64 = 4_000_000_000;
+
+/// CPU cost of a local compare-and-swap.
+pub const CAS: SimDuration = SimDuration::from_nanos(60);
+
+/// CPU cost model of the replica software stack: the per-application part
+/// (Fig. 2's MongoDB-like replicas override all three). Flush and CAS
+/// costs are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NaiveCosts {
     /// Fixed cost of handling one completion (poll, parse, bookkeeping).
@@ -24,12 +35,6 @@ pub struct NaiveCosts {
     pub post: SimDuration,
     /// Single-thread memcpy throughput, bytes per second.
     pub memcpy_bps: u64,
-    /// Fixed cost of a persistence flush (cache-line writeback + fence).
-    pub flush_fixed: SimDuration,
-    /// Flush throughput, bytes per second.
-    pub flush_bps: u64,
-    /// Cost of a local compare-and-swap.
-    pub cas: SimDuration,
 }
 
 impl Default for NaiveCosts {
@@ -38,11 +43,13 @@ impl Default for NaiveCosts {
             parse: SimDuration::from_nanos(800),
             post: SimDuration::from_nanos(300),
             memcpy_bps: 6_000_000_000,
-            flush_fixed: SimDuration::from_nanos(200),
-            flush_bps: 4_000_000_000,
-            cas: SimDuration::from_nanos(60),
         }
     }
+}
+
+/// CPU cost of flushing `bytes` to persistence.
+fn flush_cost(bytes: u64) -> SimDuration {
+    FLUSH_FIXED + SimDuration::from_nanos(bytes * 1_000_000_000 / FLUSH_BPS)
 }
 
 impl NaiveCosts {
@@ -50,30 +57,26 @@ impl NaiveCosts {
         SimDuration::from_nanos(bytes * 1_000_000_000 / self.memcpy_bps)
     }
 
-    fn flush(&self, bytes: u64) -> SimDuration {
-        self.flush_fixed + SimDuration::from_nanos(bytes * 1_000_000_000 / self.flush_bps)
-    }
-
     /// Total CPU execution cost of one command at a replica.
     pub fn execute_cost(&self, op: &GroupOp) -> SimDuration {
         match op {
             GroupOp::Write { data, flush, .. } => {
                 if *flush {
-                    self.flush(data.len() as u64)
+                    flush_cost(data.len() as u64)
                 } else {
                     SimDuration::ZERO
                 }
             }
-            GroupOp::Cas { .. } => self.cas,
+            GroupOp::Cas { .. } => CAS,
             GroupOp::Memcpy { len, flush, .. } => {
                 self.memcpy(*len)
                     + if *flush {
-                        self.flush(*len)
+                        flush_cost(*len)
                     } else {
                         SimDuration::ZERO
                     }
             }
-            GroupOp::Flush { .. } => self.flush(64),
+            GroupOp::Flush { .. } => flush_cost(64),
         }
     }
 }
@@ -85,7 +88,6 @@ pub struct NaiveReplica {
     group_size: u32,
     shared_base: u64,
     cmd_base: u64,
-    cmd_slots: u32,
     cmd_slot_size: u64,
     qp_up: QpId,
     recv_cq: CqId,
@@ -113,7 +115,6 @@ impl NaiveReplica {
         group_size: u32,
         shared_base: u64,
         cmd_base: u64,
-        cmd_slots: u32,
         cmd_slot_size: u64,
         qp_up: QpId,
         recv_cq: CqId,
@@ -129,7 +130,6 @@ impl NaiveReplica {
             group_size,
             shared_base,
             cmd_base,
-            cmd_slots,
             cmd_slot_size,
             qp_up,
             recv_cq,
@@ -149,7 +149,7 @@ impl NaiveReplica {
     }
 
     fn cmd_slot(&self, gen: u64) -> u64 {
-        self.cmd_base + (gen % self.cmd_slots as u64) * self.cmd_slot_size
+        self.cmd_base + (gen % CMD_SLOTS as u64) * self.cmd_slot_size
     }
 
     fn result_word(&self, gen: u64, idx: u32) -> u64 {
@@ -236,7 +236,7 @@ impl NaiveReplica {
                     flags: wqe_flags::HW_OWNED,
                     local_addr: self.cmd_slot(gen) + CMD_SIZE,
                     len: self.group_size as u64 * 8,
-                    remote_addr: self.ack_base + (gen % self.cmd_slots as u64) * self.ack_slot_size,
+                    remote_addr: self.ack_base + (gen % CMD_SLOTS as u64) * self.ack_slot_size,
                     compare_or_imm: gen,
                     wr_id: gen,
                     ..Wqe::default()
@@ -333,3 +333,57 @@ impl HostApp for NaiveReplica {
 /// Suppresses an unused-field warning: the execute map type is re-exported
 /// for clients building commands.
 pub type Execute = ExecuteMap;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every command kind under the default costs and under the 3 GB/s
+    /// memcpy of Fig. 2's MongoDB-like replicas, in nanoseconds.
+    #[test]
+    fn execute_cost_prices_every_command_kind() {
+        let write = |flush| GroupOp::Write {
+            offset: 0,
+            data: Payload::zeroed(1024),
+            flush,
+        };
+        let memcpy = |flush| GroupOp::Memcpy {
+            src: 0,
+            dst: 4096,
+            len: 1024,
+            flush,
+        };
+        let cas = GroupOp::Cas {
+            offset: 0,
+            compare: 0,
+            swap: 1,
+            execute: ExecuteMap::all(3),
+        };
+        let flush = GroupOp::Flush { offset: 0 };
+        let slow_memcpy = NaiveCosts {
+            memcpy_bps: 3_000_000_000,
+            ..NaiveCosts::default()
+        };
+        let cases = [
+            (write(true), 456, 456),
+            (write(false), 0, 0),
+            (cas, 60, 60),
+            (memcpy(true), 626, 797),
+            (memcpy(false), 170, 341),
+            (flush, 216, 216),
+        ];
+        for (op, default_ns, slow_ns) in cases {
+            let name = op.name();
+            assert_eq!(
+                NaiveCosts::default().execute_cost(&op).as_nanos(),
+                default_ns,
+                "{name}, default costs"
+            );
+            assert_eq!(
+                slow_memcpy.execute_cost(&op).as_nanos(),
+                slow_ns,
+                "{name}, 3 GB/s memcpy"
+            );
+        }
+    }
+}

@@ -7,8 +7,8 @@ use crate::exp::{
     Section, Table, Verdict,
 };
 use crate::micro::{
-    bench_group_config, gwrite_plan, gwrite_plan_flush, run_primitive, sched_config, MicroOpts,
-    SystemKind, CORES, HOG_PROFILE,
+    bench_group_config, gwrite_plan, gwrite_plan_flush, run_primitive, MicroOpts, SystemKind,
+    CORES, HOG_PROFILE, SCHED,
 };
 use crate::report::{Report, Scenario};
 use crate::run::{self, Arm, Installed, Outcome};
@@ -29,16 +29,7 @@ const REPLICAS: [NodeId; 3] = [NodeId(1), NodeId(2), NodeId(3)];
 /// The multi-tenant application environment: client node 0, replicas 1..=3
 /// hosting 96 background tenants each, on the microbenchmarks' machines.
 fn app_cluster(seed: u64) -> Cluster {
-    let mut cluster = Cluster::new(
-        4,
-        CORES,
-        256 << 20,
-        ClusterConfig {
-            seed,
-            sched: sched_config(),
-            ..ClusterConfig::default()
-        },
-    );
+    let mut cluster = Cluster::new(4, CORES, 256 << 20, ClusterConfig { seed, sched: SCHED });
     for n in REPLICAS {
         cluster.add_background_load(n, 96, HOG_PROFILE);
     }
@@ -101,9 +92,7 @@ fn finish_app(arm: Arm, cluster: Cluster, client: Installed, ops: u64) -> Outcom
 fn kv_config() -> KvConfig {
     KvConfig {
         capacity: 4096,
-        max_value: 1024,
         log_size: 8 << 20,
-        control_size: 4096,
         durable: true,
     }
 }
@@ -157,9 +146,7 @@ pub fn fig11(rep: &mut Report, quick: bool) {
 fn doc_config() -> DocConfig {
     DocConfig {
         capacity: 4096,
-        max_doc: 1536,
         log_size: 8 << 20,
-        n_locks: 64,
     }
 }
 

@@ -5,21 +5,15 @@ use crate::run::{Arm, Outcome};
 use hyperloop::fanout::FanoutGroup;
 use hyperloop::harness::{drive, fabric_sim};
 use hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
-use netsim::{FabricConfig, NodeId};
-use rnicsim::{NicConfig, Payload};
+use netsim::NodeId;
+use rnicsim::Payload;
 use simcore::{Histogram, MetricsRegistry, SimTime};
 
 /// Latency of durable 1 KB chain writes over `gs` replicas, one at a time
 /// (health on shard 0).
 pub fn chain_write_latency(gs: u32, ops: u64) -> Outcome {
     let arm = Arm::untapped();
-    let mut sim = fabric_sim(
-        gs + 1,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        41,
-    );
+    let mut sim = fabric_sim(gs + 1, 64 << 20, 41);
     let nodes: Vec<NodeId> = (1..=gs).map(NodeId).collect();
     let mut group = drive(&mut sim, |ctx| {
         HyperLoopGroup::setup(
@@ -68,13 +62,7 @@ pub fn chain_write_latency(gs: u32, ops: u64) -> Outcome {
 pub fn fanout_write_latency(gs: u32, ops: u64) -> Outcome {
     let arm = Arm::untapped();
     let backups: Vec<NodeId> = (2..=gs).map(NodeId).collect();
-    let mut sim = fabric_sim(
-        gs + 1,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        43,
-    );
+    let mut sim = fabric_sim(gs + 1, 64 << 20, 43);
     let mut group = drive(&mut sim, |ctx| {
         FanoutGroup::setup(
             ctx,
@@ -125,13 +113,7 @@ pub fn read_scaling(serving_replicas: u32, total_reads: u64) -> Outcome {
     let arm = Arm::untapped();
 
     // Nodes: 3 replicas (1..=3) + 3 reader clients (4..=6).
-    let mut sim = fabric_sim(
-        7,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        51,
-    );
+    let mut sim = fabric_sim(7, 64 << 20, 51);
     let replicas = [NodeId(1), NodeId(2), NodeId(3)];
     let readers = [NodeId(4), NodeId(5), NodeId(6)];
     // Symmetric data regions on the replicas.

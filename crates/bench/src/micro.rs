@@ -55,25 +55,19 @@ impl SystemKind {
 /// Cores per machine.
 pub const CORES: u32 = 16;
 
-/// The scheduler's effective time slice: what a CFS box running hundreds
-/// of processes converges to (sched_min_granularity dominates), which is
-/// what bounds a woken process's queueing delay on the paper's loaded
-/// servers. Every other scheduler parameter keeps its default.
-pub const TIME_SLICE: SimDuration = SimDuration::from_millis(6);
-
 /// Background tenant burst profile.
 pub const HOG_PROFILE: HogProfile = HogProfile {
     busy_mean: SimDuration::from_millis(25),
     idle_mean: SimDuration::from_millis(150),
 };
 
-/// The loaded servers' scheduler: defaults with a [`TIME_SLICE`] slice.
-pub(crate) fn sched_config() -> SchedConfig {
-    SchedConfig {
-        time_slice: TIME_SLICE,
-        ..SchedConfig::default()
-    }
-}
+/// The loaded servers' scheduler. Its 6 ms slice is what a CFS box
+/// running hundreds of processes converges to (sched_min_granularity
+/// dominates), which is what bounds a woken process's queueing delay on the
+/// paper's loaded servers.
+pub(crate) const SCHED: SchedConfig = SchedConfig {
+    time_slice: SimDuration::from_millis(6),
+};
 
 /// Microbenchmark parameters.
 #[derive(Debug, Clone, Copy)]
@@ -199,8 +193,7 @@ fn run_primitive_once(
         256 << 20,
         ClusterConfig {
             seed: opts.seed,
-            sched: sched_config(),
-            ..ClusterConfig::default()
+            sched: SCHED,
         },
     );
     let client_node = NodeId(0);
@@ -231,7 +224,6 @@ fn run_primitive_once(
                 NaiveConfig {
                     window: opts.window,
                     prepost_depth: 768,
-                    cmd_slots: 64,
                     replica_kind: kind.replica_kind(),
                     ..NaiveConfig::default()
                 },

@@ -40,16 +40,13 @@ fn mongo_costs() -> NaiveCosts {
         parse: SimDuration::from_micros(300),
         post: SimDuration::from_micros(1),
         memcpy_bps: 3_000_000_000,
-        ..NaiveCosts::default()
     }
 }
 
 fn doc_config() -> DocConfig {
     DocConfig {
         capacity: 512,
-        max_doc: 1536,
         log_size: 1 << 20,
-        n_locks: 64,
     }
 }
 
@@ -68,9 +65,7 @@ pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64
             seed,
             sched: SchedConfig {
                 time_slice: SimDuration::from_millis(3),
-                ..SchedConfig::default()
             },
-            ..ClusterConfig::default()
         },
     );
 
@@ -87,7 +82,6 @@ pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64
             &chain_nodes,
             NaiveConfig {
                 shared_size: 2 << 20,
-                cmd_slots: 64,
                 prepost_depth: 256,
                 window: 16,
                 replica_kind: ProcKind::EventDriven,

@@ -486,18 +486,10 @@ impl FanoutPrimaryHandle {
 mod tests {
     use super::*;
     use crate::harness::{drive, fabric_sim, FabricSim};
-    use netsim::FabricConfig;
-    use rnicsim::NicConfig;
     use simcore::{SimDuration, SimTime, Simulation};
 
     fn setup(backups: u32) -> (Simulation<FabricSim>, FanoutGroup) {
-        let mut sim = fabric_sim(
-            backups + 2,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            21,
-        );
+        let mut sim = fabric_sim(backups + 2, 64 << 20, 21);
         let backup_nodes: Vec<NodeId> = (2..2 + backups).map(NodeId).collect();
         let group = drive(&mut sim, |ctx| {
             FanoutGroup::setup(

@@ -38,15 +38,9 @@ pub fn route(out: &mut Outbox<NicEffect>, q: &mut EventQueue<NicEvent>) {
 }
 
 /// Builds a fabric-only simulation.
-pub fn fabric_sim(
-    nodes: u32,
-    mem_capacity: u64,
-    nic: rnicsim::NicConfig,
-    fabric: netsim::FabricConfig,
-    seed: u64,
-) -> Simulation<FabricSim> {
+pub fn fabric_sim(nodes: u32, mem_capacity: u64, seed: u64) -> Simulation<FabricSim> {
     Simulation::new(FabricSim {
-        fab: RdmaFabric::new(nodes, mem_capacity, nic, fabric, seed),
+        fab: RdmaFabric::new(nodes, mem_capacity, seed),
         out: Outbox::new(),
     })
 }

@@ -26,8 +26,7 @@
 //! * [`lock`] — group write locks and per-replica read locks over gCAS;
 //! * [`wal`] — `append` / `execute_and_advance`, the replicated write-ahead
 //!   log API the storage case studies build on (paper §5);
-//! * [`apps`] — `testbed` adapters: the replica maintenance process and a
-//!   generic client driver;
+//! * [`apps`] — `testbed` adapters: the replica maintenance process;
 //! * [`reads`] — lock-protected one-sided replica reads (every replica can
 //!   serve consistent reads);
 //! * [`fanout`] — the §7 extension: primary-coordinated fan-out replication;
@@ -68,8 +67,7 @@ pub use migrate::{
 };
 pub use ops::{ExecuteMap, GroupAck, GroupOp};
 pub use shard::{
-    AckJoin, HashRouter, MigrationStats, ShardAck, ShardId, ShardRouter, ShardSet,
-    DEFAULT_PEN_CAPACITY,
+    AckJoin, HashRouter, MigrationStats, ShardAck, ShardId, ShardSet, DEFAULT_PEN_CAPACITY,
 };
 pub use transport::GroupTransport;
 pub use txn::{CommitMode, Txn, TxnLayout, TxnManager, TxnOutcome, TxnSite, TxnTransports};
@@ -78,20 +76,14 @@ pub use txn::{CommitMode, Txn, TxnLayout, TxnManager, TxnOutcome, TxnSite, TxnTr
 mod tests {
     use super::*;
     use crate::harness::{drive, fabric_sim};
-    use netsim::{FabricConfig, NodeId};
-    use rnicsim::{NicConfig, Payload};
+    use netsim::NodeId;
+    use rnicsim::Payload;
     use simcore::{SimDuration, Simulation};
 
     const CLIENT: NodeId = NodeId(0);
 
     fn setup(replicas: u32) -> (Simulation<harness::FabricSim>, HyperLoopGroup, Vec<NodeId>) {
-        let mut sim = fabric_sim(
-            replicas + 1,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            11,
-        );
+        let mut sim = fabric_sim(replicas + 1, 64 << 20, 11);
         let nodes: Vec<NodeId> = (1..=replicas).map(NodeId).collect();
         let group = drive(&mut sim, |ctx| {
             HyperLoopGroup::setup(ctx, CLIENT, &nodes, GroupConfig::default())

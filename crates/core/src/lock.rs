@@ -414,18 +414,11 @@ mod tests {
     use crate::config::GroupConfig;
     use crate::group::HyperLoopGroup;
     use crate::harness::{drive, fabric_sim, FabricSim};
-    use netsim::{FabricConfig, NodeId};
-    use rnicsim::NicConfig;
+    use netsim::NodeId;
     use simcore::Simulation;
 
     fn setup() -> (Simulation<FabricSim>, HyperLoopGroup, LockTable) {
-        let mut sim = fabric_sim(
-            4,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            3,
-        );
+        let mut sim = fabric_sim(4, 64 << 20, 3);
         let nodes = [NodeId(1), NodeId(2), NodeId(3)];
         let group = drive(&mut sim, |ctx| {
             HyperLoopGroup::setup(ctx, NodeId(0), &nodes, GroupConfig::default())

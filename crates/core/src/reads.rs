@@ -306,8 +306,7 @@ mod tests {
     use crate::harness::{drive, fabric_sim, FabricSim};
     use crate::lock::{WrLockOutcome, WrUndo, WRITER_BIT};
     use crate::ops::GroupOp;
-    use netsim::FabricConfig;
-    use rnicsim::{NicConfig, Payload};
+    use rnicsim::Payload;
     use simcore::Simulation;
 
     fn setup() -> (
@@ -316,13 +315,7 @@ mod tests {
         ReplicaReader,
         LockTable,
     ) {
-        let mut sim = fabric_sim(
-            4,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            31,
-        );
+        let mut sim = fabric_sim(4, 64 << 20, 31);
         let nodes = [NodeId(1), NodeId(2), NodeId(3)];
         let group = drive(&mut sim, |ctx| {
             HyperLoopGroup::setup(ctx, NodeId(0), &nodes, GroupConfig::default())

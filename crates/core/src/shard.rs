@@ -7,8 +7,8 @@
 //! groups, each with its own chain, window and completion queue, and route
 //! each operation to the group that owns its key.
 //!
-//! [`ShardSet`] owns one [`GroupTransport`] per shard plus a pluggable
-//! [`ShardRouter`]. It is generic over the transport, so a sharded
+//! [`ShardSet`] owns one [`GroupTransport`] per shard and routes keys with
+//! [`HashRouter`]. It is generic over the transport, so a sharded
 //! HyperLoop deployment and a sharded Naïve-RDMA baseline are the same code
 //! — the apples-to-apples property the single-group layer already has,
 //! lifted one level up. A 1-shard `ShardSet` degenerates to exactly its
@@ -32,22 +32,19 @@ impl fmt::Display for ShardId {
     }
 }
 
-/// Maps a key to the shard that owns it.
-///
-/// Routers must be *stable* (same key, same shard count → same shard,
-/// always) and must cover the whole range `0..n_shards`.
-pub trait ShardRouter: fmt::Debug {
-    /// Routes `key` to a shard in `0..n_shards`.
-    fn route(&self, key: u64, n_shards: u32) -> ShardId;
-}
-
 /// Stable hash routing (SplitMix64 finalizer): spreads arbitrary keys
-/// uniformly over the shards. The default router.
-#[derive(Debug, Clone, Copy, Default)]
+/// uniformly over the shards.
+#[derive(Debug)]
 pub struct HashRouter;
 
-impl ShardRouter for HashRouter {
-    fn route(&self, key: u64, n_shards: u32) -> ShardId {
+impl HashRouter {
+    /// Routes `key` to a shard in `0..n_shards`. Stable: the same key and
+    /// shard count always give the same shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_shards == 0`.
+    pub fn route(key: u64, n_shards: u32) -> ShardId {
         assert!(n_shards > 0, "no shards to route to");
         let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -132,7 +129,7 @@ pub struct MigrationStats {
 /// shard is paused for migration).
 pub const DEFAULT_PEN_CAPACITY: usize = 64;
 
-/// Many replication groups behind one router.
+/// Many replication groups behind one [`HashRouter`].
 ///
 /// Issue against a key with [`ShardSet::issue_key`] (router decides the
 /// shard) or against an explicit shard with [`ShardSet::issue_on`]; collect
@@ -150,7 +147,6 @@ pub const DEFAULT_PEN_CAPACITY: usize = 64;
 #[derive(Debug)]
 pub struct ShardSet<T: GroupTransport> {
     shards: Vec<T>,
-    router: Box<dyn ShardRouter + Send>,
     issued: Vec<u64>,
     acked: Vec<u64>,
     epochs: Vec<u64>,
@@ -163,17 +159,16 @@ pub struct ShardSet<T: GroupTransport> {
 
 impl<T: GroupTransport> ShardSet<T> {
     /// Builds a shard set over `shards` transports (chain order = shard id
-    /// order) with the given router.
+    /// order), routing keys with [`HashRouter`].
     ///
     /// # Panics
     ///
     /// Panics if `shards` is empty.
-    pub fn new(shards: Vec<T>, router: Box<dyn ShardRouter + Send>) -> Self {
+    pub fn with_hash_router(shards: Vec<T>) -> Self {
         assert!(!shards.is_empty(), "shard set needs at least one shard");
         let n = shards.len();
         ShardSet {
             shards,
-            router,
             issued: vec![0; n],
             acked: vec![0; n],
             epochs: vec![0; n],
@@ -184,11 +179,6 @@ impl<T: GroupTransport> ShardSet<T> {
         }
     }
 
-    /// Builds a shard set with the default [`HashRouter`].
-    pub fn with_hash_router(shards: Vec<T>) -> Self {
-        ShardSet::new(shards, Box::new(HashRouter))
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> u32 {
         self.shards.len() as u32
@@ -196,13 +186,7 @@ impl<T: GroupTransport> ShardSet<T> {
 
     /// The shard that owns `key`.
     pub fn route(&self, key: u64) -> ShardId {
-        let s = self.router.route(key, self.shard_count());
-        assert!(
-            (s.0 as usize) < self.shards.len(),
-            "router returned {s} for {} shards",
-            self.shards.len()
-        );
-        s
+        HashRouter::route(key, self.shard_count())
     }
 
     /// One shard's transport.
@@ -537,10 +521,10 @@ impl<T: GroupTransport> ShardSet<T> {
 mod tests {
     use super::*;
 
-    fn coverage(router: &dyn ShardRouter, n: u32, keys: impl Iterator<Item = u64>) -> Vec<u64> {
+    fn coverage(n: u32, keys: impl Iterator<Item = u64>) -> Vec<u64> {
         let mut hits = vec![0u64; n as usize];
         for k in keys {
-            let s = router.route(k, n);
+            let s = HashRouter::route(k, n);
             assert!(s.0 < n, "router escaped range: {s} of {n}");
             hits[s.0 as usize] += 1;
         }
@@ -551,7 +535,7 @@ mod tests {
     fn hash_router_is_stable() {
         for n in [1u32, 2, 3, 8, 64] {
             for key in (0..10_000u64).step_by(37) {
-                assert_eq!(HashRouter.route(key, n), HashRouter.route(key, n));
+                assert_eq!(HashRouter::route(key, n), HashRouter::route(key, n));
             }
         }
     }
@@ -559,7 +543,7 @@ mod tests {
     #[test]
     fn hash_router_covers_every_shard() {
         for n in [1u32, 2, 5, 8] {
-            let hits = coverage(&HashRouter, n, 0..4096);
+            let hits = coverage(n, 0..4096);
             assert!(
                 hits.iter().all(|&h| h > 0),
                 "{n} shards, empty shard: {hits:?}"
@@ -571,7 +555,7 @@ mod tests {
     fn hash_router_spreads_sequential_keys_roughly_evenly() {
         let n = 8u32;
         let total = 64_000u64;
-        let hits = coverage(&HashRouter, n, 0..total);
+        let hits = coverage(n, 0..total);
         let expect = total / n as u64;
         for (i, &h) in hits.iter().enumerate() {
             assert!(

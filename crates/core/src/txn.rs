@@ -1438,8 +1438,7 @@ mod tests {
     use crate::group::{GroupClient, HyperLoopGroup};
     use crate::harness::{drive, fabric_sim, FabricSim};
     use crate::shard::AckJoin;
-    use netsim::{FabricConfig, NodeId};
-    use rnicsim::NicConfig;
+    use netsim::NodeId;
     use simcore::Simulation;
 
     const CLIENT: NodeId = NodeId(0);
@@ -1450,13 +1449,7 @@ mod tests {
     /// One client node plus `n_shards` disjoint 2-replica chains behind a
     /// [`ShardSet`]. Returns each shard's replica nodes and shared base.
     fn setup(n_shards: u32) -> (Simulation<FabricSim>, ShardSet<GroupClient>, ShardInfo) {
-        let mut sim = fabric_sim(
-            1 + 2 * n_shards,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            31,
-        );
+        let mut sim = fabric_sim(1 + 2 * n_shards, 64 << 20, 31);
         let mut clients = Vec::new();
         let mut info = Vec::new();
         for s in 0..n_shards {

@@ -329,19 +329,12 @@ mod tests {
     use crate::config::GroupConfig;
     use crate::group::HyperLoopGroup;
     use crate::harness::{drive, fabric_sim, FabricSim};
-    use netsim::{FabricConfig, NodeId};
-    use rnicsim::NicConfig;
+    use netsim::NodeId;
     use simcore::Simulation;
     use walog::scan;
 
     fn setup() -> (Simulation<FabricSim>, HyperLoopGroup, ReplicatedWal) {
-        let mut sim = fabric_sim(
-            4,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            5,
-        );
+        let mut sim = fabric_sim(4, 64 << 20, 5);
         let nodes = [NodeId(1), NodeId(2), NodeId(3)];
         let cfg = GroupConfig::default();
         let group = drive(&mut sim, |ctx| {

@@ -6,21 +6,15 @@
 
 use hyperloop::harness::{drive, fabric_sim, FabricSim};
 use hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
-use netsim::{FabricConfig, NodeId};
-use rnicsim::{NicConfig, Payload};
+use netsim::NodeId;
+use rnicsim::Payload;
 use simcore::simprof::{chrome_trace_with_counters, folded_stacks, CounterSampler};
 use simcore::{MetricsRegistry, Simulation, StageAttribution, Tracer};
 
 const CLIENT: NodeId = NodeId(0);
 
 fn traced_setup(seed: u64) -> (Simulation<FabricSim>, HyperLoopGroup, Tracer) {
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        seed,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, seed);
     let tracer = Tracer::enabled(1 << 16);
     sim.model.fab.set_tracer(tracer.clone());
     let nodes: Vec<NodeId> = (1..=3).map(NodeId).collect();

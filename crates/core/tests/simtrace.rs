@@ -5,8 +5,8 @@
 
 use hyperloop::harness::{drive, fabric_sim, FabricSim};
 use hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
-use netsim::{FabricConfig, NodeId};
-use rnicsim::{NicConfig, Payload};
+use netsim::NodeId;
+use rnicsim::Payload;
 use simcore::simtrace::{chrome_trace_json, op_breakdown, ops, span_tree};
 use simcore::{SimDuration, SimTime, Simulation, Tracer};
 
@@ -14,13 +14,7 @@ const CLIENT: NodeId = NodeId(0);
 
 /// Builds a traced 3-replica group and returns the sim, group and tracer.
 fn traced_setup(seed: u64) -> (Simulation<FabricSim>, HyperLoopGroup, Tracer) {
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        seed,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, seed);
     let tracer = Tracer::enabled(1 << 16);
     sim.model.fab.set_tracer(tracer.clone());
     let nodes: Vec<NodeId> = (1..=3).map(NodeId).collect();
@@ -146,13 +140,7 @@ fn same_seed_runs_trace_byte_identically() {
 
 #[test]
 fn disabled_tracer_records_nothing() {
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        7,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, 7);
     let nodes: Vec<NodeId> = (1..=3).map(NodeId).collect();
     let mut group = drive(&mut sim, |ctx| {
         HyperLoopGroup::setup(ctx, CLIENT, &nodes, GroupConfig::default())

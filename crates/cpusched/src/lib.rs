@@ -29,6 +29,7 @@ pub mod types;
 pub use scheduler::CpuScheduler;
 pub use types::{
     CoreId, CpuEffect, CpuEvent, HogProfile, ProcId, ProcKind, SchedConfig, SchedStats, TaskId,
+    CONTEXT_SWITCH_COST, INTRA_SLICE_PICKUP, WAKE_LATENCY,
 };
 
 #[cfg(test)]

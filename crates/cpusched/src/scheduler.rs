@@ -9,6 +9,7 @@
 
 use crate::types::{
     CoreId, CpuEffect, CpuEvent, HogProfile, ProcId, ProcKind, SchedConfig, SchedStats, TaskId,
+    CONTEXT_SWITCH_COST, INTRA_SLICE_PICKUP, WAKE_LATENCY,
 };
 use simcore::{Outbox, SimDuration, SimRng, SimTime, TraceKind, Tracer};
 use std::collections::VecDeque;
@@ -250,10 +251,7 @@ impl CpuScheduler {
                 // An interrupt wakes the sleeping process.
                 self.procs[proc.0 as usize].state = ProcState::Waking;
                 self.stats.wakeups += 1;
-                out.emit(
-                    self.config.wake_latency,
-                    CpuEffect::Internal(CpuEvent::Wake { proc }),
-                );
+                out.emit(WAKE_LATENCY, CpuEffect::Internal(CpuEvent::Wake { proc }));
             }
             ProcState::Waking | ProcState::Queued(_) => {} // will run later
             ProcState::Running(core) => self.pickup_while_running(core, proc, now, out),
@@ -320,7 +318,7 @@ impl CpuScheduler {
                 SimDuration::ZERO
             } else {
                 self.stats.context_switches += 1;
-                self.config.context_switch_cost
+                CONTEXT_SWITCH_COST
             };
             self.slice_seq += 1;
             let work_start = now + cs;
@@ -413,7 +411,7 @@ impl CpuScheduler {
     }
 
     /// A task arrived for a process that currently holds a core: it notices
-    /// within `intra_slice_pickup` and keeps working inside its slice.
+    /// within [`INTRA_SLICE_PICKUP`] and keeps working inside its slice.
     fn pickup_while_running(
         &mut self,
         core_id: CoreId,
@@ -427,7 +425,7 @@ impl CpuScheduler {
         };
         debug_assert_eq!(slice.proc, pid, "running-state/core-slice mismatch");
         let proc = &mut self.procs[pid.0 as usize];
-        let floor = now + self.config.intra_slice_pickup;
+        let floor = now + INTRA_SLICE_PICKUP;
         Self::commit_tasks(slice, proc, floor, now, &mut self.stats, out);
 
         // An event-driven slice may have been about to yield early; extend it.

@@ -1,4 +1,5 @@
-//! Identifiers, configuration and process kinds for the CPU model.
+//! Identifiers, timing constants, configuration and process kinds for the
+//! CPU model.
 
 use simcore::SimDuration;
 use std::fmt;
@@ -32,11 +33,11 @@ pub struct TaskId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcKind {
     /// Sleeps when it has no work; woken by an interrupt/eventfd when a task
-    /// arrives (paying [`SchedConfig::wake_latency`]).
+    /// arrives (paying [`WAKE_LATENCY`]).
     EventDriven,
     /// Spins on its completion queue: always runnable, burns whole time
     /// slices even when idle, but picks newly arrived work up within
-    /// [`SchedConfig::intra_slice_pickup`] when it holds the CPU.
+    /// [`INTRA_SLICE_PICKUP`] when it holds the CPU.
     Polling,
     /// A background tenant: alternates exponentially distributed busy bursts
     /// (infinite work) and idle periods. Generates the multi-tenant
@@ -64,29 +65,30 @@ impl Default for HogProfile {
     }
 }
 
-/// Scheduler timing parameters (Linux-CFS-flavoured defaults).
+/// Cost of switching a core to a different process (register, TLB and
+/// cache state; the paper's Figure 2 blames exactly this).
+pub const CONTEXT_SWITCH_COST: SimDuration = SimDuration::from_micros(3);
+
+/// Interrupt and scheduler latency from a task's arrival to its blocked
+/// process becoming runnable.
+pub const WAKE_LATENCY: SimDuration = SimDuration::from_micros(5);
+
+/// How quickly a *running* process notices newly arrived work (one
+/// poll-loop iteration or epoll check).
+pub const INTRA_SLICE_PICKUP: SimDuration = SimDuration::from_micros(1);
+
+/// Scheduler parameters (Linux-CFS-flavoured defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
-    /// Round-robin time slice.
+    /// Round-robin time slice. The one scheduler parameter that differs by
+    /// cluster: CFS's effective slice grows with the runnable load.
     pub time_slice: SimDuration,
-    /// Cost of switching the core to a different process (register/TLB/cache
-    /// state; the paper's Figure 2 blames exactly this).
-    pub context_switch_cost: SimDuration,
-    /// Interrupt + scheduler latency from task arrival to a blocked process
-    /// becoming runnable.
-    pub wake_latency: SimDuration,
-    /// How quickly a *running* process notices newly arrived work
-    /// (poll-loop iteration / epoll check).
-    pub intra_slice_pickup: SimDuration,
 }
 
 impl Default for SchedConfig {
     fn default() -> Self {
         SchedConfig {
             time_slice: SimDuration::from_millis(1),
-            context_switch_cost: SimDuration::from_micros(3),
-            wake_latency: SimDuration::from_micros(5),
-            intra_slice_pickup: SimDuration::from_micros(1),
         }
     }
 }

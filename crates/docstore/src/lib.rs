@@ -16,15 +16,17 @@ pub mod doc;
 pub mod store;
 
 pub use doc::Document;
-pub use store::{CompletedTx, DocConfig, DocError, ReplicatedDocStore, WriteMode};
+pub use store::{
+    CompletedTx, DocConfig, DocError, ReplicatedDocStore, WriteMode, CONTROL_SIZE, MAX_DOC,
+    N_LOCKS, SLOT_SIZE,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hyperloop::harness::{drive, fabric_sim, FabricSim};
     use hyperloop::{GroupConfig, HyperLoopGroup};
-    use netsim::{FabricConfig, NodeId};
-    use rnicsim::NicConfig;
+    use netsim::NodeId;
     use simcore::{SimDuration, Simulation};
 
     const CLIENT: NodeId = NodeId(0);
@@ -37,13 +39,7 @@ mod tests {
         u64,
         Vec<hyperloop::ReplicaHandle>,
     ) {
-        let mut sim = fabric_sim(
-            4,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            17,
-        );
+        let mut sim = fabric_sim(4, 64 << 20, 17);
         let nodes = [NodeId(1), NodeId(2), NodeId(3)];
         let group = drive(&mut sim, |ctx| {
             HyperLoopGroup::setup(ctx, CLIENT, &nodes, GroupConfig::default())

@@ -22,39 +22,34 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use walog::LogEntry;
 
-/// Store geometry.
+/// Maximum encoded document size in bytes.
+pub const MAX_DOC: u64 = 1536;
+
+/// Bytes of one document slot (`len: u32` prefix plus [`MAX_DOC`] bytes).
+pub const SLOT_SIZE: u64 = 4 + MAX_DOC;
+
+/// Number of lock words; documents hash onto them (`id % N_LOCKS`).
+pub const N_LOCKS: u32 = 64;
+
+/// Control-area bytes: the 16-byte journal head pointer, then [`N_LOCKS`]
+/// lock words, rounded up to 64 bytes.
+pub const CONTROL_SIZE: u64 = (16 + N_LOCKS as u64 * 8 + 63) & !63;
+
+/// Store sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DocConfig {
     /// Maximum number of documents (dense ids `0..capacity`).
     pub capacity: u64,
-    /// Maximum encoded document size.
-    pub max_doc: u64,
     /// Bytes reserved for the journal ring.
     pub log_size: u64,
-    /// Number of lock words (documents hash onto them).
-    pub n_locks: u32,
 }
 
 impl Default for DocConfig {
     fn default() -> Self {
         DocConfig {
             capacity: 1024,
-            max_doc: 1536,
             log_size: 1 << 20,
-            n_locks: 64,
         }
-    }
-}
-
-impl DocConfig {
-    /// Bytes of one document slot.
-    pub fn slot_size(&self) -> u64 {
-        4 + self.max_doc
-    }
-
-    /// Control-area bytes: 16-byte head pointer + lock table.
-    pub fn control_size(&self) -> u64 {
-        (16 + self.n_locks as u64 * 8 + 63) & !63
     }
 }
 
@@ -168,16 +163,16 @@ impl<T: GroupTransport> ReplicatedDocStore<T> {
     /// Panics if the geometry does not fit the transport's shared region.
     pub fn new(transport: T, config: DocConfig, owner: u64) -> Self {
         let shared = transport.shared_size();
-        let layout = WalLayout::standard(shared, config.log_size, config.control_size());
+        let layout = WalLayout::standard(shared, config.log_size, CONTROL_SIZE);
         assert!(
-            config.capacity * config.slot_size() <= layout.db_size,
+            config.capacity * SLOT_SIZE <= layout.db_size,
             "document area exceeds the shared region"
         );
         ReplicatedDocStore {
             transport,
             config,
             wal: ReplicatedWal::new(layout),
-            locks: LockTable::new(16, config.n_locks),
+            locks: LockTable::new(16, N_LOCKS),
             owner,
             docs: BTreeMap::new(),
             active: VecDeque::new(),
@@ -243,7 +238,7 @@ impl<T: GroupTransport> ReplicatedDocStore<T> {
     }
 
     fn lock_of(&self, id: u64) -> u32 {
-        (id % self.config.n_locks as u64) as u32
+        (id % N_LOCKS as u64) as u32
     }
 
     /// Submits a durable replicated write (insert or update). The primary
@@ -257,7 +252,7 @@ impl<T: GroupTransport> ReplicatedDocStore<T> {
         if doc.id >= self.config.capacity {
             return Err(DocError::IdOutOfRange);
         }
-        if doc.encoded_len() as u64 > self.config.max_doc {
+        if doc.encoded_len() as u64 > MAX_DOC {
             return Err(DocError::DocTooLarge);
         }
         if self.active.len() >= self.max_queued {
@@ -336,7 +331,7 @@ impl<T: GroupTransport> ReplicatedDocStore<T> {
                     let mut slot_bytes = (doc.encoded_len() as u32).to_le_bytes().to_vec();
                     slot_bytes.extend_from_slice(&doc.encode());
                     let entries = vec![LogEntry {
-                        offset: doc.id * self.config.slot_size(),
+                        offset: doc.id * SLOT_SIZE,
                         data: slot_bytes,
                     }];
                     let receipt = match self.wal.append(&mut self.transport, ctx, entries) {
@@ -459,13 +454,13 @@ impl<T: GroupTransport> ReplicatedDocStore<T> {
         shared_base: u64,
         id: u64,
     ) -> Option<Document> {
-        let slot = self.wal.layout().db_offset + id * self.config.slot_size();
+        let slot = self.wal.layout().db_offset + id * SLOT_SIZE;
         let raw = fab
             .mem(replica_node)
-            .read_vec(shared_base + slot, self.config.slot_size())
+            .read_vec(shared_base + slot, SLOT_SIZE)
             .ok()?;
         let len = u32::from_le_bytes(raw[..4].try_into().ok()?) as usize;
-        if len == 0 || len > self.config.max_doc as usize {
+        if len == 0 || len > MAX_DOC as usize {
             return None;
         }
         Document::decode(&raw[4..4 + len])
@@ -480,19 +475,18 @@ impl<T: GroupTransport> ReplicatedDocStore<T> {
         shared_base: u64,
     ) -> BTreeMap<u64, Document> {
         let layout = *self.wal.layout();
-        let slot_size = self.config.slot_size();
         let db = fab
             .mem(replica_node)
             .read_durable_vec(
                 shared_base + layout.db_offset,
-                self.config.capacity * slot_size,
+                self.config.capacity * SLOT_SIZE,
             )
             .expect("db region in bounds");
         let mut state = BTreeMap::new();
         for id in 0..self.config.capacity {
-            let base = (id * slot_size) as usize;
+            let base = (id * SLOT_SIZE) as usize;
             let len = u32::from_le_bytes(db[base..base + 4].try_into().expect("4 bytes")) as usize;
-            if len > 0 && len <= self.config.max_doc as usize {
+            if len > 0 && len <= MAX_DOC as usize {
                 if let Some(d) = Document::decode(&db[base + 4..base + 4 + len]) {
                     state.insert(id, d);
                 }
@@ -508,7 +502,7 @@ impl<T: GroupTransport> ReplicatedDocStore<T> {
             .expect("log region in bounds");
         for rec in recover_unapplied(&head_raw, &log) {
             for e in rec.entries {
-                let id = e.offset / slot_size;
+                let id = e.offset / SLOT_SIZE;
                 let len = u32::from_le_bytes(e.data[..4].try_into().expect("4 bytes")) as usize;
                 if len > 0 && len + 4 <= e.data.len() {
                     if let Some(d) = Document::decode(&e.data[4..4 + len]) {

@@ -29,17 +29,24 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use walog::LogEntry;
 
-/// Store geometry.
+/// Maximum value size in bytes.
+pub const MAX_VALUE: u64 = 1024;
+
+/// Bytes of one value slot in the database region (`len: u32` prefix plus
+/// [`MAX_VALUE`] bytes).
+pub const SLOT_SIZE: u64 = 4 + MAX_VALUE;
+
+/// Bytes reserved at the front of the shared region for control words: the
+/// WAL head pointer, then [`TXN_LOCKS`] lock and version words.
+pub const CONTROL_SIZE: u64 = 4096;
+
+/// Store sizing and durability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvConfig {
     /// Maximum number of keys (dense `0..capacity`).
     pub capacity: u64,
-    /// Maximum value size in bytes.
-    pub max_value: u64,
     /// Bytes reserved for the log ring.
     pub log_size: u64,
-    /// Bytes reserved for control words (head pointer, locks).
-    pub control_size: u64,
     /// Durable mode interleaves a gFLUSH with every append (the default).
     /// `false` gives the paper's §7 RAMCloud-like semantics: replicated but
     /// volatile — faster, lost on power failure.
@@ -50,23 +57,16 @@ impl Default for KvConfig {
     fn default() -> Self {
         KvConfig {
             capacity: 1024,
-            max_value: 1024,
             log_size: 1 << 20,
-            control_size: 4096,
             durable: true,
         }
     }
 }
 
 impl KvConfig {
-    /// Bytes of one value slot (`len` prefix + payload).
-    pub fn slot_size(&self) -> u64 {
-        4 + self.max_value
-    }
-
     /// Bytes of database area required.
     pub fn db_bytes(&self) -> u64 {
-        self.capacity * self.slot_size()
+        self.capacity * SLOT_SIZE
     }
 }
 
@@ -75,7 +75,7 @@ impl KvConfig {
 pub enum KvError {
     /// Key index beyond `capacity`.
     KeyOutOfRange,
-    /// Value longer than `max_value`.
+    /// Value longer than [`MAX_VALUE`].
     ValueTooLarge,
     /// Underlying WAL/transport back-pressure; poll and retry.
     Busy,
@@ -132,7 +132,7 @@ impl<T: GroupTransport> ReplicatedKv<T> {
     /// Panics if the geometry does not fit the transport's shared region.
     pub fn new(transport: T, config: KvConfig) -> Self {
         let shared = transport.shared_size();
-        let wal_layout = WalLayout::standard(shared, config.log_size, config.control_size);
+        let wal_layout = WalLayout::standard(shared, config.log_size, CONTROL_SIZE);
         assert!(
             config.db_bytes() <= wal_layout.db_size,
             "database ({} B) exceeds the available region ({} B)",
@@ -149,7 +149,7 @@ impl<T: GroupTransport> ReplicatedKv<T> {
         }
     }
 
-    /// Store geometry.
+    /// Store sizing and durability.
     pub fn config(&self) -> &KvConfig {
         &self.config
     }
@@ -200,10 +200,10 @@ impl<T: GroupTransport> ReplicatedKv<T> {
         if key >= self.config.capacity {
             return Err(KvError::KeyOutOfRange);
         }
-        if value.len() as u64 > self.config.max_value {
+        if value.len() as u64 > MAX_VALUE {
             return Err(KvError::ValueTooLarge);
         }
-        let slot = key * self.config.slot_size();
+        let slot = key * SLOT_SIZE;
         let mut slot_bytes = (value.len() as u32).to_le_bytes().to_vec();
         slot_bytes.extend_from_slice(&value);
         let entries = vec![LogEntry {
@@ -286,13 +286,13 @@ impl<T: GroupTransport> ReplicatedKv<T> {
         shared_base: u64,
         key: u64,
     ) -> Option<Vec<u8>> {
-        let slot = self.wal.layout().db_offset + key * self.config.slot_size();
+        let slot = self.wal.layout().db_offset + key * SLOT_SIZE;
         let raw = fab
             .mem(replica_node)
-            .read_vec(shared_base + slot, self.config.slot_size())
+            .read_vec(shared_base + slot, SLOT_SIZE)
             .ok()?;
         let len = u32::from_le_bytes(raw[..4].try_into().expect("4 bytes")) as usize;
-        if len == 0 || len > self.config.max_value as usize {
+        if len == 0 || len > MAX_VALUE as usize {
             return None;
         }
         Some(raw[4..4 + len].to_vec())
@@ -308,7 +308,6 @@ impl<T: GroupTransport> ReplicatedKv<T> {
         shared_base: u64,
     ) -> BTreeMap<u64, Vec<u8>> {
         let layout = *self.wal.layout();
-        let slot_size = self.config.slot_size();
         // 1. Checkpointed state from the database region (durable view).
         let db = fab
             .mem(replica_node)
@@ -316,9 +315,9 @@ impl<T: GroupTransport> ReplicatedKv<T> {
             .expect("db region in bounds");
         let mut state = BTreeMap::new();
         for key in 0..self.config.capacity {
-            let base = (key * slot_size) as usize;
+            let base = (key * SLOT_SIZE) as usize;
             let len = u32::from_le_bytes(db[base..base + 4].try_into().expect("4 bytes")) as usize;
-            if len > 0 && len <= self.config.max_value as usize {
+            if len > 0 && len <= MAX_VALUE as usize {
                 state.insert(key, db[base + 4..base + 4 + len].to_vec());
             }
         }
@@ -335,9 +334,9 @@ impl<T: GroupTransport> ReplicatedKv<T> {
             .expect("log region in bounds");
         for rec in recover_unapplied(&head_raw, &log) {
             for e in rec.entries {
-                let key = e.offset / slot_size;
+                let key = e.offset / SLOT_SIZE;
                 let len = u32::from_le_bytes(e.data[..4].try_into().expect("4 bytes")) as usize;
-                if len > 0 && len <= self.config.max_value as usize {
+                if len > 0 && len <= MAX_VALUE as usize {
                     state.insert(key, e.data[4..4 + len].to_vec());
                 }
             }
@@ -351,8 +350,7 @@ mod tests {
     use super::*;
     use hyperloop::harness::{drive, fabric_sim, FabricSim};
     use hyperloop::{GroupConfig, HyperLoopGroup};
-    use netsim::{FabricConfig, NodeId};
-    use rnicsim::NicConfig;
+    use netsim::NodeId;
     use simcore::{SimDuration, Simulation};
 
     const CLIENT: NodeId = NodeId(0);
@@ -363,13 +361,7 @@ mod tests {
         u64,
         Vec<hyperloop::ReplicaHandle>,
     ) {
-        let mut sim = fabric_sim(
-            4,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            13,
-        );
+        let mut sim = fabric_sim(4, 64 << 20, 13);
         let nodes = [NodeId(1), NodeId(2), NodeId(3)];
         let group = drive(&mut sim, |ctx| {
             HyperLoopGroup::setup(ctx, CLIENT, &nodes, GroupConfig::default())
@@ -512,13 +504,7 @@ mod tests {
         // RAMCloud-like semantics (paper §7): replication without the
         // interleaved gFLUSH. Acked writes are replicated but die with the
         // power.
-        let mut sim = fabric_sim(
-            3,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            23,
-        );
+        let mut sim = fabric_sim(3, 64 << 20, 23);
         let nodes = [NodeId(1), NodeId(2)];
         let group = drive(&mut sim, |ctx| {
             HyperLoopGroup::setup(ctx, CLIENT, &nodes, GroupConfig::default())

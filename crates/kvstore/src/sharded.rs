@@ -1,14 +1,14 @@
 //! The sharded KV front end: many replicated stores behind one key router.
 //!
 //! Each shard is a full [`ReplicatedKv`] — its own replication chain, its
-//! own WAL ring, its own memtable slice — and a [`ShardRouter`] decides
+//! own WAL ring, its own memtable slice — and a [`HashRouter`] decides
 //! which shard owns each key. Appends therefore hit *per-shard* WALs: two
 //! keys on different shards replicate down disjoint chains concurrently,
 //! which is where the aggregate-throughput scaling of the shard-scaling
 //! bench comes from.
 
-use crate::{CompletedPut, KvError, ReplicatedKv};
-use hyperloop::shard::{HashRouter, ShardAck, ShardId, ShardRouter};
+use crate::{CompletedPut, KvError, ReplicatedKv, CONTROL_SIZE, MAX_VALUE, SLOT_SIZE};
+use hyperloop::shard::{HashRouter, ShardAck, ShardId};
 use hyperloop::txn::{CommitMode, Txn, TxnLayout, TxnManager, TxnOutcome, TxnSite, TxnTransports};
 use hyperloop::{GroupError, GroupOp, GroupTransport};
 use rnicsim::{NicCtx, Payload};
@@ -55,7 +55,6 @@ struct TxnState {
 /// A sharded replicated KV store (client/primary side).
 pub struct ShardedKv<T> {
     shards: Vec<ReplicatedKv<T>>,
-    router: Box<dyn ShardRouter + Send>,
     txns: Option<TxnState>,
 }
 
@@ -69,23 +68,14 @@ impl<T: fmt::Debug> fmt::Debug for ShardedKv<T> {
 
 impl<T: GroupTransport> ShardedKv<T> {
     /// Builds the sharded store over already-wired per-shard stores (shard
-    /// id = position) and a router.
+    /// id = position), routing keys with [`HashRouter`].
     ///
     /// # Panics
     ///
     /// Panics if `shards` is empty.
-    pub fn new(shards: Vec<ReplicatedKv<T>>, router: Box<dyn ShardRouter + Send>) -> Self {
-        assert!(!shards.is_empty(), "sharded store needs at least one shard");
-        ShardedKv {
-            shards,
-            router,
-            txns: None,
-        }
-    }
-
-    /// Builds the sharded store with the default [`HashRouter`].
     pub fn with_hash_router(shards: Vec<ReplicatedKv<T>>) -> Self {
-        ShardedKv::new(shards, Box::new(HashRouter))
+        assert!(!shards.is_empty(), "sharded store needs at least one shard");
+        ShardedKv { shards, txns: None }
     }
 
     /// Number of shards.
@@ -95,7 +85,7 @@ impl<T: GroupTransport> ShardedKv<T> {
 
     /// The shard that owns `key`.
     pub fn route(&self, key: u64) -> ShardId {
-        self.router.route(key, self.shard_count())
+        HashRouter::route(key, self.shard_count())
     }
 
     /// One shard's store.
@@ -199,10 +189,9 @@ impl<T: GroupTransport> ShardedKv<T> {
     pub fn enable_txns(&mut self, mode: CommitMode, seed: u64) {
         assert!(self.txns.is_none(), "transactions already enabled");
         let layout = TxnLayout::standard(16, TXN_LOCKS);
-        let control = self.shards[0].config().control_size;
         assert!(
-            layout.version_offset(TXN_LOCKS - 1) + 8 <= control,
-            "control area ({control} B) too small for {TXN_LOCKS} txn words"
+            layout.version_offset(TXN_LOCKS - 1) + 8 <= CONTROL_SIZE,
+            "control area ({CONTROL_SIZE} B) too small for {TXN_LOCKS} txn words"
         );
         self.txns = Some(TxnState {
             mgr: TxnManager::new(layout, mode, seed),
@@ -303,10 +292,10 @@ impl<T: GroupTransport> ShardedKv<T> {
         if key >= store.config().capacity {
             return Err(KvError::KeyOutOfRange);
         }
-        if value.len() as u64 > store.config().max_value {
+        if value.len() as u64 > MAX_VALUE {
             return Err(KvError::ValueTooLarge);
         }
-        let slot = store.wal().layout().db_offset + key * store.config().slot_size();
+        let slot = store.wal().layout().db_offset + key * SLOT_SIZE;
         let mut slot_bytes = (value.len() as u32).to_le_bytes().to_vec();
         slot_bytes.extend_from_slice(&value);
         let site = self.txn_site(key);
@@ -452,8 +441,7 @@ mod tests {
     use crate::KvConfig;
     use hyperloop::harness::{drive, fabric_sim, FabricSim};
     use hyperloop::{GroupConfig, HyperLoopGroup};
-    use netsim::{FabricConfig, NodeId};
-    use rnicsim::NicConfig;
+    use netsim::NodeId;
     use simcore::Simulation;
 
     const CLIENT: NodeId = NodeId(0);
@@ -461,13 +449,7 @@ mod tests {
     /// One client node plus `n_shards` disjoint 2-replica chains, each
     /// carrying its own `ReplicatedKv`.
     fn setup(n_shards: u32) -> (Simulation<FabricSim>, ShardedKv<hyperloop::GroupClient>) {
-        let mut sim = fabric_sim(
-            1 + 2 * n_shards,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            29,
-        );
+        let mut sim = fabric_sim(1 + 2 * n_shards, 64 << 20, 29);
         let mut stores = Vec::new();
         for s in 0..n_shards {
             let nodes = [NodeId(1 + 2 * s), NodeId(2 + 2 * s)];

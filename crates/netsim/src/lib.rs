@@ -12,10 +12,10 @@
 //!   at the heart of HyperLoop depends on it.
 //!
 //! ```
-//! use netsim::{Network, FabricConfig, NodeId};
+//! use netsim::{Network, NodeId};
 //! use simcore::{SimRng, SimTime};
 //!
-//! let mut net = Network::new(4, FabricConfig::default());
+//! let mut net = Network::new(4);
 //! let mut rng = SimRng::new(7);
 //! let t0 = SimTime::ZERO;
 //! let a = net.deliver_at(NodeId(0), NodeId(1), 1024, t0, &mut rng);
@@ -40,40 +40,23 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Fabric-wide timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FabricConfig {
-    /// Link bandwidth in bits per second (56 Gbps ConnectX-3 by default).
-    pub bandwidth_bps: u64,
-    /// One-way propagation + switching delay.
-    pub propagation: SimDuration,
-    /// Multiplicative jitter: each delay is scaled by `1 + U(0, jitter)`.
-    pub jitter: f64,
-    /// Per-message fixed overhead (headers, framing).
-    pub per_message_overhead: SimDuration,
-}
+/// Link bandwidth in bits per second: the paper testbed's 56 Gbps
+/// ConnectX-3 InfiniBand.
+pub const BANDWIDTH_BPS: u64 = 56_000_000_000;
 
-impl Default for FabricConfig {
-    fn default() -> Self {
-        FabricConfig {
-            bandwidth_bps: 56_000_000_000,
-            propagation: SimDuration::from_nanos(900),
-            jitter: 0.05,
-            per_message_overhead: SimDuration::from_nanos(100),
-        }
-    }
-}
+/// One-way propagation and switching delay.
+pub const PROPAGATION: SimDuration = SimDuration::from_nanos(900);
 
-impl FabricConfig {
-    /// Time to serialize `bytes` onto the wire at the configured bandwidth.
-    pub fn transmission(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_nanos(bytes * 8 * 1_000_000_000 / self.bandwidth_bps)
-    }
+/// Multiplicative jitter: each message's fixed delay is scaled by
+/// `1 + U(0, JITTER)`.
+pub const JITTER: f64 = 0.05;
 
-    /// Base one-way latency for a message of `bytes` (before jitter).
-    pub fn base_latency(&self, bytes: u64) -> SimDuration {
-        self.propagation + self.per_message_overhead + self.transmission(bytes)
-    }
+/// Per-message fixed overhead (headers, framing).
+pub const PER_MESSAGE_OVERHEAD: SimDuration = SimDuration::from_nanos(100);
+
+/// Time to serialize `bytes` onto the wire at [`BANDWIDTH_BPS`].
+fn transmission(bytes: u64) -> SimDuration {
+    SimDuration::from_nanos(bytes * 8 * 1_000_000_000 / BANDWIDTH_BPS)
 }
 
 /// Per-directed-pair traffic statistics.
@@ -89,7 +72,6 @@ pub struct LinkStats {
 #[derive(Debug)]
 pub struct Network {
     nodes: u32,
-    config: FabricConfig,
     /// When each node's egress port finishes its current transmission.
     egress_free: Vec<SimTime>,
     /// When each node's ingress port finishes its current reception.
@@ -108,12 +90,11 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `nodes == 0`.
-    pub fn new(nodes: u32, config: FabricConfig) -> Self {
+    pub fn new(nodes: u32) -> Self {
         assert!(nodes > 0, "network must have at least one node");
         let pairs = nodes as usize * nodes as usize;
         Network {
             nodes,
-            config,
             egress_free: vec![SimTime::ZERO; nodes as usize],
             ingress_free: vec![SimTime::ZERO; nodes as usize],
             channel_clock: vec![SimTime::ZERO; pairs],
@@ -135,11 +116,6 @@ impl Network {
     /// Number of machines on the fabric.
     pub fn node_count(&self) -> u32 {
         self.nodes
-    }
-
-    /// The fabric configuration.
-    pub fn config(&self) -> &FabricConfig {
-        &self.config
     }
 
     /// Computes when a message of `bytes` sent at `now` from `src` arrives at
@@ -190,7 +166,7 @@ impl Network {
             .emit(now, src.0, op, TraceKind::LinkEnqueue { dst: dst.0, bytes });
 
         if src == dst {
-            let arrival = now + self.config.per_message_overhead;
+            let arrival = now + PER_MESSAGE_OVERHEAD;
             self.tracer.emit(
                 arrival,
                 dst.0,
@@ -208,12 +184,12 @@ impl Network {
         let start_tx = now
             .max(self.egress_free[src.0 as usize])
             .max(self.ingress_free[dst.0 as usize]);
-        let finish_tx = start_tx + self.config.transmission(bytes);
+        let finish_tx = start_tx + transmission(bytes);
         self.egress_free[src.0 as usize] = finish_tx;
         self.ingress_free[dst.0 as usize] = finish_tx;
 
-        let tail = self.config.propagation + self.config.per_message_overhead;
-        let jitter = 1.0 + rng.next_f64() * self.config.jitter;
+        let tail = PROPAGATION + PER_MESSAGE_OVERHEAD;
+        let jitter = 1.0 + rng.next_f64() * JITTER;
         let arrival = finish_tx + tail.mul_f64(jitter);
 
         // FIFO per directed pair: never deliver before an earlier message.
@@ -274,14 +250,20 @@ mod tests {
     use super::*;
 
     fn net() -> (Network, SimRng) {
-        (Network::new(4, FabricConfig::default()), SimRng::new(1))
+        (Network::new(4), SimRng::new(1))
+    }
+
+    /// One-way latency of a message of `bytes` on an idle link, before
+    /// jitter.
+    fn base_latency(bytes: u64) -> SimDuration {
+        PROPAGATION + PER_MESSAGE_OVERHEAD + transmission(bytes)
     }
 
     #[test]
     fn latency_grows_with_size() {
         let (mut net, mut rng) = net();
         let small = net.deliver_at(NodeId(0), NodeId(1), 64, SimTime::ZERO, &mut rng);
-        let mut net2 = Network::new(4, FabricConfig::default());
+        let mut net2 = Network::new(4);
         let large = net2.deliver_at(NodeId(0), NodeId(1), 1 << 20, SimTime::ZERO, &mut rng);
         assert!(large > small);
         // 1 MiB at 56 Gbps is ~150 us of transmission alone.
@@ -290,10 +272,9 @@ mod tests {
 
     #[test]
     fn transmission_math() {
-        let cfg = FabricConfig::default();
         // 56 Gbps = 7 bytes/ns -> 7000 bytes take 1000 ns.
-        assert_eq!(cfg.transmission(7000).as_nanos(), 1000);
-        assert_eq!(cfg.transmission(0).as_nanos(), 0);
+        assert_eq!(transmission(7000).as_nanos(), 1000);
+        assert_eq!(transmission(0).as_nanos(), 0);
     }
 
     #[test]
@@ -324,7 +305,7 @@ mod tests {
         let t1 = net.deliver_at(NodeId(0), NodeId(1), 1 << 20, SimTime::ZERO, &mut rng);
         let t2 = net.deliver_at(NodeId(0), NodeId(2), 64, SimTime::ZERO, &mut rng);
         assert!(
-            t2 > t1 - FabricConfig::default().base_latency(64).mul_f64(2.0),
+            t2 > t1 - base_latency(64).mul_f64(2.0),
             "second transmission must wait for the shared egress port"
         );
     }
@@ -332,11 +313,10 @@ mod tests {
     #[test]
     fn shared_ingress_port_serializes() {
         // Two senders to one receiver: the receiver's port is the bottleneck.
-        let cfg = FabricConfig::default();
         let (mut net, mut rng) = net();
         let a = net.deliver_at(NodeId(0), NodeId(3), 1 << 20, SimTime::ZERO, &mut rng);
         let b = net.deliver_at(NodeId(1), NodeId(3), 1 << 20, SimTime::ZERO, &mut rng);
-        let tx = cfg.transmission(1 << 20);
+        let tx = transmission(1 << 20);
         assert!(
             b.since(SimTime::ZERO) >= tx * 2,
             "ingress did not serialize"
@@ -348,10 +328,7 @@ mod tests {
     fn loopback_is_cheap() {
         let (mut net, mut rng) = net();
         let t = net.deliver_at(NodeId(1), NodeId(1), 1 << 20, SimTime::ZERO, &mut rng);
-        assert_eq!(
-            t.since(SimTime::ZERO),
-            FabricConfig::default().per_message_overhead
-        );
+        assert_eq!(t.since(SimTime::ZERO), PER_MESSAGE_OVERHEAD);
     }
 
     #[test]
@@ -368,22 +345,20 @@ mod tests {
 
     #[test]
     fn jitter_stays_bounded() {
-        let cfg = FabricConfig::default();
         let mut rng = SimRng::new(42);
-        let base = cfg.base_latency(512);
+        let base = base_latency(512);
         for _ in 0..1000 {
-            let mut fresh = Network::new(2, cfg);
+            let mut fresh = Network::new(2);
             let t = fresh.deliver_at(NodeId(0), NodeId(1), 512, SimTime::ZERO, &mut rng);
             let d = t.since(SimTime::ZERO);
             assert!(d >= base, "delay below base");
-            assert!(d <= base.mul_f64(1.0 + cfg.jitter) + SimDuration::from_nanos(1));
+            assert!(d <= base.mul_f64(1.0 + JITTER) + SimDuration::from_nanos(1));
         }
     }
 
     #[test]
     fn link_serializes_back_to_back_messages() {
-        let cfg = FabricConfig::default();
-        let (mut net, mut rng) = (Network::new(2, cfg), SimRng::new(3));
+        let (mut net, mut rng) = (Network::new(2), SimRng::new(3));
         let n = 100u64;
         let bytes = 70_000; // 10 us of transmission each at 56 Gbps
         let mut last = SimTime::ZERO;
@@ -391,7 +366,7 @@ mod tests {
             last = net.deliver_at(NodeId(0), NodeId(1), bytes, SimTime::ZERO, &mut rng);
         }
         let total = last.since(SimTime::ZERO);
-        let pure_tx = cfg.transmission(bytes) * n;
+        let pure_tx = transmission(bytes) * n;
         assert!(
             total >= pure_tx,
             "link did not serialize: {total} < {pure_tx}"
@@ -402,8 +377,7 @@ mod tests {
 
     #[test]
     fn reverse_direction_does_not_serialize_with_forward() {
-        let cfg = FabricConfig::default();
-        let (mut net, mut rng) = (Network::new(2, cfg), SimRng::new(4));
+        let (mut net, mut rng) = (Network::new(2), SimRng::new(4));
         net.deliver_at(NodeId(0), NodeId(1), 1 << 20, SimTime::ZERO, &mut rng);
         let back = net.deliver_at(NodeId(1), NodeId(0), 64, SimTime::ZERO, &mut rng);
         assert!(
@@ -414,7 +388,7 @@ mod tests {
 
     #[test]
     fn export_lists_exactly_the_pairs_that_carried_messages() {
-        let mut net = Network::new(12, FabricConfig::default());
+        let mut net = Network::new(12);
         let mut rng = SimRng::new(5);
         for (src, dst, bytes) in [(11, 2, 40), (0, 1, 100), (11, 2, 60), (3, 3, 8), (2, 11, 0)] {
             net.deliver_at(NodeId(src), NodeId(dst), bytes, SimTime::ZERO, &mut rng);
@@ -474,8 +448,7 @@ mod randomized {
     #[test]
     fn port_capacity_is_never_exceeded() {
         for case in 0..48u64 {
-            let cfg = FabricConfig::default();
-            let mut net = Network::new(4, cfg);
+            let mut net = Network::new(4);
             let mut rng = SimRng::new(11);
             let mut last = SimTime::ZERO;
             let mut tx_bytes = [0u64; 4];
@@ -494,11 +467,11 @@ mod randomized {
                 let tx_bps = tx_bytes[n] as f64 * 8.0 / window;
                 let rx_bps = rx_bytes[n] as f64 * 8.0 / window;
                 assert!(
-                    tx_bps <= cfg.bandwidth_bps as f64 * 1.001,
+                    tx_bps <= BANDWIDTH_BPS as f64 * 1.001,
                     "node {n} egress over line rate: {tx_bps:.2e}"
                 );
                 assert!(
-                    rx_bps <= cfg.bandwidth_bps as f64 * 1.001,
+                    rx_bps <= BANDWIDTH_BPS as f64 * 1.001,
                     "node {n} ingress over line rate: {rx_bps:.2e}"
                 );
             }
@@ -509,7 +482,7 @@ mod randomized {
     #[test]
     fn per_pair_fifo_always() {
         for case in 0..48u64 {
-            let mut net = Network::new(3, FabricConfig::default());
+            let mut net = Network::new(3);
             let mut rng = SimRng::new(13);
             let mut pair_last: std::collections::HashMap<(u32, u32), SimTime> =
                 std::collections::HashMap::new();

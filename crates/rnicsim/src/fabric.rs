@@ -15,10 +15,11 @@
 
 use crate::payload::{self, Payload};
 use crate::types::{
-    wqe_flags, CqId, Cqe, CqeStatus, FabricStats, Message, MrId, NicConfig, NicEffect, NicEvent,
-    Opcode, QpId, RecvWqe, SrqId, Wqe, SQ_SLOTS, WQE_SIZE,
+    dma, wqe_flags, CqId, Cqe, CqeStatus, FabricStats, Message, MrId, NicEffect, NicEvent, Opcode,
+    QpId, RecvWqe, Wqe, CAS_LATENCY, FLUSH_BASE, ISSUE_OVERHEAD, MAX_INFLIGHT, SQ_SLOTS,
+    WAIT_PROCESS, WQE_FETCH, WQE_SIZE,
 };
-use netsim::{FabricConfig, Network, NodeId};
+use netsim::{Network, NodeId};
 use nvmsim::NvmDevice;
 use simcore::simtrace::{TraceKind, NO_OP};
 use simcore::{MetricsRegistry, Outbox, SimDuration, SimRng, SimTime, Tracer};
@@ -77,8 +78,6 @@ impl PendingAcks {
 #[derive(Debug)]
 struct QueuePair {
     peer: Option<(NodeId, QpId)>,
-    /// When set, receives come from this shared pool instead of `recvs`.
-    srq: Option<SrqId>,
     sq_base: u64,
     /// Monotone counter of the next slot to execute.
     sq_head: u64,
@@ -118,7 +117,6 @@ struct NodeState {
     mrs: Vec<(u64, u64)>,
     qps: Vec<QueuePair>,
     cqs: Vec<Cq>,
-    srqs: Vec<VecDeque<RecvWqe>>,
     /// Ranges written through the NIC since the last flush.
     nic_dirty: Vec<(u64, u64)>,
 }
@@ -130,7 +128,6 @@ struct NodeState {
 /// [`RdmaFabric::handle`] after its delay.
 #[derive(Debug)]
 pub struct RdmaFabric {
-    config: NicConfig,
     net: Network,
     rng: SimRng,
     nodes: Vec<NodeState>,
@@ -145,16 +142,9 @@ impl RdmaFabric {
     /// # Panics
     ///
     /// Panics if `node_count == 0`.
-    pub fn new(
-        node_count: u32,
-        mem_capacity: u64,
-        config: NicConfig,
-        fabric: FabricConfig,
-        seed: u64,
-    ) -> Self {
+    pub fn new(node_count: u32, mem_capacity: u64, seed: u64) -> Self {
         RdmaFabric {
-            config,
-            net: Network::new(node_count, fabric),
+            net: Network::new(node_count),
             rng: SimRng::new(seed),
             nodes: (0..node_count)
                 .map(|_| NodeState {
@@ -163,7 +153,6 @@ impl RdmaFabric {
                     mrs: Vec::new(),
                     qps: Vec::new(),
                     cqs: Vec::new(),
-                    srqs: Vec::new(),
                     nic_dirty: Vec::new(),
                 })
                 .collect(),
@@ -285,39 +274,6 @@ impl RdmaFabric {
         self.nodes[node.0 as usize].cqs[cq.0 as usize].wait_only = true;
     }
 
-    /// Creates a shared receive queue: a pool of RECVs drained by every QP
-    /// attached to it, in arrival order across the QPs — the building block
-    /// the paper names for multi-client HyperLoop groups (§5).
-    pub fn create_srq(&mut self, node: NodeId) -> SrqId {
-        let n = &mut self.nodes[node.0 as usize];
-        n.srqs.push(VecDeque::new());
-        SrqId(n.srqs.len() as u32 - 1)
-    }
-
-    /// Attaches a QP's receive side to a shared receive queue. Must happen
-    /// before any message arrives on the QP.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the QP already holds private receives.
-    pub fn attach_srq(&mut self, node: NodeId, qp: QpId, srq: SrqId) {
-        let n = &mut self.nodes[node.0 as usize];
-        assert!(srq.0 < n.srqs.len() as u32, "no such SRQ");
-        let q = &mut n.qps[qp.0 as usize];
-        assert!(q.recvs.is_empty(), "QP already has private receives");
-        q.srq = Some(srq);
-    }
-
-    /// Posts a receive to a shared receive queue.
-    pub fn post_srq_recv(&mut self, node: NodeId, srq: SrqId, recv: RecvWqe) {
-        self.nodes[node.0 as usize].srqs[srq.0 as usize].push_back(recv);
-    }
-
-    /// Receives available on a shared receive queue.
-    pub fn srq_depth(&self, node: NodeId, srq: SrqId) -> usize {
-        self.nodes[node.0 as usize].srqs[srq.0 as usize].len()
-    }
-
     /// Creates a queue pair whose send ring lives in the node's memory.
     pub fn create_qp(&mut self, node: NodeId, send_cq: CqId, recv_cq: CqId) -> QpId {
         let sq_base = self.alloc(node, SQ_SLOTS * WQE_SIZE);
@@ -325,7 +281,6 @@ impl RdmaFabric {
         assert!(send_cq.0 < n.cqs.len() as u32 && recv_cq.0 < n.cqs.len() as u32);
         n.qps.push(QueuePair {
             peer: None,
-            srq: None,
             sq_base,
             sq_head: 0,
             sq_tail: 0,
@@ -584,9 +539,9 @@ impl RdmaFabric {
         }
 
         // Resolve indirection: fetch the effective image from host memory.
-        let mut fetch_cost = self.config.wqe_fetch;
+        let mut fetch_cost = WQE_FETCH;
         let eff = if raw.is_indirect() {
-            fetch_cost += self.config.wqe_fetch;
+            fetch_cost += WQE_FETCH;
             let mut img = [0u8; WQE_SIZE as usize];
             if self.nodes[node.0 as usize]
                 .mem
@@ -627,7 +582,7 @@ impl RdmaFabric {
             if eff.is_fenced() && q.outstanding_reads > 0 {
                 return; // a response arrival will kick
             }
-            if q.inflight >= self.config.max_inflight {
+            if q.inflight >= MAX_INFLIGHT {
                 return; // an ack will kick
             }
         }
@@ -659,7 +614,7 @@ impl RdmaFabric {
                     let send_cq = self.nodes[node.0 as usize].qps[qp.0 as usize].send_cq;
                     self.complete(now, node, send_cq, cqe, out);
                 }
-                self.reschedule(node, qp, self.config.issue_overhead, out);
+                self.reschedule(node, qp, ISSUE_OVERHEAD, out);
             }
             Opcode::Send | Opcode::Write | Opcode::WriteImm => {
                 self.issue_data_op(now, node, qp, eff, fetch_cost, out)
@@ -732,7 +687,7 @@ impl RdmaFabric {
             let send_cq = self.nodes[node.0 as usize].qps[qp.0 as usize].send_cq;
             self.complete(now, node, send_cq, cqe, out);
         }
-        self.reschedule(node, qp, self.config.wait_process, out);
+        self.reschedule(node, qp, WAIT_PROCESS, out);
     }
 
     /// SEND / WRITE / WRITE_IMM: gather locally, ship to the peer.
@@ -765,7 +720,7 @@ impl RdmaFabric {
                 return;
             }
         };
-        let issue_cost = fetch_cost + self.config.issue_overhead + self.config.dma(eff.len);
+        let issue_cost = fetch_cost + ISSUE_OVERHEAD + dma(eff.len);
         let (peer_node, peer_qp) = self.nodes[node.0 as usize].qps[qp.0 as usize]
             .peer
             .expect("connected");
@@ -843,7 +798,7 @@ impl RdmaFabric {
         fetch_cost: SimDuration,
         out: &mut Outbox<NicEffect>,
     ) {
-        let issue_cost = fetch_cost + self.config.issue_overhead;
+        let issue_cost = fetch_cost + ISSUE_OVERHEAD;
         let (peer_node, peer_qp) = self.nodes[node.0 as usize].qps[qp.0 as usize]
             .peer
             .expect("connected");
@@ -925,7 +880,7 @@ impl RdmaFabric {
             imm: None,
         };
         self.complete(now, node, send_cq, cqe, out);
-        self.reschedule(node, qp, self.config.issue_overhead, out);
+        self.reschedule(node, qp, ISSUE_OVERHEAD, out);
     }
 
     fn reschedule(
@@ -961,21 +916,15 @@ impl RdmaFabric {
     }
 
     fn recv_available(&self, node: NodeId, qp: QpId) -> bool {
-        let q = &self.nodes[node.0 as usize].qps[qp.0 as usize];
-        match q.srq {
-            Some(srq) => !self.nodes[node.0 as usize].srqs[srq.0 as usize].is_empty(),
-            None => !q.recvs.is_empty(),
-        }
+        !self.nodes[node.0 as usize].qps[qp.0 as usize]
+            .recvs
+            .is_empty()
     }
 
     fn pop_recv(&mut self, node: NodeId, qp: QpId) -> Option<RecvWqe> {
-        let srq = self.nodes[node.0 as usize].qps[qp.0 as usize].srq;
-        match srq {
-            Some(srq) => self.nodes[node.0 as usize].srqs[srq.0 as usize].pop_front(),
-            None => self.nodes[node.0 as usize].qps[qp.0 as usize]
-                .recvs
-                .pop_front(),
-        }
+        self.nodes[node.0 as usize].qps[qp.0 as usize]
+            .recvs
+            .pop_front()
     }
 
     fn mr_covers(&self, node: NodeId, addr: u64, len: u64) -> bool {
@@ -1079,7 +1028,7 @@ impl RdmaFabric {
                         payload::recycle_sges(recv.sges);
                         self.complete(now, node, recv_cq, cqe, out);
                     }
-                    self.config.dma(payload.len() as u64)
+                    dma(payload.len() as u64)
                 } else {
                     self.stats.errors += 1;
                     SimDuration::ZERO
@@ -1138,7 +1087,7 @@ impl RdmaFabric {
                     imm,
                 };
                 payload::recycle_sges(recv.sges);
-                let cost = self.config.dma(payload.len() as u64);
+                let cost = dma(payload.len() as u64);
                 self.complete(now, node, recv_cq, cqe, out);
                 self.respond(
                     now,
@@ -1213,7 +1162,7 @@ impl RdmaFabric {
                     self.stats.errors += 1;
                     (Payload::empty(), CqeStatus::RemoteAccessError)
                 };
-                let cost = self.config.flush_base + self.config.dma(len);
+                let cost = FLUSH_BASE + dma(len);
                 self.respond(
                     now,
                     cost,
@@ -1257,7 +1206,7 @@ impl RdmaFabric {
                 };
                 self.respond(
                     now,
-                    self.config.cas_latency,
+                    CAS_LATENCY,
                     node,
                     peer_node,
                     peer_qp,

@@ -1,4 +1,5 @@
-//! Identifiers, configuration, work queue elements and completion formats.
+//! Identifiers, NIC timing constants, work queue elements and completion
+//! formats.
 
 use crate::payload::Payload;
 use netsim::NodeId;
@@ -25,52 +26,34 @@ impl fmt::Display for CqId {
     }
 }
 
-/// Identifies a shared receive queue on one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SrqId(pub u32);
-
 /// Identifies a registered memory region on one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MrId(pub u32);
 
-/// NIC timing and capacity parameters (ConnectX-3-flavoured defaults).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NicConfig {
-    /// PCIe fetch of one 64-byte descriptor.
-    pub wqe_fetch: SimDuration,
-    /// Fixed per-WQE execution overhead in the NIC pipeline.
-    pub issue_overhead: SimDuration,
-    /// DMA bandwidth between NIC and host memory, bits per second.
-    pub dma_bandwidth_bps: u64,
-    /// Extra latency of an atomic compare-and-swap at the responder.
-    pub cas_latency: SimDuration,
-    /// Base cost of flushing the NIC's volatile cache to the durable medium.
-    pub flush_base: SimDuration,
-    /// Cost of evaluating a satisfied WAIT and enabling its successors.
-    pub wait_process: SimDuration,
-    /// Maximum requests a QP keeps in flight before stalling its engine.
-    pub max_inflight: u32,
-}
+/// PCIe fetch of one 64-byte descriptor from host memory.
+pub const WQE_FETCH: SimDuration = SimDuration::from_nanos(250);
 
-impl Default for NicConfig {
-    fn default() -> Self {
-        NicConfig {
-            wqe_fetch: SimDuration::from_nanos(250),
-            issue_overhead: SimDuration::from_nanos(150),
-            dma_bandwidth_bps: 100_000_000_000,
-            cas_latency: SimDuration::from_nanos(150),
-            flush_base: SimDuration::from_nanos(400),
-            wait_process: SimDuration::from_nanos(100),
-            max_inflight: 32,
-        }
-    }
-}
+/// Fixed per-WQE execution overhead in the NIC pipeline.
+pub const ISSUE_OVERHEAD: SimDuration = SimDuration::from_nanos(150);
 
-impl NicConfig {
-    /// DMA transfer time for `bytes` between NIC and host memory.
-    pub fn dma(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_nanos(bytes * 8 * 1_000_000_000 / self.dma_bandwidth_bps)
-    }
+/// DMA bandwidth between the NIC and host memory, bits per second.
+pub const DMA_BANDWIDTH_BPS: u64 = 100_000_000_000;
+
+/// Extra latency of an atomic compare-and-swap at the responder.
+pub const CAS_LATENCY: SimDuration = SimDuration::from_nanos(150);
+
+/// Base cost of flushing the NIC's volatile cache to the durable medium.
+pub const FLUSH_BASE: SimDuration = SimDuration::from_nanos(400);
+
+/// Cost of evaluating a satisfied WAIT and enabling its successors.
+pub const WAIT_PROCESS: SimDuration = SimDuration::from_nanos(100);
+
+/// Requests a QP keeps in flight before its engine stalls.
+pub const MAX_INFLIGHT: u32 = 32;
+
+/// DMA transfer time for `bytes` between the NIC and host memory.
+pub(crate) fn dma(bytes: u64) -> SimDuration {
+    SimDuration::from_nanos(bytes * 8 * 1_000_000_000 / DMA_BANDWIDTH_BPS)
 }
 
 /// Verb opcodes, mirroring `ibv_wr_opcode` plus the CORE-Direct `WAIT`.
@@ -534,10 +517,9 @@ mod tests {
 
     #[test]
     fn dma_cost_scales() {
-        let cfg = NicConfig::default();
-        assert_eq!(cfg.dma(0), SimDuration::ZERO);
+        assert_eq!(dma(0), SimDuration::ZERO);
         // 100 Gbps = 12.5 bytes/ns -> 12500 bytes take 1000 ns.
-        assert_eq!(cfg.dma(12_500), SimDuration::from_nanos(1000));
+        assert_eq!(dma(12_500), SimDuration::from_nanos(1000));
     }
 
     mod randomized {

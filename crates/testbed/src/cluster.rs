@@ -25,6 +25,9 @@ use simcore::{
 use std::any::Any;
 use std::collections::HashMap;
 
+/// CPU cost charged when an application timer callback runs.
+pub const TIMER_HANDLER_COST: SimDuration = SimDuration::from_micros(1);
+
 struct ProcEntry {
     node: NodeId,
     cpu_proc: cpusched::ProcId,
@@ -41,7 +44,6 @@ pub struct Cluster {
     cq_bindings: HashMap<(NodeId, CqId), (ProcRef, SimDuration)>,
     tasks: HashMap<u64, (ProcRef, TaskKind)>,
     next_task: u64,
-    config: ClusterConfig,
     /// Scheduler effects emitted during setup, before the event queue exists;
     /// drained by the `Start` event.
     pending_boot: Vec<(NodeId, Vec<(SimDuration, CpuEffect)>)>,
@@ -72,13 +74,7 @@ impl Cluster {
     pub fn new(nodes: u32, cores: u32, mem_capacity: u64, config: ClusterConfig) -> Self {
         let mut seed_rng = SimRng::new(config.seed);
         Cluster {
-            fab: RdmaFabric::new(
-                nodes,
-                mem_capacity,
-                config.nic,
-                config.fabric,
-                seed_rng.next_u64(),
-            ),
+            fab: RdmaFabric::new(nodes, mem_capacity, seed_rng.next_u64()),
             scheds: (0..nodes)
                 .map(|i| CpuScheduler::new(cores, config.sched, seed_rng.fork(i as u64)))
                 .collect(),
@@ -87,7 +83,6 @@ impl Cluster {
             cq_bindings: HashMap::new(),
             tasks: HashMap::new(),
             next_task: 0,
-            config,
             pending_boot: Vec::new(),
             pending_nic_boot: Vec::new(),
             nic_scratch: Outbox::new(),
@@ -380,8 +375,14 @@ impl Model for Cluster {
             ClusterEvent::TimerDue { proc, token } => {
                 // The timer interrupt wakes the process; the callback runs
                 // once the process gets CPU.
-                let cost = self.config.timer_handler_cost;
-                self.submit_task(now, proc, TaskKind::Timer(token), cost, NO_OP, q);
+                self.submit_task(
+                    now,
+                    proc,
+                    TaskKind::Timer(token),
+                    TIMER_HANDLER_COST,
+                    NO_OP,
+                    q,
+                );
             }
             ClusterEvent::HostNotify { node, cq } => {
                 if let Some(&(proc, cost)) = self.cq_bindings.get(&(node, cq)) {

@@ -43,7 +43,7 @@ pub mod env;
 pub mod placement;
 pub mod types;
 
-pub use cluster::{drive, Cluster};
+pub use cluster::{drive, Cluster, TIMER_HANDLER_COST};
 pub use env::{Env, StagedAction};
 pub use placement::ShardPlacement;
 pub use types::{ClusterConfig, ClusterEvent, HostApp, HostEvent, ProcRef, TaskKind};

@@ -1,9 +1,8 @@
 //! Cluster-level events, configuration and the application trait.
 
 use cpusched::{CpuEvent, SchedConfig};
-use netsim::{FabricConfig, NodeId};
-use rnicsim::{CqId, NicConfig, NicEvent};
-use simcore::SimDuration;
+use netsim::NodeId;
+use rnicsim::{CqId, NicEvent};
 use std::any::Any;
 
 /// A handle to an application process registered with the cluster.
@@ -79,17 +78,13 @@ pub enum ClusterEvent {
     },
 }
 
-/// Cluster-wide configuration.
+/// Cluster-wide configuration. NIC, wire and scheduler timings are
+/// global constants beside their models (`rnicsim`, `netsim`,
+/// `cpusched`, [`TIMER_HANDLER_COST`](crate::cluster::TIMER_HANDLER_COST)).
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
-    /// NIC model parameters.
-    pub nic: NicConfig,
-    /// Network fabric parameters.
-    pub fabric: FabricConfig,
     /// CPU scheduler parameters.
     pub sched: SchedConfig,
-    /// CPU cost charged when a timer callback runs.
-    pub timer_handler_cost: SimDuration,
     /// Root seed for all deterministic randomness.
     pub seed: u64,
 }
@@ -97,10 +92,7 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            nic: NicConfig::default(),
-            fabric: FabricConfig::default(),
             sched: SchedConfig::default(),
-            timer_handler_cost: SimDuration::from_micros(1),
             seed: 0x5EED,
         }
     }

@@ -10,18 +10,12 @@ use hyperloop_repro::hyperloop::membership::{
     plan_rejoin, ChainView, HeartbeatConfig, HeartbeatMonitor,
 };
 use hyperloop_repro::hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
-use hyperloop_repro::netsim::{FabricConfig, NodeId};
-use hyperloop_repro::rnicsim::{NicConfig, Payload};
+use hyperloop_repro::netsim::NodeId;
+use hyperloop_repro::rnicsim::Payload;
 
 fn main() {
     // Five machines: client, three chain members, one standby.
-    let mut sim = fabric_sim(
-        5,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        3,
-    );
+    let mut sim = fabric_sim(5, 64 << 20, 3);
     let members = vec![NodeId(1), NodeId(2), NodeId(3)];
     let mut group = drive(&mut sim, |ctx| {
         HyperLoopGroup::setup(ctx, NodeId(0), &members, GroupConfig::default())

@@ -6,22 +6,17 @@
 //! cargo run --example document_transactions
 //! ```
 
-use hyperloop_repro::docstore::{DocConfig, Document, ReplicatedDocStore};
+use hyperloop_repro::docstore::{
+    DocConfig, Document, ReplicatedDocStore, CONTROL_SIZE, N_LOCKS, SLOT_SIZE,
+};
 use hyperloop_repro::hyperloop::harness::{drive, fabric_sim};
 use hyperloop_repro::hyperloop::lock::LockTable;
 use hyperloop_repro::hyperloop::reads::ReplicaReader;
 use hyperloop_repro::hyperloop::{GroupConfig, HyperLoopGroup};
-use hyperloop_repro::netsim::{FabricConfig, NodeId};
-use hyperloop_repro::rnicsim::NicConfig;
+use hyperloop_repro::netsim::NodeId;
 
 fn main() {
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        12,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, 12);
     let replicas = [NodeId(1), NodeId(2), NodeId(3)];
     let group = drive(&mut sim, |ctx| {
         HyperLoopGroup::setup(ctx, NodeId(0), &replicas, GroupConfig::default())
@@ -29,8 +24,8 @@ fn main() {
     sim.run();
     let base = group.client.layout().shared_base;
     // A reader over the same lock table region the store uses (offset 16,
-    // 64 words — see DocConfig::control_size).
-    let reader_locks = LockTable::new(16, 64);
+    // N_LOCKS words — see docstore::CONTROL_SIZE).
+    let reader_locks = LockTable::new(16, N_LOCKS);
     let mut reader = drive(&mut sim, |ctx| {
         ReplicaReader::setup(ctx.fab, &group.client, &replicas, reader_locks)
     });
@@ -63,17 +58,14 @@ fn main() {
 
     // A lock-protected one-sided read from the MIDDLE replica: the paper's
     // read-scaling story — backups serve consistent reads concurrently.
-    // DocConfig layout: control area, then journal, then document slots.
-    let db_off = {
-        let c = store.config();
-        c.control_size() + c.log_size + c.slot_size() * 42
-    };
+    // Store layout: control area, then journal, then document slots.
+    let db_off = CONTROL_SIZE + store.config().log_size + SLOT_SIZE * 42;
     let token = drive(&mut sim, |ctx| {
         reader.begin(
             store_transport(&mut store),
             ctx,
             1,  // replica index (node2)
-            42, // the doc's lock (id % n_locks)
+            42, // the doc's lock (id % N_LOCKS)
             db_off,
             4 + doc.encoded_len() as u64,
         )

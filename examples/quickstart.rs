@@ -6,18 +6,12 @@
 
 use hyperloop_repro::hyperloop::harness::{drive, fabric_sim};
 use hyperloop_repro::hyperloop::{ExecuteMap, GroupConfig, GroupOp, HyperLoopGroup};
-use hyperloop_repro::netsim::{FabricConfig, NodeId};
-use hyperloop_repro::rnicsim::{NicConfig, Payload};
+use hyperloop_repro::netsim::NodeId;
+use hyperloop_repro::rnicsim::Payload;
 
 fn main() {
     // A client machine plus three replica machines on a 56 Gbps fabric.
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        42,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, 42);
     let replicas = [NodeId(1), NodeId(2), NodeId(3)];
     let mut group = drive(&mut sim, |ctx| {
         HyperLoopGroup::setup(ctx, NodeId(0), &replicas, GroupConfig::default())

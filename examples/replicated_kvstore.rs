@@ -8,17 +8,10 @@
 use hyperloop_repro::hyperloop::harness::{drive, fabric_sim};
 use hyperloop_repro::hyperloop::{GroupConfig, HyperLoopGroup};
 use hyperloop_repro::kvstore::{KvConfig, ReplicatedKv};
-use hyperloop_repro::netsim::{FabricConfig, NodeId};
-use hyperloop_repro::rnicsim::NicConfig;
+use hyperloop_repro::netsim::NodeId;
 
 fn main() {
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        7,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, 7);
     let replicas = [NodeId(1), NodeId(2), NodeId(3)];
     let group = drive(&mut sim, |ctx| {
         HyperLoopGroup::setup(ctx, NodeId(0), &replicas, GroupConfig::default())

@@ -10,21 +10,15 @@
 
 use hyperloop::harness::{drive, fabric_sim};
 use hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
-use netsim::{FabricConfig, NodeId};
-use rnicsim::{NicConfig, Payload};
+use netsim::NodeId;
+use rnicsim::Payload;
 use simcore::simtrace::{chrome_trace_json, op_breakdown, span_tree};
 use simcore::Tracer;
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or("trace.json".into());
 
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        42,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, 42);
     let tracer = Tracer::enabled(1 << 16);
     sim.model.fab.set_tracer(tracer.clone());
     let replicas = [NodeId(1), NodeId(2), NodeId(3)];

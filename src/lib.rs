@@ -26,3 +26,9 @@ pub use simcore;
 pub use testbed;
 pub use walog;
 pub use ycsb;
+
+/// The README's Rust snippets, compiled and run as doctests so they keep
+/// up with the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -5,8 +5,8 @@
 
 use hyperloop_repro::hyperloop::harness::{drive, fabric_sim};
 use hyperloop_repro::hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
-use hyperloop_repro::netsim::{FabricConfig, NodeId};
-use hyperloop_repro::rnicsim::{NicConfig, Payload};
+use hyperloop_repro::netsim::NodeId;
+use hyperloop_repro::rnicsim::Payload;
 use hyperloop_repro::simcore::jsonw::canonicalize_report;
 use hyperloop_repro::simcore::simaudit::op_id_base;
 use hyperloop_repro::simcore::{Audit, SimRng, Tracer};
@@ -15,13 +15,7 @@ use hyperloop_repro::simcore::{Audit, SimRng, Tracer};
 /// auditor suite tapping every trace event and ack, and returns the audit
 /// handle for inspection.
 fn audited_run(seed: u64) -> Audit {
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        seed,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, seed);
     let nodes = [NodeId(1), NodeId(2), NodeId(3)];
     let audit = Audit::standard();
     let mut group = drive(&mut sim, |ctx| {
@@ -90,13 +84,7 @@ fn audit_json_is_deterministic_across_same_seed_runs() {
 
 #[test]
 fn durability_auditor_catches_a_dropped_flush_end_to_end() {
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        7,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, 7);
     let nodes = [NodeId(1), NodeId(2), NodeId(3)];
     let audit = Audit::standard();
     let mut group = drive(&mut sim, |ctx| {

@@ -6,8 +6,8 @@
 
 use hyperloop_repro::hyperloop::harness::{drive, fabric_sim};
 use hyperloop_repro::hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
-use hyperloop_repro::netsim::{FabricConfig, NodeId};
-use hyperloop_repro::rnicsim::{NicConfig, Payload};
+use hyperloop_repro::netsim::NodeId;
+use hyperloop_repro::rnicsim::Payload;
 use hyperloop_repro::simcore::jsonw::{canonicalize_report, parse, JsonValue};
 use hyperloop_repro::simcore::simprof::{
     chrome_trace_with_counters, CounterSample, CounterSampler, COUNTER_PID,
@@ -21,13 +21,7 @@ fn traced_run() -> (
     Vec<hyperloop_repro::simcore::TraceEvent>,
     Vec<CounterSample>,
 ) {
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        0xC0FFEE,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, 0xC0FFEE);
     let tracer = Tracer::enabled(1 << 16);
     sim.model.fab.set_tracer(tracer.clone());
     let nodes: Vec<NodeId> = (1..=3).map(NodeId).collect();

@@ -5,19 +5,13 @@
 use hyperloop_repro::hyperloop::harness::{drive, fabric_sim};
 use hyperloop_repro::hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
 use hyperloop_repro::kvstore::{KvConfig, ReplicatedKv};
-use hyperloop_repro::netsim::{FabricConfig, NodeId};
-use hyperloop_repro::rnicsim::{NicConfig, Payload};
+use hyperloop_repro::netsim::NodeId;
+use hyperloop_repro::rnicsim::Payload;
 use hyperloop_repro::simcore::SimRng;
 
 #[test]
 fn acked_flushed_writes_survive_any_single_power_failure() {
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        99,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, 99);
     let nodes = [NodeId(1), NodeId(2), NodeId(3)];
     let mut group = drive(&mut sim, |ctx| {
         HyperLoopGroup::setup(ctx, NodeId(0), &nodes, GroupConfig::default())
@@ -67,13 +61,7 @@ fn acked_flushed_writes_survive_any_single_power_failure() {
 
 #[test]
 fn kvstore_recovery_is_exactly_the_acked_prefix() {
-    let mut sim = fabric_sim(
-        3,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        17,
-    );
+    let mut sim = fabric_sim(3, 64 << 20, 17);
     let nodes = [NodeId(1), NodeId(2)];
     let group = drive(&mut sim, |ctx| {
         HyperLoopGroup::setup(ctx, NodeId(0), &nodes, GroupConfig::default())

@@ -205,17 +205,9 @@ fn txn_observability_export_is_idempotent() {
     use hyperloop_repro::hyperloop::harness::{drive as hl_drive, fabric_sim};
     use hyperloop_repro::hyperloop::txn::CommitMode;
     use hyperloop_repro::kvstore::{KvConfig, ReplicatedKv, ShardedKv};
-    use hyperloop_repro::netsim::FabricConfig;
-    use hyperloop_repro::rnicsim::NicConfig;
 
     let n_shards = 2u32;
-    let mut sim = fabric_sim(
-        1 + 2 * n_shards,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        29,
-    );
+    let mut sim = fabric_sim(1 + 2 * n_shards, 64 << 20, 29);
     let mut stores = Vec::new();
     for s in 0..n_shards {
         let nodes = [NodeId(1 + 2 * s), NodeId(2 + 2 * s)];

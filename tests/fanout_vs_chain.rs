@@ -5,8 +5,8 @@
 use hyperloop_repro::hyperloop::fanout::FanoutGroup;
 use hyperloop_repro::hyperloop::harness::{drive, fabric_sim};
 use hyperloop_repro::hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
-use hyperloop_repro::netsim::{FabricConfig, NodeId};
-use hyperloop_repro::rnicsim::{NicConfig, Payload};
+use hyperloop_repro::netsim::NodeId;
+use hyperloop_repro::rnicsim::Payload;
 use hyperloop_repro::simcore::SimRng;
 
 fn writes(seed: u64, n: u64) -> Vec<(u64, Vec<u8>)> {
@@ -27,13 +27,7 @@ fn fanout_and_chain_converge_to_identical_state() {
 
     // Chain arm: client 0, chain 1-2-3.
     let chain_img = {
-        let mut sim = fabric_sim(
-            4,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            1,
-        );
+        let mut sim = fabric_sim(4, 64 << 20, 1);
         let nodes = [NodeId(1), NodeId(2), NodeId(3)];
         let mut group = drive(&mut sim, |ctx| {
             HyperLoopGroup::setup(ctx, NodeId(0), &nodes, GroupConfig::default())
@@ -67,13 +61,7 @@ fn fanout_and_chain_converge_to_identical_state() {
 
     // Fan-out arm: client 0, primary 1, backups 2-3-4.
     let fanout_img = {
-        let mut sim = fabric_sim(
-            5,
-            64 << 20,
-            NicConfig::default(),
-            FabricConfig::default(),
-            2,
-        );
+        let mut sim = fabric_sim(5, 64 << 20, 2);
         let backups = [NodeId(2), NodeId(3), NodeId(4)];
         let mut group = drive(&mut sim, |ctx| {
             FanoutGroup::setup(ctx, NodeId(0), NodeId(1), &backups, GroupConfig::default())

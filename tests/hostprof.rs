@@ -12,8 +12,8 @@ use hyperloop_repro::hyperloop::apps::Maintainer;
 use hyperloop_repro::hyperloop::harness::{drive, fabric_sim};
 use hyperloop_repro::hyperloop::txn::CommitMode;
 use hyperloop_repro::hyperloop::{GroupClient, GroupConfig, GroupOp, HyperLoopGroup};
-use hyperloop_repro::netsim::{FabricConfig, NodeId};
-use hyperloop_repro::rnicsim::{NicConfig, Payload};
+use hyperloop_repro::netsim::NodeId;
+use hyperloop_repro::rnicsim::Payload;
 use hyperloop_repro::simcore::hostprof;
 use hyperloop_repro::simcore::jsonw::JsonWriter;
 use hyperloop_repro::simcore::{
@@ -52,13 +52,7 @@ fn counting_allocator_balances_and_counts_reallocs_once() {
 
 #[test]
 fn steady_state_gwrite_performs_zero_net_allocations_per_op() {
-    let mut sim = fabric_sim(
-        4,
-        64 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        42,
-    );
+    let mut sim = fabric_sim(4, 64 << 20, 42);
     let nodes = [NodeId(1), NodeId(2), NodeId(3)];
     let mut group = drive(&mut sim, |ctx| {
         HyperLoopGroup::setup(ctx, NodeId(0), &nodes, GroupConfig::default())

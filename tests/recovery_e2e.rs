@@ -7,20 +7,12 @@ use hyperloop_repro::hyperloop::membership::{ChainView, HeartbeatConfig, Heartbe
 use hyperloop_repro::hyperloop::{GroupConfig, HyperLoopGroup};
 use hyperloop_repro::kvstore::{KvConfig, ReplicatedKv};
 use hyperloop_repro::netsim::NodeId;
-use hyperloop_repro::rnicsim::NicConfig;
 use hyperloop_repro::simcore::{SimDuration, SimTime};
-use netsim::FabricConfig;
 
 #[test]
 fn chain_repairs_and_state_survives() {
     // Client 0, chain 1-2-3, standby 4.
-    let mut sim = fabric_sim(
-        5,
-        128 << 20,
-        NicConfig::default(),
-        FabricConfig::default(),
-        61,
-    );
+    let mut sim = fabric_sim(5, 128 << 20, 61);
     let members = vec![NodeId(1), NodeId(2), NodeId(3)];
     let group = drive(&mut sim, |ctx| {
         HyperLoopGroup::setup(ctx, NodeId(0), &members, GroupConfig::default())
