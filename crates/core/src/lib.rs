@@ -66,9 +66,7 @@ pub use migrate::{
     migrate_shard, plan_migration, MigrationHost, MigrationOutcome, MigrationPlan, MigrationRun,
 };
 pub use ops::{ExecuteMap, GroupAck, GroupOp};
-pub use shard::{
-    AckJoin, HashRouter, MigrationStats, ShardAck, ShardId, ShardSet, DEFAULT_PEN_CAPACITY,
-};
+pub use shard::{HashRouter, MigrationStats, ShardAck, ShardId, ShardSet, DEFAULT_PEN_CAPACITY};
 pub use transport::GroupTransport;
 pub use txn::{CommitMode, Txn, TxnLayout, TxnManager, TxnOutcome, TxnSite, TxnTransports};
 

@@ -144,78 +144,37 @@ impl WrUndo {
 #[derive(Debug, Clone)]
 pub struct LockBackoff {
     rng: SimRng,
-    base: SimDuration,
-    cap: SimDuration,
     attempt: u32,
-    retries: u64,
-    delay_ns: u64,
 }
 
-impl LockBackoff {
-    /// Backoff with the default base (1 µs) and cap (64 µs).
-    pub fn new(seed: u64) -> Self {
-        Self::with_bounds(
-            seed,
-            SimDuration::from_micros(1),
-            SimDuration::from_micros(64),
-        )
-    }
+/// The shortest backoff delay, and the window the first retry draws from.
+const BACKOFF_BASE: SimDuration = SimDuration::from_micros(1);
+/// The widest window a retry's delay is drawn from.
+const BACKOFF_CAP: SimDuration = SimDuration::from_micros(64);
 
-    /// Backoff with explicit bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is zero or `cap < base`.
-    pub fn with_bounds(seed: u64, base: SimDuration, cap: SimDuration) -> Self {
-        assert!(!base.is_zero(), "backoff base must be non-zero");
-        assert!(cap.as_nanos() >= base.as_nanos(), "backoff cap below base");
+impl LockBackoff {
+    /// Backoff whose jitter is drawn from `seed`.
+    pub fn new(seed: u64) -> Self {
         LockBackoff {
             rng: SimRng::new(seed),
-            base,
-            cap,
             attempt: 0,
-            retries: 0,
-            delay_ns: 0,
         }
     }
 
     /// The next delay: full jitter over an exponentially growing window
-    /// (`base .. base * 2^attempt`, capped).
+    /// (`BACKOFF_BASE .. BACKOFF_BASE * 2^attempt`, capped at
+    /// `BACKOFF_CAP`).
     pub fn next_delay(&mut self) -> SimDuration {
         let exp = self.attempt.min(16);
         self.attempt = self.attempt.saturating_add(1);
-        let window = self
-            .base
-            .as_nanos()
-            .saturating_mul(1u64 << exp)
-            .min(self.cap.as_nanos());
-        let d = SimDuration::from_nanos(self.rng.gen_range(self.base.as_nanos()..window + 1));
-        self.retries += 1;
-        self.delay_ns += d.as_nanos();
-        d
+        let base = BACKOFF_BASE.as_nanos();
+        let window = base.saturating_mul(1u64 << exp).min(BACKOFF_CAP.as_nanos());
+        SimDuration::from_nanos(self.rng.gen_range(base..window + 1))
     }
 
-    /// Resets the attempt counter after a successful acquisition. The
-    /// lifetime counters ([`LockBackoff::retries`],
-    /// [`LockBackoff::total_delay_ns`]) keep accumulating — they are the
-    /// metric trail, not per-round state.
+    /// Resets the window to its base after a successful acquisition.
     pub fn reset(&mut self) {
         self.attempt = 0;
-    }
-
-    /// Attempts since the last reset.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
-    /// Lifetime count of delays handed out (never reset).
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Lifetime sum of handed-out delay nanoseconds (never reset).
-    pub fn total_delay_ns(&self) -> u64 {
-        self.delay_ns
     }
 }
 
@@ -596,28 +555,16 @@ mod tests {
         assert_eq!(delays(7), delays(7), "same seed, same schedule");
         assert_ne!(delays(7), delays(8), "different seeds desynchronize");
         let mut b = LockBackoff::new(3);
-        let cap = SimDuration::from_micros(64);
-        let base = SimDuration::from_micros(1);
         let mut max_seen = SimDuration::ZERO;
         for _ in 0..64 {
             let d = b.next_delay();
-            assert!(d.as_nanos() >= base.as_nanos() && d.as_nanos() <= cap.as_nanos());
+            assert!(d >= BACKOFF_BASE && d <= BACKOFF_CAP, "{d:?}");
             max_seen = max_seen.max(d);
         }
         assert!(
-            max_seen.as_nanos() > 4 * base.as_nanos(),
+            max_seen.as_nanos() > 4 * BACKOFF_BASE.as_nanos(),
             "window must grow beyond the base"
         );
-        assert_eq!(b.attempts(), 64);
-        b.reset();
-        assert_eq!(b.attempts(), 0);
-        // The lifetime metric trail survives resets.
-        assert_eq!(b.retries(), 64);
-        assert!(b.total_delay_ns() >= 64 * base.as_nanos());
-        let before = b.total_delay_ns();
-        let d = b.next_delay();
-        assert_eq!(b.retries(), 65);
-        assert_eq!(b.total_delay_ns(), before + d.as_nanos());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::ops::{GroupAck, GroupOp};
 use crate::transport::GroupTransport;
 use rnicsim::NicCtx;
 use simcore::{MetricsRegistry, SimDuration};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifies one shard (one replication group) within a [`ShardSet`].
@@ -61,53 +61,6 @@ pub struct ShardAck {
     pub shard: ShardId,
     /// The per-shard group ack (generation + result map).
     pub ack: GroupAck,
-}
-
-/// Joins the completions of one multi-shard batch (e.g. the per-shard legs
-/// of a distributed transaction phase) into a single done signal.
-///
-/// Track every issued `(shard, gen)` pair — [`ShardSet::issue_many`] does
-/// this for you — then feed each polled [`ShardAck`] to [`AckJoin::absorb`];
-/// the join is done once every tracked pair has been observed. Foreign acks
-/// are ignored, so one poll loop can drive many joins.
-#[derive(Debug, Clone, Default)]
-pub struct AckJoin {
-    pending: HashSet<(u32, u64)>,
-}
-
-impl AckJoin {
-    /// An empty join (done until something is tracked).
-    pub fn new() -> Self {
-        AckJoin::default()
-    }
-
-    /// Adds an issued `(shard, gen)` pair to the join.
-    pub fn track(&mut self, shard: ShardId, gen: u64) {
-        self.pending.insert((shard.0, gen));
-    }
-
-    /// Absorbs one polled ack; returns true if it belonged to this join.
-    pub fn absorb(&mut self, ack: &ShardAck) -> bool {
-        self.absorb_key(ack.shard, ack.ack.gen)
-    }
-
-    /// Removes one tracked `(shard, key)` pair directly. The key need not
-    /// be a transport generation — app layers join over their own
-    /// completion identifiers (e.g. per-shard transaction sequence
-    /// numbers) with the same structure.
-    pub fn absorb_key(&mut self, shard: ShardId, key: u64) -> bool {
-        self.pending.remove(&(shard.0, key))
-    }
-
-    /// True once every tracked pair has acknowledged.
-    pub fn is_done(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Pairs still awaited.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// Per-shard record of the last completed migration, kept for metrics
@@ -278,45 +231,6 @@ impl<T: GroupTransport> ShardSet<T> {
         let gen = self.shards[id.0 as usize].issue(ctx, op)?;
         self.issued[id.0 as usize] += 1;
         Ok(gen)
-    }
-
-    /// Issues a batch of ops spanning several shards as one joined unit,
-    /// returning an [`AckJoin`] that completes when every leg has acked.
-    ///
-    /// Admission is all-or-nothing: every target shard must be unpaused
-    /// and have window room for *all* of its legs before anything is
-    /// issued, so a mid-batch `WindowFull` can never leave a transaction
-    /// phase half-submitted.
-    ///
-    /// # Errors
-    ///
-    /// [`GroupError::WindowFull`] (nothing issued) if any target shard is
-    /// paused or short on window room; issue-time errors from a validated
-    /// batch propagate from the underlying transport.
-    pub fn issue_many(
-        &mut self,
-        ctx: &mut NicCtx<'_>,
-        ops: impl IntoIterator<Item = (ShardId, GroupOp)>,
-    ) -> Result<AckJoin, GroupError> {
-        let ops: Vec<(ShardId, GroupOp)> = ops.into_iter().collect();
-        let mut demand: HashMap<u32, u64> = HashMap::new();
-        for (id, _) in &ops {
-            *demand.entry(id.0).or_insert(0) += 1;
-        }
-        for (&s, &need) in &demand {
-            let i = s as usize;
-            let t = &self.shards[i];
-            let room = (t.window() as u64).saturating_sub(t.in_flight());
-            if self.paused[i] || room < need {
-                return Err(GroupError::WindowFull);
-            }
-        }
-        let mut join = AckJoin::new();
-        for (id, op) in ops {
-            let gen = self.issue_on(ctx, id, op)?;
-            join.track(id, gen);
-        }
-        Ok(join)
     }
 
     /// Collects completed operations from every shard's completion queue

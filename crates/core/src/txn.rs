@@ -9,7 +9,8 @@
 //!   order), validate read versions, apply the buffered writes as durable
 //!   gWRITEs, release. Partial acquisitions are undone with the retrying
 //!   [`WrUndo`] protocol; contended acquisitions back off with a seeded
-//!   jittered [`LockBackoff`] and retry up to a bounded attempt count.
+//!   jittered [`LockBackoff`] and retry, [`MAX_LOCK_ATTEMPTS`] rounds at
+//!   most.
 //! * **Optimistic** (FDB-style): lock only the write sites, validate each
 //!   buffered read's observed version as a conflict range with a no-op
 //!   gCAS on the version word, then apply. A read whose version moved
@@ -280,8 +281,6 @@ impl SiteContention {
 /// [`ShardSet`] and app-level sharded stores implement it, so the same
 /// commit protocol drives raw transports and full storage engines.
 pub trait TxnTransports {
-    /// Number of shards.
-    fn txn_shard_count(&self) -> u32;
     /// Replication group size of one shard.
     fn txn_group_size(&self, shard: ShardId) -> u32;
     /// True if the shard can take another op right now.
@@ -301,10 +300,6 @@ pub trait TxnTransports {
 }
 
 impl<T: GroupTransport> TxnTransports for ShardSet<T> {
-    fn txn_shard_count(&self) -> u32 {
-        self.shard_count()
-    }
-
     fn txn_group_size(&self, shard: ShardId) -> u32 {
         self.shard(shard).group_size()
     }
@@ -323,102 +318,78 @@ impl<T: GroupTransport> TxnTransports for ShardSet<T> {
     }
 }
 
-/// One lock release in flight, driven with the retrying [`WrUndo`]
-/// protocol until the word is observably free on every replica.
+/// Lock acquisition rounds a transaction may lose before it aborts.
+pub const MAX_LOCK_ATTEMPTS: u32 = 8;
+
+/// What one leg does: the group op it issues and how its ack lands.
 #[derive(Debug)]
-struct ReleaseLeg {
-    site: TxnSite,
-    undo: WrUndo,
-    gen: Option<u64>,
-    done: bool,
+enum Work {
+    /// Acquire `site`'s lock word on every replica (gCAS free → owner);
+    /// the ack's outcome is kept for the transition that follows.
+    Lock(TxnSite, Option<WrLockOutcome>),
+    /// Release `site`'s lock word with the retrying [`WrUndo`] protocol
+    /// until it is observably free on every replica the owner won.
+    Unlock(TxnSite, WrUndo),
+    /// Check that a read's version word still holds the observed version
+    /// (a no-op gCAS on the head replica).
+    Check(TxnSite, u64),
+    /// A flushed gWRITE: buffered data, probed as [`Probe::TxnWrite`]
+    /// under `Some(lock)` at ack time, or a version bump (`None`).
+    Write(GroupOp, Option<u32>),
 }
 
-/// One read-version check in flight (no-op gCAS on the version word).
+/// One group op of the open phase, on one shard.
 #[derive(Debug)]
-struct ValidateLeg {
-    site: TxnSite,
-    observed: u64,
-    gen: Option<u64>,
-    done: bool,
-}
-
-/// One commit-time gWRITE in flight (buffered data or a version bump).
-#[derive(Debug)]
-struct ApplyLeg {
+struct Leg {
     shard: ShardId,
-    op: GroupOp,
-    /// `Some(lock)` for data writes (probed as [`Probe::TxnWrite`] at ack
-    /// time); `None` for version bumps.
-    probe_lock: Option<u32>,
+    /// The generation in flight; `None` until issued, and again after an
+    /// unlock round that left a replica held.
     gen: Option<u64>,
     done: bool,
+    work: Work,
 }
 
+impl Leg {
+    fn new(shard: ShardId, work: Work) -> Leg {
+        Leg {
+            shard,
+            gen: None,
+            done: false,
+            work,
+        }
+    }
+}
+
+/// The open commit phase: its trace code (the span open in the trace)
+/// and the legs that must all be done before the run moves on.
 #[derive(Debug)]
-enum RunPhase {
-    /// Acquiring `lock_sites[idx]` (sequential, global order).
-    Acquire { idx: usize, gen: Option<u64> },
-    /// Undoing a partial acquisition of `lock_sites[idx]`.
-    Undo {
-        idx: usize,
-        undo: WrUndo,
-        gen: Option<u64>,
-    },
-    /// Releasing everything held after a failed acquisition; retry (after
-    /// backoff) or abort when drained.
-    Rollback { legs: Vec<ReleaseLeg>, retry: bool },
-    /// Checking every buffered read's version.
-    Validate {
-        legs: Vec<ValidateLeg>,
-        failed: bool,
-    },
-    /// Writing the buffered data + version bumps.
-    Apply { legs: Vec<ApplyLeg> },
-    /// Releasing the held locks; then committed/aborted.
-    Release { legs: Vec<ReleaseLeg>, commit: bool },
+struct Phase {
+    code: u8,
+    legs: Vec<Leg>,
 }
 
 #[derive(Debug)]
 struct TxnRun {
     txn: Txn,
-    /// Sorted, deduplicated acquisition order.
+    /// Sorted, deduplicated acquisition order; the next lock to take is
+    /// `lock_sites[held.len()]`.
     lock_sites: Vec<TxnSite>,
     held: BTreeSet<TxnSite>,
+    /// Acquisition rounds lost so far.
     attempts: u32,
     begun: bool,
-    /// Waiting out a backoff delay (woken by the deferred queue).
-    parked: bool,
     backoff: LockBackoff,
     /// Version-word values this commit installs, applied to the manager's
     /// cache on commit.
     new_versions: Vec<(TxnSite, u64)>,
-    phase: RunPhase,
-    /// The phase code currently *open in the trace*. Tracked separately
-    /// from `phase`: chained empty-leg transitions (validate → apply →
-    /// release in one call stack) leave `phase` stale mid-delegation,
-    /// while every transition must still emit its End/Begin pair.
-    cur_phase: u8,
-    /// Set at the first failing validation leg; wins the abort-cause
-    /// classification in `finish`.
+    phase: Phase,
+    /// Set at the first failing validation leg; turns the release that
+    /// follows into an abort and wins the abort-cause classification.
     abort_cause: Option<AbortCause>,
     /// Site of the last failed acquisition round and whether the observed
     /// holder was a live transaction of this manager (attributable
     /// conflict) — the lock-side abort-cause evidence.
     last_conflict: Option<(TxnSite, bool)>,
-}
-
-/// What an ack dispatch decided the run does next (computed inside the
-/// phase match, executed after it to keep the borrows disjoint).
-enum Next {
-    Keep,
-    Acquire(usize),
-    Validate,
-    Apply,
-    Release(bool),
-    RetryOrAbort,
-    Park,
-    Finish(bool),
-    BeginUndo(usize, WrUndo),
 }
 
 /// Drives transactions to commit or abort over a sharded transport. See
@@ -429,7 +400,6 @@ pub struct TxnManager {
     layout: TxnLayout,
     mode: CommitMode,
     seed: u64,
-    max_lock_attempts: u32,
     next_id: u64,
     /// Per-site version cache: what this client last installed. Advances
     /// only at commit (`finish`), never from in-flight validation acks —
@@ -482,7 +452,6 @@ impl TxnManager {
             layout,
             mode,
             seed,
-            max_lock_attempts: 8,
             next_id: 0,
             versions: HashMap::new(),
             active: BTreeMap::new(),
@@ -548,7 +517,7 @@ impl TxnManager {
     /// Begin at the same timestamp; the trace's stable sort preserves the
     /// emission order). No-op when the phase is unchanged.
     fn set_phase(&self, now: SimTime, run: &mut TxnRun, phase: u8) {
-        if run.cur_phase == phase {
+        if run.phase.code == phase {
             return;
         }
         let id = run.txn.id;
@@ -561,7 +530,7 @@ impl TxnManager {
             TraceKind::TxnPhaseEnd {
                 txn: id,
                 mode,
-                phase: run.cur_phase,
+                phase: run.phase.code,
             },
         );
         self.tracer.emit(
@@ -574,18 +543,7 @@ impl TxnManager {
                 phase,
             },
         );
-        run.cur_phase = phase;
-    }
-
-    /// Bounds the lock acquisition rounds before a contended transaction
-    /// aborts (default 8).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn set_max_lock_attempts(&mut self, n: u32) {
-        assert!(n > 0, "at least one acquisition attempt is required");
-        self.max_lock_attempts = n;
+        run.phase.code = phase;
     }
 
     /// The commit path in use.
@@ -635,11 +593,12 @@ impl TxnManager {
             held: BTreeSet::new(),
             attempts: 0,
             begun: false,
-            parked: false,
             backoff: LockBackoff::new(self.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             new_versions: Vec::new(),
-            phase: RunPhase::Acquire { idx: 0, gen: None },
-            cur_phase: TXN_PHASE_ACQUIRE,
+            phase: Phase {
+                code: TXN_PHASE_ACQUIRE,
+                legs: Vec::new(),
+            },
             abort_cause: None,
             last_conflict: None,
             txn,
@@ -676,39 +635,17 @@ impl TxnManager {
             }
         }
         let idle = acks.is_empty();
-        let tracer = self.tracer.clone();
-        let mode = self.mode_code();
         let mut i = 0;
         while i < self.deferred.len() {
             let (due, id) = self.deferred[i];
             if due <= now || idle {
                 self.deferred.swap_remove(i);
-                if let Some(run) = self.active.get_mut(&id) {
-                    run.parked = false;
-                    // The backoff span ends here; the next acquisition
-                    // round opens at the wake timestamp.
-                    let oid = txn_op_id(id);
-                    tracer.emit(
-                        now,
-                        NO_NODE,
-                        oid,
-                        TraceKind::TxnPhaseEnd {
-                            txn: id,
-                            mode,
-                            phase: run.cur_phase,
-                        },
-                    );
-                    tracer.emit(
-                        now,
-                        NO_NODE,
-                        oid,
-                        TraceKind::TxnPhaseBegin {
-                            txn: id,
-                            mode,
-                            phase: TXN_PHASE_ACQUIRE,
-                        },
-                    );
-                    run.cur_phase = TXN_PHASE_ACQUIRE;
+                // The backoff span ends at the wake timestamp, where the
+                // next acquisition round opens.
+                if let Some(mut run) = self.active.remove(&id) {
+                    if self.advance(now, &mut run, shards, &mut finished) {
+                        self.active.insert(id, run);
+                    }
                 }
             } else {
                 i += 1;
@@ -776,169 +713,140 @@ impl TxnManager {
 
     // ---- transitions --------------------------------------------------
 
-    fn release_legs<S: TxnTransports>(&self, shards: &S, run: &TxnRun) -> Vec<ReleaseLeg> {
-        let owner = Self::owner(run.txn.id);
-        run.held
-            .iter()
-            .map(|&site| ReleaseLeg {
-                site,
-                undo: WrUndo::new(
-                    site.lock,
-                    owner,
-                    ExecuteMap::all(shards.txn_group_size(site.shard)),
-                ),
-                gen: None,
-                done: false,
-            })
-            .collect()
-    }
-
-    /// Locks are all held: move to read validation (or skip ahead when
-    /// there is nothing to check). Returns false when the run finished.
-    fn enter_validate(
+    /// Moves `run` on once every leg of its open phase is done (or its
+    /// backoff expired), following the phase table in DESIGN.md
+    /// "Transactions". A phase with no legs is passed straight through: a
+    /// validate, apply or release opens and closes its span at once, a
+    /// rollback with nothing held opens none. Returns false when the run
+    /// finished.
+    fn advance<S: TxnTransports>(
         &mut self,
         now: SimTime,
         run: &mut TxnRun,
-        shards: &impl TxnTransports,
+        shards: &S,
         finished: &mut Vec<(u64, TxnOutcome)>,
     ) -> bool {
-        self.set_phase(now, run, TXN_PHASE_VALIDATE);
-        let legs: Vec<ValidateLeg> = run
-            .txn
-            .reads
-            .iter()
-            .map(|(&site, &observed)| ValidateLeg {
-                site,
-                observed,
-                gen: None,
-                done: false,
-            })
-            .collect();
-        if legs.is_empty() {
-            return self.enter_apply(now, run, shards, finished);
-        }
-        run.phase = RunPhase::Validate {
-            legs,
-            failed: false,
-        };
-        true
-    }
-
-    /// Reads validated: stage the buffered writes plus one version bump
-    /// per written site.
-    fn enter_apply(
-        &mut self,
-        now: SimTime,
-        run: &mut TxnRun,
-        shards: &impl TxnTransports,
-        finished: &mut Vec<(u64, TxnOutcome)>,
-    ) -> bool {
-        self.set_phase(now, run, TXN_PHASE_APPLY);
-        let mut legs: Vec<ApplyLeg> = run
-            .txn
-            .writes
-            .iter()
-            .map(|(site, offset, data)| ApplyLeg {
-                shard: site.shard,
-                op: GroupOp::Write {
-                    offset: *offset,
-                    data: data.clone(),
-                    flush: true,
-                },
-                probe_lock: Some(site.lock),
-                gen: None,
-                done: false,
-            })
-            .collect();
-        let mut bumped: BTreeMap<TxnSite, u64> = BTreeMap::new();
-        for (site, _, _) in &run.txn.writes {
-            bumped
-                .entry(*site)
-                .or_insert_with(|| self.version(*site) + 1);
-        }
-        for (&site, &v) in &bumped {
-            legs.push(ApplyLeg {
-                shard: site.shard,
-                op: GroupOp::Write {
-                    offset: self.layout.version_offset(site.lock),
-                    data: Payload::copy_from(&v.to_le_bytes()),
-                    flush: true,
-                },
-                probe_lock: None,
-                gen: None,
-                done: false,
-            });
-        }
-        run.new_versions = bumped.into_iter().collect();
-        if legs.is_empty() {
-            return self.enter_release(now, run, shards, true, finished);
-        }
-        run.phase = RunPhase::Apply { legs };
-        true
-    }
-
-    /// Start releasing every held lock; finish immediately when nothing is
-    /// held.
-    fn enter_release(
-        &mut self,
-        now: SimTime,
-        run: &mut TxnRun,
-        shards: &impl TxnTransports,
-        commit: bool,
-        finished: &mut Vec<(u64, TxnOutcome)>,
-    ) -> bool {
-        self.set_phase(now, run, TXN_PHASE_RELEASE);
-        let legs = self.release_legs(shards, run);
-        if legs.is_empty() {
-            self.finish(now, run, commit, finished);
-            return false;
-        }
-        run.phase = RunPhase::Release { legs, commit };
-        true
-    }
-
-    /// An acquisition round failed (busy or undone partial): roll back the
-    /// held locks, then retry after backoff or abort once the attempt
-    /// budget is spent.
-    fn begin_retry_or_abort(
-        &mut self,
-        now: SimTime,
-        run: &mut TxnRun,
-        shards: &impl TxnTransports,
-        finished: &mut Vec<(u64, TxnOutcome)>,
-    ) -> bool {
-        run.attempts += 1;
-        let retry = run.attempts < self.max_lock_attempts;
-        let legs = self.release_legs(shards, run);
-        if legs.is_empty() {
-            if retry {
-                self.park(now, run);
+        let mut from = run.phase.code;
+        loop {
+            let to = match (from, run.phase.legs.first().map(|l| &l.work)) {
+                (TXN_PHASE_ACQUIRE, _) if run.held.len() == run.lock_sites.len() => {
+                    TXN_PHASE_VALIDATE
+                }
+                (TXN_PHASE_ACQUIRE, Some(Work::Lock(_, Some(WrLockOutcome::Acquired)))) => {
+                    TXN_PHASE_ACQUIRE
+                }
+                (TXN_PHASE_ACQUIRE, Some(Work::Lock(_, Some(WrLockOutcome::Partial { .. })))) => {
+                    TXN_PHASE_UNDO
+                }
+                // A lost round (busy, or a partial win undone).
+                (TXN_PHASE_ACQUIRE | TXN_PHASE_UNDO, _) => {
+                    run.attempts += 1;
+                    TXN_PHASE_ROLLBACK
+                }
+                (TXN_PHASE_ROLLBACK, _) if run.attempts < MAX_LOCK_ATTEMPTS => TXN_PHASE_BACKOFF,
+                (TXN_PHASE_BACKOFF, _) => TXN_PHASE_ACQUIRE,
+                (TXN_PHASE_VALIDATE, _) if run.abort_cause.is_none() => TXN_PHASE_APPLY,
+                (TXN_PHASE_VALIDATE | TXN_PHASE_APPLY, _) => TXN_PHASE_RELEASE,
+                (TXN_PHASE_ROLLBACK | TXN_PHASE_RELEASE, _) => {
+                    let commit = from == TXN_PHASE_RELEASE && run.abort_cause.is_none();
+                    self.finish(now, run, commit, finished);
+                    return false;
+                }
+                _ => unreachable!("no txn phase {from}"),
+            };
+            let legs = self.legs(to, run, shards);
+            if to != TXN_PHASE_ROLLBACK || !legs.is_empty() {
+                self.set_phase(now, run, to);
+            }
+            run.phase.legs = legs;
+            if to == TXN_PHASE_BACKOFF {
+                // Park: the deferred queue wakes the run into its next
+                // acquisition round after a jittered delay.
+                self.lock_retries += 1;
+                let delay = run.backoff.next_delay();
+                self.backoff_parks += 1;
+                self.backoff_delay_ns += delay.as_nanos();
+                // Charge the wait to the site that lost the round, when known.
+                if let Some((site, _)) = run.last_conflict {
+                    let c = self.contention.entry(site).or_default();
+                    c.wait_ns += delay.as_nanos();
+                    c.backoff_retries += 1;
+                }
+                self.deferred.push((now.saturating_add(delay), run.txn.id));
                 return true;
             }
-            self.finish(now, run, false, finished);
-            return false;
+            if !run.phase.legs.is_empty() {
+                return true;
+            }
+            from = to;
         }
-        self.set_phase(now, run, TXN_PHASE_ROLLBACK);
-        run.phase = RunPhase::Rollback { legs, retry };
-        true
     }
 
-    /// Schedule the next acquisition round after a jittered backoff delay.
-    fn park(&mut self, now: SimTime, run: &mut TxnRun) {
-        self.set_phase(now, run, TXN_PHASE_BACKOFF);
-        run.parked = true;
-        run.phase = RunPhase::Acquire { idx: 0, gen: None };
-        self.lock_retries += 1;
-        let delay = run.backoff.next_delay();
-        self.backoff_parks += 1;
-        self.backoff_delay_ns += delay.as_nanos();
-        // Charge the wait to the site that lost the round, when known.
-        if let Some((site, _)) = run.last_conflict {
-            let c = self.contention.entry(site).or_default();
-            c.wait_ns += delay.as_nanos();
-            c.backoff_retries += 1;
+    /// The legs of phase `code` for `run` (none for a backoff). Apply
+    /// also fixes the version-word values the commit installs.
+    fn legs<S: TxnTransports>(&self, code: u8, run: &mut TxnRun, shards: &S) -> Vec<Leg> {
+        match code {
+            TXN_PHASE_ACQUIRE => run
+                .lock_sites
+                .get(run.held.len())
+                .map(|&site| Leg::new(site.shard, Work::Lock(site, None)))
+                .into_iter()
+                .collect(),
+            TXN_PHASE_UNDO => match run.phase.legs[0].work {
+                Work::Lock(site, Some(WrLockOutcome::Partial { undo })) => {
+                    vec![Leg::new(site.shard, Work::Unlock(site, undo))]
+                }
+                _ => unreachable!("an undo follows a partial acquisition"),
+            },
+            TXN_PHASE_ROLLBACK | TXN_PHASE_RELEASE => {
+                let owner = Self::owner(run.txn.id);
+                run.held
+                    .iter()
+                    .map(|&site| {
+                        let winners = ExecuteMap::all(shards.txn_group_size(site.shard));
+                        let undo = WrUndo::new(site.lock, owner, winners);
+                        Leg::new(site.shard, Work::Unlock(site, undo))
+                    })
+                    .collect()
+            }
+            TXN_PHASE_VALIDATE => run
+                .txn
+                .reads
+                .iter()
+                .map(|(&site, &observed)| Leg::new(site.shard, Work::Check(site, observed)))
+                .collect(),
+            TXN_PHASE_APPLY => {
+                let write = |offset, data| GroupOp::Write {
+                    offset,
+                    data,
+                    flush: true,
+                };
+                let mut legs: Vec<Leg> = run
+                    .txn
+                    .writes
+                    .iter()
+                    .map(|(site, offset, data)| {
+                        let op = write(*offset, data.clone());
+                        Leg::new(site.shard, Work::Write(op, Some(site.lock)))
+                    })
+                    .collect();
+                // One version bump per written site.
+                let bumped: BTreeMap<TxnSite, u64> = run
+                    .txn
+                    .writes
+                    .iter()
+                    .map(|w| (w.0, self.version(w.0) + 1))
+                    .collect();
+                for (&site, &v) in &bumped {
+                    let offset = self.layout.version_offset(site.lock);
+                    let op = write(offset, Payload::copy_from(&v.to_le_bytes()));
+                    legs.push(Leg::new(site.shard, Work::Write(op, None)));
+                }
+                run.new_versions = bumped.into_iter().collect();
+                legs
+            }
+            _ => Vec::new(),
         }
-        self.deferred.push((now.saturating_add(delay), run.txn.id));
     }
 
     fn finish(
@@ -966,7 +874,7 @@ impl TxnManager {
             TraceKind::TxnPhaseEnd {
                 txn: run.txn.id,
                 mode: self.mode_code(),
-                phase: run.cur_phase,
+                phase: run.phase.code,
             },
         );
         if commit {
@@ -1049,6 +957,8 @@ impl TxnManager {
 
     // ---- ack dispatch -------------------------------------------------
 
+    /// Lands one ack on the leg that issued it, then moves the run on once
+    /// its phase has no leg left to finish.
     fn on_ack<S: TxnTransports>(
         &mut self,
         now: SimTime,
@@ -1061,15 +971,25 @@ impl TxnManager {
         let Some(mut run) = self.active.remove(&id) else {
             return;
         };
-        let owner = Self::owner(id);
-        let next = match &mut run.phase {
-            RunPhase::Acquire { idx, gen } => {
-                *gen = None;
-                let i = *idx;
-                let site = run.lock_sites[i];
-                debug_assert_eq!(site.shard, shard, "lock ack from the wrong shard");
+        let Some(leg) = run
+            .phase
+            .legs
+            .iter_mut()
+            .find(|l| l.gen == Some(ack.gen) && l.shard == shard)
+        else {
+            self.active.insert(id, run);
+            return;
+        };
+        leg.gen = None;
+        leg.done = match &mut leg.work {
+            Work::Lock(site, outcome) => {
+                let site = *site;
                 self.contention.entry(site).or_default().attempts += 1;
-                match self.layout.locks.interpret_wr_lock(ack, site.lock, owner) {
+                let won = self
+                    .layout
+                    .locks
+                    .interpret_wr_lock(ack, site.lock, Self::owner(id));
+                match won {
                     WrLockOutcome::Acquired => {
                         self.note_lock_acquired(id, site);
                         self.audit.probe(
@@ -1081,186 +1001,75 @@ impl TxnManager {
                             },
                         );
                         run.held.insert(site);
-                        if i + 1 == run.lock_sites.len() {
-                            Next::Validate
-                        } else {
-                            Next::Acquire(i + 1)
-                        }
                     }
                     WrLockOutcome::Busy { holder } => {
                         let live =
                             self.note_lock_busy(id, site, holder, run.txn.keys.get(&site).copied());
                         run.last_conflict = Some((site, live));
-                        Next::RetryOrAbort
                     }
-                    WrLockOutcome::Partial { undo } => {
+                    WrLockOutcome::Partial { .. } => {
                         // A partial acquisition is a failed CAS round but
                         // not an attributable conflict: the replicas
                         // disagreed, no single live holder beat us.
                         self.contention.entry(site).or_default().cas_failures += 1;
                         run.last_conflict = Some((site, false));
-                        Next::BeginUndo(i, undo)
                     }
                 }
+                *outcome = Some(won);
+                true
             }
-            RunPhase::Undo { undo, gen, .. } => {
-                *gen = None;
-                if undo.absorb(ack) {
-                    Next::RetryOrAbort
-                } else {
-                    Next::Keep
+            Work::Unlock(site, undo) => {
+                let released = undo.absorb(ack);
+                // Only a lock the run held is probed: the undo of a partial
+                // acquisition releases a site it never took.
+                if released && run.held.remove(site) {
+                    self.audit.probe(
+                        now,
+                        Probe::TxnUnlock {
+                            txn: id,
+                            shard: site.shard.0,
+                            lock: site.lock,
+                        },
+                    );
                 }
+                released
             }
-            RunPhase::Rollback { legs, retry } => {
-                let retry = *retry;
-                if let Some(leg) = legs
-                    .iter_mut()
-                    .find(|l| l.gen == Some(ack.gen) && l.site.shard == shard)
-                {
-                    leg.gen = None;
-                    if leg.undo.absorb(ack) {
-                        leg.done = true;
-                        self.audit.probe(
-                            now,
-                            Probe::TxnUnlock {
-                                txn: id,
-                                shard: leg.site.shard.0,
-                                lock: leg.site.lock,
-                            },
-                        );
-                        run.held.remove(&leg.site);
-                    }
+            Work::Check(site, observed) => {
+                let actual = ack.cas_observed(0);
+                // Mismatch aborts, but must NOT correct the version cache:
+                // `actual` may belong to a concurrent commit whose values
+                // are not client-visible yet. Advancing the cache here
+                // lets the next transaction pair the new version with a
+                // stale read — a torn (value, version) pair that validates
+                // cleanly and commits a lost update. The cache advances
+                // only in `finish`, when the bumping commit's values
+                // install. The first mismatching leg (ack order, which is
+                // deterministic) names the abort cause.
+                if actual != *observed && run.abort_cause.is_none() {
+                    run.abort_cause = Some(AbortCause::ValidationFailed {
+                        site: *site,
+                        key: run.txn.keys.get(site).copied(),
+                        observed: actual,
+                        expected: *observed,
+                    });
                 }
-                if legs.iter().all(|l| l.done) {
-                    if retry {
-                        Next::Park
-                    } else {
-                        Next::Finish(false)
-                    }
-                } else {
-                    Next::Keep
-                }
+                true
             }
-            RunPhase::Validate { legs, failed } => {
-                if let Some(leg) = legs
-                    .iter_mut()
-                    .find(|l| l.gen == Some(ack.gen) && l.site.shard == shard)
-                {
-                    leg.gen = None;
-                    leg.done = true;
-                    let actual = ack.cas_observed(0);
-                    // Mismatch aborts, but must NOT correct the version
-                    // cache: `actual` may belong to a concurrent commit
-                    // whose values are not client-visible yet. Advancing
-                    // the cache here lets the next transaction pair the
-                    // new version with a stale read — a torn (value,
-                    // version) pair that validates cleanly and commits a
-                    // lost update. The cache advances only in `finish`,
-                    // when the bumping commit's values install.
-                    if actual != leg.observed {
-                        *failed = true;
-                        // The first mismatching leg (ack order, which is
-                        // deterministic) names the abort cause.
-                        if run.abort_cause.is_none() {
-                            run.abort_cause = Some(AbortCause::ValidationFailed {
-                                site: leg.site,
-                                key: run.txn.keys.get(&leg.site).copied(),
-                                observed: actual,
-                                expected: leg.observed,
-                            });
-                        }
-                    }
+            Work::Write(_, lock) => {
+                if let Some(lock) = *lock {
+                    self.audit.probe(
+                        now,
+                        Probe::TxnWrite {
+                            txn: id,
+                            shard: shard.0,
+                            lock,
+                        },
+                    );
                 }
-                if legs.iter().all(|l| l.done) {
-                    if *failed {
-                        Next::Release(false)
-                    } else {
-                        Next::Apply
-                    }
-                } else {
-                    Next::Keep
-                }
-            }
-            RunPhase::Apply { legs } => {
-                if let Some(leg) = legs
-                    .iter_mut()
-                    .find(|l| l.gen == Some(ack.gen) && l.shard == shard)
-                {
-                    leg.gen = None;
-                    leg.done = true;
-                    if let Some(lock) = leg.probe_lock {
-                        self.audit.probe(
-                            now,
-                            Probe::TxnWrite {
-                                txn: id,
-                                shard: shard.0,
-                                lock,
-                            },
-                        );
-                    }
-                }
-                if legs.iter().all(|l| l.done) {
-                    Next::Release(true)
-                } else {
-                    Next::Keep
-                }
-            }
-            RunPhase::Release { legs, commit } => {
-                let commit = *commit;
-                if let Some(leg) = legs
-                    .iter_mut()
-                    .find(|l| l.gen == Some(ack.gen) && l.site.shard == shard)
-                {
-                    leg.gen = None;
-                    if leg.undo.absorb(ack) {
-                        leg.done = true;
-                        self.audit.probe(
-                            now,
-                            Probe::TxnUnlock {
-                                txn: id,
-                                shard: leg.site.shard.0,
-                                lock: leg.site.lock,
-                            },
-                        );
-                        run.held.remove(&leg.site);
-                    }
-                }
-                if legs.iter().all(|l| l.done) {
-                    Next::Finish(commit)
-                } else {
-                    Next::Keep
-                }
+                true
             }
         };
-        let keep = match next {
-            Next::Keep => true,
-            Next::Acquire(i) => {
-                run.phase = RunPhase::Acquire { idx: i, gen: None };
-                true
-            }
-            Next::BeginUndo(i, undo) => {
-                self.set_phase(now, &mut run, TXN_PHASE_UNDO);
-                run.phase = RunPhase::Undo {
-                    idx: i,
-                    undo,
-                    gen: None,
-                };
-                true
-            }
-            Next::Validate => self.enter_validate(now, &mut run, shards, finished),
-            Next::Apply => self.enter_apply(now, &mut run, shards, finished),
-            Next::Release(commit) => self.enter_release(now, &mut run, shards, commit, finished),
-            Next::RetryOrAbort => self.begin_retry_or_abort(now, &mut run, shards, finished),
-            Next::Park => {
-                self.park(now, &mut run);
-                true
-            }
-            Next::Finish(commit) => {
-                self.finish(now, &run, commit, finished);
-                false
-            }
-        };
-        if keep {
+        if run.phase.legs.iter().any(|l| !l.done) || self.advance(now, &mut run, shards, finished) {
             self.active.insert(id, run);
         }
     }
@@ -1297,6 +1106,28 @@ impl TxnManager {
         }
     }
 
+    /// The group op that carries `work` for the transaction `owner`.
+    fn op<S: TxnTransports>(&self, work: &Work, owner: u64, shards: &S) -> GroupOp {
+        match work {
+            Work::Lock(site, _) => GroupOp::Cas {
+                offset: self.layout.locks.word_offset(site.lock),
+                compare: 0,
+                swap: WRITER_BIT | owner,
+                execute: ExecuteMap::all(shards.txn_group_size(site.shard)),
+            },
+            Work::Unlock(_, undo) => undo.op(&self.layout.locks),
+            Work::Check(site, observed) => GroupOp::Cas {
+                offset: self.layout.version_offset(site.lock),
+                compare: *observed,
+                swap: *observed,
+                execute: ExecuteMap::none().with(0),
+            },
+            Work::Write(op, _) => op.clone(),
+        }
+    }
+
+    /// Begins `id` on its first step, then issues every leg of its phase
+    /// that is neither done nor in flight, in leg order.
     fn step<S: TxnTransports>(
         &mut self,
         ctx: &mut NicCtx<'_>,
@@ -1307,12 +1138,9 @@ impl TxnManager {
         let Some(run) = self.active.get(&id) else {
             return;
         };
-        if run.parked {
-            return;
-        }
         if !run.begun {
-            // `enter_validate` borrows the manager and the run together, so
-            // the first step takes the run out of the map.
+            // `advance` borrows the manager and the run together, so the
+            // first step takes the run out of the map.
             let mut run = self.active.remove(&id).expect("the run is active");
             run.begun = true;
             self.audit.probe(ctx.now, Probe::TxnBegin { txn: id });
@@ -1326,108 +1154,27 @@ impl TxnManager {
                     phase: TXN_PHASE_ACQUIRE,
                 },
             );
-            if run.lock_sites.is_empty()
-                && !self.enter_validate(ctx.now, &mut run, shards, finished)
-            {
+            run.phase.legs = self.legs(TXN_PHASE_ACQUIRE, &mut run, shards);
+            if run.phase.legs.is_empty() && !self.advance(ctx.now, &mut run, shards, finished) {
                 return;
             }
             self.active.insert(id, run);
         }
-        let run = &self.active[&id];
-        let owner = Self::owner(id);
-        // Collect what the phase is missing, then issue (two passes keep
-        // the phase borrow and the issue borrow disjoint).
-        let mut wanted: Vec<(ShardId, GroupOp)> = Vec::new();
-        match &run.phase {
-            RunPhase::Acquire { idx, gen } => {
-                if gen.is_none() {
-                    let site = run.lock_sites[*idx];
-                    wanted.push((
-                        site.shard,
-                        GroupOp::Cas {
-                            offset: self.layout.locks.word_offset(site.lock),
-                            compare: 0,
-                            swap: WRITER_BIT | owner,
-                            execute: ExecuteMap::all(shards.txn_group_size(site.shard)),
-                        },
-                    ));
-                }
-            }
-            RunPhase::Undo { idx, undo, gen } => {
-                if gen.is_none() {
-                    wanted.push((run.lock_sites[*idx].shard, undo.op(&self.layout.locks)));
-                }
-            }
-            RunPhase::Rollback { legs, .. } | RunPhase::Release { legs, .. } => {
-                for leg in legs.iter().filter(|l| !l.done && l.gen.is_none()) {
-                    wanted.push((leg.site.shard, leg.undo.op(&self.layout.locks)));
-                }
-            }
-            RunPhase::Validate { legs, .. } => {
-                for leg in legs.iter().filter(|l| !l.done && l.gen.is_none()) {
-                    wanted.push((
-                        leg.site.shard,
-                        GroupOp::Cas {
-                            offset: self.layout.version_offset(leg.site.lock),
-                            compare: leg.observed,
-                            swap: leg.observed,
-                            execute: ExecuteMap::none().with(0),
-                        },
-                    ));
-                }
-            }
-            RunPhase::Apply { legs } => {
-                for leg in legs.iter().filter(|l| !l.done && l.gen.is_none()) {
-                    wanted.push((leg.shard, leg.op.clone()));
-                }
-            }
-        }
-        // Most steps find the phase fully issued (waiting on acks): they
-        // leave the run as it is.
-        if wanted.is_empty() {
+        // Most steps find every leg in flight or done (waiting on acks, or
+        // parked): they leave the run as it is.
+        let run = self.active.get_mut(&id).expect("the run is active");
+        let unissued = |l: &Leg| !l.done && l.gen.is_none();
+        if !run.phase.legs.iter().any(unissued) {
             return;
         }
-        let mut issued: Vec<Option<u64>> = Vec::with_capacity(wanted.len());
-        for (shard, op) in wanted {
-            issued.push(self.issue_for(ctx, shards, id, shard, op));
+        let mut legs = std::mem::take(&mut run.phase.legs);
+        let owner = Self::owner(id);
+        for leg in legs.iter_mut().filter(|l| unissued(l)) {
+            let op = self.op(&leg.work, owner, shards);
+            leg.gen = self.issue_for(ctx, shards, id, leg.shard, op);
         }
-        // Write the generations back into the phase, in the same order the
-        // first pass walked it.
-        let mut it = issued.into_iter();
         let run = self.active.get_mut(&id).expect("the run is active");
-        match &mut run.phase {
-            RunPhase::Acquire { gen, .. } | RunPhase::Undo { gen, .. } => {
-                if gen.is_none() {
-                    if let Some(g) = it.next() {
-                        *gen = g;
-                    }
-                }
-            }
-            RunPhase::Rollback { legs, .. } | RunPhase::Release { legs, .. } => {
-                for leg in legs.iter_mut().filter(|l| !l.done && l.gen.is_none()) {
-                    match it.next() {
-                        Some(g) => leg.gen = g,
-                        None => break,
-                    }
-                }
-            }
-            RunPhase::Validate { legs, .. } => {
-                for leg in legs.iter_mut().filter(|l| !l.done && l.gen.is_none()) {
-                    match it.next() {
-                        Some(g) => leg.gen = g,
-                        None => break,
-                    }
-                }
-            }
-            RunPhase::Apply { legs } => {
-                for leg in legs.iter_mut().filter(|l| !l.done && l.gen.is_none()) {
-                    match it.next() {
-                        Some(g) => leg.gen = g,
-                        None => break,
-                    }
-                }
-            }
-        }
+        run.phase.legs = legs;
     }
 }
 
@@ -1437,7 +1184,6 @@ mod tests {
     use crate::config::GroupConfig;
     use crate::group::{GroupClient, HyperLoopGroup};
     use crate::harness::{drive, fabric_sim, FabricSim};
-    use crate::shard::AckJoin;
     use netsim::NodeId;
     use simcore::Simulation;
 
@@ -1624,7 +1370,6 @@ mod tests {
         let audit = Audit::standard();
         let mut mgr = TxnManager::new(layout(), CommitMode::Locking, 3);
         mgr.set_audit(audit.clone());
-        mgr.set_max_lock_attempts(16);
         let site = TxnSite {
             shard: ShardId(0),
             lock: 5,
@@ -1680,7 +1425,6 @@ mod tests {
         let audit = Audit::standard();
         let mut mgr = TxnManager::new(layout(), CommitMode::Locking, 5);
         mgr.set_audit(audit.clone());
-        mgr.set_max_lock_attempts(2);
         let site = TxnSite {
             shard: ShardId(0),
             lock: 7,
@@ -1728,7 +1472,6 @@ mod tests {
         let audit = Audit::standard();
         let mut mgr = TxnManager::new(layout(), CommitMode::Locking, 11);
         mgr.set_audit(audit.clone());
-        mgr.set_max_lock_attempts(2);
         let site = TxnSite {
             shard: ShardId(0),
             lock: 4,
@@ -1783,7 +1526,6 @@ mod tests {
         let mut mgr = TxnManager::new(layout(), CommitMode::Locking, 21);
         mgr.set_audit(audit.clone());
         mgr.set_tracer(tracer.clone());
-        mgr.set_max_lock_attempts(16);
         let site = TxnSite {
             shard: ShardId(0),
             lock: 6,
@@ -1823,51 +1565,5 @@ mod tests {
         }
         // The phase-pairing auditor watched every emission.
         assert_eq!(audit.violation_count(), 0, "report:\n{}", audit.report());
-    }
-
-    #[test]
-    fn issue_many_joins_across_shards_and_is_all_or_nothing() {
-        let (mut sim, mut shards, _) = setup(2);
-        let op = |v: u8| GroupOp::Write {
-            offset: 16384,
-            data: Payload::filled(v, 64),
-            flush: true,
-        };
-        let mut join = drive(&mut sim, |ctx| {
-            shards
-                .issue_many(ctx, vec![(ShardId(0), op(1)), (ShardId(1), op(2))])
-                .unwrap()
-        });
-        assert_eq!(join.pending(), 2);
-        assert!(!join.is_done());
-        sim.run();
-        let acks = drive(&mut sim, |ctx| shards.poll(ctx));
-        for a in &acks {
-            join.absorb(a);
-        }
-        assert!(join.is_done());
-
-        // All-or-nothing: 17 legs on one shard exceed its window (16), so
-        // nothing at all is issued.
-        let before = shards.issued();
-        let err = drive(&mut sim, |ctx| {
-            shards
-                .issue_many(ctx, (0..17).map(|i| (ShardId(0), op(i as u8))))
-                .unwrap_err()
-        });
-        assert_eq!(err, GroupError::WindowFull);
-        assert_eq!(shards.issued(), before, "rejected batch must issue nothing");
-
-        // Foreign acks are ignored by a join.
-        let mut other = AckJoin::new();
-        other.track(ShardId(0), 99999);
-        assert!(!other.absorb(&ShardAck {
-            shard: ShardId(1),
-            ack: GroupAck {
-                gen: 99999,
-                result_map: vec![],
-            },
-        }));
-        assert!(!other.is_done());
     }
 }

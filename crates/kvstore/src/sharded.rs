@@ -230,16 +230,6 @@ impl<T: GroupTransport> ShardedKv<T> {
         &self.txns.as_ref().expect("transactions not enabled").mgr
     }
 
-    /// The transaction manager, mutably (tuning knobs such as
-    /// [`TxnManager::set_max_lock_attempts`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if transactions are not enabled.
-    pub fn txn_manager_mut(&mut self) -> &mut TxnManager {
-        &mut self.txn_state().mgr
-    }
-
     fn txn_state(&mut self) -> &mut TxnState {
         self.txns.as_mut().expect("transactions not enabled")
     }
@@ -342,10 +332,6 @@ impl<T: GroupTransport> ShardedKv<T> {
 }
 
 impl<T: GroupTransport> TxnTransports for ShardedKv<T> {
-    fn txn_shard_count(&self) -> u32 {
-        self.shard_count()
-    }
-
     fn txn_group_size(&self, shard: ShardId) -> u32 {
         self.shards[shard.0 as usize].transport.group_size()
     }
@@ -596,7 +582,6 @@ mod tests {
     fn stripe_collisions_are_metered_as_false_conflicts() {
         let (mut sim, mut kv) = setup(2);
         kv.enable_txns(CommitMode::Locking, 23);
-        kv.txn_manager_mut().set_max_lock_attempts(16);
 
         // Same-key contention: a true conflict, never a false one.
         let k = 0u64;
