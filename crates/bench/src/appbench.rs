@@ -73,7 +73,7 @@ fn naive_chain(cluster: &mut Cluster, replica_kind: ProcKind) -> NaiveClient {
 
 /// Polls one app arm to completion and closes it: the cluster's counters,
 /// the client's latency histogram under `bench.op_latency`, and health.
-fn finish_app(arm: Arm, cluster: Cluster, client: Installed, ops: u64) -> Outcome {
+fn finish_app(mut arm: Arm, cluster: Cluster, client: Installed, ops: u64) -> Outcome {
     let mut sim = cluster.into_sim();
     let hist = arm.poll(
         &mut sim,

@@ -4,7 +4,7 @@
 //! measurements are event-precise.
 
 use hyperloop::{GroupAck, GroupOp, GroupTransport};
-use simcore::{HealthMonitor, Histogram, SimDuration, SimTime};
+use simcore::{HealthMonitor, Histogram, MetricsRegistry, SimDuration, SimTime};
 use std::collections::HashMap;
 use testbed::{Env, HostApp, HostEvent};
 
@@ -12,11 +12,12 @@ use testbed::{Env, HostApp, HostEvent};
 pub type OpPlan = Box<dyn FnMut(u64) -> GroupOp>;
 
 /// A client process the run harness installs and watches
-/// (`run::install`, `run::Arm::poll`): every driver here.
+/// (`run::install`, `run::Arm::poll`): every driver here, and the sharded
+/// and transaction clients of `shardscale`, `migrate` and `txnmix`.
 pub(crate) trait Client: HostApp {
-    /// The transport the client issues on; its node and ack CQ place and
-    /// wake the client's process.
-    fn transport(&self) -> &dyn GroupTransport;
+    /// The transports the client issues on: the first one's node places
+    /// the client's process, and every one's ack CQ wakes it.
+    fn transports(&self) -> Vec<&dyn GroupTransport>;
     /// True once the client's quota is met and its pipeline drained.
     fn is_done(&self) -> bool;
     /// The measured latency histogram (warm-up excluded).
@@ -26,6 +27,8 @@ pub(crate) trait Client: HostApp {
     fn elapsed(&self) -> Option<SimDuration> {
         None
     }
+    /// Writes the client's counters for the arm's counter tracks.
+    fn export_tracks(&self, _reg: &mut MetricsRegistry) {}
 }
 
 /// A generic primitive-level benchmark client over any [`GroupTransport`].
@@ -106,13 +109,6 @@ impl<T: GroupTransport + 'static> PrimitiveDriver<T> {
         self.completed >= self.total
     }
 
-    fn fill_window(&mut self, env: &mut Env<'_>) {
-        if !self.pace.is_zero() && self.issued > 0 {
-            return; // paced mode: issues happen from the timer
-        }
-        self.fill_now(env);
-    }
-
     fn fill_now(&mut self, env: &mut Env<'_>) {
         while self.issued < self.total
             && self.transport.can_issue()
@@ -139,14 +135,7 @@ impl<T: GroupTransport + 'static> PrimitiveDriver<T> {
 impl<T: GroupTransport + 'static> HostApp for PrimitiveDriver<T> {
     fn on_event(&mut self, env: &mut Env<'_>, event: HostEvent) {
         match event {
-            HostEvent::Start => {
-                if self.pace.is_zero() {
-                    self.fill_window(env);
-                } else {
-                    self.fill_now(env);
-                }
-            }
-            HostEvent::Timer(_) => self.fill_now(env),
+            HostEvent::Start | HostEvent::Timer(_) => self.fill_now(env),
             HostEvent::CqReady(cq) => {
                 debug_assert_eq!(cq, self.transport.ack_cq());
                 let mut acks = std::mem::take(&mut self.ack_scratch);
@@ -168,8 +157,9 @@ impl<T: GroupTransport + 'static> HostApp for PrimitiveDriver<T> {
                     }
                 }
                 self.ack_scratch = acks;
+                // Paced, the next issue waits out `pace` on a timer.
                 if self.pace.is_zero() {
-                    self.fill_window(env);
+                    self.fill_now(env);
                 } else if self.issued < self.total {
                     env.set_timer(self.pace, 0);
                 }
@@ -180,8 +170,8 @@ impl<T: GroupTransport + 'static> HostApp for PrimitiveDriver<T> {
 }
 
 impl<T: GroupTransport + 'static> Client for PrimitiveDriver<T> {
-    fn transport(&self) -> &dyn GroupTransport {
-        &self.transport
+    fn transports(&self) -> Vec<&dyn GroupTransport> {
+        vec![&self.transport]
     }
     fn is_done(&self) -> bool {
         PrimitiveDriver::is_done(self)
@@ -353,8 +343,8 @@ impl<T: GroupTransport + 'static> HostApp for KvDriver<T> {
 }
 
 impl<T: GroupTransport + 'static> Client for KvDriver<T> {
-    fn transport(&self) -> &dyn GroupTransport {
-        &self.store.transport
+    fn transports(&self) -> Vec<&dyn GroupTransport> {
+        vec![&self.store.transport]
     }
     fn is_done(&self) -> bool {
         self.completed >= self.total_writes + self.warmup
@@ -561,8 +551,8 @@ impl<T: GroupTransport + 'static> HostApp for DocDriver<T> {
 }
 
 impl<T: GroupTransport + 'static> Client for DocDriver<T> {
-    fn transport(&self) -> &dyn GroupTransport {
-        &self.store.transport
+    fn transports(&self) -> Vec<&dyn GroupTransport> {
+        vec![&self.store.transport]
     }
     fn is_done(&self) -> bool {
         self.ops_done >= self.total_ops && self.writes_in_flight == 0

@@ -127,7 +127,6 @@ fn replica_nodes(gs: u32) -> Vec<NodeId> {
 pub fn bench_group_config(window: u32) -> GroupConfig {
     GroupConfig {
         shared_size: 4 << 20,
-        meta_slots: 64,
         prepost_depth: 768,
         window,
         first_gen: 0,
@@ -186,7 +185,7 @@ fn run_primitive_once(
     opts: MicroOpts,
     observed: bool,
 ) -> MicroResult {
-    let arm = Arm::start(Profile::Micro, observed, opts.trace, opts.ops + opts.warmup);
+    let mut arm = Arm::start(Profile::Micro, observed, opts.trace, opts.ops + opts.warmup);
     let mut cluster = Cluster::new(
         opts.group_size + 1,
         CORES,

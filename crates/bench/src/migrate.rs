@@ -1,9 +1,9 @@
 //! The live-migration benchmark: pause-window cost under load.
 //!
 //! A fixed offered load runs through `n` chains exactly as in the
-//! shard-scaling bench, but halfway through, shard 0 is migrated onto a
-//! standby chain with the live state machine
-//! ([`MigrationRun::begin`]/[`finish`](MigrationRun::finish)): the shard
+//! shard-scaling bench, but halfway through, the client's coordinator
+//! moves shard 0 onto a standby chain with the live state machine
+//! ([`MigrationRun`], stepped on each of the client's wakes): the shard
 //! pauses with its window full, the bulk copy races that in-flight tail
 //! through the fabric, fresh shard-0 ops park in the bounded holding pen,
 //! and every other shard keeps issuing. The figures of merit are the
@@ -17,14 +17,35 @@ use crate::exp::{
 use crate::report::{Report, Scenario};
 use crate::run::{self, Arm, Outcome, Profile};
 use crate::shardscale::{
-    op_for, ShardRig, PAYLOAD, REPLICAS_PER_SHARD, SHARD_COUNTS, SHARED_SIZE, TRACK_COLS, WINDOW,
+    run_arm, sharded_groups, ShardClient, PAYLOAD, REPLICAS_PER_SHARD, SHARD_COUNTS, SHARED_SIZE,
+    TRACK_COLS, WINDOW,
 };
-use hyperloop::{plan_migration, MigrationRun, ShardId};
-use simcore::simaudit::Probe;
-use simcore::{SimDuration, SimTime};
+use hyperloop::{plan_migration, MigrationPlan, MigrationRun, MigrationStats, ShardId};
+use simcore::{Audit, SimDuration, SimTime};
 
 /// Ops parked in the holding pen while the pause window is open.
 pub const DEFER: u64 = 16;
+
+/// A live migration, which the sharded client's coordinator launches
+/// once `at` ops have acked; the default plans none.
+#[derive(Default)]
+pub(crate) struct Move {
+    pub at: u64,
+    /// The move, until it is launched.
+    pub plan: Option<MigrationPlan>,
+    /// The arm's audit, probed with the pen depth.
+    pub audit: Audit,
+    /// The migration in progress.
+    pub run: Option<MigrationRun>,
+    /// Ops penned over the pause window.
+    pub penned: u64,
+    /// When the pause opened, and the ops acked by then.
+    pub began: (SimTime, u64),
+    /// Ops acked per second from the pause to the end of the move.
+    pub window_tput: f64,
+    /// The finished move's stats.
+    pub stats: Option<MigrationStats>,
+}
 
 /// Live-migration benchmark parameters (chains, window and payload as in
 /// [`crate::shardscale`]).
@@ -52,8 +73,6 @@ impl Default for MigrateOpts {
 /// Result of one migration arm.
 #[derive(Debug, Clone)]
 pub struct MigrateResult {
-    /// Shard count of this arm (shard 0 is the one that moves).
-    pub shards: u32,
     /// Pause-window length (begin to cutover).
     pub pause: SimDuration,
     /// WAL-tail ranges replayed after the raced bulk copy.
@@ -92,99 +111,31 @@ pub fn run_migrate(n_shards: u32, opts: MigrateOpts) -> MigrateResult {
 }
 
 fn run_migrate_once(n_shards: u32, opts: MigrateOpts, observed: bool) -> MigrateResult {
-    let mut arm = Arm::start(Profile::Migrate, observed, opts.trace, opts.ops);
+    let arm = Arm::start(Profile::Migrate, observed, opts.trace, opts.ops);
     // One extra chain sits idle as the migration target. Same offered load
     // and routing as the shard-scaling bench, so the two figures are
     // directly comparable per arm.
-    let mut rig = ShardRig::new(&arm, n_shards, 1, opts.ops, opts.seed);
-    let standby = rig.spare[0].clone();
-
-    let mig_shard = ShardId(0);
-    let migrate_at = opts.ops / 2;
-    let mut migrated: Option<(SimDuration, u64, u64, u64, u64)> = None;
-    let mut window_tput = 0.0f64;
-    while rig.done < opts.ops {
-        rig.refill(&arm.health);
-        if migrated.is_none() && rig.done >= migrate_at {
-            // -- The live migration, launched right after a refill so shard
-            // 0's window is full and the bulk copy genuinely races an
-            // in-flight tail. The other shards' windows are also full, so
-            // they keep completing work throughout the pause. --
-            let plan = plan_migration(
-                mig_shard,
-                rig.set.epoch(mig_shard),
-                &rig.chains[0],
-                &standby,
-                SHARED_SIZE,
-            );
-            let run = MigrationRun::begin(&mut rig.sim, &mut rig.set, plan);
-            let t_begin = run.paused_at();
-            let done_before = rig.done;
-            // Fresh shard-0 keys park in the bounded holding pen while the
-            // window is open.
-            let mut penned: Vec<SimTime> = Vec::new();
-            while (penned.len() as u64) < DEFER {
-                let Some(key) = rig.queues[0].pop_front() else {
-                    break;
-                };
-                let now = rig.sim.now();
-                if rig.set.defer_on(mig_shard, op_for(key)).is_err() {
-                    rig.queues[0].push_front(key); // pen full: back-pressure
-                    break;
-                }
-                penned.push(now);
-                let depth = rig.set.pen_len(mig_shard) as u64;
-                arm.health.record_issue(now, mig_shard.0);
-                arm.health.record_pen_depth(now, mig_shard.0, depth);
-                arm.audit.probe(
-                    now,
-                    Probe::PenDepth {
-                        shard: mig_shard.0,
-                        depth,
-                        capacity: rig.set.pen_capacity() as u64,
-                    },
-                );
-            }
-            // Sample with the pen at its fullest, so the counter track
-            // shows the holding-pen spike inside the pause window.
-            arm.sample(rig.sim.now(), |reg| {
-                rig.set.export_into(reg, "bench.shards")
-            });
-            let outcome = run.finish(&mut rig.sim, &mut rig.set);
-            rig.replicas[0] = outcome.replicas; // old chain's handles are dead
-            rig.chains[0] = standby.clone();
-            rig.record(outcome.drained, &arm.health);
-            // Penned ops re-issued on the new epoch, in pen order. The new
-            // chain's generations are epoch-qualified, so they can never
-            // collide with old-epoch keys still outstanding.
-            assert_eq!(outcome.resumed.len(), penned.len(), "pen drain lost ops");
-            for (&gen, &t0) in outcome.resumed.iter().zip(&penned) {
-                rig.resend(mig_shard.0, gen, t0);
-            }
-            let span = rig.sim.now().since(t_begin);
-            window_tput = (rig.done - done_before) as f64 / span.as_secs_f64().max(1e-12);
-            migrated = Some((
-                outcome.stats.pause,
-                outcome.stats.replayed,
-                outcome.stats.copy_bytes,
-                penned.len() as u64,
-                outcome.stats.epoch,
-            ));
-            continue;
-        }
-        rig.round(&mut arm, opts.ops);
-    }
-    let (pause, replayed, copy_bytes, penned, epoch) =
-        migrated.expect("load too small to reach the migration point");
-    let (_, run) = rig.finish(arm, opts.ops);
+    let (cluster, mut chains, clients) = sharded_groups(&arm, n_shards, 1, opts.seed);
+    let to = chains.pop().expect("a standby chain");
+    let from = std::mem::replace(&mut chains[0], to.clone());
+    let mut client = ShardClient::new(clients, opts.ops, opts.seed, &arm);
+    client.mig = Move {
+        at: opts.ops / 2,
+        plan: Some(plan_migration(ShardId(0), 0, &from, &to, SHARED_SIZE)),
+        audit: arm.audit.clone(),
+        ..Move::default()
+    };
+    let (m, _, run) = run_arm(arm, cluster, client, &chains);
+    let stats = m
+        .stats
+        .expect("load too small to reach the migration point");
     MigrateResult {
-        shards: n_shards,
-        pause,
-        replayed,
-        copy_bytes,
-        penned,
-        dip: window_tput / run.ops_per_sec().max(1e-12),
-        epoch,
+        pause: stats.pause,
+        replayed: stats.replayed,
+        copy_bytes: stats.copy_bytes,
+        penned: m.penned,
+        dip: m.window_tput / run.ops_per_sec().max(1e-12),
+        epoch: stats.epoch,
         run,
     }
 }
@@ -330,5 +281,19 @@ mod tests {
         assert_eq!(a.run.health.to_json(), b.run.health.to_json());
         assert_eq!(a.run.series, b.run.series);
         assert_eq!(a.run.series.to_json(), b.run.series.to_json());
+    }
+
+    #[test]
+    fn a_traced_arm_folds_every_op_its_latency_counts() {
+        let r = run_migrate(
+            2,
+            MigrateOpts {
+                ops: 1024,
+                trace: true,
+                ..MigrateOpts::default()
+            },
+        );
+        let tail = r.run.tail.as_ref().expect("a traced arm folds a tail");
+        assert_eq!((r.run.latency.count, tail.ops), (1024, 1024));
     }
 }

@@ -54,7 +54,7 @@ fn doc_config() -> DocConfig {
 /// document stores over three `cores`-core servers, each driven closed-loop
 /// with `ops_per_set` YCSB-A operations.
 pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64) -> Fig2Point {
-    let arm = Arm::untapped();
+    let mut arm = Arm::untapped();
     let servers = [NodeId(0), NodeId(1), NodeId(2)];
     let clients = [NodeId(3), NodeId(4), NodeId(5)];
     let mut cluster = Cluster::new(

@@ -277,9 +277,14 @@ pub fn check_report(doc: &JsonValue) -> Result<(), String> {
 /// sample a `series`.
 pub const TAILSCOPE: [&str; 4] = ["shardscale/", "migrate/", "hostperf/", "txnmix/"];
 
+/// The scenario families whose `latency`, `tail` and stage attribution
+/// fold one op population: every op the client completed, none evicted.
+pub const ONE_POPULATION: [&str; 2] = ["shardscale/", "migrate/"];
+
 /// [`SCENARIO`]'s rule: `tail` and `series` are present on the
-/// [`TAILSCOPE`] families, the registry rules hold, and `abort_causes`
-/// agrees with the `txn.aborted` counter.
+/// [`TAILSCOPE`] families, the [`ONE_POPULATION`] families' blocks count
+/// the same ops, the registry rules hold, and `abort_causes` agrees with
+/// the `txn.aborted` counter.
 fn scenario_rule(s: &JsonValue, _: &str) -> Result<(), String> {
     let name = s
         .get("name")
@@ -290,6 +295,9 @@ fn scenario_rule(s: &JsonValue, _: &str) -> Result<(), String> {
             return Err(format!("scenario has no {block} block"));
         }
     }
+    if ONE_POPULATION.iter().any(|p| name.starts_with(p)) {
+        one_population(s)?;
+    }
     let Some(counters) = s.at(&["metrics", "counters"]) else {
         return Ok(());
     };
@@ -299,6 +307,36 @@ fn scenario_rule(s: &JsonValue, _: &str) -> Result<(), String> {
     match (total, aborted) {
         (Some(total), Some(aborted)) if total != aborted => Err(format!(
             "abort_causes.total={total} disagrees with txn.aborted={aborted}"
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// `latency.count == tail.ops`, and `== stage_attribution.ops` where
+/// that block is present. `stage_attribution.truncated` may count only
+/// each chain's next pre-posted generation, whose descriptors the
+/// replicas fetched though the client never issued it: at most
+/// `config.shards`. A scenario without `latency` is left to the baseline
+/// gate.
+fn one_population(s: &JsonValue) -> Result<(), String> {
+    let get = |path: &[&str]| s.at(path).and_then(JsonValue::as_u64);
+    let Some(count) = get(&["latency", "count"]) else {
+        return Ok(());
+    };
+    let shards = s.at(&["config", "shards"]).and_then(JsonValue::as_str);
+    let shards: u64 = shards.and_then(|n| n.parse().ok()).unwrap_or(0);
+    if let Some(t) = get(&["stage_attribution", "truncated"]).filter(|&t| t > shards) {
+        return Err(format!(
+            "stage_attribution.truncated={t} exceeds config.shards={shards}: the fold lost ops"
+        ));
+    }
+    let ops = ["tail", "stage_attribution"].map(|block| (block, get(&[block, "ops"])));
+    match ops
+        .into_iter()
+        .find(|&(_, ops)| ops.is_some_and(|n| n != count))
+    {
+        Some((block, Some(n))) => Err(format!(
+            "{block}.ops={n} but latency.count={count}: the blocks fold different ops"
         )),
         _ => Ok(()),
     }
@@ -326,7 +364,7 @@ fn counter_rules(c: &JsonValue) -> Result<(), String> {
 }
 
 /// The `txn.backoff.*` counters.
-const BACKOFF_FIELDS: [&str; 2] = ["parks", "delay_ns"];
+const BACKOFF_FIELDS: [&str; 1] = ["delay_ns"];
 
 /// The `txn.*` rules, for scenarios that started transactions: a commit
 /// attempt resolves once (`committed + aborted <= started`); the

@@ -7,8 +7,10 @@
 //!   the [`Tracer`] tapped by it and the [`HealthMonitor`] on that tracer.
 //!   `Arm::wire` attaches the tracer to a cluster before its groups are
 //!   set up; runners hand `Arm::tracer` to each group client.
-//! * `Arm::poll` is the event-driven runners' loop (micro, fig11, fig12,
-//!   fig2), over clients `install`ed on the cluster.
+//! * `Arm::poll` is the loop of every runner on a `testbed::Cluster`,
+//!   over client processes `install`ed on it: it advances the simulation
+//!   on a fixed cadence, ticking health and sampling counter tracks at
+//!   each step.
 //! * `Arm::finish` stops the meter before any fold, takes the closing
 //!   audit, health and series snapshot, and folds a traced arm's ring into
 //!   the report blocks its runner carries: the shared [`Outcome`].
@@ -56,18 +58,25 @@ pub(crate) enum Profile {
 }
 
 impl Profile {
-    /// Only the lock-step runners audit.
+    /// The sharded runners audit; micro does not.
     fn audits(self) -> bool {
         self != Profile::Micro
     }
 
-    /// Trace ring capacity for an arm of `ops` operations. About 96 events
-    /// per op across the NIC/wire/sched layers, bounded to keep memory sane.
+    /// Trace ring capacity for an arm of `ops` operations (transactions,
+    /// on a txnmix arm). A micro arm takes about 96 events per op across
+    /// the NIC/wire/sched layers, bounded to keep memory sane. The sharded
+    /// arms keep every event, so their folds see every op: a shard or
+    /// migration arm takes about 140 per op (replica maintenance and the
+    /// migration's copy included), a txnmix arm up to about 1,800 per
+    /// logical transaction at theta 0.99. The ring grows as it fills.
     fn ring(self, ops: u64) -> usize {
-        match self {
-            Profile::Txn => 1 << 18,
-            _ => ops.saturating_mul(96).clamp(1 << 16, 1 << 21) as usize,
-        }
+        let per_op = match self {
+            Profile::Micro => return ops.saturating_mul(96).clamp(1 << 16, 1 << 21) as usize,
+            Profile::Shards | Profile::Migrate => 256,
+            Profile::Txn => 4096,
+        };
+        ops.saturating_mul(per_op).max(1 << 16) as usize
     }
 
     /// Registry prefixes sampled into counter tracks (exporting runners).
@@ -87,7 +96,7 @@ pub(crate) struct Arm {
     /// The runner's profile on a traced arm; `None` keeps no ring.
     traced: Option<Profile>,
     sampler: Option<CounterSampler>,
-    /// The audit: the standard auditors on an observed lock-step arm,
+    /// The audit: the standard auditors on an observed sharded arm,
     /// disabled otherwise.
     pub audit: Audit,
     /// The tracer, tapped by [`Arm::audit`]; keeps a ring on traced arms.
@@ -139,26 +148,17 @@ impl Arm {
         cluster.set_tracer(self.tracer.clone());
     }
 
-    /// Samples counter tracks at `at` on an arm that exports them: `fill`
-    /// writes the registry to sample, and never runs on other arms.
-    pub fn sample(&mut self, at: SimTime, fill: impl FnOnce(&mut MetricsRegistry)) {
-        if let Some(s) = &mut self.sampler {
-            let mut reg = MetricsRegistry::new();
-            fill(&mut reg);
-            s.sample(at, &reg);
-        }
-    }
-
-    /// The event-driven runners' loop: advances `sim` by `cadence`, ticks
-    /// health, and stops once every client is done. Returns the clients'
-    /// pooled latency histogram.
+    /// The cluster runners' loop: advances `sim` by `cadence`, ticks health,
+    /// samples the counter tracks (the cluster's and each client's), and
+    /// stops once every client is done. Returns the clients' pooled
+    /// latency histogram.
     ///
     /// # Panics
     ///
     /// Panics once a run still going passes `cap` of simulated time, or
     /// on data-path errors.
     pub fn poll(
-        &self,
+        &mut self,
         sim: &mut Simulation<Cluster>,
         clients: &[Installed],
         cadence: SimDuration,
@@ -168,6 +168,15 @@ impl Arm {
             let next = sim.now() + cadence;
             sim.run_until(next);
             self.health.tick(sim.now());
+            // Only an arm that exports counter tracks fills a registry.
+            if let Some(s) = &mut self.sampler {
+                let mut reg = MetricsRegistry::new();
+                sim.model.export_into(&mut reg, "cluster");
+                for c in clients {
+                    c.get(&mut sim.model).export_tracks(&mut reg);
+                }
+                s.sample(sim.now(), &reg);
+            }
             if clients.iter().all(|c| c.get(&mut sim.model).is_done()) {
                 break;
             }
@@ -382,7 +391,8 @@ pub(crate) fn tax_pair<R>(
 /// its type.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Installed {
-    proc: ProcRef,
+    /// The client's process.
+    pub proc: ProcRef,
     view: fn(&mut Cluster, ProcRef) -> &dyn Client,
 }
 
@@ -397,17 +407,21 @@ fn view<C: Client>(cluster: &mut Cluster, proc: ProcRef) -> &dyn Client {
     cluster.app_mut::<C>(proc)
 }
 
-/// Adds `client` as a `kind` process on its transport's node, woken by
-/// completions on the transport's ack CQ after `handler_cost`.
+/// Adds `client` as a `kind` process on its first transport's node, woken
+/// by completions on every transport's ack CQ after `handler_cost`.
 pub(crate) fn install<C: Client>(
     cluster: &mut Cluster,
     kind: ProcKind,
     client: C,
     handler_cost: SimDuration,
 ) -> Installed {
-    let (node, cq) = (client.transport().node(), client.transport().ack_cq());
+    let transports = client.transports();
+    let node = transports[0].node();
+    let cqs: Vec<_> = transports.iter().map(|t| t.ack_cq()).collect();
     let proc = cluster.add_app(node, kind, Box::new(client));
-    cluster.bind_cq(proc, node, cq, handler_cost);
+    for cq in cqs {
+        cluster.bind_cq(proc, node, cq, handler_cost);
+    }
     Installed {
         proc,
         view: view::<C>,

@@ -14,29 +14,26 @@
 //! (`bench.shard{i}.nvm.node{n}.*`), so the JSON shows the traffic each
 //! chain actually carried.
 
+use crate::driver::Client;
 use crate::exp::{
     col, counter_track, each, fmt_kops, fmt_ns, fmt_ratio, track_label, track_line, track_peak,
     Band, Claim, Col, Rows, Section, Table, Verdict,
 };
+use crate::migrate::{Move, DEFER};
 use crate::report::{Report, Scenario};
 use crate::run::{self, Arm, Outcome, Profile};
+use cpusched::ProcKind;
+use hyperloop::apps::{install_group_maintenance, Maintainer};
 use hyperloop::{
-    GroupClient, GroupConfig, GroupOp, HyperLoopGroup, ReplicaHandle, ShardAck, ShardId, ShardSet,
+    GroupClient, GroupConfig, GroupOp, GroupTransport, HyperLoopGroup, MigrationRun,
+    MigrationStats, ShardAck, ShardId, ShardSet,
 };
 use netsim::NodeId;
 use rnicsim::Payload;
 use simcore::simaudit::{op_id_base, Probe};
-use simcore::{HealthMonitor, Histogram, MetricsRegistry, SimRng, SimTime, Simulation};
-use std::collections::{HashMap, VecDeque};
-use testbed::cluster::drive;
-use testbed::{Cluster, ClusterConfig, ShardPlacement};
-
-/// Per-shard op-id base shift: shard `i` issues generations starting at
-/// [`op_id_base`]`(i, 0)`, so op ids stay globally unique across shards in
-/// one trace stream (re-exported from [`simcore::simaudit`], which owns
-/// the op-id layout). A multiple of every `meta_slots` power of two, so
-/// the modular slot arithmetic is untouched.
-pub use simcore::simaudit::SHARD_GEN_SHIFT;
+use simcore::{HealthMonitor, Histogram, MetricsRegistry, SimDuration, SimRng, SimTime};
+use std::collections::VecDeque;
+use testbed::{Cluster, ClusterConfig, Env, HostApp, HostEvent, ShardPlacement};
 
 /// Replicas per shard chain.
 pub const REPLICAS_PER_SHARD: u32 = 3;
@@ -46,6 +43,19 @@ pub const WINDOW: u32 = 16;
 pub const PAYLOAD: u64 = 1024;
 /// Bytes of each group's shared region (the image a migration moves).
 pub(crate) const SHARED_SIZE: u64 = 4 << 20;
+/// Client CPU charged per completion wake.
+pub(crate) const HANDLER_COST: SimDuration = SimDuration::from_nanos(300);
+/// Replica CPU charged per maintenance wake (as in the micro arms).
+const MAINTENANCE_COST: SimDuration = SimDuration::from_nanos(400);
+/// The harness cadence of the sharded runners: one SLO bucket between
+/// health ticks and counter-track samples.
+pub(crate) const CADENCE: SimDuration = SimDuration::from_micros(50);
+/// Simulated time past which a sharded arm counts as stalled.
+pub(crate) const CAP: SimTime = SimTime::from_secs(10);
+/// How often a migrating client steps its coordinator. The bulk copy
+/// completes on the source replica's CQ, which cannot wake a process on
+/// the client node.
+const COORDINATOR_POLL: SimDuration = SimDuration::from_micros(10);
 
 /// Shard-scaling benchmark parameters.
 #[derive(Debug, Clone, Copy)]
@@ -71,8 +81,6 @@ impl Default for ShardScaleOpts {
 /// Result of one shard-count arm.
 #[derive(Debug, Clone)]
 pub struct ShardScaleResult {
-    /// Shard count of this arm.
-    pub shards: u32,
     /// Per-shard completion counts, shard order.
     pub per_shard_acked: Vec<u64>,
     /// The arm's outcome: latency from issue to chain ack, cluster +
@@ -80,23 +88,18 @@ pub struct ShardScaleResult {
     pub run: Outcome,
 }
 
-/// A sharded cluster, ready for traffic ([`sharded_groups`]).
-pub(crate) struct Sharded {
-    /// The simulation, group wiring drained.
-    pub sim: Simulation<Cluster>,
-    /// Every chain, shard order, spares last.
-    pub chains: Vec<Vec<NodeId>>,
-    /// Each active shard's group client, tracer attached.
-    pub clients: Vec<GroupClient>,
-    /// Each active shard's replica handles.
-    pub replicas: Vec<Vec<ReplicaHandle>>,
-}
-
 /// Builds the sharded cluster: a client on node 0 and `n_shards + spare`
 /// disjoint chains of [`REPLICAS_PER_SHARD`], with a HyperLoop group on
-/// each of the first `n_shards` chains, wired to `arm`, and the
-/// flow-control auditor taught each shard's [`WINDOW`].
-pub(crate) fn sharded_groups(arm: &Arm, n_shards: u32, spare: u32, seed: u64) -> Sharded {
+/// each of the first `n_shards` chains, wired to `arm`, its replicas kept
+/// topped up by maintenance processes, and the flow-control auditor
+/// taught each shard's [`WINDOW`]. Returns the cluster, every chain
+/// (shard order, spares last) and each active shard's group client.
+pub(crate) fn sharded_groups(
+    arm: &Arm,
+    n_shards: u32,
+    spare: u32,
+    seed: u64,
+) -> (Cluster, Vec<Vec<NodeId>>, Vec<GroupClient>) {
     let client = NodeId(0);
     let mut cluster = Cluster::new(
         1 + (n_shards + spare) * REPLICAS_PER_SHARD,
@@ -112,10 +115,6 @@ pub(crate) fn sharded_groups(arm: &Arm, n_shards: u32, spare: u32, seed: u64) ->
     };
     let chains = cluster.place_shards(&placement, n_shards + spare, client);
     arm.wire(&mut cluster);
-    // Descriptor chains cost ~7 send WQEs per generation on each replica
-    // NIC, so the pre-post depth is bounded by the NIC's send queue: keep
-    // a runway far deeper than the window and top chains back up as acks
-    // drain them, one replenish per completed op.
     let groups: Vec<HyperLoopGroup> = cluster.setup_fabric(|ctx| {
         chains[..n_shards as usize]
             .iter()
@@ -125,7 +124,6 @@ pub(crate) fn sharded_groups(arm: &Arm, n_shards: u32, spare: u32, seed: u64) ->
                 // WQE wr_ids) globally unique across shards.
                 let cfg = GroupConfig {
                     shared_size: SHARED_SIZE,
-                    meta_slots: 64,
                     prepost_depth: 128,
                     window: WINDOW,
                     first_gen: op_id_base(i as u32, 0),
@@ -134,32 +132,22 @@ pub(crate) fn sharded_groups(arm: &Arm, n_shards: u32, spare: u32, seed: u64) ->
             })
             .collect()
     });
-    let (mut clients, replicas): (Vec<_>, Vec<_>) =
-        groups.into_iter().map(|g| (g.client, g.replicas)).unzip();
-    for c in clients.iter_mut() {
-        c.set_tracer(arm.tracer.clone());
+    let mut clients = Vec::new();
+    for mut g in groups {
+        g.client.set_tracer(arm.tracer.clone());
+        clients.push(g.client);
+        install_group_maintenance(&mut cluster, g.replicas, MAINTENANCE_COST);
     }
-    let mut sim = cluster.into_sim();
-    sim.run(); // drain group wiring
+    let window = WINDOW as u64;
     for shard in 0..n_shards {
-        arm.audit.probe(
-            sim.now(),
-            Probe::Window {
-                shard,
-                window: WINDOW as u64,
-            },
-        );
+        arm.audit
+            .probe(SimTime::ZERO, Probe::Window { shard, window });
     }
-    Sharded {
-        sim,
-        chains,
-        clients,
-        replicas,
-    }
+    (cluster, chains, clients)
 }
 
 /// The gWRITE a routed `key` issues.
-pub(crate) fn op_for(key: u64) -> GroupOp {
+fn op_for(key: u64) -> GroupOp {
     GroupOp::Write {
         offset: (key % 64) * 8192,
         data: Payload::filled((key & 0xFF) as u8, PAYLOAD as usize),
@@ -167,161 +155,237 @@ pub(crate) fn op_for(key: u64) -> GroupOp {
     }
 }
 
-/// The lock-step rig shardscale and migrate drive: sharded chains behind a
-/// hash-routed [`ShardSet`] and a fixed offered load of uniform random
-/// keys, routed up front so every arm sees the identical per-key shard
-/// assignment the router would give it online.
-pub(crate) struct ShardRig {
-    pub sim: Simulation<Cluster>,
-    pub set: ShardSet<GroupClient>,
-    /// The active chains, shard order.
-    pub chains: Vec<Vec<NodeId>>,
-    /// Idle chains beyond the active ones (migration targets).
-    pub spare: Vec<Vec<NodeId>>,
-    pub replicas: Vec<Vec<ReplicaHandle>>,
+/// The sharded gWRITE client of shardscale and migrate: one process on
+/// the client node, woken by every shard's ack CQ. It keeps every shard's
+/// window full from a fixed offered load of uniform random keys, routed
+/// up front so every arm sees the identical per-key shard assignment the
+/// router would give it online, and records each op's latency from issue
+/// (from entering the holding pen, for a penned op) to its ack. It issues
+/// its first ops at time zero. A migrate arm's client also runs the live
+/// migration's coordinator.
+pub(crate) struct ShardClient {
+    set: ShardSet<GroupClient>,
     /// Each shard's keys still to issue.
-    pub queues: Vec<VecDeque<u64>>,
-    /// Operations acked so far.
-    pub done: u64,
-    sent: HashMap<(u32, u64), SimTime>,
+    queues: Vec<VecDeque<u64>>,
+    /// Each shard's issue times of its ops in flight or penned, in issue
+    /// order: a chain acks in issue order, and penned ops issue after
+    /// every op the old chain had in flight.
+    sent: Vec<VecDeque<SimTime>>,
+    /// Reused completion buffer.
+    acks: Vec<ShardAck>,
+    health: HealthMonitor,
     hist: Histogram,
-    started: SimTime,
+    total: u64,
+    done_at: Option<SimTime>,
+    /// The live migration, on a migrate arm.
+    pub mig: Move,
 }
 
-impl ShardRig {
-    /// Builds the rig ([`sharded_groups`]) and routes `ops` keys.
-    pub fn new(arm: &Arm, n_shards: u32, spare: u32, ops: u64, seed: u64) -> ShardRig {
-        let Sharded {
-            sim,
-            mut chains,
-            clients,
-            replicas,
-        } = sharded_groups(arm, n_shards, spare, seed);
-        let spare = chains.split_off(n_shards as usize);
+impl ShardClient {
+    /// A client over `clients` (shard order) that issues `ops` keys.
+    pub fn new(clients: Vec<GroupClient>, ops: u64, seed: u64, arm: &Arm) -> ShardClient {
         let set = ShardSet::with_hash_router(clients);
         let mut rng = SimRng::new(seed ^ 0x51AB);
-        let mut queues = vec![VecDeque::new(); n_shards as usize];
+        let mut queues = vec![VecDeque::new(); set.shard_count() as usize];
         for _ in 0..ops {
             let key = rng.next_u64();
             queues[set.route(key).0 as usize].push_back(key);
         }
-        let started = sim.now();
-        ShardRig {
-            sim,
+        ShardClient {
+            sent: vec![VecDeque::new(); queues.len()],
             set,
-            chains,
-            spare,
-            replicas,
             queues,
-            done: 0,
-            sent: HashMap::new(),
+            acks: Vec::new(),
+            health: arm.health.clone(),
             hist: Histogram::new(),
-            started,
+            total: ops,
+            done_at: None,
+            mig: Move::default(),
         }
     }
 
-    /// Closed loop: refills every shard's window from its queue.
-    pub fn refill(&mut self, health: &HealthMonitor) {
-        drive(&mut self.sim, |ctx| {
+    /// The shard a migration is moving, while it runs.
+    fn moving(&self) -> Option<ShardId> {
+        Some(self.mig.run.as_ref()?.plan().shard)
+    }
+
+    fn wake(&mut self, env: &mut Env<'_>) {
+        let now = env.now();
+        let mut acks = std::mem::take(&mut self.acks);
+        // The coordinator polls the shard it is moving.
+        let moving = self.moving();
+        env.with_fabric(|ctx| {
+            for s in (0..self.set.shard_count())
+                .map(ShardId)
+                .filter(|&s| Some(s) != moving)
+            {
+                self.set.poll_shard_into(ctx, s, &mut acks);
+            }
+        });
+        let moved = self.step_move(env, &mut acks);
+        for a in acks.drain(..) {
+            let t0 = self.sent[a.shard.0 as usize].pop_front();
+            let lat = now.since(t0.expect("an ack for an op we issued"));
+            self.hist.record(lat);
+            self.health.record_ack(now, a.shard.0, lat);
+        }
+        self.acks = acks;
+        let done = self.hist.count();
+        if done == self.total {
+            self.done_at = Some(now);
+        }
+        self.refill(env);
+        let m = &mut self.mig;
+        if let Some(stats) = moved {
+            let span = now.since(m.began.0).as_secs_f64().max(1e-12);
+            m.window_tput = (done - m.began.1) as f64 / span;
+            m.stats = Some(stats);
+        } else if let Some(plan) = m.plan.take_if(|_| done >= m.at) {
+            // Launched right after a refill, so the shard's window is full
+            // and the bulk copy races an in-flight tail; the other shards'
+            // windows are full too, so they keep completing work.
+            env.unbind_cq(self.set.shard(plan.shard).ack_cq());
+            m.run = Some(env.with_fabric(|ctx| MigrationRun::launch(ctx, &mut self.set, plan)));
+            m.began = (now, done);
+            env.set_timer(COORDINATOR_POLL, 0);
+            self.refill(env);
+        }
+    }
+
+    /// Steps the coordinator: hands its acks to the client, binds the
+    /// shard's new ack CQ at the cutover, and starts the new chain's
+    /// maintenance once the move is done. Returns the move's stats then.
+    fn step_move(&mut self, env: &mut Env<'_>, acks: &mut Vec<ShardAck>) -> Option<MigrationStats> {
+        let run = self.mig.run.as_mut()?;
+        let shard = run.plan().shard;
+        let cq = self.set.shard(shard).ack_cq();
+        let out = env.with_fabric(|ctx| run.step(ctx, &mut self.set, acks));
+        if self.set.shard(shard).ack_cq() != cq {
+            env.bind_cq(self.set.shard(shard).ack_cq(), HANDLER_COST);
+        }
+        let out = out?;
+        for r in out.replicas {
+            let (node, cq) = (r.node(), r.recv_cq());
+            let app = Box::new(Maintainer::new(r));
+            env.spawn(node, ProcKind::EventDriven, app, cq, MAINTENANCE_COST);
+        }
+        self.mig.run = None;
+        Some(out.stats)
+    }
+
+    /// Refills every shard's window from its queue. A migrating shard's
+    /// ops park in its holding pen while it is paused, up to [`DEFER`]
+    /// over the pause window, and wait out the rest of the move.
+    fn refill(&mut self, env: &mut Env<'_>) {
+        let now = env.now();
+        let moving = self.moving();
+        env.with_fabric(|ctx| {
             for (s, queue) in self.queues.iter_mut().enumerate() {
                 let sid = ShardId(s as u32);
-                while self.set.can_issue_on(sid) {
+                while Some(sid) != moving && self.set.can_issue_on(sid) {
                     let Some(key) = queue.pop_front() else {
                         break;
                     };
-                    let gen = self
-                        .set
+                    self.set
                         .issue_on(ctx, sid, op_for(key))
                         .expect("window checked");
-                    self.sent.insert((sid.0, gen), ctx.now);
-                    health.record_issue(ctx.now, sid.0);
+                    self.sent[s].push_back(now);
+                    self.health.record_issue(now, sid.0);
                 }
             }
         });
+        let m = &mut self.mig;
+        let Some(plan) = m.run.as_ref().map(|r| r.plan()) else {
+            return;
+        };
+        let (shard, s) = (plan.shard, plan.shard.0 as usize);
+        while self.set.epoch(shard) < plan.epoch && m.penned < DEFER {
+            let Some(&key) = self.queues[s].front() else {
+                break;
+            };
+            if self.set.defer_on(shard, op_for(key)).is_err() {
+                break; // pen full: back-pressure
+            }
+            self.queues[s].pop_front();
+            self.sent[s].push_back(now);
+            m.penned += 1;
+            let depth = self.set.pen_len(shard) as u64;
+            self.health.record_issue(now, shard.0);
+            self.health.record_pen_depth(now, shard.0, depth);
+            let capacity = self.set.pen_capacity() as u64;
+            let probe = Probe::PenDepth {
+                shard: shard.0,
+                depth,
+                capacity,
+            };
+            m.audit.probe(now, probe);
+        }
     }
+}
 
-    /// Exports what the counter tracks sample: cluster and shard-set
-    /// counters.
-    pub fn export_tracks(&self, reg: &mut MetricsRegistry) {
-        self.sim.model.export_into(reg, "cluster");
+impl HostApp for ShardClient {
+    fn on_event(&mut self, env: &mut Env<'_>, event: HostEvent) {
+        self.wake(env);
+        if matches!(event, HostEvent::Timer(_)) && self.moving().is_some() {
+            env.set_timer(COORDINATOR_POLL, 0);
+        }
+    }
+}
+
+impl Client for ShardClient {
+    fn transports(&self) -> Vec<&dyn GroupTransport> {
+        self.set
+            .iter()
+            .map(|(_, t)| t as &dyn GroupTransport)
+            .collect()
+    }
+    fn is_done(&self) -> bool {
+        self.done_at.is_some() && self.moving().is_none()
+    }
+    fn hist(&self) -> &Histogram {
+        &self.hist
+    }
+    fn export_tracks(&self, reg: &mut MetricsRegistry) {
         self.set.export_into(reg, "bench.shards");
     }
+}
 
-    /// Records each ack's latency; returns the acks per shard.
-    pub fn record(&mut self, acks: Vec<ShardAck>, health: &HealthMonitor) -> Vec<u32> {
-        let now = self.sim.now();
-        let mut drained = vec![0u32; self.queues.len()];
-        for a in acks {
-            let t0 = self
-                .sent
-                .remove(&(a.shard.0, a.ack.gen))
-                .expect("ack for an op we issued");
-            let lat = now.since(t0);
-            self.hist.record(lat);
-            health.record_ack(now, a.shard.0, lat);
-            drained[a.shard.0 as usize] += 1;
-            self.done += 1;
-        }
-        drained
-    }
-
-    /// Tracks a re-issued op: generation `gen` on `shard`, issued at `t0`.
-    pub fn resend(&mut self, shard: u32, gen: u64, t0: SimTime) {
-        self.sent.insert((shard, gen), t0);
-    }
-
-    /// One lock-step round: lets the chains run dry, collects and records
-    /// the acks, ticks health, then re-posts one descriptor chain per
-    /// completed generation so the pre-posted runway never shrinks (the
-    /// replica maintenance loop in miniature).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the round completed nothing.
-    pub fn round(&mut self, arm: &mut Arm, ops: u64) {
-        self.sim.run();
-        let acks = drive(&mut self.sim, |ctx| self.set.poll(ctx));
-        arm.sample(self.sim.now(), |reg| self.export_tracks(reg));
-        assert!(!acks.is_empty(), "run stalled at {}/{ops} ops", self.done);
-        let drained = self.record(acks, &arm.health);
-        arm.health.tick(self.sim.now());
-        drive(&mut self.sim, |ctx| {
-            for (shard, &n) in drained.iter().enumerate() {
-                if n > 0 {
-                    for r in self.replicas[shard].iter_mut() {
-                        r.replenish(ctx, n);
-                    }
-                }
-            }
-        });
-    }
-
-    /// Closes the run: checks nothing was lost, snapshots cluster, chain
-    /// and shard-set metrics, and finishes `arm`. Returns the per-shard
-    /// completion counts and the outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics on data-path errors or lost operations.
-    pub fn finish(self, arm: Arm, ops: u64) -> (Vec<u64>, Outcome) {
-        let elapsed = self.sim.now().since(self.started);
-        assert_eq!(self.sim.model.fab.stats().errors, 0, "data-path errors");
-        assert_eq!(self.set.completed(), ops, "lost operations");
-        let per_shard = (0..self.queues.len() as u32)
-            .map(|s| self.set.completed_on(ShardId(s)))
-            .collect();
-        let mut registry = MetricsRegistry::new();
-        self.sim.model.export_into(&mut registry, "cluster");
-        self.sim
-            .model
-            .export_shards_into(&mut registry, &self.chains, "bench");
-        self.set.export_into(&mut registry, "bench.shards");
-        registry.merge_histogram("bench.op_latency", &self.hist);
-        registry.set_gauge("bench.elapsed_secs", elapsed.as_secs_f64());
-        arm.health.export_into(&mut registry, "health");
-        let run = arm.finish(&self.sim, ops, elapsed, &self.hist, registry);
-        (per_shard, run)
-    }
+/// Runs `client` on the sharded cluster through `arm`, then closes the
+/// arm: checks nothing was lost and snapshots cluster, chain and shard-set
+/// metrics. `chains` are the chains serving each shard at the end.
+/// Returns the client's migration, the per-shard completion counts and
+/// the outcome.
+///
+/// # Panics
+///
+/// Panics on lost operations, data-path errors or a stalled run.
+pub(crate) fn run_arm(
+    mut arm: Arm,
+    mut cluster: Cluster,
+    client: ShardClient,
+    chains: &[Vec<NodeId>],
+) -> (Move, Vec<u64>, Outcome) {
+    let ops = client.total;
+    let installed = run::install(&mut cluster, ProcKind::Polling, client, HANDLER_COST);
+    let mut sim = cluster.into_sim();
+    let hist = arm.poll(&mut sim, &[installed], CADENCE, CAP);
+    let c = sim.model.app_mut::<ShardClient>(installed.proc);
+    assert_eq!(c.set.completed(), ops, "lost operations");
+    let elapsed = c.done_at.expect("done").since(SimTime::ZERO);
+    let per_shard = c.set.iter().map(|(s, _)| c.set.completed_on(s)).collect();
+    let mut registry = MetricsRegistry::new();
+    c.set.export_into(&mut registry, "bench.shards");
+    let mig = std::mem::take(&mut c.mig);
+    sim.model.export_into(&mut registry, "cluster");
+    sim.model.export_shards_into(&mut registry, chains, "bench");
+    registry.merge_histogram("bench.op_latency", &hist);
+    registry.set_gauge("bench.elapsed_secs", elapsed.as_secs_f64());
+    arm.health.export_into(&mut registry, "health");
+    (
+        mig,
+        per_shard,
+        arm.finish(&sim, ops, elapsed, &hist, registry),
+    )
 }
 
 /// Runs the fixed offered load through `n_shards` chains.
@@ -341,19 +405,11 @@ pub fn run_shardscale(n_shards: u32, opts: ShardScaleOpts) -> ShardScaleResult {
 }
 
 fn run_shardscale_once(n_shards: u32, opts: ShardScaleOpts, observed: bool) -> ShardScaleResult {
-    let mut arm = Arm::start(Profile::Shards, observed, opts.trace, opts.ops);
-    let mut rig = ShardRig::new(&arm, n_shards, 0, opts.ops, opts.seed);
-    while rig.done < opts.ops {
-        rig.refill(&arm.health);
-        // Sample with the windows full (the post-poll sample sees them
-        // drained): the in-flight track renders the issue/drain sawtooth
-        // instead of a flat zero line.
-        arm.sample(rig.sim.now(), |reg| rig.export_tracks(reg));
-        rig.round(&mut arm, opts.ops);
-    }
-    let (per_shard_acked, run) = rig.finish(arm, opts.ops);
+    let arm = Arm::start(Profile::Shards, observed, opts.trace, opts.ops);
+    let (cluster, chains, clients) = sharded_groups(&arm, n_shards, 0, opts.seed);
+    let client = ShardClient::new(clients, opts.ops, opts.seed, &arm);
+    let (_, per_shard_acked, run) = run_arm(arm, cluster, client, &chains);
     ShardScaleResult {
-        shards: n_shards,
         per_shard_acked,
         run,
     }
@@ -477,5 +533,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_traced_arm_folds_every_op_its_latency_counts() {
+        let r = run_shardscale(
+            2,
+            ShardScaleOpts {
+                ops: 1024,
+                trace: true,
+                ..ShardScaleOpts::default()
+            },
+        );
+        let tail = r.run.tail.as_ref().expect("a traced arm folds a tail");
+        let att = r.run.attribution.as_ref().expect("and a stage attribution");
+        assert_eq!(r.run.latency.count, 1024);
+        assert_eq!((tail.ops, att.ops), (1024, 1024));
+        // Open only: each chain's next pre-posted generation.
+        assert!(att.truncated <= 2, "{} ops lost", att.truncated);
     }
 }

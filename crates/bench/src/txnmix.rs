@@ -19,18 +19,20 @@
 //!
 //! [`Transfer`]: ycsb::Operation::Transfer
 
+use crate::driver::Client;
 use crate::exp::{
     col, each, find, fmt_kops, fmt_ns, Band, Claim, Row, Rows, Scn, Section, Table, Verdict,
 };
 use crate::report::{Report, Scenario};
 use crate::run::{self, Arm, Outcome, Profile};
-use crate::shardscale::{sharded_groups, Sharded, REPLICAS_PER_SHARD};
+use crate::shardscale::{sharded_groups, CADENCE, CAP, HANDLER_COST, REPLICAS_PER_SHARD};
+use cpusched::ProcKind;
 use hyperloop::txn::{CommitMode, TxnOutcome};
-use hyperloop::ShardId;
+use hyperloop::{GroupClient, GroupTransport};
 use kvstore::{KvConfig, KvTxn, ReplicatedKv, ShardedKv};
-use simcore::{Histogram, MetricsRegistry, SimTime};
+use simcore::{HealthMonitor, Histogram, MetricsRegistry, SimDuration, SimTime};
 use std::collections::HashMap;
-use testbed::cluster::drive;
+use testbed::{Env, HostApp, HostEvent};
 use ycsb::{Generator, Operation, Workload};
 
 /// Number of shards (each a full replication chain).
@@ -40,6 +42,11 @@ pub const CONCURRENCY: usize = 8;
 /// Accounts in the transfer keyspace (workload F uses a disjoint keyspace
 /// of the same size, offset above it).
 pub const RECORDS: u64 = 256;
+/// The client's pump timer. A pump whose tick carries no acks wakes every
+/// parked transaction, so this period bounds backoff.
+const TICK: SimDuration = SimDuration::from_micros(20);
+/// Aborts after which a logical transaction counts as livelocked.
+const MAX_ABORTS: u32 = 256;
 
 /// Transaction-mix benchmark parameters ([`SHARDS`] chains of
 /// [`REPLICAS_PER_SHARD`]).
@@ -71,8 +78,6 @@ impl Default for TxnMixOpts {
 /// Result of one (mode, theta) arm.
 #[derive(Debug, Clone)]
 pub struct TxnMixResult {
-    /// The commit path measured.
-    pub mode: CommitMode,
     /// Commit attempts that aborted and were retried.
     pub aborted: u64,
     /// Lock acquisitions that backed off and retried (locking path).
@@ -115,15 +120,15 @@ fn balance(v: Option<Vec<u8>>) -> i64 {
 }
 
 /// Builds and submits one transaction for `op`; returns the txn id.
-fn submit(kv: &mut ShardedKv<hyperloop::GroupClient>, op: &MixOp, f_base: u64) -> u64 {
+fn submit(kv: &mut ShardedKv<GroupClient>, op: &MixOp) -> u64 {
     let mut t: KvTxn = kv.txn();
     match op {
         MixOp::Read(key) => {
-            kv.txn_get(&mut t, f_base + key);
+            kv.txn_get(&mut t, RECORDS + key);
         }
         MixOp::Rmw(key, value) => {
-            kv.txn_get(&mut t, f_base + key);
-            kv.txn_put(&mut t, f_base + key, value.clone())
+            kv.txn_get(&mut t, RECORDS + key);
+            kv.txn_put(&mut t, RECORDS + key, value.clone())
                 .expect("geometry");
         }
         MixOp::Transfer(from, to, amount) => {
@@ -140,27 +145,18 @@ fn submit(kv: &mut ShardedKv<hyperloop::GroupClient>, op: &MixOp, f_base: u64) -
 
 /// The shard a logical transaction is tracked against for SLO health:
 /// the routed shard of its primary (first-read) key.
-fn primary_shard(kv: &ShardedKv<hyperloop::GroupClient>, op: &MixOp, f_base: u64) -> u32 {
+fn primary_shard(kv: &ShardedKv<GroupClient>, op: &MixOp) -> u32 {
     match op {
-        MixOp::Read(k) | MixOp::Rmw(k, _) => kv.route(f_base + k).0,
+        MixOp::Read(k) | MixOp::Rmw(k, _) => kv.route(RECORDS + k).0,
         MixOp::Transfer(from, _, _) => kv.route(*from).0,
     }
 }
 
 /// Distinct shards `op` touches.
-fn span_of(kv: &ShardedKv<hyperloop::GroupClient>, op: &MixOp, f_base: u64) -> u64 {
+fn span_of(kv: &ShardedKv<GroupClient>, op: &MixOp) -> u64 {
     match op {
-        MixOp::Read(k) | MixOp::Rmw(k, _) => {
-            let _ = kv.route(f_base + k);
-            1
-        }
-        MixOp::Transfer(from, to, _) => {
-            if kv.route(*from) == kv.route(*to) {
-                1
-            } else {
-                2
-            }
-        }
+        MixOp::Transfer(from, to, _) if kv.route(*from) != kv.route(*to) => 2,
+        _ => 1,
     }
 }
 
@@ -178,15 +174,119 @@ pub fn run_txnmix(mode: CommitMode, opts: TxnMixOpts) -> TxnMixResult {
     )
 }
 
+/// A logical transaction: its op, its first submission and its attempts.
+type Logical = (MixOp, SimTime, u32);
+
+/// The txnmix client process, on the client node and woken by every
+/// shard's ack CQ: keeps [`CONCURRENCY`] logical transactions in flight,
+/// retries an aborted one with fresh reads until it commits, and polls
+/// and pumps the transaction layer on every completion and every
+/// [`TICK`]. Latency runs from a transaction's first submission to its
+/// commit. It submits its first transactions at time zero.
+struct TxnClient {
+    kv: ShardedKv<GroupClient>,
+    /// The offered load: alternate workload-F ops (reads + RMWs on a
+    /// keyspace above the accounts) and two-key transfers (on the account
+    /// keyspace, where conservation is checked).
+    fgen: Generator,
+    tgen: Generator,
+    /// Attempts in flight, by txn id.
+    live: HashMap<u64, Logical>,
+    health: HealthMonitor,
+    hist: Histogram,
+    total: u64,
+    submitted: u64,
+    span_sum: u64,
+    done_at: Option<SimTime>,
+}
+
+impl TxnClient {
+    fn next_op(&mut self) -> MixOp {
+        if self.submitted.is_multiple_of(2) {
+            loop {
+                if let Operation::Transfer { from, to, amount } = self.tgen.next_op() {
+                    return MixOp::Transfer(from, to, amount);
+                }
+            }
+        }
+        match self.fgen.next_op() {
+            Operation::Read { key } => MixOp::Read(key),
+            Operation::ReadModifyWrite { key, value } => MixOp::Rmw(key, value),
+            other => MixOp::Read(other.key()),
+        }
+    }
+
+    fn submit(&mut self, l: Logical) {
+        let id = submit(&mut self.kv, &l.0);
+        self.live.insert(id, l);
+    }
+
+    fn tick(&mut self, env: &mut Env<'_>) {
+        let now = env.now();
+        while self.live.len() < CONCURRENCY && self.submitted < self.total {
+            let op = self.next_op();
+            self.health.record_issue(now, primary_shard(&self.kv, &op));
+            self.submit((op, now, 0));
+            self.submitted += 1;
+        }
+        let done = env.with_fabric(|ctx| {
+            self.kv.poll(ctx);
+            self.kv.pump_txns(ctx)
+        });
+        for (id, outcome) in done {
+            let (op, t0, attempts) = self.live.remove(&id).expect("unknown txn completed");
+            if outcome == TxnOutcome::Aborted {
+                assert!(
+                    attempts < MAX_ABORTS,
+                    "logical op livelocked after {attempts} aborts: {op:?}"
+                );
+                // Retry with fresh reads (and fresh versions).
+                self.submit((op, t0, attempts + 1));
+                continue;
+            }
+            let lat = now.since(t0);
+            self.hist.record(lat);
+            let shard = primary_shard(&self.kv, &op);
+            self.health.record_ack(now, shard, lat);
+            self.span_sum += span_of(&self.kv, &op);
+            if self.hist.count() == self.total {
+                self.done_at = Some(now);
+            }
+        }
+    }
+}
+
+impl HostApp for TxnClient {
+    fn on_event(&mut self, env: &mut Env<'_>, event: HostEvent) {
+        self.tick(env);
+        if matches!(event, HostEvent::Start | HostEvent::Timer(_)) && !self.is_done() {
+            env.set_timer(TICK, 0);
+        }
+    }
+}
+
+impl Client for TxnClient {
+    fn transports(&self) -> Vec<&dyn GroupTransport> {
+        self.kv
+            .iter()
+            .map(|(_, s)| &s.transport as &dyn GroupTransport)
+            .collect()
+    }
+    fn is_done(&self) -> bool {
+        self.done_at.is_some()
+    }
+    fn hist(&self) -> &Histogram {
+        &self.hist
+    }
+    fn export_tracks(&self, reg: &mut MetricsRegistry) {
+        self.kv.txn_manager().export_into(reg, "txn");
+    }
+}
+
 fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMixResult {
     let mut arm = Arm::start(Profile::Txn, observed, opts.trace, opts.txns);
-    let Sharded {
-        mut sim,
-        clients,
-        mut replicas,
-        ..
-    } = sharded_groups(&arm, SHARDS, 0, opts.seed);
-    let stores: Vec<ReplicatedKv<hyperloop::GroupClient>> = clients
+    let (mut cluster, _, clients) = sharded_groups(&arm, SHARDS, 0, opts.seed);
+    let stores: Vec<ReplicatedKv<GroupClient>> = clients
         .into_iter()
         .map(|c| ReplicatedKv::new(c, KvConfig::default()))
         .collect();
@@ -197,133 +297,50 @@ fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMix
     // land in the same buffer as the transport events (and feed the
     // phase-pairing auditor even when the buffer itself is disabled).
     kv.set_txn_tracer(arm.tracer.clone());
-
-    // The offered load: alternate workload-F ops (reads + RMWs on a
-    // keyspace above the accounts) and two-key transfers (on the account
-    // keyspace, where conservation is checked).
-    let f_base = RECORDS;
-    let mut fgen = Generator::with_theta(Workload::F, RECORDS, opts.seed ^ 0xF0, opts.theta);
-    let mut tgen = Generator::with_theta(Workload::Transfer, RECORDS, opts.seed ^ 0x71, opts.theta);
-    let mut drawn = 0u64;
-    let mut next_op = |fgen: &mut Generator, tgen: &mut Generator| -> MixOp {
-        drawn += 1;
-        if drawn.is_multiple_of(2) {
-            match fgen.next_op() {
-                Operation::Read { key } => MixOp::Read(key),
-                Operation::ReadModifyWrite { key, value } => MixOp::Rmw(key, value),
-                other => MixOp::Read(other.key()),
-            }
-        } else {
-            loop {
-                if let Operation::Transfer { from, to, amount } = tgen.next_op() {
-                    return MixOp::Transfer(from, to, amount);
-                }
-            }
-        }
+    let client = TxnClient {
+        kv,
+        fgen: Generator::with_theta(Workload::F, RECORDS, opts.seed ^ 0xF0, opts.theta),
+        tgen: Generator::with_theta(Workload::Transfer, RECORDS, opts.seed ^ 0x71, opts.theta),
+        live: HashMap::new(),
+        health: arm.health.clone(),
+        hist: Histogram::new(),
+        total: opts.txns,
+        submitted: 0,
+        span_sum: 0,
+        done_at: None,
     };
-
-    let mut outstanding: HashMap<u64, (MixOp, SimTime, u32)> = HashMap::new();
-    let mut hist = Histogram::new();
-    let mut committed = 0u64;
-    let mut span_sum = 0u64;
-    let mut submitted = 0u64;
-    let mut last_completed = vec![0u64; SHARDS as usize];
-    let started = sim.now();
-    let mut idle_ticks = 0u32;
-    while committed < opts.txns {
-        // Fill the concurrency window with fresh logical transactions.
-        while outstanding.len() < CONCURRENCY && submitted < opts.txns {
-            let op = next_op(&mut fgen, &mut tgen);
-            let shard = primary_shard(&kv, &op, f_base);
-            let id = submit(&mut kv, &op, f_base);
-            outstanding.insert(id, (op, sim.now(), 0));
-            arm.health.record_issue(sim.now(), shard);
-            submitted += 1;
-        }
-        sim.run();
-        let done = drive(&mut sim, |ctx| {
-            kv.poll(ctx);
-            kv.pump_txns(ctx)
-        });
-        // Host-side sampling of the txn counters into Perfetto counter
-        // tracks — never touches the simulated timeline.
-        arm.sample(sim.now(), |reg| kv.txn_manager().export_into(reg, "txn"));
-        if done.is_empty() {
-            idle_ticks += 1;
-            assert!(
-                idle_ticks < 10_000,
-                "txnmix stalled at {committed}/{} with {} outstanding",
-                opts.txns,
-                outstanding.len()
-            );
-        } else {
-            idle_ticks = 0;
-        }
-        for (id, outcome) in done {
-            let (op, t0, attempts) = outstanding.remove(&id).expect("unknown txn completed");
-            match outcome {
-                TxnOutcome::Committed => {
-                    let lat = sim.now().since(t0);
-                    hist.record(lat);
-                    arm.health
-                        .record_ack(sim.now(), primary_shard(&kv, &op, f_base), lat);
-                    span_sum += span_of(&kv, &op, f_base);
-                    committed += 1;
-                }
-                TxnOutcome::Aborted => {
-                    assert!(
-                        attempts < 256,
-                        "logical op livelocked after {attempts} aborts: {op:?}"
-                    );
-                    // Retry with fresh reads (and fresh versions).
-                    let id = submit(&mut kv, &op, f_base);
-                    outstanding.insert(id, (op, t0, attempts + 1));
-                }
-            }
-        }
-        arm.health.tick(sim.now());
-        // Keep every chain's pre-posted descriptor runway topped up.
-        drive(&mut sim, |ctx| {
-            for (s, last) in last_completed.iter_mut().enumerate() {
-                let now_done = kv.shard(ShardId(s as u32)).transport.completed();
-                let delta = now_done - *last;
-                if delta > 0 {
-                    *last = now_done;
-                    for r in replicas[s].iter_mut() {
-                        r.replenish(ctx, delta as u32);
-                    }
-                }
-            }
-        });
-    }
-    let elapsed = sim.now().since(started);
-    assert_eq!(sim.model.fab.stats().errors, 0, "data-path errors");
-
+    let installed = run::install(&mut cluster, ProcKind::Polling, client, HANDLER_COST);
+    let mut sim = cluster.into_sim();
+    let hist = arm.poll(&mut sim, &[installed], CADENCE, CAP);
+    let c = sim.model.app_mut::<TxnClient>(installed.proc);
+    let elapsed = c.done_at.expect("done").since(SimTime::ZERO);
     // Conservation: transfers move value between accounts; the account
     // keyspace must sum to zero or a transaction lost (or forged) money.
     let total: i64 = (0..RECORDS)
-        .map(|k| balance(kv.get(k).map(|v| v.to_vec())))
+        .map(|k| balance(c.kv.get(k).map(|v| v.to_vec())))
         .sum();
     assert_eq!(total, 0, "transfers did not conserve value: sum {total}");
 
-    let mgr = kv.txn_manager();
+    let mgr = c.kv.txn_manager();
     let mut registry = MetricsRegistry::new();
-    sim.model.export_into(&mut registry, "cluster");
     mgr.export_into(&mut registry, "txn");
+    let (aborted, lock_retries) = (mgr.aborted, mgr.lock_retries);
+    let abort_causes = mgr
+        .abort_cause_counts()
+        .iter()
+        .map(|&(label, n)| (label.to_string(), n))
+        .collect();
+    let mean_span = c.span_sum as f64 / hist.count().max(1) as f64;
+    sim.model.export_into(&mut registry, "cluster");
     registry.merge_histogram("bench.txn_latency", &hist);
     registry.set_gauge("bench.elapsed_secs", elapsed.as_secs_f64());
     arm.health.export_into(&mut registry, "health");
     TxnMixResult {
-        mode,
-        aborted: mgr.aborted,
-        lock_retries: mgr.lock_retries,
-        mean_span: span_sum as f64 / committed.max(1) as f64,
-        abort_causes: mgr
-            .abort_cause_counts()
-            .iter()
-            .map(|&(label, n)| (label.to_string(), n))
-            .collect(),
-        run: arm.finish(&sim, committed, elapsed, &hist, registry),
+        aborted,
+        lock_retries,
+        mean_span,
+        abort_causes,
+        run: arm.finish(&sim, hist.count(), elapsed, &hist, registry),
     }
 }
 
@@ -485,6 +502,23 @@ mod tests {
             assert!(r.aborted <= started);
             assert!((1.0..=2.0).contains(&r.mean_span), "span {}", r.mean_span);
         }
+    }
+
+    #[test]
+    fn the_client_process_spends_cpu_on_the_client_node() {
+        let r = run_txnmix(CommitMode::Locking, quick_opts(0.9));
+        let node0 = |k: &str| {
+            r.run
+                .registry
+                .counter(&format!("cluster.sched.node0.{k}"))
+                .unwrap_or(0)
+        };
+        assert!(
+            node0("useful_ns") > 0 && node0("tasks_completed") > 0,
+            "the txn client never ran on node 0: useful_ns={} tasks={}",
+            node0("useful_ns"),
+            node0("tasks_completed")
+        );
     }
 
     #[test]

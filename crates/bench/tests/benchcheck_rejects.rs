@@ -302,7 +302,6 @@ fn every_rejection_names_its_scenario_and_key() {
         rej(TXN, &[("metrics/counters/txn.started", "@txn.committed")], &["txn.committed=", " + txn.aborted=", "exceeds txn.started="]),
         rej(TXN, &[("metrics/counters/txn.abort_causes.lock_conflict", DEL)], &["txn.abort_causes.lock_conflict", "missing"]),
         rej(TXN, &[("metrics/counters/txn.abort_causes.backoff_exhausted", "@txn.started")], &["txn.abort_causes.* sum to", "txn.aborted="]),
-        rej(TXN, &[("metrics/counters/txn.backoff.parks", DEL)], &["txn.backoff.parks", "missing"]),
         rej(TXN, &[("metrics/counters/txn.contention.wait_ns", DEL)], &["txn.contention.wait_ns", "absent"]),
         rej(TXN, &[("metrics/counters/txn.abort_causes.timeout", "0")], &["txn.abort_causes.timeout", "outside the closed"]),
         rej(TXN, &[("metrics/counters/txn.backoff.jitter", "0")], &["txn.backoff.jitter", "outside the closed"]),
@@ -311,6 +310,11 @@ fn every_rejection_names_its_scenario_and_key() {
         rej(TXN, &[("metrics/counters/txn.contention.false_conflicts", "@txn.contention.attempts"), ("metrics/counters/txn.contention.conflicts", "0")], &["txn.contention.false_conflicts=", "exceeds txn.contention.conflicts=0"]),
         rej(TXN, &[("metrics/counters/txn.contention.site.s9.l9.conflicts", "0"), ("metrics/counters/txn.contention.site.s9.l9.false_conflicts", "1")], &["txn.contention.site.s9.l9.false_conflicts=1", "exceeds txn.contention.site.s9.l9.conflicts=0"]),
         rej(TXN, &[("metrics/counters/txn.contention.site.s9.l9.false_conflicts", "0")], &["txn.contention.site.s9.l9.false_conflicts has no sibling txn.contention.site.s9.l9.conflicts"]),
+        // One op population on the shard and migration scenarios.
+        rej(SHARD, &[("tail/ops", "+1"), ("tail/tail_ops", "+0")], &["tail.ops=1025 but latency.count=1024", "different ops"]),
+        rej(SHARD, &[("stage_attribution/ops", "+1")], &["stage_attribution.ops=1025 but latency.count=1024"]),
+        rej(MIGRATE, &[("latency/count", "+1")], &["tail.ops=1024 but latency.count=1025"]),
+        rej(SHARD, &[("stage_attribution/truncated", "2")], &["stage_attribution.truncated=2 exceeds config.shards=1", "lost ops"]),
         // tail and series are mandatory on the quick-figure scenarios.
         rej(HOSTPERF, &[("tail", DEL)], &["no tail block"]),
         rej(HOSTPERF, &[("series", DEL)], &["no series block"]),

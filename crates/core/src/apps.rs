@@ -19,8 +19,6 @@ pub struct Maintainer {
     /// Reused completion buffer, so a wake-up allocates nothing once it
     /// has reached its high-water capacity.
     cqes: Vec<Cqe>,
-    /// Generations replenished so far (diagnostics).
-    pub replenished: u64,
 }
 
 impl Maintainer {
@@ -29,7 +27,6 @@ impl Maintainer {
         Maintainer {
             handle,
             cqes: Vec::new(),
-            replenished: 0,
         }
     }
 }
@@ -42,7 +39,6 @@ impl HostApp for Maintainer {
             self.cqes.clear();
             let consumed = env.poll_cq_into(node, cq, 4096, &mut self.cqes) as u32;
             if consumed > 0 {
-                self.replenished += consumed as u64;
                 env.with_fabric(|ctx| {
                     self.handle.replenish(ctx, consumed);
                 });

@@ -14,15 +14,16 @@ pub const IMAGES_PER_BLOCK: u64 = 5;
 /// Bytes of one replica's image block.
 pub const BLOCK_SIZE: u64 = IMAGES_PER_BLOCK * WQE_SIZE;
 
+/// Metadata generation slots per group (the reuse ring). Must be at least
+/// twice a group's `window`; every `first_gen` is a multiple of it.
+pub const META_SLOTS: u32 = 64;
+
 /// Group-wide tunables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupConfig {
     /// Bytes of replicated shared state (WAL region + database + control
     /// words), identical on every replica.
     pub shared_size: u64,
-    /// Number of metadata generation slots (the reuse ring). Must exceed
-    /// `window`.
-    pub meta_slots: u32,
     /// Generations pre-posted per replica at setup and kept outstanding by
     /// the maintenance path.
     pub prepost_depth: u32,
@@ -31,8 +32,8 @@ pub struct GroupConfig {
     /// First generation number the group issues. Generations double as the
     /// op ids on every trace event and WQE `wr_id`, so multi-group setups
     /// (shards, migration targets) give each group a disjoint base to keep
-    /// trace streams unambiguous. Must be a multiple of `meta_slots` so the
-    /// modular slot arithmetic is unchanged.
+    /// trace streams unambiguous. Must be a multiple of [`META_SLOTS`] so
+    /// the modular slot arithmetic is unchanged.
     pub first_gen: u64,
 }
 
@@ -40,7 +41,6 @@ impl Default for GroupConfig {
     fn default() -> Self {
         GroupConfig {
             shared_size: 4 << 20,
-            meta_slots: 64,
             prepost_depth: 128,
             window: 16,
             first_gen: 0,
@@ -57,20 +57,18 @@ impl GroupConfig {
     pub fn validate(&self) {
         assert!(self.shared_size > 0, "empty shared region");
         assert!(
-            self.window * 2 <= self.meta_slots,
-            "window {} too large for {} metadata slots",
+            self.window * 2 <= META_SLOTS,
+            "window {} too large for {META_SLOTS} metadata slots",
             self.window,
-            self.meta_slots
         );
         assert!(
             self.prepost_depth >= self.window,
             "prepost depth below window"
         );
         assert!(
-            self.first_gen.is_multiple_of(self.meta_slots as u64),
-            "first_gen {} must be a multiple of meta_slots {}",
+            self.first_gen.is_multiple_of(META_SLOTS as u64),
+            "first_gen {} must be a multiple of {META_SLOTS} metadata slots",
             self.first_gen,
-            self.meta_slots
         );
     }
 }
@@ -86,8 +84,6 @@ pub struct SharedLayout {
     pub meta_base: u64,
     /// Bytes of one metadata slot (all blocks + result map, 64-aligned).
     pub meta_slot_size: u64,
-    /// Number of metadata slots.
-    pub meta_slots: u32,
     /// Replication group size (number of replicas in the chain).
     pub group_size: u32,
 }
@@ -99,9 +95,9 @@ impl SharedLayout {
         (raw + 63) & !63
     }
 
-    /// Replica-space address of metadata slot `gen % meta_slots`.
+    /// Replica-space address of metadata slot `gen % META_SLOTS`.
     pub fn meta_slot(&self, gen: u64) -> u64 {
-        self.meta_base + (gen % self.meta_slots as u64) * self.meta_slot_size
+        self.meta_base + (gen % META_SLOTS as u64) * self.meta_slot_size
     }
 
     /// Address of image `img` in replica `idx`'s block of slot `gen`.
@@ -137,7 +133,6 @@ mod tests {
             shared_size: 1 << 20,
             meta_base: 1 << 20,
             meta_slot_size: SharedLayout::slot_size_for(gs),
-            meta_slots: 64,
             group_size: gs,
         }
     }
@@ -180,7 +175,6 @@ mod tests {
     fn oversized_window_rejected() {
         let cfg = GroupConfig {
             window: 60,
-            meta_slots: 64,
             ..GroupConfig::default()
         };
         cfg.validate();

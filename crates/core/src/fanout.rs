@@ -18,7 +18,7 @@
 //! CQE directly. This is the composition trick that makes multi-way fan-out
 //! possible with CORE-Direct semantics.
 
-use crate::config::GroupConfig;
+use crate::config::{GroupConfig, META_SLOTS};
 use netsim::NodeId;
 use rnicsim::{wqe_flags, CqId, NicCtx, Opcode, QpId, RecvWqe, Wqe, WQE_SIZE};
 use std::collections::VecDeque;
@@ -43,7 +43,6 @@ pub struct FanoutClient {
     shared_size: u64,
     meta_base_primary: u64,
     meta_slot_size: u64,
-    meta_slots: u32,
     window: u32,
     staging_base: u64,
     ack_base: u64,
@@ -67,7 +66,6 @@ pub struct FanoutPrimaryHandle {
     qp_ack_out: QpId,
     meta_base: u64,
     meta_slot_size: u64,
-    meta_slots: u32,
     backups: u32,
     next_prepost: u64,
 }
@@ -108,21 +106,18 @@ impl FanoutGroup {
         let shared_base = shared_base.expect("at least primary");
         let meta_base = ctx
             .fab
-            .alloc(primary_node, meta_slot_size * cfg.meta_slots as u64);
-        ctx.fab.reg_mr(
-            primary_node,
-            meta_base,
-            meta_slot_size * cfg.meta_slots as u64,
-        );
+            .alloc(primary_node, meta_slot_size * META_SLOTS as u64);
+        ctx.fab
+            .reg_mr(primary_node, meta_base, meta_slot_size * META_SLOTS as u64);
 
         // Client buffers.
         let staging_base = ctx
             .fab
-            .alloc(client_node, meta_slot_size * cfg.meta_slots as u64);
+            .alloc(client_node, meta_slot_size * META_SLOTS as u64);
         let mirror = ctx.fab.alloc(client_node, cfg.shared_size);
-        let ack_base = ctx.fab.alloc(client_node, 64 * cfg.meta_slots as u64);
+        let ack_base = ctx.fab.alloc(client_node, 64 * META_SLOTS as u64);
         ctx.fab
-            .reg_mr(client_node, ack_base, 64 * cfg.meta_slots as u64);
+            .reg_mr(client_node, ack_base, 64 * META_SLOTS as u64);
 
         // Client queues.
         let cq_down = ctx.fab.create_cq(client_node);
@@ -165,7 +160,6 @@ impl FanoutGroup {
             qp_ack_out,
             meta_base,
             meta_slot_size,
-            meta_slots: cfg.meta_slots,
             backups,
             next_prepost: 0,
         };
@@ -191,7 +185,6 @@ impl FanoutGroup {
                 shared_size: cfg.shared_size,
                 meta_base_primary: meta_base,
                 meta_slot_size,
-                meta_slots: cfg.meta_slots,
                 window: cfg.window,
                 staging_base,
                 ack_base,
@@ -244,7 +237,7 @@ impl FanoutClient {
         );
         let gen = self.next_gen;
         self.next_gen += 1;
-        let slot = gen % self.meta_slots as u64;
+        let slot = gen % META_SLOTS as u64;
 
         // Build the primary's images: per backup WRITE + flush READ, + ack.
         let mut payload = Vec::with_capacity(meta_payload_len(self.backups) as usize);
@@ -389,7 +382,7 @@ impl FanoutPrimaryHandle {
         for _ in 0..count {
             let gen = self.next_prepost;
             self.next_prepost += 1;
-            let slot_addr = self.meta_base + (gen % self.meta_slots as u64) * self.meta_slot_size;
+            let slot_addr = self.meta_base + (gen % META_SLOTS as u64) * self.meta_slot_size;
             ctx.post_recv(
                 self.node,
                 self.qp_up,

@@ -17,7 +17,7 @@
 //! All data-path calls take a [`NicCtx`] — the bundled
 //! `(fabric, now, outbox)` context.
 
-use crate::config::{GroupConfig, SharedLayout};
+use crate::config::{GroupConfig, SharedLayout, META_SLOTS};
 use crate::meta::{build_payload_into, payload_len};
 use crate::ops::{GroupAck, GroupOp};
 use netsim::NodeId;
@@ -145,7 +145,7 @@ impl HyperLoopGroup {
         let mut meta_base = None;
         for &rn in replica_nodes {
             let sb = ctx.fab.alloc(rn, cfg.shared_size);
-            let mb = ctx.fab.alloc(rn, slot_size * cfg.meta_slots as u64);
+            let mb = ctx.fab.alloc(rn, slot_size * META_SLOTS as u64);
             match (shared_base, meta_base) {
                 (None, None) => {
                     shared_base = Some(sb);
@@ -157,28 +157,25 @@ impl HyperLoopGroup {
                 _ => unreachable!(),
             }
             ctx.fab.reg_mr(rn, sb, cfg.shared_size);
-            ctx.fab.reg_mr(rn, mb, slot_size * cfg.meta_slots as u64);
+            ctx.fab.reg_mr(rn, mb, slot_size * META_SLOTS as u64);
         }
         let layout = SharedLayout {
             shared_base: shared_base.expect("at least one replica"),
             shared_size: cfg.shared_size,
             meta_base: meta_base.expect("at least one replica"),
             meta_slot_size: slot_size,
-            meta_slots: cfg.meta_slots,
             group_size: gs,
         };
 
         // Client-side buffers.
         let mirror_base = ctx.fab.alloc(client_node, cfg.shared_size);
-        let staging_base = ctx
-            .fab
-            .alloc(client_node, slot_size * cfg.meta_slots as u64);
+        let staging_base = ctx.fab.alloc(client_node, slot_size * META_SLOTS as u64);
         let ack_slot_size = (layout.result_map_len() + 63) & !63;
         let ack_base = ctx
             .fab
-            .alloc(client_node, ack_slot_size * cfg.meta_slots as u64);
+            .alloc(client_node, ack_slot_size * META_SLOTS as u64);
         ctx.fab
-            .reg_mr(client_node, ack_base, ack_slot_size * cfg.meta_slots as u64);
+            .reg_mr(client_node, ack_base, ack_slot_size * META_SLOTS as u64);
 
         // Queues: client down + ack.
         let cq_down = ctx.fab.create_cq(client_node);
@@ -374,11 +371,10 @@ impl GroupClient {
             .emit(ctx.now, self.node.0, gen, TraceKind::OpIssue);
 
         // Stage the metadata payload in client memory.
-        let ack_addr = self.ack_base + (gen % self.cfg.meta_slots as u64) * self.ack_slot_size;
+        let ack_addr = self.ack_base + (gen % META_SLOTS as u64) * self.ack_slot_size;
         let mut payload = std::mem::take(&mut self.meta_scratch);
         build_payload_into(&op, &self.layout, gen, ack_addr, &mut payload);
-        let staging =
-            self.staging_base + (gen % self.cfg.meta_slots as u64) * self.layout.meta_slot_size;
+        let staging = self.staging_base + (gen % META_SLOTS as u64) * self.layout.meta_slot_size;
         ctx.mem(self.node)
             .write_durable(staging, &payload)
             .expect("staging slot in bounds");
@@ -572,7 +568,7 @@ impl GroupClient {
             let gen = cqe.imm.expect("ack carries the generation");
             let expected = self.pending.pop_front();
             debug_assert_eq!(expected, Some(gen), "acks must arrive in issue order");
-            let slot = self.ack_base + (gen % self.cfg.meta_slots as u64) * self.ack_slot_size;
+            let slot = self.ack_base + (gen % META_SLOTS as u64) * self.ack_slot_size;
             self.ack_raw.clear();
             self.ack_raw
                 .resize(self.layout.result_map_len() as usize, 0);

@@ -207,7 +207,6 @@ mod tests {
             shared_size: 1 << 20,
             meta_base: 2 << 20,
             meta_slot_size: SharedLayout::slot_size_for(3),
-            meta_slots: 64,
             group_size: 3,
         }
     }
@@ -303,7 +302,6 @@ mod tests {
                 shared_size: 1 << 20,
                 meta_base: 2 << 20,
                 meta_slot_size: SharedLayout::slot_size_for(gs),
-                meta_slots: 64,
                 group_size: gs,
             }
         }

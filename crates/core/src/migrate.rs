@@ -29,51 +29,38 @@
 //! pen ([`ShardSet::defer_on`]); every other shard issues and completes
 //! normally — the pause window is per-shard, never global.
 //!
-//! The driver is generic over [`MigrationHost`] so the same code runs on
-//! the full [`testbed::Cluster`] (CPU scheduling, host apps) and on the
+//! The move is a stepped state machine ([`MigrationRun::step`]), so a
+//! coordinator inside a client process advances it on each wake while the
+//! client keeps serving the other shards. The run-to-completion wrappers
+//! are generic over [`MigrationHost`], so the same code runs from outside
+//! the full [`testbed::Cluster`] (CPU scheduling, host apps) and the
 //! lightweight fabric-only [`harness::FabricSim`](crate::harness).
 
 use crate::group::{GroupClient, HyperLoopGroup, ReplicaHandle};
 use crate::membership::RecoveryStep;
 use crate::shard::{MigrationStats, ShardAck, ShardId, ShardSet};
 use netsim::NodeId;
-use rnicsim::{wqe_flags, CqId, CqeStatus, NicCtx, Opcode, QpId, RdmaFabric, Wqe};
+use rnicsim::{wqe_flags, CqId, CqeStatus, NicCtx, Opcode, QpId, Wqe};
 use simcore::simtrace::{TraceKind, Tracer, NO_OP};
 use simcore::{Model, SimTime, Simulation};
 use testbed::cluster::Cluster;
 
-/// A simulation model the migration driver can operate: it exposes the
-/// RDMA fabric and knows how to run host-side code against it (posting
-/// whatever effects result into its own event queue).
+/// A simulation model the migration driver can operate: it knows how to
+/// run host-side code against its RDMA fabric (posting whatever effects
+/// result into its own event queue).
 pub trait MigrationHost: Model + Sized {
-    /// The fabric the migration copies through.
-    fn fab(&self) -> &RdmaFabric;
-    /// The fabric, mutably (host-side reads, allocator alignment).
-    fn fab_mut(&mut self) -> &mut RdmaFabric;
     /// Runs `f` against the fabric at the current instant and routes the
     /// effects it posted into the simulation's event queue.
     fn drive<R>(sim: &mut Simulation<Self>, f: impl FnOnce(&mut NicCtx<'_>) -> R) -> R;
 }
 
 impl MigrationHost for crate::harness::FabricSim {
-    fn fab(&self) -> &RdmaFabric {
-        &self.fab
-    }
-    fn fab_mut(&mut self) -> &mut RdmaFabric {
-        &mut self.fab
-    }
     fn drive<R>(sim: &mut Simulation<Self>, f: impl FnOnce(&mut NicCtx<'_>) -> R) -> R {
         crate::harness::drive(sim, f)
     }
 }
 
 impl MigrationHost for Cluster {
-    fn fab(&self) -> &RdmaFabric {
-        &self.fab
-    }
-    fn fab_mut(&mut self) -> &mut RdmaFabric {
-        &mut self.fab
-    }
     fn drive<R>(sim: &mut Simulation<Self>, f: impl FnOnce(&mut NicCtx<'_>) -> R) -> R {
         testbed::cluster::drive(sim, f)
     }
@@ -205,18 +192,36 @@ struct CopyPath {
     target: NodeId,
     scq: CqId,
     sqp: QpId,
+    /// Signalled Writes posted on the path whose completions are still
+    /// owed: the bulk copy's chunks, then the replayed ranges.
+    owed: usize,
 }
 
-/// An in-progress migration: the span between [`MigrationRun::begin`]
-/// (pause opened, new chain wired, bulk copy in flight) and
-/// [`MigrationRun::finish`] (drain, delta replay, cutover, resume).
+/// Where a [`MigrationRun`] stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// The bulk copy is in flight and the old chain's tail drains.
+    Copy,
+    /// The replayed ranges are in flight.
+    Replay,
+    /// Cut over; the holding pen drains onto the new chain.
+    Resume,
+}
+
+/// An in-progress migration, from [`MigrationRun::launch`] (pause opened,
+/// new chain wired, bulk copy in flight) to the [`MigrationRun::step`]
+/// that completes it (drain, delta replay, cutover, resume).
 ///
-/// Between the two calls the caller owns the simulation: it may run it,
-/// issue on every *other* shard, and park ops for the paused shard in the
-/// holding pen ([`ShardSet::defer_on`]) — that interleaving is what makes
-/// the pause window a measurable, bounded thing rather than a global
-/// stop-the-world. [`migrate_shard`] is the convenience that does both
-/// back-to-back.
+/// While it runs, the coordinator owns the migrating shard's completions:
+/// it leaves the old chain's acks queued until the cutover and then polls
+/// the shard itself, so a caller polls only the other shards. Between
+/// steps the caller owns the simulation: it may issue on every *other*
+/// shard and park ops for the paused one in the holding pen
+/// ([`ShardSet::defer_on`]) — that interleaving is what makes the pause
+/// window a measurable, bounded thing rather than a global stop-the-world.
+/// A client process steps the run on each wake; [`MigrationRun::begin`]/
+/// [`finish`](MigrationRun::finish) and [`migrate_shard`] drive it to
+/// completion from outside.
 #[derive(Debug)]
 pub struct MigrationRun {
     plan: MigrationPlan,
@@ -224,14 +229,29 @@ pub struct MigrationRun {
     old_base: u64,
     new_base: u64,
     tracer: Tracer,
-    group: HyperLoopGroup,
+    /// The new chain's client, until the cutover hands it to the set.
+    client: Option<GroupClient>,
+    replicas: Vec<ReplicaHandle>,
+    /// Generations issued from the holding pen, in pen order.
+    resumed: Vec<u64>,
     paths: Vec<CopyPath>,
-    chunks: u64,
+    phase: Phase,
     copy_bytes: u64,
+    replayed: u64,
     t0: SimTime,
+    t1: SimTime,
 }
 
 impl MigrationRun {
+    /// [`MigrationRun::launch`] on a simulation, from outside it.
+    pub fn begin<M: MigrationHost>(
+        sim: &mut Simulation<M>,
+        set: &mut ShardSet<GroupClient>,
+        plan: MigrationPlan,
+    ) -> MigrationRun {
+        M::drive(sim, |ctx| MigrationRun::launch(ctx, set, plan))
+    }
+
     /// Opens the pause window and launches the move: emits
     /// `migrate_begin`, pauses the shard (others keep serving), wires the
     /// new chain with a real [`HyperLoopGroup::setup`], and posts the
@@ -248,8 +268,8 @@ impl MigrationRun {
     /// short-circuits it), a plan made against a different epoch,
     /// `copy_bytes` beyond the shard's shared region, or an
     /// already-paused shard.
-    pub fn begin<M: MigrationHost>(
-        sim: &mut Simulation<M>,
+    pub fn launch(
+        ctx: &mut NicCtx<'_>,
         set: &mut ShardSet<GroupClient>,
         plan: MigrationPlan,
     ) -> MigrationRun {
@@ -274,7 +294,7 @@ impl MigrationRun {
 
         // -- PauseWrites: this shard stops admitting; everyone else
         // serves. --
-        let t0 = sim.now();
+        let t0 = ctx.now;
         tracer.emit(
             t0,
             client_node.0,
@@ -286,34 +306,34 @@ impl MigrationRun {
         // Wire one copy QP pair per remote target *before* aligning the
         // allocators — QP rings are bump-allocated, so creating them later
         // would break the symmetric layout the rebuild asserts.
-        let paths = M::drive(sim, |ctx| {
-            plan.to
-                .iter()
-                .filter(|&&t| t != source)
-                .map(|&t| {
-                    let scq = ctx.fab.create_cq(source);
-                    let sqp = ctx.fab.create_qp(source, scq, scq);
-                    let tcq = ctx.fab.create_cq(t);
-                    let tqp = ctx.fab.create_qp(t, tcq, tcq);
-                    ctx.fab.connect(source, sqp, t, tqp);
-                    CopyPath {
-                        target: t,
-                        scq,
-                        sqp,
-                    }
-                })
-                .collect::<Vec<_>>()
-        });
+        let mut paths: Vec<CopyPath> = plan
+            .to
+            .iter()
+            .filter(|&&t| t != source)
+            .map(|&t| {
+                let scq = ctx.fab.create_cq(source);
+                let sqp = ctx.fab.create_qp(source, scq, scq);
+                let tcq = ctx.fab.create_cq(t);
+                let tqp = ctx.fab.create_qp(t, tcq, tcq);
+                ctx.fab.connect(source, sqp, t, tqp);
+                CopyPath {
+                    target: t,
+                    scq,
+                    sqp,
+                    owed: 0,
+                }
+            })
+            .collect();
 
         // -- RebuildDataPath: symmetric setup over the new chain. --
         let cursor = plan
             .to
             .iter()
-            .map(|&n| sim.model.fab().alloc_cursor(n))
+            .map(|&n| ctx.fab.alloc_cursor(n))
             .max()
             .expect("non-empty target chain");
         for &n in &plan.to {
-            sim.model.fab_mut().align_allocator(n, cursor);
+            ctx.fab.align_allocator(n, cursor);
         }
         // The new chain issues under the *new* epoch: keep the shard bits
         // of the old generation base and swap in `plan.epoch`, so op ids
@@ -327,42 +347,23 @@ impl MigrationRun {
         cfg.first_gen = (cfg.first_gen >> simcore::simaudit::SHARD_GEN_SHIFT
             << simcore::simaudit::SHARD_GEN_SHIFT)
             | (plan.epoch << simcore::simaudit::EPOCH_GEN_SHIFT);
-        let mut group = M::drive(sim, |ctx| {
-            HyperLoopGroup::setup(ctx, client_node, &plan.to, cfg)
-        });
+        let mut group = HyperLoopGroup::setup(ctx, client_node, &plan.to, cfg);
         group.client.set_tracer(tracer.clone());
         let new_base = group.client.layout().shared_base;
 
         // -- CopyState, posted in the same instant the pause opened: the
         // chunked Writes race the old chain's in-flight tail through the
-        // fabric, exactly the hazard finish()'s delta pass repairs. --
+        // fabric, exactly the hazard the delta pass repairs. --
         let mut copy_bytes = 0u64;
-        let chunks = plan.copy_bytes.div_ceil(COPY_CHUNK);
-        M::drive(sim, |ctx| {
-            for p in &paths {
-                let mut off = 0;
-                while off < plan.copy_bytes {
-                    let len = COPY_CHUNK.min(plan.copy_bytes - off);
-                    ctx.fab.post_send(
-                        ctx.now,
-                        source,
-                        p.sqp,
-                        Wqe {
-                            opcode: Opcode::Write,
-                            flags: wqe_flags::HW_OWNED | wqe_flags::SIGNALED,
-                            local_addr: old_base + off,
-                            len,
-                            remote_addr: new_base + off,
-                            wr_id: NO_OP,
-                            ..Wqe::default()
-                        },
-                        ctx.out,
-                    );
-                    off += len;
-                }
-                copy_bytes += plan.copy_bytes;
+        for p in &mut paths {
+            let mut off = 0;
+            while off < plan.copy_bytes {
+                let len = COPY_CHUNK.min(plan.copy_bytes - off);
+                post_copy(ctx, source, p, old_base + off, new_base + off, len);
+                off += len;
             }
-        });
+            copy_bytes += plan.copy_bytes;
+        }
 
         MigrationRun {
             plan,
@@ -370,11 +371,15 @@ impl MigrationRun {
             old_base,
             new_base,
             tracer,
-            group,
+            client: Some(group.client),
+            replicas: group.replicas,
+            resumed: Vec::new(),
             paths,
-            chunks,
+            phase: Phase::Copy,
             copy_bytes,
+            replayed: 0,
             t0,
+            t1: t0,
         }
     }
 
@@ -383,209 +388,215 @@ impl MigrationRun {
         &self.plan
     }
 
-    /// When the pause window opened.
-    pub fn paused_at(&self) -> SimTime {
-        self.t0
-    }
-
-    /// Completes the move: drains the old chain's in-flight tail, verifies
-    /// the bulk copy, replays the delta (the WAL tail that raced the
-    /// snapshot), flushes the image durable, cuts over
-    /// ([`ShardSet::replace_shard`], epoch bump, `migrate_cutover`),
-    /// resumes the shard and drains its holding pen (`migrate_end`).
+    /// Advances the move as far as the fabric allows at `ctx.now`. Once
+    /// the bulk copy has landed and every op the old chain had in flight
+    /// has acked, it verifies the copy and replays the delta (the WAL
+    /// tail that raced the snapshot); once the replay has landed, it
+    /// collects the old chain's acks into `drained`, flushes the image
+    /// durable, cuts over ([`ShardSet::replace_shard`], epoch bump,
+    /// `migrate_cutover`) and resumes the shard; then it drains the
+    /// holding pen (`migrate_end`), appending the new chain's acks to
+    /// `drained` too. Returns the outcome once the move is done; its
+    /// `drained` is empty, since every step hands its acks over at once.
     ///
     /// # Panics
     ///
-    /// Panics if the fabric reports a failed or lost copy completion — a
-    /// migration that cannot complete must be loud, not lossy.
-    pub fn finish<M: MigrationHost>(
-        self,
-        sim: &mut Simulation<M>,
+    /// Panics if the fabric reports a failed or surplus copy completion —
+    /// a migration that cannot complete must be loud, not lossy.
+    pub fn step(
+        &mut self,
+        ctx: &mut NicCtx<'_>,
         set: &mut ShardSet<GroupClient>,
-    ) -> MigrationOutcome {
-        let MigrationRun {
-            plan,
-            client_node,
-            old_base,
-            new_base,
-            tracer,
-            group,
-            paths,
-            chunks,
-            mut copy_bytes,
-            t0,
-        } = self;
-        let shard = plan.shard;
-        let source = plan.source();
-
-        // -- Drain the pause window: in-flight ops on the old chain
-        // complete (and are collected for the caller) while the copy
-        // flies. --
-        let mut drained = Vec::new();
-        loop {
-            sim.run();
-            drained.extend(M::drive(sim, |ctx| set.poll_shard(ctx, shard)));
-            if set.shard(shard).in_flight() == 0 {
-                break;
+        drained: &mut Vec<ShardAck>,
+    ) -> Option<MigrationOutcome> {
+        let shard = self.plan.shard;
+        if self.phase != Phase::Resume {
+            if !self.landed(ctx) {
+                return None;
             }
+            if self.phase == Phase::Copy {
+                let old = set.shard(shard);
+                if (ctx.fab.cq_depth(self.client_node, old.ack_cq()) as u64) < old.in_flight() {
+                    return None;
+                }
+                self.replay(ctx);
+                if !self.landed(ctx) {
+                    self.phase = Phase::Replay;
+                    return None;
+                }
+            }
+            self.cutover(ctx, set, drained);
         }
-        for p in &paths {
-            let cqes = sim
-                .model
-                .fab_mut()
-                .poll_cq(source, p.scq, chunks as usize + 1);
-            assert_eq!(
-                cqes.len(),
-                chunks as usize,
-                "bulk copy to {} lost completions",
+        set.poll_shard_into(ctx, shard, drained);
+        self.resumed.extend(set.drain_pen(ctx, shard));
+        if set.pen_len(shard) > 0 {
+            return None;
+        }
+        let stats = MigrationStats {
+            epoch: set.epoch(shard),
+            pause: self.t1.since(self.t0),
+            copy_bytes: self.copy_bytes,
+            replayed: self.replayed,
+        };
+        self.tracer.emit(
+            ctx.now,
+            self.client_node.0,
+            NO_OP,
+            TraceKind::MigrateEnd {
+                shard: shard.0,
+                replayed: self.replayed,
+            },
+        );
+        set.record_migration(shard, stats);
+        Some(MigrationOutcome {
+            stats,
+            replicas: std::mem::take(&mut self.replicas),
+            drained: Vec::new(),
+            resumed: std::mem::take(&mut self.resumed),
+        })
+    }
+
+    /// Polls every copy path; true once none owes a completion.
+    fn landed(&mut self, ctx: &mut NicCtx<'_>) -> bool {
+        let source = self.plan.source();
+        for p in &mut self.paths {
+            let cqes = ctx.fab.poll_cq(source, p.scq, p.owed + 1);
+            assert!(
+                cqes.len() <= p.owed,
+                "copy path to {} completed more Writes than it posted",
                 p.target
             );
             for c in &cqes {
                 assert_eq!(
                     c.status,
                     CqeStatus::Success,
-                    "bulk copy chunk to {} failed",
+                    "copy Write to {} failed",
                     p.target
                 );
             }
+            p.owed -= cqes.len();
         }
+        self.paths.iter().all(|p| p.owed == 0)
+    }
 
-        // A target that is also the source seeds itself host-locally
-        // (there is no fabric hop to itself); this runs after the drain,
-        // so it is exact and never needs replay.
-        if plan.to.contains(&source) {
-            let image = sim
-                .model
-                .fab_mut()
-                .mem(source)
-                .read_vec(old_base, plan.copy_bytes)
-                .expect("source region in bounds");
-            sim.model
-                .fab_mut()
-                .mem(source)
-                .write_durable(new_base, &image)
-                .expect("seed copy in bounds");
-            copy_bytes += plan.copy_bytes;
-        }
-
-        // -- Delta pass: the source region is now stable (shard paused,
-        // pipe drained). Every byte where a target's copy diverges was
-        // gathered by the bulk copy's NIC before a racing write landed —
-        // replay exactly those ranges. This is the WAL tail that raced
-        // the snapshot. --
-        let truth = sim
-            .model
-            .fab_mut()
+    /// The delta pass, run once the copy has landed and the old chain has
+    /// drained, so the source region is stable. A target that is also the
+    /// source seeds itself host-locally (there is no fabric hop to
+    /// itself). Every byte where a remote target's copy diverges was
+    /// gathered by the bulk copy's NIC before a racing write landed:
+    /// replay exactly those ranges.
+    fn replay(&mut self, ctx: &mut NicCtx<'_>) {
+        let (source, len) = (self.plan.source(), self.plan.copy_bytes);
+        let truth = ctx
+            .fab
             .mem(source)
-            .read_vec(old_base, plan.copy_bytes)
+            .read_vec(self.old_base, len)
             .expect("source region in bounds");
-        let mut replayed = 0u64;
-        for p in &paths {
-            let got = sim
-                .model
-                .fab_mut()
+        if self.plan.to.contains(&source) {
+            ctx.fab
+                .mem(source)
+                .write_durable(self.new_base, &truth)
+                .expect("seed copy in bounds");
+            self.copy_bytes += len;
+        }
+        for p in &mut self.paths {
+            let got = ctx
+                .fab
                 .mem(p.target)
-                .read_vec(new_base, plan.copy_bytes)
+                .read_vec(self.new_base, len)
                 .expect("target region in bounds");
             let ranges = dirty_ranges(&truth, &got, REPLAY_SLACK);
-            if ranges.is_empty() {
-                continue;
+            for &(off, n) in &ranges {
+                post_copy(ctx, source, p, self.old_base + off, self.new_base + off, n);
+                self.copy_bytes += n;
             }
-            M::drive(sim, |ctx| {
-                for &(off, len) in &ranges {
-                    ctx.fab.post_send(
-                        ctx.now,
-                        source,
-                        p.sqp,
-                        Wqe {
-                            opcode: Opcode::Write,
-                            flags: wqe_flags::HW_OWNED | wqe_flags::SIGNALED,
-                            local_addr: old_base + off,
-                            len,
-                            remote_addr: new_base + off,
-                            wr_id: NO_OP,
-                            ..Wqe::default()
-                        },
-                        ctx.out,
-                    );
-                }
-            });
-            sim.run();
-            let cqes = sim.model.fab_mut().poll_cq(source, p.scq, ranges.len() + 1);
-            assert_eq!(cqes.len(), ranges.len(), "replay to {} stalled", p.target);
-            for c in &cqes {
-                assert_eq!(
-                    c.status,
-                    CqeStatus::Success,
-                    "replay chunk to {} failed",
-                    p.target
-                );
-            }
-            replayed += ranges.len() as u64;
-            copy_bytes += ranges.iter().map(|&(_, l)| l).sum::<u64>();
+            self.replayed += ranges.len() as u64;
         }
+    }
 
-        // Fold the migrated image to durable NVM on every new member.
-        for &n in &plan.to {
-            sim.model
-                .fab_mut()
+    /// Collects the old chain's acks, folds the image durable on every new
+    /// member, swaps the transport (epoch bump) and resumes the shard.
+    fn cutover(
+        &mut self,
+        ctx: &mut NicCtx<'_>,
+        set: &mut ShardSet<GroupClient>,
+        drained: &mut Vec<ShardAck>,
+    ) {
+        let shard = self.plan.shard;
+        set.poll_shard_into(ctx, shard, drained);
+        for &n in &self.plan.to {
+            ctx.fab
                 .mem(n)
-                .flush_range(new_base, plan.copy_bytes)
+                .flush_range(self.new_base, self.plan.copy_bytes)
                 .expect("migrated region in bounds");
         }
-
-        // -- Cutover: swap the transport, bump the epoch. --
-        let old = set.replace_shard(shard, group.client);
+        let client = self.client.take().expect("one cutover per run");
+        drop(set.replace_shard(shard, client));
         let epoch = set.epoch(shard);
-        assert_eq!(epoch, plan.epoch, "cutover landed on an unplanned epoch");
-        drop(old);
-        let t1 = sim.now();
-        tracer.emit(
-            t1,
-            client_node.0,
+        assert_eq!(
+            epoch, self.plan.epoch,
+            "cutover landed on an unplanned epoch"
+        );
+        self.t1 = ctx.now;
+        self.tracer.emit(
+            self.t1,
+            self.client_node.0,
             NO_OP,
             TraceKind::MigrateCutover {
                 shard: shard.0,
                 epoch,
             },
         );
+        self.resumed = set.resume(ctx, shard);
+        self.phase = Phase::Resume;
+    }
 
-        // -- ResumeWrites: close the window, drain the holding pen. --
-        let mut resumed = M::drive(sim, |ctx| set.resume(ctx, shard));
-        while set.pen_len(shard) > 0 {
-            sim.run();
-            drained.extend(M::drive(sim, |ctx| set.poll_shard(ctx, shard)));
-            let gens = M::drive(sim, |ctx| set.drain_pen(ctx, shard));
+    /// Steps the run to completion from outside the simulation, running
+    /// the simulation between steps.
+    ///
+    /// # Panics
+    ///
+    /// As [`MigrationRun::step`], and if the simulation runs dry before
+    /// the move completes.
+    pub fn finish<M: MigrationHost>(
+        mut self,
+        sim: &mut Simulation<M>,
+        set: &mut ShardSet<GroupClient>,
+    ) -> MigrationOutcome {
+        let mut drained = Vec::new();
+        loop {
+            if let Some(out) = M::drive(sim, |ctx| self.step(ctx, set, &mut drained)) {
+                return MigrationOutcome { drained, ..out };
+            }
             assert!(
-                !gens.is_empty() || set.pen_len(shard) == 0,
-                "holding pen drain stalled on {shard}"
+                !sim.queue.is_empty(),
+                "migration of {} stalled in {:?}",
+                self.plan.shard,
+                self.phase
             );
-            resumed.extend(gens);
-        }
-
-        let stats = MigrationStats {
-            epoch,
-            pause: t1.since(t0),
-            copy_bytes,
-            replayed,
-        };
-        tracer.emit(
-            sim.now(),
-            client_node.0,
-            NO_OP,
-            TraceKind::MigrateEnd {
-                shard: shard.0,
-                replayed,
-            },
-        );
-        set.record_migration(shard, stats);
-        MigrationOutcome {
-            stats,
-            replicas: group.replicas,
-            drained,
-            resumed,
+            sim.run();
         }
     }
+}
+
+/// Posts one signalled copy Write of `len` bytes on `p`.
+fn post_copy(ctx: &mut NicCtx<'_>, source: NodeId, p: &mut CopyPath, from: u64, to: u64, len: u64) {
+    ctx.fab.post_send(
+        ctx.now,
+        source,
+        p.sqp,
+        Wqe {
+            opcode: Opcode::Write,
+            flags: wqe_flags::HW_OWNED | wqe_flags::SIGNALED,
+            local_addr: from,
+            len,
+            remote_addr: to,
+            wr_id: NO_OP,
+            ..Wqe::default()
+        },
+        ctx.out,
+    );
+    p.owed += 1;
 }
 
 /// Executes `plan` against a running set in one call: pause → rebuild →

@@ -147,11 +147,6 @@ impl<T: GroupTransport> ShardSet<T> {
         &self.shards[id.0 as usize]
     }
 
-    /// One shard's transport, mutably (e.g. to install a tracer).
-    pub fn shard_mut(&mut self, id: ShardId) -> &mut T {
-        &mut self.shards[id.0 as usize]
-    }
-
     /// Iterates `(id, transport)` over all shards.
     pub fn iter(&self) -> impl Iterator<Item = (ShardId, &T)> {
         self.shards
@@ -168,11 +163,6 @@ impl<T: GroupTransport> ShardSet<T> {
     /// Operations acknowledged, across all shards.
     pub fn completed(&self) -> u64 {
         self.acked.iter().sum()
-    }
-
-    /// Operations issued, across all shards.
-    pub fn issued(&self) -> u64 {
-        self.issued.iter().sum()
     }
 
     /// Operations acknowledged on one shard.
@@ -254,18 +244,12 @@ impl<T: GroupTransport> ShardSet<T> {
         appended
     }
 
-    /// Collects completed operations from one shard's completion queue,
-    /// with the same accounting as [`ShardSet::poll`]. Migration drivers
-    /// use this to drain the migrating shard without touching (or stealing
-    /// acks from) the shards that keep serving.
-    pub fn poll_shard(&mut self, ctx: &mut NicCtx<'_>, id: ShardId) -> Vec<ShardAck> {
-        let mut acks = Vec::new();
-        self.poll_shard_into(ctx, id, &mut acks);
-        acks
-    }
-
-    /// [`ShardSet::poll_shard`] into a caller-provided buffer, returning
-    /// how many acks were appended.
+    /// Collects completed operations from one shard's completion queue
+    /// into a caller-provided buffer, with the same accounting as
+    /// [`ShardSet::poll`], returning how many acks were appended. A
+    /// migration's coordinator uses this to drain the migrating shard
+    /// without touching (or stealing acks from) the shards that keep
+    /// serving.
     pub fn poll_shard_into(
         &mut self,
         ctx: &mut NicCtx<'_>,
@@ -395,11 +379,6 @@ impl<T: GroupTransport> ShardSet<T> {
     /// export.
     pub fn record_migration(&mut self, id: ShardId, stats: MigrationStats) {
         self.migrations[id.0 as usize] = Some(stats);
-    }
-
-    /// Stats of shard `id`'s last migration, if any.
-    pub fn migration(&self, id: ShardId) -> Option<MigrationStats> {
-        self.migrations[id.0 as usize]
     }
 
     /// Snapshots per-shard client counters into `reg`:

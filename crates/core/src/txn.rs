@@ -438,9 +438,8 @@ pub struct TxnManager {
     pub abort_validation_failed: u64,
     /// Aborts classified [`AbortCause::BackoffExhausted`].
     pub abort_backoff_exhausted: u64,
-    /// Backoff parks taken (one per [`LockBackoff::next_delay`] draw).
-    pub backoff_parks: u64,
-    /// Total backoff nanoseconds scheduled across all parks.
+    /// Total backoff nanoseconds scheduled across all parks (one park per
+    /// [`LockBackoff::next_delay`] draw, so as many as `lock_retries`).
     pub backoff_delay_ns: u64,
 }
 
@@ -469,7 +468,6 @@ impl TxnManager {
             abort_lock_conflict: 0,
             abort_validation_failed: 0,
             abort_backoff_exhausted: 0,
-            backoff_parks: 0,
             backoff_delay_ns: 0,
         }
     }
@@ -667,8 +665,8 @@ impl TxnManager {
     ///   an `{prefix}.in_flight` gauge;
     /// * `{prefix}.abort_causes.{lock_conflict,validation_failed,backoff_exhausted}`
     ///   (always summing to `{prefix}.aborted`);
-    /// * `{prefix}.backoff.{parks,delay_ns}` — the [`LockBackoff`] draws
-    ///   taken on behalf of parked transactions;
+    /// * `{prefix}.backoff.delay_ns` — the [`LockBackoff`] delay drawn on
+    ///   behalf of parked transactions;
     /// * `{prefix}.contention.*` — whole-manager sums (plus `queue_depth_hwm`
     ///   max and a `contended_sites` count) over the per-site table, and
     ///   `{prefix}.contention.site.s<shard>.l<lock>.<field>` detail for
@@ -684,7 +682,6 @@ impl TxnManager {
         for (label, n) in self.abort_cause_counts() {
             reg.counter_set(&format!("{prefix}.abort_causes.{label}"), n);
         }
-        reg.counter_set(&format!("{prefix}.backoff.parks"), self.backoff_parks);
         reg.counter_set(&format!("{prefix}.backoff.delay_ns"), self.backoff_delay_ns);
         let mut total = SiteContention::default();
         let mut contended = 0u64;
@@ -764,7 +761,6 @@ impl TxnManager {
                 // acquisition round after a jittered delay.
                 self.lock_retries += 1;
                 let delay = run.backoff.next_delay();
-                self.backoff_parks += 1;
                 self.backoff_delay_ns += delay.as_nanos();
                 // Charge the wait to the site that lost the round, when known.
                 if let Some((site, _)) = run.last_conflict {
@@ -1390,7 +1386,6 @@ mod tests {
         );
         assert!(mgr.lock_retries >= 1, "loser must have retried");
         // The contention profiler saw the fight over the stripe.
-        assert!(mgr.backoff_parks >= 1);
         assert!(mgr.backoff_delay_ns > 0);
         let c = *mgr.contention().get(&site).expect("contended site tracked");
         assert!(c.attempts >= 3, "winner + loser rounds: {c:?}");

@@ -566,6 +566,17 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
     Ok(v)
 }
 
+/// Parses the JSON value `text` opens, returning it with the bytes it
+/// spans; whatever follows it is left unread.
+pub fn parse_prefix(text: &str) -> Result<(JsonValue, usize), JsonParseError> {
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    let v = p.value()?;
+    Ok((v, p.pos))
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -883,6 +894,18 @@ pub fn canonicalize_report(text: &str) -> Result<String, JsonParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_prefix_parse_stops_after_the_first_value() {
+        let text = r#"{"ph":"C","args":{"v":"}"}},{"ph":"X"}]}"#;
+        let (v, len) = parse_prefix(text).expect("one object");
+        assert_eq!(&text[len..], r#",{"ph":"X"}]}"#);
+        assert_eq!(v.at(&["args", "v"]).and_then(JsonValue::as_str), Some("}"));
+        assert!(
+            parse_prefix("{\"ph\":").is_err(),
+            "a cut-off value is an error"
+        );
+    }
 
     #[test]
     fn nested_structures_and_escaping() {

@@ -13,7 +13,7 @@
 //! pre-posted WAIT chains react inside the NIC. Both paths run on this same
 //! cluster, so the comparison is apples-to-apples.
 
-use crate::env::{Env, StagedAction};
+use crate::env::{Env, Spawn, StagedAction};
 use crate::types::{ClusterConfig, ClusterEvent, HostApp, HostEvent, ProcRef, TaskKind};
 use cpusched::{CpuEffect, CpuScheduler, HogProfile, ProcKind, TaskId};
 use netsim::NodeId;
@@ -154,11 +154,24 @@ impl Cluster {
         // immediately); collect them into a scratch outbox handled lazily —
         // at time zero nothing is racing.
         let mut scratch = Outbox::new();
-        let cpu_proc = self.scheds[node.0 as usize].spawn(kind, SimTime::ZERO, &mut scratch);
+        let pr = self.register(node, kind, app, SimTime::ZERO, &mut scratch);
+        self.pending_boot.push((node, scratch.into_vec()));
+        pr
+    }
+
+    /// Spawns `app`'s process on `node`'s scheduler at `now`, into `out`.
+    fn register(
+        &mut self,
+        node: NodeId,
+        kind: ProcKind,
+        app: Box<dyn HostApp>,
+        now: SimTime,
+        out: &mut Outbox<CpuEffect>,
+    ) -> ProcRef {
+        let cpu_proc = self.scheds[node.0 as usize].spawn(kind, now, out);
         let pr = ProcRef(self.procs.len() as u32);
         self.procs.push(ProcEntry { node, cpu_proc });
         self.apps.push(Some(app));
-        self.pending_boot.push((node, scratch.into_vec()));
         pr
     }
 
@@ -279,8 +292,16 @@ impl Cluster {
         };
         let mut nic_out = std::mem::take(&mut self.nic_scratch);
         let mut staged = std::mem::take(&mut self.staged_scratch);
+        let mut spawned = Vec::new();
         {
-            let mut env = Env::new(now, proc, &mut self.fab, &mut nic_out, &mut staged);
+            let mut env = Env::new(
+                now,
+                proc,
+                &mut self.fab,
+                &mut nic_out,
+                &mut staged,
+                &mut spawned,
+            );
             app.on_event(&mut env, event);
         }
         self.apps[proc.0 as usize] = Some(app);
@@ -294,9 +315,45 @@ impl Cluster {
                 StagedAction::Work { cost, token } => {
                     self.submit_task(now, proc, TaskKind::Work(token), cost, NO_OP, q);
                 }
+                StagedAction::Bind { cq, cost } => self.bind_now(now, proc, cq, cost, q),
             }
         }
         self.staged_scratch = staged;
+        for Spawn {
+            node,
+            kind,
+            app,
+            cq,
+            cost,
+        } in spawned
+        {
+            let mut out = Outbox::new();
+            let pr = self.register(node, kind, app, now, &mut out);
+            self.route_cpu(node, &mut out, q);
+            self.bind_now(now, pr, cq, Some(cost), q);
+        }
+    }
+
+    /// Binds (`Some` cost) or unbinds `cq` on `proc`'s node at run time; a
+    /// fresh binding wakes `proc` at once if the CQ already holds entries.
+    fn bind_now(
+        &mut self,
+        now: SimTime,
+        proc: ProcRef,
+        cq: CqId,
+        cost: Option<SimDuration>,
+        q: &mut EventQueue<ClusterEvent>,
+    ) {
+        let node = self.procs[proc.0 as usize].node;
+        match cost {
+            Some(cost) => {
+                self.cq_bindings.insert((node, cq), (proc, cost));
+                self.rearm_cq(now, proc, cq, q);
+            }
+            None => {
+                self.cq_bindings.remove(&(node, cq));
+            }
+        }
     }
 
     /// Post-handler protocol for CQ bindings: re-arm, and if completions

@@ -1,6 +1,7 @@
 //! The controlled view of the cluster an application handler works through.
 
-use crate::types::ProcRef;
+use crate::types::{HostApp, ProcRef};
+use cpusched::ProcKind;
 use netsim::NodeId;
 use nvmsim::NvmDevice;
 use rnicsim::{CqId, Cqe, NicCtx, NicEffect, QpId, RdmaFabric, RecvWqe, Wqe};
@@ -23,6 +24,23 @@ pub enum StagedAction {
         /// Token passed back to the handler.
         token: u64,
     },
+    /// Route completions on `cq`, a CQ on this process's node, to this
+    /// process at `cost` of CPU per wake; `None` stops routing them.
+    Bind {
+        /// The completion queue.
+        cq: CqId,
+        /// Handler cost per wake, or `None` to unbind.
+        cost: Option<SimDuration>,
+    },
+}
+
+/// A process a handler starts with [`Env::spawn`].
+pub(crate) struct Spawn {
+    pub node: NodeId,
+    pub kind: ProcKind,
+    pub app: Box<dyn HostApp>,
+    pub cq: CqId,
+    pub cost: SimDuration,
 }
 
 /// Handler-side API: verbs, memory, timers and CPU-work charging.
@@ -37,6 +55,7 @@ pub struct Env<'a> {
     fab: &'a mut RdmaFabric,
     nic_out: &'a mut Outbox<NicEffect>,
     staged: &'a mut Vec<StagedAction>,
+    spawned: &'a mut Vec<Spawn>,
 }
 
 impl<'a> Env<'a> {
@@ -46,6 +65,7 @@ impl<'a> Env<'a> {
         fab: &'a mut RdmaFabric,
         nic_out: &'a mut Outbox<NicEffect>,
         staged: &'a mut Vec<StagedAction>,
+        spawned: &'a mut Vec<Spawn>,
     ) -> Self {
         Env {
             now,
@@ -53,6 +73,7 @@ impl<'a> Env<'a> {
             fab,
             nic_out,
             staged,
+            spawned,
         }
     }
 
@@ -127,5 +148,40 @@ impl<'a> Env<'a> {
     /// the work has actually executed (including scheduling delays).
     pub fn submit_work(&mut self, cost: SimDuration, token: u64) {
         self.staged.push(StagedAction::Work { cost, token });
+    }
+
+    /// Wakes this process on completions of `cq`, a CQ on its own node,
+    /// after `handler_cost` of CPU (`Cluster::bind_cq` at run time).
+    pub fn bind_cq(&mut self, cq: CqId, handler_cost: SimDuration) {
+        self.staged.push(StagedAction::Bind {
+            cq,
+            cost: Some(handler_cost),
+        });
+    }
+
+    /// Stops waking this process on completions of `cq`; entries already
+    /// queued there stay for whoever polls the CQ.
+    pub fn unbind_cq(&mut self, cq: CqId) {
+        self.staged.push(StagedAction::Bind { cq, cost: None });
+    }
+
+    /// Starts `app` as a new `kind` process on `node`, woken by
+    /// completions on `cq` there after `handler_cost` of CPU. The process
+    /// starts once this handler returns; it gets no `Start` event.
+    pub fn spawn(
+        &mut self,
+        node: NodeId,
+        kind: ProcKind,
+        app: Box<dyn HostApp>,
+        cq: CqId,
+        handler_cost: SimDuration,
+    ) {
+        self.spawned.push(Spawn {
+            node,
+            kind,
+            app,
+            cq,
+            cost: handler_cost,
+        });
     }
 }

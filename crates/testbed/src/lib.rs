@@ -425,6 +425,101 @@ mod tests {
     }
 
     #[test]
+    fn handlers_bind_unbind_and_spawn_at_run_time() {
+        // Binds its CQ at start, unbinds it after the first completion,
+        // then starts a server on the other node that a SEND wakes.
+        struct Starter {
+            qp: QpId,
+            cq: CqId,
+            server: Option<Server>,
+            src: u64,
+            dst: u64,
+            wakes: u32,
+        }
+        impl Starter {
+            fn write(&self, env: &mut Env<'_>) {
+                let wqe = Wqe {
+                    opcode: Opcode::Write,
+                    flags: wqe_flags::HW_OWNED | wqe_flags::SIGNALED,
+                    local_addr: self.src,
+                    len: 64,
+                    remote_addr: self.dst,
+                    ..Wqe::default()
+                };
+                env.post_send(N0, self.qp, wqe);
+            }
+        }
+        impl HostApp for Starter {
+            fn on_event(&mut self, env: &mut Env<'_>, ev: HostEvent) {
+                match ev {
+                    HostEvent::Start => {
+                        env.bind_cq(self.cq, SimDuration::from_micros(1));
+                        self.write(env);
+                    }
+                    HostEvent::CqReady(cq) => {
+                        self.wakes += 1;
+                        env.poll_cq(N0, cq, 16);
+                        env.unbind_cq(cq);
+                        self.write(env);
+                        let server = self.server.take().expect("one wake");
+                        let recv = RecvWqe {
+                            wr_id: 0,
+                            sges: vec![(server.buf, 4096)],
+                        };
+                        env.post_recv(N1, server.qp, recv);
+                        let (cq, cost) = (server.cq, SimDuration::from_micros(1));
+                        env.spawn(N1, ProcKind::EventDriven, Box::new(server), cq, cost);
+                        let send = Wqe {
+                            opcode: Opcode::Send,
+                            flags: wqe_flags::HW_OWNED,
+                            local_addr: self.src,
+                            len: 8,
+                            ..Wqe::default()
+                        };
+                        env.post_send(N0, self.qp, send);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut cluster = Cluster::with_defaults(2, 2);
+        let (q0, q1, cq0, cq1) = build_pair(&mut cluster);
+        let dst = cluster.fab.alloc(N1, 4096);
+        cluster.fab.reg_mr(N1, dst, 4096);
+        let buf = cluster.fab.alloc(N1, 4096);
+        let src = cluster.fab.alloc(N0, 64);
+        let server = Server {
+            qp: q1,
+            cq: cq1,
+            buf,
+            received: 0,
+        };
+        let starter = Starter {
+            qp: q0,
+            cq: cq0,
+            server: Some(server),
+            src,
+            dst,
+            wakes: 0,
+        };
+        let p = cluster.add_app(N0, ProcKind::EventDriven, Box::new(starter));
+        let mut sim = cluster.into_sim();
+        sim.run_until(SimTime::from_millis(5));
+        assert_eq!(
+            sim.model.app_mut::<Starter>(p).wakes,
+            1,
+            "unbound after one"
+        );
+        assert_eq!(
+            sim.model.fab.cq_depth(N0, cq0),
+            1,
+            "the later write's CQE waits"
+        );
+        let spawned = ProcRef(p.0 + 1);
+        assert_eq!(sim.model.app_mut::<Server>(spawned).received, 1);
+    }
+
+    #[test]
     #[should_panic(expected = "different nodes")]
     fn binding_cq_across_nodes_panics() {
         let mut cluster = Cluster::with_defaults(2, 2);

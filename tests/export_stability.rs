@@ -220,7 +220,7 @@ fn txn_observability_export_is_idempotent() {
     let mut kv = ShardedKv::with_hash_router(stores);
     kv.enable_txns(CommitMode::Locking, 23);
 
-    // Two transactions fight over one key so conflicts, parks, and
+    // Two transactions fight over one key so conflicts, lock retries, and
     // (eventually) per-site contention detail all exist in the snapshot.
     let k = 0u64;
     let mut t1 = kv.txn();
@@ -262,7 +262,7 @@ fn txn_observability_export_is_idempotent() {
     assert!(twice.counter("txn.contention.conflicts").unwrap() >= 1);
     assert_eq!(twice.counter("txn.contention.false_conflicts"), Some(0));
     assert!(twice.counter("txn.contention.contended_sites").unwrap() >= 1);
-    assert!(twice.counter("txn.backoff.parks").unwrap() >= 1);
+    assert!(twice.counter("txn.lock_retries").unwrap() >= 1);
     let aborted = twice.counter("txn.aborted").unwrap();
     let causes: u64 = [
         "txn.abort_causes.lock_conflict",

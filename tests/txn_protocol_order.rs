@@ -233,13 +233,12 @@ impl Rig {
         let m = &self.mgr;
         let mut lines = self.log.borrow().clone();
         lines.push(format!(
-            "counters started={} committed={} aborted={} lock_retries={} parks={} \
+            "counters started={} committed={} aborted={} lock_retries={} \
              lock_conflict={} validation_failed={} backoff_exhausted={}",
             m.started,
             m.committed,
             m.aborted,
             m.lock_retries,
-            m.backoff_parks,
             m.abort_lock_conflict,
             m.abort_validation_failed,
             m.abort_backoff_exhausted
@@ -559,7 +558,7 @@ begin t4 release
 end t4 release
 probe commit t4 w0
 done t4 Committed
-counters started=5 committed=4 aborted=1 lock_retries=9 parks=9 lock_conflict=0 validation_failed=0 backoff_exhausted=1
+counters started=5 committed=4 aborted=1 lock_retries=9 lock_conflict=0 validation_failed=0 backoff_exhausted=1
 ";
 
 const OPTIMISTIC: &str = "
@@ -650,5 +649,5 @@ begin t4 release
 end t4 release
 probe commit t4 w0
 done t4 Committed
-counters started=5 committed=3 aborted=2 lock_retries=0 parks=0 lock_conflict=0 validation_failed=2 backoff_exhausted=0
+counters started=5 committed=3 aborted=2 lock_retries=0 lock_conflict=0 validation_failed=2 backoff_exhausted=0
 ";
