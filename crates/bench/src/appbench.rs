@@ -71,11 +71,11 @@ fn naive_chain(cluster: &mut Cluster, replica_kind: ProcKind) -> NaiveClient {
     .client
 }
 
-/// Polls one app arm to completion and closes it: the cluster's counters,
-/// the client's latency histogram under `bench.op_latency`, and health.
+/// Polls one app arm to completion and closes it with the cluster's
+/// counters.
 fn finish_app(mut arm: Arm, cluster: Cluster, client: Installed, ops: u64) -> Outcome {
     let mut sim = cluster.into_sim();
-    let hist = arm.poll(
+    let latencies = arm.poll(
         &mut sim,
         &[client],
         SimDuration::from_millis(20),
@@ -83,10 +83,8 @@ fn finish_app(mut arm: Arm, cluster: Cluster, client: Installed, ops: u64) -> Ou
     );
     let mut registry = MetricsRegistry::new();
     sim.model.export_into(&mut registry, "cluster");
-    registry.merge_histogram("bench.op_latency", &hist);
-    arm.health.export_into(&mut registry, "health");
     let elapsed = sim.now().since(SimTime::ZERO);
-    arm.finish(&sim, ops, elapsed, &hist, registry)
+    arm.finish(&sim, ops, elapsed, &latencies, registry)
 }
 
 fn kv_config() -> KvConfig {

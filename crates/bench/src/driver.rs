@@ -4,7 +4,7 @@
 //! measurements are event-precise.
 
 use hyperloop::{GroupAck, GroupOp, GroupTransport};
-use simcore::{HealthMonitor, Histogram, MetricsRegistry, SimDuration, SimTime};
+use simcore::{HealthMonitor, Latencies, MetricsRegistry, SimDuration, SimTime};
 use std::collections::HashMap;
 use testbed::{Env, HostApp, HostEvent};
 
@@ -20,8 +20,8 @@ pub(crate) trait Client: HostApp {
     fn transports(&self) -> Vec<&dyn GroupTransport>;
     /// True once the client's quota is met and its pipeline drained.
     fn is_done(&self) -> bool;
-    /// The measured latency histogram (warm-up excluded).
-    fn hist(&self) -> &Histogram;
+    /// The measured latencies (warm-up excluded).
+    fn latencies(&self) -> &Latencies;
     /// Simulated time from first issue to last completion, where the
     /// client tracks it.
     fn elapsed(&self) -> Option<SimDuration> {
@@ -54,8 +54,8 @@ pub struct PrimitiveDriver<T> {
     /// Reused completion buffer: one driver-side allocation for the whole
     /// run instead of a fresh ack vector per poll.
     ack_scratch: Vec<GroupAck>,
-    /// Latency histogram (completed minus warm-up ops).
-    pub hist: Histogram,
+    /// Latencies of the completed ops, warm-up excluded.
+    pub latencies: Latencies,
     /// When the first op was issued.
     pub started_at: Option<SimTime>,
     /// When the last op completed.
@@ -91,7 +91,7 @@ impl<T: GroupTransport + 'static> PrimitiveDriver<T> {
             sent_at: HashMap::new(),
             health: None,
             ack_scratch: Vec::new(),
-            hist: Histogram::new(),
+            latencies: Latencies::new(),
             started_at: None,
             done_at: None,
         }
@@ -149,7 +149,7 @@ impl<T: GroupTransport + 'static> HostApp for PrimitiveDriver<T> {
                             h.record_ack(now, *shard, now.since(sent));
                         }
                         if self.completed > self.warmup {
-                            self.hist.record(now.since(sent));
+                            self.latencies.record(now.since(sent));
                         }
                         if self.completed >= self.total {
                             self.done_at = Some(now);
@@ -176,8 +176,8 @@ impl<T: GroupTransport + 'static> Client for PrimitiveDriver<T> {
     fn is_done(&self) -> bool {
         PrimitiveDriver::is_done(self)
     }
-    fn hist(&self) -> &Histogram {
-        &self.hist
+    fn latencies(&self) -> &Latencies {
+        &self.latencies
     }
     fn elapsed(&self) -> Option<SimDuration> {
         Some(self.done_at?.since(self.started_at?))
@@ -203,8 +203,8 @@ pub struct KvDriver<T> {
     sent_order: std::collections::VecDeque<SimTime>,
     /// A write that hit back-pressure, retried after checkpointing.
     retry: Option<(u64, Vec<u8>)>,
-    /// Update-latency histogram.
-    pub hist: Histogram,
+    /// Update latencies.
+    pub latencies: Latencies,
     /// Set when all writes completed.
     pub done_at: Option<SimTime>,
 }
@@ -230,7 +230,7 @@ impl<T: GroupTransport + 'static> KvDriver<T> {
             health: None,
             sent_order: std::collections::VecDeque::new(),
             retry: None,
-            hist: Histogram::new(),
+            latencies: Latencies::new(),
             done_at: None,
         }
     }
@@ -317,7 +317,7 @@ impl<T: GroupTransport + 'static> HostApp for KvDriver<T> {
                         h.record_ack(now, *shard, now.since(sent));
                     }
                     if self.completed > self.warmup {
-                        self.hist.record(now.since(sent));
+                        self.latencies.record(now.since(sent));
                     }
                     if self.is_done() {
                         self.done_at = Some(now);
@@ -349,8 +349,8 @@ impl<T: GroupTransport + 'static> Client for KvDriver<T> {
     fn is_done(&self) -> bool {
         self.completed >= self.total_writes + self.warmup
     }
-    fn hist(&self) -> &Histogram {
-        &self.hist
+    fn latencies(&self) -> &Latencies {
+        &self.latencies
     }
 }
 
@@ -378,10 +378,8 @@ pub struct DocDriver<T> {
     writes_in_flight: u64,
     /// A write drawn while another was in flight, issued on completion.
     pending_write: Option<docstore::Document>,
-    /// All-operation latency histogram (reads, scans and writes).
-    pub hist: Histogram,
-    /// Write-only latency histogram.
-    pub write_hist: Histogram,
+    /// All-operation latencies (reads, scans and writes).
+    pub latencies: Latencies,
     /// Set when the op quota is met and the pipeline drained.
     pub done_at: Option<SimTime>,
 }
@@ -409,8 +407,7 @@ impl<T: GroupTransport + 'static> DocDriver<T> {
             ops_done: 0,
             writes_in_flight: 0,
             pending_write: None,
-            hist: Histogram::new(),
-            write_hist: Histogram::new(),
+            latencies: Latencies::new(),
             done_at: None,
         }
     }
@@ -432,7 +429,7 @@ impl<T: GroupTransport + 'static> DocDriver<T> {
     fn record(&mut self, lat: SimDuration) {
         self.ops_done += 1;
         if self.ops_done > self.warmup {
-            self.hist.record(lat);
+            self.latencies.record(lat);
         }
     }
 
@@ -522,8 +519,7 @@ impl<T: GroupTransport + 'static> HostApp for DocDriver<T> {
                     }
                     self.ops_done += 1;
                     if self.ops_done > self.warmup {
-                        self.hist.record(lat);
-                        self.write_hist.record(lat);
+                        self.latencies.record(lat);
                     }
                 }
                 if self.is_done() {
@@ -557,7 +553,7 @@ impl<T: GroupTransport + 'static> Client for DocDriver<T> {
     fn is_done(&self) -> bool {
         self.ops_done >= self.total_ops && self.writes_in_flight == 0
     }
-    fn hist(&self) -> &Histogram {
-        &self.hist
+    fn latencies(&self) -> &Latencies {
+        &self.latencies
     }
 }

@@ -1118,11 +1118,11 @@ mod tests {
     use crate::report::{Report, Scenario};
     use simcore::simaudit::SeriesSummary;
     use simcore::tailprof::TailProfile;
-    use simcore::Histogram;
+    use simcore::Latencies;
     use simcore::SimDuration;
 
     fn lat(us_mean: u64) -> simcore::LatencySummary {
-        let mut h = Histogram::new();
+        let mut h = Latencies::new();
         h.record(SimDuration::from_micros(us_mean));
         h.summary()
     }
@@ -1147,11 +1147,15 @@ mod tests {
 
     /// Every scenario of these families must carry `host`, `tail` and
     /// `series` blocks to pass the report check; empty ones render
-    /// nothing. The tail folds the one op each fixture's `lat` records.
-    fn observed(s: Scenario) -> Scenario {
-        s.host(host())
+    /// nothing. The tail folds the one op of latency `us` that the
+    /// scenario's `latency` records, so both quote its quantiles.
+    fn observed(s: Scenario, us: u64) -> Scenario {
+        s.latency(&lat(us))
+            .host(host())
             .tail(TailProfile {
                 ops: 1,
+                p99_ns: us * 1000,
+                median_e2e_ns: us * 1000,
                 ..TailProfile::from_events(&[])
             })
             .series(SeriesSummary::default())
@@ -1163,25 +1167,24 @@ mod tests {
             rep.scenario(observed(
                 Scenario::new(format!("shardscale/{n}"))
                     .system("HyperLoop")
-                    .latency(&lat(10 * n as u64))
                     .gauge("ops_per_sec", 1000.0 * n as f64)
                     .gauge("speedup", n as f64),
+                10 * n as u64,
             ));
         }
         rep.scenario(observed(
             Scenario::new("migrate/2")
                 .system("HyperLoop")
-                .latency(&lat(15))
                 .gauge("ops_per_sec", 1500.0)
                 .gauge("window_tput_ratio", 0.5)
                 .gauge("migration.pause_ns", 123_000.0)
                 .gauge("migration.copy_bytes", (8 << 20) as f64)
                 .gauge("migration.replayed", 3.0),
+            15,
         ));
         rep.scenario(observed(
             Scenario::new("txnmix/locking/theta0.9")
                 .system("HyperLoop")
-                .latency(&lat(20))
                 .gauge("ops_per_sec", 800.0)
                 .gauge("abort_ratio", 0.05)
                 .gauge("lock_retries", 12.0)
@@ -1191,13 +1194,14 @@ mod tests {
                     ("validation_failed".into(), 0),
                     ("backoff_exhausted".into(), 1),
                 ]),
+            20,
         ));
         rep.scenario(observed(
             Scenario::new("hostperf/500")
                 .system("HyperLoop")
                 .seed(1)
-                .latency(&lat(5))
                 .gauge("ops_per_sec", 500.0),
+            5,
         ));
         rep.to_json()
     }

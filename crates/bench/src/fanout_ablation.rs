@@ -7,7 +7,7 @@ use hyperloop::harness::{drive, fabric_sim};
 use hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
 use netsim::NodeId;
 use rnicsim::Payload;
-use simcore::{Histogram, MetricsRegistry, SimTime};
+use simcore::{Latencies, MetricsRegistry, SimTime};
 
 /// Latency of durable 1 KB chain writes over `gs` replicas, one at a time
 /// (health on shard 0).
@@ -28,7 +28,7 @@ pub fn chain_write_latency(gs: u32, ops: u64) -> Outcome {
     });
     sim.run();
     let health = &arm.health;
-    let mut hist = Histogram::new();
+    let mut samples = Latencies::new();
     let t_first = sim.now();
     for i in 0..ops {
         let t0 = sim.now();
@@ -49,12 +49,12 @@ pub fn chain_write_latency(gs: u32, ops: u64) -> Outcome {
         sim.run();
         drive(&mut sim, |ctx| group.client.poll(ctx));
         let lat = sim.now().since(t0);
-        hist.record(lat);
+        samples.record(lat);
         health.record_ack(sim.now(), 0, lat);
         health.tick(sim.now());
     }
     let elapsed = sim.now().since(t_first);
-    arm.finish(&sim, ops, elapsed, &hist, MetricsRegistry::new())
+    arm.finish(&sim, ops, elapsed, &samples, MetricsRegistry::new())
 }
 
 /// Latency of durable 1 KB fan-out writes over a primary plus `gs - 1`
@@ -77,7 +77,7 @@ pub fn fanout_write_latency(gs: u32, ops: u64) -> Outcome {
     });
     sim.run();
     let health = &arm.health;
-    let mut hist = Histogram::new();
+    let mut samples = Latencies::new();
     let t_first = sim.now();
     for i in 0..ops {
         let t0 = sim.now();
@@ -88,7 +88,7 @@ pub fn fanout_write_latency(gs: u32, ops: u64) -> Outcome {
         sim.run();
         drive(&mut sim, |ctx| group.client.poll(ctx));
         let lat = sim.now().since(t0);
-        hist.record(lat);
+        samples.record(lat);
         health.record_ack(sim.now(), 0, lat);
         health.tick(sim.now());
         if i % 128 == 0 {
@@ -98,7 +98,7 @@ pub fn fanout_write_latency(gs: u32, ops: u64) -> Outcome {
         }
     }
     let elapsed = sim.now().since(t_first);
-    arm.finish(&sim, ops, elapsed, &hist, MetricsRegistry::new())
+    arm.finish(&sim, ops, elapsed, &samples, MetricsRegistry::new())
 }
 
 /// Beyond the paper's figures: aggregate read bandwidth when three reader
@@ -145,7 +145,7 @@ pub fn read_scaling(serving_replicas: u32, total_reads: u64) -> Outcome {
     }
 
     let health = &arm.health;
-    let mut hist = Histogram::new();
+    let mut samples = Latencies::new();
     let mut sent_at: Vec<SimTime> = vec![SimTime::ZERO; total_reads as usize];
     let t0 = sim.now();
     let mut done = 0u64;
@@ -185,7 +185,7 @@ pub fn read_scaling(serving_replicas: u32, total_reads: u64) -> Outcome {
             for cqe in cqes {
                 let shard = (cqe.wr_id % serving_replicas as u64) as u32;
                 let lat = now.since(sent_at[cqe.wr_id as usize]);
-                hist.record(lat);
+                samples.record(lat);
                 health.record_ack(now, shard, lat);
             }
         }
@@ -193,5 +193,5 @@ pub fn read_scaling(serving_replicas: u32, total_reads: u64) -> Outcome {
     }
     assert_eq!(sim.model.fab.stats().errors, 0);
     let elapsed = sim.now().since(t0);
-    arm.finish(&sim, total_reads, elapsed, &hist, MetricsRegistry::new())
+    arm.finish(&sim, total_reads, elapsed, &samples, MetricsRegistry::new())
 }

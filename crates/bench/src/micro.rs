@@ -112,9 +112,8 @@ pub struct MicroResult {
     /// Peak replica data-path process CPU, as a fraction of the run (1.0 =
     /// one fully-burnt core).
     pub replica_cpu: f64,
-    /// The arm's outcome. Its registry holds the whole cluster's counters
-    /// plus the op-latency histogram under `bench.op_latency`; its health
-    /// carries zero violations (micro runs are not audited).
+    /// The arm's outcome. Its registry holds the whole cluster's counters;
+    /// its health carries zero violations (micro runs are not audited).
     pub run: Outcome,
 }
 
@@ -234,7 +233,7 @@ fn run_primitive_once(
     };
 
     let mut sim = cluster.into_sim();
-    let hist = arm.poll(
+    let latencies = arm.poll(
         &mut sim,
         &[client],
         SimDuration::from_millis(20),
@@ -254,12 +253,11 @@ fn run_primitive_once(
 
     let mut registry = MetricsRegistry::new();
     sim.model.export_into(&mut registry, "cluster");
-    registry.merge_histogram("bench.op_latency", &hist);
     registry.set_gauge("bench.replica_cpu", replica_cpu);
     registry.set_gauge("bench.elapsed_secs", elapsed.as_secs_f64());
     MicroResult {
         replica_cpu,
-        run: arm.finish(&sim, opts.ops, elapsed, &hist, registry),
+        run: arm.finish(&sim, opts.ops, elapsed, &latencies, registry),
     }
 }
 

@@ -262,6 +262,25 @@ mod tests {
         assert!(r.dip > 0.0, "the window still completed work");
     }
 
+    /// The quick 8-shard arm is the one whose bulk copy races live
+    /// writes, so its move replays WAL-tail ranges after the copy.
+    #[test]
+    fn the_quick_eight_shard_arm_replays_the_wal_tail() {
+        let r = run_migrate(
+            8,
+            MigrateOpts {
+                ops: 1024,
+                ..MigrateOpts::default()
+            },
+        );
+        assert!(r.replayed > 0, "the move replayed no WAL-tail range");
+        assert_eq!(
+            r.run.health.violations, 0,
+            "auditors flagged the replaying migration:\n{}",
+            r.run.audit_json
+        );
+    }
+
     #[test]
     fn same_seed_same_migration_timeline() {
         let opts = MigrateOpts {

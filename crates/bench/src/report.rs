@@ -130,9 +130,7 @@ impl Scenario {
         self.series = Some(o.series.clone());
         self.host = Some(o.host.clone());
         let reg = &o.registry;
-        let empty = reg.counters().next().is_none()
-            && reg.gauges().next().is_none()
-            && reg.histograms().next().is_none();
+        let empty = reg.counters().next().is_none() && reg.gauges().next().is_none();
         self.metrics = (!empty).then(|| reg.clone());
         self.attribution = o.attribution.clone();
         self.txn_breakdown = o.txn_breakdown.clone();
@@ -169,8 +167,7 @@ impl Scenario {
 /// The report schema tag.
 pub const SCHEMA: &str = "hyperloop-bench/v1";
 
-/// A [`LatencySummary`] as the report writes it: the `latency` block and
-/// each `metrics.histograms` entry.
+/// A [`LatencySummary`] as the report writes it: the `latency` block.
 pub const LATENCY: Shape = Shape::Obj(
     &[
         req("count", Shape::Count),
@@ -185,13 +182,12 @@ pub const LATENCY: Shape = Shape::Obj(
     None,
 );
 
-/// A [`MetricsRegistry`] snapshot. The registry rules that span keys sit
-/// with [`SCENARIO`].
+/// A [`MetricsRegistry`] snapshot, as [`MetricsRegistry::write_fields`]
+/// writes it. The registry rules that span keys sit with [`SCENARIO`].
 pub const METRICS: Shape = Shape::Obj(
     &[
         req("counters", Shape::Map(&Shape::Count)),
         req("gauges", Shape::Map(&Shape::Number)),
-        req("histograms", Shape::Map(&LATENCY)),
     ],
     None,
 );
@@ -281,9 +277,16 @@ pub const TAILSCOPE: [&str; 4] = ["shardscale/", "migrate/", "hostperf/", "txnmi
 /// fold one op population: every op the client completed, none evicted.
 pub const ONE_POPULATION: [&str; 2] = ["shardscale/", "migrate/"];
 
+/// The [`ONE_POPULATION`] families whose blocks also time each op over
+/// the same interval, so their exact quantiles agree. A migrate client
+/// times a penned op from pen entry, but its trace window opens at the
+/// drain's issue.
+pub const ONE_QUANTILE: [&str; 1] = ["shardscale/"];
+
 /// [`SCENARIO`]'s rule: `tail` and `series` are present on the
 /// [`TAILSCOPE`] families, the [`ONE_POPULATION`] families' blocks count
-/// the same ops, the registry rules hold, and `abort_causes` agrees with
+/// the same ops, the [`ONE_QUANTILE`] families' blocks quote the same
+/// p50 and p99, the registry rules hold, and `abort_causes` agrees with
 /// the `txn.aborted` counter.
 fn scenario_rule(s: &JsonValue, _: &str) -> Result<(), String> {
     let name = s
@@ -297,6 +300,9 @@ fn scenario_rule(s: &JsonValue, _: &str) -> Result<(), String> {
     }
     if ONE_POPULATION.iter().any(|p| name.starts_with(p)) {
         one_population(s)?;
+    }
+    if ONE_QUANTILE.iter().any(|p| name.starts_with(p)) {
+        one_quantile(s)?;
     }
     let Some(counters) = s.at(&["metrics", "counters"]) else {
         return Ok(());
@@ -340,6 +346,27 @@ fn one_population(s: &JsonValue) -> Result<(), String> {
         )),
         _ => Ok(()),
     }
+}
+
+/// `latency.p50_ns == tail.median_e2e_ns == stage_attribution.e2e.p50_ns`
+/// and `latency.p99_ns == tail.p99_ns == stage_attribution.e2e.p99_ns`,
+/// for whichever of those blocks are present.
+fn one_quantile(s: &JsonValue) -> Result<(), String> {
+    let get = |path: &[&str]| s.at(path).and_then(JsonValue::as_u64);
+    for (key, tail_key) in [("p50_ns", "median_e2e_ns"), ("p99_ns", "p99_ns")] {
+        let Some(want) = get(&["latency", key]) else {
+            continue;
+        };
+        for path in [&["tail", tail_key][..], &["stage_attribution", "e2e", key]] {
+            if let Some(got) = get(path).filter(|&got| got != want) {
+                return Err(format!(
+                    "{}={got} but latency.{key}={want}: one op population quotes one quantile",
+                    path.join(".")
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The registry rules: the audit total is zero (a report without a
@@ -466,9 +493,9 @@ fn valid_site_key(rest: &str) -> bool {
             .is_some_and(|f| txn::CONTENTION_FIELDS.contains(&f))
 }
 
-/// Writes a [`LatencySummary`] as a JSON object under `key`.
-fn write_latency(w: &mut JsonWriter, key: &str, s: &LatencySummary) {
-    w.begin_obj_field(key);
+/// Writes a [`LatencySummary`] as the `latency` block.
+fn write_latency(w: &mut JsonWriter, s: &LatencySummary) {
+    w.begin_obj_field("latency");
     w.field_u64("count", s.count);
     w.field_u64("mean_ns", s.mean.as_nanos());
     w.field_u64("p50_ns", s.p50.as_nanos());
@@ -593,7 +620,7 @@ impl Report {
             }
             w.end_obj();
             if let Some(sum) = &s.latency {
-                write_latency(&mut w, "latency", sum);
+                write_latency(&mut w, sum);
             }
             w.begin_obj_field("gauges");
             for (k, v) in &s.gauges {
@@ -617,21 +644,7 @@ impl Report {
             }
             if let Some(reg) = &s.metrics {
                 w.begin_obj_field("metrics");
-                w.begin_obj_field("counters");
-                for (k, v) in reg.counters() {
-                    w.field_u64(k, v);
-                }
-                w.end_obj();
-                w.begin_obj_field("gauges");
-                for (k, v) in reg.gauges() {
-                    w.field_f64(k, v);
-                }
-                w.end_obj();
-                w.begin_obj_field("histograms");
-                for (k, h) in reg.histograms() {
-                    write_latency(&mut w, k, &h.summary());
-                }
-                w.end_obj();
+                reg.write_fields(&mut w);
                 w.end_obj();
             }
             if let Some(att) = &s.attribution {
@@ -688,7 +701,7 @@ mod tests {
     use simcore::SimDuration;
 
     fn summary() -> LatencySummary {
-        let mut h = simcore::Histogram::new();
+        let mut h = simcore::Latencies::new();
         h.record(SimDuration::from_micros(5));
         h.record(SimDuration::from_micros(7));
         h.summary()
@@ -822,11 +835,6 @@ mod tests {
         reg.counter_add("bench.shard0.acked", 3);
         reg.counter_add("bench.shard0.issued", 3);
         reg.set_gauge("bench.elapsed_secs", 0.5);
-        reg.merge_histogram("bench.op_latency", &{
-            let mut h = simcore::Histogram::new();
-            h.record(SimDuration::from_micros(5));
-            h
-        });
         let queue = simcore::QueueStats {
             pushed: 9,
             popped: 9,

@@ -34,7 +34,7 @@ use simcore::simprof::{
     CounterSample,
 };
 use simcore::{
-    Audit, CounterSampler, HealthMonitor, Histogram, HostMeter, HostStats, LatencySummary,
+    Audit, CounterSampler, HealthMonitor, HostMeter, HostStats, Latencies, LatencySummary,
     MetricsRegistry, Model, SimDuration, SimTime, Simulation, SloConfig, StageAttribution,
     TailProfile, TraceEvent, Tracer, TxnAttribution,
 };
@@ -151,7 +151,7 @@ impl Arm {
     /// The cluster runners' loop: advances `sim` by `cadence`, ticks health,
     /// samples the counter tracks (the cluster's and each client's), and
     /// stops once every client is done. Returns the clients' pooled
-    /// latency histogram.
+    /// latencies, which `Arm::finish` summarises.
     ///
     /// # Panics
     ///
@@ -163,7 +163,7 @@ impl Arm {
         clients: &[Installed],
         cadence: SimDuration,
         cap: SimTime,
-    ) -> Histogram {
+    ) -> Latencies {
         loop {
             let next = sim.now() + cadence;
             sim.run_until(next);
@@ -183,9 +183,9 @@ impl Arm {
             assert!(sim.now() < cap, "run stalled at {}", sim.now());
         }
         assert_eq!(sim.model.fab.stats().errors, 0, "data-path errors");
-        let mut pooled = Histogram::new();
+        let mut pooled = Latencies::new();
         for c in clients {
-            pooled.merge(c.get(&mut sim.model).hist());
+            pooled.merge(c.get(&mut sim.model).latencies());
         }
         pooled
     }
@@ -199,7 +199,7 @@ impl Arm {
         sim: &Simulation<M>,
         ops: u64,
         elapsed: SimDuration,
-        hist: &Histogram,
+        latencies: &Latencies,
         mut registry: MetricsRegistry,
     ) -> Outcome {
         let host = self
@@ -209,7 +209,7 @@ impl Arm {
         let mut health = self.health.summary();
         health.violations = self.audit.violation_count();
         let mut run = Outcome {
-            latency: hist.summary(),
+            latency: latencies.summary(),
             elapsed,
             ops,
             registry,
@@ -441,7 +441,7 @@ mod tests {
             &sim,
             1,
             SimDuration::from_nanos(sim_ns),
-            &Histogram::new(),
+            &Latencies::new(),
             MetricsRegistry::new(),
         );
         run.host.sim_ns = sim_ns;

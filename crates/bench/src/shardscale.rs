@@ -31,7 +31,7 @@ use hyperloop::{
 use netsim::NodeId;
 use rnicsim::Payload;
 use simcore::simaudit::{op_id_base, Probe};
-use simcore::{HealthMonitor, Histogram, MetricsRegistry, SimDuration, SimRng, SimTime};
+use simcore::{HealthMonitor, Latencies, MetricsRegistry, SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 use testbed::{Cluster, ClusterConfig, Env, HostApp, HostEvent, ShardPlacement};
 
@@ -174,7 +174,7 @@ pub(crate) struct ShardClient {
     /// Reused completion buffer.
     acks: Vec<ShardAck>,
     health: HealthMonitor,
-    hist: Histogram,
+    latencies: Latencies,
     total: u64,
     done_at: Option<SimTime>,
     /// The live migration, on a migrate arm.
@@ -197,7 +197,7 @@ impl ShardClient {
             queues,
             acks: Vec::new(),
             health: arm.health.clone(),
-            hist: Histogram::new(),
+            latencies: Latencies::new(),
             total: ops,
             done_at: None,
             mig: Move::default(),
@@ -226,11 +226,11 @@ impl ShardClient {
         for a in acks.drain(..) {
             let t0 = self.sent[a.shard.0 as usize].pop_front();
             let lat = now.since(t0.expect("an ack for an op we issued"));
-            self.hist.record(lat);
+            self.latencies.record(lat);
             self.health.record_ack(now, a.shard.0, lat);
         }
         self.acks = acks;
-        let done = self.hist.count();
+        let done = self.latencies.count();
         if done == self.total {
             self.done_at = Some(now);
         }
@@ -342,8 +342,8 @@ impl Client for ShardClient {
     fn is_done(&self) -> bool {
         self.done_at.is_some() && self.moving().is_none()
     }
-    fn hist(&self) -> &Histogram {
-        &self.hist
+    fn latencies(&self) -> &Latencies {
+        &self.latencies
     }
     fn export_tracks(&self, reg: &mut MetricsRegistry) {
         self.set.export_into(reg, "bench.shards");
@@ -368,7 +368,7 @@ pub(crate) fn run_arm(
     let ops = client.total;
     let installed = run::install(&mut cluster, ProcKind::Polling, client, HANDLER_COST);
     let mut sim = cluster.into_sim();
-    let hist = arm.poll(&mut sim, &[installed], CADENCE, CAP);
+    let latencies = arm.poll(&mut sim, &[installed], CADENCE, CAP);
     let c = sim.model.app_mut::<ShardClient>(installed.proc);
     assert_eq!(c.set.completed(), ops, "lost operations");
     let elapsed = c.done_at.expect("done").since(SimTime::ZERO);
@@ -378,13 +378,11 @@ pub(crate) fn run_arm(
     let mig = std::mem::take(&mut c.mig);
     sim.model.export_into(&mut registry, "cluster");
     sim.model.export_shards_into(&mut registry, chains, "bench");
-    registry.merge_histogram("bench.op_latency", &hist);
     registry.set_gauge("bench.elapsed_secs", elapsed.as_secs_f64());
-    arm.health.export_into(&mut registry, "health");
     (
         mig,
         per_shard,
-        arm.finish(&sim, ops, elapsed, &hist, registry),
+        arm.finish(&sim, ops, elapsed, &latencies, registry),
     )
 }
 
@@ -551,5 +549,11 @@ mod tests {
         assert_eq!((tail.ops, att.ops), (1024, 1024));
         // Open only: each chain's next pre-posted generation.
         assert!(att.truncated <= 2, "{} ops lost", att.truncated);
+        // One population, one quantile rule: the three blocks agree.
+        let (lat, e2e) = (r.run.latency, att.e2e.summary());
+        let p50 = [lat.p50, e2e.p50].map(|d| d.as_nanos());
+        let p99 = [lat.p99, e2e.p99].map(|d| d.as_nanos());
+        assert_eq!(p50, [tail.median_e2e_ns; 2], "p50 of latency, stage e2e");
+        assert_eq!(p99, [tail.p99_ns; 2], "p99 of latency, stage e2e");
     }
 }

@@ -30,7 +30,7 @@ use cpusched::ProcKind;
 use hyperloop::txn::{CommitMode, TxnOutcome};
 use hyperloop::{GroupClient, GroupTransport};
 use kvstore::{KvConfig, KvTxn, ReplicatedKv, ShardedKv};
-use simcore::{HealthMonitor, Histogram, MetricsRegistry, SimDuration, SimTime};
+use simcore::{HealthMonitor, Latencies, MetricsRegistry, SimDuration, SimTime};
 use std::collections::HashMap;
 use testbed::{Env, HostApp, HostEvent};
 use ycsb::{Generator, Operation, Workload};
@@ -193,7 +193,7 @@ struct TxnClient {
     /// Attempts in flight, by txn id.
     live: HashMap<u64, Logical>,
     health: HealthMonitor,
-    hist: Histogram,
+    latencies: Latencies,
     total: u64,
     submitted: u64,
     span_sum: u64,
@@ -245,11 +245,11 @@ impl TxnClient {
                 continue;
             }
             let lat = now.since(t0);
-            self.hist.record(lat);
+            self.latencies.record(lat);
             let shard = primary_shard(&self.kv, &op);
             self.health.record_ack(now, shard, lat);
             self.span_sum += span_of(&self.kv, &op);
-            if self.hist.count() == self.total {
+            if self.latencies.count() == self.total {
                 self.done_at = Some(now);
             }
         }
@@ -275,8 +275,8 @@ impl Client for TxnClient {
     fn is_done(&self) -> bool {
         self.done_at.is_some()
     }
-    fn hist(&self) -> &Histogram {
-        &self.hist
+    fn latencies(&self) -> &Latencies {
+        &self.latencies
     }
     fn export_tracks(&self, reg: &mut MetricsRegistry) {
         self.kv.txn_manager().export_into(reg, "txn");
@@ -303,7 +303,7 @@ fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMix
         tgen: Generator::with_theta(Workload::Transfer, RECORDS, opts.seed ^ 0x71, opts.theta),
         live: HashMap::new(),
         health: arm.health.clone(),
-        hist: Histogram::new(),
+        latencies: Latencies::new(),
         total: opts.txns,
         submitted: 0,
         span_sum: 0,
@@ -311,7 +311,7 @@ fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMix
     };
     let installed = run::install(&mut cluster, ProcKind::Polling, client, HANDLER_COST);
     let mut sim = cluster.into_sim();
-    let hist = arm.poll(&mut sim, &[installed], CADENCE, CAP);
+    let latencies = arm.poll(&mut sim, &[installed], CADENCE, CAP);
     let c = sim.model.app_mut::<TxnClient>(installed.proc);
     let elapsed = c.done_at.expect("done").since(SimTime::ZERO);
     // Conservation: transfers move value between accounts; the account
@@ -330,17 +330,15 @@ fn run_txnmix_once(mode: CommitMode, opts: TxnMixOpts, observed: bool) -> TxnMix
         .iter()
         .map(|&(label, n)| (label.to_string(), n))
         .collect();
-    let mean_span = c.span_sum as f64 / hist.count().max(1) as f64;
+    let mean_span = c.span_sum as f64 / latencies.count().max(1) as f64;
     sim.model.export_into(&mut registry, "cluster");
-    registry.merge_histogram("bench.txn_latency", &hist);
     registry.set_gauge("bench.elapsed_secs", elapsed.as_secs_f64());
-    arm.health.export_into(&mut registry, "health");
     TxnMixResult {
         aborted,
         lock_retries,
         mean_span,
         abort_causes,
-        run: arm.finish(&sim, hist.count(), elapsed, &hist, registry),
+        run: arm.finish(&sim, latencies.count(), elapsed, &latencies, registry),
     }
 }
 

@@ -299,7 +299,7 @@ mod tests {
             Harness::route(&mut out, &mut sim.queue);
             let p = spawn(&mut sim, ProcKind::EventDriven);
 
-            let mut hist = Histogram::new();
+            let mut latencies = Latencies::new();
             let mut next = SimTime::from_millis(10);
             for i in 0..300 {
                 sim.run_until(next);
@@ -307,12 +307,16 @@ mod tests {
                 submit(&mut sim, p, i, SimDuration::from_micros(5));
                 sim.run_until(next + SimDuration::from_millis(9));
                 if let Some((t, _, _)) = sim.model.done.iter().find(|(_, _, tid)| tid.0 == i) {
-                    hist.record(t.since(submit_at));
+                    latencies.record(t.since(submit_at));
                 }
                 next += SimDuration::from_millis(10);
             }
-            assert!(hist.count() >= 290, "lost completions: {}", hist.count());
-            tails.push(hist.p99());
+            assert!(
+                latencies.count() >= 290,
+                "lost completions: {}",
+                latencies.count()
+            );
+            tails.push(latencies.summary().p99);
         }
         assert!(
             tails[1] > tails[0] * 5,

@@ -93,11 +93,6 @@ impl<T: GroupTransport> ShardedKv<T> {
         &self.shards[id.0 as usize]
     }
 
-    /// One shard's store, mutably (maintenance, checkpoints, transport).
-    pub fn shard_mut(&mut self, id: ShardId) -> &mut ReplicatedKv<T> {
-        &mut self.shards[id.0 as usize]
-    }
-
     /// Iterates `(id, store)` over all shards.
     pub fn iter(&self) -> impl Iterator<Item = (ShardId, &ReplicatedKv<T>)> {
         self.shards

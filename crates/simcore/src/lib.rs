@@ -12,7 +12,8 @@
 //!   [`Outbox`] pattern for composing sub-components.
 //! * [`rng`] — a self-contained, cross-platform deterministic PRNG.
 //! * [`dist`] — YCSB-style key-choice distributions (zipfian, latest, …).
-//! * [`stats`] — HDR-style histograms and latency summaries.
+//! * [`stats`] — exact latency samples, the one quantile rule and
+//!   latency summaries.
 //! * [`simtrace`] — causal trace events, span reconstruction, Chrome
 //!   trace-event export and the unified metrics registry.
 //! * [`simprof`] — critical-path aggregation over trace streams, folded
@@ -35,14 +36,14 @@
 //!
 //! struct Arrivals {
 //!     rng: SimRng,
-//!     histogram: Histogram,
+//!     latencies: Latencies,
 //!     remaining: u32,
 //! }
 //!
 //! impl Model for Arrivals {
 //!     type Event = SimTime; // carries the enqueue timestamp
 //!     fn handle(&mut self, now: SimTime, sent: SimTime, q: &mut EventQueue<SimTime>) {
-//!         self.histogram.record(now.since(sent));
+//!         self.latencies.record(now.since(sent));
 //!         if self.remaining > 0 {
 //!             self.remaining -= 1;
 //!             let delay = SimDuration::from_nanos(self.rng.gen_range(100..200));
@@ -53,12 +54,12 @@
 //!
 //! let mut sim = Simulation::new(Arrivals {
 //!     rng: SimRng::new(1),
-//!     histogram: Histogram::new(),
+//!     latencies: Latencies::new(),
 //!     remaining: 1000,
 //! });
 //! sim.queue.push(SimTime::ZERO, SimTime::ZERO);
 //! sim.run();
-//! assert_eq!(sim.model.histogram.count(), 1001);
+//! assert_eq!(sim.model.latencies.count(), 1001);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -90,7 +91,7 @@ pub use simaudit::{
 };
 pub use simprof::{CounterSampler, StageAttribution, TxnAttribution};
 pub use simtrace::{MetricsRegistry, TraceEvent, TraceKind, Tracer};
-pub use stats::{Histogram, LatencySummary};
+pub use stats::{Latencies, LatencySummary};
 pub use tailprof::{TailCause, TailExemplar, TailProfile};
 pub use time::{SimDuration, SimTime};
 
@@ -104,7 +105,7 @@ pub mod prelude {
     pub use crate::simaudit::{Audit, HealthMonitor, HealthState, Probe, SeriesSummary, SloConfig};
     pub use crate::simprof::{CounterSampler, StageAttribution, TxnAttribution};
     pub use crate::simtrace::{MetricsRegistry, TraceEvent, TraceKind, Tracer};
-    pub use crate::stats::{Histogram, LatencySummary};
+    pub use crate::stats::{Latencies, LatencySummary};
     pub use crate::tailprof::{TailCause, TailProfile};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -27,9 +27,10 @@ use crate::simtrace::{
     txn_phase_label, TraceEvent, TraceKind, NO_NODE, NO_OP, TXN_PHASE_ACQUIRE, TXN_PHASE_BACKOFF,
     TXN_PHASE_ROLLBACK, TXN_PHASE_UNDO,
 };
+use crate::stats::quantile;
 use crate::tailprof::{
-    exact_quantile, StageExcess, TailCause, TailExemplar, TailProfile, CAUSE_LABELS, MAX_EXEMPLARS,
-    QUEUE_KINDS, STRAGGLER_RATIO,
+    StageExcess, TailCause, TailExemplar, TailProfile, CAUSE_LABELS, MAX_EXEMPLARS, QUEUE_KINDS,
+    STRAGGLER_RATIO,
 };
 use crate::time::{SimDuration, SimTime};
 
@@ -59,7 +60,7 @@ pub fn stage_attribution(events: &[TraceEvent]) -> StageAttribution {
             let agg = att.stages.entry(label.to_string()).or_default();
             agg.count += 1;
             agg.total_ns += s.duration().as_nanos();
-            agg.hist.record(s.duration());
+            agg.latencies.record(s.duration());
         }
         *att.paths.entry(sig).or_insert(0) += 1;
     }
@@ -395,7 +396,7 @@ pub fn txn_attribution(events: &[TraceEvent]) -> TxnAttribution {
             agg.total_ns += dur.as_nanos();
             if is_begin {
                 agg.count += 1;
-                agg.hist.record(dur);
+                agg.latencies.record(dur);
                 if !sig.is_empty() {
                     sig.push(';');
                 }
@@ -607,8 +608,8 @@ pub fn tail_profile(events: &[TraceEvent]) -> TailProfile {
     // Exact population quantiles over e2e and per-stage-kind totals.
     let mut e2e_sorted: Vec<u64> = folds.values().map(|f| f.e2e_ns).collect();
     e2e_sorted.sort_unstable();
-    profile.p99_ns = exact_quantile(&e2e_sorted, 99, 100);
-    profile.median_e2e_ns = exact_quantile(&e2e_sorted, 1, 2);
+    profile.p99_ns = quantile(&e2e_sorted, 99, 100);
+    profile.median_e2e_ns = quantile(&e2e_sorted, 1, 2);
     let mut kind_pop: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
     for f in folds.values() {
         for (kind, ns) in &f.kind_totals {
@@ -619,7 +620,7 @@ pub fn tail_profile(events: &[TraceEvent]) -> TailProfile {
         .into_iter()
         .map(|(k, mut v)| {
             v.sort_unstable();
-            (k, exact_quantile(&v, 1, 2))
+            (k, quantile(&v, 1, 2))
         })
         .collect();
 

@@ -33,7 +33,7 @@
 //!   [`Probe::TxnBegin`] .. [`Probe::TxnAbort`] lifecycle probes).
 //!
 //! The second half of the module is streaming health: [`HealthMonitor`]
-//! keeps a sliding window (ring of histograms) of per-shard ack latency,
+//! keeps a sliding window of per-shard ack latency samples,
 //! classifies each shard as [`HealthState::Healthy`] / `Degraded` /
 //! `Stalled` against a [`SloConfig`], and emits every state transition as
 //! a [`TraceKind::HealthBreach`] Perfetto instant plus a serialisable
@@ -65,7 +65,7 @@ use crate::simtrace::{
     txn_phase_label, KindSet, MetricsRegistry, TraceEvent, TraceKind, Tracer, KIND_COUNT, NO_NODE,
     NO_OP,
 };
-use crate::stats::Histogram;
+use crate::stats::{quantile, Latencies};
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -1123,7 +1123,7 @@ impl HealthState {
         STATE_LABELS[self as usize]
     }
 
-    /// Numeric code carried in [`TraceKind::HealthBreach`] and gauges.
+    /// Numeric code carried in [`TraceKind::HealthBreach`].
     pub fn code(self) -> u8 {
         self as u8
     }
@@ -1173,8 +1173,11 @@ pub struct HealthEvent {
 
 #[derive(Debug)]
 struct ShardTrack {
-    ring: Vec<Option<(u64, Histogram)>>,
-    overall: Histogram,
+    /// The acks of the sliding window, oldest first: `(bucket index,
+    /// latency ns)`.
+    window: VecDeque<(u64, u64)>,
+    /// Every ack's latency.
+    overall: Latencies,
     state: HealthState,
     acks: u64,
     issued: u64,
@@ -1192,10 +1195,10 @@ struct ShardTrack {
 }
 
 impl ShardTrack {
-    fn new(buckets: usize, at: SimTime) -> Self {
+    fn new(at: SimTime) -> Self {
         ShardTrack {
-            ring: (0..buckets).map(|_| None).collect(),
-            overall: Histogram::new(),
+            window: VecDeque::new(),
+            overall: Latencies::new(),
             state: HealthState::Healthy,
             acks: 0,
             issued: 0,
@@ -1208,27 +1211,32 @@ impl ShardTrack {
         }
     }
 
-    fn record(&mut self, idx: u64, lat: SimDuration) {
-        let slot = (idx as usize) % self.ring.len();
-        match &mut self.ring[slot] {
-            Some((i, h)) if *i == idx => h.record(lat),
-            other => {
-                let mut h = Histogram::new();
-                h.record(lat);
-                *other = Some((idx, h));
-            }
+    /// Records an ack in bucket `idx`. Acks come in time order and no
+    /// tick precedes one, so an ack `buckets` or more buckets older than
+    /// `idx` falls in no later window and goes.
+    fn record(&mut self, idx: u64, lat: SimDuration, buckets: u64) {
+        while self
+            .window
+            .front()
+            .is_some_and(|&(i, _)| i + buckets <= idx)
+        {
+            self.window.pop_front();
         }
+        self.window.push_back((idx, lat.as_nanos()));
+        self.overall.record(lat);
     }
 
-    fn window(&self, cur_idx: u64) -> Histogram {
-        let lo = cur_idx.saturating_sub(self.ring.len() as u64 - 1);
-        let mut merged = Histogram::new();
-        for slot in self.ring.iter().flatten() {
-            if slot.0 >= lo && slot.0 <= cur_idx {
-                merged.merge(&slot.1);
-            }
-        }
-        merged
+    /// The sorted latencies of the `buckets` buckets ending at `cur_idx`.
+    fn window(&self, cur_idx: u64, buckets: u64) -> Vec<u64> {
+        let lo = cur_idx.saturating_sub(buckets - 1);
+        let mut lat: Vec<u64> = self
+            .window
+            .iter()
+            .filter(|&&(i, _)| (lo..=cur_idx).contains(&i))
+            .map(|&(_, ns)| ns)
+            .collect();
+        lat.sort_unstable();
+        lat
     }
 }
 
@@ -1497,10 +1505,9 @@ struct HealthInner {
 
 impl HealthInner {
     fn track(&mut self, shard: u32, at: SimTime) -> &mut ShardTrack {
-        let buckets = self.slo.buckets;
         self.shards
             .entry(shard)
-            .or_insert_with(|| ShardTrack::new(buckets, at))
+            .or_insert_with(|| ShardTrack::new(at))
     }
 }
 
@@ -1509,7 +1516,7 @@ impl HealthInner {
 /// Benches feed it issues and acks ([`HealthMonitor::record_issue`],
 /// [`HealthMonitor::record_ack`]) and call [`HealthMonitor::tick`] on
 /// their sampling cadence; the monitor classifies each shard against the
-/// [`SloConfig`] over a sliding window (ring of histograms) and emits
+/// [`SloConfig`] over a sliding window of ack latencies and emits
 /// every state transition as a [`TraceKind::HealthBreach`] instant
 /// through the attached tracer — Perfetto shows breaches inline with the
 /// op spans and counter tracks. Each tick also samples one
@@ -1560,11 +1567,11 @@ impl HealthMonitor {
     pub fn record_ack(&self, at: SimTime, shard: u32, latency: SimDuration) {
         let mut inner = self.inner.borrow_mut();
         let idx = at.as_nanos() / inner.slo.bucket.as_nanos();
+        let buckets = inner.slo.buckets as u64;
         let tr = inner.track(shard, at);
         tr.acks += 1;
         tr.last_progress = at;
-        tr.overall.record(latency);
-        tr.record(idx, latency);
+        tr.record(idx, latency, buckets);
     }
 
     /// Records `shard`'s current holding-pen depth; the latest value is
@@ -1584,15 +1591,15 @@ impl HealthMonitor {
         let (slo, series_cap) = (inner.slo, inner.series_cap);
         let mut transitions = Vec::new();
         for (&shard, tr) in &mut inner.shards {
+            let win = tr.window(cur_idx, slo.buckets as u64);
+            let at_q = |num, den| SimDuration::from_nanos(quantile(&win, num, den));
+            let (p50, p99) = (at_q(1, 2), at_q(99, 100));
             let next = if tr.issued > tr.acks && at.since(tr.last_progress) > slo.stall_after {
                 HealthState::Stalled
+            } else if !win.is_empty() && (p99 > slo.p99_max || p50 > slo.p50_max) {
+                HealthState::Degraded
             } else {
-                let win = tr.window(cur_idx);
-                if !win.is_empty() && (win.p99() > slo.p99_max || win.p50() > slo.p50_max) {
-                    HealthState::Degraded
-                } else {
-                    HealthState::Healthy
-                }
+                HealthState::Healthy
             };
             if next != tr.state {
                 if next != HealthState::Healthy {
@@ -1608,7 +1615,6 @@ impl HealthMonitor {
             }
             let (prev_at, prev_acks) = tr.last_sample.unwrap_or((tr.born, 0));
             if at > prev_at {
-                let win = tr.window(cur_idx);
                 let ops_per_sec =
                     (tr.acks - prev_acks) as f64 / at.since(prev_at).as_secs_f64().max(1e-12);
                 tr.last_sample = Some((at, tr.acks));
@@ -1618,8 +1624,8 @@ impl HealthMonitor {
                 tr.series.push_back(SeriesPoint {
                     at,
                     ops_per_sec,
-                    p50: win.p50(),
-                    p99: win.p99(),
+                    p50,
+                    p99,
                     inflight: tr.issued.saturating_sub(tr.acks),
                     pen: tr.pen,
                 });
@@ -1660,13 +1666,14 @@ impl HealthMonitor {
         let inner = self.inner.borrow();
         let mut out = HealthSummary::default();
         for (&shard, tr) in &inner.shards {
+            let overall = tr.overall.summary();
             out.breaches += tr.breaches;
             out.shards.push(ShardHealth {
                 shard,
                 state: tr.state,
                 acks: tr.acks,
-                p50: tr.overall.p50(),
-                p99: tr.overall.p99(),
+                p50: overall.p50,
+                p99: overall.p99,
                 breaches: tr.breaches,
             });
         }
@@ -1688,33 +1695,6 @@ impl HealthMonitor {
                 })
                 .collect(),
         }
-    }
-
-    /// Snapshots health state into a registry under `prefix` using only
-    /// absolute writes, so re-export is idempotent:
-    /// `{prefix}.breaches` plus per-shard `state` (gauge, numeric code),
-    /// `acks`, `breaches`, `p50_ns` and `p99_ns`.
-    pub fn export_into(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let inner = self.inner.borrow();
-        let mut total = 0;
-        for (&shard, tr) in &inner.shards {
-            total += tr.breaches;
-            reg.set_gauge(
-                &format!("{prefix}.shard{shard}.state"),
-                tr.state.code() as f64,
-            );
-            reg.counter_set(&format!("{prefix}.shard{shard}.acks"), tr.acks);
-            reg.counter_set(&format!("{prefix}.shard{shard}.breaches"), tr.breaches);
-            reg.set_gauge(
-                &format!("{prefix}.shard{shard}.p50_ns"),
-                tr.overall.p50().as_nanos() as f64,
-            );
-            reg.set_gauge(
-                &format!("{prefix}.shard{shard}.p99_ns"),
-                tr.overall.p99().as_nanos() as f64,
-            );
-        }
-        reg.counter_set(&format!("{prefix}.breaches"), total);
     }
 }
 
@@ -2305,7 +2285,7 @@ mod tests {
     }
 
     #[test]
-    fn health_export_and_summary_are_idempotent_and_deterministic() {
+    fn health_summary_is_deterministic() {
         let h = HealthMonitor::new(test_slo());
         acked(&h, 1000, 0, 100);
         acked(&h, 1100, 1, 800);
@@ -2324,16 +2304,7 @@ mod tests {
         assert!(json.contains("\"violations\":3"));
         assert!(json.contains("\"state\":\"degraded\""));
         assert!(json.contains("\"state\":\"healthy\""));
-
-        let mut reg = MetricsRegistry::new();
-        h.export_into(&mut reg, "health");
-        let once = reg.to_json();
-        h.export_into(&mut reg, "health");
-        assert_eq!(reg.to_json(), once, "re-export must be idempotent");
-        assert_eq!(reg.counter("health.breaches"), Some(1));
-        assert_eq!(reg.counter("health.shard1.breaches"), Some(1));
-        assert_eq!(reg.gauge("health.shard1.state"), Some(1.0));
-        assert_eq!(reg.gauge("health.shard0.state"), Some(0.0));
+        assert_eq!((s.breaches, s.shards[1].breaches), (1, 1));
     }
 
     #[test]
@@ -2349,7 +2320,7 @@ mod tests {
         assert!(json.contains("\"shard\":2"));
     }
 
-    /// The sliding-window ring must actually evict old samples: with no
+    /// The sliding window must actually evict old samples: with no
     /// new acks at all, a degraded shard turns healthy once the window
     /// slides past the slow samples.
     #[test]
@@ -2360,16 +2331,33 @@ mod tests {
         h.tick(SimTime::from_nanos(1200));
         assert_eq!(h.state(0), HealthState::Degraded);
 
-        // No new acks, issued == acks (no stall): only ring eviction can
+        // No new acks, issued == acks (no stall): only the window's slide can
         // change the verdict. 4 buckets × 1000 ns have slid past t=1100.
         h.tick(SimTime::from_nanos(9000));
         assert_eq!(h.state(0), HealthState::Healthy);
 
-        // The overall histogram still remembers the slow acks — only the
+        // The overall samples still remember the slow acks — only the
         // *window* evicted.
         let s = h.summary();
         assert_eq!(s.shards[0].acks, 2);
         assert!(s.shards[0].p50 >= SimDuration::from_nanos(700));
+    }
+
+    /// Window quantiles are exact order statistics over the acks of the
+    /// window's buckets; the summary's are over every ack.
+    #[test]
+    fn health_quantiles_are_exact() {
+        let h = HealthMonitor::new(test_slo());
+        // Bucket 0, which the window ending in bucket 4 no longer covers.
+        acked(&h, 500, 0, 5000);
+        for i in 1..=100 {
+            acked(&h, 4000 + i, 0, 10 * i);
+        }
+        h.tick(SimTime::from_nanos(4200));
+        let p = &h.series().shards[0].points[0];
+        assert_eq!((p.p50.as_nanos(), p.p99.as_nanos()), (500, 990));
+        let s = &h.summary().shards[0];
+        assert_eq!((s.p50.as_nanos(), s.p99.as_nanos()), (510, 1000));
     }
 
     /// A full degraded→healthy→degraded cycle records each edge exactly

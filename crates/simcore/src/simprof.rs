@@ -4,7 +4,7 @@
 //! the same question across thousands of ops:
 //!
 //! * [`StageAttribution`] folds every per-op breakdown in a trace stream
-//!   into per-stage latency histograms whose totals *tile* the aggregate
+//!   into per-stage latency samples whose totals *tile* the aggregate
 //!   end-to-end latency exactly — the sum of per-stage means equals the
 //!   mean end-to-end latency over the same op set, by construction.
 //! * [`StageAttribution::dominant_path`] reports the most common stage
@@ -27,7 +27,7 @@ use crate::simtrace::{
     OpEvents, OpIndex, TraceEvent, TraceKind, KIND_COUNT, OP_ACK, OP_ISSUE, TXN_PHASE_BACKOFF,
     TXN_PHASE_BEGIN,
 };
-use crate::stats::Histogram;
+use crate::stats::Latencies;
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -48,8 +48,8 @@ pub struct StageAgg {
     pub count: u64,
     /// Total nanoseconds spent in this stage, summed over all ops.
     pub total_ns: u64,
-    /// Distribution of per-instance stage durations.
-    pub hist: Histogram,
+    /// Every per-instance stage duration.
+    pub latencies: Latencies,
 }
 
 /// Per-stage latency attribution aggregated over every complete op in a
@@ -73,7 +73,7 @@ pub struct StageAttribution {
     /// fold so the tiling invariant holds over real host-observed latency.
     pub truncated: u64,
     /// End-to-end latency distribution over the folded ops.
-    pub e2e: Histogram,
+    pub e2e: Latencies,
     /// Exact sum of end-to-end nanoseconds over the folded ops.
     pub e2e_total_ns: u64,
     /// Per-stage aggregates, stage-label-ordered.
@@ -111,7 +111,7 @@ impl StageAttribution {
                 let agg = stages[kind].get_or_insert_with(StageAgg::default);
                 agg.count += 1;
                 agg.total_ns += d.as_nanos();
-                agg.hist.record(d);
+                agg.latencies.record(d);
                 sig.push(kind as u8);
             }
             paths.record(&sig);
@@ -245,7 +245,7 @@ fn tiles(att: &JsonValue, path: &str, sum_key: &str) -> Result<(), String> {
 /// per-row table under `rows.0` and the dominant path.
 fn write_table(
     w: &mut JsonWriter,
-    e2e: &Histogram,
+    e2e: &Latencies,
     e2e_total_ns: u64,
     rows: (&str, &BTreeMap<String, StageAgg>),
     dominant: Option<(&str, f64)>,
@@ -264,7 +264,7 @@ fn write_table(
         w.field_u64("count", agg.count);
         w.field_u64("total_ns", agg.total_ns);
         w.field_f64("mean_ns", agg.total_ns as f64 / agg.count.max(1) as f64);
-        w.field_u64("p99_ns", agg.hist.p99().as_nanos());
+        w.field_u64("p99_ns", agg.latencies.summary().p99.as_nanos());
         w.field_f64("share", agg.total_ns as f64 / e2e_total_ns.max(1) as f64);
         w.end_obj();
     }
@@ -565,7 +565,7 @@ pub struct TxnAttribution {
     /// stream (txn-issued gCAS/gWRITE traffic, as opposed to bare ops).
     pub linked_ops: u64,
     /// End-to-end (begin→outcome) latency distribution over folded txns.
-    pub e2e: Histogram,
+    pub e2e: Latencies,
     /// Exact sum of end-to-end nanoseconds over the folded txns.
     pub e2e_total_ns: u64,
     /// Per-phase aggregates, phase-label-ordered.
@@ -623,7 +623,7 @@ impl TxnAttribution {
                 agg.total_ns += dur.as_nanos();
                 if is_begin {
                     agg.count += 1;
-                    agg.hist.record(dur);
+                    agg.latencies.record(dur);
                     sig.push(slot as u8);
                 }
             }

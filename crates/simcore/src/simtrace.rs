@@ -15,7 +15,7 @@
 //! tracing is off.
 //!
 //! The second half of the module is [`MetricsRegistry`]: a named
-//! counter/gauge/histogram store that the per-crate stats structs
+//! counter/gauge store that the per-crate stats structs
 //! (`FabricStats`, `NvmStats`, `SchedStats`, `LinkStats`) snapshot into, so
 //! benches can serialise one uniform registry instead of four ad-hoc
 //! structs.
@@ -39,7 +39,6 @@
 //! ```
 
 use crate::jsonw::{dur_micros_into, micros_into, needs_escape, u64_into, JsonWriter};
-use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -1418,7 +1417,7 @@ pub(crate) fn write_chrome_events(
     }
 }
 
-/// A unified, named metrics store: counters, gauges and latency histograms.
+/// A unified, named metrics store: counters and gauges.
 ///
 /// Each simulator crate exposes an `export_into(&self, reg, prefix)` method
 /// on its stats struct that snapshots into a registry under a dotted prefix
@@ -1429,7 +1428,6 @@ pub(crate) fn write_chrome_events(
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsRegistry {
@@ -1458,22 +1456,6 @@ impl MetricsRegistry {
         self.gauges.insert(name.to_string(), v);
     }
 
-    /// Records one latency sample into the named histogram.
-    pub fn record(&mut self, name: &str, d: SimDuration) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(d);
-    }
-
-    /// Merges a whole histogram into the named histogram.
-    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(h);
-    }
-
     /// Counter value, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
@@ -1482,11 +1464,6 @@ impl MetricsRegistry {
     /// Gauge value, if present.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
-    }
-
-    /// Histogram, if present.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// All counters, name-ordered.
@@ -1499,14 +1476,9 @@ impl MetricsRegistry {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// All histograms, name-ordered.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Serialises the registry as one JSON object (deterministic order).
-    pub fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_obj();
+    /// Writes the registry's `counters` and `gauges` objects as fields of
+    /// an already-open JSON object (deterministic order).
+    pub fn write_fields(&self, w: &mut JsonWriter) {
         w.begin_obj_field("counters");
         for (k, v) in &self.counters {
             w.field_u64(k, *v);
@@ -1517,28 +1489,14 @@ impl MetricsRegistry {
             w.field_f64(k, *v);
         }
         w.end_obj();
-        w.begin_obj_field("histograms");
-        for (k, h) in &self.histograms {
-            w.begin_obj_field(k);
-            let s = h.summary();
-            w.field_u64("count", s.count);
-            w.field_u64("mean_ns", s.mean.as_nanos());
-            w.field_u64("p50_ns", s.p50.as_nanos());
-            w.field_u64("p95_ns", s.p95.as_nanos());
-            w.field_u64("p99_ns", s.p99.as_nanos());
-            w.field_u64("p999_ns", s.p999.as_nanos());
-            w.field_u64("min_ns", s.min.as_nanos());
-            w.field_u64("max_ns", s.max.as_nanos());
-            w.end_obj();
-        }
-        w.end_obj();
-        w.end_obj();
     }
 
     /// The registry as a standalone JSON string.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
-        self.write_json(&mut w);
+        w.begin_obj();
+        self.write_fields(&mut w);
+        w.end_obj();
         w.finish()
     }
 }
@@ -1776,21 +1734,16 @@ mod tests {
         r.counter_add("fabric.wqes", 3);
         r.counter_add("fabric.wqes", 2);
         r.set_gauge("sched.util", 0.75);
-        r.record("op.latency", SimDuration::from_micros(5));
-        r.record("op.latency", SimDuration::from_micros(7));
-        let mut h = Histogram::new();
-        h.record(SimDuration::from_micros(100));
-        r.merge_histogram("op.latency", &h);
 
         assert_eq!(r.counter("fabric.wqes"), Some(5));
         assert_eq!(r.gauge("sched.util"), Some(0.75));
-        assert_eq!(r.histogram("op.latency").unwrap().count(), 3);
         assert_eq!(r.counter("missing"), None);
 
         let json = r.to_json();
-        assert!(json.contains("\"fabric.wqes\":5"));
-        assert!(json.contains("\"sched.util\":0.75"));
-        assert!(json.contains("\"op.latency\":{\"count\":3"));
+        assert_eq!(
+            json,
+            r#"{"counters":{"fabric.wqes":5},"gauges":{"sched.util":0.75}}"#
+        );
         assert_eq!(json, r.to_json());
     }
 

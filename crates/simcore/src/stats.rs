@@ -1,215 +1,88 @@
-//! Latency statistics: log-bucketed histograms and summaries.
+//! Latency statistics: exact samples, one quantile rule, summaries.
 //!
-//! [`Histogram`] keeps HDR-style buckets (5 significant bits per power of
-//! two), giving ~3% relative quantile error over 1 ns .. 18 s at a fixed,
-//! small memory footprint — exactly what tail-latency experiments need.
+//! Every quantile the simulator reports is the exact order statistic at
+//! index `⌈n·q⌉ − 1` of the sorted samples, with `q` given as `num/den`
+//! ([`quantile`]). The `latency` block, the health windows and series,
+//! the stage and phase rows and the tail profile all quote it, so two
+//! blocks over the same ops quote the same value. [`Latencies`] keeps every
+//! sample (8 bytes each) and sorts a copy once per
+//! [`Latencies::summary`].
 //!
 //! ```
-//! use simcore::stats::Histogram;
+//! use simcore::stats::Latencies;
 //! use simcore::time::SimDuration;
 //!
-//! let mut h = Histogram::new();
+//! let mut lat = Latencies::new();
 //! for us in 1..=1000 {
-//!     h.record(SimDuration::from_micros(us));
+//!     lat.record(SimDuration::from_micros(us));
 //! }
-//! let p99 = h.quantile(0.99);
-//! assert!((960..=1020).contains(&p99.as_micros()));
+//! let s = lat.summary();
+//! assert_eq!(s.p99, SimDuration::from_micros(990));
+//! assert_eq!(s.p50, SimDuration::from_micros(500));
 //! ```
 
 use crate::time::SimDuration;
 use std::fmt;
 
-const SUB_BUCKET_BITS: u32 = 5;
-const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS; // 32 linear sub-buckets / octave
-const OCTAVES: usize = 64 - SUB_BUCKET_BITS as usize;
-const NUM_BUCKETS: usize = OCTAVES * SUB_BUCKETS;
-
-/// A log-bucketed latency histogram with bounded relative error.
-#[derive(Clone)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    total: u64,
-    sum_ns: u128,
-    min_ns: u64,
-    max_ns: u64,
+/// The index of the `num/den` quantile among `len` sorted values:
+/// `⌈len·num/den⌉ − 1`, clamped into the slice; `None` when `len` is 0.
+pub(crate) fn quantile_index(len: usize, num: u64, den: u64) -> Option<usize> {
+    let idx = (len as u64 * num).div_ceil(den).saturating_sub(1) as usize;
+    (len > 0).then(|| idx.min(len - 1))
 }
 
-fn bucket_of(value_ns: u64) -> usize {
-    if value_ns < SUB_BUCKETS as u64 {
-        return value_ns as usize;
-    }
-    let octave = 63 - value_ns.leading_zeros(); // >= SUB_BUCKET_BITS
-    let shift = octave - SUB_BUCKET_BITS;
-    let sub = (value_ns >> shift) as usize & (SUB_BUCKETS - 1);
-    ((octave - SUB_BUCKET_BITS + 1) as usize) * SUB_BUCKETS + sub
+/// The exact `num/den` quantile of ascending `sorted` (0 when empty).
+pub fn quantile(sorted: &[u64], num: u64, den: u64) -> u64 {
+    quantile_index(sorted.len(), num, den).map_or(0, |i| sorted[i])
 }
 
-/// Upper edge (inclusive representative value) of a bucket.
-fn bucket_value(index: usize) -> u64 {
-    if index < SUB_BUCKETS {
-        return index as u64;
-    }
-    let octave = (index / SUB_BUCKETS - 1) as u32 + SUB_BUCKET_BITS;
-    let sub = (index % SUB_BUCKETS) as u64;
-    let shift = octave - SUB_BUCKET_BITS;
-    ((1u64 << SUB_BUCKET_BITS) | sub) << shift
+/// Every recorded latency sample, in nanoseconds.
+#[derive(Debug, Clone, Default)]
+pub struct Latencies {
+    ns: Vec<u64>,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
+impl Latencies {
+    /// No samples.
     pub fn new() -> Self {
-        Histogram {
-            counts: vec![0; NUM_BUCKETS],
-            total: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
+        Self::default()
     }
 
     /// Records one latency sample.
     pub fn record(&mut self, d: SimDuration) {
-        let ns = d.as_nanos();
-        self.counts[bucket_of(ns)] += 1;
-        self.total += 1;
-        self.sum_ns += ns as u128;
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
+        self.ns.push(d.as_nanos());
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.total
+        self.ns.len() as u64
     }
 
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
+    /// Appends another set's samples.
+    pub fn merge(&mut self, other: &Latencies) {
+        self.ns.extend_from_slice(&other.ns);
     }
 
-    /// Arithmetic mean of all samples ([`SimDuration::ZERO`] when empty).
-    pub fn mean(&self) -> SimDuration {
-        if self.total == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_nanos((self.sum_ns / self.total as u128) as u64)
-    }
-
-    /// Smallest recorded sample ([`SimDuration::ZERO`] when empty).
-    pub fn min(&self) -> SimDuration {
-        if self.total == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(self.min_ns)
-        }
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> SimDuration {
-        SimDuration::from_nanos(self.max_ns)
-    }
-
-    /// The value at quantile `q ∈ [0, 1]`, with ~3% relative error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.total == 0 {
-            return SimDuration::ZERO;
-        }
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        // Every bucket below the one holding `min_ns` is empty by
-        // construction, so start the scan there instead of at index 0.
-        let start = bucket_of(self.min_ns);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate().skip(start) {
-            seen += c;
-            if seen >= rank {
-                // Clamp to the observed extremes so q=1.0 reports max exactly.
-                return SimDuration::from_nanos(bucket_value(i).clamp(self.min_ns, self.max_ns));
-            }
-        }
-        self.max()
-    }
-
-    /// Occupied buckets as `(upper_edge, count)` pairs, in ascending order.
-    ///
-    /// Empty buckets are skipped, so this is suitable for plotting the full
-    /// latency distribution without materialising ~1,900 mostly-zero rows.
-    pub fn buckets(&self) -> impl Iterator<Item = (SimDuration, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (SimDuration::from_nanos(bucket_value(i)), c))
-    }
-
-    /// Convenience accessor for the median.
-    pub fn p50(&self) -> SimDuration {
-        self.quantile(0.50)
-    }
-
-    /// Convenience accessor for the 95th percentile.
-    pub fn p95(&self) -> SimDuration {
-        self.quantile(0.95)
-    }
-
-    /// Convenience accessor for the 99th percentile.
-    pub fn p99(&self) -> SimDuration {
-        self.quantile(0.99)
-    }
-
-    /// Convenience accessor for the 99.9th percentile.
-    pub fn p999(&self) -> SimDuration {
-        self.quantile(0.999)
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// Snapshot of the headline numbers.
+    /// The headline numbers, all zero when empty.
     pub fn summary(&self) -> LatencySummary {
+        let mut sorted = self.ns.clone();
+        sorted.sort_unstable();
+        let at = |num, den| SimDuration::from_nanos(quantile(&sorted, num, den));
+        let sum: u128 = sorted.iter().map(|&ns| ns as u128).sum();
         LatencySummary {
-            count: self.total,
-            mean: self.mean(),
-            p50: self.p50(),
-            p95: self.p95(),
-            p99: self.p99(),
-            p999: self.p999(),
-            min: self.min(),
-            max: self.max(),
+            count: self.count(),
+            mean: SimDuration::from_nanos((sum / self.count().max(1) as u128) as u64),
+            p50: at(1, 2),
+            p95: at(95, 100),
+            p99: at(99, 100),
+            p999: at(999, 1000),
+            min: SimDuration::from_nanos(sorted.first().copied().unwrap_or(0)),
+            max: SimDuration::from_nanos(sorted.last().copied().unwrap_or(0)),
         }
     }
 }
 
-impl fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.total)
-            .field("mean", &self.mean())
-            .field("p99", &self.p99())
-            .field("max", &self.max())
-            .finish()
-    }
-}
-
-/// Headline latency numbers extracted from a [`Histogram`].
+/// Headline latency numbers of a [`Latencies`] set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Number of samples.
@@ -244,97 +117,69 @@ impl fmt::Display for LatencySummary {
 mod tests {
     use super::*;
 
-    #[test]
-    fn bucket_round_trip_error_is_bounded() {
-        for &v in &[1u64, 31, 32, 33, 100, 1_000, 65_535, 1 << 20, u64::MAX / 2] {
-            let b = bucket_of(v);
-            let rep = bucket_value(b);
-            let err = (rep as f64 - v as f64).abs() / v as f64;
-            assert!(
-                err <= 1.0 / SUB_BUCKETS as f64 + 1e-9,
-                "v={v} rep={rep} err={err}"
-            );
+    fn ramp(us: std::ops::RangeInclusive<u64>) -> LatencySummary {
+        let mut lat = Latencies::new();
+        for v in us {
+            lat.record(SimDuration::from_micros(v));
         }
+        lat.summary()
     }
 
     #[test]
-    fn bucket_index_is_monotone() {
-        let mut last = 0;
-        for v in (0..200_000u64).step_by(7) {
-            let b = bucket_of(v);
-            assert!(b >= last, "bucket index decreased at {v}");
-            last = b;
+    fn quantiles_are_exact_order_statistics() {
+        // Rank ⌈n·q⌉: the 990th of 1..=1000 µs, where a 1/32-octave bucket
+        // edge would quote 983,040 ns.
+        let s = ramp(1..=1000);
+        assert_eq!(s.p99.as_nanos(), 990_000);
+        assert_eq!(s.p50.as_micros(), 500);
+        assert_eq!(s.p95.as_micros(), 950);
+        assert_eq!(s.p999.as_micros(), 999);
+        assert_eq!((s.min.as_micros(), s.max.as_micros()), (1, 1000));
+        assert_eq!(s.mean.as_nanos(), 500_500);
+    }
+
+    #[test]
+    fn the_index_rounds_the_rank_up_and_stays_in_range() {
+        assert_eq!(quantile_index(0, 1, 2), None);
+        assert_eq!(quantile_index(1, 99, 100), Some(0));
+        assert_eq!(quantile_index(2, 1, 2), Some(0));
+        assert_eq!(quantile_index(3, 1, 2), Some(1));
+        assert_eq!(quantile_index(101, 99, 100), Some(99));
+        assert_eq!(quantile_index(5, 0, 1), Some(0));
+        assert_eq!(quantile_index(5, 1, 1), Some(4));
+        assert_eq!(quantile(&[], 99, 100), 0);
+        assert_eq!(quantile(&[3, 5, 8], 99, 100), 8);
+    }
+
+    #[test]
+    fn summary_ignores_record_order() {
+        let mut lat = Latencies::new();
+        for us in [7, 1, 9, 3, 5] {
+            lat.record(SimDuration::from_micros(us));
         }
+        let s = lat.summary();
+        assert_eq!((s.count, s.p50.as_micros(), s.max.as_micros()), (5, 5, 9));
+        assert_eq!(s.min.as_micros(), 1);
     }
 
     #[test]
-    fn empty_histogram_is_all_zeroes() {
-        let h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.mean(), SimDuration::ZERO);
-        assert_eq!(h.p99(), SimDuration::ZERO);
-        assert_eq!(h.min(), SimDuration::ZERO);
+    fn empty_summary_is_all_zeroes() {
+        let s = Latencies::new().summary();
+        assert_eq!(s.count, 0);
+        assert_eq!(s.mean, SimDuration::ZERO);
+        assert_eq!(s.p99, SimDuration::ZERO);
+        assert_eq!(s.min, SimDuration::ZERO);
     }
 
     #[test]
-    fn quantiles_of_uniform_ramp() {
-        let mut h = Histogram::new();
-        for us in 1..=10_000u64 {
-            h.record(SimDuration::from_micros(us));
-        }
-        // Exact p99 is 9 900 us; the histogram guarantees ~3% relative error.
-        assert!(
-            (9_600..=10_000).contains(&h.p99().as_micros()),
-            "{:?}",
-            h.p99()
-        );
-        assert!(
-            (4_800..=5_200).contains(&h.p50().as_micros()),
-            "{:?}",
-            h.p50()
-        );
-        assert_eq!(h.min().as_micros(), 1);
-        assert_eq!(h.max().as_micros(), 10_000);
-        assert!((4_900..=5_100).contains(&h.mean().as_micros()));
-    }
-
-    #[test]
-    fn single_sample_quantiles() {
-        let mut h = Histogram::new();
-        h.record(SimDuration::from_micros(42));
-        assert_eq!(h.p50().as_micros(), 42);
-        assert_eq!(h.p99().as_micros(), 42);
-        assert_eq!(h.quantile(1.0).as_micros(), 42);
-        assert_eq!(h.quantile(0.0).as_micros(), 42);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
+    fn merge_appends_samples() {
+        let mut a = Latencies::new();
+        let mut b = Latencies::new();
         a.record(SimDuration::from_micros(10));
         b.record(SimDuration::from_micros(1000));
         a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max().as_micros(), 1000);
-        assert_eq!(a.min().as_micros(), 10);
-    }
-
-    #[test]
-    fn summary_is_consistent() {
-        let mut h = Histogram::new();
-        for i in 1..=100 {
-            h.record(SimDuration::from_micros(i));
-        }
-        let s = h.summary();
-        assert_eq!(s.count, 100);
-        assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
-        assert!(s.min <= s.mean && s.mean <= s.max);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile out of range")]
-    fn bad_quantile_panics() {
-        Histogram::new().quantile(1.5);
+        let s = a.summary();
+        assert_eq!(s.count, 2);
+        assert_eq!((s.min.as_micros(), s.max.as_micros()), (10, 1000));
     }
 }

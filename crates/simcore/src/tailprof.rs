@@ -14,14 +14,15 @@
 //! ## Exemplar selection
 //!
 //! The population is every op with a complete issue→ack window in the
-//! stream. End-to-end latencies are ranked exactly (sorted vector, index
-//! `ceil(q·n) − 1` — not the ~3%-error log-bucketed histogram), and an op
-//! is a *tail op* iff its e2e is **at or beyond** the population p99 and
-//! strictly above the population median. Inclusion at the quantile value
-//! matters in a deterministic simulator: latencies are heavily quantised,
-//! so the slowest ops routinely tie at exactly the p99 order statistic
-//! and a strict `>` rule would report an empty tail for precisely the
-//! runs (a migration pause, a lock convoy) whose tail needs explaining.
+//! stream. End-to-end latencies are ranked exactly by the one quantile
+//! rule of [`crate::stats`] (sorted vector, index `ceil(q·n) − 1`), which
+//! the `latency` block quotes too, and an op is a *tail op* iff its e2e is
+//! **at or beyond** the population p99 and strictly above the population
+//! median. Inclusion at the quantile value matters in a deterministic
+//! simulator: latencies are heavily quantised, so the slowest ops
+//! routinely tie at exactly the p99 order statistic and a strict `>` rule
+//! would report an empty tail for precisely the runs (a migration pause,
+//! a lock convoy) whose tail needs explaining.
 //! The median guard keeps a perfectly flat population — where p99 equals
 //! the median — from classifying every op as tail. The slowest
 //! [`MAX_EXEMPLARS`] tail ops are retained in full as [`TailExemplar`]s,
@@ -55,6 +56,7 @@ use crate::simtrace::{
     KIND_COUNT, NO_NODE, NO_OP, TXN_PHASE_ACQUIRE, TXN_PHASE_BACKOFF, TXN_PHASE_ROLLBACK,
     TXN_PHASE_UNDO,
 };
+use crate::stats::{quantile, quantile_index};
 use crate::time::{SimDuration, SimTime};
 
 /// Maximum fully-materialised exemplars kept per profile (the cause
@@ -296,28 +298,10 @@ fn tail_rule(t: &JsonValue, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Exact quantile over a sorted latency vector: index `ceil(q·n) − 1`
-/// with `q` given as `num/den`.
-pub(crate) fn exact_quantile(sorted: &[u64], num: u64, den: u64) -> u64 {
-    match quantile_index(sorted.len(), num, den) {
-        Some(idx) => sorted[idx],
-        None => 0,
-    }
-}
-
-/// [`exact_quantile`] of an unsorted vector: the same order statistic,
+/// [`quantile`] of an unsorted vector: the same order statistic,
 /// selected in linear time (reorders `values`).
 fn select_quantile(values: &mut [u64], num: u64, den: u64) -> u64 {
-    match quantile_index(values.len(), num, den) {
-        Some(idx) => *values.select_nth_unstable(idx).1,
-        None => 0,
-    }
-}
-
-/// The index of the `num/den` quantile among `len` sorted values.
-fn quantile_index(len: usize, num: u64, den: u64) -> Option<usize> {
-    let idx = (len as u64 * num).div_ceil(den).saturating_sub(1) as usize;
-    (len > 0).then(|| idx.min(len - 1))
+    quantile_index(values.len(), num, den).map_or(0, |i| *values.select_nth_unstable(i).1)
 }
 
 /// A transaction phase window `[start, end]` in phase `phase`.
@@ -503,8 +487,8 @@ impl TailProfile {
         // Exact population quantiles over e2e and per-stage-kind totals.
         let mut e2e_sorted: Vec<u64> = folds.iter().map(|f| f.e2e_ns).collect();
         e2e_sorted.sort_unstable();
-        profile.p99_ns = exact_quantile(&e2e_sorted, 99, 100);
-        profile.median_e2e_ns = exact_quantile(&e2e_sorted, 1, 2);
+        profile.p99_ns = quantile(&e2e_sorted, 99, 100);
+        profile.median_e2e_ns = quantile(&e2e_sorted, 1, 2);
         let kind_median: [u64; KIND_COUNT] =
             std::array::from_fn(|kind| select_quantile(&mut kind_pop[kind], 1, 2));
 

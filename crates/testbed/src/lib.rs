@@ -68,7 +68,7 @@ mod tests {
         dst: u64,
         period: SimDuration,
         sent_at: Option<SimTime>,
-        hist: Histogram,
+        latencies: Latencies,
         remaining: u32,
     }
 
@@ -96,7 +96,7 @@ mod tests {
                     let n = env.poll_cq(N0, cq, 16).len();
                     if n > 0 {
                         let sent = self.sent_at.take().expect("completion without send");
-                        self.hist.record(env.now().since(sent));
+                        self.latencies.record(env.now().since(sent));
                         if self.remaining > 0 {
                             self.remaining -= 1;
                             env.set_timer(self.period, 0);
@@ -162,17 +162,18 @@ mod tests {
                 dst,
                 period: SimDuration::from_micros(50),
                 sent_at: None,
-                hist: Histogram::new(),
+                latencies: Latencies::new(),
                 remaining: 9,
             }),
         );
         cluster.bind_cq(client, N0, cq0, SimDuration::from_micros(1));
         let mut sim = cluster.into_sim();
         sim.run_until(SimTime::from_millis(50));
-        let hist = &sim.model.app_mut::<Client>(client).hist;
-        assert_eq!(hist.count(), 10, "all writes completed");
+        let latencies = &sim.model.app_mut::<Client>(client).latencies;
+        assert_eq!(latencies.count(), 10, "all writes completed");
         // Idle 2-node RTT plus one wake-up: a handful of microseconds.
-        assert!(hist.max() < SimDuration::from_micros(50), "{}", hist.max());
+        let max = latencies.summary().max;
+        assert!(max < SimDuration::from_micros(50), "{max}");
     }
 
     #[test]
@@ -250,7 +251,7 @@ mod tests {
                     dst,
                     period: SimDuration::from_micros(500),
                     sent_at: None,
-                    hist: Histogram::new(),
+                    latencies: Latencies::new(),
                     remaining: 199,
                 }),
             );
@@ -260,9 +261,9 @@ mod tests {
             cluster.add_background_load(N0, hogs, HogProfile::default());
             let mut sim = cluster.into_sim();
             sim.run_until(SimTime::from_secs(2));
-            let h = &sim.model.app_mut::<Client>(client).hist;
+            let h = &sim.model.app_mut::<Client>(client).latencies;
             assert!(h.count() >= 150, "lost completions: {}", h.count());
-            results.push(h.p99());
+            results.push(h.summary().p99);
         }
         assert!(
             results[1] > results[0] * 10,

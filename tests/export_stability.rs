@@ -16,9 +16,7 @@ use hyperloop_repro::netsim::NodeId;
 use hyperloop_repro::rnicsim::Payload;
 use hyperloop_repro::simcore::jsonw::canonicalize_report;
 use hyperloop_repro::simcore::simaudit::op_id_base;
-use hyperloop_repro::simcore::{
-    Audit, HealthMonitor, MetricsRegistry, SimDuration, SloConfig, Tracer,
-};
+use hyperloop_repro::simcore::{Audit, MetricsRegistry, Tracer};
 use hyperloop_repro::testbed::{drive, Cluster, ClusterConfig};
 
 const CLIENT: NodeId = NodeId(0);
@@ -31,13 +29,11 @@ fn export_all(
     chains: &[Vec<NodeId>],
     set: &ShardSet<hyperloop_repro::hyperloop::GroupClient>,
     audit: &Audit,
-    health: &HealthMonitor,
 ) {
     model.export_into(reg, "cluster");
     model.export_shards_into(reg, chains, "bench");
     set.export_into(reg, "bench.shards");
     audit.export_into(reg, "audit");
-    health.export_into(reg, "health");
 }
 
 #[test]
@@ -57,12 +53,11 @@ fn exporting_twice_is_idempotent() {
             ..ClusterConfig::default()
         },
     );
-    // Auditors tap the run through an audit-only tracer; their export and
-    // the health monitor's must be as idempotent as every other exporter.
+    // Auditors tap the run through an audit-only tracer; their export must
+    // be as idempotent as every other exporter.
     let audit = Audit::standard();
     let tracer = Tracer::disabled().with_audit(audit.clone());
     cluster.set_tracer(tracer.clone());
-    let health = HealthMonitor::new(SloConfig::default());
     let groups: Vec<HyperLoopGroup> = cluster.setup_fabric(|ctx| {
         chains
             .iter()
@@ -107,7 +102,6 @@ fn exporting_twice_is_idempotent() {
                     },
                 )
                 .unwrap();
-                health.record_issue(ctx.now, s);
             }
         }
     });
@@ -119,30 +113,23 @@ fn exporting_twice_is_idempotent() {
         cfg.shared_size,
     );
     let run = MigrationRun::begin(&mut sim, &mut set, plan);
-    let outcome = run.finish(&mut sim, &mut set);
-    for a in &outcome.drained {
-        health.record_ack(sim.now(), a.shard.0, SimDuration::from_micros(10));
-    }
+    run.finish(&mut sim, &mut set);
     loop {
         sim.run();
-        let acks = drive(&mut sim, |ctx| set.poll(ctx));
-        for a in &acks {
-            health.record_ack(sim.now(), a.shard.0, SimDuration::from_micros(10));
-        }
+        drive(&mut sim, |ctx| set.poll(ctx));
         if set.in_flight() == 0 {
             break;
         }
     }
-    health.tick(sim.now());
     let chains_now = vec![standby, chains[1].clone()];
 
     // Export once into a fresh registry, and twice into another: the two
     // must serialize byte-identically — snapshots set, they never add.
     let mut once = MetricsRegistry::new();
-    export_all(&mut once, &sim.model, &chains_now, &set, &audit, &health);
+    export_all(&mut once, &sim.model, &chains_now, &set, &audit);
     let mut twice = MetricsRegistry::new();
-    export_all(&mut twice, &sim.model, &chains_now, &set, &audit, &health);
-    export_all(&mut twice, &sim.model, &chains_now, &set, &audit, &health);
+    export_all(&mut twice, &sim.model, &chains_now, &set, &audit);
+    export_all(&mut twice, &sim.model, &chains_now, &set, &audit);
     // Byte-identity goes through the shared report canonicalizer so any
     // volatile host-side fields (wall-clock times) can never fail it.
     assert_eq!(
@@ -168,11 +155,10 @@ fn exporting_twice_is_idempotent() {
     assert_eq!(twice.gauge("bench.shards.shard0.in_flight"), Some(0.0));
     assert!(twice.counter("cluster.fabric.wqes_executed").unwrap() > 0);
 
-    // The audit and health exporters follow the same set/gauge discipline:
-    // a clean run snapshots zero violations (per auditor and total), the
-    // breach totals are counters, and the per-shard states are gauges —
-    // none of them doubled by the second export (the byte-compare above is
-    // the real witness; these pin the key names).
+    // The audit exporter follows the same set discipline: a clean run
+    // snapshots zero violations, per auditor and in total, none of them
+    // doubled by the second export (the byte-compare above is the real
+    // witness; these pin the key names).
     assert_eq!(twice.counter("audit.violations"), Some(0));
     for auditor in ["durability", "chain_order", "flow_control", "migration"] {
         assert_eq!(
@@ -180,17 +166,6 @@ fn exporting_twice_is_idempotent() {
             Some(0),
             "auditor {auditor} missing from the snapshot"
         );
-    }
-    assert_eq!(
-        twice.counter("health.breaches"),
-        once.counter("health.breaches")
-    );
-    for s in 0..2 {
-        assert!(
-            twice.gauge(&format!("health.shard{s}.state")).is_some(),
-            "shard {s} state missing from the health snapshot"
-        );
-        assert_eq!(twice.counter(&format!("health.shard{s}.acks")), Some(4));
     }
 }
 
